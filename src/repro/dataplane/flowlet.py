@@ -17,9 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
-from ..netsim.delaymodels import deterministic_uniform
+from ..netsim.delaymodels import uniform_at
 from ..netsim.packet import Packet
 from .programs import Tunnel
 
@@ -135,7 +133,7 @@ class FlowletSelector:
         else:
             weights = [1.0 / len(tunnels)] * len(tunnels)
         draw_seed = (self.seed * 0x9E3779B1) ^ (key & 0xFFFFFFFF) ^ (flowlet << 32)
-        u = float(deterministic_uniform(draw_seed, np.asarray([now]))[0])
+        u = uniform_at(draw_seed, now)
         cumulative = 0.0
         for index, weight in enumerate(weights):
             cumulative += weight

@@ -15,6 +15,14 @@ Design requirements, and how they are met:
   ``(seed, quantized time)``), so ``delay_at(t)`` is a pure function —
   no RNG state, no order dependence, and vectorized evaluation over numpy
   arrays is exact, not approximate.
+* **One function, two evaluations.**  ``delays(times)`` (numpy, used by
+  campaign sampling) is the definition; ``delay_at(t)`` is the scalar
+  evaluation of the same pure function on the packet path, built on
+  :func:`uniform_at` / :func:`normal_at` (SplitMix64 on Python ints).
+  Equality is bit-exact — ``delay_at(t) == delays(np.array([t]))[0]`` for
+  every shipped model and event — and property-tested
+  (``tests/netsim/test_delaymodels.py``).  Only third-party models that
+  do not define ``delay_at`` go through a one-element array.
 * **Composability.**  A path's process is a :class:`CompositeDelay` of a
   base model plus any number of :class:`DelayEvent` overlays, mirroring how
   the paper narrates its traces (steady path + route change + instability).
@@ -44,12 +52,18 @@ __all__ = [
     "overlay",
     "deterministic_uniform",
     "deterministic_normal",
+    "uniform_at",
+    "normal_at",
 ]
 
 #: Grid onto which sample times are quantized before hashing.  Finer than
 #: the paper's 10 ms probe interval so consecutive probes always draw fresh
 #: noise.
 _NOISE_QUANTUM = 1e-4
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+#: 53 mantissa bits of a mixed word, scaled into [0, 1).
+_TWO_POW_MINUS_53 = 1.0 / 9007199254740992.0
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -89,14 +103,37 @@ def deterministic_uniform(seed: int, times: np.ndarray) -> np.ndarray:
     """
     idx = _time_indices(times).astype(np.uint64)
     mixed = _splitmix64(idx ^ _splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
-    # 53-bit mantissa precision, shifted into (0, 1).
-    u = (mixed >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    u = (mixed >> np.uint64(11)).astype(np.float64) * _TWO_POW_MINUS_53
     return np.clip(u, 1e-12, 1.0 - 1e-12)
 
 
 def deterministic_normal(seed: int, times: np.ndarray) -> np.ndarray:
     """Standard-normal noise that is a pure function of (seed, time)."""
     return ndtri(deterministic_uniform(seed, times))
+
+
+def _splitmix64_int(x: int) -> int:
+    """:func:`_splitmix64` on one Python int (wraparound by masking)."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def uniform_at(seed: int, t: float) -> float:
+    """Scalar :func:`deterministic_uniform`: equal, bit for bit, to
+    ``deterministic_uniform(seed, np.array([t]))[0]``."""
+    # ``& _MASK64`` is the two's-complement view numpy's int64 -> uint64
+    # cast takes of a negative grid index.
+    index = math.floor(t / _NOISE_QUANTUM) & _MASK64
+    mixed = _splitmix64_int(index ^ _splitmix64_int(seed & _MASK64))
+    u = (mixed >> 11) * _TWO_POW_MINUS_53
+    return min(max(u, 1e-12), 1.0 - 1e-12)
+
+
+def normal_at(seed: int, t: float) -> float:
+    """Scalar :func:`deterministic_normal`, bit-identical likewise."""
+    return float(ndtri(uniform_at(seed, t)))
 
 
 class DelayModel(ABC):
@@ -107,7 +144,12 @@ class DelayModel(ABC):
         """Vectorized evaluation: delay for each sample time."""
 
     def delay_at(self, t: float) -> float:
-        """Scalar evaluation, used on the packet-level forwarding path."""
+        """Scalar evaluation, used on the packet-level forwarding path.
+
+        Every model in this module overrides this with a numpy-free
+        evaluation that equals ``delays`` bit for bit; this fallback
+        serves models that define only ``delays``.
+        """
         return float(self.delays(np.asarray([t], dtype=np.float64))[0])
 
     @property
@@ -128,6 +170,9 @@ class ConstantDelay(DelayModel):
 
     def delays(self, times: np.ndarray) -> np.ndarray:
         return np.full(np.shape(times), self.base, dtype=np.float64)
+
+    def delay_at(self, t: float) -> float:
+        return float(self.base)
 
     @property
     def floor(self) -> float:
@@ -150,23 +195,30 @@ class GaussianJitterDelay(DelayModel):
     base: float
     sigma: float
     seed: int = 0
+    _floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.base < 0:
             raise ValueError(f"base delay must be non-negative, got {self.base}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        # Allow a little downside so the distribution isn't one-sided, but
+        # never below 90% of base (propagation cannot be beaten).
+        object.__setattr__(
+            self, "_floor", self.base * 0.9 if self.sigma > 0 else self.base
+        )
 
     def delays(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)
         noise = deterministic_normal(self.seed, times) * self.sigma
         return np.maximum(self.base + noise, self.floor)
 
+    def delay_at(self, t: float) -> float:
+        return max(self.base + normal_at(self.seed, t) * self.sigma, self._floor)
+
     @property
     def floor(self) -> float:
-        # Allow a little downside so the distribution isn't one-sided, but
-        # never below 90% of base (propagation cannot be beaten).
-        return self.base * 0.9 if self.sigma > 0 else self.base
+        return self._floor
 
 
 @dataclass(frozen=True)
@@ -192,6 +244,11 @@ class DiurnalVariation(DelayModel):
         swing = np.sin(2.0 * math.pi * (times / self.period) + self.phase)
         return (swing + 1.0) * (self.amplitude / 2.0)
 
+    def delay_at(self, t: float) -> float:
+        # np.sin, not math.sin: libm and numpy's loop may round differently.
+        swing = float(np.sin(2.0 * math.pi * (t / self.period) + self.phase))
+        return (swing + 1.0) * (self.amplitude / 2.0)
+
     @property
     def floor(self) -> float:
         return 0.0
@@ -210,6 +267,8 @@ class SpikeProcess(DelayModel):
     min_magnitude: float
     max_magnitude: float
     seed: int = 1
+    #: Chance that one quantized sample spikes.
+    _probability: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rate_per_second < 0:
@@ -219,16 +278,25 @@ class SpikeProcess(DelayModel):
                 "need 0 <= min_magnitude <= max_magnitude, got "
                 f"{self.min_magnitude}, {self.max_magnitude}"
             )
+        object.__setattr__(
+            self, "_probability", min(self.rate_per_second * _NOISE_QUANTUM, 1.0)
+        )
 
     def delays(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)
-        probability = min(self.rate_per_second * _NOISE_QUANTUM, 1.0)
-        gate = deterministic_uniform(self.seed, times) < probability
+        gate = deterministic_uniform(self.seed, times) < self._probability
         magnitude = deterministic_uniform(self.seed + 1, times)
         spikes = self.min_magnitude + magnitude * (
             self.max_magnitude - self.min_magnitude
         )
         return np.where(gate, spikes, 0.0)
+
+    def delay_at(self, t: float) -> float:
+        if uniform_at(self.seed, t) < self._probability:
+            return self.min_magnitude + uniform_at(self.seed + 1, t) * (
+                self.max_magnitude - self.min_magnitude
+            )
+        return 0.0
 
     @property
     def floor(self) -> float:
@@ -252,6 +320,10 @@ class DelayEvent(ABC):
     @abstractmethod
     def extra_delays(self, times: np.ndarray) -> np.ndarray:
         """Additional delay contributed at each sample time."""
+
+    @abstractmethod
+    def extra_at(self, t: float) -> float:
+        """Scalar ``extra_delays``: the same value, bit for bit."""
 
 
 @dataclass(frozen=True)
@@ -291,6 +363,14 @@ class RouteChangeEvent(DelayEvent):
             extra[in_transition] = churn * self.churn_max
         extra[in_plateau] = self.shift
         return extra
+
+    def extra_at(self, t: float) -> float:
+        rel = t - self.start
+        if 0 <= rel < self.transition:
+            return uniform_at(self.seed, t) * self.churn_max
+        if self.transition <= rel < self.duration:
+            return float(self.shift)
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -333,6 +413,15 @@ class InstabilityEvent(DelayEvent):
         extra[inside] = np.where(is_spike, spikes, minor)
         return extra
 
+    def extra_at(self, t: float) -> float:
+        if not 0 <= t - self.start < self.duration:
+            return 0.0
+        if uniform_at(self.seed, t) < self.spike_probability:
+            return self.spike_min + uniform_at(self.seed + 1, t) * (
+                self.spike_max - self.spike_min
+            )
+        return uniform_at(self.seed + 2, t) * self.minor_max
+
 
 @dataclass(frozen=True)
 class AsymmetryEvent(DelayEvent):
@@ -353,6 +442,9 @@ class AsymmetryEvent(DelayEvent):
         rel = times - self.start
         inside = (rel >= 0) & (rel < self.duration)
         return np.where(inside, self.shift, 0.0)
+
+    def extra_at(self, t: float) -> float:
+        return float(self.shift) if 0 <= t - self.start < self.duration else 0.0
 
 
 @dataclass
@@ -375,6 +467,14 @@ class CompositeDelay(DelayModel):
             total = total + component.delays(times)
         for event in self.events:
             total = total + event.extra_delays(times)
+        return total
+
+    def delay_at(self, t: float) -> float:
+        total = self.base.delay_at(t)
+        for component in self.components:
+            total = total + component.delay_at(t)
+        for event in self.events:
+            total = total + event.extra_at(t)
         return total
 
     @property

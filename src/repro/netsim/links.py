@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-import numpy as np
-
-from .delaymodels import DelayEvent, DelayModel, deterministic_uniform
+from .delaymodels import DelayEvent, DelayModel, uniform_at
 from .packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -79,8 +77,7 @@ class LossModel:
         if p >= 1.0:
             return True
         stream = (seed ^ (nonce * 0x9E3779B1)) & 0x7FFFFFFFFFFFFFFF
-        u = float(deterministic_uniform(stream, np.asarray([t]))[0])
-        return u < p
+        return uniform_at(stream, t) < p
 
 
 @dataclass(frozen=True)

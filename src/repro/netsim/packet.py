@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ipaddress
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 __all__ = [
@@ -50,6 +50,8 @@ class Ipv4Header:
     protocol: int = 17
 
     WIRE_BYTES = 20
+    #: On-wire size of this header; every header type answers ``wire_bytes``.
+    wire_bytes = WIRE_BYTES
 
     @property
     def version(self) -> int:
@@ -70,6 +72,7 @@ class Ipv6Header:
     next_header: int = 17
 
     WIRE_BYTES = 40
+    wire_bytes = WIRE_BYTES
 
     @property
     def version(self) -> int:
@@ -84,6 +87,7 @@ class UdpHeader:
     dport: int
 
     WIRE_BYTES = 8
+    wire_bytes = WIRE_BYTES
 
     def __post_init__(self) -> None:
         for name, port in (("sport", self.sport), ("dport", self.dport)):
@@ -232,10 +236,7 @@ class Packet:
         """Total serialized size: headers + payload."""
         total = self.payload_bytes
         for header in self.headers:
-            if isinstance(header, TangoHeader):
-                total += header.wire_bytes
-            else:
-                total += header.WIRE_BYTES
+            total += header.wire_bytes
         return total
 
     def five_tuple(self) -> FiveTuple:
@@ -281,10 +282,10 @@ class Packet:
         if isinstance(ip, Ipv4Header):
             if ip.ttl <= 1:
                 raise ValueError(f"TTL expired for packet {self.packet_id}")
-            new_ip: Header = replace(ip, ttl=ip.ttl - 1)
+            new_ip: Header = Ipv4Header(ip.src, ip.dst, ip.ttl - 1, ip.protocol)
         else:
             if ip.hop_limit <= 1:
                 raise ValueError(f"hop limit expired for packet {self.packet_id}")
-            new_ip = replace(ip, hop_limit=ip.hop_limit - 1)
+            new_ip = Ipv6Header(ip.src, ip.dst, ip.hop_limit - 1, ip.next_header)
         self.headers[index] = new_ip
         return self

@@ -10,7 +10,7 @@ deterministic under a seed.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,7 +28,13 @@ __all__ = [
 
 @dataclass
 class PacketFactory:
-    """Builds plain (pre-encapsulation) data packets for a host pair."""
+    """Builds plain (pre-encapsulation) data packets for a host pair.
+
+    The addresses are parsed and the two headers built once, at
+    construction: headers are frozen, so every packet of the factory
+    shares them, while each packet gets its own header *list* and
+    ``meta`` dict.
+    """
 
     src: str
     dst: str
@@ -36,17 +42,20 @@ class PacketFactory:
     dport: int = 50000
     payload_bytes: int = 64
     flow_label: int = 0
+    _ip: Ipv6Header = field(init=False, repr=False, compare=False)
+    _udp: UdpHeader = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._ip = Ipv6Header(
+            src=ipaddress.IPv6Address(self.src),
+            dst=ipaddress.IPv6Address(self.dst),
+        )
+        self._udp = UdpHeader(sport=self.sport, dport=self.dport)
 
     def build(self) -> Packet:
         """A fresh packet with an IPv6+UDP header stack."""
         return Packet(
-            headers=[
-                Ipv6Header(
-                    src=ipaddress.IPv6Address(self.src),
-                    dst=ipaddress.IPv6Address(self.dst),
-                ),
-                UdpHeader(sport=self.sport, dport=self.dport),
-            ],
+            headers=[self._ip, self._udp],
             payload_bytes=self.payload_bytes,
             flow_label=self.flow_label,
         )

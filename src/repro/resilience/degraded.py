@@ -26,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from ..netsim.delaymodels import deterministic_normal
+from ..netsim.delaymodels import normal_at
 from ..netsim.events import PeriodicTask, Simulator
 from ..telemetry.store import MeasurementStore
 
@@ -184,18 +182,11 @@ class RttFallbackEstimator:
 
     def _probe(self) -> None:
         now = self.sim.now
-        at = np.asarray([now], dtype=np.float64)
         self.probes += 1
         for index, (path_id, fwd_model, rev_model) in enumerate(self._pairs):
             noise_seed = self.seed + 7 * index
-            edge = sum(
-                float(deterministic_normal(noise_seed + k, at)[0])
-                for k in range(4)
-            )
-            host = sum(
-                float(deterministic_normal(noise_seed + 10 + k, at)[0])
-                for k in range(2)
-            )
+            edge = sum(normal_at(noise_seed + k, now) for k in range(4))
+            host = sum(normal_at(noise_seed + 10 + k, now) for k in range(2))
             rtt = (
                 fwd_model.delay_at(now)
                 + rev_model.delay_at(now)

@@ -203,7 +203,8 @@ class LiveFederationScenario:
     member_transits: dict[str, list[int]]
     probe_prefixes: dict[str, str]
     prefixes_per_peer: int
-    #: Sorted-name pair -> pseudo-geographic distance (one-way ms).
+    #: (lower-index member, higher-index member) -> pseudo-geographic
+    #: distance (one-way ms).
     pair_distance_ms: dict[tuple[str, str], float]
     #: The deliberately fate-shared pair (both single-homed to one
     #: transit), or None when the knob is off.
@@ -259,8 +260,9 @@ class LiveFederationScenario:
 
     def path_delay_ms(self, src: str, dst: str, path: DiscoveredPath) -> float:
         """Deterministic base one-way delay for one discovered path."""
-        pair = (src, dst) if src < dst else (dst, src)
-        distance = self.pair_distance_ms[pair]
+        # Keyed lower member index first — not by name: "edge10" < "edge2".
+        forward = self.member_index(src) < self.member_index(dst)
+        distance = self.pair_distance_ms[(src, dst) if forward else (dst, src)]
         speed = float(
             np.mean([_TRANSIT_SPEED.get(a, 1.3) for a in path.transit_asns])
             if path.transit_asns

@@ -9,9 +9,9 @@ multipliers on top — the ``demand_surge`` fault kind is a pure data
 mutation of the model, nothing is scheduled.
 
 Everything is a deterministic function of (seed, time): arrivals use
-counter-based draws from :func:`repro.netsim.delaymodels.deterministic_normal`
+counter-based draws from :func:`repro.netsim.delaymodels.normal_at`
 and sizes invert the Pareto CDF on
-:func:`repro.netsim.delaymodels.deterministic_uniform`, so replaying a
+:func:`repro.netsim.delaymodels.uniform_at`, so replaying a
 scenario with the same seed reproduces the demand exactly.
 """
 
@@ -21,9 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
-from repro.netsim.delaymodels import deterministic_normal, deterministic_uniform
+from repro.netsim.delaymodels import normal_at, uniform_at
 
 _SECONDS_PER_DAY = 86_400.0
 # Bounded-Pareto cap: individual size draws never exceed this multiple of
@@ -166,7 +164,7 @@ class DemandModel:
         if lam <= 0.0:
             return 0.0
         stream = _mix_seed(self.seed, cls.seed, cls.flow_label)
-        noise = float(deterministic_normal(stream, np.asarray([mid]))[0])
+        noise = normal_at(stream, mid)
         return max(0.0, lam + math.sqrt(lam) * noise)
 
     def size_draw_bytes(self, cls: FlowClass, t: float) -> float:
@@ -174,7 +172,7 @@ class DemandModel:
         alpha = cls.pareto_alpha
         xm = cls.mean_size_bytes * (alpha - 1.0) / alpha
         stream = _mix_seed(self.seed, cls.seed, cls.flow_label) ^ 0x5EED
-        u = float(deterministic_uniform(stream, np.asarray([t]))[0])
+        u = uniform_at(stream, t)
         size = xm * (1.0 - u) ** (-1.0 / alpha)
         return min(size, cls.mean_size_bytes * _SIZE_CAP_MULTIPLE)
 

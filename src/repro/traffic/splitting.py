@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
-from repro.netsim.delaymodels import deterministic_uniform
+from repro.netsim.delaymodels import uniform_at
 from repro.netsim.packet import Packet
 from repro.telemetry.store import MeasurementStore
 
@@ -203,7 +201,7 @@ class WeightedSplitSelector:
         weights = self.split_weights(tunnels, now)
         key = self._flow_key(packet)
         draw_seed = (self.seed * 0x9E3779B1) ^ (key & 0xFFFFFFFFFFFF)
-        u = float(deterministic_uniform(draw_seed, np.asarray([now]))[0])
+        u = uniform_at(draw_seed, now)
         cumulative = 0.0
         index = len(tunnels) - 1
         for i, weight in enumerate(weights):

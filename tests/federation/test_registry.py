@@ -72,6 +72,16 @@ class TestEstablishment:
         with pytest.raises(ValueError, match="not a federation member"):
             federation.member_links("tokyo")
 
+    def test_two_digit_member_names_establish(self):
+        # "edge10" < "edge2" as strings: pair distances are keyed by
+        # member index, so name order must not be used to look them up.
+        registry = FederationRegistry(build_live_federation(12, seed=42))
+        registry.establish()
+        assert registry.state.pair_count == 66
+        assert all(s.state is not None for s in registry.sessions.values())
+        assert registry.calibrations_for("edge10", "edge2")
+        registry.stop()
+
     def test_establish_twice_rejected(self, federation):
         with pytest.raises(RuntimeError, match="already established"):
             federation.establish()

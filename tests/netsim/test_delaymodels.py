@@ -1,5 +1,9 @@
 """Tests for delay processes, including property-based determinism."""
 
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +20,11 @@ from repro.netsim.delaymodels import (
     SpikeProcess,
     deterministic_normal,
     deterministic_uniform,
+    normal_at,
+    overlay,
+    uniform_at,
 )
+from repro.netsim.links import ConstantLoss, OverrideLoss
 
 
 class TestDeterministicNoise:
@@ -41,8 +49,7 @@ class TestDeterministicNoise:
     def test_vectorized_matches_scalar(self):
         times = np.arange(0, 1, 0.01)
         vec = deterministic_uniform(5, times)
-        scalars = [float(deterministic_uniform(5, np.asarray([t]))[0]) for t in times]
-        np.testing.assert_allclose(vec, scalars)
+        assert vec.tolist() == [uniform_at(5, float(t)) for t in times]
 
     def test_uniform_distribution_roughly_flat(self):
         u = deterministic_uniform(9, np.arange(0, 100, 0.001))
@@ -247,3 +254,143 @@ class TestCompositeDelay:
         model = CompositeDelay(base=ConstantDelay(0.01), events=(event,))
         assert model.events_overlapping(120.0, 130.0) == [event]
         assert model.events_overlapping(200.0, 300.0) == []
+
+
+# -- scalar / vector contract ---------------------------------------------------
+#
+# ``delays(times)`` defines each process; ``delay_at(t)`` (and the
+# ``uniform_at`` / ``normal_at`` kernel under it) is the packet path's
+# numpy-free evaluation of the same function.  Replays are byte-compared,
+# so the two must agree with ``==`` on the float, never ``approx``.
+
+SEEDS = st.integers(min_value=-(2**40), max_value=2**70)
+
+
+@st.composite
+def grid_times(draw):
+    """A 1e-4 noise-grid line, or the float just below / just above it."""
+    line = draw(st.integers(min_value=-(10**7), max_value=10**8)) * 1e-4
+    return draw(
+        st.sampled_from(
+            [line, math.nextafter(line, -math.inf), math.nextafter(line, math.inf)]
+        )
+    )
+
+
+#: Event windows below open at -50 s and close by +250 s, so roughly half
+#: of the first strategy's draws land inside them.
+TIMES = st.one_of(
+    st.floats(min_value=-300.0, max_value=500.0),
+    st.floats(min_value=-1e6, max_value=1e7),
+    grid_times(),
+    st.sampled_from([-50.0, -40.0, 0.0, 10.0, 250.0]),
+)
+
+
+def surrounded(t):
+    """``t`` at index 128 of a 257-sample array of nearby times."""
+    offsets = (np.arange(257) - 128) * 3.7e-5
+    times = t + offsets
+    times[128] = t
+    return times
+
+
+def assert_scalar_is_vector(scalar_fn, vector_fn, t):
+    value = scalar_fn(t)
+    assert type(value) is float
+    assert value == vector_fn(np.array([t]))[0]
+    assert value == vector_fn(surrounded(t))[128]
+
+
+def shipped_models(seed):
+    return [
+        ConstantDelay(0.028),
+        GaussianJitterDelay(0.028, 0.0003, seed=seed),
+        GaussianJitterDelay(0.010, 0.005, seed=seed),  # floor clip fires
+        GaussianJitterDelay(0.020, 0.0, seed=seed),
+        DiurnalVariation(amplitude=0.002, period=3600.0, phase=0.7 * (seed % 11)),
+        DiurnalVariation(amplitude=0.004),
+        SpikeProcess(3000.0, 0.001, 0.006, seed=seed),  # gate open ~30 %
+        SpikeProcess(0.02, 0.001, 0.006, seed=seed),
+    ]
+
+
+def shipped_events(seed):
+    return [
+        RouteChangeEvent(start=-50.0, duration=300.0, transition=60.0, seed=seed),
+        InstabilityEvent(start=-50.0, duration=300.0, spike_probability=0.3, seed=seed),
+        AsymmetryEvent(start=-50.0, duration=300.0, shift=0.003),
+    ]
+
+
+class TestScalarVectorIdentity:
+    @given(seed=SEEDS, t=TIMES)
+    @settings(max_examples=300, deadline=None)
+    def test_kernel(self, seed, t):
+        assert_scalar_is_vector(
+            lambda x: uniform_at(seed, x),
+            lambda xs: deterministic_uniform(seed, xs),
+            t,
+        )
+        assert_scalar_is_vector(
+            lambda x: normal_at(seed, x),
+            lambda xs: deterministic_normal(seed, xs),
+            t,
+        )
+
+    @given(seed=SEEDS, t=TIMES)
+    @settings(max_examples=200, deadline=None)
+    def test_every_shipped_model(self, seed, t):
+        for model in shipped_models(seed):
+            assert_scalar_is_vector(model.delay_at, model.delays, t)
+
+    @given(seed=SEEDS, t=TIMES)
+    @settings(max_examples=200, deadline=None)
+    def test_every_shipped_event(self, seed, t):
+        for event in shipped_events(seed):
+            assert_scalar_is_vector(event.extra_at, event.extra_delays, t)
+
+    @given(seed=SEEDS, t=TIMES)
+    @settings(max_examples=200, deadline=None)
+    def test_composites(self, seed, t):
+        models = shipped_models(seed)
+        events = shipped_events(seed + 100)
+        full = CompositeDelay(
+            base=models[1], components=tuple(models[4:]), events=tuple(events)
+        )
+        injected = overlay(overlay(models[2], events[2]), events[0])
+        nested = CompositeDelay(base=full, components=(injected,))
+        for model in (full, injected, nested):
+            assert_scalar_is_vector(model.delay_at, model.delays, t)
+
+    def test_cached_parameters_leave_models_frozen_hashable_equal(self):
+        a = GaussianJitterDelay(0.028, 0.0003, seed=3)
+        b = GaussianJitterDelay(0.028, 0.0003, seed=3)
+        assert a == b and hash(a) == hash(b)
+        assert a.floor == 0.028 * 0.9
+        assert repr(a) == "GaussianJitterDelay(base=0.028, sigma=0.0003, seed=3)"
+        with pytest.raises(AttributeError):
+            a.sigma = 0.1
+        spike = SpikeProcess(50.0, 0.01, 0.05, seed=6)
+        assert spike == SpikeProcess(50.0, 0.01, 0.05, seed=6)
+        assert hash(spike) == hash(SpikeProcess(50.0, 0.01, 0.05, seed=6))
+        assert "_probability" not in repr(spike)
+
+
+class TestLossDrawsMatchParent:
+    """``LossModel.drops`` decisions, frozen before the scalar kernel."""
+
+    TABLE = json.loads(
+        (Path(__file__).parent / "golden" / "loss_drops.json").read_text(
+            encoding="utf-8"
+        )
+    )
+
+    def test_thousand_rows_decide_as_the_parent_did(self):
+        base = ConstantLoss(0.3)
+        override = OverrideLoss.burst(base, 10.0, 20.0, rate=0.5, seed=9)
+        rows = self.TABLE["rows"]
+        assert len(rows) == 1000
+        for seed, t, nonce, base_drops, override_drops in rows:
+            assert base.drops(seed, t, nonce) is base_drops
+            assert override.drops(seed, t, nonce) is override_drops

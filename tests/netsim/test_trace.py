@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netsim.events import Simulator
+from repro.netsim.packet import Ipv6Header, UdpHeader
 from repro.netsim.trace import (
     DroneTelemetryWorkload,
     PacketFactory,
@@ -23,6 +24,29 @@ class TestPacketFactory:
     def test_each_build_is_fresh(self):
         a, b = FACTORY.build(), FACTORY.build()
         assert a.packet_id != b.packet_id
+
+    def test_packets_share_headers_but_never_a_stack_or_meta(self):
+        factory = PacketFactory(src="2001:db8:10::2", dst="2001:db8:20::2")
+        first, second = factory.build(), factory.build()
+        # Frozen header templates are shared ...
+        assert all(x is y for x, y in zip(first.headers, second.headers))
+        # ... the mutable containers never are.
+        assert first.headers is not second.headers
+        assert first.meta is not second.meta
+        first.decrement_ttl()
+        first.pop()
+        first.push(UdpHeader(sport=1, dport=2))
+        first.meta["tag"] = "mutated"
+        third = factory.build()
+        for packet in (second, third):
+            assert [type(h) for h in packet.headers] == [Ipv6Header, UdpHeader]
+            assert packet.outer_ip.hop_limit == 64
+            assert packet.five_tuple().dport == 50000
+            assert packet.meta == {}
+
+    def test_bad_address_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            PacketFactory(src="not-an-address", dst="2001:db8:20::2")
 
 
 class TestProbeGenerator:
