@@ -1,14 +1,22 @@
-"""E16 — fluid traffic engine: scale gate and packet-equivalence gate.
+"""E16 + E19 — fluid traffic engine, its two step kernels, the tick wheel.
 
-The traffic bench gate (see README "Workloads & traffic engine"): runs
-the standard traffic workloads from :mod:`repro.traffic.bench`, prints
+The traffic bench gate (see README "Workloads & traffic engine" and
+EXPERIMENTS.md E16/E19): ONE :func:`run_traffic_suite` call runs every
+standard traffic workload from :mod:`repro.traffic.bench` once, prints
 the results, writes ``BENCH_TRAFFIC.json``, and FAILS if
 
-* the fluid engine does not sustain >=1,000,000 concurrent modeled
-  flows on the Vultr scenario in under 10 s wall-clock, or
-* the fluid model's mean delay deviates from the packet simulator by
-  more than 10% (or loss by more than 2 pp) at any point of the
-  equivalence sweep.
+* (E16) the fluid engine does not sustain >=1,000,000 concurrent
+  modeled flows on the Vultr scenario in under 10 s wall-clock, or
+* (E16) the fluid model's mean delay deviates from the packet simulator
+  by more than 10% (or loss by more than 2 pp) at any point of the
+  equivalence sweep, or
+* (E19) the array kernel is not byte-identical to the scalar kernel
+  (telemetry series and loss ledgers), sustains fewer than 10,000,000
+  flow-updates/s (modeled concurrent flows x steps / wall), or is less
+  than 5x faster than the scalar kernel at 256 tunnels, or
+* (E19) 1000 controllers on one shared tick wheel need more than one
+  live recurring heap event, drift from the per-controller-task tick
+  counts, or blow the 100 ms per-round wall budget.
 
 Environment:
 
@@ -23,12 +31,14 @@ import os
 
 from conftest import emit
 
-from repro.analysis.report import format_table
 from repro.traffic.bench import (
     EQUIV_DELAY_TOL,
     EQUIV_LOSS_TOL_PP,
     SCALE_MAX_WALL_S,
     SCALE_TARGET_FLOWS,
+    TICK_BUDGET_S,
+    VECTOR_MIN_SPEEDUP,
+    VECTOR_TARGET_UPDATES_PER_S,
     run_equivalence_workload,
     run_traffic_suite,
 )
@@ -45,29 +55,11 @@ def test_traffic_suite(benchmark):
 
     report = run_traffic_suite(smoke=SMOKE)
 
-    scale = report.workloads["scale"]
-    emit(
-        "E16 scale: "
-        f"{scale.detail['peak_concurrent_flows']:,.0f} peak flows, "
-        f"{scale.detail['sim_s']:.0f}s simulated in "
-        f"{scale.detail['wall_s']:.2f}s wall "
-        f"({scale.detail['sim_s_per_wall_s']:.0f}x real time)"
+    emit(report.format())
+    scale, equivalence, vector, ticks = (
+        report.workloads[name]
+        for name in ("scale", "equivalence", "vector", "ticks")
     )
-    equivalence = report.workloads["equivalence"]
-    rows = []
-    for point in equivalence.detail["points"]:
-        rows.append(
-            {
-                "rho": f"{point['rho']:.2f}",
-                "packet_ms": f"{point['packet_delay_ms']:.2f}",
-                "fluid_ms": f"{point['fluid_delay_ms']:.2f}",
-                "delay_err": f"{point['delay_rel_error']:.1%}",
-                "packet_loss": f"{point['packet_loss']:.4f}",
-                "fluid_loss": f"{point['fluid_loss']:.4f}",
-                "loss_pp": f"{point['loss_error_pp']:.2f}",
-            }
-        )
-    emit(format_table(rows, title="E16 — fluid vs packet equivalence"))
 
     with open(OUT_PATH, "w", encoding="utf-8") as handle:
         handle.write(report.to_json())
@@ -97,4 +89,18 @@ def test_traffic_suite(benchmark):
             f"rho={point['rho']}: loss error {point['loss_error_pp']:.2f}pp "
             f"exceeds {EQUIV_LOSS_TOL_PP:.0f}pp"
         )
+
+    # E19 gates (the numbers are in the summary emitted above).
+    # Gate 3: the array kernel is only trustworthy while it stays
+    # bit-identical to the scalar kernel (telemetry bytes, ledgers).
+    assert vector.detail["bit_equivalent"], "array kernel diverged"
+    # Gate 4: sustained flow-update throughput.
+    assert vector.detail["flow_updates_per_s"] >= VECTOR_TARGET_UPDATES_PER_S
+    # Gate 5: at 256 tunnels the array kernel beats the scalar one >= 5x.
+    assert vector.detail["speedup"] >= VECTOR_MIN_SPEEDUP
+    # Gate 6: the controller farm multiplexes onto one heap event,
+    # reproduces per-controller tick counts, and fits the round budget.
+    assert ticks.detail["heap_live_shared"] == 1
+    assert ticks.detail["ticks_match_dedicated"]
+    assert ticks.detail["per_round_s"] <= TICK_BUDGET_S
     assert report.passed

@@ -201,12 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-replay", action="store_true",
         help="skip the (slow) fault-replay workload",
     )
-    profile.add_argument(
-        "--traffic", action="store_true",
-        help="also run the E19 traffic workloads (vectorized fluid "
-        "engine vs scalar oracle, shared tick wheel vs per-controller "
-        "tasks)",
-    )
 
     traffic = sub.add_parser(
         "traffic",
@@ -233,11 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     traffic_run.add_argument(
         "--flows", type=int, default=1_000_000,
         help="target concurrent modeled flows (default: 1000000)",
-    )
-    traffic_run.add_argument(
-        "--engine", choices=["scalar", "vector", "both"], default="both",
-        help="fluid implementation(s) for the scale workload "
-        "(default: both)",
     )
     traffic_run.add_argument(
         "--out", default="BENCH_TRAFFIC.json",
@@ -699,7 +688,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         repeat=args.repeat,
         smoke=args.smoke,
         include_replay=not args.no_replay,
-        include_traffic=args.traffic,
         profiler=profiler,
     )
     header = f"{'workload':<18} {'baseline':>10} {'incremental':>12} {'speedup':>9}"
@@ -730,19 +718,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    failed_traffic = sorted(
-        name
-        for name in ("vector_fluid", "tick_scheduler")
-        if report.workloads.get(name) is not None
-        and not report.workloads[name].detail.get("passed", 1.0)
-    )
-    if failed_traffic:
-        print(
-            "tango-repro: traffic workload gate(s) failed: "
-            + ", ".join(failed_traffic),
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -756,59 +731,9 @@ def cmd_traffic_run(args: argparse.Namespace) -> int:
         )
         return 2
 
-    engines = (
-        ("scalar", "vector") if args.engine == "both" else (args.engine,)
-    )
-    report = run_traffic_suite(
-        smoke=args.smoke, target_flows=args.flows, engines=engines
-    )
+    report = run_traffic_suite(smoke=args.smoke, target_flows=args.flows)
 
-    for name, scale in sorted(report.workloads.items()):
-        if not name.startswith("scale"):
-            continue
-        print(
-            f"{name} ({scale.detail['engine']}): "
-            f"{scale.detail['peak_concurrent_flows']:,.0f} peak flows, "
-            f"{scale.detail['sim_s']:.0f}s simulated in "
-            f"{scale.detail['wall_s']:.2f}s wall "
-            f"({scale.detail['sim_s_per_wall_s']:.0f}x real time) -> "
-            f"{'ok' if scale.passed else 'FAIL'}"
-        )
-    vector = report.workloads["vector"]
-    print(
-        "vector: "
-        f"{vector.detail['buckets']} buckets x {vector.detail['steps']} "
-        f"steps, {vector.detail['flow_updates_per_s']:,.0f} "
-        f"flow-updates/s, {vector.detail['speedup']:.1f}x over scalar, "
-        f"bit-equivalent={vector.detail['bit_equivalent']} -> "
-        f"{'ok' if vector.passed else 'FAIL'}"
-    )
-    ticks = report.workloads["ticks"]
-    print(
-        "ticks: "
-        f"{ticks.detail['controllers']} controllers, "
-        f"{ticks.detail['rounds']} rounds at "
-        f"{ticks.detail['per_round_s'] * 1e3:.2f}ms/round "
-        f"(budget {ticks.detail['budget_s'] * 1e3:.0f}ms), "
-        f"heap events {ticks.detail['heap_live_dedicated']} -> "
-        f"{ticks.detail['heap_live_shared']} -> "
-        f"{'ok' if ticks.passed else 'FAIL'}"
-    )
-    equivalence = report.workloads["equivalence"]
-    header = (
-        f"{'rho':>5} {'packet ms':>10} {'fluid ms':>9} {'delay err':>10} "
-        f"{'pkt loss':>9} {'fluid loss':>11} {'loss pp':>8}"
-    )
-    print(header)
-    print("-" * len(header))
-    for row in equivalence.detail["points"]:
-        print(
-            f"{row['rho']:>5.2f} {row['packet_delay_ms']:>10.2f} "
-            f"{row['fluid_delay_ms']:>9.2f} {row['delay_rel_error']:>9.1%} "
-            f"{row['packet_loss']:>9.4f} {row['fluid_loss']:>11.4f} "
-            f"{row['loss_error_pp']:>8.2f}"
-        )
-    print(f"equivalence: {'ok' if equivalence.passed else 'FAIL'}")
+    print(report.format())
 
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8") as handle:

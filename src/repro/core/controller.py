@@ -216,9 +216,9 @@ class TangoController:
         self.interval_s = interval_s
         self.staleness_s = staleness_s
         self.choice_trace = TimeSeries()
-        self._task: Optional[PeriodicTask] = None
         self.scheduler = scheduler
-        self._handle: Optional[TickHandle] = None
+        #: The scheduled control loop, on the wheel or a dedicated task.
+        self._loop: Optional[PeriodicTask | TickHandle] = None
         self.ticks = 0
         #: Optional attached profiler; when set, control-loop ticks are
         #: counted per controller under ``controller.<name>.ticks``.
@@ -279,7 +279,7 @@ class TangoController:
                 recovery path, used right after :meth:`restore_state` so
                 a restart does not re-thrash tunnels.
         """
-        if self._task is not None or self._handle is not None:
+        if self._loop is not None:
             raise RuntimeError("controller already started")
         if not warm:
             self._stale_flags.clear()
@@ -295,21 +295,18 @@ class TangoController:
         self._apply_mode(self.mode)
         self.crashed = False
         if self.scheduler is not None:
-            self._handle = self.scheduler.register_every_s(
+            self._loop = self.scheduler.register_every_s(
                 self.interval_s,
                 self._scheduled_tick,
                 name=self.gateway.config.name,
             )
         else:
-            self._task = self.sim.call_every(self.interval_s, self._tick)
+            self._loop = self.sim.call_every(self.interval_s, self._tick)
 
     def stop(self) -> None:
-        if self._task is not None:
-            self._task.stop()
-            self._task = None
-        if self._handle is not None:
-            self._handle.stop()
-            self._handle = None
+        if self._loop is not None:
+            self._loop.stop()
+            self._loop = None
 
     def _scheduled_tick(self, now: float) -> None:
         """Shared-wheel entry point (``TickScheduler`` callback shape)."""
@@ -319,7 +316,7 @@ class TangoController:
     def running(self) -> bool:
         """True while the control loop is scheduled — the supervisor's
         liveness primitive (alongside tick-counter progress)."""
-        return self._task is not None or self._handle is not None
+        return self._loop is not None
 
     def crash(self) -> None:
         """Model process death: the loop stops and runtime memory is lost.
@@ -333,12 +330,7 @@ class TangoController:
         stale flags, estimation-mode bookkeeping — is wiped; recovery
         must come from the journal (see :meth:`restore_state`).
         """
-        if self._task is not None:
-            self._task.stop()
-            self._task = None
-        if self._handle is not None:
-            self._handle.stop()
-            self._handle = None
+        self.stop()
         self.crashed = True
         self._qstate.clear()
         self._stale_flags.clear()

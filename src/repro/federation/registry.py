@@ -655,8 +655,6 @@ class FederationRegistry:
         src: str,
         dst: str,
         demand: Optional[DemandModel] = None,
-        *,
-        engine: str = "vector",
     ):
         """Drive one direction with a fluid engine (stitched routes
         included — start traffic *after* stitching)."""
@@ -679,7 +677,7 @@ class FederationRegistry:
             )
         view = PairView(self, *self._pair_key(src, dst))
         fluid = create_fluid_engine(
-            view, src, demand, engine=engine, step_s=self.report_interval_s
+            view, src, demand, step_s=self.report_interval_s
         )
         fluid.start(at_equilibrium=True)
         return fluid

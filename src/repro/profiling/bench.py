@@ -32,14 +32,6 @@ from ..core.discovery import PathDiscovery
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultEvent, FaultPlan
 from ..faults.recovery import RecoveryLog
-from ..traffic.bench import (
-    TrafficReport,
-    run_equivalence_workload,
-    run_scale_workload,
-    run_tick_workload,
-    run_traffic_suite,
-    run_vector_workload,
-)
 from .core import Profiler
 
 __all__ = [
@@ -51,15 +43,6 @@ __all__ = [
     "run_reset_workload",
     "run_fault_replay_workload",
     "run_perf_suite",
-    # Traffic-engine workloads (see repro.traffic.bench): re-exported so
-    # repro.profiling.bench remains the one-stop module for standard
-    # benchmark workloads.
-    "TrafficReport",
-    "run_scale_workload",
-    "run_equivalence_workload",
-    "run_vector_workload",
-    "run_tick_workload",
-    "run_traffic_suite",
 ]
 
 #: The CI perf gate: incremental full-path discovery over the Vultr
@@ -366,58 +349,10 @@ def run_fault_replay_workload(
 # -- the suite ---------------------------------------------------------------
 
 
-def _traffic_workload_results(
-    smoke: bool, profiler: Profiler
-) -> dict[str, WorkloadResult]:
-    """The E19 traffic workloads in before/after ``WorkloadResult`` shape.
-
-    ``vector_fluid`` compares the scalar fluid oracle (baseline) with the
-    vectorized engine; ``tick_scheduler`` compares one ``PeriodicTask``
-    per controller (baseline) with the shared tick wheel.
-    """
-    vector = run_vector_workload(
-        duration_s=10.0 if smoke else 30.0, profiler=profiler
-    )
-    ticks = run_tick_workload(
-        duration_s=2.0 if smoke else 10.0, profiler=profiler
-    )
-    keep = (
-        "steps",
-        "n_tunnels",
-        "buckets",
-        "flow_updates_per_s",
-        "bucket_updates_per_s",
-        "splits_recomputed",
-        "controllers",
-        "rounds",
-        "callbacks_run",
-        "per_round_s",
-        "heap_live_dedicated",
-        "heap_live_shared",
-    )
-    results: dict[str, WorkloadResult] = {}
-    for name, wl, baseline_key, incremental_key in (
-        ("vector_fluid", vector, "wall_scalar_s", "wall_vector_s"),
-        ("tick_scheduler", ticks, "wall_dedicated_s", "wall_shared_s"),
-    ):
-        detail = {
-            k: float(wl.detail[k]) for k in keep if k in wl.detail
-        }
-        detail["passed"] = float(wl.passed)
-        results[name] = WorkloadResult(
-            name=name,
-            baseline_s=float(wl.detail[baseline_key]),
-            incremental_s=float(wl.detail[incremental_key]),
-            detail=detail,
-        )
-    return results
-
-
 def run_perf_suite(
     repeat: int = 3,
     smoke: bool = False,
     include_replay: bool = True,
-    include_traffic: bool = False,
     profiler: Optional[Profiler] = None,
 ) -> PerfReport:
     """Run every workload and assemble the ``BENCH_PERF.json`` payload.
@@ -426,9 +361,6 @@ def run_perf_suite(
         repeat: best-of repetitions per measurement.
         smoke: CI mode — fewer repetitions, same workloads.
         include_replay: skip the (slow) fault-replay workload when False.
-        include_traffic: also run the E19 traffic workloads
-            (vectorized fluid engine, batched tick scheduler) and fold
-            them in as before/after rows.
         profiler: collector for timers/counters; a fresh one by default.
     """
     prof = profiler if profiler is not None else Profiler()
@@ -446,8 +378,6 @@ def run_perf_suite(
             workloads["fault_replay_mttr"] = run_fault_replay_workload(
                 repeat=1 if smoke else max(1, repeat - 1), profiler=prof
             )
-        if include_traffic:
-            workloads.update(_traffic_workload_results(smoke, prof))
     return PerfReport(
         scenario="vultr",
         smoke=smoke,

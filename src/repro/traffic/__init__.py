@@ -29,7 +29,7 @@ from .fluid import (
     fluid_wait_s,
 )
 from .splitting import LoadAwareWeights, SplitRebalancer, WeightedSplitSelector
-from .vector import ENGINES, VectorFluidEngine, create_fluid_engine
+from .vector import VectorFluidEngine, create_fluid_engine
 
 __all__ = [
     "DemandModel",
@@ -44,7 +44,6 @@ __all__ = [
     "LoadAwareWeights",
     "SplitRebalancer",
     "WeightedSplitSelector",
-    "ENGINES",
     "VectorFluidEngine",
     "create_fluid_engine",
 ]

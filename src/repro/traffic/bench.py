@@ -2,9 +2,9 @@
 
 Gated workloads (EXPERIMENTS.md E16 and E19):
 
-* **scale** / **scale_vector** — a fluid engine (scalar oracle or the
-  vectorized engine, via the ``engine=`` knob) drives the full Vultr
-  deployment with the standard web/video/iot mix seeded at ≥1M
+* **scale** — the fluid engine drives the full Vultr deployment (four
+  tunnels, so :func:`~repro.traffic.vector.create_fluid_engine` picks
+  the scalar kernel) with the standard web/video/iot mix seeded at ≥1M
   concurrent modeled flows, load-aware splitting under a controller,
   and a mid-run demand surge.  Gate: the simulated window completes in
   under :data:`SCALE_MAX_WALL_S` wall-clock seconds while peak
@@ -13,11 +13,11 @@ Gated workloads (EXPERIMENTS.md E16 and E19):
   :mod:`repro.traffic.equivalence`.  Gate: mean delay within
   :data:`EQUIV_DELAY_TOL` (relative) and loss within
   :data:`EQUIV_LOSS_TOL_PP` percentage points at every utilization.
-* **vector** (E19) — scalar and vectorized engines over a synthetic
-  many-tunnel edge pair.  Gates: the vectorized engine sustains at
-  least :data:`VECTOR_TARGET_UPDATES_PER_S` flow-updates/s, beats the
-  scalar oracle by :data:`VECTOR_MIN_SPEEDUP`×, and stays byte-identical
-  to it (telemetry series and loss ledgers).
+* **vector** (E19) — both step kernels over a synthetic many-tunnel
+  edge pair.  Gates: the array kernel sustains at least
+  :data:`VECTOR_TARGET_UPDATES_PER_S` flow-updates/s, beats the scalar
+  kernel by :data:`VECTOR_MIN_SPEEDUP`×, and stays byte-identical to it
+  (telemetry series and loss ledgers).
 * **ticks** (E19) — :data:`TICK_CONTROLLERS` report-only controllers on
   one shared :class:`~repro.netsim.ticks.TickScheduler` versus one
   ``PeriodicTask`` each.  Gates: the shared wheel keeps exactly one
@@ -25,16 +25,16 @@ Gated workloads (EXPERIMENTS.md E16 and E19):
   drives a full round within :data:`TICK_BUDGET_S` wall seconds.
 
 Wall-clock is read through the profiler's injectable clock (TNG001).
-Used by ``tango-repro traffic run``, ``tango-repro profile --traffic``
-and the ``perf`` CI job (``benchmarks/test_bench_traffic.py``,
-``benchmarks/test_bench_vector.py``).
+Used by ``tango-repro traffic run`` and the ``traffic`` CI job
+(``benchmarks/test_bench_traffic.py``), which record each workload once
+in ``BENCH_TRAFFIC.json``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
 
 from ..core.controller import QuarantinePolicy, TangoController
 from ..dataplane.seqnum import SequenceTracker
@@ -49,7 +49,8 @@ from ..telemetry.store import MeasurementStore
 from .demand import DemandModel, standard_flow_classes
 from .equivalence import run_equivalence
 from .splitting import LoadAwareWeights, WeightedSplitSelector
-from .vector import create_fluid_engine
+from .fluid import FluidEngine
+from .vector import VectorFluidEngine, create_fluid_engine
 
 __all__ = [
     "SCALE_TARGET_FLOWS",
@@ -92,7 +93,6 @@ TICK_BUDGET_S = 0.1
 class TrafficWorkloadResult:
     """One workload's outcome: pass/fail plus the numbers behind it."""
 
-    name: str
     passed: bool
     detail: dict[str, object] = field(default_factory=dict)
 
@@ -134,6 +134,53 @@ class TrafficReport:
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
 
+    def format(self) -> str:
+        """One line per workload plus the equivalence table — what the
+        CLI and the benchmark gate both print."""
+
+        def verdict(wl: TrafficWorkloadResult) -> str:
+            return "ok" if wl.passed else "FAIL"
+
+        scale, vector, ticks, equivalence = (
+            self.workloads[name]
+            for name in ("scale", "vector", "ticks", "equivalence")
+        )
+        header = (
+            f"{'rho':>5} {'packet ms':>10} {'fluid ms':>9} {'delay err':>10} "
+            f"{'pkt loss':>9} {'fluid loss':>11} {'loss pp':>8}"
+        )
+        lines = [
+            f"scale ({scale.detail['kernel']}): "
+            f"{scale.detail['peak_concurrent_flows']:,.0f} peak flows, "
+            f"{scale.detail['sim_s']:.0f}s simulated in "
+            f"{scale.detail['wall_s']:.2f}s wall "
+            f"({scale.detail['sim_s_per_wall_s']:.0f}x real time) -> "
+            f"{verdict(scale)}",
+            f"vector: {vector.detail['buckets']} buckets x "
+            f"{vector.detail['steps']} steps, "
+            f"{vector.detail['flow_updates_per_s']:,.0f} flow-updates/s, "
+            f"{vector.detail['speedup']:.1f}x over scalar, "
+            f"bit-equivalent={vector.detail['bit_equivalent']} -> "
+            f"{verdict(vector)}",
+            f"ticks: {ticks.detail['controllers']} controllers, "
+            f"{ticks.detail['rounds']} rounds at "
+            f"{ticks.detail['per_round_s'] * 1e3:.2f}ms/round "
+            f"(budget {ticks.detail['budget_s'] * 1e3:.0f}ms), "
+            f"heap events {ticks.detail['heap_live_dedicated']} -> "
+            f"{ticks.detail['heap_live_shared']} -> {verdict(ticks)}",
+            header,
+            "-" * len(header),
+        ]
+        for row in equivalence.detail["points"]:
+            lines.append(
+                f"{row['rho']:>5.2f} {row['packet_delay_ms']:>10.2f} "
+                f"{row['fluid_delay_ms']:>9.2f} {row['delay_rel_error']:>9.1%} "
+                f"{row['packet_loss']:>9.4f} {row['fluid_loss']:>11.4f} "
+                f"{row['loss_error_pp']:>8.2f}"
+            )
+        lines.append(f"equivalence: {verdict(equivalence)}")
+        return "\n".join(lines)
+
 
 def run_scale_workload(
     *,
@@ -141,19 +188,14 @@ def run_scale_workload(
     duration_s: float = 60.0,
     step_s: float = 0.1,
     surge_factor: float = 2.5,
-    engine: str = "scalar",
-    profiler: Optional[Profiler] = None,
 ) -> TrafficWorkloadResult:
     """Vultr NY→LA under ≥``target_flows`` flows with a mid-run surge.
 
     Seeds the standard flow mix ~5% above the target (Little's-law
     equilibrium), splits it with load-aware weights under a
     quarantine-enabled controller, surges demand over the middle third
-    of the run, and times the simulated window end to end.  ``engine``
-    selects the fluid implementation (``"scalar"`` | ``"vector"``) —
-    the E19 acceptance check runs the same gates under both.
+    of the run, and times the simulated window end to end.
     """
-    profiler = profiler or Profiler()
     deployment = VultrDeployment(include_events=False)
     deployment.establish()
     sim = deployment.sim
@@ -162,9 +204,7 @@ def run_scale_workload(
     demand = DemandModel(
         classes=standard_flow_classes(target_flows * 1.05), seed=42
     )
-    fluid = create_fluid_engine(
-        deployment, "ny", demand, engine=engine, step_s=step_s
-    )
+    fluid = create_fluid_engine(deployment, "ny", demand, step_s=step_s)
     selector = WeightedSplitSelector(
         LoadAwareWeights(
             gateway.outbound, window_s=1.0, utilization=fluid.utilization
@@ -184,7 +224,7 @@ def run_scale_workload(
     demand.add_surge(surge_at, surge_end, surge_factor)
     fluid.start()
 
-    clock = profiler.clock
+    clock = Profiler().clock
     wall_start = clock()
     sim.run(until=start + duration_s)
     wall_s = clock() - wall_start
@@ -196,10 +236,9 @@ def run_scale_workload(
     peak = fluid.peak_concurrent_flows
     passed = peak >= target_flows and wall_s < SCALE_MAX_WALL_S
     return TrafficWorkloadResult(
-        name="scale" if engine == "scalar" else f"scale_{engine}",
         passed=passed,
         detail={
-            "engine": engine,
+            "kernel": type(fluid).__name__,
             "target_flows": target_flows,
             "peak_concurrent_flows": peak,
             "final_concurrent_flows": fluid.concurrent_flows,
@@ -217,14 +256,9 @@ def run_scale_workload(
     )
 
 
-def run_equivalence_workload(
-    *,
-    packets: int = 40_000,
-    profiler: Optional[Profiler] = None,
-) -> TrafficWorkloadResult:
+def run_equivalence_workload(*, packets: int = 40_000) -> TrafficWorkloadResult:
     """The fluid-vs-packet sweep, checked against the E16 tolerances."""
-    profiler = profiler or Profiler()
-    clock = profiler.clock
+    clock = Profiler().clock
     wall_start = clock()
     points = run_equivalence(packets=packets)
     wall_s = clock() - wall_start
@@ -250,7 +284,6 @@ def run_equivalence_workload(
             }
         )
     return TrafficWorkloadResult(
-        name="equivalence",
         passed=passed,
         detail={"packets": packets, "wall_s": wall_s, "points": rows},
     )
@@ -357,25 +390,24 @@ class _SyntheticDeployment:
 
 
 def _run_synthetic_engine(
-    engine: str,
+    engine_cls: type[FluidEngine],
     *,
     n_tunnels: int,
     target_flows: float,
     duration_s: float,
     step_s: float,
-    clock,
 ):
     """One timed engine run over the synthetic edge pair."""
+    clock = Profiler().clock
     sim = Simulator()
     deployment = _SyntheticDeployment(sim, n_tunnels)
     demand = DemandModel(
         classes=standard_flow_classes(target_flows * 1.05), seed=7
     )
-    fluid = create_fluid_engine(
+    fluid = engine_cls(
         deployment,
         "a",
         demand,
-        engine=engine,
         step_s=step_s,
         default_capacity_bps=deployment.capacity_bps,
         record_traces=False,
@@ -394,7 +426,6 @@ def run_vector_workload(
     target_flows: float = 2_000_000.0,
     duration_s: float = 30.0,
     step_s: float = 0.1,
-    profiler: Optional[Profiler] = None,
 ) -> TrafficWorkloadResult:
     """E19 engine gate: vectorized throughput + oracle equivalence.
 
@@ -405,25 +436,15 @@ def run_vector_workload(
     ``flow-updates/s >= VECTOR_TARGET_UPDATES_PER_S`` and
     ``speedup >= VECTOR_MIN_SPEEDUP``.
     """
-    profiler = profiler or Profiler()
-    clock = profiler.clock
-    dep_scalar, scalar_engine, wall_scalar = _run_synthetic_engine(
-        "scalar",
+    run = partial(
+        _run_synthetic_engine,
         n_tunnels=n_tunnels,
         target_flows=target_flows,
         duration_s=duration_s,
         step_s=step_s,
-        clock=clock,
     )
-    dep_vector, vector_engine, wall_vector = _run_synthetic_engine(
-        "vector",
-        n_tunnels=n_tunnels,
-        target_flows=target_flows,
-        duration_s=duration_s,
-        step_s=step_s,
-        clock=clock,
-    )
-    profiler.capture_traffic_engine(vector_engine, prefix="fluid.vector")
+    dep_scalar, scalar_engine, wall_scalar = run(FluidEngine)
+    dep_vector, vector_engine, wall_vector = run(VectorFluidEngine)
 
     # Oracle cross-check: telemetry byte-identical, ledgers identical.
     store_s = dep_scalar.gateway("b").inbound
@@ -454,19 +475,8 @@ def run_vector_workload(
         and timing_retries < 2
     ):
         timing_retries += 1
-        for engine_name in ("scalar", "vector"):
-            _, _, wall = _run_synthetic_engine(
-                engine_name,
-                n_tunnels=n_tunnels,
-                target_flows=target_flows,
-                duration_s=duration_s,
-                step_s=step_s,
-                clock=clock,
-            )
-            if engine_name == "scalar":
-                wall_scalar = min(wall_scalar, wall)
-            else:
-                wall_vector = min(wall_vector, wall)
+        wall_scalar = min(wall_scalar, run(FluidEngine)[2])
+        wall_vector = min(wall_vector, run(VectorFluidEngine)[2])
 
     steps = vector_engine.steps
     classes = len(standard_flow_classes(target_flows * 1.05))
@@ -487,7 +497,6 @@ def run_vector_workload(
         and speedup >= VECTOR_MIN_SPEEDUP
     )
     return TrafficWorkloadResult(
-        name="vector",
         passed=passed,
         detail={
             "n_tunnels": n_tunnels,
@@ -513,9 +522,9 @@ def _run_controller_farm(
     controllers: int,
     duration_s: float,
     interval_s: float,
-    clock,
 ):
     """N report-only controllers, dedicated tasks or one shared wheel."""
+    clock = Profiler().clock
     sim = Simulator()
     scheduler = TickScheduler(sim, interval_s) if shared else None
     farm = []
@@ -540,7 +549,6 @@ def run_tick_workload(
     controllers: int = TICK_CONTROLLERS,
     duration_s: float = 10.0,
     interval_s: float = 0.1,
-    profiler: Optional[Profiler] = None,
 ) -> TrafficWorkloadResult:
     """E19 control-plane gate: ≥1k controllers within one tick budget.
 
@@ -551,24 +559,15 @@ def run_tick_workload(
     as in the dedicated run, and the mean wall time per wheel round
     stays within :data:`TICK_BUDGET_S`.
     """
-    profiler = profiler or Profiler()
-    clock = profiler.clock
-    dedicated_farm, _, dedicated_live, wall_dedicated = _run_controller_farm(
-        False,
+    run = partial(
+        _run_controller_farm,
         controllers=controllers,
         duration_s=duration_s,
         interval_s=interval_s,
-        clock=clock,
     )
-    shared_farm, scheduler, shared_live, wall_shared = _run_controller_farm(
-        True,
-        controllers=controllers,
-        duration_s=duration_s,
-        interval_s=interval_s,
-        clock=clock,
-    )
+    dedicated_farm, _, dedicated_live, wall_dedicated = run(False)
+    shared_farm, scheduler, shared_live, wall_shared = run(True)
     assert scheduler is not None
-    profiler.capture_scheduler(scheduler)
 
     rounds = scheduler.rounds
     per_round_s = wall_shared / rounds if rounds else float("inf")
@@ -582,7 +581,6 @@ def run_tick_workload(
         and per_round_s <= TICK_BUDGET_S
     )
     return TrafficWorkloadResult(
-        name="ticks",
         passed=passed,
         detail={
             "controllers": controllers,
@@ -605,35 +603,19 @@ def run_tick_workload(
 
 
 def run_traffic_suite(
-    *,
-    smoke: bool = False,
-    target_flows: int = SCALE_TARGET_FLOWS,
-    engines: tuple[str, ...] = ("scalar", "vector"),
-    profiler: Optional[Profiler] = None,
+    *, smoke: bool = False, target_flows: int = SCALE_TARGET_FLOWS
 ) -> TrafficReport:
-    """All gated workloads; smoke mode shortens the simulated windows
-    and the packet-level comparison run (the gates stay identical).
-
-    ``engines`` restricts which fluid implementations run the scale
-    workload (the E19 acceptance run keeps both).
-    """
-    profiler = profiler or Profiler()
-    workloads: dict[str, TrafficWorkloadResult] = {}
-    for engine in engines:
-        scale = run_scale_workload(
-            target_flows=target_flows,
-            duration_s=10.0 if smoke else 60.0,
-            engine=engine,
-            profiler=profiler,
-        )
-        workloads[scale.name] = scale
-    workloads["equivalence"] = run_equivalence_workload(
-        packets=10_000 if smoke else 40_000, profiler=profiler
-    )
-    workloads["vector"] = run_vector_workload(
-        duration_s=10.0 if smoke else 30.0, profiler=profiler
-    )
-    workloads["ticks"] = run_tick_workload(
-        duration_s=2.0 if smoke else 10.0, profiler=profiler
-    )
+    """All gated workloads, each run once; smoke mode shortens the
+    simulated windows and the packet-level comparison run (the gates
+    stay identical)."""
+    workloads = {
+        "scale": run_scale_workload(
+            target_flows=target_flows, duration_s=10.0 if smoke else 60.0
+        ),
+        "equivalence": run_equivalence_workload(
+            packets=10_000 if smoke else 40_000
+        ),
+        "vector": run_vector_workload(duration_s=10.0 if smoke else 30.0),
+        "ticks": run_tick_workload(duration_s=2.0 if smoke else 10.0),
+    }
     return TrafficReport(smoke=smoke, workloads=workloads)

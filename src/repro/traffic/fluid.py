@@ -32,7 +32,7 @@ many million concurrent flows the buckets represent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.netsim.packet import TANGO_UDP_PORT, Ipv6Header, Packet, UdpHeader
 
@@ -122,9 +122,8 @@ class SplitResolver:
     before.
 
     ``splits_recomputed`` counts rebuilds (the cache observability the
-    profiling tests assert on); ``generation`` increments with every
-    rebuild so the vectorized engine can cache a fraction *vector* and
-    cheaply detect staleness.
+    profiling tests assert on).  A rebuild hands back a *new* items
+    tuple, so callers can key derived state on the tuple's identity.
     """
 
     __slots__ = (
@@ -133,7 +132,6 @@ class SplitResolver:
         "_packets",
         "_cache",
         "splits_recomputed",
-        "generation",
     )
 
     def __init__(
@@ -150,7 +148,6 @@ class SplitResolver:
             int, tuple[object, object, tuple[tuple[int, float], ...]]
         ] = {}
         self.splits_recomputed = 0
-        self.generation = 0
 
     def resolve(
         self, cls: FlowClass, now: float
@@ -209,11 +206,17 @@ class SplitResolver:
     ) -> None:
         self._cache[flow_label] = (selector, key, items)
         self.splits_recomputed += 1
-        self.generation += 1
 
 
 class FluidEngine:
     """Fixed-step fluid traffic engine for one direction of a deployment.
+
+    This class carries the scalar step kernel (a Python loop over
+    tunnels, cheapest on the few tunnels an edge pair really has, and
+    the reference the array kernel is tested against); build engines
+    with :func:`~repro.traffic.vector.create_fluid_engine`, which picks
+    the kernel.  A kernel is :meth:`_init_queue_state` plus
+    :meth:`_advance_tunnels`; everything else lives here once.
 
     Args:
         deployment: an established scenario deployment (e.g.
@@ -247,6 +250,13 @@ class FluidEngine:
     ) -> None:
         if step_s <= 0:
             raise ValueError("step_s must be > 0")
+        tunnels = list(deployment.tunnels(src))
+        peer = deployment.peer_of(src)
+        if not tunnels:
+            raise ValueError(
+                f"no tunnels from {src!r} to {peer!r}: "
+                "a fluid engine needs at least one"
+            )
         self.deployment = deployment
         self.src = src
         self.demand = demand
@@ -257,28 +267,25 @@ class FluidEngine:
 
         self.sim = deployment.sim
         self.sender = deployment.gateway(src)
-        self.peer = deployment.peer_of(src)
-        self.receiver = deployment.gateway(self.peer)
-        self.tunnels = list(deployment.tunnels(src))
+        self.peer = peer
+        self.receiver = deployment.gateway(peer)
+        self.tunnels = tunnels
+        self._pids: list[int] = [t.path_id for t in tunnels]
         self._offset = deployment.clock_offset_delta(src)
 
-        self._links = {
-            t.path_id: deployment.wan_link(src, t.short_label) for t in self.tunnels
-        }
         calibrations = getattr(deployment, "calibrations", {}).get(src, {})
-        self._capacity: dict[int, float] = {}
-        for tunnel in self.tunnels:
+        capacities = []
+        for tunnel in tunnels:
             calibration = calibrations.get(tunnel.short_label)
             capacity = getattr(calibration, "capacity_bps", 0.0) or 0.0
-            self._capacity[tunnel.path_id] = capacity or default_capacity_bps
+            capacities.append(capacity or default_capacity_bps)
+        self._init_queue_state(
+            [deployment.wan_link(src, t.short_label) for t in tunnels],
+            capacities,
+        )
 
         # Per-(flow-class) aggregate buckets: float concurrency counts.
         self._flows: dict[int, float] = {cls.flow_label: 0.0 for cls in demand.classes}
-        self._backlog_bits: dict[int, float] = {t.path_id: 0.0 for t in self.tunnels}
-        # Fractional packet carries for the loss ledger, so integer
-        # delivered/lost counts conserve totals across steps.
-        self._delivered_carry: dict[int, float] = {t.path_id: 0.0 for t in self.tunnels}
-        self._lost_carry: dict[int, float] = {t.path_id: 0.0 for t in self.tunnels}
         self._packets: dict[int, Packet] = {
             cls.flow_label: self._synthetic_packet(cls) for cls in demand.classes
         }
@@ -292,7 +299,6 @@ class FluidEngine:
 
         self.steps = 0
         self.peak_concurrent_flows = 0.0
-        self.last_loads: dict[int, TunnelLoad] = {}
         self.split_trace: list[tuple[float, dict[int, float]]] = []
         self.concurrency_trace: list[tuple[float, float]] = []
         self._task = None
@@ -301,6 +307,18 @@ class FluidEngine:
         attach = getattr(deployment, "attach_traffic_engine", None)
         if callable(attach):
             attach(src, self)
+
+    def _init_queue_state(self, links: list, capacities: list[float]) -> None:
+        """Allocate this kernel's per-tunnel queue state (tunnel order)."""
+        pids = self._pids
+        self._links = dict(zip(pids, links))
+        self._capacity: dict[int, float] = dict(zip(pids, capacities))
+        self._backlog_bits: dict[int, float] = dict.fromkeys(pids, 0.0)
+        # Fractional packet carries for the loss ledger, so integer
+        # delivered/lost counts conserve totals across steps.
+        self._delivered_carry: dict[int, float] = dict.fromkeys(pids, 0.0)
+        self._lost_carry: dict[int, float] = dict.fromkeys(pids, 0.0)
+        self._loads: dict[int, TunnelLoad] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -311,7 +329,10 @@ class FluidEngine:
 
         Seeding at equilibrium is what makes "≥1M concurrent flows" hold
         from the first step without simulating a multi-minute warm-up.
+        Safe again after :meth:`stop`; an error while already stepping.
         """
+        if self._task is not None:
+            raise RuntimeError("fluid engine already started")
         now = self.sim.now
         if at_equilibrium:
             for cls in self.demand.classes:
@@ -348,6 +369,11 @@ class FluidEngine:
         """How many times a split was actually rebuilt (cache misses)."""
         return self._resolver.splits_recomputed
 
+    @property
+    def last_loads(self) -> dict[int, TunnelLoad]:
+        """Per-tunnel load of the latest step (empty before any step)."""
+        return self._loads
+
     def utilization(self, path_id: int) -> float:
         """Last computed utilization of ``path_id`` (0.0 before any step)."""
         load = self.last_loads.get(path_id)
@@ -374,18 +400,23 @@ class FluidEngine:
             flow_label=cls.flow_label,
         )
 
-    def _split_for(self, cls: FlowClass, now: float) -> dict[int, float]:
-        """Resolve the per-tunnel split for one class.
+    def _class_splits(
+        self, now: float
+    ) -> Iterator[tuple[int, float, tuple[tuple[int, float], ...]]]:
+        """``(flow_label, offered bps, split items)`` per loaded class.
 
-        Selectors exposing ``split_weights(tunnels, now)`` (e.g.
-        :class:`~repro.traffic.splitting.WeightedSplitSelector`) yield a
-        fractional split; any other ``PathSelector`` is called once per
-        class per step and gets an all-to-one split — which is exactly
-        how existing single-path selectors behave, unchanged.  Resolution
-        is cached across steps by :class:`SplitResolver` while the
-        selector's raw output is unchanged.
+        The surge factor scales the instantaneous per-flow rate too, so
+        a demand_surge fault changes load within one step instead of
+        waiting a mean flow lifetime for concurrency to ramp.
         """
-        return dict(self._resolver.resolve(cls, now))
+        for cls in self.demand.classes:
+            rate = (
+                self._flows[cls.flow_label]
+                * cls.rate_bps
+                * self.demand.surge_factor(cls.flow_label, now)
+            )
+            if rate > 0:
+                yield cls.flow_label, rate, self._resolver.resolve(cls, now)
 
     def _step(self) -> None:
         now = self.sim.now
@@ -395,25 +426,53 @@ class FluidEngine:
             return
         self.steps += 1
 
-        # 1. Resolve splits and accumulate per-tunnel offered load.  The
-        #    surge factor scales the instantaneous per-flow rate too, so
-        #    a demand_surge fault changes load within one step instead of
-        #    waiting a mean flow lifetime for concurrency to ramp.
-        offered: dict[int, float] = {t.path_id: 0.0 for t in self.tunnels}
+        offered = self._advance_tunnels(now, dt)
+
+        # Evolve class buckets: arrivals minus mean-field departures
+        # (flows drain at 1/mean_duration; using per-step heavy-tail
+        # draws here would bias the drain upward since E[1/X] >
+        # 1/E[X]).  Burstiness enters through the Poisson-scale
+        # arrival noise; the heavy-tailed size distribution itself is
+        # exposed by DemandModel.size_draw_bytes for per-flow
+        # consumers.
         for cls in self.demand.classes:
-            rate = (
-                self._flows[cls.flow_label]
-                * cls.rate_bps
-                * self.demand.surge_factor(cls.flow_label, now)
-            )
-            if rate <= 0:
-                continue
-            for path_id, fraction in self._resolver.resolve(cls, now):
+            flows = self._flows[cls.flow_label]
+            arrivals = self.demand.arrivals_between(cls, now - dt, now)
+            departures = flows * dt / cls.mean_duration_s
+            self._flows[cls.flow_label] = max(0.0, flows + arrivals - departures)
+
+        self.peak_concurrent_flows = max(
+            self.peak_concurrent_flows, self.concurrent_flows
+        )
+
+        if self.record_traces:
+            # Left-to-right float sum in tunnel order: part of the
+            # bit-identity contract between the kernels.
+            total_offered = sum(offered)
+            if total_offered > 0:
+                split = {
+                    pid: off / total_offered
+                    for pid, off in zip(self._pids, offered)
+                }
+            else:
+                split = dict.fromkeys(self._pids, 0.0)
+            self.split_trace.append((now, split))
+            self.concurrency_trace.append((now, self.concurrent_flows))
+
+        profiler = self.profiler
+        if profiler is not None:
+            profiler.count("fluid.steps")
+            profiler.count("fluid.bucket_updates", self._updates_per_step)
+
+    def _advance_tunnels(self, now: float, dt: float) -> list[float]:
+        """Advance every tunnel's fluid queue by ``dt``; write telemetry
+        and the loss ledger; return offered bps per tunnel (tunnel order).
+        """
+        offered: dict[int, float] = dict.fromkeys(self._capacity, 0.0)
+        for _label, rate, items in self._class_splits(now):
+            for path_id, fraction in items:
                 offered[path_id] += rate * fraction
 
-        total_offered = sum(offered[t.path_id] for t in self.tunnels)
-
-        # 2. Per-tunnel fluid queue update, telemetry, and loss ledger.
         loads: dict[int, TunnelLoad] = {}
         bits_per_packet = self.packet_bytes * 8.0
         for tunnel in self.tunnels:
@@ -479,40 +538,8 @@ class FluidEngine:
                 if lost_n or delivered_n:
                     self.sender.tracker.record_aggregate(pid, delivered_n, lost_n)
 
-        self.last_loads = loads
-
-        # 3. Evolve class buckets: arrivals minus mean-field departures
-        #    (flows drain at 1/mean_duration; using per-step heavy-tail
-        #    draws here would bias the drain upward since E[1/X] >
-        #    1/E[X]).  Burstiness enters through the Poisson-scale
-        #    arrival noise; the heavy-tailed size distribution itself is
-        #    exposed by DemandModel.size_draw_bytes for per-flow
-        #    consumers.
-        for cls in self.demand.classes:
-            flows = self._flows[cls.flow_label]
-            arrivals = self.demand.arrivals_between(cls, now - dt, now)
-            departures = flows * dt / cls.mean_duration_s
-            self._flows[cls.flow_label] = max(0.0, flows + arrivals - departures)
-
-        self.peak_concurrent_flows = max(
-            self.peak_concurrent_flows, self.concurrent_flows
-        )
-
-        if self.record_traces:
-            if total_offered > 0:
-                split = {
-                    t.path_id: offered[t.path_id] / total_offered
-                    for t in self.tunnels
-                }
-            else:
-                split = {t.path_id: 0.0 for t in self.tunnels}
-            self.split_trace.append((now, split))
-            self.concurrency_trace.append((now, self.concurrent_flows))
-
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.count("fluid.steps")
-            profiler.count("fluid.bucket_updates", self._updates_per_step)
+        self._loads = loads
+        return list(offered.values())
 
     # ------------------------------------------------------------------
 

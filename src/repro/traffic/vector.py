@@ -14,9 +14,9 @@ the *same IEEE-754 expression tree* the scalar engine does:
   element in the same order (``offered += rate * fraction`` per class,
   with ``rate * 0.0`` adds for unselected tunnels, which are bitwise
   no-ops);
-* reductions that the scalar engine performs with left-to-right Python
-  ``sum()`` are reproduced with ``sum(vec.tolist())`` rather than
-  numpy's pairwise ``np.sum``;
+* the one reduction (total offered load, for the split trace) happens
+  in the shared step, as a left-to-right Python ``sum()`` over the
+  ``tolist()`` of the offered vector, never numpy's pairwise ``np.sum``;
 * integer ledger truncation uses ``astype(int64)``, which matches
   ``int()`` for the non-negative packet counts involved.
 
@@ -37,14 +37,15 @@ reused until the fault injector swaps the link's model object (swaps
 are detected by an ``is`` check every step, so ``OverrideLoss``
 blackholes and delay overlays behave exactly as in the scalar engine).
 
-Engine selection mirrors the PR-4 ``use_engine("rounds")`` pattern:
-:func:`create_fluid_engine` keys the :data:`ENGINES` registry with an
-``engine=`` knob (``"scalar"`` | ``"vector"``).
+Kernel selection is :func:`create_fluid_engine`'s job and nobody
+else's: it reads the tunnel count of the direction it is asked to drive
+and returns the class whose step is cheaper at that width (see
+:data:`VECTOR_MIN_TUNNELS`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -54,34 +55,34 @@ from repro.netsim.links import ConstantLoss
 from .demand import DemandModel
 from .fluid import BLACKHOLE_LOSS, RHO_WAIT_CAP, FluidEngine, TunnelLoad
 
-__all__ = ["VectorFluidEngine", "create_fluid_engine", "ENGINES"]
+__all__ = ["VECTOR_MIN_TUNNELS", "VectorFluidEngine", "create_fluid_engine"]
+
+#: Narrowest direction that gets the array kernel.  A numpy step costs
+#: about the same however few tunnels it covers; the scalar loop grows
+#: by ~7-9 us a tunnel.  Measured us/step, scalar vs array (stand-in
+#: pair, jittered links, one flow class, runs interleaved, best of 9):
+#: 1 tunnel 18 vs 43, 2: 30 vs 47, 3: 38 vs 50, 4: 36 vs 40, 5: 41 vs
+#: 40, 6: 47 vs 43, 8: 73 vs 57, 16: 143 vs 90, 64: 444 vs 169.  The
+#: kernels are bit-identical at every width
+#: (``tests/traffic/test_vector.py``), so the choice is cost only.
+VECTOR_MIN_TUNNELS = 6
 
 
 class VectorFluidEngine(FluidEngine):
-    """Drop-in vectorized twin of :class:`FluidEngine`.
+    """The array step kernel: :class:`FluidEngine` with per-tunnel state
+    in float64 vectors.
 
-    Same constructor, lifecycle, observables and traces; only the step
-    kernel differs.  ``last_loads`` is materialized lazily — the step
-    stores the raw vectors and the per-tunnel :class:`TunnelLoad`
-    dataclasses are built on first access, so steps whose loads nobody
-    reads pay nothing for them.
+    Same constructor, lifecycle, observables and traces; only the queue
+    state and :meth:`_advance_tunnels` differ.  ``last_loads`` is
+    materialized lazily — the step stores the raw vectors and the
+    per-tunnel :class:`TunnelLoad` dataclasses are built on first
+    access, so steps whose loads nobody reads pay nothing for them.
     """
 
-    def __init__(
-        self,
-        deployment: object,
-        src: str,
-        demand: DemandModel,
-        **kwargs: object,
-    ) -> None:
-        super().__init__(deployment, src, demand, **kwargs)
-        n = len(self.tunnels)
-        self._pids: list[int] = [t.path_id for t in self.tunnels]
+    def _init_queue_state(self, links: list, capacities: list[float]) -> None:
+        n = len(self._pids)
         self._pid_index = {pid: i for i, pid in enumerate(self._pids)}
-        self._labels = [t.short_label for t in self.tunnels]
-        self._cap_vec = np.array(
-            [self._capacity[pid] for pid in self._pids], dtype=np.float64
-        )
+        self._cap_vec = np.array(capacities, dtype=np.float64)
         self._bits_per_packet = self.packet_bytes * 8.0
         self._service_vec = self._bits_per_packet / self._cap_vec
         self._buffer_vec = self._cap_vec * self.buffer_delay_s
@@ -90,7 +91,7 @@ class VectorFluidEngine(FluidEngine):
         self._delivered_carry_vec = np.zeros(n, dtype=np.float64)
 
         # Identity-keyed base-model caches (see module docstring).
-        self._link_list = [self._links[pid] for pid in self._pids]
+        self._link_list = links
         self._delay_models: list[object] = [None] * n
         self._delay_const: list[bool] = [False] * n
         self._delay_vals = np.zeros(n, dtype=np.float64)
@@ -100,40 +101,30 @@ class VectorFluidEngine(FluidEngine):
 
         # Per-class fraction vectors, keyed by the resolver's cached
         # items tuple (identity): rebuilt only when the split actually
-        # changed (SplitResolver bumps its generation).
+        # changed (a rebuild hands back a new tuple).
         self._frac_cache: dict[
             int, tuple[tuple[tuple[int, float], ...], np.ndarray]
         ] = {}
-        self._step_arrays: Optional[
-            tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = None
+        self._step_arrays: tuple[np.ndarray, ...] = ()
+        self._lazy_loads: Optional[dict[int, TunnelLoad]] = {}
 
     # ------------------------------------------------------------------
     # Lazy last_loads
     # ------------------------------------------------------------------
 
     @property
-    def last_loads(self) -> dict[int, TunnelLoad]:  # type: ignore[override]
-        if self._loads is None:
-            self._loads = self._build_loads()
-        return self._loads
-
-    @last_loads.setter
-    def last_loads(self, value: dict[int, TunnelLoad]) -> None:
-        # The base constructor assigns the initial empty dict through
-        # this setter before the subclass state exists.
-        self._loads: Optional[dict[int, TunnelLoad]] = value
+    def last_loads(self) -> dict[int, TunnelLoad]:
+        if self._lazy_loads is None:
+            self._lazy_loads = self._build_loads()
+        return self._lazy_loads
 
     def _build_loads(self) -> dict[int, TunnelLoad]:
-        arrays = self._step_arrays
-        if arrays is None:
-            return {}
-        offered, rho, backlog, delay, loss = arrays
+        offered, rho, backlog, delay, loss = self._step_arrays
         loads: dict[int, TunnelLoad] = {}
-        for i, pid in enumerate(self._pids):
-            loads[pid] = TunnelLoad(
-                path_id=pid,
-                label=self._labels[i],
+        for i, tunnel in enumerate(self.tunnels):
+            loads[tunnel.path_id] = TunnelLoad(
+                path_id=tunnel.path_id,
+                label=tunnel.short_label,
                 offered_bps=float(offered[i]),
                 capacity_bps=float(self._cap_vec[i]),
                 utilization=float(rho[i]),
@@ -174,29 +165,14 @@ class VectorFluidEngine(FluidEngine):
                 loss_vals[i] = lm.loss_probability(now)
         return delay_vals, loss_vals
 
-    def _step(self) -> None:
-        now = self.sim.now
-        dt = now - self._last
-        self._last = now
-        if dt <= 0:
-            return
-        self.steps += 1
-
+    def _advance_tunnels(self, now: float, dt: float) -> list[float]:
         # 1. Offered load: scalar class loop, vector accumulate.  The
         #    fraction vector for a class is cached until SplitResolver
         #    hands back a different items tuple.
         n = len(self._pids)
         offered = np.zeros(n, dtype=np.float64)
-        for cls in self.demand.classes:
-            rate = (
-                self._flows[cls.flow_label]
-                * cls.rate_bps
-                * self.demand.surge_factor(cls.flow_label, now)
-            )
-            if rate <= 0:
-                continue
-            items = self._resolver.resolve(cls, now)
-            cached = self._frac_cache.get(cls.flow_label)
+        for flow_label, rate, items in self._class_splits(now):
+            cached = self._frac_cache.get(flow_label)
             if cached is not None and cached[0] is items:
                 vec = cached[1]
             else:
@@ -204,11 +180,8 @@ class VectorFluidEngine(FluidEngine):
                 index = self._pid_index
                 for pid, fraction in items:
                     vec[index[pid]] = fraction
-                self._frac_cache[cls.flow_label] = (items, vec)
+                self._frac_cache[flow_label] = (items, vec)
             offered += rate * vec
-
-        offered_list = offered.tolist()
-        total_offered = sum(offered_list)
 
         # 2. Fluid queue update — same expression tree as the scalar
         #    engine, elementwise across tunnels.
@@ -262,58 +235,20 @@ class VectorFluidEngine(FluidEngine):
             self._pids, delivered_n.tolist(), lost_n.tolist()
         )
 
-        # 5. Lazy loads + class bucket evolution + traces (identical to
-        #    the scalar engine).
         self._step_arrays = (offered, rho, backlog, delay, loss)
-        self._loads = None
-
-        for cls in self.demand.classes:
-            flows = self._flows[cls.flow_label]
-            arrivals = self.demand.arrivals_between(cls, now - dt, now)
-            departures = flows * dt / cls.mean_duration_s
-            self._flows[cls.flow_label] = max(0.0, flows + arrivals - departures)
-
-        self.peak_concurrent_flows = max(
-            self.peak_concurrent_flows, self.concurrent_flows
-        )
-
-        if self.record_traces:
-            if total_offered > 0:
-                split = {
-                    pid: off / total_offered
-                    for pid, off in zip(self._pids, offered_list)
-                }
-            else:
-                split = {pid: 0.0 for pid in self._pids}
-            self.split_trace.append((now, split))
-            self.concurrency_trace.append((now, self.concurrent_flows))
-
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.count("fluid.steps")
-            profiler.count("fluid.bucket_updates", self._updates_per_step)
-
-
-#: Engine registry for the ``engine=`` knob (PR-4 ``use_engine`` pattern).
-ENGINES: dict[str, type[FluidEngine]] = {
-    "scalar": FluidEngine,
-    "vector": VectorFluidEngine,
-}
+        self._lazy_loads = None
+        return offered.tolist()
 
 
 def create_fluid_engine(
-    deployment: object,
+    deployment: Any,
     src: str,
     demand: DemandModel,
-    *,
-    engine: str = "scalar",
     **kwargs: object,
 ) -> FluidEngine:
-    """Build a fluid engine by name: ``"scalar"`` (oracle) or ``"vector"``."""
-    try:
-        engine_cls = ENGINES[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown fluid engine {engine!r}; expected one of {sorted(ENGINES)}"
-        ) from None
+    """The fluid engine for ``src``'s direction of ``deployment``, with
+    the step kernel its tunnel count calls for.  ``kwargs`` are
+    :class:`FluidEngine`'s keyword arguments."""
+    wide = len(deployment.tunnels(src)) >= VECTOR_MIN_TUNNELS
+    engine_cls = VectorFluidEngine if wide else FluidEngine
     return engine_cls(deployment, src, demand, **kwargs)

@@ -124,12 +124,12 @@ def run_fluid(profiled):
     """A short Vultr fluid run, with or without a profiler attached."""
     from repro.scenarios.vultr import VultrDeployment
     from repro.traffic.demand import DemandModel, standard_flow_classes
-    from repro.traffic.vector import create_fluid_engine
+    from repro.traffic.vector import VectorFluidEngine
 
     deployment = VultrDeployment(include_events=False)
     deployment.establish()
     demand = DemandModel(classes=standard_flow_classes(10_000.0), seed=3)
-    fluid = create_fluid_engine(deployment, "ny", demand, engine="vector")
+    fluid = VectorFluidEngine(deployment, "ny", demand)
     prof = Profiler() if profiled else None
     fluid.profiler = prof
     fluid.start()

@@ -87,7 +87,7 @@ class TestCrashDetection:
         net, _, controller, supervisor = make_supervised()
 
         def wedge():
-            controller._task.stop()  # loop dies, `running` flag stays up
+            controller._loop.stop()  # loop dies, `running` flag stays up
 
         net.sim.schedule_at(1.0, wedge)
         net.run(until=3.0)

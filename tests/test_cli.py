@@ -183,6 +183,19 @@ class TestTraffic:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["traffic"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["traffic", "run", "--engine", "vector"],
+            ["profile", "--traffic"],
+        ],
+    )
+    def test_kernel_flags_are_unknown_arguments(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_nonpositive_flows_is_usage_error(self, capsys):
         assert main(["traffic", "run", "--flows", "0"]) == 2
         err = capsys.readouterr().err

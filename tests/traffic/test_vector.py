@@ -6,37 +6,40 @@ vector matches to the last ulp, the telemetry ledgers are byte-for-byte
 equal, and selectors fed by both engines make identical reroute
 decisions.  These tests pin that contract on the shipped Vultr
 scenario, including mid-run surges, blackholed links (model objects
-swapped underneath the engine, the fault injector's move), and the
-``engine=`` factory knob.
+swapped underneath the engine, the fault injector's move), and at
+every tunnel count around :data:`VECTOR_MIN_TUNNELS`, where
+``create_fluid_engine`` switches kernels.
 """
 
 import numpy as np
 import pytest
 
+from repro.netsim.delaymodels import GaussianJitterDelay
+from repro.netsim.events import Simulator
 from repro.netsim.links import ConstantLoss
 from repro.scenarios.vultr import VultrDeployment
+from repro.traffic.bench import _SyntheticDeployment
 from repro.traffic.demand import DemandModel, standard_flow_classes
 from repro.traffic.fluid import FluidEngine
 from repro.traffic.splitting import LoadAwareWeights, WeightedSplitSelector
 from repro.traffic.vector import (
-    ENGINES,
+    VECTOR_MIN_TUNNELS,
     VectorFluidEngine,
     create_fluid_engine,
 )
 
 GTT = 2
+LOAD_FIELDS = ("offered_bps", "utilization", "backlog_bits", "delay_s", "loss")
 
 
-def build(engine, *, flows=50_000.0, surge=True, selector_seed=9, **kwargs):
-    """One seeded Vultr deployment driving the requested engine."""
+def build(engine_cls, *, flows=50_000.0, surge=True, selector_seed=9, **kwargs):
+    """One seeded Vultr deployment driving the requested kernel."""
     deployment = VultrDeployment(include_events=False)
     deployment.establish()
     demand = DemandModel(classes=standard_flow_classes(flows), seed=42)
     if surge:
         demand.add_surge(5.0, 10.0, 2.5)
-    fluid = create_fluid_engine(
-        deployment, "ny", demand, engine=engine, **kwargs
-    )
+    fluid = engine_cls(deployment, "ny", demand, **kwargs)
     selector = WeightedSplitSelector(
         LoadAwareWeights(
             deployment.gateway_ny.outbound,
@@ -50,94 +53,157 @@ def build(engine, *, flows=50_000.0, surge=True, selector_seed=9, **kwargs):
     return deployment, fluid, selector
 
 
-def assert_runs_identical(dep_s, fluid_s, dep_v, fluid_v):
+def standin(width):
+    """``(deployment, demand)`` for a ``width``-tunnel stand-in pair:
+    mixed constant/jittered delays, lossy odd tunnels, capacity sized so
+    the surge overloads every tunnel (rho ~0.75 before, ~1.9 during)."""
+    deployment = _SyntheticDeployment(
+        Simulator(), width, capacity_bps=0.9e9 / max(width, 1)
+    )
+    for tunnel in deployment.tunnels("a")[1::2]:
+        link = deployment.wan_link("a", tunnel.short_label)
+        link.delay = GaussianJitterDelay(0.03, 2e-4, seed=tunnel.path_id)
+        link.loss = ConstantLoss(0.01)
+    demand = DemandModel(classes=standard_flow_classes(50_000.0), seed=42)
+    demand.add_surge(2.0, 4.0, 2.5)
+    return deployment, demand
+
+
+def build_standin(engine_cls, width):
+    deployment, demand = standin(width)
+    fluid = engine_cls(
+        deployment, "a", demand, default_capacity_bps=deployment.capacity_bps
+    )
+    fluid.start()
+    return deployment, fluid
+
+
+def assert_lockstep(dep_s, fluid_s, dep_v, fluid_v, steps):
+    """Step the two simulators alternately and compare the full load
+    state after every engine step — any divergence is caught at the
+    step it first appears, within 1e-9 and in fact exactly."""
+    step = fluid_s.step_s
+    for i in range(steps):
+        until = (i + 1) * step + step / 2
+        dep_s.sim.run(until=until)
+        dep_v.sim.run(until=until)
+        assert fluid_s.steps == fluid_v.steps
+        loads_s, loads_v = fluid_s.last_loads, fluid_v.last_loads
+        assert sorted(loads_s) == sorted(loads_v)
+        for pid, load_s in loads_s.items():
+            load_v = loads_v[pid]
+            for field in LOAD_FIELDS:
+                a = getattr(load_s, field)
+                b = getattr(load_v, field)
+                assert a == pytest.approx(b, abs=1e-9)
+                assert a == b  # and in fact bit-identical
+
+
+def assert_runs_identical(fluid_s, fluid_v):
     """Bit-equality of state, telemetry bytes, and loss ledgers."""
     assert fluid_s.steps == fluid_v.steps
     assert fluid_s.split_trace == fluid_v.split_trace
     assert fluid_s.concurrency_trace == fluid_v.concurrency_trace
     assert fluid_s.last_loads == fluid_v.last_loads
 
-    store_s = dep_s.gateway_la.inbound
-    store_v = dep_v.gateway_la.inbound
+    store_s = fluid_s.receiver.inbound
+    store_v = fluid_v.receiver.inbound
     assert store_s.path_ids() == store_v.path_ids()
     for pid in store_s.path_ids():
         a, b = store_s.series(pid), store_v.series(pid)
         assert a.times.tobytes() == b.times.tobytes()
         assert a.values.tobytes() == b.values.tobytes()
 
-    tracker_s = dep_s.gateway_ny.tracker
-    tracker_v = dep_v.gateway_ny.tracker
-    assert tracker_s.all_paths() == tracker_v.all_paths()
+    assert fluid_s.sender.tracker.all_paths() == fluid_v.sender.tracker.all_paths()
 
 
 class TestFactory:
-    def test_engine_registry(self):
-        assert ENGINES == {
-            "scalar": FluidEngine,
-            "vector": VectorFluidEngine,
-        }
+    """``create_fluid_engine`` reads the tunnel count; nobody picks."""
 
-    def test_scalar_knob_builds_the_oracle(self):
-        _, fluid, _ = build("scalar")
+    def test_vultr_pair_gets_the_scalar_kernel(self):
+        _, fluid, _ = build(create_fluid_engine)
+        assert len(fluid.tunnels) == 4
         assert type(fluid) is FluidEngine
 
-    def test_vector_knob_builds_the_vector_engine(self):
-        _, fluid, _ = build("vector")
-        assert type(fluid) is VectorFluidEngine
+    @pytest.mark.parametrize(
+        "width, kernel",
+        [
+            (1, FluidEngine),
+            (VECTOR_MIN_TUNNELS - 1, FluidEngine),
+            (VECTOR_MIN_TUNNELS, VectorFluidEngine),
+            (256, VectorFluidEngine),
+        ],
+    )
+    def test_kernel_follows_tunnel_count(self, width, kernel):
+        deployment, demand = standin(width)
+        fluid = create_fluid_engine(deployment, "a", demand)
+        assert type(fluid) is kernel
         assert isinstance(fluid, FluidEngine)  # substitutable
 
-    def test_unknown_engine_rejected(self):
-        deployment = VultrDeployment(include_events=False)
-        deployment.establish()
-        demand = DemandModel(classes=standard_flow_classes(1000.0), seed=1)
-        with pytest.raises(ValueError, match="unknown fluid engine"):
-            create_fluid_engine(deployment, "ny", demand, engine="simd")
+    def test_engine_argument_is_gone(self):
+        deployment, demand = standin(4)
+        with pytest.raises(TypeError, match="engine"):
+            create_fluid_engine(deployment, "a", demand, engine="vector")
+
+    @pytest.mark.parametrize(
+        "build_engine", [create_fluid_engine, FluidEngine, VectorFluidEngine]
+    )
+    def test_direction_without_tunnels_rejected(self, build_engine):
+        deployment, demand = standin(0)
+        with pytest.raises(ValueError, match="no tunnels from 'a' to 'b'"):
+            build_engine(deployment, "a", demand)
+
+
+@pytest.mark.parametrize("engine_cls", [FluidEngine, VectorFluidEngine])
+def test_start_is_exclusive_and_restartable(engine_cls):
+    dep, fluid = build_standin(engine_cls, 2)
+    with pytest.raises(RuntimeError, match="fluid engine already started"):
+        fluid.start()
+    dep.sim.run(until=1.05)
+    fluid.stop()
+    dep.sim.run(until=2.05)
+    assert fluid.steps == 10  # no orphaned task steps on after stop()
+    fluid.start()
+    dep.sim.run(until=3.1)
+    fluid.stop()
+    dep.sim.run(until=4.0)
+    assert fluid.steps == 20  # one task again after the restart
 
 
 class TestBitEquivalence:
     def test_surge_run_is_bit_identical(self):
-        dep_s, fluid_s, _ = build("scalar")
-        dep_v, fluid_v, _ = build("vector")
+        dep_s, fluid_s, _ = build(FluidEngine)
+        dep_v, fluid_v, _ = build(VectorFluidEngine)
         dep_s.sim.run(until=dep_s.sim.now + 12.0)
         dep_v.sim.run(until=dep_v.sim.now + 12.0)
         assert fluid_v.steps > 100
-        assert_runs_identical(dep_s, fluid_s, dep_v, fluid_v)
+        assert_runs_identical(fluid_s, fluid_v)
 
     def test_lockstep_per_step_state(self):
-        # Step the two simulators alternately and compare the full load
-        # state after every engine step — any divergence is caught at
-        # the step it first appears, within 1e-9 and in fact exactly.
-        dep_s, fluid_s, _ = build("scalar")
-        dep_v, fluid_v, _ = build("vector")
-        step = fluid_s.step_s
-        for i in range(60):
-            until = (i + 1) * step + step / 2
-            dep_s.sim.run(until=until)
-            dep_v.sim.run(until=until)
-            assert fluid_s.steps == fluid_v.steps
-            loads_s, loads_v = fluid_s.last_loads, fluid_v.last_loads
-            assert sorted(loads_s) == sorted(loads_v)
-            for pid, load_s in loads_s.items():
-                load_v = loads_v[pid]
-                for field in (
-                    "offered_bps",
-                    "utilization",
-                    "backlog_bits",
-                    "delay_s",
-                    "loss",
-                ):
-                    a = getattr(load_s, field)
-                    b = getattr(load_v, field)
-                    assert a == pytest.approx(b, abs=1e-9)
-                    assert a == b  # and in fact bit-identical
+        dep_s, fluid_s, _ = build(FluidEngine)
+        dep_v, fluid_v, _ = build(VectorFluidEngine)
+        assert_lockstep(dep_s, fluid_s, dep_v, fluid_v, steps=60)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 8])
+    def test_lockstep_on_both_sides_of_the_selection(self, width):
+        # Whichever kernel the tunnel count selects, the other would
+        # have produced the same bytes — so moving the constant can
+        # never change a result, only its cost.
+        assert 1 < VECTOR_MIN_TUNNELS <= 8
+        dep_s, fluid_s = build_standin(FluidEngine, width)
+        dep_v, fluid_v = build_standin(VectorFluidEngine, width)
+        assert_lockstep(dep_s, fluid_s, dep_v, fluid_v, steps=50)
+        assert_runs_identical(fluid_s, fluid_v)
+        # The surge really overloaded the (lossless) first tunnel.
+        assert fluid_s.sender.tracker.stats_for(0).presumed_lost > 0
 
     def test_blackholed_link_swap_is_bit_identical(self):
         # The fault injector replaces link model *objects* mid-run; the
         # vector engine must notice the identity change and reproduce
         # the scalar blackhole path (no telemetry, full ledger loss).
         runs = []
-        for engine in ("scalar", "vector"):
-            dep, fluid, _ = build(engine, surge=False)
+        for engine_cls in (FluidEngine, VectorFluidEngine):
+            dep, fluid, _ = build(engine_cls, surge=False)
             link = dep.wan_link("ny", fluid.tunnels[GTT].short_label)
             dep.sim.schedule_at(2.5, lambda li=link: setattr(
                 li, "loss", ConstantLoss(1.0)
@@ -145,7 +211,7 @@ class TestBitEquivalence:
             dep.sim.run(until=dep.sim.now + 6.0)
             runs.append((dep, fluid))
         (dep_s, fluid_s), (dep_v, fluid_v) = runs
-        assert_runs_identical(dep_s, fluid_s, dep_v, fluid_v)
+        assert_runs_identical(fluid_s, fluid_v)
         # The blackholed path really stopped producing telemetry...
         gtt_pid = fluid_s.tunnels[GTT].path_id
         times = dep_v.gateway_la.inbound.series(gtt_pid).times
@@ -157,8 +223,8 @@ class TestBitEquivalence:
         # The E16 acceptance condition under the new engine: the
         # load-aware selector sees identical telemetry, so its split
         # history — the reroute decisions — must match exactly.
-        dep_s, fluid_s, sel_s = build("scalar", flows=100_000.0)
-        dep_v, fluid_v, sel_v = build("vector", flows=100_000.0)
+        dep_s, fluid_s, sel_s = build(FluidEngine, flows=100_000.0)
+        dep_v, fluid_v, sel_v = build(VectorFluidEngine, flows=100_000.0)
         dep_s.sim.run(until=dep_s.sim.now + 12.0)
         dep_v.sim.run(until=dep_v.sim.now + 12.0)
         assert fluid_s.split_trace == fluid_v.split_trace
@@ -173,7 +239,7 @@ class TestBitEquivalence:
 
 class TestVectorState:
     def test_last_loads_rebuilt_lazily(self):
-        dep, fluid, _ = build("vector", surge=False)
+        dep, fluid, _ = build(VectorFluidEngine, surge=False)
         dep.sim.run(until=dep.sim.now + 1.0)
         loads = fluid.last_loads
         assert loads and all(
@@ -186,8 +252,8 @@ class TestVectorState:
         assert fluid.last_loads is loads
 
     def test_utilization_matches_scalar(self):
-        dep_s, fluid_s, _ = build("scalar", surge=False)
-        dep_v, fluid_v, _ = build("vector", surge=False)
+        dep_s, fluid_s, _ = build(FluidEngine, surge=False)
+        dep_v, fluid_v, _ = build(VectorFluidEngine, surge=False)
         dep_s.sim.run(until=dep_s.sim.now + 2.0)
         dep_v.sim.run(until=dep_v.sim.now + 2.0)
         for tunnel in fluid_s.tunnels:
@@ -196,7 +262,7 @@ class TestVectorState:
             )
 
     def test_state_vectors_are_float64(self):
-        _, fluid, _ = build("vector", surge=False)
+        _, fluid, _ = build(VectorFluidEngine, surge=False)
         assert fluid._cap_vec.dtype == np.float64
         assert fluid._backlog_vec.dtype == np.float64
         assert fluid._service_vec.dtype == np.float64
