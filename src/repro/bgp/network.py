@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .attributes import AsPath
-from .messages import Prefix, Withdrawal, as_prefix
+from .messages import Prefix, Withdrawal, as_prefix, prefix_key
 from .policy import Relationship
 from .router import BgpRouter
 
@@ -76,6 +76,10 @@ class BgpNetwork:
         self._session_meta: dict[
             tuple[str, str], tuple[Relationship, Optional[int], Optional[int]]
         ] = {}
+        #: Cache slot owned by :func:`repro.bgp.snapshot.network_fingerprint`:
+        #: the canonical text of ``_session_meta``, None whenever it may
+        #: be stale (:meth:`connect` and :meth:`disconnect` reset it).
+        self._session_lines: Optional[bytes] = None
         self._engine = self._validate_engine(engine)
         #: Directed sessions created since the last convergence; the
         #: incremental engine gives each a one-off full-table sync.
@@ -159,6 +163,7 @@ class BgpNetwork:
             a_preference,
             b_preference,
         )
+        self._session_lines = None
         self._pending_full_sync.append((a, b))
         self._pending_full_sync.append((b, a))
 
@@ -200,6 +205,7 @@ class BgpNetwork:
         ]
         self._session_meta.pop((a, b), None)
         self._session_meta.pop((b, a), None)
+        self._session_lines = None
         self._pending_full_sync = [
             s for s in self._pending_full_sync if s not in ((a, b), (b, a))
         ]
@@ -353,7 +359,7 @@ class BgpNetwork:
             receiver.receive_announcement(sender_name, announcement)
         # Sorted so withdrawal delivery order never depends on set
         # iteration order (TNG005; the replay-determinism invariant).
-        for prefix in sorted(previously_sent - set(exports), key=str):
+        for prefix in sorted(previously_sent - set(exports), key=prefix_key):
             sender.adj_rib_out.forget(receiver_name, prefix)
             self.withdrawals_delivered += 1
             receiver.receive_withdrawal(sender_name, Withdrawal(prefix))
@@ -397,7 +403,7 @@ class BgpNetwork:
                     changed = True
             # Sorted so withdrawal delivery order never depends on set
             # iteration order (TNG005; the replay-determinism invariant).
-            for prefix in sorted(previously_sent - set(exports), key=str):
+            for prefix in sorted(previously_sent - set(exports), key=prefix_key):
                 sender.adj_rib_out.forget(receiver_name, prefix)
                 self.withdrawals_delivered += 1
                 if receiver.receive_withdrawal(sender_name, Withdrawal(prefix)):

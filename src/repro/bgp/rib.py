@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .attributes import AsPath, RouteAttributes
@@ -26,55 +27,76 @@ class RibEntry:
         return self.attributes.as_path
 
 
+_neighbor_of = attrgetter("neighbor")
+
+
 class AdjRibIn:
-    """Routes received from each neighbor, pre-decision."""
+    """Routes received from each neighbor, pre-decision.
+
+    Indexed by prefix: each prefix maps to its *row*, the tuple of
+    entries heard for it in neighbor-name order, so a decision reads one
+    row and never orders or compares another prefix.  Rows are immutable
+    — a change replaces the row — which is what lets :meth:`snapshot`
+    share them: a fork copies the prefix index only, and no later
+    mutation of either side can reach the other.
+    """
 
     def __init__(self) -> None:
-        self._routes: dict[tuple[str, Prefix], RibEntry] = {}
+        self._rows: dict[Prefix, tuple[RibEntry, ...]] = {}
 
     def upsert(self, entry: RibEntry) -> bool:
         """Install/replace a route.  Returns True if anything changed."""
-        key = (entry.neighbor, entry.prefix)
-        if self._routes.get(key) == entry:
+        row = self._rows.get(entry.prefix, ())
+        if entry in row:
             return False
-        self._routes[key] = entry
+        others = [e for e in row if e.neighbor != entry.neighbor]
+        self._rows[entry.prefix] = tuple(sorted([*others, entry], key=_neighbor_of))
         return True
 
     def remove(self, neighbor: str, prefix: Prefix) -> bool:
         """Drop the route for ``prefix`` from ``neighbor`` if present."""
-        return self._routes.pop((neighbor, prefix), None) is not None
+        row = self._rows.get(prefix, ())
+        others = tuple(e for e in row if e.neighbor != neighbor)
+        if len(others) == len(row):
+            return False
+        if others:
+            self._rows[prefix] = others
+        else:
+            del self._rows[prefix]
+        return True
 
     def remove_neighbor(self, neighbor: str) -> int:
         """Session teardown: drop every route from ``neighbor``."""
-        keys = [k for k in self._routes if k[0] == neighbor]
-        for key in keys:
-            del self._routes[key]
-        return len(keys)
-
-    def get(self, neighbor: str, prefix: Prefix) -> Optional[RibEntry]:
-        return self._routes.get((neighbor, prefix))
+        flushed = self.prefixes_from(neighbor)
+        for prefix in flushed:
+            self.remove(neighbor, prefix)
+        return len(flushed)
 
     def candidates(self, prefix: Prefix) -> list[RibEntry]:
-        """All routes for ``prefix``, across neighbors (stable order)."""
-        return [e for (_, p), e in sorted(self._routes.items()) if p == prefix]
+        """All routes for ``prefix``, in neighbor-name order."""
+        return list(self._rows.get(prefix, ()))
 
     def prefixes(self) -> set[Prefix]:
-        return {prefix for (_, prefix) in self._routes}
+        return set(self._rows)
 
     def prefixes_from(self, neighbor: str) -> set[Prefix]:
-        return {p for (n, p) in self._routes if n == neighbor}
+        return {
+            prefix
+            for prefix, row in self._rows.items()
+            if any(e.neighbor == neighbor for e in row)
+        }
 
-    def snapshot(self) -> dict[tuple[str, Prefix], RibEntry]:
-        """Copy of the table.  Entries are frozen, so a shallow dict copy
-        is a full copy-on-write fork of this RIB's state."""
-        return dict(self._routes)
+    def snapshot(self) -> dict[Prefix, tuple[RibEntry, ...]]:
+        """Copy of the prefix index.  Rows are immutable and entries
+        frozen, so this shallow copy is a full fork of the RIB's state."""
+        return dict(self._rows)
 
-    def restore(self, state: dict[tuple[str, Prefix], RibEntry]) -> None:
+    def restore(self, state: dict[Prefix, tuple[RibEntry, ...]]) -> None:
         """Replace the table with a previously captured snapshot."""
-        self._routes = dict(state)
+        self._rows = dict(state)
 
     def __len__(self) -> int:
-        return len(self._routes)
+        return sum(len(row) for row in self._rows.values())
 
 
 class LocRib:
@@ -99,9 +121,6 @@ class LocRib:
     def best(self, prefix: Prefix) -> Optional[RibEntry]:
         return self._best.get(prefix)
 
-    def routes(self) -> dict[Prefix, RibEntry]:
-        return dict(self._best)
-
     def snapshot(self) -> dict[Prefix, RibEntry]:
         """Copy-on-write fork of the best-route table (entries frozen)."""
         return dict(self._best)
@@ -115,32 +134,40 @@ class LocRib:
 
 
 class AdjRibOut:
-    """What we last advertised to each neighbor (for diff-based updates)."""
+    """What we last advertised to each neighbor (for diff-based updates).
+
+    Indexed by neighbor, then prefix: a session's diff and teardown read
+    one neighbor's table, never the others'.  A table that empties is
+    dropped, so equal contents always mean equal snapshots.
+    """
 
     def __init__(self) -> None:
-        self._sent: dict[tuple[str, Prefix], Announcement] = {}
+        self._sent: dict[str, dict[Prefix, Announcement]] = {}
 
     def last_sent(self, neighbor: str, prefix: Prefix) -> Optional[Announcement]:
-        return self._sent.get((neighbor, prefix))
+        table = self._sent.get(neighbor)
+        return table.get(prefix) if table else None
 
     def record(self, neighbor: str, announcement: Announcement) -> None:
-        self._sent[(neighbor, announcement.prefix)] = announcement
+        self._sent.setdefault(neighbor, {})[announcement.prefix] = announcement
 
     def forget(self, neighbor: str, prefix: Prefix) -> None:
-        self._sent.pop((neighbor, prefix), None)
+        table = self._sent.get(neighbor)
+        if table and table.pop(prefix, None) is not None and not table:
+            del self._sent[neighbor]
 
     def prefixes_to(self, neighbor: str) -> set[Prefix]:
-        return {p for (n, p) in self._sent if n == neighbor}
+        return set(self._sent.get(neighbor, ()))
 
     def clear_neighbor(self, neighbor: str) -> None:
         """Session teardown: forget everything advertised to ``neighbor``."""
-        for key in [k for k in self._sent if k[0] == neighbor]:
-            del self._sent[key]
+        self._sent.pop(neighbor, None)
 
-    def snapshot(self) -> dict[tuple[str, Prefix], Announcement]:
-        """Copy-on-write fork of the advertised table (entries frozen)."""
-        return dict(self._sent)
+    def snapshot(self) -> dict[str, dict[Prefix, Announcement]]:
+        """Fork of the advertised tables (announcements frozen): one dict
+        copy per neighbor that has been sent anything."""
+        return {neighbor: dict(table) for neighbor, table in self._sent.items()}
 
-    def restore(self, state: dict[tuple[str, Prefix], Announcement]) -> None:
-        """Replace the table with a previously captured snapshot."""
-        self._sent = dict(state)
+    def restore(self, state: dict[str, dict[Prefix, Announcement]]) -> None:
+        """Replace the tables with a previously captured snapshot."""
+        self._sent = {neighbor: dict(table) for neighbor, table in state.items()}

@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 from .attributes import AsPath, RouteAttributes
 from .communities import TrafficControlInterpreter
-from .messages import Announcement, Prefix, Withdrawal, as_prefix
+from .messages import Announcement, Prefix, Withdrawal, as_prefix, prefix_key
 from .policy import (
     ExportPolicy,
     ImportPolicy,
@@ -73,20 +73,18 @@ class BgpRouter:
         self.loc_rib = LocRib()
         self.adj_rib_out = AdjRibOut()
         self.originated: dict[Prefix, RouteAttributes] = {}
+        #: Cache slot owned by :func:`repro.bgp.snapshot.network_fingerprint`:
+        #: the canonical text of ``originated``, None whenever it may be
+        #: stale (every mutation of ``originated`` resets it).
+        self._origination_lines: Optional[bytes] = None
         self.interpreter = TrafficControlInterpreter(asn)
         self.import_policies: list[ImportPolicy] = []
         self.export_policies: list[ExportPolicy] = []
         #: Prefixes whose exports may have changed since the network last
         #: drained this router — the incremental engine's work queue.
         self._pending_export: set[Prefix] = set()
-        #: Adj-RIB-In generation per prefix, bumped on every accepted
-        #: change; :meth:`run_decision` skips prefixes whose decision
-        #: already reflects the current generation.
-        self._rib_epoch: dict[Prefix, int] = {}
-        self._decided_epoch: dict[Prefix, int] = {}
-        #: Profiling counters (cheap ints, always on).
+        #: Profiling counter (a cheap int, always on).
         self.decisions_run = 0
-        self.decisions_memoized = 0
 
     # -- session management ---------------------------------------------------
 
@@ -114,9 +112,11 @@ class BgpRouter:
         self.neighbors.pop(name, None)
         flushed = self.adj_rib_in.prefixes_from(name)
         self.adj_rib_in.remove_neighbor(name)
-        for prefix in flushed:
-            self._bump_epoch(prefix)
-        self.run_decision()
+        # Only the flushed prefixes lost a candidate.  Sorted so decision
+        # order never depends on set iteration order (TNG005; the
+        # replay-determinism invariant).
+        for prefix in sorted(flushed, key=prefix_key):
+            self._decide(prefix)
 
     # -- origination ------------------------------------------------------------
 
@@ -135,6 +135,7 @@ class BgpRouter:
         attrs = attributes or RouteAttributes()
         if self.originated.get(normalized) != attrs:
             self.originated[normalized] = attrs
+            self._origination_lines = None
             self._pending_export.add(normalized)
 
     def withdraw_origination(self, prefix: Union[str, Prefix]) -> bool:
@@ -142,6 +143,7 @@ class BgpRouter:
         normalized = as_prefix(prefix)
         if self.originated.pop(normalized, None) is None:
             return False
+        self._origination_lines = None
         self._pending_export.add(normalized)
         return True
 
@@ -171,15 +173,13 @@ class BgpRouter:
         )
         changed = self.adj_rib_in.upsert(entry)
         if changed:
-            self._bump_epoch(announcement.prefix)
-            changed = self._decide(announcement.prefix) or changed
+            self._decide(announcement.prefix)
         return changed
 
     def _reject_update(self, from_name: str, prefix: Prefix) -> bool:
         """Drop a rejected update's predecessor and re-decide."""
         changed = self.adj_rib_in.remove(from_name, prefix)
         if changed:
-            self._bump_epoch(prefix)
             self._decide(prefix)
         return changed
 
@@ -188,37 +188,16 @@ class BgpRouter:
         self._require_neighbor(from_name)
         changed = self.adj_rib_in.remove(from_name, withdrawal.prefix)
         if changed:
-            self._bump_epoch(withdrawal.prefix)
             self._decide(withdrawal.prefix)
         return changed
 
     # -- decision process ---------------------------------------------------------
 
-    def run_decision(self) -> bool:
-        """Re-run best-path selection for every known prefix.
-
-        Prefixes whose Adj-RIB-In is unchanged since their last decision
-        (same epoch) are skipped: re-ranking an unchanged candidate set
-        cannot alter the outcome, because the decision is a pure function
-        of the candidates and the (stable) neighbor preferences.
-        """
-        changed = False
-        prefixes = self.adj_rib_in.prefixes() | set(self.loc_rib.routes())
-        # Sorted so decision order never depends on set iteration order
-        # (TNG005; the replay-determinism invariant).
-        for prefix in sorted(prefixes, key=str):
-            if self._decided_epoch.get(prefix) == self._rib_epoch.get(prefix, 0):
-                self.decisions_memoized += 1
-                continue
-            changed = self._decide(prefix) or changed
-        return changed
-
-    def _bump_epoch(self, prefix: Prefix) -> None:
-        self._rib_epoch[prefix] = self._rib_epoch.get(prefix, 0) + 1
-
-    def _decide(self, prefix: Prefix) -> bool:
+    def _decide(self, prefix: Prefix) -> None:
+        """Re-run best-path selection for one prefix.  Every Adj-RIB-In
+        change decides its prefix on the spot, so the Loc-RIB always
+        reflects the current candidates and nothing re-decides in bulk."""
         self.decisions_run += 1
-        self._decided_epoch[prefix] = self._rib_epoch.get(prefix, 0)
         candidates = self.adj_rib_in.candidates(prefix)
         if not candidates:
             changed = self.loc_rib.set_best(prefix, None)
@@ -227,7 +206,6 @@ class BgpRouter:
             changed = self.loc_rib.set_best(prefix, best)
         if changed:
             self._pending_export.add(prefix)
-        return changed
 
     def _decision_key(self, entry: RibEntry) -> tuple:
         """BGP decision process, expressed as a sort key (lower wins).
@@ -266,9 +244,9 @@ class BgpRouter:
         """
         neighbor = self._require_neighbor(neighbor_name)
         exports: dict[Prefix, Announcement] = {}
-        for prefix, best in sorted(
-            self.loc_rib.routes().items(), key=lambda kv: str(kv[0])
-        ):
+        routes = self.loc_rib.snapshot()
+        for prefix in sorted(routes, key=prefix_key):
+            best = routes[prefix]
             if prefix in self.originated:
                 continue  # our origination supersedes the learned route
             if best.neighbor == neighbor_name:
@@ -282,10 +260,10 @@ class BgpRouter:
             )
             if announcement is not None:
                 exports[prefix] = announcement
-        for prefix, attrs in sorted(
-            self.originated.items(), key=lambda kv: str(kv[0])
-        ):
-            announcement = self._build_export(prefix, attrs, neighbor)
+        for prefix in sorted(self.originated, key=prefix_key):
+            announcement = self._build_export(
+                prefix, self.originated[prefix], neighbor
+            )
             if announcement is not None:
                 exports[prefix] = announcement
         return exports
@@ -325,7 +303,7 @@ class BgpRouter:
         """
         if not self._pending_export:
             return ()
-        changed = tuple(sorted(self._pending_export, key=str))
+        changed = tuple(sorted(self._pending_export, key=prefix_key))
         self._pending_export.clear()
         return changed
 

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .attributes import RouteAttributes
-from .messages import Announcement, Prefix
+from .messages import Announcement, Prefix, prefix_key
 from .network import BgpNetwork
 from .rib import RibEntry
+from .router import BgpRouter
 
 __all__ = [
     "NetworkSnapshot",
@@ -49,6 +50,33 @@ def _attr_token(attrs: RouteAttributes) -> str:
     )
 
 
+def _origination_lines(name: str, router: BgpRouter) -> bytes:
+    """The router's ``O|…`` lines, from its cache slot when still valid
+    (``originate`` / ``withdraw_origination`` reset it)."""
+    lines = router._origination_lines
+    if lines is None:
+        originated = router.originated
+        lines = router._origination_lines = "".join(
+            f"O|{name}|{prefix_key(prefix)}|{_attr_token(originated[prefix])}\n"
+            for prefix in sorted(originated, key=prefix_key)
+        ).encode()
+    return lines
+
+
+def _session_lines(network: BgpNetwork) -> bytes:
+    """The ``S|…`` lines, from the network's cache slot when still valid
+    (``connect`` / ``disconnect`` reset it)."""
+    lines = network._session_lines
+    if lines is None:
+        lines = network._session_lines = "".join(
+            f"S|{a}|{b}|{rel.name}|{a_pref}|{b_pref}\n"
+            for (a, b), (rel, a_pref, b_pref) in sorted(
+                network._session_meta.items()
+            )
+        ).encode()
+    return lines
+
+
 def network_fingerprint(network: BgpNetwork) -> Optional[str]:
     """Canonical digest of everything the fixpoint depends on.
 
@@ -56,6 +84,11 @@ def network_fingerprint(network: BgpNetwork) -> Optional[str]:
     preferences), and originations (prefix plus full attributes).  Returns
     ``None`` — *uncacheable* — when any router carries custom import or
     export policies, since opaque callables cannot be hashed canonically.
+
+    The origination and session lines — everything that grows with the
+    table — are kept per router / per network and rebuilt only after the
+    mutation that changes them, so a call costs the routers that changed
+    plus one hash over the cached text.
     """
     digest = hashlib.sha256()
     for name in sorted(network.routers):
@@ -66,27 +99,22 @@ def network_fingerprint(network: BgpNetwork) -> Optional[str]:
             f"R|{name}|{router.asn}|{int(router.allowas_in)}"
             f"|{int(router.strip_private_on_export)}\n".encode()
         )
-        for prefix in sorted(router.originated, key=str):
-            token = _attr_token(router.originated[prefix])
-            digest.update(f"O|{name}|{prefix}|{token}\n".encode())
-    for a, b in sorted(network._session_meta):
-        rel, a_pref, b_pref = network._session_meta[(a, b)]
-        digest.update(f"S|{a}|{b}|{rel.name}|{a_pref}|{b_pref}\n".encode())
+        digest.update(_origination_lines(name, router))
+    digest.update(_session_lines(network))
     return digest.hexdigest()
 
 
 @dataclass(frozen=True)
 class _RouterState:
-    """One router's converged state: shallow copies of its four tables
-    plus the decision-memoization epochs that must stay consistent with
-    them."""
+    """One router's converged state: shallow copies of its four tables."""
 
-    adj_rib_in: dict[tuple[str, Prefix], RibEntry]
+    adj_rib_in: dict[Prefix, tuple[RibEntry, ...]]
     loc_rib: dict[Prefix, RibEntry]
-    adj_rib_out: dict[tuple[str, Prefix], Announcement]
+    adj_rib_out: dict[str, dict[Prefix, Announcement]]
     originated: dict[Prefix, RouteAttributes]
-    rib_epoch: dict[Prefix, int]
-    decided_epoch: dict[Prefix, int]
+    #: The fingerprint text of ``originated`` (None if not yet built),
+    #: restored with it so the cache slot never describes another table.
+    origination_lines: Optional[bytes]
 
 
 @dataclass(frozen=True)
@@ -100,12 +128,28 @@ class NetworkSnapshot:
 def capture_snapshot(
     network: BgpNetwork, fingerprint: Optional[str] = None
 ) -> NetworkSnapshot:
-    """Fork the network's current (converged) state."""
+    """Fork the network's current (converged) state.
+
+    Raises:
+        ValueError: if the network has custom policies (no fingerprint),
+            or is not at a fixpoint — a state with queued work would be
+            declared authoritative by :func:`restore_snapshot`, which
+            discards the queue.
+    """
     if fingerprint is None:
         fingerprint = network_fingerprint(network)
     if fingerprint is None:
         raise ValueError(
             "network with custom import/export policies is not snapshotable"
+        )
+    pending = sorted(
+        {name for name, r in network.routers.items() if r._pending_export}
+        | {name for session in network._pending_full_sync for name in session}
+    )
+    if pending:
+        raise ValueError(
+            f"network is not converged: {pending} have pending work; "
+            "call converge() before capture_snapshot()"
         )
     routers: dict[str, _RouterState] = {}
     for name, router in network.routers.items():
@@ -114,8 +158,7 @@ def capture_snapshot(
             loc_rib=router.loc_rib.snapshot(),
             adj_rib_out=router.adj_rib_out.snapshot(),
             originated=dict(router.originated),
-            rib_epoch=dict(router._rib_epoch),
-            decided_epoch=dict(router._decided_epoch),
+            origination_lines=router._origination_lines,
         )
     return NetworkSnapshot(fingerprint=fingerprint, routers=routers)
 
@@ -136,8 +179,7 @@ def restore_snapshot(network: BgpNetwork, snapshot: NetworkSnapshot) -> None:
         router.loc_rib.restore(state.loc_rib)
         router.adj_rib_out.restore(state.adj_rib_out)
         router.originated = dict(state.originated)
-        router._rib_epoch = dict(state.rib_epoch)
-        router._decided_epoch = dict(state.decided_epoch)
+        router._origination_lines = state.origination_lines
         router.clear_pending_exports()
     network._pending_full_sync.clear()
     network.snapshot_restores += 1

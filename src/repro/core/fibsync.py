@@ -51,7 +51,7 @@ def sync_fibs(
         node = node_map.get(name)
         if node is None:
             continue
-        for prefix, entry in router.loc_rib.routes().items():
+        for prefix, entry in router.loc_rib.snapshot().items():
             link = link_map.get((name, entry.neighbor))
             if link is None:
                 if strict:

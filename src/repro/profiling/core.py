@@ -105,13 +105,10 @@ class Profiler:
         )
         self.set_counter(f"{prefix}.routers_scanned", network.routers_scanned)
         self.set_counter(f"{prefix}.snapshot_restores", network.snapshot_restores)
-        decisions_run = 0
-        decisions_memoized = 0
-        for router in network.routers.values():
-            decisions_run += router.decisions_run
-            decisions_memoized += router.decisions_memoized
-        self.set_counter(f"{prefix}.decisions_run", decisions_run)
-        self.set_counter(f"{prefix}.decisions_memoized", decisions_memoized)
+        self.set_counter(
+            f"{prefix}.decisions_run",
+            sum(router.decisions_run for router in network.routers.values()),
+        )
 
     def capture_simulator(self, sim: "Simulator", prefix: str = "sim") -> None:
         """Pull a simulator's always-on counters."""

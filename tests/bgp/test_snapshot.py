@@ -1,11 +1,18 @@
 """Tests for the convergence snapshot cache."""
 
-import pytest
+import hashlib
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bgp.attributes import Community, RouteAttributes
 from repro.bgp.network import BgpNetwork
+from repro.bgp.policy import Relationship
 from repro.bgp.router import BgpRouter
 from repro.bgp.snapshot import (
     SnapshotCache,
+    _attr_token,
     capture_snapshot,
     network_fingerprint,
     restore_snapshot,
@@ -63,7 +70,137 @@ class TestFingerprint:
         assert network_fingerprint(net) is None
 
 
+def fingerprint_from_scratch(network: BgpNetwork):
+    """``network_fingerprint`` as the parent commit computed it: every
+    line rebuilt on every call, nothing cached."""
+    digest = hashlib.sha256()
+    for name in sorted(network.routers):
+        router = network.routers[name]
+        if router.import_policies or router.export_policies:
+            return None
+        digest.update(
+            f"R|{name}|{router.asn}|{int(router.allowas_in)}"
+            f"|{int(router.strip_private_on_export)}\n".encode()
+        )
+        for prefix in sorted(router.originated, key=str):
+            token = _attr_token(router.originated[prefix])
+            digest.update(f"O|{name}|{prefix}|{token}\n".encode())
+    for a, b in sorted(network._session_meta):
+        rel, a_pref, b_pref = network._session_meta[(a, b)]
+        digest.update(f"S|{a}|{b}|{rel.name}|{a_pref}|{b_pref}\n".encode())
+    return digest.hexdigest()
+
+
+_ROUTERS = ("origin", "left", "right", "sink")
+_PREFIXES = (P, Q, "2001:db8:10::/48")
+_OPERATIONS = st.one_of(
+    st.tuples(
+        st.just("originate"),
+        st.sampled_from(_ROUTERS),
+        st.sampled_from(_PREFIXES),
+        st.integers(0, 2),
+    ),
+    st.tuples(
+        st.just("withdraw"), st.sampled_from(_ROUTERS), st.sampled_from(_PREFIXES)
+    ),
+    st.tuples(st.just("toggle_session"), st.sampled_from(("left", "right"))),
+    st.tuples(st.just("reset_session"), st.sampled_from(("left", "right"))),
+    st.tuples(st.just("capture")),
+    st.tuples(st.just("restore"), st.integers(0, 7)),
+)
+
+
+class TestFingerprintCache:
+    """The cached fingerprint lines are invisible: whatever mutated the
+    network, the digest is the one a from-scratch pass computes."""
+
+    @given(st.lists(_OPERATIONS, max_size=25))
+    @settings(max_examples=80, deadline=None)
+    def test_cached_equals_from_scratch_after_any_interleaving(self, operations):
+        net = diamond()
+        snapshots = []
+        assert network_fingerprint(net) == fingerprint_from_scratch(net)
+        for op in operations:
+            if op[0] == "originate":
+                attrs = RouteAttributes(
+                    communities=frozenset(Community(65000, v) for v in range(op[3]))
+                )
+                net.router(op[1]).originate(op[2], attrs)
+            elif op[0] == "withdraw":
+                net.router(op[1]).withdraw_origination(op[2])
+            elif op[0] == "toggle_session":
+                if op[1] in net.router("sink").neighbors:
+                    net.disconnect("sink", op[1])
+                else:
+                    net.connect("sink", op[1], Relationship.PROVIDER)
+            elif op[0] == "reset_session":
+                if op[1] in net.router("sink").neighbors:
+                    net.reset_session("sink", op[1])
+            elif op[0] == "capture":
+                net.converge()
+                snapshots.append((capture_snapshot(net), set(net.session_pairs())))
+            elif snapshots:
+                snapshot, sessions = snapshots[op[1] % len(snapshots)]
+                if sessions != set(net.session_pairs()):
+                    continue  # a snapshot only restores onto its own topology
+                restore_snapshot(net, snapshot)
+                assert {
+                    name: dict(state.originated)
+                    for name, state in snapshot.routers.items()
+                } == {name: r.originated for name, r in net.routers.items()}
+            assert network_fingerprint(net) == fingerprint_from_scratch(net)
+
+    def test_policy_added_after_caching_still_uncacheable(self):
+        net = diamond()
+        net.router("origin").originate(P)
+        assert network_fingerprint(net) is not None  # lines now cached
+        net.router("right").export_policies.append(lambda name, prefix, attrs: True)
+        assert network_fingerprint(net) is None
+        net.router("right").export_policies.clear()
+        assert network_fingerprint(net) == fingerprint_from_scratch(net)
+
+    def test_router_knob_changes_are_seen(self):
+        net = diamond()
+        before = network_fingerprint(net)
+        net.router("left").allowas_in = True
+        assert network_fingerprint(net) != before
+        assert network_fingerprint(net) == fingerprint_from_scratch(net)
+
+
 class TestCaptureRestore:
+    def test_capture_rejects_queued_exports(self):
+        """A state with work still queued is not a fixpoint; restoring it
+        would discard the queue and declare the half-propagated RIBs
+        authoritative."""
+        net = diamond()
+        net.converge()
+        net.router("origin").originate(P)
+        net.router("sink").originate(Q)
+        with pytest.raises(ValueError, match=r"\['origin', 'sink'\].*pending"):
+            capture_snapshot(net)
+        net.converge()
+        assert capture_snapshot(net).fingerprint == network_fingerprint(net)
+
+    def test_capture_rejects_unsynced_sessions(self):
+        net = diamond()
+        net.converge()
+        net.add_router(BgpRouter("late", 65009))
+        net.add_provider("late", "left")
+        with pytest.raises(ValueError, match=r"\['late', 'left'\].*pending"):
+            capture_snapshot(net)
+
+    def test_cache_path_never_trips_the_fixpoint_check(self):
+        cache = SnapshotCache()
+        net = diamond()
+        for _ in range(2):
+            for prefix in (P, Q):
+                net.router("origin").originate(prefix)
+                cache.converge(net)
+            for prefix in (P, Q):
+                net.router("origin").withdraw_origination(prefix)
+                cache.converge(net)
+        assert (cache.hits, cache.misses, cache.bypasses) == (4, 4, 0)
+
     def test_restore_round_trips_all_tables(self):
         net = diamond()
         net.router("origin").originate(P)
