@@ -24,13 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional
 
-import numpy as np
-
 from ..bgp.attributes import RouteAttributes
 from ..bgp.network import BgpNetwork
 from ..bgp.snapshot import SnapshotCache
 from ..netsim.events import Simulator
-from ..telemetry.store import MeasurementStore
+from ..telemetry.store import MeasurementStore, StoreCursor
 from .config import EdgeConfig, PairingConfig
 from .discovery import DiscoveryResult, PathDiscovery
 from .gateway import TangoGateway
@@ -72,18 +70,19 @@ class TelemetryMirror:
         self.source = source
         self.sink = sink
         self.latency_s = latency_s
-        #: Mutable: the federation extends it when a stitched relay
-        #: tunnel joins a session after establishment.
-        self.path_ids = set(path_ids) if path_ids is not None else None
-        self._copied: dict[int, int] = {}
+        self._cursor = StoreCursor(source, path_ids)
         self.samples_mirrored = 0
         self.samples_discarded = 0
 
-    def _mirrored_ids(self) -> list[int]:
-        ids = self.source.path_ids()
-        if self.path_ids is None:
-            return ids
-        return [path_id for path_id in ids if path_id in self.path_ids]
+    @property
+    def path_ids(self) -> Optional[frozenset[int]]:
+        """The scope (``None``: unscoped); the cursor owns it."""
+        return self._cursor.scope
+
+    def extend_scope(self, path_id: int) -> None:
+        """Mirror ``path_id`` too (a stitched relay tunnel joining after
+        establishment); no-op unscoped, where every id is followed."""
+        self._cursor.extend_scope(path_id)
 
     def discard_before(self, t: float) -> int:
         """Drop all not-yet-mirrored samples older than ``t`` — lost reports.
@@ -92,14 +91,7 @@ class TelemetryMirror:
         would have been delivered during the outage window are gone, they
         are not batched up and replayed.  Returns the number discarded.
         """
-        discarded = 0
-        for path_id in self._mirrored_ids():
-            series = self.source.series(path_id)
-            start = self._copied.get(path_id, 0)
-            cut = int(np.searchsorted(series.times, t, side="left"))
-            if cut > start:
-                self._copied[path_id] = cut
-                discarded += cut - start
+        discarded = self._cursor.discard_before(t)
         self.samples_discarded += discarded
         return discarded
 
@@ -111,15 +103,8 @@ class TelemetryMirror:
         """
         horizon = now - self.latency_s
         copied = 0
-        for path_id in self._mirrored_ids():
-            series = self.source.series(path_id)
-            start = self._copied.get(path_id, 0)
-            times = series.times
-            end = int(np.searchsorted(times, horizon, side="right"))
-            if end <= start:
-                continue
-            self.sink.extend(path_id, times[start:end], series.values[start:end])
-            self._copied[path_id] = end
+        for path_id, series, start, end in self._cursor.take(horizon):
+            self.sink.series(path_id).extend_from(series, start, end)
             copied += end - start
         self.samples_mirrored += copied
         return copied

@@ -9,6 +9,7 @@ presumed loss back into a reordering event if the packet shows up late.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -83,14 +84,15 @@ class SequenceTracker:
     def __init__(self, max_gap_tracking: int = 4096) -> None:
         if max_gap_tracking <= 0:
             raise ValueError("max_gap_tracking must be positive")
-        self._paths: dict[int, _PathState] = {}
+        #: Indexing creates on first sight only; pure reads use ``get``.
+        self._paths: defaultdict[int, _PathState] = defaultdict(_PathState)
         self._max_gap_tracking = max_gap_tracking
 
     def observe(self, path_id: int, seq: int) -> str:
         """Record an arrival.  Returns its classification:
         ``"in-order"``, ``"reordered"``, or ``"duplicate"``.
         """
-        state = self._paths.setdefault(path_id, _PathState())
+        state = self._paths[path_id]
         stats = state.stats
         stats.received += 1
         if seq > stats.highest_seen:
@@ -125,7 +127,7 @@ class SequenceTracker:
             raise ValueError("delivered and lost must be >= 0")
         if delivered == 0 and lost == 0:
             return
-        state = self._paths.setdefault(path_id, _PathState())
+        state = self._paths[path_id]
         stats = state.stats
         stats.received += delivered
         stats.presumed_lost += lost
@@ -156,10 +158,7 @@ class SequenceTracker:
                 raise ValueError("delivered and lost must be >= 0")
             if delivered_n == 0 and lost_n == 0:
                 continue
-            state = paths.get(path_id)
-            if state is None:
-                state = paths[path_id] = _PathState()
-            stats = state.stats
+            stats = paths[path_id].stats
             stats.received += delivered_n
             stats.presumed_lost += lost_n
             stats.highest_seen += delivered_n + lost_n

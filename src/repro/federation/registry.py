@@ -579,8 +579,7 @@ class FederationRegistry:
         if not self._telemetry_started:
             return
         mirror, _task = self.session_for(src, dst).mirror_to(src)
-        if mirror.path_ids is not None:
-            mirror.path_ids.add(path_id)
+        mirror.extend_scope(path_id)
 
     # -- runtime ------------------------------------------------------------------
 
@@ -592,9 +591,7 @@ class FederationRegistry:
             session.start_telemetry_mirrors(scoped=True)
         self._telemetry_started = True
         for (src, dst), result in self.stitches.items():
-            mirror, _task = self.session_for(src, dst).mirror_to(src)
-            if mirror.path_ids is not None:
-                mirror.path_ids.add(result.tunnel.path_id)
+            self._extend_mirror_scope(src, dst, result.tunnel.path_id)
 
     def start_control_plane(
         self,

@@ -34,10 +34,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..netsim.events import PeriodicTask, Simulator
-from ..telemetry.store import MeasurementStore
+from ..telemetry.store import MeasurementStore, StoreCursor
 
 __all__ = [
     "TelemetryRecord",
@@ -240,7 +238,7 @@ class ReliableTelemetryChannel:
         self.stats = ChannelStats()
         self.task: Optional[PeriodicTask] = None
         # sender side
-        self._cursor: dict[int, int] = {}
+        self._cursor = StoreCursor(source)
         self._queue: deque[tuple[int, float, float]] = deque()
         self._next_seq = 0
         self._pending: dict[int, _Pending] = {}
@@ -275,14 +273,7 @@ class ReliableTelemetryChannel:
         ``t`` survive.  Already-transmitted (unacked) records stay in
         flight — they were on the wire when the outage cleared.
         """
-        discarded = 0
-        for path_id in self.source.path_ids():
-            series = self.source.series(path_id)
-            start = self._cursor.get(path_id, 0)
-            cut = int(np.searchsorted(series.times, t, side="left"))
-            if cut > start:
-                self._cursor[path_id] = cut
-                discarded += cut - start
+        discarded = self._cursor.discard_before(t)
         kept = [item for item in self._queue if item[1] >= t]
         discarded += len(self._queue) - len(kept)
         self._queue = deque(kept)
@@ -333,17 +324,15 @@ class ReliableTelemetryChannel:
 
     def _collect(self) -> None:
         """Pull new source samples into the bounded send queue."""
-        cfg = self.config
-        for path_id in self.source.path_ids():
-            series = self.source.series(path_id)
-            start = self._cursor.get(path_id, 0)
-            times, values = series.times, series.values
-            for i in range(start, len(series)):
-                if len(self._queue) >= cfg.queue_limit:
-                    self._queue.popleft()
+        queue, limit = self._queue, self.config.queue_limit
+        for path_id, series, start, end in self._cursor.take():
+            times = series.times[start:end].tolist()
+            values = series.values[start:end].tolist()
+            for t, value in zip(times, values):
+                if len(queue) >= limit:
+                    queue.popleft()
                     self.stats.queue_drops += 1
-                self._queue.append((path_id, float(times[i]), float(values[i])))
-            self._cursor[path_id] = len(series)
+                queue.append((path_id, t, value))
 
     def _fill_window(self, now: float) -> None:
         """Assign seqnums to queued records as window space allows."""

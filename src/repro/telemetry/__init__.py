@@ -16,7 +16,7 @@ from .oneway import (
 )
 from .quantiles import P2Quantile
 from .reorder import ReorderingReport, reordering_extent, reordering_from_arrivals
-from .store import MeasurementStore, TimeSeries
+from .store import MeasurementStore, StoreCursor, TimeSeries
 
 __all__ = [
     "AnomalyEvent",
@@ -31,6 +31,7 @@ __all__ = [
     "PathSummary",
     "ReorderingReport",
     "SpikeClusterDetector",
+    "StoreCursor",
     "TelemetryAuthenticator",
     "TimeSeries",
     "estimate_clock_offset",

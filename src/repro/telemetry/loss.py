@@ -56,15 +56,18 @@ class LossMonitor:
                 presumed_lost=stats.presumed_lost - prev_lost,
             )
             self._last[path_id] = (stats.received, stats.presumed_lost)
-            self.series.setdefault(path_id, TimeSeries()).append(
-                now, bin_.loss_fraction
-            )
+            series = self.series.get(path_id)
+            if series is None:
+                series = self.series[path_id] = TimeSeries()
+            series.append(now, bin_.loss_fraction)
             self.bins.setdefault(path_id, []).append(bin_)
             out[path_id] = bin_
         return out
 
     def recent_loss(self, path_id: int, bins: int = 1) -> float:
         """Mean loss fraction over the last ``bins`` samples (0 if none)."""
+        if bins < 1:
+            raise ValueError(f"bins must be positive, got {bins}")
         history = self.bins.get(path_id, [])
         if not history:
             return 0.0

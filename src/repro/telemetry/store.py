@@ -9,11 +9,13 @@ layers (which read windows and summaries).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from bisect import insort
+from collections import defaultdict
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["TimeSeries", "MeasurementStore"]
+__all__ = ["TimeSeries", "MeasurementStore", "StoreCursor"]
 
 _INITIAL_CAPACITY = 1024
 
@@ -28,7 +30,9 @@ class TimeSeries:
     stores plus comparisons — no numpy scalar boxing, no ``len()`` of the
     backing array.  Times must be non-decreasing (they come from a
     monotonic simulation clock); violations raise immediately, because a
-    disordered series silently corrupts windowed statistics.
+    disordered series silently corrupts windowed statistics.  The guards
+    are spelled ``not (t >= last)`` so that a NaN time, which compares
+    False both ways and would switch them off for good, is rejected too.
     """
 
     __slots__ = ("_times", "_values", "_size", "_capacity", "_last_t", "grows")
@@ -45,8 +49,8 @@ class TimeSeries:
 
     def append(self, t: float, value: float) -> None:
         """Add a sample at time ``t``."""
-        if t < self._last_t:
-            raise ValueError(f"time went backwards: {t} < {self._last_t}")
+        if not (t >= self._last_t):
+            raise ValueError(f"time went backwards or is NaN: {t} after {self._last_t}")
         size = self._size
         if size == self._capacity:
             self._grow()
@@ -65,10 +69,26 @@ class TimeSeries:
             )
         if times.size == 0:
             return
-        if np.any(np.diff(times) < 0):
+        if not np.all(np.diff(times) >= 0):
             raise ValueError("times must be non-decreasing")
-        if times[0] < self._last_t:
-            raise ValueError("bulk append would go backwards in time")
+        self._write(times, values)
+
+    def extend_from(self, other: "TimeSeries", start: int, end: int) -> None:
+        """Append rows ``start:end`` of ``other`` (series-to-series copy).
+
+        ``other``'s own invariant already orders the slice and keeps NaN
+        out of it, so only the seam — its first row against this series'
+        last — is checked; raw arrays go through :meth:`extend`.
+        """
+        if not 0 <= start <= end <= other._size:
+            raise IndexError(f"rows {start}:{end} outside a series of {other._size}")
+        if end > start:
+            self._write(other._times[start:end], other._values[start:end])
+
+    def _write(self, times: np.ndarray, values: np.ndarray) -> None:
+        """Store a non-empty ordered block after checking the seam."""
+        if not (times[0] >= self._last_t):
+            raise ValueError("bulk append would go backwards in time or is NaN")
         needed = self._size + times.size
         while needed > self._capacity:
             self._grow()
@@ -100,10 +120,13 @@ class TimeSeries:
 
     def window(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
         """Samples with ``t0 <= time < t1`` as (times, values) views."""
-        times = self.times
-        lo = int(np.searchsorted(times, t0, side="left"))
-        hi = int(np.searchsorted(times, t1, side="left"))
-        return times[lo:hi], self.values[lo:hi]
+        lo, hi = self.count_before(t0), self.count_before(t1)
+        return self._times[lo:hi], self._values[lo:hi]
+
+    def count_before(self, t: float, inclusive: bool = False) -> int:
+        """Rows with time ``< t`` (``<= t`` when ``inclusive``)."""
+        side = "right" if inclusive else "left"
+        return int(self._times[: self._size].searchsorted(t, side))
 
     def latest(self, count: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """The most recent ``count`` samples."""
@@ -119,9 +142,7 @@ class TimeSeries:
         The freshness primitive: staleness checks (controller health,
         quarantine decisions) are ``now - last_time`` comparisons.
         """
-        if not self._size:
-            return None
-        return float(self._times[self._size - 1])
+        return float(self._last_t) if self._size else None
 
     @property
     def last_value(self) -> Optional[float]:
@@ -165,15 +186,17 @@ class MeasurementStore:
     """
 
     def __init__(self) -> None:
-        self._series: dict[int, TimeSeries] = {}
+        #: The one get-or-create: indexing builds a series only on a
+        #: miss; reads that must not create use ``get`` / ``in``.
+        self._series: defaultdict[int, TimeSeries] = defaultdict(TimeSeries)
 
     def record(self, path_id: int, t: float, owd_s: float) -> None:
         """Append one one-way-delay sample for ``path_id``."""
-        self._series.setdefault(path_id, TimeSeries()).append(t, owd_s)
+        self._series[path_id].append(t, owd_s)
 
     def extend(self, path_id: int, times: np.ndarray, owds: np.ndarray) -> None:
         """Bulk-append samples for ``path_id``."""
-        self._series.setdefault(path_id, TimeSeries()).extend(times, owds)
+        self._series[path_id].extend(times, owds)
 
     def record_aggregate_many(
         self,
@@ -197,14 +220,11 @@ class MeasurementStore:
             )
         series = self._series
         for path_id, owd_s in zip(path_ids, owds_s):
-            entry = series.get(path_id)
-            if entry is None:
-                entry = series[path_id] = TimeSeries()
-            entry.append(t, owd_s)
+            series[path_id].append(t, owd_s)
 
     def series(self, path_id: int) -> TimeSeries:
         """The series for ``path_id`` (empty series if nothing recorded)."""
-        return self._series.setdefault(path_id, TimeSeries())
+        return self._series[path_id]
 
     def has_path(self, path_id: int) -> bool:
         return path_id in self._series and len(self._series[path_id]) > 0
@@ -249,3 +269,70 @@ class MeasurementStore:
         return iter(
             (p, s) for p, s in sorted(self._series.items()) if len(s)
         )
+
+
+class StoreCursor:
+    """Which rows of a store one reader has not consumed yet.
+
+    The one per-path cursor under ``TelemetryMirror`` and
+    ``ReliableTelemetryChannel`` — the seam every receiver-side sample
+    crosses on its way to the sender.  ``path_ids`` scopes the reader:
+    a sorted list changed only by :meth:`extend_scope`; ``None`` follows
+    every id in the store, re-listed only when the store gains a series.
+    Paths are visited in ascending id order.
+    """
+
+    __slots__ = ("store", "_scoped", "_ids", "_positions")
+
+    def __init__(
+        self, store: MeasurementStore, path_ids: Optional[Iterable[int]] = None
+    ) -> None:
+        self.store = store
+        self._scoped = path_ids is not None
+        self._ids: list[int] = sorted(set(path_ids)) if self._scoped else []
+        self._positions: dict[int, int] = {}
+
+    @property
+    def scope(self) -> Optional[frozenset[int]]:
+        """The ids this reader is restricted to (``None``: unscoped)."""
+        return frozenset(self._ids) if self._scoped else None
+
+    def extend_scope(self, path_id: int) -> None:
+        """Follow ``path_id`` too (no-op for an unscoped reader)."""
+        if self._scoped and path_id not in self._ids:
+            insort(self._ids, path_id)
+
+    def _unread(self) -> Iterator[tuple[int, TimeSeries, int]]:
+        """(path id, series, position) of each followed path with unread rows."""
+        series_by_id = self.store._series
+        if not self._scoped and len(self._ids) != len(series_by_id):
+            self._ids = sorted(series_by_id)
+        for path_id in self._ids:
+            series = series_by_id.get(path_id)
+            if series is not None:
+                start = self._positions.get(path_id, 0)
+                if series._size > start:
+                    yield path_id, series, start
+
+    def take(
+        self, through: float = np.inf
+    ) -> Iterator[tuple[int, TimeSeries, int, int]]:
+        """Consume unread rows with time ``<= through``: yields ``(path id,
+        series, start, end)`` per path that has any.  A block counts as
+        consumed once the caller asks for the next, so a consumer that
+        raises leaves its block unread."""
+        for path_id, series, start in self._unread():
+            end = series.count_before(through, inclusive=True)
+            if end > start:
+                yield path_id, series, start, end
+                self._positions[path_id] = end
+
+    def discard_before(self, t: float) -> int:
+        """Skip the unread rows with time ``< t``; returns how many."""
+        discarded = 0
+        for path_id, series, start in self._unread():
+            cut = series.count_before(t)
+            if cut > start:
+                self._positions[path_id] = cut
+                discarded += cut - start
+        return discarded

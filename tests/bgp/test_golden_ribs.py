@@ -12,11 +12,9 @@ checked against once its code is gone.
 
 Regenerate (only when a change is *meant* to alter the control plane)::
 
-    PYTHONPATH=src python tests/bgp/test_golden_ribs.py
+    PYTHONPATH=src:. python tests/bgp/test_golden_ribs.py
 """
 
-import hashlib
-import json
 from pathlib import Path
 
 import pytest
@@ -26,6 +24,7 @@ from repro.bgp.network import ENGINE_INCREMENTAL, ENGINE_ROUNDS, BgpNetwork
 from repro.federation import FederationRegistry
 from repro.scenarios.topologies import build_live_federation
 from repro.scenarios.vultr import VultrDeployment, build_bgp_network
+from tests import golden
 
 GOLDEN = Path(__file__).parent / "golden" / "rib_dumps.json"
 ENGINES = (ENGINE_INCREMENTAL, ENGINE_ROUNDS)
@@ -118,24 +117,13 @@ KEYS = [f"{case}/{engine}" for case in sorted(CASES) for engine in ENGINES]
 
 def digest(key: str) -> dict:
     case, engine = key.split("/")
-    text = dump_network(CASES[case](engine))
-    return {
-        "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        "lines": text.count("\n"),
-    }
+    return golden.digest(dump_network(CASES[case](engine)))
 
 
 @pytest.mark.parametrize("key", KEYS)
 def test_rib_dump_is_byte_identical_to_golden(key):
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert digest(key) == golden[key]
+    assert digest(key) == golden.load(GOLDEN)[key]
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(
-        json.dumps({key: digest(key) for key in KEYS}, indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
-    print(GOLDEN.read_text(encoding="utf-8"))
+    golden.regenerate(GOLDEN, {key: digest(key) for key in KEYS})

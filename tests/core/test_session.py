@@ -102,6 +102,51 @@ class TestTelemetryMirror:
         assert sink.path_ids() == [1, 2]
 
 
+class TestMirrorScope:
+    def stores(self):
+        source, sink = MeasurementStore(), MeasurementStore()
+        for path_id in (1, 2, 3):
+            source.record(path_id, 0.0, 0.03)
+        return source, sink
+
+    def test_scoped_mirror_copies_only_its_ids(self):
+        source, sink = self.stores()
+        mirror = TelemetryMirror(source, sink, path_ids={1, 3})
+        assert mirror.sync(1.0) == 2
+        assert sink.path_ids() == [1, 3]
+        assert mirror.path_ids == {1, 3}
+
+    def test_extend_scope_backfills_the_new_id(self):
+        source, sink = self.stores()
+        mirror = TelemetryMirror(source, sink, path_ids={3})
+        mirror.sync(1.0)
+        mirror.extend_scope(2)
+        assert mirror.path_ids == {2, 3}
+        assert mirror.sync(1.0) == 1
+        assert sink.path_ids() == [2, 3]
+
+    def test_scope_is_read_only_from_outside(self):
+        mirror = TelemetryMirror(*self.stores(), path_ids={1})
+        with pytest.raises(AttributeError):
+            mirror.path_ids.add(2)
+
+    def test_unscoped_mirror_has_no_scope_to_extend(self):
+        source, sink = self.stores()
+        mirror = TelemetryMirror(source, sink)
+        mirror.extend_scope(9)
+        assert mirror.path_ids is None
+        assert mirror.sync(1.0) == 3
+
+    def test_scoped_sync_never_lists_the_shared_store(self, monkeypatch):
+        source, sink = self.stores()
+        mirror = TelemetryMirror(source, sink, path_ids={1})
+        monkeypatch.setattr(
+            MeasurementStore, "path_ids", lambda self: pytest.fail("listed")
+        )
+        assert mirror.sync(1.0) == 1
+        assert mirror.discard_before(5.0) == 0
+
+
 class TestLiveMirroring:
     def test_outbound_stores_fed_from_peer(self):
         deployment = VultrDeployment(include_events=False)

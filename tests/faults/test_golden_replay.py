@@ -8,11 +8,9 @@ differs in the last bit shows up here.
 
 Regenerate (only when a change is *meant* to alter replays)::
 
-    PYTHONPATH=src python tests/faults/test_golden_replay.py
+    PYTHONPATH=src:. python tests/faults/test_golden_replay.py
 """
 
-import hashlib
-import json
 from pathlib import Path
 
 import pytest
@@ -21,6 +19,7 @@ from repro.campaign.plans import generate_correlated_plans
 from repro.campaign.runner import VICTIM, CorrelatedConfig, _build_victim
 from repro.cli import main
 from repro.faults import FaultInjector, RecoveryLog
+from tests import golden
 
 REPO = Path(__file__).resolve().parents[2]
 PLAN = REPO / "examples" / "faults_blackhole.json"
@@ -55,26 +54,16 @@ REPLAYS = {
 }
 
 
-def digest(text: str) -> dict:
-    return {
-        "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        "lines": text.count("\n"),
-    }
-
-
 @pytest.mark.parametrize("name", sorted(REPLAYS))
 def test_recovery_log_is_byte_identical_to_golden(name, tmp_path):
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert digest(REPLAYS[name](tmp_path)) == golden[name]
+    assert golden.digest(REPLAYS[name](tmp_path)) == golden.load(GOLDEN)[name]
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        table = {name: digest(run(Path(tmp))) for name, run in sorted(REPLAYS.items())}
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(
-        json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(GOLDEN.read_text(encoding="utf-8"))
+        golden.regenerate(
+            GOLDEN,
+            {name: golden.digest(run(Path(tmp))) for name, run in REPLAYS.items()},
+        )

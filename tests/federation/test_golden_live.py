@@ -1,0 +1,158 @@
+"""Golden live series: feedback-loop optimisations must not move a sample.
+
+The sha256 digests under ``golden/`` were captured on the commit *before*
+the store cursor / series-to-series copy landed.  Each case runs the
+whole measurement road — receiver store → mirror or reliable channel →
+sender store → controller — and dumps, per gateway, every inbound and
+outbound series (raw float bytes), the ``LossMonitor`` series, the
+tracker counters and the controller's ``quarantine_log``; a sample
+mirrored one report late, dropped, duplicated or reordered shows up here.
+
+Regenerate (only when a change is *meant* to alter what is measured)::
+
+    PYTHONPATH=src:. python tests/federation/test_golden_live.py
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from repro.core.controller import QuarantinePolicy, TangoController
+from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.federation import FederationRegistry
+from repro.resilience import ChannelConfig
+from repro.scenarios.topologies import build_live_federation
+from repro.scenarios.vultr import VultrDeployment
+from tests import golden
+
+GOLDEN = Path(__file__).parent / "golden" / "live_series.json"
+
+
+def _series_lines(kind: str, items) -> list[str]:
+    lines = []
+    for path_id, series in items:
+        raw = series.times.tobytes() + series.values.tobytes()
+        lines.append(
+            f"{kind} {path_id} n={len(series)} "
+            f"{hashlib.sha256(raw).hexdigest()}"
+        )
+    return lines
+
+
+def dump_gateways(gateways, controllers) -> str:
+    """Everything the feedback loop wrote, one line per series/counter."""
+    lines = []
+    for name in sorted(gateways):
+        gateway = gateways[name]
+        lines.append(f"gateway {name}")
+        lines += _series_lines("in", gateway.inbound.items())
+        lines += _series_lines("out", gateway.outbound.items())
+        lines += _series_lines("loss", sorted(gateway.loss_monitor.series.items()))
+        for path_id, stats in sorted(gateway.tracker.all_paths().items()):
+            lines.append(f"tracker {path_id} {stats!r}")
+        controller = controllers.get(name)
+        for event in controller.quarantine_log if controller else ():
+            lines.append(f"q {event!r}")
+    return "\n".join(lines) + "\n"
+
+
+def build_federation_live() -> FederationRegistry:
+    """N=4, seed 42, every layer live: mirrors, control plane, traffic on
+    all 12 directions and the relay dark from t=3 to t=6.  Not yet run."""
+    scenario = build_live_federation(4, seed=42)
+    registry = FederationRegistry(scenario)
+    registry.establish()
+    degraded = scenario.degraded_pair
+    stitch = registry.stitch_pair(*degraded)
+    registry.start_telemetry()
+    registry.start_control_plane(
+        focus=[degraded],
+        staleness_s=0.5,
+        quarantine=QuarantinePolicy(unhealthy_ticks=1, probation_delay_s=1.0),
+    )
+    names = scenario.member_names
+    for src in names:
+        for dst in names:
+            if src != dst:
+                registry.start_traffic(src, dst)
+    plan = FaultPlan(
+        name="golden-live",
+        seed=42,
+        events=(
+            FaultEvent(
+                "relay_outage",
+                at=3.0,
+                duration=3.0,
+                params={"member": stitch.plan.relay},
+            ),
+        ),
+    )
+    FaultInjector(registry, plan).arm()
+    return registry
+
+
+def federation_live() -> str:
+    registry = build_federation_live()
+    registry.sim.run(until=10.0)
+    text = dump_gateways(registry.gateways, registry.controllers)
+    registry.stop()
+    return text
+
+
+def vultr_two_party(channel: bool) -> str:
+    """The two-party packet-mode loop, over the reliable channel (with a
+    ``telemetry_loss`` window) or the plain unscoped mirrors; both with a
+    ``telemetry_drop`` so ``discard_before`` runs."""
+    deployment = VultrDeployment(
+        include_events=False,
+        telemetry_channel=ChannelConfig(report_interval_s=0.1) if channel else None,
+    )
+    deployment.establish()
+    controllers = {}
+    for edge in ("ny", "la"):
+        deployment.start_path_probes(edge)
+        controller = TangoController(
+            deployment.gateway(edge),
+            deployment.sim,
+            interval_s=0.1,
+            staleness_s=0.5,
+            quarantine=QuarantinePolicy(),
+        )
+        controller.start()
+        deployment.attach_controller(edge, controller)
+        controllers[edge] = controller
+    events = [
+        FaultEvent("telemetry_drop", at=3.5, duration=1.0, params={"edge": "la"}),
+    ]
+    if channel:
+        events.append(
+            FaultEvent(
+                "telemetry_loss",
+                at=1.0,
+                duration=2.0,
+                params={"edge": "ny", "rate": 0.3},
+            )
+        )
+    plan = FaultPlan(name="golden-two-party", seed=11, events=tuple(events))
+    FaultInjector(deployment, plan).arm()
+    deployment.net.run(until=6.0)
+    return dump_gateways(deployment.gateways, controllers)
+
+
+CASES = {
+    "federation_4_live": federation_live,
+    "vultr_channel": lambda: vultr_two_party(channel=True),
+    "vultr_mirror": lambda: vultr_two_party(channel=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_live_series_are_byte_identical_to_golden(name):
+    assert golden.digest(CASES[name]()) == golden.load(GOLDEN)[name]
+
+
+if __name__ == "__main__":
+    golden.regenerate(
+        GOLDEN, {name: golden.digest(run()) for name, run in sorted(CASES.items())}
+    )

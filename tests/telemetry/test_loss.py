@@ -55,6 +55,18 @@ class TestLossMonitor:
         assert monitor.recent_loss(1, bins=1) == pytest.approx(2 / 3)
         assert monitor.recent_loss(1, bins=2) == pytest.approx(2 / 4)
 
+    @pytest.mark.parametrize("bins", [0, -1])
+    def test_recent_loss_needs_at_least_one_bin(self, bins):
+        # history[-0:] is the whole history, not "no bins".
+        tracker = SequenceTracker()
+        monitor = LossMonitor(tracker)
+        tracker.observe(1, 0)
+        monitor.sample(1.0)
+        with pytest.raises(ValueError, match="bins"):
+            monitor.recent_loss(1, bins=bins)
+        with pytest.raises(ValueError, match="bins"):
+            monitor.recent_loss(99, bins=bins)
+
     def test_recent_loss_unknown_path(self):
         monitor = LossMonitor(SequenceTracker())
         assert monitor.recent_loss(9) == 0.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry.store import MeasurementStore, TimeSeries
+from repro.telemetry.store import MeasurementStore, StoreCursor, TimeSeries
 
 
 class TestTimeSeries:
@@ -275,3 +275,174 @@ class TestEmptySeriesContract:
         store.record(1, 0.0, 1.0)
         store.series(7)  # created but empty
         assert [p for p, _ in store.items()] == store.path_ids() == [1, 3]
+
+
+NAN = float("nan")
+
+
+class TestNanTimesRejected:
+    """A NaN time compares False both ways; it must not switch the
+    monotonic guard off for the rest of the series."""
+
+    def test_append_rejects_nan_and_keeps_guarding(self):
+        series = TimeSeries()
+        series.append(1.0, 0.0)
+        with pytest.raises(ValueError, match="NaN"):
+            series.append(NAN, 0.0)
+        with pytest.raises(ValueError, match="backwards"):
+            series.append(0.5, 0.0)  # [1.0, nan, 0.5] was accepted before
+        np.testing.assert_array_equal(series.times, [1.0])
+
+    def test_append_rejects_nan_as_first_sample(self):
+        with pytest.raises(ValueError):
+            TimeSeries().append(NAN, 0.0)
+
+    @pytest.mark.parametrize("times", [[NAN], [NAN, 2.0], [2.0, NAN], [2.0, NAN, 3.0]])
+    def test_extend_rejects_nan_anywhere(self, times):
+        series = TimeSeries()
+        series.append(1.0, 0.0)
+        with pytest.raises(ValueError):
+            series.extend(np.array(times), np.zeros(len(times)))
+        assert len(series) == 1 and series.last_time == 1.0
+
+    def test_extend_from_cannot_carry_nan(self):
+        # The source's own guard keeps NaN out, so the seam check is enough.
+        source, sink = TimeSeries(), TimeSeries()
+        with pytest.raises(ValueError):
+            source.append(NAN, 0.0)
+        sink.extend_from(source, 0, len(source))
+        assert len(sink) == 0
+
+    def test_store_record_and_batch_reject_nan(self):
+        store = MeasurementStore()
+        store.record(1, 1.0, 0.03)
+        with pytest.raises(ValueError):
+            store.record(1, NAN, 0.03)
+        with pytest.raises(ValueError):
+            store.record_aggregate_many([2, 1], NAN, [0.03, 0.03])
+        with pytest.raises(ValueError, match="backwards"):
+            store.record(1, 0.5, 0.03)
+        assert store.path_ids() == [1]
+        assert store.recent_delay(1, window_s=1.0, now=1.0) == 0.03
+
+
+class TestExtendFrom:
+    def source(self):
+        series = TimeSeries()
+        for i in range(5):
+            series.append(float(i), i * 10.0)
+        return series
+
+    def test_copies_the_slice(self):
+        sink = TimeSeries()
+        sink.append(0.5, -1.0)
+        sink.extend_from(self.source(), 1, 4)
+        np.testing.assert_array_equal(sink.times, [0.5, 1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(sink.values, [-1.0, 10.0, 20.0, 30.0])
+        assert sink.last_time == 3.0
+
+    def test_same_bytes_as_extend(self):
+        source = self.source()
+        by_copy, by_arrays = TimeSeries(), TimeSeries()
+        by_copy.extend_from(source, 0, 5)
+        by_arrays.extend(source.times, source.values)
+        assert by_copy.times.tobytes() == by_arrays.times.tobytes()
+        assert by_copy.values.tobytes() == by_arrays.values.tobytes()
+
+    def test_empty_slice_is_noop(self):
+        sink = TimeSeries()
+        sink.extend_from(self.source(), 2, 2)
+        assert len(sink) == 0 and sink.last_time is None
+
+    @pytest.mark.parametrize("start,end", [(-1, 2), (3, 2), (0, 6), (6, 6)])
+    def test_bounds_checked(self, start, end):
+        with pytest.raises(IndexError):
+            TimeSeries().extend_from(self.source(), start, end)
+
+    def test_seam_checked(self):
+        sink = TimeSeries()
+        sink.append(2.5, 0.0)
+        with pytest.raises(ValueError, match="backwards"):
+            sink.extend_from(self.source(), 2, 5)
+        sink.extend_from(self.source(), 3, 5)  # 3.0 >= 2.5
+        assert len(sink) == 3
+
+    def test_grows_past_capacity(self):
+        source, sink = TimeSeries(), TimeSeries()
+        for i in range(3000):
+            source.append(float(i), 1.0)
+        sink.extend_from(source, 0, 3000)
+        assert len(sink) == 3000 and sink.grows == 2
+
+
+class TestCountBefore:
+    def test_strict_and_inclusive_with_ties(self):
+        series = TimeSeries()
+        for t in (1.0, 2.0, 2.0, 3.0):
+            series.append(t, 0.0)
+        assert series.count_before(2.0) == 1
+        assert series.count_before(2.0, inclusive=True) == 3
+        assert series.count_before(0.0, inclusive=True) == 0
+        assert series.count_before(float("inf")) == 4
+        assert TimeSeries().count_before(1.0, inclusive=True) == 0
+
+
+class TestStoreCursor:
+    def store(self):
+        store = MeasurementStore()
+        for path_id in (20, 3, 100):
+            for t in (1.0, 2.0, 3.0):
+                store.record(path_id, t, path_id + t)
+        return store
+
+    @staticmethod
+    def blocks(cursor, *args):
+        return [(p, start, end) for p, _s, start, end in cursor.take(*args)]
+
+    def test_unscoped_takes_everything_in_ascending_id_order(self):
+        cursor = StoreCursor(self.store())
+        assert cursor.scope is None
+        assert self.blocks(cursor) == [(3, 0, 3), (20, 0, 3), (100, 0, 3)]
+        assert self.blocks(cursor) == []
+
+    def test_take_through_is_inclusive_and_resumes(self):
+        cursor = StoreCursor(self.store(), {20})
+        assert self.blocks(cursor, 2.0) == [(20, 0, 2)]
+        assert self.blocks(cursor, 2.5) == []
+        assert self.blocks(cursor, 3.0) == [(20, 2, 3)]
+
+    def test_scope_extends_in_order_and_ignores_unmeasured_ids(self):
+        cursor = StoreCursor(self.store(), [20, 7])
+        cursor.extend_scope(3)
+        cursor.extend_scope(20)
+        assert cursor.scope == {3, 7, 20}
+        assert self.blocks(cursor) == [(3, 0, 3), (20, 0, 3)]
+
+    def test_extend_scope_is_a_noop_when_unscoped(self):
+        cursor = StoreCursor(self.store())
+        cursor.extend_scope(3)
+        assert cursor.scope is None
+
+    def test_unscoped_picks_up_ids_that_appear_later(self):
+        store = self.store()
+        cursor = StoreCursor(store)
+        self.blocks(cursor)
+        store.series(5)  # created on read, still empty
+        store.record(50, 4.0, 0.0)
+        store.record(3, 4.0, 0.0)
+        assert self.blocks(cursor) == [(3, 3, 4), (50, 0, 1)]
+
+    def test_discard_before_is_strict_and_counts_unread_rows_only(self):
+        cursor = StoreCursor(self.store(), {3, 20})
+        assert self.blocks(cursor, 1.0) == [(3, 0, 1), (20, 0, 1)]
+        assert cursor.discard_before(3.0) == 2  # the rows at 2.0; 3.0 survives
+        assert cursor.discard_before(3.0) == 0
+        assert self.blocks(cursor) == [(3, 2, 3), (20, 2, 3)]
+
+    def test_a_consumer_that_raises_leaves_its_block_unread(self):
+        cursor = StoreCursor(self.store(), {3, 20})
+        with pytest.raises(RuntimeError):
+            for path_id, _series, _start, _end in cursor.take():
+                if path_id == 20:
+                    raise RuntimeError("sink refused the block")
+        assert self.blocks(cursor) == [(20, 0, 3)]
