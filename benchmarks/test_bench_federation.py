@@ -26,6 +26,7 @@ import os
 
 from conftest import emit
 
+from repro.federation import FederationRegistry
 from repro.federation.experiment import run_federation_experiment
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") == "1"
@@ -36,11 +37,10 @@ MIN_HIT_RATE = 0.5
 MIN_USABLE_ROUTES = 2
 
 
-def test_federation_establishment_and_relay_failover(benchmark):
+def test_federation_establishment_and_relay_failover(benchmark, monkeypatch):
     # The benchmark fixture times the high-signal piece: shared-cache
     # establishment of a mid-size federation.
     def establish_only():
-        from repro.federation import FederationRegistry
         from repro.scenarios.topologies import build_live_federation
 
         registry = FederationRegistry(build_live_federation(6))
@@ -49,7 +49,19 @@ def test_federation_establishment_and_relay_failover(benchmark):
 
     benchmark(establish_only)
 
+    # The report is frozen (BENCH_FEDERATION.json is byte-compared), so
+    # the live run's heap-event count is read off the registries as the
+    # experiment tears them down: the one that ran is the one with events.
+    events_at_stop = []
+    stop = FederationRegistry.stop
+
+    def counting_stop(registry):
+        events_at_stop.append(registry.sim.events_processed)
+        stop(registry)
+
+    monkeypatch.setattr(FederationRegistry, "stop", counting_stop)
     report = run_federation_experiment(N_EDGES, smoke=SMOKE)
+    live_events = max(events_at_stop)
     replay = run_federation_experiment(N_EDGES, smoke=SMOKE)
     serialized = json.dumps(report, indent=2, sort_keys=True)
     byte_identical = serialized == json.dumps(
@@ -65,6 +77,10 @@ def test_federation_establishment_and_relay_failover(benchmark):
         f"shared hit rate {cache['hit_rate']:.2f} "
         f"({cache['hits']} hits / {cache['misses']} misses) vs "
         f"independent {baseline['hit_rate']:.2f}"
+    )
+    emit(
+        f"E20 live run: sim.events_processed={live_events} "
+        "(one fluid step, one mirror sweep, one control round per tick)"
     )
     emit(
         f"E20 stitched: {degraded['pair'][0]}->{degraded['pair'][1]} had "

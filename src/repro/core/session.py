@@ -28,6 +28,7 @@ from ..bgp.attributes import RouteAttributes
 from ..bgp.network import BgpNetwork
 from ..bgp.snapshot import SnapshotCache
 from ..netsim.events import Simulator
+from ..netsim.ticks import TickScheduler
 from ..telemetry.store import MeasurementStore, StoreCursor
 from .config import EdgeConfig, PairingConfig
 from .discovery import DiscoveryResult, PathDiscovery
@@ -270,7 +271,7 @@ class TangoSession:
     # -- telemetry feedback ----------------------------------------------------------
 
     def start_telemetry_mirrors(
-        self, scoped: bool = False
+        self, scoped: bool = False, scheduler: Optional[TickScheduler] = None
     ) -> tuple[TelemetryMirror, TelemetryMirror]:
         """Begin the cooperative measurement feedback loop.
 
@@ -284,6 +285,11 @@ class TangoSession:
         tunnel path-ids (requires an established state) — mandatory when
         the gateways' stores are shared across a federation's sessions,
         harmless for a lone pairing.
+
+        ``scheduler`` registers both syncs on a shared tick wheel (a
+        federation runs every session's mirrors on one heap event, in
+        registration order) instead of one dedicated task each; the
+        handles :meth:`mirror_to` returns pause, resume and stop alike.
         """
         path_ids_to_a: Optional[set[int]] = None
         path_ids_to_b: Optional[set[int]] = None
@@ -311,12 +317,20 @@ class TangoSession:
             path_ids=path_ids_to_b,
         )
         interval = self.pairing.report_interval_s
-        task_a = self.sim.call_every(
-            interval, lambda: mirror_to_a.sync(self.sim.now)
-        )
-        task_b = self.sim.call_every(
-            interval, lambda: mirror_to_b.sync(self.sim.now)
-        )
+        if scheduler is None:
+            task_a = self.sim.call_every(
+                interval, lambda: mirror_to_a.sync(self.sim.now)
+            )
+            task_b = self.sim.call_every(
+                interval, lambda: mirror_to_b.sync(self.sim.now)
+            )
+        else:
+            task_a = scheduler.register_every_s(
+                interval, mirror_to_a.sync, name=f"mirror->{self.pairing.a.name}"
+            )
+            task_b = scheduler.register_every_s(
+                interval, mirror_to_b.sync, name=f"mirror->{self.pairing.b.name}"
+            )
         self._mirror_tasks += [task_a, task_b]
         self._mirrors_by_edge[self.pairing.a.name] = (mirror_to_a, task_a)
         self._mirrors_by_edge[self.pairing.b.name] = (mirror_to_b, task_b)

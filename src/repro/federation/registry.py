@@ -12,9 +12,17 @@ to simulate dozens of edges by sharing every heavyweight resource:
   instead of re-propagated;
 * one :class:`~repro.netsim.ticks.TickScheduler` carries every member's
   controller, every rebalancer and every segment composer on a single
-  recurring heap event;
-* one (vector) fluid engine per focused direction drives telemetry for
-  all of that direction's tunnels — direct and stitched alike.
+  recurring heap event, and a second one every session's telemetry
+  mirrors;
+* one :class:`~repro.traffic.vector.FluidRows` array state holds every
+  driven direction's tunnels — direct and stitched alike — and advances
+  them all on a third.
+
+Within a grid instant the three fire in the order they were created and
+re-armed: fluid step, mirror syncs in session order, control wheel —
+which is why :meth:`FederationRegistry.start_telemetry` creates the
+telemetry wheel (before the control plane exists) and not
+``start_control_plane``.
 
 Path-id space is partitioned so all sessions coexist in the members'
 shared gateways: unordered pair *k* owns ids ``[128k, 128k+128)`` (two
@@ -51,7 +59,7 @@ from ..traffic.splitting import (
     SplitRebalancer,
     WeightedSplitSelector,
 )
-from ..traffic.vector import create_fluid_engine
+from ..traffic.vector import FluidRows, VectorFluidEngine
 from .segments import Segment, SegmentComposer
 from .stitching import RelayPlan, StitchedWanLink, build_stitched_tunnel
 
@@ -95,6 +103,8 @@ class PairView:
     federation through this adapter, unmodified.  Stitched tunnels are
     part of :meth:`tunnels`' answer, so creating an engine *after*
     stitching makes the relay route a first-class engine path.
+    ``fluid_rows`` names the registry's one array state, so every
+    array-kernel direction built over any pair's view shares it.
     """
 
     def __init__(self, registry: "FederationRegistry", a: str, b: str) -> None:
@@ -102,6 +112,7 @@ class PairView:
         self.a = a
         self.b = b
         self.sim = registry.sim
+        self.fluid_rows = registry.traffic
         self.calibrations = {
             a: registry.calibrations_for(a, b),
             b: registry.calibrations_for(b, a),
@@ -127,9 +138,6 @@ class PairView:
         peer = self.registry.scenario.member(self.peer_of(src))
         edge = self.registry.scenario.member(src)
         return peer.clock_offset_s - edge.clock_offset_s
-
-    def attach_traffic_engine(self, src: str, engine) -> None:
-        self.registry.engines[(src, self.peer_of(src))] = engine
 
 
 class FederationRegistry:
@@ -172,10 +180,18 @@ class FederationRegistry:
 
         self.sessions: dict[tuple[str, str], TangoSession] = {}
         self.state: Optional[FederationState] = None
+        #: The control wheel (controllers, rebalancers, composers).
         self.scheduler: Optional[TickScheduler] = None
+        #: The telemetry wheel (every session's mirror syncs).
+        self.telemetry_scheduler: Optional[TickScheduler] = None
         self.controllers: dict[str, TangoController] = {}
         self.rebalancers: dict[tuple[str, str], SplitRebalancer] = {}
-        self.engines: dict[tuple[str, str], object] = {}
+        #: Every driven direction's tunnel queues, advanced in one step.
+        self.traffic = FluidRows(self.sim, report_interval_s)
+        #: (src, dst) -> that direction's handle on :attr:`traffic`.
+        self.engines: dict[tuple[str, str], VectorFluidEngine] = {}
+        #: Control-wheel registrations of rebalancers and composers.
+        self._wheel_handles: list = []
         self.stitches: dict[tuple[str, str], StitchResult] = {}
         #: (src, dst) -> {short_label: calibration} — per ordered pair,
         #: because AS-path short labels repeat across a member's peers.
@@ -487,6 +503,11 @@ class FederationRegistry:
         """
         if (src, dst) in self.stitches:
             raise ValueError(f"{src}->{dst} already has a stitched tunnel")
+        if (src, dst) in self.engines:
+            raise RuntimeError(
+                f"{src}->{dst} already carries traffic and its engine would "
+                "never see the relay route: stitch before starting traffic"
+            )
         plan = self.plan_relay(src, dst, relay=relay)
         self._relay_count += 1
         if self._relay_count >= 64:
@@ -566,8 +587,8 @@ class FederationRegistry:
             offsets,
         )
         if self.scheduler is not None:
-            composer.attach(
-                self.scheduler, name=f"segments:{src}->{dst}"
+            self._wheel_handles.append(
+                composer.attach(self.scheduler, name=f"segments:{src}->{dst}")
             )
         result = StitchResult(
             plan=plan, tunnel=tunnel, link=link, composer=composer
@@ -584,11 +605,16 @@ class FederationRegistry:
     # -- runtime ------------------------------------------------------------------
 
     def start_telemetry(self) -> None:
-        """Start every session's scoped mirror pair."""
+        """Start every session's scoped mirror pair, all on one wheel
+        (created here, so it fires before a control wheel started later:
+        controllers read what this instant's syncs delivered)."""
         if self._telemetry_started:
             raise RuntimeError("telemetry already started")
+        self.telemetry_scheduler = TickScheduler(self.sim, self.report_interval_s)
         for session in self.sessions.values():
-            session.start_telemetry_mirrors(scoped=True)
+            session.start_telemetry_mirrors(
+                scoped=True, scheduler=self.telemetry_scheduler
+            )
         self._telemetry_started = True
         for (src, dst), result in self.stitches.items():
             self._extend_mirror_scope(src, dst, result.tunnel.path_id)
@@ -624,8 +650,8 @@ class FederationRegistry:
                 selector, LoadAwareWeights(gateway.outbound), tunnels
             )
             gateway.set_data_selector(selector)
-            rebalancer.attach(
-                self.scheduler, name=f"rebalance:{src}->{dst}"
+            self._wheel_handles.append(
+                rebalancer.attach(self.scheduler, name=f"rebalance:{src}->{dst}")
             )
             self.rebalancers[(src, dst)] = rebalancer
         for name in self.scenario.member_names:
@@ -641,9 +667,11 @@ class FederationRegistry:
             controller.start()
             self.controllers[name] = controller
         for result in self.stitches.values():
-            result.composer.attach(
-                self.scheduler,
-                name=f"segments:{result.plan.src}->{result.plan.dst}",
+            self._wheel_handles.append(
+                result.composer.attach(
+                    self.scheduler,
+                    name=f"segments:{result.plan.src}->{result.plan.dst}",
+                )
             )
         return self.scheduler
 
@@ -652,9 +680,15 @@ class FederationRegistry:
         src: str,
         dst: str,
         demand: Optional[DemandModel] = None,
-    ):
-        """Drive one direction with a fluid engine (stitched routes
-        included — start traffic *after* stitching)."""
+    ) -> VectorFluidEngine:
+        """Drive one direction: its tunnels (stitched routes included —
+        start traffic *after* stitching) join :attr:`traffic` and step
+        with every other driven direction; returns the direction's
+        handle.  Once the simulation has run, a direction can join only
+        at a step instant (see :class:`~repro.traffic.vector.FluidRows`).
+        """
+        if (src, dst) in self.engines:
+            raise ValueError(f"{src}->{dst} already carries traffic")
         if demand is None:
             pair_seed = (
                 self.scenario.member_index(src) * 64
@@ -673,10 +707,11 @@ class FederationRegistry:
                 seed=pair_seed,
             )
         view = PairView(self, *self._pair_key(src, dst))
-        fluid = create_fluid_engine(
+        fluid = VectorFluidEngine(
             view, src, demand, step_s=self.report_interval_s
         )
         fluid.start(at_equilibrium=True)
+        self.engines[(src, dst)] = fluid
         return fluid
 
     def _pair_key(self, x: str, y: str) -> tuple[str, str]:
@@ -709,13 +744,17 @@ class FederationRegistry:
         return mesh
 
     def stop(self) -> None:
-        """Defensive teardown: stop engines, controllers and sessions
-        (sessions' ``stop()`` is idempotent, so double-stops are safe)."""
-        for engine in self.engines.values():
-            stop = getattr(engine, "stop", None)
-            if callable(stop):
-                stop()
+        """Teardown: traffic, controllers, rebalancers, composers,
+        sessions and both wheels — nothing of the registry's stays
+        queued in the simulator.  Idempotent (every ``stop()`` below
+        is), so double-stops are safe."""
+        self.traffic.stop()
         for controller in self.controllers.values():
             controller.stop()
+        for handle in self._wheel_handles:
+            handle.stop()
         for session in self.sessions.values():
             session.stop()
+        for wheel in (self.telemetry_scheduler, self.scheduler):
+            if wheel is not None:
+                wheel.stop()

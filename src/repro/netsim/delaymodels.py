@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -54,6 +54,10 @@ __all__ = [
     "deterministic_normal",
     "uniform_at",
     "normal_at",
+    "hash_seeds",
+    "normal_across_seeds",
+    "plain_gaussian_jitter",
+    "GaussianJitterRows",
 ]
 
 #: Grid onto which sample times are quantized before hashing.  Finer than
@@ -102,7 +106,13 @@ def deterministic_uniform(seed: int, times: np.ndarray) -> np.ndarray:
         so it can feed the normal inverse CDF safely.
     """
     idx = _time_indices(times).astype(np.uint64)
-    mixed = _splitmix64(idx ^ _splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
+    return _unit_interval(
+        _splitmix64(idx ^ _splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
+    )
+
+
+def _unit_interval(mixed: np.ndarray) -> np.ndarray:
+    """Mixed words -> floats in the open interval (0, 1)."""
     u = (mixed >> np.uint64(11)).astype(np.float64) * _TWO_POW_MINUS_53
     return np.clip(u, 1e-12, 1.0 - 1e-12)
 
@@ -110,6 +120,20 @@ def deterministic_uniform(seed: int, times: np.ndarray) -> np.ndarray:
 def deterministic_normal(seed: int, times: np.ndarray) -> np.ndarray:
     """Standard-normal noise that is a pure function of (seed, time)."""
     return ndtri(deterministic_uniform(seed, times))
+
+
+def hash_seeds(seeds: Sequence[int]) -> np.ndarray:
+    """The per-seed half of the counter hash, for :func:`normal_across_seeds`
+    (done once for a fixed set of streams, not once per draw)."""
+    return _splitmix64(np.array([s & _MASK64 for s in seeds], dtype=np.uint64))
+
+
+def normal_across_seeds(hashed_seeds: np.ndarray, t: float) -> np.ndarray:
+    """:func:`deterministic_normal` across many seeds at one time: element
+    ``i`` equals ``normal_at(seeds[i], t)`` bit for bit, where
+    ``hashed_seeds = hash_seeds(seeds)``."""
+    index = np.uint64(math.floor(t / _NOISE_QUANTUM) & _MASK64)
+    return ndtri(_unit_interval(_splitmix64(index ^ hashed_seeds)))
 
 
 def _splitmix64_int(x: int) -> int:
@@ -509,3 +533,31 @@ def overlay(model: DelayModel, *events: DelayEvent) -> CompositeDelay:
             events=tuple(model.events) + tuple(events),
         )
     return CompositeDelay(base=model, events=tuple(events))
+
+
+def plain_gaussian_jitter(model: object) -> Optional[GaussianJitterDelay]:
+    """The :class:`GaussianJitterDelay` that alone determines ``model``:
+    the model itself, or the base of a :class:`CompositeDelay` with no
+    components and no events; ``None`` for anything else.  Models are
+    replaced, never edited (:func:`overlay` and ``with_event`` build new
+    composites), so the answer holds for as long as the object is in place.
+    """
+    if type(model) is CompositeDelay and not model.components and not model.events:
+        model = model.base
+    return model if type(model) is GaussianJitterDelay else None
+
+
+class GaussianJitterRows:
+    """Many plain :class:`GaussianJitterDelay` processes evaluated at one
+    time with one array draw: ``delays_at(t)[i] == models[i].delay_at(t)``
+    bit for bit."""
+
+    def __init__(self, models: Sequence[GaussianJitterDelay]) -> None:
+        self._hashed_seeds = hash_seeds([m.seed for m in models])
+        self._base = np.array([m.base for m in models], dtype=np.float64)
+        self._sigma = np.array([m.sigma for m in models], dtype=np.float64)
+        self._floor = np.array([m.floor for m in models], dtype=np.float64)
+
+    def delays_at(self, t: float) -> np.ndarray:
+        noise = normal_across_seeds(self._hashed_seeds, t) * self._sigma
+        return np.maximum(self._base + noise, self._floor)

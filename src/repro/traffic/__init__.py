@@ -29,7 +29,7 @@ from .fluid import (
     fluid_wait_s,
 )
 from .splitting import LoadAwareWeights, SplitRebalancer, WeightedSplitSelector
-from .vector import VectorFluidEngine, create_fluid_engine
+from .vector import FluidRows, VectorFluidEngine, create_fluid_engine
 
 __all__ = [
     "DemandModel",
@@ -44,6 +44,7 @@ __all__ = [
     "LoadAwareWeights",
     "SplitRebalancer",
     "WeightedSplitSelector",
+    "FluidRows",
     "VectorFluidEngine",
     "create_fluid_engine",
 ]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from repro.netsim.delaymodels import normal_at, uniform_at
@@ -190,8 +191,10 @@ class DemandModel:
         )
 
 
+@lru_cache(maxsize=4096)
 def _mix_seed(*parts: int) -> int:
-    """Fold seed components into one 64-bit stream id (SplitMix-style)."""
+    """Fold seed components into one 64-bit stream id (SplitMix-style).
+    Cached: a fluid step asks for each (model, class) stream again."""
     acc = 0x9E3779B97F4A7C15
     for part in parts:
         acc ^= (part & 0xFFFFFFFFFFFFFFFF) + 0x9E3779B97F4A7C15 + ((acc << 6) & 0xFFFFFFFFFFFFFFFF) + (acc >> 2)

@@ -212,17 +212,23 @@ class FluidEngine:
     """Fixed-step fluid traffic engine for one direction of a deployment.
 
     This class carries the scalar step kernel (a Python loop over
-    tunnels, cheapest on the few tunnels an edge pair really has, and
-    the reference the array kernel is tested against); build engines
-    with :func:`~repro.traffic.vector.create_fluid_engine`, which picks
-    the kernel.  A kernel is :meth:`_init_queue_state` plus
-    :meth:`_advance_tunnels`; everything else lives here once.
+    tunnels on its own periodic task, cheapest on the few tunnels a lone
+    edge pair really has, and the reference the array kernel is tested
+    against); build two-party engines with
+    :func:`~repro.traffic.vector.create_fluid_engine`, which picks the
+    kernel.  What is per-direction lives here once — demand, class
+    buckets, split resolution, traces, counters, :meth:`_evolve`; a
+    kernel is where the tunnel queues live (:meth:`_init_queue_state`),
+    what steps them (:meth:`_start_stepping`) and
+    :meth:`_advance_tunnels`.
 
     Args:
         deployment: an established scenario deployment (e.g.
             ``VultrDeployment``) exposing ``sim``, ``gateway``,
             ``tunnels``, ``wan_link``, ``peer_of`` and
-            ``clock_offset_delta``.
+            ``clock_offset_delta``; optionally ``calibrations``,
+            ``attach_traffic_engine`` and — read by the array kernel —
+            ``fluid_rows``, the one array state its directions share.
         src: sending edge name (``"ny"`` sends NY→LA).
         demand: the demand model driving offered load.
         step_s: engine step; also the telemetry sampling period.
@@ -279,10 +285,6 @@ class FluidEngine:
             calibration = calibrations.get(tunnel.short_label)
             capacity = getattr(calibration, "capacity_bps", 0.0) or 0.0
             capacities.append(capacity or default_capacity_bps)
-        self._init_queue_state(
-            [deployment.wan_link(src, t.short_label) for t in tunnels],
-            capacities,
-        )
 
         # Per-(flow-class) aggregate buckets: float concurrency counts.
         self._flows: dict[int, float] = {cls.flow_label: 0.0 for cls in demand.classes}
@@ -304,6 +306,12 @@ class FluidEngine:
         self._task = None
         self._last = self.sim.now
 
+        # Last thing that can fail: a kernel may publish the queue state
+        # (the array kernel appends it to rows other directions share).
+        self._init_queue_state(
+            [deployment.wan_link(src, t.short_label) for t in tunnels],
+            capacities,
+        )
         attach = getattr(deployment, "attach_traffic_engine", None)
         if callable(attach):
             attach(src, self)
@@ -334,16 +342,20 @@ class FluidEngine:
         if self._task is not None:
             raise RuntimeError("fluid engine already started")
         now = self.sim.now
+        self._task = self._start_stepping(now)
         if at_equilibrium:
             for cls in self.demand.classes:
                 self._flows[cls.flow_label] = self.demand.equilibrium_flows(cls, now)
             self.peak_concurrent_flows = max(
                 self.peak_concurrent_flows, self.concurrent_flows
             )
+
+    def _start_stepping(self, now: float) -> object:
+        """Arm this engine's own periodic step; returns the task."""
         self._last = now
         # call_every fires immediately at `now` unless start is given;
         # the first step must cover one full dt.
-        self._task = self.sim.call_every(
+        return self.sim.call_every(
             self.step_s, self._step, start=now + self.step_s
         )
 
@@ -403,20 +415,20 @@ class FluidEngine:
     def _class_splits(
         self, now: float
     ) -> Iterator[tuple[int, float, tuple[tuple[int, float], ...]]]:
-        """``(flow_label, offered bps, split items)`` per loaded class.
+        """``(class position, offered bps, split items)`` per loaded class.
 
         The surge factor scales the instantaneous per-flow rate too, so
         a demand_surge fault changes load within one step instead of
         waiting a mean flow lifetime for concurrency to ramp.
         """
-        for cls in self.demand.classes:
+        for position, cls in enumerate(self.demand.classes):
             rate = (
                 self._flows[cls.flow_label]
                 * cls.rate_bps
                 * self.demand.surge_factor(cls.flow_label, now)
             )
             if rate > 0:
-                yield cls.flow_label, rate, self._resolver.resolve(cls, now)
+                yield position, rate, self._resolver.resolve(cls, now)
 
     def _step(self) -> None:
         now = self.sim.now
@@ -424,9 +436,12 @@ class FluidEngine:
         self._last = now
         if dt <= 0:
             return
-        self.steps += 1
+        self._evolve(now, dt, self._advance_tunnels(now, dt))
 
-        offered = self._advance_tunnels(now, dt)
+    def _evolve(self, now: float, dt: float, offered: list[float]) -> None:
+        """The per-direction rest of a step, after the tunnel queues
+        advanced under ``offered`` bps per tunnel (tunnel order)."""
+        self.steps += 1
 
         # Evolve class buckets: arrivals minus mean-field departures
         # (flows drain at 1/mean_duration; using per-step heavy-tail
@@ -435,15 +450,15 @@ class FluidEngine:
         # arrival noise; the heavy-tailed size distribution itself is
         # exposed by DemandModel.size_draw_bytes for per-flow
         # consumers.
-        for cls in self.demand.classes:
-            flows = self._flows[cls.flow_label]
-            arrivals = self.demand.arrivals_between(cls, now - dt, now)
+        demand, buckets = self.demand, self._flows
+        concurrent = 0  # summed as ``concurrent_flows`` sums: 0 + f1 + f2 ...
+        for cls in demand.classes:
+            flows = buckets[cls.flow_label]
+            arrivals = demand.arrivals_between(cls, now - dt, now)
             departures = flows * dt / cls.mean_duration_s
-            self._flows[cls.flow_label] = max(0.0, flows + arrivals - departures)
-
-        self.peak_concurrent_flows = max(
-            self.peak_concurrent_flows, self.concurrent_flows
-        )
+            flows = buckets[cls.flow_label] = max(0.0, flows + arrivals - departures)
+            concurrent += flows
+        self.peak_concurrent_flows = max(self.peak_concurrent_flows, concurrent)
 
         if self.record_traces:
             # Left-to-right float sum in tunnel order: part of the
@@ -457,7 +472,7 @@ class FluidEngine:
             else:
                 split = dict.fromkeys(self._pids, 0.0)
             self.split_trace.append((now, split))
-            self.concurrency_trace.append((now, self.concurrent_flows))
+            self.concurrency_trace.append((now, concurrent))
 
         profiler = self.profiler
         if profiler is not None:
@@ -469,7 +484,7 @@ class FluidEngine:
         and the loss ledger; return offered bps per tunnel (tunnel order).
         """
         offered: dict[int, float] = dict.fromkeys(self._capacity, 0.0)
-        for _label, rate, items in self._class_splits(now):
+        for _position, rate, items in self._class_splits(now):
             for path_id, fraction in items:
                 offered[path_id] += rate * fraction
 

@@ -1,243 +1,475 @@
-"""Vectorized fluid engine: per-tunnel state as contiguous float64 vectors.
+"""Array fluid kernel: tunnel queues as rows of contiguous float64 vectors.
 
-:class:`VectorFluidEngine` evolves every (flow-class, tunnel) bucket of
-the fluid congestion model with numpy array operations instead of the
-scalar engine's per-tunnel Python loop.  The closed forms are exactly
-those of :class:`~repro.traffic.fluid.FluidEngine` — M/D/1
-Pollaczek–Khinchine wait, fluid backlog with the buffer bound, the
-``1 - 1/rho`` overload shedding, Little's-law equilibrium seeding — and
-the implementation is arranged so each elementwise operation evaluates
-the *same IEEE-754 expression tree* the scalar engine does:
+:class:`FluidRows` holds one *row* per (direction, tunnel), a contiguous
+segment per direction, and advances all of them with numpy array
+operations instead of the scalar engine's per-tunnel Python loop, on
+**one** periodic event.  A lone :class:`VectorFluidEngine` is the
+one-segment case (rows of its own); a federation puts all N(N-1)
+directions on one (:class:`~repro.federation.registry.PairView` names
+the shared rows).  The closed forms are exactly those of
+:class:`~repro.traffic.fluid.FluidEngine` — M/D/1 Pollaczek–Khinchine
+wait, fluid backlog with the buffer bound, the ``1 - 1/rho`` overload
+shedding, Little's-law equilibrium seeding — and the implementation is
+arranged so each elementwise operation evaluates the *same IEEE-754
+expression tree* the scalar engine does:
 
-* vectorization runs across tunnels while the (few) flow classes keep
-  the scalar engine's Python loop, so offered load accumulates per
-  element in the same order (``offered += rate * fraction`` per class,
-  with ``rate * 0.0`` adds for unselected tunnels, which are bitwise
-  no-ops);
+* vectorization runs across rows while directions and their (few) flow
+  classes keep a Python loop in direction order — selectors are Python
+  objects with state — and offered load accumulates per element in the
+  scalar order: ``offered += rate * fraction`` once per class position,
+  where an unselected tunnel's ``rate * 0.0`` and an unloaded class's
+  ``0.0 * fraction`` are bitwise no-ops;
 * the one reduction (total offered load, for the split trace) happens
-  in the shared step, as a left-to-right Python ``sum()`` over the
-  ``tolist()`` of the offered vector, never numpy's pairwise ``np.sum``;
+  in the shared per-direction step, as a left-to-right Python ``sum()``
+  over the ``tolist()`` of the offered vector, never numpy's pairwise
+  ``np.sum``;
 * integer ledger truncation uses ``astype(int64)``, which matches
-  ``int()`` for the non-negative packet counts involved.
+  ``int()`` for the non-negative packet counts involved;
+* what the scalar kernel keeps per engine (packet bits, buffer depth,
+  clock offset) is a per-row vector of equal values here.
 
-The scalar engine therefore serves as a seeded **bit-equivalence
-oracle**: same deployment, same demand seed, same selector ⇒ identical
-per-step rho/backlog/delay/loss, byte-identical telemetry series and
-loss ledgers (see ``tests/traffic/test_vector.py``).
+One scalar engine per direction therefore serves as a seeded
+**bit-equivalence oracle**: same deployment, same demand seeds, same
+selectors ⇒ identical per-step rho/backlog/delay/loss, byte-identical
+telemetry series and loss ledgers (``tests/traffic/test_vector.py`` for
+one segment, ``tests/federation/test_batched_engine.py`` for many).
 
-Telemetry leaves the engine through the batched store paths
+Telemetry leaves the kernel through the batched store paths
 (:meth:`~repro.telemetry.store.MeasurementStore.record_aggregate_many`,
-:meth:`~repro.dataplane.seqnum.SequenceTracker.record_aggregate_many`)
-so a step costs O(array ops) plus one store call per direction instead
-of O(tunnels) attribute-resolved scalar calls.
+:meth:`~repro.dataplane.seqnum.SequenceTracker.record_aggregate_many`):
+one call per receiving store and one per sending tracker per step, each
+one's rows ascending — the order one engine per direction writes in.
 
-Base link models are identity-cached: a :class:`ConstantDelay` /
-:class:`ConstantLoss` model is evaluated once and the cached value
-reused until the fault injector swaps the link's model object (swaps
-are detected by an ``is`` check every step, so ``OverrideLoss``
-blackholes and delay overlays behave exactly as in the scalar engine).
+Base link models are classified once per model *object* and re-checked
+by ``is`` every step, so a fault that swaps a link's model (an
+``OverrideLoss`` blackhole, a delay overlay) is seen at the step it
+lands.  A :class:`ConstantDelay` / :class:`ConstantLoss` is evaluated
+once; rows whose delay is a plain :class:`GaussianJitterDelay`
+(:func:`~repro.netsim.delaymodels.plain_gaussian_jitter`) are all drawn
+with one array call; any other model — a stitched link's composition, a
+composite that gained an event, a third-party model — takes the scalar
+``delay_at`` / ``loss_probability`` for that row only.
 
-Kernel selection is :func:`create_fluid_engine`'s job and nobody
-else's: it reads the tunnel count of the direction it is asked to drive
-and returns the class whose step is cheaper at that width (see
-:data:`VECTOR_MIN_TUNNELS`).
+Kernel selection for a two-party direction is
+:func:`create_fluid_engine`'s job and nobody else's: it reads the tunnel
+count of the direction it is asked to drive and returns the class whose
+step is cheaper at that width (see :data:`VECTOR_MIN_TUNNELS`).
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Optional
 
 import numpy as np
 
-from repro.netsim.delaymodels import ConstantDelay
+from repro.netsim.delaymodels import (
+    ConstantDelay,
+    GaussianJitterRows,
+    plain_gaussian_jitter,
+)
 from repro.netsim.links import ConstantLoss
 
 from .demand import DemandModel
 from .fluid import BLACKHOLE_LOSS, RHO_WAIT_CAP, FluidEngine, TunnelLoad
 
-__all__ = ["VECTOR_MIN_TUNNELS", "VectorFluidEngine", "create_fluid_engine"]
+__all__ = [
+    "VECTOR_MIN_TUNNELS",
+    "FluidRows",
+    "VectorFluidEngine",
+    "create_fluid_engine",
+]
 
-#: Narrowest direction that gets the array kernel.  A numpy step costs
-#: about the same however few tunnels it covers; the scalar loop grows
-#: by ~7-9 us a tunnel.  Measured us/step, scalar vs array (stand-in
-#: pair, jittered links, one flow class, runs interleaved, best of 9):
-#: 1 tunnel 18 vs 43, 2: 30 vs 47, 3: 38 vs 50, 4: 36 vs 40, 5: 41 vs
-#: 40, 6: 47 vs 43, 8: 73 vs 57, 16: 143 vs 90, 64: 444 vs 169.  The
-#: kernels are bit-identical at every width
+#: Narrowest two-party direction that gets the array kernel.  A numpy
+#: step costs about the same however few tunnels it covers; the scalar
+#: loop grows by ~7-9 us a tunnel.  Measured us/step, scalar vs array
+#: (stand-in pair, jittered links, one flow class, runs interleaved,
+#: best of 9): 1 tunnel 18 vs 43, 2: 30 vs 47, 3: 38 vs 50, 4: 36 vs 40,
+#: 5: 41 vs 40, 6: 47 vs 43, 8: 73 vs 57, 16: 143 vs 90, 64: 444 vs 169.
+#: The kernels are bit-identical at every width
 #: (``tests/traffic/test_vector.py``), so the choice is cost only.
 VECTOR_MIN_TUNNELS = 6
 
+#: How far ``now`` may sit from a step instant and still be on it: the
+#: grid is an accumulated float sum (ten steps of 0.1 are not 1.0).
+_GRID_EPS = 1e-9
 
-class VectorFluidEngine(FluidEngine):
-    """The array step kernel: :class:`FluidEngine` with per-tunnel state
-    in float64 vectors.
 
-    Same constructor, lifecycle, observables and traces; only the queue
-    state and :meth:`_advance_tunnels` differ.  ``last_loads`` is
-    materialized lazily — the step stores the raw vectors and the
-    per-tunnel :class:`TunnelLoad` dataclasses are built on first
-    access, so steps whose loads nobody reads pay nothing for them.
+def _gather_by_owner(owners: list, pids: list[int]) -> tuple:
+    """``(order, writes)``: rows gathered by owning object — owners in
+    first-seen order, each one's rows ascending — and one ``(owner, path
+    ids, span)`` per owner, ``span`` slicing the gathered values.  With
+    one owner there is nothing to gather: ``order`` and ``span`` are
+    ``None``, and no per-step value is indexed or copied."""
+    rows_of: dict[int, tuple[Any, list[int]]] = {}
+    for row, owner in enumerate(owners):
+        rows_of.setdefault(id(owner), (owner, []))[1].append(row)
+    if len(rows_of) == 1:
+        return None, [(owners[0], pids, None)]
+    order: list[int] = []
+    writes = []
+    for owner, rows in rows_of.values():
+        span = slice(len(order), len(order) + len(rows))
+        order += rows
+        writes.append((owner, [pids[r] for r in rows], span))
+    return np.array(order, dtype=np.intp), writes
+
+
+class FluidRows:
+    """Array queue state of every direction on one step grid.
+
+    Directions (:class:`VectorFluidEngine`) append their tunnels' rows
+    at construction and keep what is per-direction — demand, class
+    buckets, split resolver, traces, counters; the rows hold what the
+    array step works on and the one periodic task that runs it.  A step
+    is: every direction's class splits (direction order), one array pass
+    over all rows, one batched write per receiving store and sending
+    tracker, every direction's bucket evolution (direction order).
+
+    Directions step and stop together: the first ``start()`` arms the
+    task, every row advances whenever it fires (a direction's own
+    ``start()`` is what seeds its buckets), ``stop()`` on any direction
+    halts them all.  Rows join a *running* state only at one of its step
+    instants, after the step ran, so a late direction's first ``dt`` is
+    one whole step like everyone's — anywhere else is a
+    ``RuntimeError``, never a short or stretched first step.
     """
 
-    def _init_queue_state(self, links: list, capacities: list[float]) -> None:
-        n = len(self._pids)
-        self._pid_index = {pid: i for i, pid in enumerate(self._pids)}
-        self._cap_vec = np.array(capacities, dtype=np.float64)
-        self._bits_per_packet = self.packet_bytes * 8.0
-        self._service_vec = self._bits_per_packet / self._cap_vec
-        self._buffer_vec = self._cap_vec * self.buffer_delay_s
-        self._backlog_vec = np.zeros(n, dtype=np.float64)
-        self._lost_carry_vec = np.zeros(n, dtype=np.float64)
-        self._delivered_carry_vec = np.zeros(n, dtype=np.float64)
-
-        # Identity-keyed base-model caches (see module docstring).
-        self._link_list = links
-        self._delay_models: list[object] = [None] * n
-        self._delay_const: list[bool] = [False] * n
-        self._delay_vals = np.zeros(n, dtype=np.float64)
-        self._loss_models: list[object] = [None] * n
-        self._loss_const: list[bool] = [False] * n
-        self._loss_vals = np.zeros(n, dtype=np.float64)
-
-        # Per-class fraction vectors, keyed by the resolver's cached
-        # items tuple (identity): rebuilt only when the split actually
-        # changed (a rebuild hands back a new tuple).
-        self._frac_cache: dict[
-            int, tuple[tuple[tuple[int, float], ...], np.ndarray]
-        ] = {}
+    def __init__(self, sim: Any, step_s: float) -> None:
+        self.sim = sim
+        self.step_s = step_s
+        self.directions: list[VectorFluidEngine] = []
+        self._links: list = []
+        self._pids: list[int] = []
+        empty = np.zeros(0, dtype=np.float64)
+        # Per-row constants.
+        self._cap_vec = self._bits_vec = self._service_vec = empty
+        self._buffer_delay_vec = self._buffer_vec = self._offset_vec = empty
+        # Queue state, and the fractional packet carries of the ledgers.
+        self._backlog_vec = self._lost_carry_vec = self._delivered_carry_vec = empty
+        # Base-model values of the latest step, the model objects they
+        # came from, and the evaluation plans derived from those.
+        self._delay_vals = self._loss_vals = empty
+        self._delay_models: list[object] = []
+        self._loss_models: list[object] = []
+        self._delay_plan: Optional[tuple] = None
+        self._scalar_loss_rows: Optional[list[int]] = None
+        # Derived from membership, rebuilt after rows are added: the
+        # batched-write layout, and per class position the split
+        # fractions of every row (each direction patches its segment
+        # when its split changes) with the tunnels per direction.
+        self._writes: Optional[tuple] = None
+        self._fractions: list[np.ndarray] = []
+        self._widths = np.zeros(0, dtype=np.intp)
         self._step_arrays: tuple[np.ndarray, ...] = ()
-        self._lazy_loads: Optional[dict[int, TunnelLoad]] = {}
+        self._task: Any = None
+        self._last = sim.now
 
     # ------------------------------------------------------------------
-    # Lazy last_loads
+    # Membership and lifecycle
     # ------------------------------------------------------------------
 
-    @property
-    def last_loads(self) -> dict[int, TunnelLoad]:
-        if self._lazy_loads is None:
-            self._lazy_loads = self._build_loads()
-        return self._lazy_loads
-
-    def _build_loads(self) -> dict[int, TunnelLoad]:
-        offered, rho, backlog, delay, loss = self._step_arrays
-        loads: dict[int, TunnelLoad] = {}
-        for i, tunnel in enumerate(self.tunnels):
-            loads[tunnel.path_id] = TunnelLoad(
-                path_id=tunnel.path_id,
-                label=tunnel.short_label,
-                offered_bps=float(offered[i]),
-                capacity_bps=float(self._cap_vec[i]),
-                utilization=float(rho[i]),
-                backlog_bits=float(backlog[i]),
-                delay_s=float(delay[i]),
-                loss=float(loss[i]),
+    def _require_step_instant(self) -> None:
+        if self._task is not None and abs(self.sim.now - self._last) > _GRID_EPS:
+            raise RuntimeError(
+                "a direction joins running fluid rows only at one of their "
+                f"step instants (last step t={self._last}, now "
+                f"t={self.sim.now}): its first dt must be one whole step"
             )
-        return loads
+
+    def _append(
+        self, direction: "VectorFluidEngine", links: list, capacities: list[float]
+    ) -> tuple[int, int]:
+        """Add ``direction``'s tunnels as rows; returns its segment."""
+        if direction.sim is not self.sim or direction.step_s != self.step_s:
+            raise ValueError(
+                f"fluid rows step every {self.step_s}s on their simulator; a "
+                f"direction stepping every {direction.step_s}s cannot join"
+            )
+        self._require_step_instant()
+        n = len(links)
+        cap = np.array(capacities, dtype=np.float64)
+        bits_per_packet = direction.packet_bytes * 8.0
+        tails = {
+            "_cap_vec": cap,
+            "_bits_vec": np.full(n, bits_per_packet),
+            "_service_vec": bits_per_packet / cap,
+            "_buffer_delay_vec": np.full(n, direction.buffer_delay_s),
+            "_buffer_vec": cap * direction.buffer_delay_s,
+            "_offset_vec": np.full(n, direction._offset),
+        }
+        for name in (
+            "_backlog_vec",
+            "_lost_carry_vec",
+            "_delivered_carry_vec",
+            "_delay_vals",
+            "_loss_vals",
+        ):
+            tails[name] = np.zeros(n, dtype=np.float64)
+        for name, tail in tails.items():
+            head = getattr(self, name)
+            setattr(self, name, np.concatenate((head, tail)) if len(head) else tail)
+        lo = len(self._links)
+        self._links += links
+        self._pids += direction._pids
+        self._delay_models += [None] * n
+        self._loss_models += [None] * n
+        self._writes = None
+        self.directions.append(direction)
+        return lo, lo + n
+
+    def start(self, now: float) -> object:
+        """Make sure the rows are stepping; returns the shared task."""
+        self._require_step_instant()
+        if self._task is None:
+            self._last = now
+            # First step one full dt from now, as FluidEngine's own task.
+            self._task = self.sim.call_every(
+                self.step_s, self._step, start=now + self.step_s
+            )
+        return self._task
+
+    def stop(self) -> None:
+        """Halt every direction; any of them may ``start()`` again."""
+        if self._task is not None:
+            self._task.stop()
+            self._task = None
+            for direction in self.directions:
+                direction._task = None
 
     # ------------------------------------------------------------------
     # Step kernel
     # ------------------------------------------------------------------
 
+    def _step(self) -> None:
+        now = self.sim.now
+        dt = now - self._last
+        self._last = now
+        if dt <= 0:
+            return
+        offered = self._advance_tunnels(now, dt)
+        for direction in self.directions:
+            direction._evolve(now, dt, offered[direction._lo : direction._hi])
+
     def _base_models(self, now: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-tunnel base delay/loss with identity-cached constants."""
-        delay_vals = self._delay_vals
-        loss_vals = self._loss_vals
-        delay_models = self._delay_models
-        delay_const = self._delay_const
-        loss_models = self._loss_models
-        loss_const = self._loss_const
-        for i, link in enumerate(self._link_list):
+        """Per-row base delay/loss under the identity-keyed classification."""
+        delay_vals, loss_vals = self._delay_vals, self._loss_vals
+        delay_models, loss_models = self._delay_models, self._loss_models
+        for i, link in enumerate(self._links):
             dm = link.delay
             if dm is not delay_models[i]:
                 delay_models[i] = dm
-                delay_const[i] = type(dm) is ConstantDelay
-                if delay_const[i]:
+                self._delay_plan = None
+                if type(dm) is ConstantDelay:
                     delay_vals[i] = dm.delay_at(now)
-            if not delay_const[i]:
-                delay_vals[i] = dm.delay_at(now)
             lm = link.loss
             if lm is not loss_models[i]:
                 loss_models[i] = lm
-                loss_const[i] = type(lm) is ConstantLoss
-                if loss_const[i]:
+                self._scalar_loss_rows = None
+                if type(lm) is ConstantLoss:
                     loss_vals[i] = lm.loss_probability(now)
-            if not loss_const[i]:
-                loss_vals[i] = lm.loss_probability(now)
+
+        if self._delay_plan is None:
+            scalar_rows, jitter_rows, jitter_models = [], [], []
+            for i, dm in enumerate(delay_models):
+                if type(dm) is ConstantDelay:
+                    continue
+                plain = plain_gaussian_jitter(dm)
+                if plain is None:
+                    scalar_rows.append(i)
+                else:
+                    jitter_rows.append(i)
+                    jitter_models.append(plain)
+            self._delay_plan = (
+                scalar_rows,
+                np.array(jitter_rows, dtype=np.intp),
+                GaussianJitterRows(jitter_models),
+            )
+        if self._scalar_loss_rows is None:
+            self._scalar_loss_rows = [
+                i for i, lm in enumerate(loss_models) if type(lm) is not ConstantLoss
+            ]
+
+        scalar_rows, jitter_rows, jitter = self._delay_plan
+        for i in scalar_rows:
+            delay_vals[i] = delay_models[i].delay_at(now)
+        if len(jitter_rows):
+            delay_vals[jitter_rows] = jitter.delays_at(now)
+        for i in self._scalar_loss_rows:
+            loss_vals[i] = loss_models[i].loss_probability(now)
         return delay_vals, loss_vals
 
+    def _relayout(self) -> None:
+        """Rebuild what is derived from which directions own which rows."""
+        directions = self.directions
+        every = [d for d in directions for _ in d._pids]
+        self._writes = _gather_by_owner(
+            [d.receiver.inbound for d in every], self._pids
+        ) + _gather_by_owner([d.sender.tracker for d in every], self._pids)
+        positions = max(len(d.demand.classes) for d in directions)
+        self._fractions = [
+            np.zeros(len(every), dtype=np.float64) for _ in range(positions)
+        ]
+        self._widths = np.array([len(d._pids) for d in directions], dtype=np.intp)
+        for d in directions:
+            d._split_items = [None] * positions
+
     def _advance_tunnels(self, now: float, dt: float) -> list[float]:
-        # 1. Offered load: scalar class loop, vector accumulate.  The
-        #    fraction vector for a class is cached until SplitResolver
-        #    hands back a different items tuple.
-        n = len(self._pids)
-        offered = np.zeros(n, dtype=np.float64)
-        for flow_label, rate, items in self._class_splits(now):
-            cached = self._frac_cache.get(flow_label)
-            if cached is not None and cached[0] is items:
-                vec = cached[1]
-            else:
-                vec = np.zeros(n, dtype=np.float64)
-                index = self._pid_index
-                for pid, fraction in items:
-                    vec[index[pid]] = fraction
-                self._frac_cache[flow_label] = (items, vec)
-            offered += rate * vec
+        """Advance every row's fluid queue by ``dt``; write telemetry and
+        the loss ledgers; return offered bps per row."""
+        # 1. Offered load: scalar direction/class loop collecting one
+        #    rate per (class position, direction); vector accumulate,
+        #    one class position at a time.
+        directions = self.directions
+        if self._writes is None:
+            self._relayout()
+        fractions = self._fractions
+        rates = [[0.0] * len(directions) for _ in fractions]
+        for j, direction in enumerate(directions):
+            for position, rate, items in direction._class_splits(now):
+                rates[position][j] = rate
+                if direction._split_items[position] is not items:
+                    direction._split_items[position] = items
+                    segment = fractions[position][direction._lo : direction._hi]
+                    segment[:] = 0.0
+                    for pid, fraction in items:
+                        segment[direction._pid_index[pid]] = fraction
+        offered = np.zeros(len(self._pids), dtype=np.float64)
+        alone = len(directions) == 1  # one rate per class: no per-row repeat
+        for class_rates, class_fractions in zip(rates, fractions):
+            scale = class_rates[0] if alone else np.repeat(class_rates, self._widths)
+            offered += scale * class_fractions
 
         # 2. Fluid queue update — same expression tree as the scalar
-        #    engine, elementwise across tunnels.
+        #    engine, elementwise across rows.
         base_delay, base_loss = self._base_models(now)
-        rho = offered / self._cap_vec
+        cap = self._cap_vec
+        rho = offered / cap
         inflow = offered * dt
-        backlog = self._backlog_vec + inflow - self._cap_vec * dt
+        backlog = self._backlog_vec + inflow - cap * dt
         over = backlog > self._buffer_vec
         lost_bits = np.where(over, backlog - self._buffer_vec, 0.0)
         backlog = np.where(over, self._buffer_vec, backlog)
         backlog = np.maximum(backlog, 0.0)
         self._backlog_vec = backlog
 
-        overload = np.zeros(n, dtype=np.float64)
+        overload = np.zeros(len(cap), dtype=np.float64)
         np.divide(lost_bits, inflow, out=overload, where=inflow > 0.0)
         loss = 1.0 - (1.0 - base_loss) * (1.0 - overload)
 
         wait_rho = np.minimum(np.maximum(rho, 0.0), RHO_WAIT_CAP)
         wait = wait_rho / (2.0 * (1.0 - wait_rho)) * self._service_vec
-        queue_wait = np.minimum(
-            wait + backlog / self._cap_vec, self.buffer_delay_s
-        )
+        queue_wait = np.minimum(wait + backlog / cap, self._buffer_delay_vec)
         delay = base_delay + self._service_vec + queue_wait
 
-        # 3. Telemetry: one batched store call per step (blackholed
-        #    tunnels excluded, preserving staleness semantics).
-        owd = delay + self._offset
+        # 3. Telemetry: one batched write per receiving store
+        #    (blackholed rows excluded, preserving staleness semantics).
+        recv_order, recv_writes, send_order, send_writes = self._writes
+        owd = delay + self._offset_vec
         alive = loss < BLACKHOLE_LOSS
-        if alive.all():
-            self.receiver.inbound.record_aggregate_many(
-                self._pids, now, owd.tolist()
-            )
-        elif alive.any():
-            keep = np.flatnonzero(alive).tolist()
-            self.receiver.inbound.record_aggregate_many(
-                [self._pids[i] for i in keep], now, owd[keep].tolist()
-            )
+        if recv_order is not None:
+            owd, alive = owd[recv_order], alive[recv_order]
+        values = owd.tolist()
+        keep = None if alive.all() else alive.tolist()
+        for store, pids, span in recv_writes:
+            part = values if span is None else values[span]
+            if keep is not None:
+                mask = keep if span is None else keep[span]
+                pids, part = list(compress(pids, mask)), list(compress(part, mask))
+            store.record_aggregate_many(pids, now, part)
 
-        # 4. Loss ledger: carries computed for every tunnel (a zero
-        #    inflow contributes rate*0.0 terms that leave the carry
+        # 4. Loss ledgers: carries computed for every row (a zero inflow
+        #    contributes rate*0.0 terms that leave the carry
         #    bit-unchanged), folded in via the batched tracker path
         #    which skips all-zero pairs exactly like the scalar guard.
-        packets = inflow / self._bits_per_packet
+        packets = inflow / self._bits_vec
         lost_f = packets * loss + self._lost_carry_vec
         delivered_f = packets * (1.0 - loss) + self._delivered_carry_vec
         lost_n = lost_f.astype(np.int64)
         delivered_n = delivered_f.astype(np.int64)
         self._lost_carry_vec = lost_f - lost_n
         self._delivered_carry_vec = delivered_f - delivered_n
-        self.sender.tracker.record_aggregate_many(
-            self._pids, delivered_n.tolist(), lost_n.tolist()
-        )
+        if send_order is not None:
+            lost_n, delivered_n = lost_n[send_order], delivered_n[send_order]
+        lost_counts, delivered_counts = lost_n.tolist(), delivered_n.tolist()
+        for tracker, pids, span in send_writes:
+            if span is None:
+                tracker.record_aggregate_many(pids, delivered_counts, lost_counts)
+            else:
+                tracker.record_aggregate_many(
+                    pids, delivered_counts[span], lost_counts[span]
+                )
 
         self._step_arrays = (offered, rho, backlog, delay, loss)
-        self._lazy_loads = None
         return offered.tolist()
+
+
+def _segment_of(name: str) -> property:
+    return property(lambda self: getattr(self._rows, name)[self._lo : self._hi])
+
+
+class VectorFluidEngine(FluidEngine):
+    """One direction on the array step kernel: :class:`FluidEngine` with
+    its tunnels' queue state a segment of a :class:`FluidRows`.
+
+    Same constructor, lifecycle, observables and traces.  The rows are
+    the deployment's ``fluid_rows`` when it names some (a federation's
+    shared state) and this engine's own otherwise; ``start()`` /
+    ``stop()`` act on all of them (see :class:`FluidRows`).
+    ``last_loads`` is materialized lazily — the step stores the raw
+    vectors and the per-tunnel :class:`TunnelLoad` dataclasses are built
+    on first access, so steps whose loads nobody reads pay nothing for
+    them.
+    """
+
+    _cap_vec = _segment_of("_cap_vec")
+    _service_vec = _segment_of("_service_vec")
+    _backlog_vec = _segment_of("_backlog_vec")
+
+    def _init_queue_state(self, links: list, capacities: list[float]) -> None:
+        self._pid_index = {pid: i for i, pid in enumerate(self._pids)}
+        #: Per class position, the resolver's items tuple this
+        #: direction's segment of the rows' fractions was written from
+        #: (a changed split hands back a new tuple).
+        self._split_items: list = []
+        rows = getattr(self.deployment, "fluid_rows", None)
+        self._rows: FluidRows = (
+            FluidRows(self.sim, self.step_s) if rows is None else rows
+        )
+        self._lo, self._hi = self._rows._append(self, links, capacities)
+        self._loads: dict[int, TunnelLoad] = {}
+        #: The rows' step arrays ``_loads`` was built from.
+        self._loads_step = self._rows._step_arrays
+
+    def _start_stepping(self, now: float) -> object:
+        return self._rows.start(now)
+
+    def stop(self) -> None:
+        """Halt the rows — this direction and every other one on them."""
+        self._rows.stop()
+
+    @property
+    def last_loads(self) -> dict[int, TunnelLoad]:
+        arrays = self._rows._step_arrays
+        if self._loads_step is not arrays:
+            self._loads_step = arrays
+            columns = [a[self._lo : self._hi].tolist() for a in arrays]
+            self._loads = {
+                tunnel.path_id: TunnelLoad(
+                    path_id=tunnel.path_id,
+                    label=tunnel.short_label,
+                    offered_bps=offered,
+                    capacity_bps=capacity,
+                    utilization=rho,
+                    backlog_bits=backlog,
+                    delay_s=delay,
+                    loss=loss,
+                )
+                for tunnel, capacity, offered, rho, backlog, delay, loss in zip(
+                    self.tunnels, self._cap_vec.tolist(), *columns
+                )
+            }
+        return self._loads
 
 
 def create_fluid_engine(

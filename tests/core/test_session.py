@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.session import TelemetryMirror
+from repro.netsim.ticks import TickScheduler
 from repro.scenarios.vultr import VultrDeployment
 from repro.telemetry.store import MeasurementStore
 
@@ -242,3 +243,74 @@ class TestMirrorRegistry:
         fresh = VultrDeployment(include_events=False)
         fresh.establish()
         fresh.session.stop()  # never started mirrors: also a no-op
+
+
+class TestMirrorsOnASharedWheel:
+    """``scheduler=`` swaps the two dedicated tasks for two registrations
+    on one tick wheel; nothing else about the mirrors changes."""
+
+    @staticmethod
+    def run(on_wheel):
+        d = VultrDeployment(include_events=False)
+        d.establish()
+        d.session.stop()  # the deployment's own unscoped pair
+        sim = d.sim
+        interval = d.pairing.report_interval_s
+        wheel = TickScheduler(sim, interval) if on_wheel else None
+        d.session.start_telemetry_mirrors(scoped=True, scheduler=wheel)
+        mirror, handle = d.session.mirror_to("ny")
+        # What LA received on NY's tunnels, sampled off the report grid.
+        ids = sorted(mirror.path_ids)
+        source = d.gateway("la").inbound
+        sim.call_every(
+            0.03,
+            lambda: [source.record(pid, sim.now, 0.03 + pid * 1e-4) for pid in ids],
+            start=sim.now + 0.004,
+        )
+        trace = []
+        sim.call_every(
+            0.01,
+            lambda: trace.append((round(sim.now, 6), mirror.samples_mirrored)),
+            start=sim.now + 0.005,
+        )
+        t0 = sim.now
+        sim.schedule_at(t0 + 1.0, handle.pause)
+        sim.schedule_at(t0 + 2.0, handle.resume)
+        sim.schedule_at(t0 + 3.0, handle.stop)
+        sim.run(until=t0 + 4.0)
+        sink = d.gateway("ny").outbound
+        return (
+            handle,
+            trace,
+            [(pid, s.times.tobytes(), s.values.tobytes()) for pid, s in sink.items()],
+        )
+
+    def test_same_instants_same_samples_through_pause_resume_stop(self):
+        task, trace_task, sink_task = self.run(on_wheel=False)
+        handle, trace_wheel, sink_wheel = self.run(on_wheel=True)
+        assert type(task) is not type(handle)
+        assert trace_task == trace_wheel
+        assert sink_task == sink_wheel
+        counts = [count for _, count in trace_task]
+        # Mirrored, then silent while paused, then mirrored again (the
+        # paused second's backlog arrives with the first sync after it),
+        # then silent for good.
+        assert counts[95] > 0
+        assert counts[100] == counts[205] and counts[215] > counts[205] + 100
+        assert counts[305] == counts[-1] > counts[215]
+
+    @pytest.mark.parametrize("on_wheel", [False, True])
+    def test_mirror_to_hands_back_the_same_control_surface(self, on_wheel):
+        d = VultrDeployment(include_events=False)
+        d.establish()
+        d.session.stop()
+        wheel = TickScheduler(d.sim, 0.1) if on_wheel else None
+        d.session.start_telemetry_mirrors(scoped=True, scheduler=wheel)
+        _, handle = d.session.mirror_to("la")
+        assert handle.paused is False
+        handle.pause()
+        assert handle.paused is True
+        handle.resume()
+        assert handle.paused is False
+        handle.stop()
+        d.session.stop()  # stopping a stopped handle: still a no-op

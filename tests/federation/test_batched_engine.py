@@ -1,0 +1,376 @@
+"""The federation's one array state against one scalar engine per direction.
+
+``FederationRegistry.start_traffic`` puts every direction's tunnels on
+one :class:`~repro.traffic.vector.FluidRows`: one step event, one array
+pass, one batched write per member.  That is only admissible because it
+is *byte-identical* to the layout it replaced — a scalar ``FluidEngine``
+per direction, each on its own periodic task.  The replaced layout is
+kept here (``scalar_traffic``) as the oracle: the same federation is
+built twice and everything the run wrote is compared.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.controller import QuarantinePolicy
+from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.federation import FederationRegistry
+from repro.federation.registry import PairView
+from repro.netsim.delaymodels import AsymmetryEvent, overlay
+from repro.scenarios.topologies import build_live_federation
+from repro.traffic.demand import DemandModel, FlowClass
+from repro.traffic.fluid import FluidEngine
+from repro.traffic.vector import VectorFluidEngine
+
+
+def demand_for(src, dst, seed, *, rate=200.0, surge=None):
+    demand = DemandModel(
+        classes=(
+            FlowClass(
+                name=f"{src}->{dst}",
+                flow_label=1,
+                arrival_rate_per_s=rate,
+                mean_size_bytes=125_000,
+                rate_bps=2e6,
+            ),
+        ),
+        seed=seed,
+    )
+    if surge is not None:
+        demand.add_surge(*surge)
+    return demand
+
+
+def scalar_traffic(registry, src, dst, demand):
+    """The parent commit's ``start_traffic`` body at federation widths:
+    one scalar engine per direction, stepping on its own task."""
+    fluid = FluidEngine(
+        PairView(registry, *registry._pair_key(src, dst)),
+        src,
+        demand,
+        step_s=registry.report_interval_s,
+    )
+    fluid.start(at_equilibrium=True)
+    return fluid
+
+
+def batched_traffic(registry, src, dst, demand):
+    return registry.start_traffic(src, dst, demand)
+
+
+def run_federation(
+    start_traffic,
+    *,
+    n=4,
+    seed=42,
+    demand_seed=7,
+    stitch=True,
+    outage_at=None,
+    run_s=3.0,
+    demands=None,
+    directions=None,
+    before_run=lambda registry: None,
+):
+    """Build, drive and run one federation; returns ``(registry,
+    {direction: engine})``.  ``demands`` overrides a direction's demand
+    keyword arguments (see :func:`demand_for`)."""
+    scenario = build_live_federation(n, seed=seed)
+    registry = FederationRegistry(scenario)
+    registry.establish()
+    degraded = scenario.degraded_pair
+    relay = registry.stitch_pair(*degraded).plan.relay if stitch else None
+    registry.start_telemetry()
+    registry.start_control_plane(
+        focus=[degraded],
+        staleness_s=0.5,
+        quarantine=QuarantinePolicy(unhealthy_ticks=1, probation_delay_s=1.0),
+    )
+    names = scenario.member_names
+    if directions is None:
+        directions = [(s, d) for s in names for d in names if s != d]
+    engines = {}
+    for index, (src, dst) in enumerate(directions):
+        kwargs = (demands or {}).get((src, dst), {})
+        engines[(src, dst)] = start_traffic(
+            registry, src, dst, demand_for(src, dst, demand_seed + index, **kwargs)
+        )
+    if outage_at is not None:
+        plan = FaultPlan(
+            name="batched-vs-scalar",
+            seed=seed,
+            events=(
+                FaultEvent(
+                    "relay_outage",
+                    at=outage_at,
+                    duration=1.0,
+                    params={"member": relay or names[-1]},
+                ),
+            ),
+        )
+        FaultInjector(registry, plan).arm()
+    before_run(registry)
+    registry.sim.run(until=run_s)
+    return registry, engines
+
+
+def series_bytes(store):
+    return [
+        (pid, series.times.tobytes(), series.values.tobytes())
+        for pid, series in store.items()
+    ]
+
+
+def assert_same_run(scalar, batched):
+    """Everything the two runs wrote, compared exactly."""
+    (reg_s, engines_s), (reg_b, engines_b) = scalar, batched
+    for name, gw_s in reg_s.gateways.items():
+        gw_b = reg_b.gateways[name]
+        # Lists, not dicts: series *creation order* is part of the bytes
+        # a digest over ``store.items()`` sees.
+        assert series_bytes(gw_s.inbound) == series_bytes(gw_b.inbound)
+        assert series_bytes(gw_s.outbound) == series_bytes(gw_b.outbound)
+        assert list(gw_s.tracker.all_paths().items()) == list(
+            gw_b.tracker.all_paths().items()
+        )
+        loss_s, loss_b = gw_s.loss_monitor.series, gw_b.loss_monitor.series
+        assert sorted(loss_s) == sorted(loss_b)
+        for pid, series in loss_s.items():
+            assert series.times.tobytes() == loss_b[pid].times.tobytes()
+            assert series.values.tobytes() == loss_b[pid].values.tobytes()
+        assert (
+            reg_s.controllers[name].quarantine_log
+            == reg_b.controllers[name].quarantine_log
+        )
+    assert list(engines_s) == list(engines_b)
+    for direction, fluid_s in engines_s.items():
+        fluid_b = engines_b[direction]
+        assert type(fluid_s) is FluidEngine and type(fluid_b) is VectorFluidEngine
+        assert fluid_s.steps == fluid_b.steps > 0
+        assert fluid_s.peak_concurrent_flows == fluid_b.peak_concurrent_flows
+        assert fluid_s.splits_recomputed == fluid_b.splits_recomputed
+        assert fluid_s.split_trace == fluid_b.split_trace
+        assert fluid_s.concurrency_trace == fluid_b.concurrency_trace
+        assert fluid_s.last_loads == fluid_b.last_loads
+
+
+def both(**kwargs):
+    return (
+        run_federation(scalar_traffic, **kwargs),
+        run_federation(batched_traffic, **kwargs),
+    )
+
+
+class TestAgainstOneScalarEnginePerDirection:
+    @given(
+        n=st.sampled_from([3, 4, 5]),
+        seed=st.integers(min_value=0, max_value=2**20),
+        demand_seed=st.integers(min_value=0, max_value=2**30),
+        # On a grid instant, just off one, and anywhere.
+        outage_at=st.one_of(
+            st.sampled_from([0.5, 1.0, 1.2, 1.2000001, 0.0999]),
+            st.floats(min_value=0.05, max_value=1.9),
+        ),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_all_directions_with_relay_outage(self, n, seed, demand_seed, outage_at):
+        scalar, batched = both(
+            n=n, seed=seed, demand_seed=demand_seed, outage_at=outage_at
+        )
+        assert_same_run(scalar, batched)
+        registry = batched[0]
+        assert len(registry.traffic.directions) == n * (n - 1)
+        # The outage was felt: some tunnel was quarantined.
+        assert any(c.quarantine_log for c in registry.controllers.values())
+
+    def test_stitched_direction_rides_the_scalar_fallback(self):
+        scalar, batched = both(outage_at=1.0)
+        assert_same_run(scalar, batched)
+        registry, engines = batched
+        src, dst = registry.scenario.degraded_pair
+        stitched = registry.stitches[(src, dst)].tunnel
+        fluid = engines[(src, dst)]
+        assert stitched.path_id in fluid.last_loads
+        rows = registry.traffic
+        row = rows._pids.index(stitched.path_id)
+        scalar_rows, jitter_rows, _ = rows._delay_plan
+        # Its composed delay is no plain jitter model: that row, and only
+        # that row, is evaluated through ``delay_at``.
+        assert scalar_rows == [row]
+        assert len(jitter_rows) == len(rows._pids) - 1
+
+    def test_delay_spike_leaves_the_array_draw_and_returns(self):
+        seen = {}
+
+        def arm(registry):
+            src, dst = registry.scenario.member_names[2:4]
+            tunnel = registry.direction_tunnels(src, dst)[0]
+            link = registry.wan_link(src, dst, tunnel.short_label)
+            plain = link.delay
+            spiked = overlay(
+                plain, AsymmetryEvent(start=1.0, duration=0.5, shift=0.02)
+            )
+            sim = registry.sim
+
+            def scalar_rows():
+                plan = registry.traffic._delay_plan
+                return None if plan is None else list(plan[0])
+
+            # Swap mid-interval; observe just after the next steps ran.
+            sim.schedule_at(0.95, lambda: setattr(link, "delay", spiked))
+            sim.schedule_at(1.05, lambda: seen.update(during=scalar_rows()))
+            sim.schedule_at(1.65, lambda: setattr(link, "delay", plain))
+            sim.schedule_at(1.75, lambda: seen.update(after=scalar_rows()))
+            seen["pid"] = tunnel.path_id
+
+        scalar, batched = both(stitch=False, before_run=arm)
+        assert_same_run(scalar, batched)
+        registry = batched[0]
+        row = registry.traffic._pids.index(seen["pid"])
+        assert seen["during"] == [row]
+        assert seen["after"] == []
+        # The spike is in what the receiver measured.
+        dst = registry.scenario.member_names[3]
+        values = registry.gateways[dst].inbound.series(seen["pid"]).values
+        assert values.max() - values.min() > 0.015
+
+    def test_surge_window_and_idle_direction(self):
+        demands = {
+            ("edge2", "edge3"): {"surge": (1.0, 2.0, 400.0)},
+            ("edge3", "edge0"): {"rate": 0.0},
+        }
+        scalar, batched = both(demands=demands, outage_at=1.5)
+        assert_same_run(scalar, batched)
+        registry, engines = batched
+        surged = engines[("edge2", "edge3")]
+        assert max(load.utilization for load in surged.last_loads.values()) > 0
+        assert surged.peak_concurrent_flows > 0
+        ledger = registry.gateways["edge2"].tracker
+        assert any(
+            ledger.stats_for(t.path_id).presumed_lost for t in surged.tunnels
+        ), "the surge never overloaded its direction"
+        idle = engines[("edge3", "edge0")]
+        assert idle.peak_concurrent_flows == 0.0
+        assert all(split == {pid: 0.0 for pid in split} for _, split in idle.split_trace)
+        # An idle direction still measures its paths.
+        assert all(
+            len(registry.gateways["edge0"].inbound.series(t.path_id)) == idle.steps
+            for t in idle.tunnels
+        )
+
+    def test_directions_added_out_of_member_order(self):
+        # Receivers' and senders' rows interleave: the gathered write
+        # order is a real permutation, not the identity.
+        directions = [
+            ("edge2", "edge0"),
+            ("edge0", "edge1"),
+            ("edge3", "edge0"),
+            ("edge0", "edge2"),
+            ("edge1", "edge0"),
+        ]
+        scalar, batched = both(directions=directions, outage_at=1.0)
+        assert_same_run(scalar, batched)
+        recv_order, _, send_order, _ = batched[0].traffic._writes
+        assert recv_order is not None and send_order is not None
+
+
+class TestDirectionLifecycle:
+    def build(self):
+        scenario = build_live_federation(4, seed=42)
+        registry = FederationRegistry(scenario)
+        registry.establish()
+        return registry
+
+    def test_second_start_on_one_direction_rejected(self):
+        registry = self.build()
+        first = registry.start_traffic("edge0", "edge1")
+        with pytest.raises(ValueError, match="edge0->edge1 already carries traffic"):
+            registry.start_traffic("edge0", "edge1")
+        assert registry.engines[("edge0", "edge1")] is first
+        registry.sim.run(until=1.0)
+        # One sample per tunnel per step, not two.
+        tunnel = first.tunnels[0]
+        assert len(registry.gateways["edge1"].inbound.series(tunnel.path_id)) == 10
+
+    def test_stitch_after_traffic_rejected(self):
+        registry = self.build()
+        registry.start_traffic("edge0", "edge1")
+        with pytest.raises(RuntimeError, match="stitch before starting traffic"):
+            registry.stitch_pair("edge0", "edge1")
+        assert ("edge0", "edge1") not in registry.stitches
+
+    def test_late_direction_joins_only_at_a_step_instant(self):
+        registry = self.build()
+        early = registry.start_traffic("edge0", "edge1")
+        registry.sim.run(until=0.95)
+        with pytest.raises(RuntimeError, match="only at one of their step instants"):
+            registry.start_traffic("edge1", "edge0")
+        assert ("edge1", "edge0") not in registry.engines
+        assert len(registry.traffic.directions) == 1
+        registry.sim.run(until=1.0)
+        late = registry.start_traffic("edge1", "edge0")
+        assert late.last_loads == {}
+        registry.sim.run(until=2.05)
+        assert (early.steps, late.steps) == (20, 10)
+        # The late direction's first step covered one whole dt.
+        times = registry.gateways["edge0"].inbound.series(
+            late.tunnels[0].path_id
+        ).times
+        assert times[0] == pytest.approx(1.1) and len(times) == 10
+        assert late.last_loads and early.last_loads
+
+    def test_an_event_before_the_step_of_its_instant_cannot_join(self):
+        registry = self.build()
+        registry.start_traffic("edge0", "edge1")
+        errors = []
+
+        def join():
+            try:
+                registry.start_traffic("edge1", "edge0")
+            except RuntimeError as error:
+                errors.append(error)
+
+        # Scheduled before the run, so it fires ahead of the step event
+        # re-armed for the same instant: the step has not run yet.
+        registry.sim.schedule_at(registry.sim.now + 0.5, join)
+        registry.sim.run(until=1.0)
+        assert len(errors) == 1
+
+    def test_mismatched_step_rejected(self):
+        registry = self.build()
+        view = PairView(registry, "edge0", "edge1")
+        with pytest.raises(ValueError, match="cannot join"):
+            VectorFluidEngine(view, "edge0", demand_for("a", "b", 1), step_s=0.05)
+        assert registry.traffic.directions == []
+
+
+class TestStop:
+    def test_stop_leaves_nothing_ticking(self):
+        registry, _ = run_federation(batched_traffic, outage_at=5.0, run_s=1.0)
+        sim = registry.sim
+        assert registry.scheduler.registered > 0
+        registry.stop()
+        # Only the un-fired fault events (mark down, clear down) remain.
+        assert sim.live_pending == 2
+        assert registry.scheduler.registered == 0
+        assert registry.telemetry_scheduler.registered == 0
+        counts = (
+            registry.scheduler.callbacks_run,
+            registry.telemetry_scheduler.callbacks_run,
+            [e.steps for e in registry.engines.values()],
+        )
+        sim.run()  # returns: nothing periodic is left
+        assert sim.live_pending == 0
+        assert counts == (
+            registry.scheduler.callbacks_run,
+            registry.telemetry_scheduler.callbacks_run,
+            [e.steps for e in registry.engines.values()],
+        )
+        registry.stop()  # idempotent
+
+    def test_stop_before_anything_started(self):
+        registry = FederationRegistry(build_live_federation(3, seed=1))
+        registry.establish()
+        registry.stop()
+        registry.stop()
+        assert registry.sim.live_pending == 0

@@ -152,6 +152,24 @@ def test_live_series_are_byte_identical_to_golden(name):
     assert golden.digest(CASES[name]()) == golden.load(GOLDEN)[name]
 
 
+def test_a_federation_tick_is_three_heap_events():
+    """Counted, host-independent: every direction's fluid step is one
+    event, every session's mirror syncs one, the control plane one —
+    whatever N is (at the parent commit this run took 2,515: a step event
+    per direction and a sync event per mirror)."""
+    registry = build_federation_live()
+    sim = registry.sim
+    assert sim.events_processed == 0
+    sim.run(until=10.0)
+    ticks = 100
+    assert [e.steps for e in registry.engines.values()] == [ticks] * 12
+    assert registry.telemetry_scheduler.rounds == ticks + 1  # + the t=0 round
+    assert registry.scheduler.rounds == ticks + 1
+    fault_events = 2  # relay_outage: mark the member down, clear it
+    assert sim.events_processed == 3 * ticks + 2 + fault_events == 304
+    registry.stop()
+
+
 if __name__ == "__main__":
     golden.regenerate(
         GOLDEN, {name: golden.digest(run()) for name, run in sorted(CASES.items())}

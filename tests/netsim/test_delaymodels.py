@@ -15,13 +15,17 @@ from repro.netsim.delaymodels import (
     ConstantDelay,
     DiurnalVariation,
     GaussianJitterDelay,
+    GaussianJitterRows,
     InstabilityEvent,
     RouteChangeEvent,
     SpikeProcess,
     deterministic_normal,
     deterministic_uniform,
+    hash_seeds,
+    normal_across_seeds,
     normal_at,
     overlay,
+    plain_gaussian_jitter,
     uniform_at,
 )
 from repro.netsim.links import ConstantLoss, OverrideLoss
@@ -363,6 +367,32 @@ class TestScalarVectorIdentity:
         for model in (full, injected, nested):
             assert_scalar_is_vector(model.delay_at, model.delays, t)
 
+    @given(
+        seeds=st.lists(
+            st.one_of(SEEDS, st.sampled_from([0, 2**63, 2**64 - 1, 2**64, -1])),
+            min_size=1,
+            max_size=40,
+        ),
+        t=TIMES,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_draw_across_seeds(self, seeds, t):
+        # The array kernel's draw: many streams at one time.  Negative
+        # times, seeds past 2^63 and grid lines are all in the strategies.
+        draws = normal_across_seeds(hash_seeds(seeds), t)
+        assert draws.tolist() == [normal_at(seed, t) for seed in seeds]
+
+    @given(seed=SEEDS, t=TIMES)
+    @settings(max_examples=200, deadline=None)
+    def test_jitter_rows(self, seed, t):
+        models = [
+            GaussianJitterDelay(0.028, 0.0003, seed=seed),
+            GaussianJitterDelay(0.010, 0.005, seed=seed + 1),  # floor clip fires
+            GaussianJitterDelay(0.020, 0.0, seed=seed + 2),
+        ]
+        rows = GaussianJitterRows(models)
+        assert rows.delays_at(t).tolist() == [m.delay_at(t) for m in models]
+
     def test_cached_parameters_leave_models_frozen_hashable_equal(self):
         a = GaussianJitterDelay(0.028, 0.0003, seed=3)
         b = GaussianJitterDelay(0.028, 0.0003, seed=3)
@@ -375,6 +405,36 @@ class TestScalarVectorIdentity:
         assert spike == SpikeProcess(50.0, 0.01, 0.05, seed=6)
         assert hash(spike) == hash(SpikeProcess(50.0, 0.01, 0.05, seed=6))
         assert "_probability" not in repr(spike)
+
+
+class TestPlainGaussianJitter:
+    """What the array kernel may draw in one call — and what it may not."""
+
+    def test_bare_model_and_empty_composite_are_plain(self):
+        jitter = GaussianJitterDelay(0.028, 0.0003, seed=3)
+        assert plain_gaussian_jitter(jitter) is jitter
+        assert plain_gaussian_jitter(CompositeDelay(base=jitter)) is jitter
+        assert plain_gaussian_jitter(overlay(jitter)) is jitter
+
+    def test_anything_layered_on_top_is_not(self):
+        jitter = GaussianJitterDelay(0.028, 0.0003, seed=3)
+        spike = AsymmetryEvent(start=1.0, duration=1.0, shift=0.01)
+        swell = DiurnalVariation(amplitude=0.002)
+        for model in (
+            ConstantDelay(0.028),
+            overlay(jitter, spike),
+            CompositeDelay(base=jitter, components=(swell,)),
+            CompositeDelay(base=CompositeDelay(base=jitter)),
+            CompositeDelay(base=ConstantDelay(0.028)),
+        ):
+            assert plain_gaussian_jitter(model) is None
+
+    def test_subclass_is_not_assumed_to_draw_alike(self):
+        class Skewed(GaussianJitterDelay):
+            def delay_at(self, t):
+                return 2 * super().delay_at(t)
+
+        assert plain_gaussian_jitter(Skewed(0.028, 0.0003)) is None
 
 
 class TestLossDrawsMatchParent:
