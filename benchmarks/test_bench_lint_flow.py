@@ -3,19 +3,10 @@
 The flow pass runs on every CI push, so it must stay interactive: the
 cold full-tree analysis (empty cache — parse + extract + fixpoint +
 reporting for all of ``src/repro``) is gated at 60 s, and the warm
-incremental rerun must re-analyze nothing.  Both timings are merged
-into ``BENCH_PERF.json`` under the ``lint_flow`` key (the file's other
-keys are written by ``test_bench_engine_perf``).
-
-Environment:
-
-* ``BENCH_PERF_OUT`` — the JSON report path (default: ``BENCH_PERF.json``
-  in the current directory).
+incremental rerun must re-analyze nothing.  Both timings are printed.
 """
 
 import io
-import json
-import os
 import time
 from pathlib import Path
 
@@ -28,7 +19,6 @@ from repro.lint.flow import FlowAnalyzer, SummaryCache
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = str(REPO_ROOT / "src" / "repro")
-OUT_PATH = os.environ.get("BENCH_PERF_OUT", "BENCH_PERF.json")
 
 #: Cold full-tree flow pass must finish within this budget.
 COLD_GATE_S = 60.0
@@ -79,24 +69,6 @@ def test_lint_flow_cold_and_warm(benchmark, tmp_path):
             title="lint --flow wall-clock",
         )
     )
-
-    payload = {}
-    if os.path.exists(OUT_PATH):
-        try:
-            with open(OUT_PATH, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except ValueError:
-            payload = {}
-    payload["lint_flow"] = {
-        "cold_s": round(cold_s, 4),
-        "warm_s": round(warm_s, 4),
-        "files": len(files),
-        "gate_cold_s": COLD_GATE_S,
-    }
-    with open(OUT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    emit(f"merged lint_flow into {OUT_PATH}")
 
     assert cold_s <= COLD_GATE_S, (
         f"cold full-tree flow pass took {cold_s:.1f}s "

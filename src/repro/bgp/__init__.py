@@ -24,8 +24,6 @@ from .communities import (
 from .messages import Announcement, Prefix, Withdrawal, as_prefix
 from .network import (
     CONVERGENCE_DELAY_S,
-    ENGINE_INCREMENTAL,
-    ENGINE_ROUNDS,
     BgpNetwork,
     ConvergenceError,
 )
@@ -56,8 +54,6 @@ __all__ = [
     "CONVERGENCE_DELAY_S",
     "Community",
     "ConvergenceError",
-    "ENGINE_INCREMENTAL",
-    "ENGINE_ROUNDS",
     "ExportAction",
     "LargeCommunity",
     "LocRib",

@@ -14,45 +14,29 @@ Wall-clock convergence latency is modeled separately: callers that care
 convergence when translating control-plane activity onto the data-plane
 timeline.
 
-Two interchangeable propagation engines compute the fixpoint:
-
-* ``"rounds"`` — the original full-scan engine: every round re-diffs
-  every directed session.  O(sessions × prefixes) per round regardless
-  of how small the change was.
-* ``"incremental"`` (default) — a dirty-set work queue: routers buffer
-  the prefixes whose exports may have changed; each wave drains only
-  those buffers and delivers per-prefix deltas, so a single flapped
-  session ripples outward instead of re-evaluating the whole topology.
-
-Both engines reach the same unique fixpoint (Gao–Rexford policies plus
-deterministic tie-breaks), verified bit-exactly by the engine-equivalence
-test suite; ``use_engine`` switches at any converged point.
+Propagation is a dirty-set work queue: routers buffer the prefixes
+whose exports may have changed; each wave drains only those buffers and
+delivers per-prefix deltas, so a single flapped session ripples outward
+instead of re-evaluating the whole topology.  The full scan it replaced
+(re-diff every directed session every round) reaches the same unique
+fixpoint and is kept as the test-side oracle ``tests/bgp/oracle.py``,
+which the engine-equivalence suite compares against bit-exactly.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .attributes import AsPath
 from .messages import Prefix, Withdrawal, as_prefix, prefix_key
 from .policy import Relationship
 from .router import BgpRouter
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..profiling.core import Profiler
-
 __all__ = [
     "ConvergenceError",
     "BgpNetwork",
     "CONVERGENCE_DELAY_S",
-    "ENGINE_INCREMENTAL",
-    "ENGINE_ROUNDS",
 ]
-
-#: Engine names accepted by :class:`BgpNetwork` and :meth:`use_engine`.
-ENGINE_INCREMENTAL = "incremental"
-ENGINE_ROUNDS = "rounds"
-_ENGINES = (ENGINE_INCREMENTAL, ENGINE_ROUNDS)
 
 #: Nominal wall-clock cost of one BGP convergence wave, for experiments
 #: that put control-plane reactions on the data-plane timeline.  The paper
@@ -67,7 +51,7 @@ class ConvergenceError(RuntimeError):
 class BgpNetwork:
     """A set of BGP routers plus their sessions, with a propagation engine."""
 
-    def __init__(self, engine: str = ENGINE_INCREMENTAL) -> None:
+    def __init__(self) -> None:
         self.routers: dict[str, BgpRouter] = {}
         #: Directed session list (a, b): a may send updates to b.
         self._sessions: list[tuple[str, str]] = []
@@ -80,40 +64,16 @@ class BgpNetwork:
         #: the canonical text of ``_session_meta``, None whenever it may
         #: be stale (:meth:`connect` and :meth:`disconnect` reset it).
         self._session_lines: Optional[bytes] = None
-        self._engine = self._validate_engine(engine)
-        #: Directed sessions created since the last convergence; the
-        #: incremental engine gives each a one-off full-table sync.
+        #: Directed sessions created since the last convergence; each
+        #: gets a one-off full-table sync.
         self._pending_full_sync: list[tuple[str, str]] = []
         self.total_rounds = 0
         self.convergence_count = 0
-        #: Profiling counters (cheap ints, always on).
+        #: Work counters (cheap ints, always on).
         self.updates_delivered = 0
         self.withdrawals_delivered = 0
         self.routers_scanned = 0
         self.snapshot_restores = 0
-        #: Optional attached profiler; when set, convergences are timed.
-        self.profiler: Optional["Profiler"] = None
-
-    @staticmethod
-    def _validate_engine(engine: str) -> str:
-        if engine not in _ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {_ENGINES}"
-            )
-        return engine
-
-    @property
-    def engine(self) -> str:
-        """The active propagation engine name."""
-        return self._engine
-
-    def use_engine(self, engine: str) -> None:
-        """Switch propagation engines.
-
-        Safe at any converged point: both engines leave no pending work
-        behind when :meth:`converge` returns.
-        """
-        self._engine = self._validate_engine(engine)
 
     # -- construction -----------------------------------------------------------
 
@@ -147,9 +107,18 @@ class BgpNetwork:
                 means b is a's provider).
             a_preference: a's operator tie-break rank for this session.
             b_preference: b's rank for the reverse direction.
+
+        Raises:
+            KeyError: if either router is unknown.
+            ValueError: if ``a`` is ``b`` or the two already have a
+                session.  A rejected call changes nothing.
         """
         router_a = self.router(a)
         router_b = self.router(b)
+        if a == b:
+            raise ValueError(f"cannot connect {a!r} to itself")
+        if b in router_a.neighbors or a in router_b.neighbors:
+            raise ValueError(f"{a!r} and {b!r} already have a session")
         router_a.add_neighbor(
             b, router_b.asn, relationship_of_b_to_a, a_preference
         )
@@ -236,11 +205,9 @@ class BgpNetwork:
         re-announced once it comes back.  Returns the convergence round
         counts of the (down, up) waves.
 
-        Under the incremental engine both waves run off the dirty set
-        seeded by the torn-down/re-established session, so the counts
-        reflect how far each ripple actually travelled rather than the
-        legacy full-scan round count; resulting routes are identical
-        either way (see tests/bgp/test_engine_equivalence.py).
+        Both waves run off the dirty set seeded by the torn-down /
+        re-established session, so the counts reflect how far each
+        ripple actually travelled.
         """
         config = self.session_config(a, b)
         self.disconnect(config[0], config[1])
@@ -254,10 +221,16 @@ class BgpNetwork:
     def converge(self, max_rounds: int = 200) -> int:
         """Propagate updates until no router's state changes.
 
+        A dirty-set work queue: each wave drains every router's
+        pending-export buffer and delivers per-prefix deltas only for
+        those (sender, prefix) pairs; receivers whose RIBs change queue
+        their own exports for the next wave.  Newly created sessions get
+        a one-off full-table sync.
+
         Returns:
-            The number of rounds (waves) taken, counting the final wave
-            that verifies the fixpoint — so an already-converged network
-            reports 1 under either engine.
+            The number of waves taken, counting the final wave that
+            verifies the fixpoint — so an already-converged network
+            reports 1.
 
         Raises:
             ConvergenceError: if ``max_rounds`` is exceeded, which under
@@ -265,39 +238,6 @@ class BgpNetwork:
                 genuine BGP wedgie.
         """
         self.convergence_count += 1
-        if self.profiler is not None:
-            with self.profiler.time(f"bgp.converge.{self._engine}"):
-                waves = self._run_engine(max_rounds)
-        else:
-            waves = self._run_engine(max_rounds)
-        self.total_rounds += waves
-        return waves
-
-    def _run_engine(self, max_rounds: int) -> int:
-        if self._engine == ENGINE_ROUNDS:
-            return self._converge_rounds(max_rounds)
-        return self._converge_incremental(max_rounds)
-
-    def _converge_rounds(self, max_rounds: int) -> int:
-        """The original full-scan engine: re-diff every session per round."""
-        for round_number in range(1, max_rounds + 1):
-            changed = self._propagate_round()
-            if not changed:
-                self._discard_pending_work()
-                return round_number
-        raise ConvergenceError(
-            f"no fixpoint after {max_rounds} rounds; "
-            "check relationships/policies for dispute wheels"
-        )
-
-    def _converge_incremental(self, max_rounds: int) -> int:
-        """Dirty-set work queue: waves ripple outward from changed state.
-
-        Each wave drains every router's pending-export buffer and
-        delivers per-prefix deltas only for those (sender, prefix) pairs;
-        receivers whose RIBs change queue their own exports for the next
-        wave.  Newly created sessions get a one-off full-table sync.
-        """
         waves = 0
         full_sync = self._take_full_sync()
         dirty = self._collect_dirty()
@@ -315,10 +255,11 @@ class BgpNetwork:
             self.routers_scanned += len(dirty) + len(full_sync)
             full_sync = []
             dirty = self._collect_dirty()
-        # +1 for the implicit final wave that verifies the fixpoint,
-        # keeping wave totals aligned with the rounds engine's convention
-        # (an already-converged network reports one round).
-        return waves + 1
+        # +1 for the implicit final wave that verifies the fixpoint (an
+        # already-converged network reports one wave).
+        waves += 1
+        self.total_rounds += waves
+        return waves
 
     def _take_full_sync(self) -> list[tuple[str, str]]:
         """Directed sessions awaiting their initial full-table exchange."""
@@ -335,13 +276,6 @@ class BgpNetwork:
             if changed:
                 dirty[name] = changed
         return dirty
-
-    def _discard_pending_work(self) -> None:
-        """A full-scan fixpoint subsumes the incremental work queue:
-        nothing is left to ripple, so queued markers are stale."""
-        for router in self.routers.values():
-            router.clear_pending_exports()
-        self._pending_full_sync.clear()
 
     def _full_sync_session(self, sender_name: str, receiver_name: str) -> None:
         """Initial full-table exchange over one new directed session."""
@@ -384,31 +318,6 @@ class BgpNetwork:
                     sender.adj_rib_out.forget(receiver_name, prefix)
                     self.withdrawals_delivered += 1
                     receiver.receive_withdrawal(sender_name, Withdrawal(prefix))
-
-    def _propagate_round(self) -> bool:
-        """One synchronous delivery wave.  Returns True if anything changed."""
-        changed = False
-        self.routers_scanned += len(self.routers)
-        for sender_name, receiver_name in self._sessions:
-            sender = self.routers[sender_name]
-            receiver = self.routers[receiver_name]
-            exports = sender.exports_for(receiver_name)
-            previously_sent = sender.adj_rib_out.prefixes_to(receiver_name)
-            for prefix, announcement in exports.items():
-                if sender.adj_rib_out.last_sent(receiver_name, prefix) == announcement:
-                    continue
-                sender.adj_rib_out.record(receiver_name, announcement)
-                self.updates_delivered += 1
-                if receiver.receive_announcement(sender_name, announcement):
-                    changed = True
-            # Sorted so withdrawal delivery order never depends on set
-            # iteration order (TNG005; the replay-determinism invariant).
-            for prefix in sorted(previously_sent - set(exports), key=prefix_key):
-                sender.adj_rib_out.forget(receiver_name, prefix)
-                self.withdrawals_delivered += 1
-                if receiver.receive_withdrawal(sender_name, Withdrawal(prefix)):
-                    changed = True
-        return changed
 
     # -- queries ------------------------------------------------------------------
 

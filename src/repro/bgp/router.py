@@ -81,9 +81,9 @@ class BgpRouter:
         self.import_policies: list[ImportPolicy] = []
         self.export_policies: list[ExportPolicy] = []
         #: Prefixes whose exports may have changed since the network last
-        #: drained this router — the incremental engine's work queue.
+        #: drained this router — the propagation work queue.
         self._pending_export: set[Prefix] = set()
-        #: Profiling counter (a cheap int, always on).
+        #: Work counter (a cheap int, always on).
         self.decisions_run = 0
 
     # -- session management ---------------------------------------------------
@@ -274,7 +274,7 @@ class BgpRouter:
         """Export processing for a single (neighbor, prefix) pair.
 
         The same pipeline as :meth:`exports_for` restricted to one prefix
-        — the incremental engine's unit of work.  Returns ``None`` when
+        — propagation's unit of work.  Returns ``None`` when
         nothing is exportable (which the engine turns into a withdrawal if
         something was previously advertised).
         """
@@ -308,8 +308,8 @@ class BgpRouter:
         return changed
 
     def clear_pending_exports(self) -> None:
-        """Discard queued export work (snapshot restore / full-scan
-        convergence both leave nothing to ripple)."""
+        """Discard queued export work (a snapshot restore, like the
+        full-scan oracle's fixpoint, leaves nothing to ripple)."""
         self._pending_export.clear()
 
     def _build_export(

@@ -21,10 +21,9 @@ Eight subcommands, each a self-contained run of one slice of the system:
   of worker count); ``faults campaign --correlated`` runs the E18
   correlated-failure family (SRLG cuts, regional outages, maintenance
   drains) against the fate-aware fast-reroute stack instead.
-* ``profile`` — run the standard perf workloads (discovery, session
-  resets, fault replay) under the full-scan baseline and the incremental
-  engine + snapshot cache, print the speedup table, and write
-  ``BENCH_PERF.json``.
+* ``federation`` — ``federation run --edges N`` runs the E20 live N-site
+  federation experiment (shared establishment, stitched relay rescue,
+  relay failover) and prints the gated report.
 * ``lint`` — static determinism & policy-safety analysis: AST rules
   (``TNG001``–``TNG006``) over source files, Gao–Rexford semantic checks
   over every shipped scenario, and fault-plan target validation.
@@ -174,69 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report path (default BENCH_ROBUST.json)",
     )
 
-    profile = sub.add_parser(
-        "profile",
-        help="run the standard perf workloads and write BENCH_PERF.json",
-        description=(
-            "Measure the incremental propagation engine and convergence "
-            "snapshot cache against the full-scan baseline on the Vultr "
-            "scenario: path discovery, session resets, and a BGP-heavy "
-            "fault replay.  Prints a table and writes the full report as "
-            "JSON."
-        ),
-    )
-    profile.add_argument(
-        "--repeat", type=int, default=3,
-        help="best-of repetitions per measurement (default: 3)",
-    )
-    profile.add_argument(
-        "--out", default="BENCH_PERF.json",
-        help="report output path (default: BENCH_PERF.json); '-' to skip",
-    )
-    profile.add_argument(
-        "--smoke", action="store_true",
-        help="CI mode: fewest repetitions, same workloads",
-    )
-    profile.add_argument(
-        "--no-replay", action="store_true",
-        help="skip the (slow) fault-replay workload",
-    )
-
-    traffic = sub.add_parser(
-        "traffic",
-        help="flow-level traffic engine: scale bench + fluid/packet equivalence",
-        description=(
-            "Drive the fluid traffic engine (repro.traffic) over the "
-            "Vultr scenario and validate it against the packet "
-            "simulator.  Exit status: 0 all gates pass, 1 a gate fails, "
-            "2 usage errors."
-        ),
-    )
-    traffic_sub = traffic.add_subparsers(dest="traffic_command", required=True)
-    traffic_run = traffic_sub.add_parser(
-        "run",
-        help="run the standard traffic workloads and write BENCH_TRAFFIC.json",
-        description=(
-            "Run the scale workload (>=1M concurrent modeled flows with "
-            "a mid-run demand surge under load-aware splitting), the "
-            "fluid-vs-packet equivalence sweep, and the E19 vector/tick "
-            "workloads, print the results, and write the full report as "
-            "JSON."
-        ),
-    )
-    traffic_run.add_argument(
-        "--flows", type=int, default=1_000_000,
-        help="target concurrent modeled flows (default: 1000000)",
-    )
-    traffic_run.add_argument(
-        "--out", default="BENCH_TRAFFIC.json",
-        help="report output path (default: BENCH_TRAFFIC.json); '-' to skip",
-    )
-    traffic_run.add_argument(
-        "--smoke", action="store_true",
-        help="CI mode: shorter simulated window and packet run, same gates",
-    )
-
     federation = sub.add_parser(
         "federation",
         help="live N-site federation: shared establishment + relay failover",
@@ -343,6 +279,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="print every rule code with its severity and summary, then exit",
     )
     return parser
+
+
+def _write_out(path: str, text: str) -> bool:
+    """Write a report to an ``--out`` path; on failure, one line on stderr
+    and False (the caller exits 2) instead of a traceback after the run."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(
+            f"tango-repro: cannot write {path}: {exc.strerror or exc}",
+            file=sys.stderr,
+        )
+        return False
+    print(f"wrote {path}")
+    return True
 
 
 def cmd_discover() -> int:
@@ -623,10 +575,8 @@ def cmd_faults_run(args: argparse.Namespace) -> int:
     log = RecoveryLog.build(plan, controllers)
     text = log.format(controllers if args.transitions else None)
     sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}")
+    if args.out and not _write_out(args.out, text):
+        return 2
     return 0
 
 
@@ -645,8 +595,6 @@ def cmd_faults_campaign(args: argparse.Namespace) -> int:
         )
     else:
         report = run_campaign(args.plans, args.seed, workers=args.workers)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json())
     gates = report.gates
     print(
         f"{report.experiment} chaos campaign: {len(report.results)} plans, "
@@ -672,83 +620,11 @@ def cmd_faults_campaign(args: argparse.Namespace) -> int:
         )
     for failure in report.failures:
         print(f"  GATE FAIL: {failure}")
-    print(f"wrote {args.out}")
+    if not _write_out(args.out, report.to_json()):
+        return 2
     if not report.passed:
         return 1
     print(f"all {report.experiment} gates passed")
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    from .profiling.bench import DISCOVERY_MIN_SPEEDUP, run_perf_suite
-    from .profiling.core import Profiler
-
-    profiler = Profiler()
-    report = run_perf_suite(
-        repeat=args.repeat,
-        smoke=args.smoke,
-        include_replay=not args.no_replay,
-        profiler=profiler,
-    )
-    header = f"{'workload':<18} {'baseline':>10} {'incremental':>12} {'speedup':>9}"
-    print(header)
-    print("-" * len(header))
-    for name, wl in sorted(report.workloads.items()):
-        print(
-            f"{name:<18} {wl.baseline_s:>9.4f}s {wl.incremental_s:>11.4f}s "
-            f"{wl.speedup:>8.2f}x"
-        )
-    replay = report.workloads.get("fault_replay_mttr")
-    if replay is not None and "converge_speedup" in replay.detail:
-        print(
-            f"{'':<18} control-plane share of replay: "
-            f"{replay.detail['baseline_converge_s']:.4f}s -> "
-            f"{replay.detail['incremental_converge_s']:.4f}s "
-            f"({replay.detail['converge_speedup']:.1f}x)"
-        )
-    if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-        print(f"wrote {args.out}")
-    discovery = report.workloads["discovery"]
-    if discovery.speedup < DISCOVERY_MIN_SPEEDUP:
-        print(
-            f"tango-repro: discovery speedup {discovery.speedup:.2f}x is "
-            f"below the {DISCOVERY_MIN_SPEEDUP:.1f}x gate",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_traffic_run(args: argparse.Namespace) -> int:
-    from .traffic.bench import run_traffic_suite
-
-    if args.flows <= 0:
-        print(
-            f"tango-repro: --flows must be positive, got {args.flows}",
-            file=sys.stderr,
-        )
-        return 2
-
-    report = run_traffic_suite(smoke=args.smoke, target_flows=args.flows)
-
-    print(report.format())
-
-    if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-        print(f"wrote {args.out}")
-
-    if not report.passed:
-        failed = sorted(
-            name for name, wl in report.workloads.items() if not wl.passed
-        )
-        print(
-            f"tango-repro: traffic gate(s) failed: {', '.join(failed)}",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -804,9 +680,9 @@ def cmd_federation_run(args: argparse.Namespace) -> int:
         )
 
     if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        if not _write_out(args.out, text):
+            return 2
 
     failures = []
     if report["established_pairs"] != report["pairs"]:
@@ -861,14 +737,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return cmd_mesh(args)
     if args.command == "figures":
         return cmd_figures(args)
-    if args.command == "profile":
-        return cmd_profile(args)
     if args.command == "lint":
         return cmd_lint(args)
-    if args.command == "traffic":
-        if args.traffic_command == "run":
-            return cmd_traffic_run(args)
-        raise AssertionError(f"unhandled traffic command {args.traffic_command!r}")
     if args.command == "faults":
         if args.faults_command == "run":
             return cmd_faults_run(args)

@@ -61,7 +61,6 @@ from .gateway import TangoGateway
 from .policy import GuardedSelector, MeasuredSelector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..profiling.core import Profiler
     from ..resilience.journal import ControllerJournal
     from ..srlg.frr import FastReroute
     from ..srlg.registry import SrlgRegistry
@@ -220,12 +219,6 @@ class TangoController:
         #: The scheduled control loop, on the wheel or a dedicated task.
         self._loop: Optional[PeriodicTask | TickHandle] = None
         self.ticks = 0
-        #: Optional attached profiler; when set, control-loop ticks are
-        #: counted per controller under ``controller.<name>.ticks``.
-        #: The counter name is precomputed so a profiled tick pays a
-        #: dict increment, not an f-string build.
-        self.profiler: Optional["Profiler"] = None
-        self._tick_counter = f"controller.{gateway.config.name}.ticks"
         #: Fired once per tunnel when it *becomes* stale (edge-triggered):
         #: the hook a deployment uses to alarm or re-run discovery.
         self.on_stale = on_stale
@@ -350,8 +343,6 @@ class TangoController:
 
     def _tick(self) -> None:
         self.ticks += 1
-        if self.profiler is not None:
-            self.profiler.count(self._tick_counter)
         now = self.sim.now
         self.gateway.loss_monitor.sample(now)
         choice = getattr(self.gateway.selector, "last_choice", None)

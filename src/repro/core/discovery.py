@@ -29,7 +29,6 @@ from ..bgp.messages import Prefix, as_prefix
 from ..bgp.poisoning import poisoned_attributes
 from ..bgp.network import BgpNetwork
 from ..bgp.snapshot import SnapshotCache
-from ..profiling.core import Profiler
 
 __all__ = ["DiscoveredPath", "DiscoveryResult", "PathDiscovery", "AS_NAMES"]
 
@@ -144,8 +143,6 @@ class PathDiscovery:
         self.provider_asn = provider_asn
         self.ignore_asns = tuple(ignore_asns)
         self.snapshots = snapshots
-        #: Optional attached profiler; when set, discoveries are timed.
-        self.profiler: Optional["Profiler"] = None
 
     def _converge(self) -> int:
         """One convergence, through the snapshot cache when present."""
@@ -191,25 +188,6 @@ class PathDiscovery:
             A :class:`DiscoveryResult`; ``paths`` is empty if the prefix
             never became reachable.
         """
-        if self.profiler is not None:
-            with self.profiler.time("discovery.discover"):
-                return self._discover(
-                    announcer, observer, probe_prefix,
-                    max_paths, keep_announced, method,
-                )
-        return self._discover(
-            announcer, observer, probe_prefix, max_paths, keep_announced, method
-        )
-
-    def _discover(
-        self,
-        announcer: str,
-        observer: str,
-        probe_prefix: Union[str, Prefix],
-        max_paths: int,
-        keep_announced: bool,
-        method: str,
-    ) -> DiscoveryResult:
         if method not in ("communities", "poisoning"):
             raise ValueError(
                 f"method must be 'communities' or 'poisoning', got {method!r}"

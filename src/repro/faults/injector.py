@@ -23,7 +23,7 @@ delay process.)
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..bgp.messages import as_prefix
 from ..bgp.snapshot import SnapshotCache
@@ -60,7 +60,6 @@ class FaultInjector:
         self,
         deployment: "PacketLevelDeployment",
         plan: FaultPlan,
-        use_snapshots: bool = True,
     ) -> None:
         if deployment.state is None:
             raise RuntimeError("deployment must be established before arming faults")
@@ -81,21 +80,15 @@ class FaultInjector:
         # base state and each fault's degraded state), so recovery
         # convergences are snapshot restores after the first occurrence.
         # Shared with the session when one exists: establishment has
-        # already cached the pinned base state.  ``use_snapshots=False``
-        # forces plain convergence (the perf baseline).
-        self.snapshots: Optional[SnapshotCache] = None
-        if use_snapshots:
-            session = getattr(deployment, "session", None)
-            self.snapshots = (
-                session.snapshots if session is not None else SnapshotCache()
-            )
+        # already cached the pinned base state.
+        session = getattr(deployment, "session", None)
+        self.snapshots: SnapshotCache = (
+            session.snapshots if session is not None else SnapshotCache()
+        )
 
     def _converge_bgp(self) -> None:
         """One control-plane convergence, through the snapshot cache."""
-        if self.snapshots is not None:
-            self.snapshots.converge(self.deployment.bgp)
-        else:
-            self.deployment.bgp.converge()
+        self.snapshots.converge(self.deployment.bgp)
 
     # -- overlap-safe stateful transitions ----------------------------------------
 

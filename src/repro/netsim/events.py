@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from .simclock import SimClock
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..profiling.core import Profiler
 
 __all__ = ["Event", "Simulator", "PeriodicTask"]
 
@@ -84,11 +81,9 @@ class Simulator:
         self._seq = itertools.count()
         self._events_processed = 0
         self._cancelled_pending = 0
-        #: Profiling counters (cheap ints, always on).
+        #: Work counters (cheap ints, always on).
         self.compactions = 0
         self.tombstones_reaped = 0
-        #: Optional attached profiler; when set, :meth:`run` calls are timed.
-        self.profiler: Optional["Profiler"] = None
 
     @property
     def now(self) -> float:
@@ -162,13 +157,6 @@ class Simulator:
                 clock is left at ``until``.  ``None`` runs to exhaustion.
             max_events: safety valve against runaway schedules.
         """
-        if self.profiler is not None:
-            with self.profiler.time("sim.run"):
-                self._run(until, max_events)
-        else:
-            self._run(until, max_events)
-
-    def _run(self, until: Optional[float], max_events: Optional[int]) -> None:
         executed = 0
         while self._queue:
             if max_events is not None and executed >= max_events:

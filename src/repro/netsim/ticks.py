@@ -24,12 +24,9 @@ dedicated ``PeriodicTask``.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from .events import PeriodicTask, Simulator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..profiling.core import Profiler
 
 __all__ = ["TickScheduler", "TickHandle"]
 
@@ -154,11 +151,9 @@ class TickScheduler:
         self._round = 0
         self._next_round_time = sim.now if start is None else start
         self._registered = 0
-        #: Always-on counters (pulled by Profiler.capture_scheduler).
+        #: Always-on counters.
         self.rounds = 0
         self.callbacks_run = 0
-        #: Optional wall-clock profiler; near-zero-cost when None.
-        self.profiler: Optional["Profiler"] = None
         self._task: PeriodicTask = sim.call_every(
             interval_s, self._tick, start=self._next_round_time, end=end
         )
@@ -270,9 +265,4 @@ class TickScheduler:
             run += 1
             if not handle._stopped and not handle._paused:
                 self._arm(handle, current + handle.every)
-        if run:
-            self.callbacks_run += run
-            profiler = self.profiler
-            if profiler is not None:
-                profiler.count("ticks.rounds_with_work")
-                profiler.count("ticks.callbacks", run)
+        self.callbacks_run += run

@@ -16,8 +16,11 @@ adds one:
   weighted-split path selector.
 * :mod:`repro.traffic.equivalence` — the fluid-vs-packet validation
   harness.
-* :mod:`repro.traffic.bench` — standard workloads and the
-  ``BENCH_TRAFFIC.json`` emitter.
+* :mod:`repro.traffic.vector` — the array step kernel and
+  ``create_fluid_engine``, which picks a kernel from the tunnel count.
+
+The E16/E19 gates are ``benchmarks/test_bench_traffic.py``; wall-clock
+trajectories belong to ``python -m bench run``.
 """
 
 from .demand import DemandModel, FlowClass, SurgeWindow, standard_flow_classes

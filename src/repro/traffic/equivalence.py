@@ -12,7 +12,7 @@ Runs the same single-bottleneck workload through both models:
 The acceptance gate (EXPERIMENTS.md E16) requires per-tunnel mean delay
 within 10% and loss within 2 percentage points across the standard
 utilization sweep; :func:`run_equivalence` returns structured points the
-bench and CLI check against those tolerances.
+E16 benchmark checks against those tolerances.
 
 Scaled-down capacities on purpose: at 10 Mbps a 1500-byte packet
 serializes in 1.2 ms, so queueing effects are large relative to the

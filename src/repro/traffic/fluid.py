@@ -32,14 +32,11 @@ many million concurrent flows the buckets represent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.netsim.packet import TANGO_UDP_PORT, Ipv6Header, Packet, UdpHeader
 
 from .demand import DemandModel, FlowClass
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.profiling.core import Profiler
 
 __all__ = [
     "FluidEngine",
@@ -122,7 +119,7 @@ class SplitResolver:
     before.
 
     ``splits_recomputed`` counts rebuilds (the cache observability the
-    profiling tests assert on).  A rebuild hands back a *new* items
+    traffic tests assert on).  A rebuild hands back a *new* items
     tuple, so callers can key derived state on the tuple's identity.
     """
 
@@ -292,12 +289,6 @@ class FluidEngine:
             cls.flow_label: self._synthetic_packet(cls) for cls in demand.classes
         }
         self._resolver = SplitResolver(self.sender, self.tunnels, self._packets)
-
-        #: Optional wall-clock profiler; when None the step path pays a
-        #: single attribute check (the near-zero-cost guarantee the
-        #: profiling tests assert on).
-        self.profiler: Optional["Profiler"] = None
-        self._updates_per_step = len(demand.classes) * len(self.tunnels)
 
         self.steps = 0
         self.peak_concurrent_flows = 0.0
@@ -473,11 +464,6 @@ class FluidEngine:
                 split = dict.fromkeys(self._pids, 0.0)
             self.split_trace.append((now, split))
             self.concurrency_trace.append((now, concurrent))
-
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.count("fluid.steps")
-            profiler.count("fluid.bucket_updates", self._updates_per_step)
 
     def _advance_tunnels(self, now: float, dt: float) -> list[float]:
         """Advance every tunnel's fluid queue by ``dt``; write telemetry

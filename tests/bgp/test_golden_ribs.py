@@ -6,9 +6,10 @@ Adj-RIB-In / Loc-RIB / Adj-RIB-Out as canonical text through the RIBs'
 public query surface only (so the dump does not depend on how a RIB
 stores its rows) plus the network's delivery and decision counters — a
 route heard from one more neighbor, an update delivered once more or a
-decision run once less shows up here.  Both propagation engines are
-frozen, which also makes this the fixture the ``rounds`` oracle can be
-checked against once its code is gone.
+decision run once less shows up here.  Both propagation engines were
+frozen while both were in the product; the ``*/rounds`` digests are now
+reproduced by the test-side full scan (:mod:`tests.bgp.oracle`), which
+is what proves the oracle is the engine the product used to carry.
 
 Regenerate (only when a change is *meant* to alter the control plane)::
 
@@ -20,14 +21,14 @@ from pathlib import Path
 import pytest
 
 from repro.bgp.attributes import RouteAttributes
-from repro.bgp.network import ENGINE_INCREMENTAL, ENGINE_ROUNDS, BgpNetwork
+from repro.bgp.network import BgpNetwork
 from repro.federation import FederationRegistry
 from repro.scenarios.topologies import build_live_federation
 from repro.scenarios.vultr import VultrDeployment, build_bgp_network
 from tests import golden
+from tests.bgp.oracle import ENGINES
 
 GOLDEN = Path(__file__).parent / "golden" / "rib_dumps.json"
-ENGINES = (ENGINE_INCREMENTAL, ENGINE_ROUNDS)
 
 
 def _attrs(attrs: RouteAttributes) -> str:
@@ -72,16 +73,14 @@ def dump_network(net: BgpNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
-def vultr_establish(engine: str) -> BgpNetwork:
+def vultr_establish() -> BgpNetwork:
     deployment = VultrDeployment()
-    deployment.bgp.use_engine(engine)
     deployment.establish()
     return deployment.bgp
 
 
-def vultr_resets(engine: str) -> BgpNetwork:
+def vultr_resets() -> BgpNetwork:
     net = build_bgp_network()
-    net.use_engine(engine)
     net.router("tango-la").originate("2001:db8:a0::/48")
     net.router("tango-ny").originate("2001:db8:b0::/48")
     net.converge()
@@ -90,18 +89,16 @@ def vultr_resets(engine: str) -> BgpNetwork:
     return net
 
 
-def federation_8_stitched(engine: str) -> BgpNetwork:
+def federation_8_stitched() -> BgpNetwork:
     scenario = build_live_federation(8, seed=42)
-    scenario.bgp.use_engine(engine)
     registry = FederationRegistry(scenario)
     registry.establish()
     registry.stitch_pair(*scenario.degraded_pair)
     return scenario.bgp
 
 
-def federation_12(engine: str) -> BgpNetwork:
+def federation_12() -> BgpNetwork:
     scenario = build_live_federation(12, seed=42)
-    scenario.bgp.use_engine(engine)
     FederationRegistry(scenario).establish()
     return scenario.bgp
 
@@ -117,7 +114,8 @@ KEYS = [f"{case}/{engine}" for case in sorted(CASES) for engine in ENGINES]
 
 def digest(key: str) -> dict:
     case, engine = key.split("/")
-    return golden.digest(dump_network(CASES[case](engine)))
+    with ENGINES[engine]():
+        return golden.digest(dump_network(CASES[case]()))
 
 
 @pytest.mark.parametrize("key", KEYS)

@@ -6,7 +6,10 @@ from repro.bgp.attributes import RouteAttributes
 from repro.bgp.communities import no_export_to
 from repro.bgp.network import BgpNetwork
 from repro.bgp.poisoning import poisoned_attributes
+from repro.bgp.policy import Relationship
 from repro.bgp.router import BgpRouter
+from tests.bgp.oracle import full_scan
+from tests.bgp.test_golden_ribs import dump_network
 
 P = "2001:db8:1::/48"
 
@@ -56,6 +59,36 @@ class TestConstruction:
     def test_unknown_router_lookup(self):
         with pytest.raises(KeyError):
             BgpNetwork().router("ghost")
+
+    @pytest.mark.parametrize(
+        "a, b, error",
+        [
+            ("stub", "stub", ValueError),  # self-session
+            ("stub", "provider", ValueError),  # duplicate
+            ("provider", "stub", ValueError),  # duplicate, other way round
+            ("stub", "ghost", KeyError),  # unknown name
+            ("ghost", "stub", KeyError),
+        ],
+    )
+    def test_rejected_connect_leaves_no_state_behind(self, a, b, error):
+        net = linear_chain()
+        net.router("stub").originate(P)
+        net.converge()
+
+        def state():
+            neighbors = {n: sorted(r.neighbors) for n, r in net.routers.items()}
+            return net.session_pairs(), neighbors, dump_network(net)
+
+        before = state()
+        with pytest.raises(error, match=f"{a}|{b}"):
+            net.connect(a, b, Relationship.PEER)
+        assert state() == before
+        # ...and nothing was queued either: the next origination costs
+        # exactly what it would have (one update per router upstream).
+        net.router("stub").originate("2001:db8:2::/48")
+        net.converge()
+        assert net.updates_delivered == 4
+        assert net.router("stub").adj_rib_out.prefixes_to("stub") == set()
 
 
 class TestPropagation:
@@ -235,26 +268,24 @@ class TestResetSession:
 
 
 class TestResetSessionEngines:
-    """reset_session rides whichever engine is active; the incremental
-    engine reports how far each ripple travelled, not full-scan rounds."""
+    """reset_session reports how far each ripple travelled, not
+    full-scan rounds; the full scan is the oracle (tests/bgp/oracle.py)."""
 
     @staticmethod
-    def _vultr_with_routes(engine):
+    def _vultr_with_routes():
         from repro.scenarios.vultr import build_bgp_network
 
         net = build_bgp_network()
-        net.use_engine(engine)
         net.router("tango-la").originate("2001:db8:a0::/48")
         net.router("tango-ny").originate("2001:db8:b0::/48")
         net.converge()
         return net
 
     def test_incremental_counts_are_accurate_waves(self):
-        from repro.bgp.network import ENGINE_INCREMENTAL, ENGINE_ROUNDS
-
-        legacy = self._vultr_with_routes(ENGINE_ROUNDS)
-        incremental = self._vultr_with_routes(ENGINE_INCREMENTAL)
-        legacy_down, legacy_up = legacy.reset_session("vultr-ny", "ntt")
+        with full_scan():
+            legacy = self._vultr_with_routes()
+            legacy_down, legacy_up = legacy.reset_session("vultr-ny", "ntt")
+        incremental = self._vultr_with_routes()
         incr_down, incr_up = incremental.reset_session("vultr-ny", "ntt")
         # Both engines count real waves plus the fixpoint-verification
         # wave, so a reset that moved routes reports at least 2.
@@ -271,11 +302,10 @@ class TestResetSessionEngines:
         assert (incr_down, incr_up) == (4, 5)  # pinned: hop-accurate depth
 
     def test_engines_agree_on_post_reset_routes(self):
-        from repro.bgp.network import ENGINE_INCREMENTAL, ENGINE_ROUNDS
-
-        legacy = self._vultr_with_routes(ENGINE_ROUNDS)
-        incremental = self._vultr_with_routes(ENGINE_INCREMENTAL)
-        legacy.reset_session("vultr-ny", "ntt")
+        with full_scan():
+            legacy = self._vultr_with_routes()
+            legacy.reset_session("vultr-ny", "ntt")
+        incremental = self._vultr_with_routes()
         incremental.reset_session("vultr-ny", "ntt")
         for name in sorted(legacy.routers):
             assert (
@@ -284,9 +314,7 @@ class TestResetSessionEngines:
             ), name
 
     def test_reset_on_incremental_engine_restores_reachability(self):
-        from repro.bgp.network import ENGINE_INCREMENTAL
-
-        net = self._vultr_with_routes(ENGINE_INCREMENTAL)
+        net = self._vultr_with_routes()
         before = net.best_path("tango-ny", "2001:db8:a0::/48").asns
         down, up = net.reset_session("vultr-la", "ntt")
         assert down >= 1 and up >= 1

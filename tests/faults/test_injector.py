@@ -30,6 +30,14 @@ class TestArming:
         with pytest.raises(RuntimeError, match="established"):
             FaultInjector(d, plan_of(blackhole()))
 
+    def test_snapshot_cache_is_not_optional(self):
+        # The cache is always on and shared with the session.
+        d = deployment()
+        with pytest.raises(TypeError, match="use_snapshots"):
+            FaultInjector(d, plan_of(blackhole()), use_snapshots=False)
+        injector = FaultInjector(d, plan_of(blackhole()))
+        assert injector.snapshots is d.session.snapshots
+
     def test_arm_only_once(self):
         d = deployment()
         injector = FaultInjector(d, plan_of(blackhole()))

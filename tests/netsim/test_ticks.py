@@ -12,10 +12,8 @@ import pytest
 from repro.core.controller import TangoController
 from repro.netsim.events import Simulator
 from repro.netsim.ticks import TickScheduler
-from repro.telemetry.loss import LossMonitor
-from repro.telemetry.store import MeasurementStore
-from repro.dataplane.seqnum import SequenceTracker
 from repro.traffic.splitting import SplitRebalancer, WeightedSplitSelector
+from tests.traffic.standin import StandinGateway, controller_farm
 
 
 def recorder(log, tag):
@@ -159,46 +157,10 @@ class TestDeterminism:
         assert scheduler.callbacks_run == 50 * scheduler.rounds
 
 
-class _FarmGateway:
-    """Just enough gateway for a report-only controller."""
-
-    class _Config:
-        def __init__(self, name):
-            self.name = name
-
-    def __init__(self, name):
-        self.config = self._Config(name)
-        self.tracker = SequenceTracker()
-        self.loss_monitor = LossMonitor(self.tracker)
-        self.inbound = MeasurementStore()
-        self.selector = WeightedSplitSelector()
-        self.data_selector = None
-
-    @property
-    def outbound(self):
-        return self.inbound
-
-
 class TestControllerIntegration:
-    def build_farm(self, n, shared):
-        sim = Simulator()
-        scheduler = TickScheduler(sim, 0.1) if shared else None
-        farm = [
-            TangoController(
-                _FarmGateway(f"edge{i}"),
-                sim,
-                interval_s=0.1,
-                scheduler=scheduler,
-            )
-            for i in range(n)
-        ]
-        for controller in farm:
-            controller.start()
-        return sim, scheduler, farm
-
     def test_scheduled_controllers_tick_like_dedicated(self):
-        sim_d, _, farm_d = self.build_farm(5, shared=False)
-        sim_s, scheduler, farm_s = self.build_farm(5, shared=True)
+        sim_d, _, farm_d = controller_farm(5, shared=False)
+        sim_s, scheduler, farm_s = controller_farm(5, shared=True)
         sim_d.run(until=1.05)
         sim_s.run(until=1.05)
         assert [c.ticks for c in farm_s] == [c.ticks for c in farm_d]
@@ -206,13 +168,28 @@ class TestControllerIntegration:
         assert scheduler.callbacks_run == sum(c.ticks for c in farm_s)
 
     def test_shared_farm_keeps_one_heap_event(self):
-        sim_d, _, farm_d = self.build_farm(20, shared=False)
-        sim_s, _, farm_s = self.build_farm(20, shared=True)
+        sim_d, _, farm_d = controller_farm(20, shared=False)
+        sim_s, _, farm_s = controller_farm(20, shared=True)
         assert sim_d.live_pending == 20
         assert sim_s.live_pending == 1
 
+    def test_thousand_controller_farm(self):
+        # The E19 farm size: still one live heap event, still exactly
+        # the dedicated tasks' tick counts, every registrant run every
+        # round (the wall budget per round is benchmarks/'s to gate).
+        sim_d, _, farm_d = controller_farm(1000, shared=False)
+        sim_s, scheduler, farm_s = controller_farm(1000, shared=True)
+        assert sim_d.live_pending == 1000
+        assert sim_s.live_pending == 1
+        sim_d.run(until=1.05)
+        sim_s.run(until=1.05)
+        assert sim_s.live_pending == 1
+        assert [c.ticks for c in farm_s] == [c.ticks for c in farm_d]
+        assert scheduler.rounds == 11
+        assert scheduler.callbacks_run == 1000 * scheduler.rounds
+
     def test_controller_stop_and_double_start_guard(self):
-        sim, scheduler, farm = self.build_farm(2, shared=True)
+        sim, scheduler, farm = controller_farm(2, shared=True)
         controller = farm[0]
         with pytest.raises(RuntimeError, match="already started"):
             controller.start()
@@ -226,7 +203,7 @@ class TestControllerIntegration:
         sim = Simulator()
         scheduler = TickScheduler(sim, 0.1)
         controller = TangoController(
-            _FarmGateway("edge"), sim, interval_s=0.25, scheduler=scheduler
+            StandinGateway("edge"), sim, interval_s=0.25, scheduler=scheduler
         )
         with pytest.raises(ValueError, match="integer multiple"):
             controller.start()

@@ -1,5 +1,7 @@
 """Tests for the time-series store, including growth properties."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,25 @@ class TestAmortizedGrowth:
         series.extend(np.arange(5000.0), np.ones(5000))
         assert len(series) == 5000
         assert series.grows >= 1
+
+    def test_append_is_amortized_constant(self):
+        # Doubling the appends must roughly double the wall time, never
+        # square it (a realloc-per-append regression is ~50x here).
+        def fill(n):
+            series = TimeSeries()
+            start = time.perf_counter()
+            for i in range(n):
+                series.append(float(i), 1.0)
+            return time.perf_counter() - start, series
+
+        fill(10_000)  # warm up
+        small_s, _ = fill(50_000)
+        big_s, big = fill(200_000)
+        assert big.grows <= 10
+        assert big_s < small_s * 16, (
+            f"append no longer amortized O(1): {small_s:.4f}s for 50k vs "
+            f"{big_s:.4f}s for 200k"
+        )
 
 
 class TestRecordAggregateMany:

@@ -18,7 +18,6 @@ from repro.netsim.delaymodels import GaussianJitterDelay
 from repro.netsim.events import Simulator
 from repro.netsim.links import ConstantLoss
 from repro.scenarios.vultr import VultrDeployment
-from repro.traffic.bench import _SyntheticDeployment
 from repro.traffic.demand import DemandModel, standard_flow_classes
 from repro.traffic.fluid import FluidEngine
 from repro.traffic.splitting import LoadAwareWeights, WeightedSplitSelector
@@ -27,6 +26,7 @@ from repro.traffic.vector import (
     VectorFluidEngine,
     create_fluid_engine,
 )
+from tests.traffic.standin import SyntheticDeployment
 
 GTT = 2
 LOAD_FIELDS = ("offered_bps", "utilization", "backlog_bits", "delay_s", "loss")
@@ -57,7 +57,7 @@ def standin(width):
     """``(deployment, demand)`` for a ``width``-tunnel stand-in pair:
     mixed constant/jittered delays, lossy odd tunnels, capacity sized so
     the surge overloads every tunnel (rho ~0.75 before, ~1.9 during)."""
-    deployment = _SyntheticDeployment(
+    deployment = SyntheticDeployment(
         Simulator(), width, capacity_bps=0.9e9 / max(width, 1)
     )
     for tunnel in deployment.tunnels("a")[1::2]:
@@ -184,11 +184,11 @@ class TestBitEquivalence:
         dep_v, fluid_v, _ = build(VectorFluidEngine)
         assert_lockstep(dep_s, fluid_s, dep_v, fluid_v, steps=60)
 
-    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 8])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 8, 256])
     def test_lockstep_on_both_sides_of_the_selection(self, width):
         # Whichever kernel the tunnel count selects, the other would
         # have produced the same bytes — so moving the constant can
-        # never change a result, only its cost.
+        # never change a result, only its cost.  256 is the E19 width.
         assert 1 < VECTOR_MIN_TUNNELS <= 8
         dep_s, fluid_s = build_standin(FluidEngine, width)
         dep_v, fluid_v = build_standin(VectorFluidEngine, width)
@@ -250,6 +250,18 @@ class TestVectorState:
                 assert isinstance(getattr(load, field), float)
         # Cached: same object until the next step invalidates it.
         assert fluid.last_loads is loads
+
+    def test_split_cache_rebuilds_rarely(self):
+        # The resolver cache is the observable: resolutions happen per
+        # (class, step) but rebuilds only when the selector moves.
+        deployment = VultrDeployment(include_events=False)
+        deployment.establish()
+        demand = DemandModel(classes=standard_flow_classes(10_000.0), seed=3)
+        fluid = VectorFluidEngine(deployment, "ny", demand)
+        fluid.start()
+        deployment.sim.run(until=deployment.sim.now + 1.0)
+        resolutions = fluid.steps * len(fluid.demand.classes)
+        assert fluid.splits_recomputed < resolutions / 2
 
     def test_utilization_matches_scalar(self):
         dep_s, fluid_s, _ = build(FluidEngine, surge=False)
