@@ -11,11 +11,7 @@ the overlay pays its software tax; the RTT prober is noise-limited.
 import numpy as np
 from conftest import emit
 
-from repro.analysis.replay import (
-    PolicyReplay,
-    greedy_chooser,
-    hysteresis_chooser,
-)
+from repro.analysis.replay import PolicyReplay
 from repro.analysis.report import format_table
 from repro.baselines import (
     BgpDefaultBaseline,
@@ -23,6 +19,7 @@ from repro.baselines import (
     OverlayBaseline,
     RttProbingBaseline,
 )
+from repro.core.policy import HysteresisSelector, LowestDelaySelector
 from repro.scenarios.vultr import INSTABILITY_HOUR
 
 EVENT_S = INSTABILITY_HOUR * 3600.0
@@ -37,7 +34,7 @@ def run_comparison(deployment):
     rekeyed = _rekey(rev_true)
 
     replay = PolicyReplay(
-        measured, fwd_true, decision_interval_s=0.5, visibility_latency_s=0.2
+        fwd_true, decision_interval_s=0.5, visibility_latency_s=0.2
     )
     results = [
         BgpDefaultBaseline().run(replay, T0, T1),
@@ -46,9 +43,9 @@ def run_comparison(deployment):
             fwd_true, rekeyed, accessible_paths=[0, 1]
         ).run(T0, T1),
         OverlayBaseline(fwd_true, probe_interval_s=10.0).run(T0, T1),
-        replay.run(greedy_chooser(), T0, T1, name="tango-greedy"),
+        replay.run(LowestDelaySelector(measured), T0, T1, name="tango-greedy"),
         replay.run(
-            hysteresis_chooser(margin_s=0.001, dwell_s=2.0),
+            HysteresisSelector(measured, margin_s=0.001, dwell_s=2.0),
             T0,
             T1,
             name="tango-hysteresis",

@@ -12,6 +12,10 @@ ECMP sub-paths at 30/35/41 ms:
   says nothing about any real path;
 * the same probes inside one Tango tunnel (fixed outer 5-tuple) stick
   to a single sub-path and measure it cleanly.
+
+Section 6 turns the pathology into a knob: the same unpinned probes, kept
+with their source ports, are what ``EcmpMapper`` clusters back into the
+three sub-paths — after which picking a port picks a sub-path.
 """
 
 import ipaddress
@@ -20,6 +24,7 @@ import numpy as np
 from conftest import emit
 
 from repro.analysis.report import format_kv
+from repro.core.ecmp_probing import EcmpMapper
 from repro.dataplane.encap import encapsulate
 from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
 from repro.scenarios.topologies import build_ecmp_fanout
@@ -45,15 +50,20 @@ def run_unpinned():
     net = fabric.net
     src, dst = net.node(fabric.src_name), net.node(fabric.dst_name)
     arrivals = []
-    dst.attach_ingress(
-        lambda s, p: (arrivals.append(s.sim.now - p.created_at), None)[1]
-    )
+    mapper = EcmpMapper()
+
+    def measure(switch, packet):
+        delay = switch.sim.now - packet.created_at
+        arrivals.append(delay)
+        mapper.observe(packet.five_tuple().sport, delay)
+
+    dst.attach_ingress(measure)
     for i in range(PROBES):
         net.sim.schedule_at(
             i * 0.01, lambda i=i: net.inject(src, probe(sport=20000 + i))
         )
     net.run()
-    return np.asarray(arrivals)
+    return np.asarray(arrivals), mapper.build_map()
 
 
 def run_tunneled():
@@ -84,7 +94,7 @@ def run_tunneled():
 
 
 def test_ecmp_measurement_blur(benchmark):
-    unpinned = benchmark(run_unpinned)
+    unpinned, ecmp_map = benchmark(run_unpinned)
     tunneled = run_tunneled()
 
     emit(
@@ -99,6 +109,14 @@ def test_ecmp_measurement_blur(benchmark):
                 ),
                 ("tunneled mean (ms)", float(np.mean(tunneled)) * 1e3),
                 ("tunneled std (ms)", float(np.std(tunneled)) * 1e3),
+                (
+                    "recovered sub-paths (ms x ports)",
+                    ", ".join(
+                        f"{c.mean_delay_s * 1e3:.2f} x {len(c.ports)}"
+                        for c in ecmp_map.clusters
+                    ),
+                ),
+                ("port for the fastest sub-path", ecmp_map.port_for_fastest()),
             ],
             title="E8 — ECMP blur vs tunnel pinning",
         )
@@ -120,3 +138,7 @@ def test_ecmp_measurement_blur(benchmark):
     for mode in modes:
         share = float(np.mean(np.abs(unpinned - 0.0002 - mode) < 1e-3))
         assert share > 0.10, f"mode {mode}: share {share}"
+    # Kept with their ports, the same probes give the sub-paths back.
+    assert ecmp_map.sub_path_count == 3
+    recovered = [c.mean_delay_s for c in ecmp_map.clusters]
+    assert np.allclose(recovered, modes, atol=5e-4), recovered

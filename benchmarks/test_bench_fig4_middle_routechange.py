@@ -14,9 +14,10 @@ that an adaptive policy sidesteps it while BGP-default-on-GTT would not.
 import numpy as np
 from conftest import emit
 
-from repro.analysis.replay import PolicyReplay, hysteresis_chooser, static_chooser
+from repro.analysis.replay import PolicyReplay
 from repro.analysis.report import format_kv, format_table, series_sparkline
 from repro.analysis.stats import detect_excursions
+from repro.core.policy import HysteresisSelector, StaticSelector
 from repro.scenarios.vultr import ROUTE_CHANGE_HOUR
 
 EVENT_S = ROUTE_CHANGE_HOUR * 3600.0
@@ -65,16 +66,15 @@ def test_fig4_middle_route_change(benchmark, deployment):
     # "selecting an alternate path based on live data is required":
     # pinned-to-GTT eats the plateau; hysteresis routing moves to Telia
     # for the duration and comes back.
-    replay = PolicyReplay(measured, true, decision_interval_s=1.0)
-    pinned = replay.run(
-        static_chooser(GTT), T0, T1, name="pinned-GTT", initial_path=GTT
-    )
+    replay = PolicyReplay(true, decision_interval_s=1.0)
+    pinned = replay.run(StaticSelector(GTT), T0, T1, name="pinned-GTT")
     adaptive = replay.run(
-        hysteresis_chooser(margin_s=0.0005, dwell_s=5.0),
+        HysteresisSelector(
+            measured, margin_s=0.0005, dwell_s=5.0, fallback_index=GTT
+        ),
         T0,
         T1,
         name="tango",
-        initial_path=GTT,
     )
     rows = [pinned.as_row(), adaptive.as_row()]
     emit(format_table(rows, title="policy outcome over the event window"))

@@ -11,8 +11,9 @@ network instability is superior for application performance."
 import numpy as np
 from conftest import emit
 
-from repro.analysis.replay import PolicyReplay, jitter_aware_chooser, static_chooser
+from repro.analysis.replay import PolicyReplay
 from repro.analysis.report import format_kv, format_table, series_sparkline
+from repro.core.policy import JitterAwareSelector, StaticSelector
 from repro.scenarios.vultr import INSTABILITY_HOUR, NY_TO_LA_PATHS
 
 EVENT_S = INSTABILITY_HOUR * 3600.0
@@ -63,16 +64,13 @@ def test_fig4_right_instability(benchmark, deployment):
     # stays low (most packets still ride the 28 ms floor), so a
     # mean-greedy policy correctly stays put — the win comes from
     # avoiding the spikes, which a jitter-aware policy sees.
-    replay = PolicyReplay(measured, true, decision_interval_s=0.5)
-    pinned = replay.run(
-        static_chooser(GTT), T0, T1, name="pinned-GTT", initial_path=GTT
-    )
+    replay = PolicyReplay(true, decision_interval_s=0.5)
+    pinned = replay.run(StaticSelector(GTT), T0, T1, name="pinned-GTT")
     adaptive = replay.run(
-        jitter_aware_chooser(jitter_weight=3.0),
+        JitterAwareSelector(measured, jitter_weight=3.0, fallback_index=GTT),
         T0,
         T1,
         name="tango-jitter-aware",
-        initial_path=GTT,
     )
     emit(
         format_table(

@@ -15,9 +15,10 @@ prober the same path diversity Tango has and shows both failure modes:
 import numpy as np
 from conftest import emit
 
-from repro.analysis.replay import PolicyReplay, greedy_chooser
+from repro.analysis.replay import PolicyReplay
 from repro.analysis.report import format_kv, format_table
 from repro.baselines.rtt_probing import RttProbingBaseline
+from repro.core.policy import LowestDelaySelector
 from repro.netsim.delaymodels import AsymmetryEvent
 from repro.scenarios.vultr import (
     LA_TO_NY_PATHS,
@@ -57,9 +58,11 @@ def run_ablation():
     rtt = RttProbingBaseline(fwd, rev, probe_interval_s=1.0)
     rtt_result = rtt.run(0.0, T1)
     tango_replay = PolicyReplay(
-        fwd, fwd, decision_interval_s=1.0, visibility_latency_s=0.2
+        fwd, decision_interval_s=1.0, visibility_latency_s=0.2
     )
-    tango_result = tango_replay.run(greedy_chooser(), 0.0, T1, name="tango-oneway")
+    tango_result = tango_replay.run(
+        LowestDelaySelector(fwd), 0.0, T1, name="tango-oneway"
+    )
     return fwd, rev, rtt, rtt_result, tango_result
 
 

@@ -12,8 +12,9 @@ window (the regime where responsiveness and stability fight):
 import numpy as np
 from conftest import emit
 
-from repro.analysis.replay import PolicyReplay, greedy_chooser, hysteresis_chooser
+from repro.analysis.replay import PolicyReplay
 from repro.analysis.report import format_table
+from repro.core.policy import HysteresisSelector, LowestDelaySelector
 from repro.scenarios.vultr import ROUTE_CHANGE_HOUR
 
 EVENT_S = ROUTE_CHANGE_HOUR * 3600.0
@@ -25,15 +26,19 @@ PROBE_INTERVALS = (0.01, 0.1, 1.0, 10.0)
 
 def sweep_margin(deployment):
     measured, true = deployment.run_fast_campaign("ny", T0, T1, 0.01)
-    replay = PolicyReplay(measured, true, decision_interval_s=0.5)
+    replay = PolicyReplay(true, decision_interval_s=0.5)
     rows = []
     for margin_ms in MARGINS_MS:
         result = replay.run(
-            hysteresis_chooser(margin_s=margin_ms * 1e-3, dwell_s=2.0),
+            HysteresisSelector(
+                measured,
+                margin_s=margin_ms * 1e-3,
+                dwell_s=2.0,
+                fallback_index=GTT,
+            ),
             T0,
             T1,
             name=f"margin={margin_ms}ms",
-            initial_path=GTT,
         )
         rows.append(result.as_row())
     return rows
@@ -61,17 +66,15 @@ def test_probe_interval_sweep(benchmark, deployment):
             )
             # Sparser probing also means staler visibility.
             replay = PolicyReplay(
-                measured,
                 true,
                 decision_interval_s=0.5,
                 visibility_latency_s=interval,
             )
             result = replay.run(
-                greedy_chooser(),
+                LowestDelaySelector(measured, fallback_index=GTT),
                 T0,
                 T1,
                 name=f"probe={interval}s",
-                initial_path=GTT,
             )
             rows.append(
                 {

@@ -15,8 +15,9 @@ Run:
 
 import numpy as np
 
-from repro.analysis.replay import PolicyReplay, hysteresis_chooser, static_chooser
+from repro.analysis.replay import PolicyReplay
 from repro.analysis.report import format_table, series_sparkline
+from repro.core.policy import HysteresisSelector, StaticSelector
 from repro.scenarios.vultr import ROUTE_CHANGE_HOUR, VultrDeployment
 
 EVENT_S = ROUTE_CHANGE_HOUR * 3600.0
@@ -30,16 +31,15 @@ def main() -> None:
     labels = {t.path_id: t.short_label for t in deployment.tunnels("ny")}
 
     measured, true = deployment.run_fast_campaign("ny", T0, T1, interval_s=0.1)
-    replay = PolicyReplay(measured, true, decision_interval_s=1.0)
-    pinned = replay.run(
-        static_chooser(GTT), T0, T1, name="pinned-GTT", initial_path=GTT
-    )
+    replay = PolicyReplay(true, decision_interval_s=1.0)
+    pinned = replay.run(StaticSelector(GTT), T0, T1, name="pinned-GTT")
     tango = replay.run(
-        hysteresis_chooser(margin_s=0.0005, dwell_s=5.0),
+        HysteresisSelector(
+            measured, margin_s=0.0005, dwell_s=5.0, fallback_index=GTT
+        ),
         T0,
         T1,
         name="tango",
-        initial_path=GTT,
     )
 
     print("GTT one-way delay over the window (paper Fig. 4, middle):")

@@ -6,14 +6,7 @@ from .figures import (
     export_fig4_middle,
     export_fig4_right,
 )
-from .replay import (
-    PolicyReplay,
-    ReplayResult,
-    greedy_chooser,
-    hysteresis_chooser,
-    jitter_aware_chooser,
-    static_chooser,
-)
+from .replay import PolicyReplay, ReplayResult
 from .report import format_kv, format_table, series_sparkline
 from .stats import (
     DefaultVsBest,
@@ -22,7 +15,6 @@ from .stats import (
     campaign_table,
     default_vs_best,
     detect_excursions,
-    time_under_threshold,
 )
 from .tcp_model import (
     DeliveryStats,
@@ -48,12 +40,7 @@ __all__ = [
     "export_fig4_right",
     "format_kv",
     "format_table",
-    "greedy_chooser",
-    "hysteresis_chooser",
-    "jitter_aware_chooser",
     "mathis_throughput",
     "series_sparkline",
-    "static_chooser",
     "stream_goodput",
-    "time_under_threshold",
 ]

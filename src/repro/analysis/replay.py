@@ -1,55 +1,38 @@
 """Campaign-scale policy replay.
 
 Packet-level simulation is exact but too slow for multi-hour traces; the
-replay engine evaluates a path-selection policy against a sampled
-campaign instead:
+replay runs the data-plane selectors against a sampled campaign instead:
 
-* at each *decision epoch*, the policy sees the **measured** store —
-  but only samples older than the visibility latency (mirror freshness:
-  report interval plus reverse-path delay);
+* at each *decision epoch* the selector is asked, as the sender program
+  asks it per packet, to ``select`` among one candidate tunnel per path
+  — at time ``epoch - visibility_latency_s``, so its store reads stop at
+  what the mirror had delivered by then (report interval plus
+  reverse-path delay);
 * between epochs the selected path is fixed, and the *achieved* delay at
   each probe instant is the **true** delay of the selected path.
 
-This mirrors exactly what the packet-level pipeline does (the test suite
-asserts the two agree on short windows), while handling 8-day campaigns
-in milliseconds.
-
-Choosers correspond one-to-one with the data-plane selectors in
-:mod:`repro.core.policy`; they operate on per-path trailing-window means
-instead of tunnels/packets.
+Any :class:`~repro.dataplane.programs.PathSelector` replays: the
+:mod:`repro.core.policy` classes, :class:`~repro.core.policy.GuardedSelector`
+and :class:`~repro.srlg.diversity.FateAwareSelector` wrappers.  What the
+policy may see, its trailing window and its no-data fallback are the
+selector's own ``store``, ``window_s`` and ``fallback_index``.  A 540 s
+window at a 0.1 s decision cadence replays in 0.2-0.5 s.
 """
 
 from __future__ import annotations
 
+import ipaddress
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from ..core.tunnels import TangoTunnel
+from ..dataplane.programs import PathSelector
+from ..netsim.packet import Packet
 from ..telemetry.store import MeasurementStore
 
-__all__ = [
-    "ReplayResult",
-    "PolicyReplay",
-    "Chooser",
-    "static_chooser",
-    "greedy_chooser",
-    "hysteresis_chooser",
-    "jitter_aware_chooser",
-]
-
-
-@dataclass(frozen=True)
-class PathView:
-    """What a chooser sees about one path at a decision epoch."""
-
-    path_id: int
-    mean: Optional[float]
-    std: Optional[float]
-
-
-#: A chooser: (views, current_path_id, now) -> chosen path_id.
-Chooser = Callable[[Sequence[PathView], int, float], int]
+__all__ = ["ReplayResult", "PolicyReplay"]
 
 
 @dataclass
@@ -88,62 +71,59 @@ class ReplayResult:
 
 
 class PolicyReplay:
-    """Replays choosers against a (measured, true) campaign pair.
+    """Replays data-plane selectors against a campaign's ground truth.
 
     Args:
-        measured: what the policy is allowed to see (clock-offset
-            distorted, mirror-delayed) — per-path series.
         true: ground-truth per-path delays used to score decisions.
         decision_interval_s: how often the policy re-decides (the
             controller cadence).
         visibility_latency_s: freshness of mirrored measurements.
-        window_s: trailing window the choosers' means are computed over.
     """
 
     def __init__(
         self,
-        measured: MeasurementStore,
         true: MeasurementStore,
         decision_interval_s: float = 0.1,
         visibility_latency_s: float = 0.1,
-        window_s: float = 1.0,
     ) -> None:
-        for name, value in (
-            ("decision_interval_s", decision_interval_s),
-            ("window_s", window_s),
-        ):
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        if decision_interval_s <= 0:
+            raise ValueError(
+                f"decision_interval_s must be positive, got {decision_interval_s}"
+            )
         if visibility_latency_s < 0:
             raise ValueError("visibility_latency_s must be >= 0")
-        self.measured = measured
         self.true = true
         self.decision_interval_s = decision_interval_s
         self.visibility_latency_s = visibility_latency_s
-        self.window_s = window_s
 
     def run(
         self,
-        chooser: Chooser,
+        selector: PathSelector,
         t0: float,
         t1: float,
         name: str = "policy",
-        initial_path: Optional[int] = None,
         restrict_paths: Optional[Sequence[int]] = None,
     ) -> ReplayResult:
-        """Replay ``chooser`` over [t0, t1).
+        """Replay ``selector`` over [t0, t1).
 
         Args:
-            chooser: the policy.
-            initial_path: path used before the first decision (defaults
-                to the lowest path id — the BGP default).
+            selector: the policy; it reads its own measured store —
+                clock-offset distorted and mirror-delayed, unlike
+                ``true``.  Indices it holds (``StaticSelector.index``,
+                ``fallback_index``) count into the sorted path ids.
             restrict_paths: limit the choice set (multihoming baseline).
         """
-        path_ids = restrict_paths or self.true.path_ids()
-        path_ids = sorted(path_ids)
+        path_ids = sorted(
+            self.true.path_ids() if restrict_paths is None else restrict_paths
+        )
         if not path_ids:
             raise ValueError("no paths to replay over")
-        current = initial_path if initial_path is not None else path_ids[0]
+        fallback = getattr(selector, "fallback_index", 0)
+        if not 0 <= fallback < len(path_ids):
+            raise ValueError(
+                f"selector fallback_index {fallback} is outside the "
+                f"{len(path_ids)} replayed paths"
+            )
         # Probe timeline comes from the true store of the first path.
         probe_times, _ = self.true.series(path_ids[0]).window(t0, t1)
         if probe_times.size == 0:
@@ -156,6 +136,9 @@ class PolicyReplay:
                 raise ValueError(
                     f"path {p} probe grid mismatch: {v.size} vs {probe_times.size}"
                 )
+        candidates = [_candidate(p) for p in path_ids]
+        # A decision per epoch, not per packet: the default flow class.
+        packet = Packet(headers=[])
         epochs = np.arange(t0, t1, self.decision_interval_s)
         # Each epoch's choice governs probes in [epoch_i, epoch_{i+1});
         # slicing by consecutive boundaries (not epoch + interval) keeps
@@ -163,6 +146,7 @@ class PolicyReplay:
         boundaries = np.searchsorted(probe_times, epochs, side="left")
         boundaries = np.append(boundaries, probe_times.size)
         choices = np.empty(probe_times.size, dtype=np.int64)
+        current: Optional[int] = None
         switch_count = 0
         for i, epoch in enumerate(epochs):
             # An epoch governing zero probes (past the last sample, or
@@ -171,13 +155,14 @@ class PolicyReplay:
             # equals the number of transitions visible in ``choices``.
             if boundaries[i] == boundaries[i + 1]:
                 continue
-            views = self._views(path_ids, epoch)
-            chosen = chooser(views, current, float(epoch))
-            if chosen not in path_ids:
-                raise ValueError(f"chooser picked unknown path {chosen}")
-            if chosen != current:
+            chosen = selector.select(
+                candidates, packet, float(epoch) - self.visibility_latency_s
+            ).path_id
+            if chosen not in true_values:
+                raise ValueError(f"selector picked unknown path {chosen}")
+            if current is not None and chosen != current:
                 switch_count += 1
-                current = chosen
+            current = chosen
             choices[boundaries[i] : boundaries[i + 1]] = current
         achieved = np.empty(probe_times.size, dtype=np.float64)
         for p in path_ids:
@@ -191,90 +176,17 @@ class PolicyReplay:
             switch_count=switch_count,
         )
 
-    def _views(self, path_ids: Sequence[int], now: float) -> list[PathView]:
-        horizon = now - self.visibility_latency_s
-        views = []
-        for p in path_ids:
-            times, values = self.measured.series(p).window(
-                horizon - self.window_s, horizon
-            )
-            if values.size == 0:
-                views.append(PathView(p, None, None))
-            else:
-                views.append(
-                    PathView(
-                        p, float(np.mean(values)), float(np.std(values))
-                    )
-                )
-        return views
+
+_NO_ADDRESS = ipaddress.IPv6Address("::")
 
 
-# -- choosers (campaign-scale twins of repro.core.policy selectors) ----------
-
-
-def static_chooser(path_id: int) -> Chooser:
-    """Always ``path_id`` — the BGP-default behaviour when it is the
-    lowest-id path."""
-
-    def choose(
-        _views: Sequence[PathView], _current: int, _now: float
-    ) -> int:
-        return path_id
-
-    return choose
-
-
-def greedy_chooser() -> Chooser:
-    """Lowest visible mean; keeps the current path when nothing is
-    visible (twin of :class:`repro.core.policy.LowestDelaySelector`)."""
-
-    def choose(views: Sequence[PathView], current: int, _now: float) -> int:
-        best, best_mean = current, float("inf")
-        for view in views:
-            if view.mean is not None and view.mean < best_mean:
-                best, best_mean = view.path_id, view.mean
-        return best
-
-    return choose
-
-
-def hysteresis_chooser(margin_s: float = 0.002, dwell_s: float = 1.0) -> Chooser:
-    """Switch only for a ``margin_s`` win after ``dwell_s`` on a path
-    (twin of :class:`repro.core.policy.HysteresisSelector`)."""
-    state = {"last_switch": float("-inf")}
-
-    def choose(views: Sequence[PathView], current: int, now: float) -> int:
-        if now - state["last_switch"] < dwell_s:
-            return current
-        current_mean = None
-        for view in views:
-            if view.path_id == current:
-                current_mean = view.mean
-        best, best_mean = current, current_mean
-        for view in views:
-            if view.mean is None:
-                continue
-            if best_mean is None or view.mean < best_mean - margin_s:
-                best, best_mean = view.path_id, view.mean
-        if best != current:
-            state["last_switch"] = now
-        return best
-
-    return choose
-
-
-def jitter_aware_chooser(jitter_weight: float = 10.0) -> Chooser:
-    """Score = mean + weight × std (twin of
-    :class:`repro.core.policy.JitterAwareSelector`)."""
-
-    def choose(views: Sequence[PathView], current: int, _now: float) -> int:
-        best, best_score = current, float("inf")
-        for view in views:
-            if view.mean is None or view.std is None:
-                continue
-            score = view.mean + jitter_weight * view.std
-            if score < best_score:
-                best, best_score = view.path_id, score
-        return best
-
-    return choose
+def _candidate(path_id: int) -> TangoTunnel:
+    """The tunnel a selector is offered for a campaign path: the id is
+    all a sampled campaign knows, so the addresses are unspecified."""
+    return TangoTunnel(
+        path_id=path_id,
+        label=f"path-{path_id}",
+        local_endpoint=_NO_ADDRESS,
+        remote_endpoint=_NO_ADDRESS,
+        remote_prefix=ipaddress.IPv6Network("::/128"),
+    )

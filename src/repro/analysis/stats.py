@@ -15,7 +15,6 @@ __all__ = [
     "campaign_table",
     "default_vs_best",
     "DefaultVsBest",
-    "time_under_threshold",
     "detect_excursions",
     "Excursion",
 ]
@@ -141,16 +140,6 @@ def default_vs_best(
         default_mean=means[default_path_id],
         best_mean=means[best_id],
     )
-
-
-def time_under_threshold(
-    times: np.ndarray, values: np.ndarray, threshold: float
-) -> float:
-    """Fraction of samples at or below ``threshold`` (deadline SLO)."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return float("nan")
-    return float(np.mean(values <= threshold))
 
 
 @dataclass(frozen=True)

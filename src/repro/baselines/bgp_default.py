@@ -8,7 +8,8 @@ comparison anchor.
 
 from __future__ import annotations
 
-from ..analysis.replay import PolicyReplay, ReplayResult, static_chooser
+from ..analysis.replay import PolicyReplay, ReplayResult
+from ..core.policy import StaticSelector
 
 __all__ = ["BgpDefaultBaseline"]
 
@@ -18,15 +19,6 @@ class BgpDefaultBaseline:
 
     name = "bgp-default"
 
-    def __init__(self, default_path_id: int = 0) -> None:
-        self.default_path_id = default_path_id
-
     def run(self, replay: PolicyReplay, t0: float, t1: float) -> ReplayResult:
         """Score the default path over [t0, t1)."""
-        return replay.run(
-            static_chooser(self.default_path_id),
-            t0,
-            t1,
-            name=self.name,
-            initial_path=self.default_path_id,
-        )
+        return replay.run(StaticSelector(0), t0, t1, name=self.name)

@@ -20,9 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..analysis.replay import PolicyReplay, ReplayResult, greedy_chooser
+from ..analysis.replay import PolicyReplay, ReplayResult
+from ..core.policy import LowestDelaySelector
 from ..netsim.delaymodels import deterministic_normal
 from ..telemetry.store import MeasurementStore
+from .rtt_probing import sample_at
 
 __all__ = ["MultihomingBaseline"]
 
@@ -68,11 +70,9 @@ class MultihomingBaseline:
         rev_default = rev_ids[0]
         probe_times = np.arange(t0, t1, self.probe_interval_s)
         estimates = MeasurementStore()
-        rev_series = self.rev_true.series(rev_default)
-        rev = _sample_at(rev_series.times, rev_series.values, probe_times)
+        rev = sample_at(self.rev_true, rev_default, probe_times)
         for index, path_id in enumerate(self.accessible_paths):
-            series = self.fwd_true.series(path_id)
-            fwd = _sample_at(series.times, series.values, probe_times)
+            fwd = sample_at(self.fwd_true, path_id, probe_times)
             noise = (
                 deterministic_normal(self.seed + index, probe_times)
                 * self.measurement_noise_sigma_s
@@ -89,24 +89,11 @@ class MultihomingBaseline:
     ) -> ReplayResult:
         """Replay over the accessible subset, scored on forward truth."""
         replay = PolicyReplay(
-            measured=self.build_estimates(t0, t1),
-            true=self.fwd_true,
+            self.fwd_true,
             decision_interval_s=decision_interval_s,
             visibility_latency_s=self.probe_interval_s,
-            window_s=window_s,
         )
+        selector = LowestDelaySelector(self.build_estimates(t0, t1), window_s)
         return replay.run(
-            greedy_chooser(),
-            t0,
-            t1,
-            name=self.name,
-            initial_path=self.accessible_paths[0],
-            restrict_paths=self.accessible_paths,
+            selector, t0, t1, name=self.name, restrict_paths=self.accessible_paths
         )
-
-
-def _sample_at(times: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
-    if times.size == 0:
-        raise ValueError("empty ground-truth series")
-    idx = np.clip(np.searchsorted(times, at, side="right") - 1, 0, None)
-    return values[idx]

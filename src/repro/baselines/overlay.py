@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.replay import PolicyReplay, ReplayResult, greedy_chooser
+from ..analysis.replay import PolicyReplay, ReplayResult
+from ..core.policy import LowestDelaySelector
 from ..netsim.delaymodels import deterministic_normal
 from ..telemetry.store import MeasurementStore
+from .rtt_probing import sample_at
 
 __all__ = ["OverlayBaseline"]
 
@@ -66,11 +68,7 @@ class OverlayBaseline:
         probe_times = np.arange(t0, t1, self.probe_interval_s)
         estimates = MeasurementStore()
         for index, path_id in enumerate(self.fwd_true.path_ids()):
-            series = self.fwd_true.series(path_id)
-            idx = np.clip(
-                np.searchsorted(series.times, probe_times, side="right") - 1, 0, None
-            )
-            truth = series.values[idx]
+            truth = sample_at(self.fwd_true, path_id, probe_times)
             noise = np.abs(
                 deterministic_normal(self.seed + index, probe_times)
                 * self.host_noise_sigma_s
@@ -90,12 +88,11 @@ class OverlayBaseline:
         """Replay greedy overlay choice; achieved delays include the
         software forwarding overhead on every packet."""
         replay = PolicyReplay(
-            measured=self.build_estimates(t0, t1),
-            true=self.fwd_true,
+            self.fwd_true,
             decision_interval_s=decision_interval_s,
             visibility_latency_s=self.probe_interval_s,
-            window_s=window_s,
         )
-        result = replay.run(greedy_chooser(), t0, t1, name=self.name)
+        selector = LowestDelaySelector(self.build_estimates(t0, t1), window_s)
+        result = replay.run(selector, t0, t1, name=self.name)
         result.achieved = result.achieved + self.forwarding_overhead_s
         return result

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.replay import PolicyReplay, ReplayResult, greedy_chooser
+from ..analysis.replay import PolicyReplay, ReplayResult
+from ..core.policy import LowestDelaySelector
 from ..netsim.delaymodels import deterministic_normal
 from ..telemetry.store import MeasurementStore
 
-__all__ = ["RttProbingBaseline"]
+__all__ = ["RttProbingBaseline", "sample_at"]
 
 
 class RttProbingBaseline:
@@ -81,8 +82,8 @@ class RttProbingBaseline:
         if probe_times.size == 0:
             raise ValueError(f"no probe instants in [{t0}, {t1})")
         for index, (fwd_id, rev_id) in enumerate(zip(fwd_ids, rev_ids)):
-            fwd = self._sample_at(self.fwd_true, fwd_id, probe_times)
-            rev = self._sample_at(self.rev_true, rev_id, probe_times)
+            fwd = sample_at(self.fwd_true, fwd_id, probe_times)
+            rev = sample_at(self.rev_true, rev_id, probe_times)
             noise_seed = self.seed + 7 * index
             edge = sum(
                 deterministic_normal(noise_seed + k, probe_times)
@@ -111,22 +112,19 @@ class RttProbingBaseline:
         direction the prober thinks it is optimizing.
         """
         replay = PolicyReplay(
-            measured=self.build_estimates(t0, t1),
-            true=self.fwd_true,
+            self.fwd_true,
             decision_interval_s=decision_interval_s,
             visibility_latency_s=self.probe_interval_s,
-            window_s=window_s,
         )
-        return replay.run(greedy_chooser(), t0, t1, name=self.name)
+        selector = LowestDelaySelector(self.build_estimates(t0, t1), window_s)
+        return replay.run(selector, t0, t1, name=self.name)
 
-    @staticmethod
-    def _sample_at(
-        store: MeasurementStore, path_id: int, at: np.ndarray
-    ) -> np.ndarray:
-        """Nearest-earlier sample of a path's true series at each instant."""
-        series = store.series(path_id)
-        times, values = series.times, series.values
-        if times.size == 0:
-            raise ValueError(f"path {path_id} has no ground-truth samples")
-        idx = np.clip(np.searchsorted(times, at, side="right") - 1, 0, None)
-        return values[idx]
+
+def sample_at(store: MeasurementStore, path_id: int, at: np.ndarray) -> np.ndarray:
+    """Nearest-earlier sample of a path's true series at each instant."""
+    series = store.series(path_id)
+    times, values = series.times, series.values
+    if times.size == 0:
+        raise ValueError(f"path {path_id} has no ground-truth samples")
+    idx = np.clip(np.searchsorted(times, at, side="right") - 1, 0, None)
+    return values[idx]

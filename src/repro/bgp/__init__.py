@@ -17,9 +17,7 @@ from .attributes import (
 from .communities import (
     ExportAction,
     TrafficControlInterpreter,
-    no_export_all,
     no_export_to,
-    prepend_to,
 )
 from .messages import Announcement, Prefix, Withdrawal, as_prefix
 from .network import (
@@ -27,7 +25,7 @@ from .network import (
     BgpNetwork,
     ConvergenceError,
 )
-from .poisoning import poison_targets, poisoned_attributes
+from .poisoning import poisoned_attributes
 from .snapshot import (
     NetworkSnapshot,
     SnapshotCache,
@@ -35,7 +33,6 @@ from .snapshot import (
     network_fingerprint,
     restore_snapshot,
 )
-from .timing import SessionTimers, TimedFailover
 from .policy import (
     Relationship,
     default_local_pref,
@@ -63,10 +60,8 @@ __all__ = [
     "Prefix",
     "Relationship",
     "RibEntry",
-    "SessionTimers",
     "SnapshotCache",
     "RouteAttributes",
-    "TimedFailover",
     "TrafficControlInterpreter",
     "Withdrawal",
     "as_prefix",
@@ -75,10 +70,7 @@ __all__ = [
     "gao_rexford_allows_export",
     "is_private_asn",
     "network_fingerprint",
-    "no_export_all",
     "no_export_to",
-    "poison_targets",
     "poisoned_attributes",
-    "prepend_to",
     "restore_snapshot",
 ]

@@ -28,8 +28,6 @@ __all__ = [
     "ACTION_NO_EXPORT_ALL",
     "ACTION_PREPEND_TO",
     "no_export_to",
-    "no_export_all",
-    "prepend_to",
     "ExportAction",
     "TrafficControlInterpreter",
 ]
@@ -47,20 +45,6 @@ def no_export_to(provider_asn: int, target_asn: int) -> LargeCommunity:
     observed transit, wait for convergence, observe the next-best path.
     """
     return LargeCommunity(provider_asn, ACTION_NO_EXPORT_TO, target_asn)
-
-
-def no_export_all(provider_asn: int) -> LargeCommunity:
-    """Community telling the provider to export to no transit or peer at
-    all (the route stays inside the provider and its customer cone)."""
-    return LargeCommunity(provider_asn, ACTION_NO_EXPORT_ALL, 0)
-
-
-def prepend_to(provider_asn: int, target_asn: int, count: int) -> LargeCommunity:
-    """Community asking the provider to prepend its ASN ``count`` times
-    when exporting to ``target_asn`` (path de-preferencing, 1..3)."""
-    if not 1 <= count <= 3:
-        raise ValueError(f"prepend count must be 1..3, got {count}")
-    return LargeCommunity(provider_asn, ACTION_PREPEND_TO + count, target_asn)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .attributes import AsPath, RouteAttributes
 
-__all__ = ["poisoned_attributes", "poison_targets"]
+__all__ = ["poisoned_attributes"]
 
 
 def poisoned_attributes(
@@ -31,8 +31,3 @@ def poisoned_attributes(
     if not target_list:
         raise ValueError("need at least one target ASN to poison")
     return base.with_path(AsPath(target_list))
-
-
-def poison_targets(attributes: RouteAttributes) -> tuple[int, ...]:
-    """The ASNs a poisoned origination excludes (its pre-set path tail)."""
-    return attributes.as_path.asns

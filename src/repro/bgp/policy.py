@@ -21,8 +21,6 @@ __all__ = [
     "gao_rexford_allows_export",
     "ImportPolicy",
     "ExportPolicy",
-    "accept_all",
-    "reject_prefixes",
 ]
 
 
@@ -79,17 +77,3 @@ def gao_rexford_allows_export(
 ImportPolicy = Callable[[str, object, RouteAttributes], bool]
 #: An export filter: (neighbor_name, prefix, attributes) -> accept?
 ExportPolicy = Callable[[str, object, RouteAttributes], bool]
-
-
-def accept_all(_neighbor: str, _prefix: object, _attrs: RouteAttributes) -> bool:
-    """The default (no-op) policy term."""
-    return True
-
-
-def reject_prefixes(prefixes: set) -> ImportPolicy:
-    """Build a policy rejecting a fixed prefix set (e.g. bogons)."""
-
-    def policy(_neighbor: str, prefix: object, _attrs: RouteAttributes) -> bool:
-        return prefix not in prefixes
-
-    return policy

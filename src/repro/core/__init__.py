@@ -4,10 +4,9 @@ from .config import EdgeConfig, PairingConfig
 from .controller import TangoController, TunnelHealth
 from .discovery import AS_NAMES, DiscoveredPath, DiscoveryResult, PathDiscovery
 from .ecmp_probing import EcmpCluster, EcmpMap, EcmpMapper
-from .fibsync import FibSyncError, sync_fibs
 from .gateway import TangoGateway
 from .mesh import MeshPath, MeshRoute, TangoMesh
-from .multipop import MultiPopStore, PopOffsetCalibrator, lan_offset_estimate
+from .multipop import MultiPopStore
 from .policy import (
     ApplicationSelector,
     HysteresisSelector,
@@ -37,7 +36,6 @@ __all__ = [
     "EcmpMap",
     "EcmpMapper",
     "EdgeConfig",
-    "FibSyncError",
     "HysteresisSelector",
     "JitterAwareSelector",
     "LossAwareSelector",
@@ -48,7 +46,6 @@ __all__ = [
     "NetworkSlice",
     "PairingConfig",
     "PathDiscovery",
-    "PopOffsetCalibrator",
     "SessionState",
     "SliceManager",
     "StaticSelector",
@@ -62,6 +59,4 @@ __all__ = [
     "TunnelHealth",
     "TunnelTable",
     "build_tunnels",
-    "lan_offset_estimate",
-    "sync_fibs",
 ]

@@ -11,98 +11,16 @@ pair has its *own* constant, so a path measured through PoP A is not
 directly comparable to one measured through PoP B — unless the relative
 offsets between the local PoPs are known.
 
-:class:`PopOffsetCalibrator` recovers those relative offsets without any
-extra infrastructure: when two receiving PoPs both measure tunnels from
-the *same remote sender*, the difference of their measured floors on
-paths of known equal (or measured) true delay is exactly the PoP-to-PoP
-offset.  In practice edges can do even better — PoPs of one edge share a
-LAN and can exchange timestamped messages directly — which
-:func:`lan_offset_estimate` models.
-
-:class:`MultiPopStore` then presents a single, comparable measurement
-view across PoPs by normalizing every series to a reference PoP.
+:class:`MultiPopStore` presents a single, comparable measurement view
+across PoPs by normalizing every series to a reference PoP, given each
+PoP's offset from it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from ..telemetry.store import MeasurementStore
 
-__all__ = ["lan_offset_estimate", "PopOffsetCalibrator", "MultiPopStore"]
-
-
-def lan_offset_estimate(
-    rtt_samples_s: np.ndarray, forward_deltas_s: np.ndarray
-) -> float:
-    """Relative offset between two co-located PoPs from a LAN exchange.
-
-    PoP A sends its wall-clock time to PoP B over the shared LAN; B
-    records ``delta = t_B_receive - t_A_send`` (true LAN delay + offset)
-    and the LAN RTT.  With a symmetric LAN, offset = delta - RTT/2.
-    Using minima filters queueing noise (classic NTP-style filtering).
-
-    Args:
-        rtt_samples_s: measured LAN round-trip times.
-        forward_deltas_s: matching one-way receive deltas.
-
-    Returns:
-        Estimated ``clock_B - clock_A`` in seconds.
-    """
-    rtt_samples_s = np.asarray(rtt_samples_s, dtype=np.float64)
-    forward_deltas_s = np.asarray(forward_deltas_s, dtype=np.float64)
-    if rtt_samples_s.size == 0 or rtt_samples_s.size != forward_deltas_s.size:
-        raise ValueError("need matching, non-empty RTT and delta samples")
-    best = int(np.argmin(rtt_samples_s))
-    return float(forward_deltas_s[best] - rtt_samples_s[best] / 2.0)
-
-
-class PopOffsetCalibrator:
-    """Estimates inter-PoP clock offsets from shared-sender measurements.
-
-    If PoPs P and Q both terminate tunnels from the same remote switch,
-    and the *same wide-area path* (or two paths whose true-delay
-    difference is known to be ``known_gap_s``) feeds both, then::
-
-        measured_P - measured_Q = (offset_P - offset_Q) + known_gap_s
-
-    Floors (minima) are used rather than means: queueing inflates delays
-    one-sidedly, so the floor difference isolates the constant.
-    """
-
-    def __init__(self) -> None:
-        self._floors: dict[tuple[str, int], float] = {}
-
-    def observe(self, pop: str, path_id: int, measured_owd_s: float) -> None:
-        """Feed one measurement taken at ``pop``."""
-        key = (pop, path_id)
-        current = self._floors.get(key)
-        if current is None or measured_owd_s < current:
-            self._floors[key] = measured_owd_s
-
-    def floor(self, pop: str, path_id: int) -> Optional[float]:
-        return self._floors.get((pop, path_id))
-
-    def relative_offset(
-        self, pop_a: str, pop_b: str, path_id: int, known_gap_s: float = 0.0
-    ) -> Optional[float]:
-        """``clock_A - clock_B`` from a path both PoPs measured.
-
-        Args:
-            known_gap_s: true-delay difference (A's copy minus B's copy)
-                when the two PoPs are fed by distinct physical paths;
-                0.0 when they tap the same path.
-
-        Returns:
-            The offset estimate, or None if either floor is missing.
-        """
-        floor_a = self._floors.get((pop_a, path_id))
-        floor_b = self._floors.get((pop_b, path_id))
-        if floor_a is None or floor_b is None:
-            return None
-        return floor_a - floor_b - known_gap_s
+__all__ = ["MultiPopStore"]
 
 
 class MultiPopStore:

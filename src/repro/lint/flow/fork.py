@@ -26,7 +26,7 @@ emits the findings with the full chain in the message.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from .callgraph import ProjectGraph
 from .taint import Evaluator
@@ -177,13 +177,3 @@ def derive_fork_findings(
                         "seed and shard index",
                     )
     return hits
-
-
-def resolved_entrypoints(evaluator: Evaluator) -> list[tuple[str, Optional[str]]]:
-    """(caller, entry) pairs for every resolved fork site — introspection
-    helper used by tests and the text reporter's stats line."""
-    pairs: list[tuple[str, Optional[str]]] = []
-    for qual in sorted(evaluator.facts):
-        for site in evaluator.facts[qual].fork_sites:
-            pairs.append((qual, site.get("entry")))
-    return pairs

@@ -30,7 +30,6 @@ from .node import (
     ProgrammableSwitch,
     RouterNode,
 )
-from .pcap import TraceEntry, TraceRecorder
 from .queueing import QueuedLink
 from .packet import (
     TANGO_UDP_PORT,
@@ -49,7 +48,6 @@ from .transport import TcpReceiver, TcpSender, TcpStats, connect_tcp
 from .trace import (
     DroneTelemetryWorkload,
     PacketFactory,
-    PoissonTraffic,
     ProbeGenerator,
 )
 
@@ -82,7 +80,6 @@ __all__ = [
     "Packet",
     "PacketFactory",
     "PeriodicTask",
-    "PoissonTraffic",
     "ProbeGenerator",
     "ProgrammableSwitch",
     "QueuedLink",
@@ -97,8 +94,6 @@ __all__ = [
     "TcpStats",
     "TickHandle",
     "TickScheduler",
-    "TraceEntry",
-    "TraceRecorder",
     "TANGO_UDP_PORT",
     "UdpHeader",
     "WindowedLoss",

@@ -3,8 +3,7 @@
 The paper generates measurement traffic by sending one probe per path every
 10 ms for eight days; application traffic in the motivating example is
 drone telemetry (small, periodic, latency-critical).  This module provides
-those workloads plus a Poisson generator for background traffic, all
-deterministic under a seed.
+those workloads.
 """
 
 from __future__ import annotations
@@ -13,15 +12,12 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from .events import PeriodicTask, Simulator
 from .packet import Ipv6Header, Packet, UdpHeader
 
 __all__ = [
     "PacketFactory",
     "ProbeGenerator",
-    "PoissonTraffic",
     "DroneTelemetryWorkload",
 ]
 
@@ -105,57 +101,6 @@ class ProbeGenerator:
         packet.created_at = self._sim.now
         self.sent += 1
         self._send(packet)
-
-
-class PoissonTraffic:
-    """Poisson packet arrivals — background/application load.
-
-    Inter-arrival times are exponential with the given rate; the stream is
-    reproducible for a fixed seed.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        factory: PacketFactory,
-        send: Callable[[Packet], None],
-        rate_pps: float,
-        seed: int = 0,
-    ) -> None:
-        if rate_pps <= 0:
-            raise ValueError(f"rate must be positive, got {rate_pps}")
-        self._sim = sim
-        self._factory = factory
-        self._send = send
-        self._rate = rate_pps
-        self._rng = np.random.default_rng(seed)
-        self._stopped = False
-        self._until: Optional[float] = None
-        self.sent = 0
-
-    def start(self, until: Optional[float] = None) -> None:
-        """Begin the arrival process, optionally ending at ``until``."""
-        self._until = until
-        self._schedule_next()
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    def _schedule_next(self) -> None:
-        gap = float(self._rng.exponential(1.0 / self._rate))
-        when = self._sim.now + gap
-        if self._until is not None and when > self._until:
-            return
-        self._sim.schedule_at(when, self._emit)
-
-    def _emit(self) -> None:
-        if self._stopped:
-            return
-        packet = self._factory.build()
-        packet.created_at = self._sim.now
-        self.sent += 1
-        self._send(packet)
-        self._schedule_next()
 
 
 class DroneTelemetryWorkload:

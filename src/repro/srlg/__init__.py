@@ -14,8 +14,7 @@ This package models those failure domains explicitly:
   (refcounted, so overlapping fault windows compose), and groups
   routers+groups into named :class:`Region` blast radii.
 * :mod:`~repro.srlg.diversity` — SRLG-aware scoring over tunnel sets:
-  pairwise :func:`shared_risk`, a candidate-set
-  :func:`diversity_penalty`, deterministic
+  pairwise :func:`shared_risk`, deterministic
   :func:`max_disjoint_backup` selection, and the
   :class:`FateAwareSelector` data-plane wrapper that refuses to place
   traffic on tunnels whose risk group is down or draining.
@@ -30,9 +29,7 @@ keep today's behaviour bit-for-bit.
 
 from .diversity import (
     FateAwareSelector,
-    diversity_penalty,
     max_disjoint_backup,
-    select_diverse,
     shared_risk,
 )
 from .frr import FastReroute, FrrEvent
@@ -42,9 +39,7 @@ __all__ = [
     "SrlgRegistry",
     "Region",
     "shared_risk",
-    "diversity_penalty",
     "max_disjoint_backup",
-    "select_diverse",
     "FateAwareSelector",
     "FastReroute",
     "FrrEvent",

@@ -2,8 +2,8 @@
 
 AS-disjoint is not fate-disjoint: two tunnels through different transit
 providers can share a conduit, and a candidate set that *looks* diverse
-can collapse under one fiber cut.  The functions here score candidate
-sets by shared risk and pick maximally-disjoint backups; all of them are
+can collapse under one fiber cut.  The functions here score tunnel
+pairs by shared risk and pick the maximally-disjoint backup; both are
 pure over :class:`~repro.core.tunnels.TangoTunnel` tags and degrade to
 today's behaviour when no tags exist (every ``srlgs`` set empty).
 
@@ -28,9 +28,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "shared_risk",
-    "diversity_penalty",
     "max_disjoint_backup",
-    "select_diverse",
     "FateAwareSelector",
 ]
 
@@ -38,18 +36,6 @@ __all__ = [
 def shared_risk(a: TangoTunnel, b: TangoTunnel) -> frozenset[str]:
     """Risk groups ``a`` and ``b`` have in common."""
     return a.srlgs & b.srlgs
-
-
-def diversity_penalty(tunnels: Sequence[TangoTunnel]) -> int:
-    """Shared-fate score of a candidate set: sum of pairwise shared
-    group counts over unordered pairs.  0 means fully SRLG-disjoint;
-    untagged sets always score 0 (current behaviour preserved)."""
-    penalty = 0
-    ordered = sorted(tunnels, key=lambda t: t.path_id)
-    for i, first in enumerate(ordered):
-        for second in ordered[i + 1 :]:
-            penalty += len(shared_risk(first, second))
-    return penalty
 
 
 def max_disjoint_backup(
@@ -65,34 +51,6 @@ def max_disjoint_backup(
     if not pool:
         return None
     return min(pool, key=lambda t: (len(shared_risk(primary, t)), t.path_id))
-
-
-def select_diverse(
-    tunnels: Sequence[TangoTunnel], count: int
-) -> list[TangoTunnel]:
-    """Greedy max-diversity subset of size ``count``.
-
-    Seeds with the lowest ``path_id`` (the BGP default), then repeatedly
-    adds the candidate that adds the least shared risk to the picked
-    set, ties again on ``path_id``.  Deterministic for a given input.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    remaining = sorted(tunnels, key=lambda t: t.path_id)
-    if not remaining:
-        return []
-    picked = [remaining.pop(0)]
-    while remaining and len(picked) < count:
-        best = min(
-            remaining,
-            key=lambda t: (
-                sum(len(shared_risk(t, p)) for p in picked),
-                t.path_id,
-            ),
-        )
-        remaining.remove(best)
-        picked.append(best)
-    return picked
 
 
 class FateAwareSelector:

@@ -4,13 +4,9 @@ Section 5: "To measure sub-second network jitter, we calculated the mean
 standard deviation of a 1-second rolling window."  (Reported: GTT 0.01 ms
 vs Telia 0.33 ms in the LA→NY direction.)
 
-Two implementations are provided:
-
-* :func:`rolling_window_std` — the faithful metric: at each sample, the
-  standard deviation of all samples in the preceding one-second window;
-  the statistic is the mean of those.  Computed in O(n) with prefix sums.
-* :func:`tumbling_window_std` — cheaper non-overlapping variant used for
-  quick-look reports; converges to the same value for stationary series.
+:func:`rolling_window_std` is that metric: at each sample, the standard
+deviation of all samples in the preceding one-second window; the
+statistic is the mean of those.  Computed in O(n) with prefix sums.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ from .store import MeasurementStore
 
 __all__ = [
     "rolling_window_std",
-    "tumbling_window_std",
     "jitter_report",
 ]
 
@@ -66,39 +61,16 @@ def rolling_window_std(
     return float(np.mean(np.sqrt(variances)))
 
 
-def tumbling_window_std(
-    times: np.ndarray, values: np.ndarray, window_s: float = 1.0
-) -> float:
-    """Mean standard deviation over consecutive non-overlapping windows."""
-    times = np.asarray(times, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if times.shape != values.shape:
-        raise ValueError("times and values must align")
-    if window_s <= 0:
-        raise ValueError(f"window must be positive, got {window_s}")
-    if times.size < 2:
-        return float("nan")
-    bins = np.floor((times - times[0]) / window_s).astype(np.int64)
-    stds = []
-    for bin_id in np.unique(bins):
-        bucket = values[bins == bin_id]
-        if bucket.size >= 2:
-            stds.append(float(np.std(bucket)))
-    return float(np.mean(stds)) if stds else float("nan")
-
-
 def jitter_report(
     store: MeasurementStore,
     t0: float,
     t1: float,
     window_s: float = 1.0,
-    rolling: bool = True,
 ) -> dict[int, float]:
     """Per-path jitter (seconds) over [t0, t1) — the paper's Section 5 stat."""
-    metric = rolling_window_std if rolling else tumbling_window_std
     report: dict[int, float] = {}
     for path_id in store.path_ids():
         times, values = store.series(path_id).window(t0, t1)
         if times.size >= 2:
-            report[path_id] = metric(times, values, window_s)
+            report[path_id] = rolling_window_std(times, values, window_s)
     return report

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ReorderingReport", "reordering_from_arrivals", "reordering_extent"]
+__all__ = ["ReorderingReport", "reordering_from_arrivals"]
 
 
 @dataclass(frozen=True)
@@ -69,20 +69,3 @@ def reordering_from_arrivals(
         max_extent=max_extent,
         mean_late_time_s=mean_late,
     )
-
-
-def reordering_extent(seqs: np.ndarray) -> int:
-    """Maximum reordering extent alone (cheap, no timing needed)."""
-    seqs = np.asarray(seqs, dtype=np.int64)
-    highest = -1
-    extent = 0
-    seen: list[int] = []
-    for seq in seqs:
-        seq = int(seq)
-        if seq > highest:
-            highest = seq
-        else:
-            overtakers = sum(1 for s in seen if s > seq)
-            extent = max(extent, overtakers)
-        seen.append(seq)
-    return extent

@@ -1,15 +1,20 @@
 """Tests for the campaign-scale policy replay engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.analysis.replay import (
-    PolicyReplay,
-    greedy_chooser,
-    hysteresis_chooser,
-    jitter_aware_chooser,
-    static_chooser,
+from repro.analysis.replay import PolicyReplay
+from repro.core.policy import (
+    GuardedSelector,
+    HysteresisSelector,
+    JitterAwareSelector,
+    LossAwareSelector,
+    LowestDelaySelector,
+    StaticSelector,
 )
+from repro.srlg import FateAwareSelector, SrlgRegistry
 from repro.telemetry.store import MeasurementStore
 
 
@@ -28,31 +33,31 @@ def campaign(events=True, interval=0.01, t1=20.0):
     return measured, true
 
 
-def make_replay(**kwargs):
-    measured, true = campaign(**{k: v for k, v in kwargs.items() if k in ("events",)})
-    params = {k: v for k, v in kwargs.items() if k not in ("events",)}
-    return PolicyReplay(measured, true, **params)
+def make_replay(events=True, **params):
+    """(measured, replay over the matching truth)."""
+    measured, true = campaign(events=events)
+    return measured, PolicyReplay(true, **params)
 
 
 class TestReplayMechanics:
-    def test_static_chooser_matches_truth(self):
-        replay = make_replay(events=False)
-        result = replay.run(static_chooser(0), 0.0, 20.0, name="default")
+    def test_static_selector_matches_truth(self):
+        _, replay = make_replay(events=False)
+        result = replay.run(StaticSelector(0), 0.0, 20.0, name="default")
         assert result.mean_delay == pytest.approx(0.036)
         assert result.switch_count == 0
         assert result.fraction_on_path(0) == 1.0
 
     def test_greedy_follows_best_path(self):
-        replay = make_replay(events=False)
-        result = replay.run(greedy_chooser(), 0.0, 20.0)
+        measured, replay = make_replay(events=False)
+        result = replay.run(LowestDelaySelector(measured), 0.0, 20.0)
         assert result.fraction_on_path(2) > 0.9
 
     def test_greedy_dodges_the_event(self):
         """Adaptive policy leaves path 2 during its spike window and
         returns afterwards — the Fig. 4-right story."""
-        replay = make_replay(events=True)
-        adaptive = replay.run(greedy_chooser(), 0.0, 20.0)
-        static = replay.run(static_chooser(2), 0.0, 20.0)
+        measured, replay = make_replay(events=True)
+        adaptive = replay.run(LowestDelaySelector(measured), 0.0, 20.0)
+        static = replay.run(StaticSelector(1), 0.0, 20.0)  # path 2
         assert adaptive.mean_delay < static.mean_delay
         # Feedback latency means the adaptive policy eats a short burst
         # of spiked samples before reacting; what matters is that its
@@ -64,44 +69,69 @@ class TestReplayMechanics:
         assert adaptive.switch_count >= 2  # out and back
 
     def test_visibility_latency_delays_reaction(self):
-        fast = make_replay(events=True, visibility_latency_s=0.1).run(
-            greedy_chooser(), 0.0, 20.0
-        )
-        slow = make_replay(events=True, visibility_latency_s=2.0).run(
-            greedy_chooser(), 0.0, 20.0
-        )
+        measured, fast_replay = make_replay(visibility_latency_s=0.1)
+        fast = fast_replay.run(LowestDelaySelector(measured), 0.0, 20.0)
+        measured, slow_replay = make_replay(visibility_latency_s=2.0)
+        slow = slow_replay.run(LowestDelaySelector(measured), 0.0, 20.0)
         # Slower feedback -> more time stuck on the spiking path.
         assert slow.mean_delay >= fast.mean_delay
 
     def test_restrict_paths_limits_choices(self):
-        replay = make_replay(events=False)
+        measured, replay = make_replay(events=False)
         result = replay.run(
-            greedy_chooser(), 0.0, 20.0, restrict_paths=[0]
+            LowestDelaySelector(measured), 0.0, 20.0, restrict_paths=[0]
         )
         assert result.fraction_on_path(0) == 1.0
 
+    def test_empty_restriction_rejected(self):
+        measured, replay = make_replay(events=False)
+        with pytest.raises(ValueError, match="no paths to replay over"):
+            replay.run(LowestDelaySelector(measured), 0.0, 20.0, restrict_paths=[])
+
+    def test_fallback_past_the_restricted_set_rejected(self):
+        measured, replay = make_replay(events=False)
+        selector = LowestDelaySelector(measured, fallback_index=1)
+        assert replay.run(selector, 0.0, 20.0).switch_count == 0
+        with pytest.raises(ValueError, match="fallback_index 1"):
+            replay.run(selector, 0.0, 20.0, restrict_paths=[2])
+
     def test_unknown_choice_rejected(self):
-        replay = make_replay(events=False)
-        with pytest.raises(ValueError, match="unknown path"):
-            replay.run(static_chooser(99), 0.0, 20.0)
+        class Elsewhere:
+            def select(self, tunnels, packet, now):
+                return dataclasses.replace(tunnels[0], path_id=99)
+
+        _, replay = make_replay(events=False)
+        with pytest.raises(ValueError, match="unknown path 99"):
+            replay.run(Elsewhere(), 0.0, 20.0)
 
     def test_empty_window_rejected(self):
-        replay = make_replay(events=False)
+        _, replay = make_replay(events=False)
         with pytest.raises(ValueError, match="no samples"):
-            replay.run(static_chooser(0), 100.0, 200.0)
+            replay.run(StaticSelector(0), 100.0, 200.0)
+
+    def test_sample_at_the_visibility_horizon_is_seen(self):
+        """A sample stamped exactly ``epoch - visibility_latency_s`` decides
+        that epoch, as it would a packet the live selector routes then."""
+        measured, true = MeasurementStore(), MeasurementStore()
+        true.extend(0, np.array([0.0, 1.0]), np.array([0.03, 0.03]))
+        true.extend(1, np.array([0.0, 1.0]), np.array([0.02, 0.02]))
+        measured.record(1, 0.5, 0.02)
+        replay = PolicyReplay(true, decision_interval_s=1.0, visibility_latency_s=0.5)
+        result = replay.run(LowestDelaySelector(measured, window_s=0.1), 0.0, 2.0)
+        assert result.choices.tolist() == [0, 1]
 
     def test_result_row_rendering(self):
-        replay = make_replay(events=False)
-        row = replay.run(static_chooser(0), 0.0, 20.0, name="x").as_row()
+        _, replay = make_replay(events=False)
+        row = replay.run(StaticSelector(0), 0.0, 20.0, name="x").as_row()
         assert row["policy"] == "x"
         assert row["mean_ms"] == pytest.approx(36.0)
 
     def test_parameter_validation(self):
         measured, true = campaign()
         with pytest.raises(ValueError):
-            PolicyReplay(measured, true, decision_interval_s=0.0)
+            PolicyReplay(true, decision_interval_s=0.0)
         with pytest.raises(ValueError):
-            PolicyReplay(measured, true, visibility_latency_s=-1.0)
+            PolicyReplay(true, visibility_latency_s=-1.0)
 
 
 class TestChoosers:
@@ -111,16 +141,16 @@ class TestChoosers:
         for store in (measured, true):
             store.extend(0, times, np.full(times.size, 0.0300))
             store.extend(1, times, np.full(times.size, 0.0295))
-        replay = PolicyReplay(measured, true)
+        replay = PolicyReplay(true)
         result = replay.run(
-            hysteresis_chooser(margin_s=0.002, dwell_s=1.0), 0.0, 10.0
+            HysteresisSelector(measured, margin_s=0.002, dwell_s=1.0), 0.0, 10.0
         )
         assert result.switch_count == 0  # 0.5 ms never beats the margin
 
     def test_hysteresis_takes_clear_wins(self):
-        replay = make_replay(events=False)
+        measured, replay = make_replay(events=False)
         result = replay.run(
-            hysteresis_chooser(margin_s=0.002, dwell_s=0.5), 0.0, 20.0
+            HysteresisSelector(measured, margin_s=0.002, dwell_s=0.5), 0.0, 20.0
         )
         assert result.fraction_on_path(2) > 0.9
 
@@ -133,10 +163,43 @@ class TestChoosers:
         for store in (measured, true):
             store.extend(0, times, noisy)
             store.extend(1, times, quiet)
-        replay = PolicyReplay(measured, true)
-        result = replay.run(jitter_aware_chooser(jitter_weight=10.0), 0.0, 10.0)
+        replay = PolicyReplay(true)
+        result = replay.run(
+            JitterAwareSelector(measured, jitter_weight=10.0), 0.0, 10.0
+        )
         assert result.fraction_on_path(1) > 0.9
 
     def test_greedy_keeps_current_when_blind(self):
-        chooser = greedy_chooser()
-        assert chooser([], 5, 0.0) == 5
+        """With nothing measured the selector stays on its fallback path."""
+        _, replay = make_replay(events=False)
+        blind = LowestDelaySelector(MeasurementStore(), fallback_index=1)
+        result = replay.run(blind, 0.0, 20.0)
+        assert result.fraction_on_path(2) == 1.0
+        assert result.switch_count == 0
+
+    @pytest.mark.parametrize(
+        "quarantined, ridden", [({2}, {0}), ({0}, {2}), ({0, 2}, {0})]
+    )
+    def test_guarded_never_rides_a_quarantined_path(self, quarantined, ridden):
+        """Path 2 is best; with every path quarantined the wrapper offers
+        the BGP default (lowest id), as on the per-packet path."""
+        measured, replay = make_replay(events=False)
+        guarded = GuardedSelector(LowestDelaySelector(measured), quarantined)
+        result = replay.run(guarded, 0.0, 20.0)
+        assert set(result.choices.tolist()) == ridden
+
+    def test_fate_aware_pin_wins_over_the_inner_policy(self):
+        measured, replay = make_replay(events=False)
+        pinned = FateAwareSelector(LowestDelaySelector(measured), SrlgRegistry())
+        pinned.pin(0)
+        assert replay.run(pinned, 0.0, 20.0).fraction_on_path(0) == 1.0
+
+    def test_loss_aware_avoids_a_faster_lossy_path(self):
+        class LossyPathTwo:
+            def recent_loss(self, path_id, bins):
+                return 0.05 if path_id == 2 else 0.0
+
+        measured, replay = make_replay(events=False)
+        selector = LossAwareSelector(measured, LossyPathTwo(), loss_penalty_s=1.0)
+        result = replay.run(selector, 1.0, 20.0)
+        assert result.fraction_on_path(0) == 1.0  # 36 ms beats 28 + 50 ms

@@ -7,7 +7,6 @@ from repro.analysis.stats import (
     campaign_table,
     default_vs_best,
     detect_excursions,
-    time_under_threshold,
 )
 from repro.telemetry.store import MeasurementStore
 
@@ -64,15 +63,6 @@ class TestDefaultVsBest:
         store = store_with({0: 0.028, 1: 0.036})
         comparison = default_vs_best(store, {}, 0)
         assert comparison.penalty_fraction == 0.0
-
-
-class TestTimeUnderThreshold:
-    def test_fraction(self):
-        values = np.asarray([0.01, 0.02, 0.03, 0.04])
-        assert time_under_threshold(None, values, 0.025) == pytest.approx(0.5)
-
-    def test_empty_nan(self):
-        assert np.isnan(time_under_threshold(None, np.asarray([]), 1.0))
 
 
 class TestDetectExcursions:

@@ -8,13 +8,14 @@ measured values.
 import numpy as np
 import pytest
 
-from repro.analysis.replay import PolicyReplay, greedy_chooser
+from repro.analysis.replay import PolicyReplay
 from repro.baselines import (
     BgpDefaultBaseline,
     MultihomingBaseline,
     OverlayBaseline,
     RttProbingBaseline,
 )
+from repro.core.policy import LowestDelaySelector
 from repro.telemetry.store import MeasurementStore
 
 T1 = 60.0
@@ -48,7 +49,7 @@ def rev_true():
 
 class TestBgpDefault:
     def test_rides_default_path_throughout(self, fwd_true):
-        replay = PolicyReplay(fwd_true, fwd_true)
+        replay = PolicyReplay(fwd_true)
         result = BgpDefaultBaseline().run(replay, 0.0, T1)
         assert result.fraction_on_path(0) == 1.0
         assert result.mean_delay == pytest.approx(0.0364)
@@ -56,7 +57,7 @@ class TestBgpDefault:
 
     def test_blind_to_events(self):
         store = truth(FWD_MEANS, event_path=0)
-        replay = PolicyReplay(store, store)
+        replay = PolicyReplay(store)
         result = BgpDefaultBaseline().run(replay, 0.0, T1)
         assert result.max_delay == pytest.approx(0.0664)  # eats the event
 
@@ -112,8 +113,8 @@ class TestMultihoming:
         multihoming = MultihomingBaseline(
             fwd_true, rev_true, accessible_paths=[0, 1]
         ).run(0.0, T1)
-        replay = PolicyReplay(fwd_true, fwd_true)
-        tango_like = replay.run(greedy_chooser(), 0.0, T1)
+        replay = PolicyReplay(fwd_true)
+        tango_like = replay.run(LowestDelaySelector(fwd_true), 0.0, T1)
         default = BgpDefaultBaseline().run(replay, 0.0, T1)
         assert multihoming.mean_delay < default.mean_delay
         assert tango_like.mean_delay < multihoming.mean_delay

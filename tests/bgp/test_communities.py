@@ -1,13 +1,11 @@
 """Tests for provider traffic-control community semantics."""
 
-import pytest
-
-from repro.bgp.attributes import RouteAttributes
+from repro.bgp.attributes import LargeCommunity, RouteAttributes
 from repro.bgp.communities import (
+    ACTION_NO_EXPORT_ALL,
+    ACTION_PREPEND_TO,
     TrafficControlInterpreter,
-    no_export_all,
     no_export_to,
-    prepend_to,
 )
 
 VULTR = 20473
@@ -19,6 +17,10 @@ def attrs(*large):
     return RouteAttributes().add_communities(large=large)
 
 
+def prepend(target, count):
+    return LargeCommunity(VULTR, ACTION_PREPEND_TO + count, target)
+
+
 class TestConstructors:
     def test_no_export_to_encoding(self):
         community = no_export_to(VULTR, NTT)
@@ -27,17 +29,6 @@ class TestConstructors:
             6000,
             NTT,
         )
-
-    def test_prepend_encoding(self):
-        community = prepend_to(VULTR, NTT, 2)
-        assert community.data1 == 6602
-        assert community.data2 == NTT
-
-    def test_prepend_count_bounds(self):
-        with pytest.raises(ValueError):
-            prepend_to(VULTR, NTT, 0)
-        with pytest.raises(ValueError):
-            prepend_to(VULTR, NTT, 4)
 
 
 class TestInterpretation:
@@ -65,21 +56,21 @@ class TestInterpretation:
         assert self.interp.evaluate(route, NTT).allow
 
     def test_no_export_all_blocks_transit_not_customers(self):
-        route = attrs(no_export_all(VULTR))
+        route = attrs(LargeCommunity(VULTR, ACTION_NO_EXPORT_ALL, 0))
         assert not self.interp.evaluate(route, NTT).allow
         assert self.interp.evaluate(route, 64512, target_is_customer=True).allow
 
     def test_prepend_to_target_only(self):
-        route = attrs(prepend_to(VULTR, NTT, 3))
+        route = attrs(prepend(NTT, 3))
         assert self.interp.evaluate(route, NTT).prepend == 3
         assert self.interp.evaluate(route, TELIA).prepend == 0
 
     def test_largest_prepend_wins(self):
-        route = attrs(prepend_to(VULTR, NTT, 1), prepend_to(VULTR, NTT, 3))
+        route = attrs(prepend(NTT, 1), prepend(NTT, 3))
         assert self.interp.evaluate(route, NTT).prepend == 3
 
     def test_suppress_and_prepend_compose(self):
-        route = attrs(no_export_to(VULTR, NTT), prepend_to(VULTR, TELIA, 2))
+        route = attrs(no_export_to(VULTR, NTT), prepend(TELIA, 2))
         assert not self.interp.evaluate(route, NTT).allow
         action = self.interp.evaluate(route, TELIA)
         assert action.allow and action.prepend == 2

@@ -6,7 +6,7 @@ import pytest
 
 from repro.bgp.attributes import AsPath, RouteAttributes
 from repro.bgp.messages import Announcement, Withdrawal, as_prefix
-from repro.bgp.poisoning import poison_targets, poisoned_attributes
+from repro.bgp.poisoning import poisoned_attributes
 
 
 class TestAsPrefix:
@@ -42,7 +42,7 @@ class TestMessages:
 class TestPoisoning:
     def test_targets_roundtrip(self):
         attrs = poisoned_attributes([174, 3356])
-        assert poison_targets(attrs) == (174, 3356)
+        assert attrs.as_path.asns == (174, 3356)
 
     def test_empty_targets_rejected(self):
         with pytest.raises(ValueError):

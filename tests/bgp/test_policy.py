@@ -6,9 +6,7 @@ from repro.bgp.policy import (
     Relationship,
     default_local_pref,
     gao_rexford_allows_export,
-    reject_prefixes,
 )
-from repro.bgp.attributes import RouteAttributes
 
 C, P, R = Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER
 
@@ -55,14 +53,3 @@ class TestValleyFree:
         limitation that caps an edge network's path visibility."""
         assert not gao_rexford_allows_export(R, R)
         assert not gao_rexford_allows_export(R, P)
-
-
-class TestPolicyHelpers:
-    def test_reject_prefixes_filters(self):
-        import ipaddress
-
-        bad = ipaddress.ip_network("2001:db8:bad::/48")
-        good = ipaddress.ip_network("2001:db8:a::/48")
-        policy = reject_prefixes({bad})
-        assert not policy("n", bad, RouteAttributes())
-        assert policy("n", good, RouteAttributes())

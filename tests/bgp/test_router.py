@@ -4,8 +4,8 @@ import ipaddress
 
 import pytest
 
-from repro.bgp.attributes import AsPath, Origin, RouteAttributes
-from repro.bgp.communities import no_export_to, prepend_to
+from repro.bgp.attributes import AsPath, LargeCommunity, Origin, RouteAttributes
+from repro.bgp.communities import ACTION_PREPEND_TO, no_export_to
 from repro.bgp.messages import Announcement, Withdrawal
 from repro.bgp.policy import Relationship
 from repro.bgp.router import BgpRouter
@@ -200,7 +200,7 @@ class TestExport:
     def test_prepend_community_honored(self):
         router = make_router()
         attrs = RouteAttributes(as_path=AsPath((200,))).add_communities(
-            large=[prepend_to(100, 300, 2)]
+            large=[LargeCommunity(100, ACTION_PREPEND_TO + 2, 300)]
         )
         router.receive_announcement(
             "cust", Announcement(prefix=P1, attributes=attrs)

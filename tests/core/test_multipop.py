@@ -1,63 +1,8 @@
-"""Tests for multi-PoP clock calibration (paper footnote 1)."""
+"""Tests for the multi-PoP offset store (paper footnote 1)."""
 
-import numpy as np
 import pytest
 
-from repro.core.multipop import (
-    MultiPopStore,
-    PopOffsetCalibrator,
-    lan_offset_estimate,
-)
-
-
-class TestLanOffset:
-    def test_recovers_offset_on_clean_lan(self):
-        # True offset +2 ms, LAN delay 0.1 ms each way.
-        rtts = np.full(10, 0.0002)
-        deltas = np.full(10, 0.002 + 0.0001)
-        assert lan_offset_estimate(rtts, deltas) == pytest.approx(0.002)
-
-    def test_min_rtt_filters_queueing(self):
-        # One clean sample among congested ones dominates the estimate.
-        rtts = np.asarray([0.0050, 0.0002, 0.0080])
-        deltas = np.asarray([0.002 + 0.004, 0.002 + 0.0001, 0.002 + 0.007])
-        assert lan_offset_estimate(rtts, deltas) == pytest.approx(0.002)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            lan_offset_estimate(np.asarray([]), np.asarray([]))
-        with pytest.raises(ValueError):
-            lan_offset_estimate(np.asarray([1.0]), np.asarray([1.0, 2.0]))
-
-
-class TestPopOffsetCalibrator:
-    def test_shared_path_offset_recovered(self):
-        """Two PoPs measuring the same path differ exactly by their
-        clock-offset difference (at the floor)."""
-        calibrator = PopOffsetCalibrator()
-        rng = np.random.default_rng(0)
-        true_delays = 0.028 + np.abs(rng.normal(0, 0.0005, 500))
-        offset_p, offset_q = 0.0030, -0.0010
-        for d in true_delays:
-            calibrator.observe("P", 7, d + offset_p)
-            calibrator.observe("Q", 7, d + offset_q)
-        estimate = calibrator.relative_offset("P", "Q", 7)
-        assert estimate == pytest.approx(offset_p - offset_q, abs=1e-4)
-
-    def test_known_gap_between_distinct_paths(self):
-        calibrator = PopOffsetCalibrator()
-        # P's copy of the path is 2 ms longer than Q's (different spans).
-        for _ in range(10):
-            calibrator.observe("P", 7, 0.030 + 0.003)  # +3 ms offset
-            calibrator.observe("Q", 7, 0.028 - 0.001)  # -1 ms offset
-        estimate = calibrator.relative_offset("P", "Q", 7, known_gap_s=0.002)
-        assert estimate == pytest.approx(0.004, abs=1e-9)
-
-    def test_missing_floor_returns_none(self):
-        calibrator = PopOffsetCalibrator()
-        calibrator.observe("P", 7, 0.030)
-        assert calibrator.relative_offset("P", "Q", 7) is None
-        assert calibrator.floor("Q", 7) is None
+from repro.core.multipop import MultiPopStore
 
 
 class TestMultiPopStore:
@@ -86,22 +31,3 @@ class TestMultiPopStore:
         store = MultiPopStore(reference_pop="pop-a")
         store.record("pop-a", 1, 0.0, 0.030)
         assert store.offset("pop-a") == 0.0
-
-    def test_end_to_end_with_calibrator(self):
-        """Calibrate from shared-sender floors, then normalize."""
-        calibrator = PopOffsetCalibrator()
-        rng = np.random.default_rng(1)
-        offsets = {"pop-a": 0.0, "pop-b": 0.0042}
-        for _ in range(300):
-            true = 0.028 + abs(rng.normal(0, 0.0003))
-            for pop, offset in offsets.items():
-                calibrator.observe(pop, 9, true + offset)
-        store = MultiPopStore(reference_pop="pop-a")
-        store.set_offset(
-            "pop-b", calibrator.relative_offset("pop-b", "pop-a", 9)
-        )
-        store.record("pop-b", 3, 0.0, 0.031 + offsets["pop-b"])
-        store.record("pop-a", 4, 0.0, 0.033)
-        means = store.comparable_means(window_s=1.0, now=0.5)
-        assert means[3] == pytest.approx(0.031, abs=2e-4)
-        assert means[3] < means[4]

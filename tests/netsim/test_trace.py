@@ -7,7 +7,6 @@ from repro.netsim.packet import Ipv6Header, UdpHeader
 from repro.netsim.trace import (
     DroneTelemetryWorkload,
     PacketFactory,
-    PoissonTraffic,
     ProbeGenerator,
 )
 
@@ -102,40 +101,6 @@ class TestProbeGenerator:
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
             ProbeGenerator(Simulator(), FACTORY, lambda p: None, interval=0.0)
-
-
-class TestPoissonTraffic:
-    def test_rate_approximately_honored(self):
-        sim = Simulator()
-        sent = []
-        traffic = PoissonTraffic(sim, FACTORY, sent.append, rate_pps=100.0, seed=1)
-        traffic.start(until=50.0)
-        sim.run()
-        assert len(sent) == pytest.approx(5000, rel=0.1)
-
-    def test_deterministic_given_seed(self):
-        def run(seed):
-            sim = Simulator()
-            sent = []
-            PoissonTraffic(sim, FACTORY, sent.append, 50.0, seed=seed).start(
-                until=10.0
-            )
-            sim.run()
-            return [p.created_at for p in sent]
-
-        assert run(3) == run(3)
-        assert run(3) != run(4)
-
-    def test_stop_halts_stream(self):
-        sim = Simulator()
-        sent = []
-        traffic = PoissonTraffic(sim, FACTORY, sent.append, 100.0, seed=2)
-        traffic.start()
-        sim.run(until=1.0)
-        count = len(sent)
-        traffic.stop()
-        sim.run(until=2.0)
-        assert len(sent) == count
 
 
 class TestDroneWorkload:

@@ -2,15 +2,11 @@
 
 import ipaddress
 
-import pytest
-
 from repro.core.tunnels import TangoTunnel
 from repro.srlg import (
     FateAwareSelector,
     SrlgRegistry,
-    diversity_penalty,
     max_disjoint_backup,
-    select_diverse,
     shared_risk,
 )
 
@@ -32,18 +28,6 @@ class TestScoring:
         assert shared_risk(tun(0, "a", "b"), tun(1, "b", "c")) == frozenset({"b"})
         assert shared_risk(tun(0, "a"), tun(1, "c")) == frozenset()
 
-    def test_penalty_sums_unordered_pairs(self):
-        tunnels = [tun(0, "conduit"), tun(1, "conduit"), tun(2, "other")]
-        # Only the (0, 1) pair shares a group.
-        assert diversity_penalty(tunnels) == 1
-
-    def test_untagged_sets_score_zero(self):
-        assert diversity_penalty([tun(0), tun(1), tun(2)]) == 0
-
-    def test_penalty_order_independent(self):
-        tunnels = [tun(0, "a", "b"), tun(1, "b"), tun(2, "a")]
-        assert diversity_penalty(tunnels) == diversity_penalty(tunnels[::-1])
-
 
 class TestBackup:
     def test_prefers_fewest_shared_groups(self):
@@ -60,23 +44,6 @@ class TestBackup:
         primary = tun(0, "g")
         assert max_disjoint_backup(primary, [primary]) is None
         assert max_disjoint_backup(primary, []) is None
-
-
-class TestSelectDiverse:
-    def test_greedy_picks_disjoint_first(self):
-        tunnels = [tun(0, "conduit"), tun(1, "conduit"), tun(2, "other")]
-        picked = select_diverse(tunnels, 2)
-        assert [t.path_id for t in picked] == [0, 2]
-
-    def test_deterministic_under_input_order(self):
-        tunnels = [tun(2, "b"), tun(0, "a"), tun(1, "a")]
-        assert [t.path_id for t in select_diverse(tunnels, 3)] == [
-            t.path_id for t in select_diverse(tunnels[::-1], 3)
-        ]
-
-    def test_count_validated(self):
-        with pytest.raises(ValueError):
-            select_diverse([tun(0)], 0)
 
 
 class FirstSelector:

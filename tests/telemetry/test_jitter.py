@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.delaymodels import GaussianJitterDelay
-from repro.telemetry.jitter import (
-    jitter_report,
-    rolling_window_std,
-    tumbling_window_std,
-)
+from repro.telemetry.jitter import jitter_report, rolling_window_std
 from repro.telemetry.store import MeasurementStore
 
 
@@ -67,19 +63,6 @@ class TestRollingWindowStd:
         times, low = regular_series(sigma, n=1000)
         _, high = regular_series(sigma * 3, n=1000, seed=6)
         assert rolling_window_std(times, low) < rolling_window_std(times, high)
-
-
-class TestTumblingWindowStd:
-    def test_agrees_with_rolling_for_stationary_series(self):
-        times, values = regular_series(0.0003)
-        rolling = rolling_window_std(times, values)
-        tumbling = tumbling_window_std(times, values)
-        assert tumbling == pytest.approx(rolling, rel=0.1)
-
-    def test_short_series_nan(self):
-        assert np.isnan(
-            tumbling_window_std(np.asarray([0.0]), np.asarray([1.0]))
-        )
 
 
 class TestJitterReport:

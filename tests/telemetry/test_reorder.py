@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.telemetry.reorder import (
-    reordering_extent,
-    reordering_from_arrivals,
-)
+from repro.telemetry.reorder import reordering_from_arrivals
 
 
 class TestReorderingFromArrivals:
@@ -49,19 +46,3 @@ class TestReorderingFromArrivals:
         report = reordering_from_arrivals(np.asarray([]), np.asarray([]))
         assert report.packets == 0
         assert report.reordered_fraction == 0.0
-
-
-class TestReorderingExtent:
-    def test_in_order_zero(self):
-        assert reordering_extent(np.arange(20)) == 0
-
-    def test_full_reversal(self):
-        assert reordering_extent(np.asarray([4, 3, 2, 1, 0])) == 4
-
-    def test_matches_full_report(self):
-        seqs = np.asarray([0, 3, 1, 2, 5, 4])
-        times = np.arange(6) * 0.01
-        assert (
-            reordering_extent(seqs)
-            == reordering_from_arrivals(seqs, times).max_extent
-        )
