@@ -62,3 +62,20 @@ def test_fig3_path_discovery(benchmark):
     # Community sets grow by one per rank: the recorded recipe.
     for result in (la_to_ny, ny_to_la):
         assert [len(p.communities) for p in result.paths] == [0, 1, 2, 3]
+
+    # Section 6's alternative knob: AS-path poisoning needs no provider
+    # support but kills the poisoned transit everywhere in the topology,
+    # so the fourth path (it re-traverses NTT) is lost.
+    poisoning = PathDiscovery(build_bgp_network(), VULTR_ASN).discover(
+        announcer="tango-la",
+        observer="tango-ny",
+        probe_prefix="2001:db8:f2::/48",
+        method="poisoning",
+    )
+    emit(
+        f"E1 NY->LA by suppression method: communities {ny_to_la.path_count} "
+        f"paths ({', '.join(p.short_label for p in ny_to_la.paths)}), "
+        f"poisoning {poisoning.path_count} "
+        f"({', '.join(p.short_label for p in poisoning.paths)})"
+    )
+    assert poisoning.path_count < ny_to_la.path_count

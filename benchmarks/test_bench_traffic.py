@@ -1,4 +1,4 @@
-"""E16 + E19 — fluid traffic engine, its two step kernels, the tick wheel.
+"""E16 + E19 — the fluid traffic engine and the tick wheel.
 
 Each gate builds its scenario from the library, times it here, and
 prints its rows (see EXPERIMENTS.md E16/E19).  FAILS if
@@ -11,24 +11,21 @@ prints its rows (see EXPERIMENTS.md E16/E19).  FAILS if
 * (E16) the fluid model's mean delay deviates from the packet simulator
   by more than 10% (or loss by more than 2 pp) at any point of the
   equivalence sweep, or
-* (E19) the step kernel ``create_fluid_engine`` picks is not the faster
-  one on both sides of ``VECTOR_MIN_TUNNELS`` (width 1 and width 256),
-  or
 * (E19) 1000 controllers on one shared tick wheel blow the 100 ms
   per-round wall budget.
 
-Bit-equivalence of the two kernels at 256 tunnels and the wheel's
-one-heap-event / tick-parity properties at 1000 controllers are exact,
-so they are tier-1 tests (``tests/traffic/test_vector.py``,
-``tests/netsim/test_ticks.py``), not benchmarks.  Wall-clock
-trajectories are ``python -m bench run`` (``fluid_many_tunnels`` is the
-256-tunnel array kernel, gated on every PR).
+Bit-equivalence of the array kernel with the scalar oracle at 256
+tunnels and the wheel's one-heap-event / tick-parity properties at 1000
+controllers are exact, so they are tier-1 tests
+(``tests/traffic/test_vector.py``, ``tests/netsim/test_ticks.py``), not
+benchmarks.  Wall-clock trajectories are ``python -m bench run``
+(``fluid_many_tunnels`` is the 256-tunnel array kernel, gated on every
+PR).
 
 Environment:
 
 * ``BENCH_SMOKE=1`` — CI mode: a shorter packet comparison run and tick
-  farm.  The scale run and the kernel race have no smoke size (the race
-  read 3.5x where the full window reads 5x; the scale run takes 0.2 s).
+  farm.  The scale run has no smoke size (it takes 0.2 s).
 """
 
 import os
@@ -38,18 +35,12 @@ from conftest import emit
 
 from repro.analysis.report import format_table
 from repro.core.controller import QuarantinePolicy, TangoController
-from repro.netsim.events import Simulator
 from repro.scenarios.vultr import VultrDeployment
 from repro.traffic.demand import DemandModel, standard_flow_classes
 from repro.traffic.equivalence import run_equivalence
-from repro.traffic.fluid import FluidEngine
 from repro.traffic.splitting import LoadAwareWeights, WeightedSplitSelector
-from repro.traffic.vector import (
-    VECTOR_MIN_TUNNELS,
-    VectorFluidEngine,
-    create_fluid_engine,
-)
-from tests.traffic.standin import SyntheticDeployment, controller_farm
+from repro.traffic.vector import VectorFluidEngine
+from tests.traffic.standin import controller_farm
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") == "1"
 
@@ -79,7 +70,7 @@ def run_scale():
     demand = DemandModel(
         classes=standard_flow_classes(SCALE_TARGET_FLOWS * 1.05), seed=42
     )
-    fluid = create_fluid_engine(deployment, "ny", demand, step_s=step_s)
+    fluid = VectorFluidEngine(deployment, "ny", demand, step_s=step_s)
     selector = WeightedSplitSelector(
         LoadAwareWeights(
             gateway.outbound, window_s=1.0, utilization=fluid.utilization
@@ -97,6 +88,9 @@ def run_scale():
     surge_at = start + duration_s / 3.0
     surge_end = start + 2.0 * duration_s / 3.0
     demand.add_surge(surge_at, surge_end, 2.5)
+    # Seeded at Little's-law equilibrium: the target holds from the first
+    # step, not only at the surge peak.
+    assert demand.total_equilibrium_flows(start) >= SCALE_TARGET_FLOWS
     fluid.start()
     wall_start = time.perf_counter()
     sim.run(until=start + duration_s)
@@ -118,8 +112,6 @@ def test_e16_scale(benchmark):
         f"{wall_s:.2f}s wall ({60.0 / wall_s:.0f}x real time), dominant "
         f"path {dominant[0]} -> {dominant[1]} under the surge"
     )
-    # Four tunnels: the factory picks the scalar kernel.
-    assert type(fluid) is FluidEngine
     assert fluid.peak_concurrent_flows >= SCALE_TARGET_FLOWS
     assert wall_s < SCALE_MAX_WALL_S, (
         f"scale workload took {wall_s:.2f}s wall (gate: {SCALE_MAX_WALL_S:.0f}s)"
@@ -164,82 +156,6 @@ def test_e16_fluid_vs_packet_equivalence(benchmark):
         assert p.loss_error_pp <= EQUIV_LOSS_TOL_PP, (
             f"rho={p.rho}: loss error {p.loss_error_pp:.2f}pp "
             f"exceeds {EQUIV_LOSS_TOL_PP:.0f}pp"
-        )
-
-
-def build_kernel(build, width):
-    """One engine over a ``width``-tunnel stand-in pair at 2.1M flows."""
-    deployment = SyntheticDeployment(Simulator(), width)
-    demand = DemandModel(classes=standard_flow_classes(2_100_000.0), seed=7)
-    fluid = build(
-        deployment,
-        "a",
-        demand,
-        step_s=0.1,
-        default_capacity_bps=deployment.capacity_bps,
-        record_traces=False,
-    )
-    return deployment.sim, fluid
-
-
-def time_kernel(kernel, width):
-    sim, fluid = build_kernel(kernel, width)
-    fluid.start()
-    wall_start = time.perf_counter()
-    sim.run(until=30.0)
-    wall_s = time.perf_counter() - wall_start
-    fluid.stop()
-    assert fluid.steps == 299
-    return wall_s
-
-
-def race_kernels():
-    """Best of 5 interleaved runs per kernel on each side of the pick."""
-    rows = []
-    for width in (1, 256):
-        picked = type(build_kernel(create_fluid_engine, width)[1])
-        best = {FluidEngine: float("inf"), VectorFluidEngine: float("inf")}
-        for _ in range(5):
-            for kernel in best:
-                best[kernel] = min(best[kernel], time_kernel(kernel, width))
-        picked_s = best.pop(picked)
-        (other_s,) = best.values()
-        rows.append((width, picked, picked_s, other_s))
-    return rows
-
-
-def test_e19_picked_kernel_wins_on_both_sides(benchmark):
-    # What VECTOR_MIN_TUNNELS claims, and all it claims: below the
-    # constant the scalar kernel is the cheaper one, at and above it the
-    # array kernel is.  (A ">= 5x over scalar" line tripped when PRs
-    # 12/17 made the *scalar* kernel cheaper; the array kernel's
-    # absolute cost is the spine's fluid_many_tunnels wall_s.)
-    assert 1 < VECTOR_MIN_TUNNELS <= 256
-    results = benchmark.pedantic(race_kernels, rounds=1, iterations=1)
-    emit(
-        format_table(
-            [
-                {
-                    "tunnels": width,
-                    "picked": picked.__name__,
-                    "picked us/step": f"{picked_s / 299 * 1e6:.0f}",
-                    "other us/step": f"{other_s / 299 * 1e6:.0f}",
-                    "other / picked": f"{other_s / picked_s:.2f}x",
-                }
-                for width, picked, picked_s, other_s in results
-            ],
-            title="E19 kernel pick (299 steps, best of 5)",
-        )
-    )
-    assert [picked for _, picked, _, _ in results] == [
-        FluidEngine,
-        VectorFluidEngine,
-    ]
-    for width, picked, picked_s, other_s in results:
-        assert other_s > picked_s, (
-            f"at {width} tunnels create_fluid_engine picks "
-            f"{picked.__name__} ({picked_s:.4f}s) but the other kernel "
-            f"is faster ({other_s:.4f}s)"
         )
 
 

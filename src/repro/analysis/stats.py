@@ -115,22 +115,16 @@ def default_vs_best(
     store: MeasurementStore,
     labels: dict[int, str],
     default_path_id: int,
-    offset_correction_s: float = 0.0,
 ) -> DefaultVsBest:
     """Compare the BGP-default path's mean against the best path's.
 
     Args:
-        store: measured delays (may include a clock-offset constant).
+        store: delays to compare (a clock-offset constant shifts both
+            means and so distorts the penalty *fraction*: pass true ones).
         labels: path id -> label.
         default_path_id: the BGP default (discovery index 0).
-        offset_correction_s: known receiver-minus-sender offset to
-            subtract (simulation ground truth; a deployment would quote
-            the offset-free *difference* instead).
     """
-    means = {
-        path_id: store.series(path_id).mean() - offset_correction_s
-        for path_id in store.path_ids()
-    }
+    means = {path_id: store.series(path_id).mean() for path_id in store.path_ids()}
     if default_path_id not in means:
         raise KeyError(f"default path {default_path_id} has no samples")
     best_id = min(means, key=lambda p: means[p])
@@ -159,14 +153,12 @@ def detect_excursions(
     times: np.ndarray,
     values: np.ndarray,
     threshold: float,
-    min_duration_s: float = 0.0,
     merge_gap_s: float = 1.0,
 ) -> list[Excursion]:
     """Find threshold excursions — how reports locate the Fig. 4 events.
 
     Consecutive above-threshold samples separated by gaps shorter than
-    ``merge_gap_s`` merge into one excursion; excursions shorter than
-    ``min_duration_s`` are dropped.
+    ``merge_gap_s`` merge into one excursion.
     """
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -188,4 +180,4 @@ def detect_excursions(
             last_above = float(t)
     if start is not None and last_above is not None:
         excursions.append(Excursion(start, last_above, peak))
-    return [e for e in excursions if e.duration >= min_duration_s]
+    return excursions

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 __all__ = [
     "Origin",
@@ -64,11 +64,6 @@ class AsPath:
     def __hash__(self) -> int:
         return self._hash
 
-    @classmethod
-    def of(cls, *asns: int) -> "AsPath":
-        """Convenience constructor: ``AsPath.of(2914, 20473)``."""
-        return cls(tuple(asns))
-
     def prepend(self, asn: int, count: int = 1) -> "AsPath":
         """Return a path with ``asn`` prepended ``count`` times."""
         if count < 1:
@@ -88,28 +83,10 @@ class AsPath:
         views of paths that traverse the provider's own ASN)."""
         return AsPath(tuple(a for a in self.asns if a != asn))
 
-    def unique_asns(self) -> tuple[int, ...]:
-        """ASNs in path order with consecutive duplicates collapsed."""
-        out: list[int] = []
-        for asn in self.asns:
-            if not out or out[-1] != asn:
-                out.append(asn)
-        return tuple(out)
-
     @property
     def length(self) -> int:
         """AS_PATH length as the decision process counts it (with repeats)."""
         return self._length
-
-    @property
-    def first_hop(self) -> Optional[int]:
-        """The neighboring AS this route was heard from."""
-        return self.asns[0] if self.asns else None
-
-    @property
-    def origin_as(self) -> Optional[int]:
-        """The AS that originated the route."""
-        return self.asns[-1] if self.asns else None
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.asns)

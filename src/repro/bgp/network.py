@@ -335,13 +335,6 @@ class BgpNetwork:
             return True
         return router.best_route(normalized) is not None
 
-    def routers_originating(self, prefix: Union[str, Prefix]) -> list[str]:
-        """Names of routers currently originating ``prefix``."""
-        normalized = as_prefix(prefix)
-        return sorted(
-            name for name, r in self.routers.items() if normalized in r.originated
-        )
-
     def session_pairs(self) -> Iterable[tuple[str, str]]:
         """Directed sessions (sender, receiver)."""
         return tuple(self._sessions)

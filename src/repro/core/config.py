@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = ["EdgeConfig", "PairingConfig"]
 
@@ -74,9 +73,6 @@ class EdgeConfig:
         By convention the endpoint is the ``::1`` address of the prefix.
         """
         return self.route_prefixes[route_index][1]
-
-    def iter_route_prefixes(self) -> Iterator[ipaddress.IPv6Network]:
-        return iter(self.route_prefixes)
 
 
 @dataclass(frozen=True)

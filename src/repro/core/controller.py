@@ -9,8 +9,7 @@ software:
 * recording which tunnel the data plane is choosing over time (the
   decision trace that experiment reports plot against the delay series),
 * health checks: flagging tunnels that have gone quiet (no mirrored
-  measurements within a staleness horizon), the trigger a deployment
-  would use to re-run discovery,
+  measurements within a staleness horizon) or lossy,
 * graceful degradation: a quarantine state machine that evicts stale or
   lossy tunnels from the data-plane candidate set (with hysteresis and
   exponential-backoff re-probation) and, when *everything* is unhealthy,
@@ -18,9 +17,8 @@ software:
 
 Lifecycle contract: :meth:`TangoController.start` may be called again
 after :meth:`TangoController.stop`.  A cold (re)start resets all
-edge-trigger and quarantine runtime state — previously stale tunnels
-re-fire ``on_stale`` and quarantined tunnels are re-admitted pending a
-fresh verdict — while cumulative records (``choice_trace``,
+quarantine runtime state — quarantined tunnels are re-admitted pending
+a fresh verdict — while cumulative records (``choice_trace``,
 ``quarantine_log``, ``mode_log``, ``ticks``) are preserved.  Calling
 ``start`` on a running controller remains an error.
 
@@ -46,7 +44,7 @@ Resilience extensions (``repro.resilience``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from ..netsim.events import PeriodicTask, Simulator
 from ..netsim.ticks import TickHandle, TickScheduler
@@ -161,8 +159,6 @@ class TangoController:
         interval_s: loop cadence.
         staleness_s: a tunnel with no mirrored measurement within this
             horizon is reported unhealthy.
-        on_stale: edge-triggered staleness hook (fires once per stale
-            transition; re-arms on recovery and on restart).
         quarantine: enable graceful degradation with these parameters;
             None (the default) keeps the controller report-only.
         degraded: enable RTT-probing fallback when the peer telemetry
@@ -170,10 +166,6 @@ class TangoController:
             PR 1 behavior (cooperative estimates only).
         journal: write-ahead-log every routing decision and checkpoint
             runtime state periodically; None disables persistence.
-        rebalancer: optional per-tick hook ``(now) -> None`` that
-            re-derives data-plane split weights from fresh telemetry
-            (see :class:`repro.traffic.splitting.SplitRebalancer`);
-            None keeps single-path selection untouched.
         trust: peer-trust monitor (see :mod:`repro.trust.policy`) polled
             every tick; while the peer feed is distrusted the controller
             forces degraded local-RTT selection regardless of staleness.
@@ -193,11 +185,9 @@ class TangoController:
         sim: Simulator,
         interval_s: float = 0.1,
         staleness_s: float = 2.0,
-        on_stale: Optional[Callable[[TunnelHealth], None]] = None,
         quarantine: Optional[QuarantinePolicy] = None,
         degraded: Optional[DegradedModeConfig] = None,
         journal: Optional["ControllerJournal"] = None,
-        rebalancer: Optional[Callable[[float], None]] = None,
         trust: Optional["PeerTrustMonitor"] = None,
         frr: Optional["FastReroute"] = None,
         srlg_registry: Optional["SrlgRegistry"] = None,
@@ -219,10 +209,6 @@ class TangoController:
         #: The scheduled control loop, on the wheel or a dedicated task.
         self._loop: Optional[PeriodicTask | TickHandle] = None
         self.ticks = 0
-        #: Fired once per tunnel when it *becomes* stale (edge-triggered):
-        #: the hook a deployment uses to alarm or re-run discovery.
-        self.on_stale = on_stale
-        self._stale_flags: dict[int, bool] = {}
         self.quarantine_policy = quarantine
         #: Path ids currently evicted from the data-plane candidate set.
         #: Shared by reference with the installed :class:`GuardedSelector`.
@@ -235,7 +221,6 @@ class TangoController:
         self._fallback_active = False
         self.degraded = degraded
         self.journal = journal
-        self.rebalancer = rebalancer
         self.trust = trust
         #: Estimation source currently in use: cooperative | degraded.
         self.mode = MODE_COOPERATIVE
@@ -261,11 +246,10 @@ class TangoController:
     def start(self, warm: bool = False) -> None:
         """Begin (or restart) the control loop.
 
-        Safe after :meth:`stop`: a cold start resets edge-trigger and
-        quarantine runtime state so a tunnel that was stale or
-        quarantined before the restart is re-evaluated from scratch (and
-        will re-fire ``on_stale`` if still stale).  Cumulative traces are
-        kept either way.
+        Safe after :meth:`stop`: a cold start resets quarantine runtime
+        state so a tunnel that was quarantined before the restart is
+        re-evaluated from scratch.  Cumulative traces are kept either
+        way.
 
         Args:
             warm: keep the current runtime state — the supervisor's
@@ -275,7 +259,6 @@ class TangoController:
         if self._loop is not None:
             raise RuntimeError("controller already started")
         if not warm:
-            self._stale_flags.clear()
             self._reset_quarantine_runtime()
         if self.quarantine_policy is not None and self._guard is None:
             self._guard = GuardedSelector(
@@ -320,13 +303,13 @@ class TangoController:
         selector was pointed at) and the experimenter's cumulative traces
         (``choice_trace``, ``quarantine_log``, ``mode_log``, ``ticks``).
         Everything the controller *knew* — quarantine machines, streaks,
-        stale flags, estimation-mode bookkeeping — is wiped; recovery
-        must come from the journal (see :meth:`restore_state`).
+        probation holds, estimation-mode bookkeeping — is wiped;
+        recovery must come from the journal (see :meth:`restore_state`).
         """
         self.stop()
         self.crashed = True
         self._qstate.clear()
-        self._stale_flags.clear()
+        self._probation_held.clear()
         self._fallback_active = False
         self.mode = MODE_COOPERATIVE
         self._heal_streak = 0
@@ -336,6 +319,7 @@ class TangoController:
     def _reset_quarantine_runtime(self) -> None:
         self._qstate.clear()
         self.quarantined.clear()
+        self._probation_held.clear()
         self._fallback_active = False
         self._heal_streak = 0
         if self.mode != MODE_COOPERATIVE:
@@ -358,42 +342,17 @@ class TangoController:
             # Fast reroute first: a group event should repoint the data
             # plane on *this* tick, before slower health machinery runs.
             self.frr.tick(now)
-        needs_health = (
-            self.on_stale is not None
-            or self.quarantine_policy is not None
-            or self.degraded is not None
-        )
-        if needs_health:
+        if self.quarantine_policy is not None or self.degraded is not None:
             healths = self.health()
-            if self.on_stale is not None:
-                self._check_staleness(healths)
             if self.degraded is not None:
                 self._degraded_tick(healths, now)
             if self.quarantine_policy is not None:
                 self._quarantine_tick(healths, now)
-        if self.rebalancer is not None:
-            self.rebalancer(now)
         if (
             self.journal is not None
             and self.ticks % self.journal.checkpoint_every_ticks == 0
         ):
             self.journal.checkpoint(self.snapshot_state())
-
-    def _check_staleness(self, healths: list[TunnelHealth]) -> None:
-        """Edge-triggered staleness notifications.
-
-        A tunnel that has never been measured is not reported (it is
-        still warming up); only a measured-then-silent tunnel fires.
-        """
-        for health in healths:
-            was_stale = self._stale_flags.get(health.path_id, False)
-            if health.last_measurement_age_s is None:
-                continue
-            if not health.fresh and not was_stale:
-                self._stale_flags[health.path_id] = True
-                self.on_stale(health)
-            elif health.fresh:
-                self._stale_flags[health.path_id] = False
 
     # -- degraded-mode estimation -------------------------------------------------
 
@@ -494,7 +453,7 @@ class TangoController:
         """Why this tunnel counts as unhealthy, or None if it doesn't.
 
         Warming-up tunnels (never measured) are exempt from the staleness
-        trigger, matching the edge-trigger semantics above.  During a
+        trigger: only a measured-then-silent tunnel counts.  During a
         feed-level outage (``suppress_stale``) staleness is not a
         per-path verdict either — the degraded estimator keeps routing
         instead of quarantining the whole candidate set.
@@ -620,16 +579,6 @@ class TangoController:
                 backoff_s=backoff_s,
             )
 
-    def quarantine_state(self, path_id: int) -> str:
-        """Machine state for one tunnel: healthy | quarantined | probation."""
-        runtime = self._qstate.get(path_id)
-        return runtime.state if runtime is not None else "healthy"
-
-    @property
-    def fallback_active(self) -> bool:
-        """True while every tunnel is quarantined (BGP-best last resort)."""
-        return self._fallback_active
-
     # -- crash-safe persistence ----------------------------------------------------
 
     def snapshot_state(self) -> dict:
@@ -639,9 +588,6 @@ class TangoController:
             "mode": self.mode,
             "fallback_active": self._fallback_active,
             "quarantined": sorted(self.quarantined),
-            "stale_flags": {
-                str(pid): flag for pid, flag in sorted(self._stale_flags.items())
-            },
             "qstate": {
                 str(pid): {
                     "state": rt.state,
@@ -661,9 +607,10 @@ class TangoController:
     ) -> None:
         """Warm-restore from a checkpoint plus WAL replay.
 
-        The snapshot rebuilds the quarantine machines, stale flags,
-        fallback flag and estimation mode as of the last checkpoint; WAL
-        entries then re-apply every decision made since, in order.
+        The snapshot rebuilds the quarantine machines, fallback flag and
+        estimation mode as of the last checkpoint (keys it does not know
+        are ignored); WAL entries then re-apply every decision made
+        since, in order.
         Streak counters inside replayed transitions restart at zero — a
         conservative loss (hysteresis re-arms, state is exact).  Must be
         followed by ``start(warm=True)``; cumulative traces are never
@@ -673,7 +620,7 @@ class TangoController:
             raise RuntimeError("cannot restore a running controller")
         self._qstate.clear()
         self.quarantined.clear()
-        self._stale_flags.clear()
+        self._probation_held.clear()
         self._fallback_active = False
         self._heal_streak = 0
         self.mode = MODE_COOPERATIVE
@@ -687,9 +634,6 @@ class TangoController:
                     probation_at=float(raw["probation_at"]),
                 )
             self.quarantined.update(int(p) for p in snapshot.get("quarantined", ()))
-            self._stale_flags.update(
-                {int(k): bool(v) for k, v in snapshot.get("stale_flags", {}).items()}
-            )
             self._fallback_active = bool(snapshot.get("fallback_active", False))
             self._apply_mode(str(snapshot.get("mode", MODE_COOPERATIVE)))
         for entry in wal:
@@ -749,7 +693,3 @@ class TangoController:
                 )
             )
         return out
-
-    def stale_tunnels(self) -> list[TunnelHealth]:
-        """The unhealthy subset — a deployment's re-discovery trigger."""
-        return [h for h in self.health() if not h.fresh]

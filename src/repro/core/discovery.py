@@ -88,11 +88,6 @@ class DiscoveredPath:
             return "direct"
         return asn_label(self.transit_asns[-1])
 
-    @property
-    def is_default(self) -> bool:
-        """True for the path BGP would use with no Tango intervention."""
-        return self.index == 0
-
 
 @dataclass(frozen=True)
 class DiscoveryResult:
@@ -108,10 +103,6 @@ class DiscoveryResult:
     def path_count(self) -> int:
         return len(self.paths)
 
-    @property
-    def default_path(self) -> Optional[DiscoveredPath]:
-        return self.paths[0] if self.paths else None
-
     def labels(self) -> list[str]:
         return [p.label for p in self.paths]
 
@@ -123,8 +114,6 @@ class PathDiscovery:
         network: the converged control plane to probe.
         provider_asn: ASN whose traffic-control communities are driven
             (Vultr's 20473 in the paper).
-        ignore_asns: ASNs stripped from observed paths to produce the
-            transit view; the provider ASN is always stripped.
         snapshots: optional convergence snapshot cache.  Discovery keeps
             revisiting configurations (every run ends by withdrawing the
             probe and re-converging to the base state; repeated runs over
@@ -136,12 +125,10 @@ class PathDiscovery:
         self,
         network: BgpNetwork,
         provider_asn: int,
-        ignore_asns: tuple[int, ...] = (),
         snapshots: Optional[SnapshotCache] = None,
     ) -> None:
         self.network = network
         self.provider_asn = provider_asn
-        self.ignore_asns = tuple(ignore_asns)
         self.snapshots = snapshots
 
     def _converge(self) -> int:
@@ -156,7 +143,6 @@ class PathDiscovery:
         observer: str,
         probe_prefix: Union[str, Prefix],
         max_paths: int = 16,
-        keep_announced: bool = False,
         method: str = "communities",
     ) -> DiscoveryResult:
         """Discover the distinct paths from ``observer`` toward ``announcer``.
@@ -172,8 +158,6 @@ class PathDiscovery:
             probe_prefix: a prefix dedicated to probing (re-announced per
                 round with growing suppression sets).
             max_paths: safety bound on the iteration.
-            keep_announced: leave the final (fully suppressed) origination
-                in place instead of withdrawing the probe prefix.
             method: how the current route is suppressed each round —
                 ``"communities"`` (the paper's prototype: provider
                 traffic-control communities) or ``"poisoning"``
@@ -237,9 +221,8 @@ class PathDiscovery:
                     prefix, poisoned_attributes(poisoned)
                 )
             waves += self._converge()
-        if not keep_announced:
-            announcer_router.withdraw_origination(prefix)
-            waves += self._converge()
+        announcer_router.withdraw_origination(prefix)
+        waves += self._converge()
         return DiscoveryResult(
             source=observer,
             destination=announcer,
@@ -251,10 +234,10 @@ class PathDiscovery:
     def _transit_view(
         self, path: AsPath, exclude: tuple[int, ...] = ()
     ) -> AsPath:
-        """Strip provider/private/ignored/excluded ASNs, keeping the
-        transit networks the traffic actually traverses."""
+        """Strip provider/private/excluded ASNs, keeping the transit
+        networks the traffic actually traverses."""
         view = path.without(self.provider_asn).strip_private()
-        for asn in self.ignore_asns + exclude:
+        for asn in exclude:
             view = view.without(asn)
         return view
 

@@ -47,12 +47,6 @@ class EcmpMap:
     def sub_path_count(self) -> int:
         return len(self.clusters)
 
-    def cluster_for_port(self, sport: int) -> EcmpCluster:
-        for cluster in self.clusters:
-            if sport in cluster.ports:
-                return cluster
-        raise KeyError(f"port {sport} was never probed")
-
     @property
     def fastest(self) -> EcmpCluster:
         """The lowest-delay sub-path (clusters are sorted by delay)."""
@@ -90,10 +84,6 @@ class EcmpMapper:
     def observe(self, sport: int, delay_s: float) -> None:
         """Record one probe's measured delay for its source port."""
         self._observations.setdefault(sport, []).append(delay_s)
-
-    @property
-    def ports_probed(self) -> int:
-        return len(self._observations)
 
     def build_map(self) -> EcmpMap:
         """Cluster the per-port means into sub-paths.

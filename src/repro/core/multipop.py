@@ -53,12 +53,3 @@ class MultiPopStore:
     def record(self, pop: str, path_id: int, t: float, measured_owd_s: float) -> None:
         """Record a measurement taken at ``pop``, normalized."""
         self.store.record(path_id, t, measured_owd_s - self.offset(pop))
-
-    def comparable_means(self, window_s: float, now: float) -> dict[int, float]:
-        """Trailing-window means, comparable across ingress PoPs."""
-        means = {}
-        for path_id in self.store.path_ids():
-            value = self.store.recent_delay(path_id, window_s, now)
-            if value is not None:
-                means[path_id] = value
-        return means

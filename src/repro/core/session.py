@@ -337,7 +337,7 @@ class TangoSession:
         return mirror_to_a, mirror_to_b
 
     def start_reliable_telemetry(
-        self, config: Optional[ChannelConfig] = None, seed: int = 0
+        self, config: Optional[ChannelConfig] = None
     ) -> tuple[ReliableTelemetryChannel, ReliableTelemetryChannel]:
         """Begin the feedback loop over the sequenced, acked transport.
 
@@ -362,7 +362,7 @@ class TangoSession:
             sink=self.gateway_a.outbound,
             sim=self.sim,
             config=config,
-            seed=seed,
+            seed=0,
             name=f"telemetry->{self.pairing.a.name}",
         )
         channel_to_b = ReliableTelemetryChannel(
@@ -370,7 +370,7 @@ class TangoSession:
             sink=self.gateway_b.outbound,
             sim=self.sim,
             config=config,
-            seed=seed + 1,
+            seed=1,
             name=f"telemetry->{self.pairing.b.name}",
         )
         task_a = channel_to_a.start()

@@ -58,11 +58,6 @@ class TokenBucket:
             return True
         return False
 
-    @property
-    def tokens(self) -> float:
-        """Tokens currently available (bytes) — diagnostic only."""
-        return self._tokens
-
 
 @dataclass
 class NetworkSlice:

@@ -93,16 +93,6 @@ class FlowletSelector:
         self.split_counts[path_id] = self.split_counts.get(path_id, 0) + 1
         return chosen
 
-    def split_fractions(self) -> dict[int, float]:
-        """Observed flowlet-split fractions per tunnel path id."""
-        total = sum(self.split_counts.values())
-        if total == 0:
-            return {}
-        return {
-            path_id: count / total
-            for path_id, count in sorted(self.split_counts.items())
-        }
-
     def _flow_key(self, packet: Packet) -> int:
         if packet.flow_label:
             return packet.flow_label

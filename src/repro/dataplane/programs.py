@@ -74,13 +74,11 @@ class TangoSenderProgram:
         selector: PathSelector,
         stamper: Optional[SequenceStamper] = None,
         authenticator: Optional[TelemetryAuthenticator] = None,
-        on_transmit: Optional[Callable[[int, Packet], None]] = None,
     ) -> None:
         self.tunnel_lookup = tunnel_lookup
         self.selector = selector
         self.stamper = stamper or SequenceStamper()
         self.authenticator = authenticator
-        self.on_transmit = on_transmit
         self.encapsulated = 0
         self.passed_through = 0
 
@@ -115,8 +113,6 @@ class TangoSenderProgram:
             auth_tag=auth_tag,
         )
         self.encapsulated += 1
-        if self.on_transmit is not None:
-            self.on_transmit(tunnel.path_id, packet)
         return packet
 
 

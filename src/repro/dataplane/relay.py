@@ -78,13 +78,6 @@ class RelayForwardProgram:
             raise ValueError(f"path id {binding.path_id} already bound")
         self._bindings[binding.path_id] = binding
 
-    def unbind(self, path_id: int) -> None:
-        self._bindings.pop(path_id, None)
-
-    @property
-    def bound_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._bindings))
-
     def __call__(
         self, switch: "ProgrammableSwitch", packet: Packet
     ) -> Optional[Packet]:

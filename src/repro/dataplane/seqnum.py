@@ -51,12 +51,6 @@ class SequenceStats:
             return 0.0
         return self.presumed_lost / sent
 
-    @property
-    def reorder_fraction(self) -> float:
-        if self.received == 0:
-            return 0.0
-        return self.reordered / self.received
-
 
 @dataclass
 class _PathState:

@@ -366,8 +366,8 @@ class FaultInjector:
         its demand model (a :class:`~repro.traffic.demand.SurgeWindow`),
         nothing scheduled — the engine evaluates the surge as a function
         of time, so replays are structurally deterministic.  Requires a
-        :class:`~repro.traffic.fluid.FluidEngine` attached at the edge
-        (LookupError at arm time otherwise, the CLI's exit-2 path).
+        :class:`~repro.traffic.vector.VectorFluidEngine` attached at the
+        edge (LookupError at arm time otherwise, the CLI's exit-2 path).
         """
         engine = self.deployment.traffic_engine(str(event.params["edge"]))
         factor = float(event.params["factor"])

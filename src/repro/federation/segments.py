@@ -128,13 +128,6 @@ class SegmentComposer:
         if value is not None:
             self.composed.record(self.path_id, now, value)
 
-    def attach(self, scheduler, *, every: int = 1, name: str = "segments"):
+    def attach(self, scheduler, *, name: str = "segments"):
         """Register on a shared tick wheel; returns the handle."""
-        return scheduler.register(self.tick, every=every, name=name)
-
-    def composed_loss(self, losses: Iterable[float]) -> float:
-        """Fold per-segment loss estimates into the end-to-end loss."""
-        total = 0.0
-        for p in losses:
-            total = compose_loss(total, p)
-        return total
+        return scheduler.register(self.tick, name=name)

@@ -87,9 +87,6 @@ class ProjectGraph:
             dotted = rewritten
         return None
 
-    def module_of(self, qualname: str) -> Optional[str]:
-        return self.functions.get(qualname) or self.classes.get(qualname)
-
     # -- import graph -------------------------------------------------------------
 
     def direct_deps(self, module: str) -> list[str]:

@@ -337,10 +337,6 @@ class DelayEvent(ABC):
     def end(self) -> float:
         return self.start + self.duration
 
-    def active_during(self, t0: float, t1: float) -> bool:
-        """True if the event window overlaps [t0, t1)."""
-        return self.start < t1 and t0 < self.end
-
     @abstractmethod
     def extra_delays(self, times: np.ndarray) -> np.ndarray:
         """Additional delay contributed at each sample time."""
@@ -512,10 +508,6 @@ class CompositeDelay(DelayModel):
             components=tuple(self.components),
             events=tuple(self.events) + (event,),
         )
-
-    def events_overlapping(self, t0: float, t1: float) -> list[DelayEvent]:
-        """Events whose windows intersect [t0, t1); used by reports."""
-        return [e for e in self.events if e.active_during(t0, t1)]
 
 
 def overlay(model: DelayModel, *events: DelayEvent) -> CompositeDelay:

@@ -276,10 +276,6 @@ class PeriodicTask:
         self._paused = False
         self._arm(self._sim.now + self._interval)
 
-    @property
-    def paused(self) -> bool:
-        return self._paused
-
     def stop(self) -> None:
         """Stop firing; any queued occurrence is cancelled."""
         self._stopped = True

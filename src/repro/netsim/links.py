@@ -269,12 +269,7 @@ class Link:
         self.seed = seed
         self.srlgs = tuple(srlgs)
         self.stats = LinkStats()
-        self._drop_hook: Optional[Callable[[Packet, str], None]] = None
         self.interceptor: Optional[PacketInterceptor] = None
-
-    def on_drop(self, hook: Callable[[Packet, str], None]) -> None:
-        """Register a callback invoked as ``hook(packet, reason)`` on drops."""
-        self._drop_hook = hook
 
     def transmit(self, sim: "Simulator", packet: Packet) -> bool:
         """Send ``packet``; deliver it to ``dst`` after the sampled delay.
@@ -288,11 +283,9 @@ class Link:
         self.stats.transmitted += 1
         if packet.wire_bytes > self.mtu:
             self.stats.dropped_mtu += 1
-            self._notify_drop(packet, "mtu")
             return False
         if self.loss.drops(self.seed, now, self.stats.transmitted):
             self.stats.dropped_loss += 1
-            self._notify_drop(packet, "loss")
             return False
         if self.interceptor is not None:
             maybe = self.interceptor.process(
@@ -300,7 +293,6 @@ class Link:
             )
             if maybe is None:
                 self.stats.dropped_intercept += 1
-                self._notify_drop(packet, "intercept")
                 return False
             packet = maybe
         latency = self.delay.delay_at(now)
@@ -325,10 +317,6 @@ class Link:
         self.stats.delivered += 1
         self.stats.bytes_delivered += packet.wire_bytes
         self.dst.receive(packet, ingress=self)
-
-    def _notify_drop(self, packet: Packet, reason: str) -> None:
-        if self._drop_hook is not None:
-            self._drop_hook(packet, reason)
 
     def __repr__(self) -> str:
         return f"Link({self.name}: {self.src.name} -> {self.dst.name})"

@@ -164,11 +164,7 @@ class HostNode(Node):
 
 
 class RouterNode(Node):
-    """Longest-prefix-match router with ECMP groups.
-
-    Addresses in ``local_addresses`` terminate here (the packet is handed to
-    :meth:`deliver_local`, which subclasses override).
-    """
+    """Longest-prefix-match router with ECMP groups."""
 
     def __init__(
         self,
@@ -179,33 +175,11 @@ class RouterNode(Node):
     ) -> None:
         super().__init__(name, sim, clock_offset)
         self.fib = Fib()
-        self.local_networks: list[IPNetwork] = []
         self.ecmp_salt = ecmp_salt
-
-    def add_local_network(self, prefix: Union[str, IPNetwork]) -> None:
-        """Declare a prefix as locally terminated (host-facing)."""
-        network = ipaddress.ip_network(prefix) if isinstance(prefix, str) else prefix
-        self.local_networks.append(network)
-
-    def is_local(self, address: IPAddress) -> bool:
-        return any(
-            n.version == address.version and address in n for n in self.local_networks
-        )
 
     def receive(self, packet: Packet, ingress: Optional["Link"] = None) -> None:
         self.stats.received += 1
-        self.process(packet, ingress)
-
-    def process(self, packet: Packet, ingress: Optional["Link"]) -> None:
-        """Route the packet: local delivery or FIB forwarding."""
-        if self.is_local(packet.dst):
-            self.stats.delivered_local += 1
-            self.deliver_local(packet, ingress)
-            return
         self.forward(packet)
-
-    def deliver_local(self, packet: Packet, ingress: Optional["Link"]) -> None:
-        """Terminate a packet addressed to this node.  Default: record only."""
 
     def forward(self, packet: Packet) -> None:
         """FIB lookup + ECMP selection + transmit."""
@@ -266,7 +240,7 @@ class ProgrammableSwitch(RouterNode):
             if current is None:
                 self.stats.consumed_by_program += 1
                 return
-        self.process(current, ingress)
+        self.forward(current)
 
     def forward(self, packet: Packet) -> None:
         current: Optional[Packet] = packet

@@ -18,7 +18,7 @@ from __future__ import annotations
 import ipaddress
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 __all__ = [
     "IPAddress",
@@ -188,12 +188,6 @@ class Packet:
             raise IndexError("pop from empty header stack")
         return self.headers.pop(0)
 
-    def peek(self) -> Header:
-        """Return the outermost header without removing it."""
-        if not self.headers:
-            raise IndexError("peek at empty header stack")
-        return self.headers[0]
-
     # -- convenience accessors ----------------------------------------------
 
     @property
@@ -220,10 +214,6 @@ class Packet:
             if isinstance(header, header_type):
                 return header
         return None
-
-    def headers_of(self, header_type: type) -> Iterator[Header]:
-        """All headers of the given type, outermost first."""
-        return (h for h in self.headers if isinstance(h, header_type))
 
     @property
     def tango(self) -> Optional[TangoHeader]:

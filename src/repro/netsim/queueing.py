@@ -78,17 +78,14 @@ class QueuedLink(Link):
         self.stats.transmitted += 1
         if packet.wire_bytes > self.mtu:
             self.stats.dropped_mtu += 1
-            self._notify_drop(packet, "mtu")
             return False
         if self.loss.drops(self.seed, now, self.stats.transmitted):
             self.stats.dropped_loss += 1
-            self._notify_drop(packet, "loss")
             return False
         if self._busy_until > now and (
             self._backlog_bytes + packet.wire_bytes > self.buffer_bytes
         ):
             self.dropped_queue += 1
-            self._notify_drop(packet, "queue")
             return False
 
         serialization = packet.wire_bytes * 8.0 / self.rate_bps
@@ -111,11 +108,6 @@ class QueuedLink(Link):
     def _dequeue(self, size: int) -> None:
         self._backlog_bytes -= size
 
-    @property
-    def queue_depth_bytes(self) -> int:
-        """Current buffered backlog (excludes the packet in service)."""
-        return self._backlog_bytes
-
     # ------------------------------------------------------------------
     # Observables (pure accounting, no behavioral effect on packet mode).
     # The fluid traffic engine and the equivalence harness read these to
@@ -133,12 +125,3 @@ class QueuedLink(Link):
         if now <= 0:
             return 0.0
         return min(self._busy_seconds / now, 1.0)
-
-    def pending_wait_s(self, now: float) -> float:
-        """Time a packet arriving at ``now`` would wait before service."""
-        return max(0.0, self._busy_until - now)
-
-    @property
-    def busy_seconds(self) -> float:
-        """Cumulative serialization time accepted onto the wire."""
-        return self._busy_seconds

@@ -24,7 +24,7 @@ dedicated ``PeriodicTask``.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 from .events import PeriodicTask, Simulator
 
@@ -39,7 +39,7 @@ class TickHandle:
     """One registrant of a :class:`TickScheduler`.
 
     Mirrors the :class:`~repro.netsim.events.PeriodicTask` control
-    surface (``pause`` / ``resume`` / ``stop`` / ``paused``) so callers
+    surface (``pause`` / ``resume`` / ``stop``) so callers
     can swap a dedicated task for a shared-wheel registration without
     touching their lifecycle code.
     """
@@ -77,14 +77,6 @@ class TickHandle:
         self._armed_round = -1
         self._last_run_round = -1
 
-    @property
-    def paused(self) -> bool:
-        return self._paused
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
     def pause(self) -> None:
         """Suspend firing; missed rounds are not replayed (PeriodicTask
         parity).  No-op when already paused or stopped."""
@@ -108,7 +100,6 @@ class TickHandle:
             return
         self._stopped = True
         self._armed_round = -1
-        self._scheduler._note_stopped()
 
     def __repr__(self) -> str:
         state = (
@@ -125,23 +116,16 @@ class TickScheduler:
         sim: the simulator to drive.
         interval_s: base wheel period; every registrant's period is an
             integer multiple (``every``).
-        start: absolute time of round 0 (defaults to ``sim.now``,
-            matching ``call_every``'s immediate first fire).
-        end: stop firing after this time (PeriodicTask semantics).
+
+    Round 0 is ``sim.now``, matching ``call_every``'s immediate first
+    fire.
 
     Callbacks take the current simulation time: ``callback(now)`` —
     the signature :class:`~repro.traffic.splitting.SplitRebalancer`
     already exposes.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        interval_s: float,
-        *,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, interval_s: float) -> None:
         if interval_s <= 0:
             raise ValueError(f"interval_s must be positive, got {interval_s}")
         self.sim = sim
@@ -149,23 +133,15 @@ class TickScheduler:
         self._buckets: dict[int, list[TickHandle]] = {}
         self._seq = 0
         self._round = 0
-        self._next_round_time = sim.now if start is None else start
-        self._registered = 0
+        self._next_round_time = sim.now
         #: Always-on counters.
         self.rounds = 0
         self.callbacks_run = 0
-        self._task: PeriodicTask = sim.call_every(
-            interval_s, self._tick, start=self._next_round_time, end=end
-        )
+        self._task: PeriodicTask = sim.call_every(interval_s, self._tick)
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-
-    @property
-    def registered(self) -> int:
-        """Number of live (non-stopped) handles."""
-        return self._registered
 
     def register(
         self,
@@ -184,7 +160,6 @@ class TickScheduler:
             raise ValueError(f"every must be a positive int, got {every!r}")
         handle = TickHandle(self, callback, every, name, self._seq)
         self._seq += 1
-        self._registered += 1
         self._arm(handle, self._round_at_or_after(self.sim.now))
         return handle
 
@@ -236,9 +211,6 @@ class TickScheduler:
         # two fire at identical instants.
         target = self.sim.now + handle.every * self.interval_s
         self._arm(handle, self._round_at_or_after(target))
-
-    def _note_stopped(self) -> None:
-        self._registered -= 1
 
     def _tick(self) -> None:
         now = self.sim.now

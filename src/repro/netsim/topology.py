@@ -110,25 +110,6 @@ class Network:
         self.links[name] = link
         return link
 
-    def add_duplex_link(
-        self,
-        name: str,
-        a: Union[str, Node],
-        b: Union[str, Node],
-        delay: Optional[DelayModel] = None,
-        delay_s: Optional[float] = None,
-        **kwargs,
-    ) -> tuple[Link, Link]:
-        """Create a pair of opposite unidirectional links ``name:fwd/rev``.
-
-        Both directions share the same delay model instance; asymmetric
-        wide-area paths should instead create two :meth:`add_link` calls
-        with separate calibrated models.
-        """
-        fwd = self.add_link(f"{name}:fwd", a, b, delay=delay, delay_s=delay_s, **kwargs)
-        rev = self.add_link(f"{name}:rev", b, a, delay=delay, delay_s=delay_s, **kwargs)
-        return fwd, rev
-
     # -- operation ------------------------------------------------------------
 
     def node(self, name: str) -> Node:

@@ -103,6 +103,12 @@ class ProbeGenerator:
         self._send(packet)
 
 
+#: Every ``BURST_EVERY``-th drone packet carries ``BURST_MULTIPLIER``
+#: times the payload.
+BURST_EVERY = 50
+BURST_MULTIPLIER = 10
+
+
 class DroneTelemetryWorkload:
     """The paper's motivating application (Section 2.2).
 
@@ -123,22 +129,16 @@ class DroneTelemetryWorkload:
         send: Callable[[Packet], None],
         rate_hz: float = 100.0,
         deadline_s: float = 0.050,
-        burst_every: int = 50,
-        burst_multiplier: int = 10,
     ) -> None:
         if rate_hz <= 0:
             raise ValueError(f"rate must be positive, got {rate_hz}")
         if deadline_s <= 0:
             raise ValueError(f"deadline must be positive, got {deadline_s}")
-        if burst_every <= 0:
-            raise ValueError(f"burst_every must be positive, got {burst_every}")
         self._sim = sim
         self._factory = factory
         self._send = send
         self._interval = 1.0 / rate_hz
         self.deadline_s = deadline_s
-        self._burst_every = burst_every
-        self._burst_multiplier = burst_multiplier
         self._task: Optional[PeriodicTask] = None
         self.sent = 0
 
@@ -155,8 +155,8 @@ class DroneTelemetryWorkload:
     def _emit(self) -> None:
         packet = self._factory.build()
         self.sent += 1
-        if self.sent % self._burst_every == 0:
-            packet.payload_bytes *= self._burst_multiplier
+        if self.sent % BURST_EVERY == 0:
+            packet.payload_bytes *= BURST_MULTIPLIER
         packet.created_at = self._sim.now
         packet.meta["deadline_s"] = self.deadline_s
         packet.meta["sent_at"] = self._sim.now

@@ -39,7 +39,7 @@ from ..netsim.topology import Network
 from ..netsim.trace import PacketFactory, ProbeGenerator
 from ..resilience.channel import ChannelConfig
 from ..resilience.journal import ControllerJournal
-from ..resilience.supervisor import Supervisor, SupervisorPolicy
+from ..resilience.supervisor import Supervisor
 from ..srlg import Region, SrlgRegistry
 from ..telemetry.store import MeasurementStore
 
@@ -112,8 +112,6 @@ class PacketLevelDeployment:
         self.srlg = SrlgRegistry()
         for region in srlg_regions:
             self.srlg.add_region(region)
-            for router in region.routers:
-                self.srlg.tag_node(router, *region.groups)
 
         # Only edges whose calibrations carry annotations get a tag map;
         # an un-annotated scenario passes None through to build_tunnels
@@ -327,7 +325,7 @@ class PacketLevelDeployment:
     def attach_traffic_engine(self, edge_name: str, engine: object) -> None:
         """Register the fluid traffic engine sending *from* ``edge_name``
         so faults (``demand_surge``) and reports can find it.  Called
-        automatically by :class:`repro.traffic.fluid.FluidEngine`."""
+        automatically by :class:`repro.traffic.vector.VectorFluidEngine`."""
         self.pairing.edge(edge_name)  # validates the name
         self.traffic_engines[edge_name] = engine
 
@@ -346,25 +344,20 @@ class PacketLevelDeployment:
         self,
         edge_name: str,
         journal: Optional[ControllerJournal] = None,
-        policy: SupervisorPolicy = SupervisorPolicy(),
-        seed: Optional[int] = None,
     ) -> Supervisor:
         """Start a supervisor over ``edge_name``'s attached controller.
 
         With a journal, restarts are warm (checkpoint + WAL replay);
         without, they are cold.  The supervisor is returned and kept in
-        :attr:`supervisors`.  ``seed`` feeds the restart-jitter stream;
-        by default each edge gets a distinct seed from its pairing index
-        so simultaneous crashes at both edges decorrelate.
+        :attr:`supervisors`.  Each edge's restart-jitter stream gets a
+        distinct seed from its pairing index so simultaneous crashes at
+        both edges decorrelate.
         """
         controller = self.controller_for(edge_name)
-        if seed is None:
-            seed = 41 + [e.name for e in (self.pairing.a, self.pairing.b)].index(
-                edge_name
-            )
-        supervisor = Supervisor(
-            controller, self.sim, journal=journal, policy=policy, seed=seed
+        seed = 41 + [e.name for e in (self.pairing.a, self.pairing.b)].index(
+            edge_name
         )
+        supervisor = Supervisor(controller, self.sim, journal=journal, seed=seed)
         supervisor.start()
         self.supervisors[edge_name] = supervisor
         return supervisor
@@ -380,11 +373,6 @@ class PacketLevelDeployment:
         """Blackhole one wide-area path at simulation time ``at``."""
         link = self.wan_link(src, label)
         self.sim.schedule_at(at, lambda: setattr(link, "loss", ConstantLoss(1.0)))
-
-    def restore_path(self, src: str, label: str, at: float) -> None:
-        """Undo :meth:`fail_path` at simulation time ``at``."""
-        link = self.wan_link(src, label)
-        self.sim.schedule_at(at, lambda: setattr(link, "loss", ConstantLoss(0.0)))
 
     def wan_link(self, src: str, label: str) -> Link:
         """The wide-area link carrying ``src``'s path ``label`` (KeyError
@@ -413,7 +401,6 @@ class PacketLevelDeployment:
         t0_s: float,
         t1_s: float,
         interval_s: Optional[float] = None,
-        include_offset: bool = True,
     ) -> tuple[MeasurementStore, MeasurementStore]:
         """Sample the direction's delay processes at probe cadence.
 
@@ -425,7 +412,7 @@ class PacketLevelDeployment:
             raise ValueError(f"need t1 > t0, got [{t0_s}, {t1_s}]")
         interval = interval_s or self.pairing.probe_interval_s
         table = self.calibrations[src]
-        offset = self.clock_offset_delta(src) if include_offset else 0.0
+        offset = self.clock_offset_delta(src)
         times = np.arange(t0_s, t1_s, interval)
         measured = MeasurementStore()
         true = MeasurementStore()

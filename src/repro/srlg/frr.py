@@ -77,9 +77,6 @@ class FastReroute:
         self._last_epoch: Optional[int] = None
         self._recompute(frozenset())
 
-    def backup_of(self, path_id: int) -> Optional[int]:
-        return self.backup_for.get(path_id)
-
     def _recompute(self, unavailable: frozenset[str]) -> bool:
         """Rebuild the backup table against the current group state.
 

@@ -49,11 +49,10 @@ class Region:
 
 
 class SrlgRegistry:
-    """Maps links/routers into named risk groups and tracks group state."""
+    """Maps links into named risk groups and tracks group state."""
 
     def __init__(self) -> None:
         self._link_groups: dict[str, frozenset[str]] = {}
-        self._node_groups: dict[str, frozenset[str]] = {}
         self._known: set[str] = set()
         self._regions: dict[str, Region] = {}
         self._down: dict[str, int] = {}
@@ -70,30 +69,12 @@ class SrlgRegistry:
         self._link_groups[link_name] = merged
         self._known.update(groups)
 
-    def tag_node(self, node_name: str, *groups: str) -> None:
-        """Add ``node_name`` (a router) to each named group."""
-        merged = self._node_groups.get(node_name, frozenset()) | frozenset(groups)
-        self._node_groups[node_name] = merged
-        self._known.update(groups)
-
-    def groups_for_link(self, link_name: str) -> frozenset[str]:
-        return self._link_groups.get(link_name, frozenset())
-
     def link_members(self, group: str) -> tuple[str, ...]:
         """Links belonging to ``group``, sorted for determinism."""
         return tuple(
             sorted(
                 name
                 for name, groups in self._link_groups.items()
-                if group in groups
-            )
-        )
-
-    def node_members(self, group: str) -> tuple[str, ...]:
-        return tuple(
-            sorted(
-                name
-                for name, groups in self._node_groups.items()
                 if group in groups
             )
         )

@@ -128,13 +128,6 @@ class TimeSeries:
         side = "right" if inclusive else "left"
         return int(self._times[: self._size].searchsorted(t, side))
 
-    def latest(self, count: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """The most recent ``count`` samples."""
-        if count <= 0:
-            raise ValueError(f"count must be positive, got {count}")
-        lo = max(self._size - count, 0)
-        return self.times[lo:], self.values[lo:]
-
     @property
     def last_time(self) -> Optional[float]:
         """Time of the most recent sample, or None when empty.
@@ -225,9 +218,6 @@ class MeasurementStore:
     def series(self, path_id: int) -> TimeSeries:
         """The series for ``path_id`` (empty series if nothing recorded)."""
         return self._series[path_id]
-
-    def has_path(self, path_id: int) -> bool:
-        return path_id in self._series and len(self._series[path_id]) > 0
 
     def path_ids(self) -> list[int]:
         """All path ids with at least one sample, sorted."""

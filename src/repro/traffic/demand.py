@@ -2,17 +2,15 @@
 
 The demand side of the fluid traffic engine.  A :class:`FlowClass`
 describes an aggregate of statistically identical flows (web fetches,
-video sessions, IoT keepalives, ...) with a Poisson arrival process,
-heavy-tailed (bounded Pareto) sizes, and an optional diurnal modulation.
+video sessions, IoT keepalives, ...) with a Poisson arrival process, a
+mean size, and an optional diurnal modulation.
 A :class:`DemandModel` groups classes and layers :class:`SurgeWindow`
 multipliers on top — the ``demand_surge`` fault kind is a pure data
 mutation of the model, nothing is scheduled.
 
 Everything is a deterministic function of (seed, time): arrivals use
-counter-based draws from :func:`repro.netsim.delaymodels.normal_at`
-and sizes invert the Pareto CDF on
-:func:`repro.netsim.delaymodels.uniform_at`, so replaying a
-scenario with the same seed reproduces the demand exactly.
+counter-based draws from :func:`repro.netsim.delaymodels.normal_at`, so
+replaying a scenario with the same seed reproduces the demand exactly.
 """
 
 from __future__ import annotations
@@ -22,12 +20,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from repro.netsim.delaymodels import normal_at, uniform_at
+from repro.netsim.delaymodels import normal_at
 
 _SECONDS_PER_DAY = 86_400.0
-# Bounded-Pareto cap: individual size draws never exceed this multiple of
-# the class mean, keeping aggregate-rate estimates finite-variance.
-_SIZE_CAP_MULTIPLE = 50.0
 
 
 @dataclass(frozen=True)
@@ -45,7 +40,6 @@ class FlowClass:
     arrival_rate_per_s: float
     mean_size_bytes: float
     rate_bps: float
-    pareto_alpha: float = 1.5
     diurnal_fraction: float = 0.0
     diurnal_phase_s: float = 0.0
     seed: int = 0
@@ -57,8 +51,6 @@ class FlowClass:
             raise ValueError("mean_size_bytes must be > 0")
         if self.rate_bps <= 0:
             raise ValueError("rate_bps must be > 0")
-        if self.pareto_alpha <= 1.0:
-            raise ValueError("pareto_alpha must be > 1 (finite mean)")
         if not 0.0 <= self.diurnal_fraction < 1.0:
             raise ValueError("diurnal_fraction must be in [0, 1)")
 
@@ -118,12 +110,6 @@ class DemandModel:
         if len(set(labels)) != len(labels):
             raise ValueError("flow_label values must be unique per class")
 
-    def class_for(self, flow_label: int) -> FlowClass:
-        for cls in self.classes:
-            if cls.flow_label == flow_label:
-                return cls
-        raise LookupError(f"no flow class with label {flow_label}")
-
     def add_surge(
         self,
         start: float,
@@ -167,15 +153,6 @@ class DemandModel:
         stream = _mix_seed(self.seed, cls.seed, cls.flow_label)
         noise = normal_at(stream, mid)
         return max(0.0, lam + math.sqrt(lam) * noise)
-
-    def size_draw_bytes(self, cls: FlowClass, t: float) -> float:
-        """One heavy-tailed (bounded Pareto) size draw at time ``t``."""
-        alpha = cls.pareto_alpha
-        xm = cls.mean_size_bytes * (alpha - 1.0) / alpha
-        stream = _mix_seed(self.seed, cls.seed, cls.flow_label) ^ 0x5EED
-        u = uniform_at(stream, t)
-        size = xm * (1.0 - u) ** (-1.0 / alpha)
-        return min(size, cls.mean_size_bytes * _SIZE_CAP_MULTIPLE)
 
     def equilibrium_flows(self, cls: FlowClass, t: float) -> float:
         """Little's-law concurrency at the instantaneous rate."""
@@ -223,7 +200,6 @@ def standard_flow_classes(
         arrival_rate_per_s=26_667.0 * scale,
         mean_size_bytes=18_750.0,
         rate_bps=100e3,
-        pareto_alpha=1.3,
         diurnal_fraction=0.2,
         seed=seed,
     )
@@ -233,7 +209,6 @@ def standard_flow_classes(
         arrival_rate_per_s=83.3 * scale,
         mean_size_bytes=12e6,
         rate_bps=800e3,
-        pareto_alpha=1.5,
         diurnal_fraction=0.3,
         diurnal_phase_s=21_600.0,
         seed=seed + 1,
@@ -244,7 +219,6 @@ def standard_flow_classes(
         arrival_rate_per_s=2_500.0 * scale,
         mean_size_bytes=100e3,
         rate_bps=2e3,
-        pareto_alpha=1.5,
         seed=seed + 2,
     )
     return (web, video, iot)

@@ -42,7 +42,7 @@ class LoadAwareWeights:
         store: the sender-side measurement store (mirror-fed).
         window_s: trailing window for the delay estimate.
         utilization: optional ``path_id -> rho`` callable, typically
-            ``FluidEngine.utilization``.
+            ``VectorFluidEngine.utilization``.
         headroom_floor: minimum headroom factor — keeps a saturated
             path probeable instead of zero-weighted.
         delay_floor_s: guards the inverse against ~0 delays.
@@ -224,13 +224,12 @@ class WeightedSplitSelector:
 
 
 class SplitRebalancer:
-    """Controller hook: re-derive split weights as congestion shifts.
+    """Tick hook: re-derive split weights as congestion shifts.
 
     Constructed with the tunnel set it balances, a weight policy, and
-    the selector to steer; pass the instance as
-    ``TangoController(rebalancer=...)`` and each controller tick
-    installs fresh weights and appends ``(now, normalized_weights)`` to
-    :attr:`history`.
+    the selector to steer; :meth:`attach` it to the tick wheel the
+    controller runs on and each round installs fresh weights and
+    appends ``(now, normalized_weights)`` to :attr:`history`.
     """
 
     def __init__(
@@ -255,12 +254,10 @@ class SplitRebalancer:
         self.selector.update_weights(raw)
         self.history.append((now, tuple(w / total for w in raw)))
 
-    def attach(self, scheduler, *, every: int = 1, name: str = "rebalancer"):
-        """Register this hook on a shared tick wheel.
+    def attach(self, scheduler, *, name: str = "rebalancer"):
+        """Register this hook on a shared tick wheel, every round.
 
-        ``__call__`` already has the ``TickScheduler`` callback shape, so
-        a rebalancer can run standalone on the wheel (every ``every``
-        rounds) instead of riding a controller's tick.  Returns the
-        :class:`~repro.netsim.ticks.TickHandle`.
+        ``__call__`` already has the ``TickScheduler`` callback shape.
+        Returns the :class:`~repro.netsim.ticks.TickHandle`.
         """
-        return scheduler.register(self, every=every, name=name)
+        return scheduler.register(self, name=name)

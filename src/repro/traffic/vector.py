@@ -1,17 +1,28 @@
-"""Array fluid kernel: tunnel queues as rows of contiguous float64 vectors.
+"""Deterministic fixed-step fluid congestion engine on array state.
+
+Pushes aggregate offered load (from :mod:`repro.traffic.demand`) through
+the Tango tunnels of an established deployment, computing per-tunnel
+utilization, queueing-delay inflation, and loss beyond capacity (the
+closed forms of :mod:`repro.traffic.fluid`), and feeding the results
+into the *existing* telemetry path:
+
+* per-tunnel delay samples land in the receiver gateway's ``inbound``
+  :class:`~repro.telemetry.store.MeasurementStore` (with the calibrated
+  clock offset applied), so the deployment's ``TelemetryMirror`` reports
+  them back to the sender and every delay-based selector
+  (``LowestDelaySelector``, ``HysteresisSelector``, ...) works unchanged;
+* aggregate delivered/lost packet counts land in the sender's
+  ``SequenceTracker``, so ``LossMonitor``, ``LossAwareSelector`` and
+  ``QuarantinePolicy`` see fluid-mode loss.
 
 :class:`FluidRows` holds one *row* per (direction, tunnel), a contiguous
 segment per direction, and advances all of them with numpy array
-operations instead of the scalar engine's per-tunnel Python loop, on
-**one** periodic event.  A lone :class:`VectorFluidEngine` is the
-one-segment case (rows of its own); a federation puts all N(N-1)
+operations on **one** periodic event.  A lone :class:`VectorFluidEngine`
+is the one-segment case (rows of its own); a federation puts all N(N-1)
 directions on one (:class:`~repro.federation.registry.PairView` names
-the shared rows).  The closed forms are exactly those of
-:class:`~repro.traffic.fluid.FluidEngine` — M/D/1 Pollaczek–Khinchine
-wait, fluid backlog with the buffer bound, the ``1 - 1/rho`` overload
-shedding, Little's-law equilibrium seeding — and the implementation is
-arranged so each elementwise operation evaluates the *same IEEE-754
-expression tree* the scalar engine does:
+the shared rows).  The implementation is arranged so each elementwise
+operation evaluates the *same IEEE-754 expression tree* a per-tunnel
+scalar loop over the closed forms does:
 
 * vectorization runs across rows while directions and their (few) flow
   classes keep a Python loop in direction order — selectors are Python
@@ -20,19 +31,21 @@ expression tree* the scalar engine does:
   where an unselected tunnel's ``rate * 0.0`` and an unloaded class's
   ``0.0 * fraction`` are bitwise no-ops;
 * the one reduction (total offered load, for the split trace) happens
-  in the shared per-direction step, as a left-to-right Python ``sum()``
-  over the ``tolist()`` of the offered vector, never numpy's pairwise
+  in the per-direction step, as a left-to-right Python ``sum()`` over
+  the ``tolist()`` of the offered vector, never numpy's pairwise
   ``np.sum``;
 * integer ledger truncation uses ``astype(int64)``, which matches
   ``int()`` for the non-negative packet counts involved;
-* what the scalar kernel keeps per engine (packet bits, buffer depth,
+* what a scalar loop would keep per engine (packet bits, buffer depth,
   clock offset) is a per-row vector of equal values here.
 
-One scalar engine per direction therefore serves as a seeded
-**bit-equivalence oracle**: same deployment, same demand seeds, same
-selectors ⇒ identical per-step rho/backlog/delay/loss, byte-identical
-telemetry series and loss ledgers (``tests/traffic/test_vector.py`` for
-one segment, ``tests/federation/test_batched_engine.py`` for many).
+That scalar loop is ``tests/traffic/oracle.py`` — the product's kernel
+until it had no product caller — and one of it per direction serves as
+a seeded **bit-equivalence oracle**: same deployment, same demand seeds,
+same selectors ⇒ identical per-step rho/backlog/delay/loss,
+byte-identical telemetry series and loss ledgers
+(``tests/traffic/test_vector.py`` for one segment,
+``tests/federation/test_batched_engine.py`` for many).
 
 Telemetry leaves the kernel through the batched store paths
 (:meth:`~repro.telemetry.store.MeasurementStore.record_aggregate_many`,
@@ -49,17 +62,12 @@ once; rows whose delay is a plain :class:`GaussianJitterDelay`
 with one array call; any other model — a stitched link's composition, a
 composite that gained an event, a third-party model — takes the scalar
 ``delay_at`` / ``loss_probability`` for that row only.
-
-Kernel selection for a two-party direction is
-:func:`create_fluid_engine`'s job and nobody else's: it reads the tunnel
-count of the direction it is asked to drive and returns the class whose
-step is cheaper at that width (see :data:`VECTOR_MIN_TUNNELS`).
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
@@ -69,26 +77,12 @@ from repro.netsim.delaymodels import (
     plain_gaussian_jitter,
 )
 from repro.netsim.links import ConstantLoss
+from repro.netsim.packet import TANGO_UDP_PORT, Ipv6Header, Packet, UdpHeader
 
-from .demand import DemandModel
-from .fluid import BLACKHOLE_LOSS, RHO_WAIT_CAP, FluidEngine, TunnelLoad
+from .demand import DemandModel, FlowClass
+from .fluid import BLACKHOLE_LOSS, RHO_WAIT_CAP, SplitResolver, TunnelLoad
 
-__all__ = [
-    "VECTOR_MIN_TUNNELS",
-    "FluidRows",
-    "VectorFluidEngine",
-    "create_fluid_engine",
-]
-
-#: Narrowest two-party direction that gets the array kernel.  A numpy
-#: step costs about the same however few tunnels it covers; the scalar
-#: loop grows by ~7-9 us a tunnel.  Measured us/step, scalar vs array
-#: (stand-in pair, jittered links, one flow class, runs interleaved,
-#: best of 9): 1 tunnel 18 vs 43, 2: 30 vs 47, 3: 38 vs 50, 4: 36 vs 40,
-#: 5: 41 vs 40, 6: 47 vs 43, 8: 73 vs 57, 16: 143 vs 90, 64: 444 vs 169.
-#: The kernels are bit-identical at every width
-#: (``tests/traffic/test_vector.py``), so the choice is cost only.
-VECTOR_MIN_TUNNELS = 6
+__all__ = ["FluidRows", "VectorFluidEngine"]
 
 #: How far ``now`` may sit from a step instant and still be on it: the
 #: grid is an accumulated float sum (ten steps of 0.1 are not 1.0).
@@ -223,7 +217,8 @@ class FluidRows:
         self._require_step_instant()
         if self._task is None:
             self._last = now
-            # First step one full dt from now, as FluidEngine's own task.
+            # call_every fires immediately at `now` unless start is
+            # given; the first step must cover one full dt.
             self._task = self.sim.call_every(
                 self.step_s, self._step, start=now + self.step_s
             )
@@ -341,7 +336,7 @@ class FluidRows:
             offered += scale * class_fractions
 
         # 2. Fluid queue update — same expression tree as the scalar
-        #    engine, elementwise across rows.
+        #    closed forms, elementwise across rows.
         base_delay, base_loss = self._base_models(now)
         cap = self._cap_vec
         rho = offered / cap
@@ -381,7 +376,7 @@ class FluidRows:
         # 4. Loss ledgers: carries computed for every row (a zero inflow
         #    contributes rate*0.0 terms that leave the carry
         #    bit-unchanged), folded in via the batched tracker path
-        #    which skips all-zero pairs exactly like the scalar guard.
+        #    which skips all-zero pairs exactly like a scalar guard.
         packets = inflow / self._bits_vec
         lost_f = packets * loss + self._lost_carry_vec
         delivered_f = packets * (1.0 - loss) + self._delivered_carry_vec
@@ -404,29 +399,104 @@ class FluidRows:
         return offered.tolist()
 
 
-def _segment_of(name: str) -> property:
-    return property(lambda self: getattr(self._rows, name)[self._lo : self._hi])
+class VectorFluidEngine:
+    """Fixed-step fluid traffic engine for one direction of a deployment.
 
+    What is per-direction lives here — demand, class buckets, split
+    resolution, traces, counters, :meth:`_evolve`; the tunnels' queue
+    state is a segment of a :class:`FluidRows`: the deployment's
+    ``fluid_rows`` when it names some (a federation's shared state) and
+    this engine's own otherwise.  ``start()`` / ``stop()`` act on all of
+    the rows' directions (see :class:`FluidRows`).
 
-class VectorFluidEngine(FluidEngine):
-    """One direction on the array step kernel: :class:`FluidEngine` with
-    its tunnels' queue state a segment of a :class:`FluidRows`.
-
-    Same constructor, lifecycle, observables and traces.  The rows are
-    the deployment's ``fluid_rows`` when it names some (a federation's
-    shared state) and this engine's own otherwise; ``start()`` /
-    ``stop()`` act on all of them (see :class:`FluidRows`).
-    ``last_loads`` is materialized lazily — the step stores the raw
-    vectors and the per-tunnel :class:`TunnelLoad` dataclasses are built
-    on first access, so steps whose loads nobody reads pay nothing for
-    them.
+    Args:
+        deployment: an established scenario deployment (e.g.
+            ``VultrDeployment``) exposing ``sim``, ``gateway``,
+            ``tunnels``, ``wan_link``, ``peer_of`` and
+            ``clock_offset_delta``; optionally ``calibrations``,
+            ``attach_traffic_engine`` and ``fluid_rows``.
+        src: sending edge name (``"ny"`` sends NY→LA).
+        demand: the demand model driving offered load.
+        step_s: engine step; also the telemetry sampling period.
+        default_capacity_bps: capacity for paths whose calibration does
+            not declare ``capacity_bps``.
+        packet_bytes: wire size used to convert bits to packets for the
+            loss ledger and the service time in the P-K term.
+        buffer_delay_s: bottleneck buffer depth expressed as drain time
+            (buffer_bits = capacity * buffer_delay_s).
+        record_traces: keep per-step split/concurrency traces (cheap;
+            disable only for very long runs).
     """
 
-    _cap_vec = _segment_of("_cap_vec")
-    _service_vec = _segment_of("_service_vec")
-    _backlog_vec = _segment_of("_backlog_vec")
+    def __init__(
+        self,
+        deployment: Any,
+        src: str,
+        demand: DemandModel,
+        *,
+        step_s: float = 0.1,
+        default_capacity_bps: float = 10e9,
+        packet_bytes: int = 1500,
+        buffer_delay_s: float = 0.1,
+        record_traces: bool = True,
+    ) -> None:
+        if step_s <= 0:
+            raise ValueError("step_s must be > 0")
+        tunnels = list(deployment.tunnels(src))
+        peer = deployment.peer_of(src)
+        if not tunnels:
+            raise ValueError(
+                f"no tunnels from {src!r} to {peer!r}: "
+                "a fluid engine needs at least one"
+            )
+        self.deployment = deployment
+        self.src = src
+        self.demand = demand
+        self.step_s = step_s
+        self.packet_bytes = packet_bytes
+        self.buffer_delay_s = buffer_delay_s
+        self.record_traces = record_traces
+
+        self.sim = deployment.sim
+        self.sender = deployment.gateway(src)
+        self.peer = peer
+        self.receiver = deployment.gateway(peer)
+        self.tunnels = tunnels
+        self._pids: list[int] = [t.path_id for t in tunnels]
+        self._offset = deployment.clock_offset_delta(src)
+
+        calibrations = getattr(deployment, "calibrations", {}).get(src, {})
+        capacities = []
+        for tunnel in tunnels:
+            calibration = calibrations.get(tunnel.short_label)
+            capacity = getattr(calibration, "capacity_bps", 0.0) or 0.0
+            capacities.append(capacity or default_capacity_bps)
+
+        # Per-(flow-class) aggregate buckets: float concurrency counts.
+        self._flows: dict[int, float] = {cls.flow_label: 0.0 for cls in demand.classes}
+        self._packets: dict[int, Packet] = {
+            cls.flow_label: self._synthetic_packet(cls) for cls in demand.classes
+        }
+        self._resolver = SplitResolver(self.sender, self.tunnels, self._packets)
+
+        self.steps = 0
+        self.peak_concurrent_flows = 0.0
+        self.split_trace: list[tuple[float, dict[int, float]]] = []
+        self.concurrency_trace: list[tuple[float, float]] = []
+        self._task = None
+
+        # Last thing that can fail: it publishes the queue state (rows
+        # other directions may share).
+        self._init_queue_state(
+            [deployment.wan_link(src, t.short_label) for t in tunnels],
+            capacities,
+        )
+        attach = getattr(deployment, "attach_traffic_engine", None)
+        if callable(attach):
+            attach(src, self)
 
     def _init_queue_state(self, links: list, capacities: list[float]) -> None:
+        """Append this direction's tunnels to its rows (tunnel order)."""
         self._pid_index = {pid: i for i, pid in enumerate(self._pids)}
         #: Per class position, the resolver's items tuple this
         #: direction's segment of the rows' fractions was written from
@@ -441,19 +511,63 @@ class VectorFluidEngine(FluidEngine):
         #: The rows' step arrays ``_loads`` was built from.
         self._loads_step = self._rows._step_arrays
 
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+
+    def start(self, *, at_equilibrium: bool = True) -> None:
+        """Begin stepping; optionally seed buckets at Little's-law level.
+
+        Seeding at equilibrium is what makes "≥1M concurrent flows" hold
+        from the first step without simulating a multi-minute warm-up.
+        Safe again after :meth:`stop`; an error while already stepping.
+        """
+        if self._task is not None:
+            raise RuntimeError("fluid engine already started")
+        now = self.sim.now
+        self._task = self._start_stepping(now)
+        if at_equilibrium:
+            for cls in self.demand.classes:
+                self._flows[cls.flow_label] = self.demand.equilibrium_flows(cls, now)
+            self.peak_concurrent_flows = max(
+                self.peak_concurrent_flows, self.concurrent_flows
+            )
+
     def _start_stepping(self, now: float) -> object:
+        """Make sure the rows are stepping; returns their task."""
         return self._rows.start(now)
 
     def stop(self) -> None:
         """Halt the rows — this direction and every other one on them."""
         self._rows.stop()
 
+    # ------------------------------------------------------------------
+    # Observables
+    # ------------------------------------------------------------------
+
+    @property
+    def concurrent_flows(self) -> float:
+        """Total modeled concurrent flows across all class buckets."""
+        return sum(self._flows[cls.flow_label] for cls in self.demand.classes)
+
+    @property
+    def splits_recomputed(self) -> int:
+        """How many times a split was actually rebuilt (cache misses)."""
+        return self._resolver.splits_recomputed
+
     @property
     def last_loads(self) -> dict[int, TunnelLoad]:
+        """Per-tunnel load of the latest step (empty before any step).
+
+        Materialized lazily — the step stores the raw vectors and the
+        :class:`TunnelLoad` dataclasses are built on first access, so
+        steps whose loads nobody reads pay nothing for them.
+        """
         arrays = self._rows._step_arrays
         if self._loads_step is not arrays:
             self._loads_step = arrays
-            columns = [a[self._lo : self._hi].tolist() for a in arrays]
+            segment = slice(self._lo, self._hi)
+            columns = [a[segment].tolist() for a in arrays]
             self._loads = {
                 tunnel.path_id: TunnelLoad(
                     path_id=tunnel.path_id,
@@ -466,21 +580,103 @@ class VectorFluidEngine(FluidEngine):
                     loss=loss,
                 )
                 for tunnel, capacity, offered, rho, backlog, delay, loss in zip(
-                    self.tunnels, self._cap_vec.tolist(), *columns
+                    self.tunnels, self._rows._cap_vec[segment].tolist(), *columns
                 )
             }
         return self._loads
 
+    def utilization(self, path_id: int) -> float:
+        """Last computed utilization of ``path_id`` (0.0 before any step)."""
+        load = self.last_loads.get(path_id)
+        return load.utilization if load is not None else 0.0
 
-def create_fluid_engine(
-    deployment: Any,
-    src: str,
-    demand: DemandModel,
-    **kwargs: object,
-) -> FluidEngine:
-    """The fluid engine for ``src``'s direction of ``deployment``, with
-    the step kernel its tunnel count calls for.  ``kwargs`` are
-    :class:`FluidEngine`'s keyword arguments."""
-    wide = len(deployment.tunnels(src)) >= VECTOR_MIN_TUNNELS
-    engine_cls = VectorFluidEngine if wide else FluidEngine
-    return engine_cls(deployment, src, demand, **kwargs)
+    # ------------------------------------------------------------------
+    # Stepping
+    # ------------------------------------------------------------------
+
+    def _synthetic_packet(self, cls: FlowClass) -> Packet:
+        """A representative packet for selector dispatch.
+
+        Selectors only read the flow label (``ApplicationSelector``) and
+        the five-tuple (``FlowletSelector`` keying); one packet per
+        class keeps each class a stable flow.
+        """
+        anchor = self.tunnels[0]
+        return Packet(
+            headers=[
+                Ipv6Header(src=anchor.local_endpoint, dst=anchor.remote_endpoint),
+                UdpHeader(sport=49_152 + cls.flow_label, dport=TANGO_UDP_PORT),
+            ],
+            payload_bytes=max(0, self.packet_bytes - 48),
+            flow_label=cls.flow_label,
+        )
+
+    def _class_splits(
+        self, now: float
+    ) -> Iterator[tuple[int, float, tuple[tuple[int, float], ...]]]:
+        """``(class position, offered bps, split items)`` per loaded class.
+
+        The surge factor scales the instantaneous per-flow rate too, so
+        a demand_surge fault changes load within one step instead of
+        waiting a mean flow lifetime for concurrency to ramp.
+        """
+        for position, cls in enumerate(self.demand.classes):
+            rate = (
+                self._flows[cls.flow_label]
+                * cls.rate_bps
+                * self.demand.surge_factor(cls.flow_label, now)
+            )
+            if rate > 0:
+                yield position, rate, self._resolver.resolve(cls, now)
+
+    def _evolve(self, now: float, dt: float, offered: list[float]) -> None:
+        """The per-direction rest of a step, after the tunnel queues
+        advanced under ``offered`` bps per tunnel (tunnel order)."""
+        self.steps += 1
+
+        # Evolve class buckets: arrivals minus mean-field departures
+        # (flows drain at 1/mean_duration; using per-step heavy-tail
+        # draws here would bias the drain upward since E[1/X] >
+        # 1/E[X]).  Burstiness enters through the Poisson-scale
+        # arrival noise.
+        demand, buckets = self.demand, self._flows
+        concurrent = 0  # summed as ``concurrent_flows`` sums: 0 + f1 + f2 ...
+        for cls in demand.classes:
+            flows = buckets[cls.flow_label]
+            arrivals = demand.arrivals_between(cls, now - dt, now)
+            departures = flows * dt / cls.mean_duration_s
+            flows = buckets[cls.flow_label] = max(0.0, flows + arrivals - departures)
+            concurrent += flows
+        self.peak_concurrent_flows = max(self.peak_concurrent_flows, concurrent)
+
+        if self.record_traces:
+            # Left-to-right float sum in tunnel order: part of the
+            # bit-identity contract with the scalar oracle.
+            total_offered = sum(offered)
+            if total_offered > 0:
+                split = {
+                    pid: off / total_offered
+                    for pid, off in zip(self._pids, offered)
+                }
+            else:
+                split = dict.fromkeys(self._pids, 0.0)
+            self.split_trace.append((now, split))
+            self.concurrency_trace.append((now, concurrent))
+
+    def dominant_path(self, at: Optional[float] = None) -> Optional[int]:
+        """Path id carrying the largest offered share at/near time ``at``.
+
+        ``None`` before the first recorded step.  With ``at=None`` the
+        latest step is used; otherwise the last trace entry at or before
+        ``at``.
+        """
+        if not self.split_trace:
+            return None
+        entry = self.split_trace[-1]
+        if at is not None:
+            for t, split in reversed(self.split_trace):
+                if t <= at:
+                    entry = (t, split)
+                    break
+        _, split = entry
+        return max(sorted(split), key=lambda pid: split[pid])

@@ -124,10 +124,6 @@ class PeerTrustMonitor:
         """True while the controller must not route on the peer feed."""
         return self.state == TRUST_DISTRUSTED
 
-    def anomaly_breakdown(self) -> dict[str, int]:
-        """Cumulative anomalies seen per source (diagnostics)."""
-        return dict(self._last_counts)
-
     def poll(self, now: float) -> bool:
         """Advance the machine one control tick.  Returns True when the
         state changed (the controller's journaling trigger)."""

@@ -19,7 +19,7 @@ The full stack for an edge ``E`` defending its outbound direction:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ..resilience.channel import ReliableTelemetryChannel
 from ..resilience.degraded import DegradedModeConfig, RttFallbackEstimator
@@ -33,6 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["DefenseStack", "install_defense"]
 
+#: Local RTT fallback probing cadence under the defense stack (the
+#: estimator's own default is 0.5 s).
+PROBE_INTERVAL_S = 0.25
+
 
 @dataclass
 class DefenseStack:
@@ -40,7 +44,7 @@ class DefenseStack:
 
     edge: str
     estimator: RttFallbackEstimator
-    monitor: Optional[ClockIntegrityMonitor]
+    monitor: ClockIntegrityMonitor
     gate: PlausibilityFilter
     trust: PeerTrustMonitor
     degraded: DegradedModeConfig
@@ -55,12 +59,7 @@ def install_defense(
     deployment: "PacketLevelDeployment",
     edge: str,
     key: bytes,
-    clock_monitor: bool = True,
-    policy: Optional[PeerTrustPolicy] = None,
     horizon_s: float = 1.0,
-    heal_ticks: int = 2,
-    probe_interval_s: float = 0.25,
-    estimator_seed: int = 900,
 ) -> DefenseStack:
     """Arm the full defense stack for ``edge``'s outbound direction.
 
@@ -75,22 +74,16 @@ def install_defense(
         key: shared MAC key for the channel's record tags (the data-plane
             tags use the deployment's ``auth_key``; passing the same key
             models one per-pairing secret).
-        clock_monitor: attach the drift/step re-estimator; False freezes
-            the calibration offset (the drift-fragile E17 ablation).
-        policy: trust state-machine tuning (defaults are campaign-tuned).
         horizon_s: degraded-mode staleness horizon.
-        heal_ticks: degraded-mode upgrade hysteresis.
-        probe_interval_s: local RTT fallback probing cadence.
-        estimator_seed: deterministic noise stream for the fallback probes.
     """
     if deployment.state is None:
         raise RuntimeError("deployment must be established before arming defense")
     peer = deployment.peer_of(edge)
     estimator = RttFallbackEstimator.for_deployment(
-        deployment, edge, probe_interval_s=probe_interval_s, seed=estimator_seed
+        deployment, edge, probe_interval_s=PROBE_INTERVAL_S
     )
     estimator.start()
-    monitor = ClockIntegrityMonitor() if clock_monitor else None
+    monitor = ClockIntegrityMonitor()
     gate = PlausibilityFilter(envelope=estimator.estimates, monitor=monitor)
     channel = deployment.session.channel_to(edge)
     channel.authenticator = TelemetryAuthenticator(key)
@@ -109,12 +102,8 @@ def install_defense(
         sources["dataplane-auth"] = lambda: (
             peer_auth.stats.rejected + peer_auth.stats.replayed
         )
-    trust = PeerTrustMonitor(
-        policy or PeerTrustPolicy(), sources, name=f"{edge}<-{peer}"
-    )
-    degraded = DegradedModeConfig(
-        estimates=estimator.estimates, horizon_s=horizon_s, heal_ticks=heal_ticks
-    )
+    trust = PeerTrustMonitor(PeerTrustPolicy(), sources, name=f"{edge}<-{peer}")
+    degraded = DegradedModeConfig(estimates=estimator.estimates, horizon_s=horizon_s)
     stack = DefenseStack(
         edge=edge,
         estimator=estimator,

@@ -17,15 +17,12 @@ asns = st.integers(min_value=1, max_value=4_000_000_000)
 
 
 class TestAsPath:
-    def test_of_constructor(self):
-        assert AsPath.of(2914, 20473).asns == (2914, 20473)
-
     def test_prepend_adds_to_front(self):
-        path = AsPath.of(20473).prepend(2914)
+        path = AsPath((20473,)).prepend(2914)
         assert path.asns == (2914, 20473)
 
     def test_prepend_count(self):
-        path = AsPath.of(20473).prepend(2914, count=3)
+        path = AsPath((20473,)).prepend(2914, count=3)
         assert path.asns == (2914, 2914, 2914, 20473)
         assert path.length == 4
 
@@ -34,31 +31,20 @@ class TestAsPath:
             AsPath().prepend(1, count=0)
 
     def test_contains_for_loop_detection(self):
-        path = AsPath.of(1, 2, 3)
+        path = AsPath((1, 2, 3))
         assert path.contains(2)
         assert not path.contains(4)
 
     def test_strip_private_removes_rfc6996(self):
-        path = AsPath.of(2914, 64512, 20473, 65534)
+        path = AsPath((2914, 64512, 20473, 65534))
         assert path.strip_private().asns == (2914, 20473)
 
     def test_without_removes_all_occurrences(self):
-        path = AsPath.of(20473, 2914, 20473)
+        path = AsPath((20473, 2914, 20473))
         assert path.without(20473).asns == (2914,)
-
-    def test_unique_collapses_prepending(self):
-        path = AsPath.of(1, 1, 1, 2, 3, 3)
-        assert path.unique_asns() == (1, 2, 3)
-
-    def test_first_hop_and_origin(self):
-        path = AsPath.of(2914, 174, 20473)
-        assert path.first_hop == 2914
-        assert path.origin_as == 20473
 
     def test_empty_path_edges(self):
         path = AsPath()
-        assert path.first_hop is None
-        assert path.origin_as is None
         assert path.length == 0
         assert str(path) == "<empty>"
 
@@ -114,7 +100,7 @@ class TestRouteAttributes:
 
     def test_with_path_is_non_destructive(self):
         attrs = RouteAttributes()
-        updated = attrs.with_path(AsPath.of(1))
+        updated = attrs.with_path(AsPath((1,)))
         assert attrs.as_path.length == 0
         assert updated.as_path.asns == (1,)
 
@@ -158,5 +144,5 @@ class TestAsPathHashCaching:
         assert hash(stripped) == hash(AsPath(tuple(a for a in asn_list if a != new_asn)))
 
     def test_unequal_paths_compare_unequal(self):
-        assert AsPath.of(2914, 20473) != AsPath.of(20473, 2914)
-        assert hash(AsPath.of()) == hash(AsPath(()))
+        assert AsPath((2914, 20473)) != AsPath((20473, 2914))
+        assert hash(AsPath()) == hash(AsPath(()))

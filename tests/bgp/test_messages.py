@@ -26,7 +26,7 @@ class TestMessages:
     def test_announcement_renders_path(self):
         ann = Announcement(
             prefix=as_prefix("2001:db8::/48"),
-            attributes=RouteAttributes(as_path=AsPath.of(1, 2)),
+            attributes=RouteAttributes(as_path=AsPath((1, 2))),
         )
         assert "1 2" in str(ann)
 

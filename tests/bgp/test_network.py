@@ -159,11 +159,6 @@ class TestPropagation:
         net.converge()
         assert net.best_path("sink", P).asns == (200, 100)
 
-    def test_routers_originating_query(self):
-        net = diamond()
-        net.router("origin").originate(P)
-        assert net.routers_originating(P) == ["origin"]
-
 
 class TestSharedAsn:
     def test_allowas_in_pair_hears_each_other(self):

@@ -42,9 +42,6 @@ class TestEdgeConfig:
         assert str(cfg.tunnel_endpoint(0)) == "2001:db8:b0::1"
         assert str(cfg.tunnel_endpoint(1)) == "2001:db8:b1::1"
 
-    def test_iter_route_prefixes(self):
-        assert len(list(edge().iter_route_prefixes())) == 2
-
 
 class TestPairingConfig:
     def test_valid_pairing(self):

@@ -95,7 +95,6 @@ class TestHealth:
         assert len(health) == 1
         assert not health[0].fresh
         assert health[0].last_measurement_age_s is None
-        assert controller.stale_tunnels() == health
 
     def test_fresh_measurement_marks_healthy(self):
         net, gateway = make_setup()
@@ -103,7 +102,6 @@ class TestHealth:
         controller = TangoController(gateway, net.sim, staleness_s=1.0)
         health = controller.health()
         assert health[0].fresh
-        assert controller.stale_tunnels() == []
 
     def test_measurement_goes_stale_with_time(self):
         net, gateway = make_setup()
@@ -112,52 +110,6 @@ class TestHealth:
         net.sim.clock.advance_to(5.0)
         assert not controller.health()[0].fresh
         assert controller.health()[0].last_measurement_age_s == pytest.approx(5.0)
-
-
-class TestStaleCallback:
-    def test_on_stale_fires_once_per_transition(self):
-        net, gateway = make_setup()
-        fired = []
-        controller = TangoController(
-            gateway,
-            net.sim,
-            interval_s=0.1,
-            staleness_s=0.5,
-            on_stale=fired.append,
-        )
-        gateway.outbound.record(0, 0.0, 0.030)
-        controller.start()
-        net.run(until=2.0)  # goes stale at ~0.5, fires once
-        assert len(fired) == 1
-        assert fired[0].path_id == 0
-
-    def test_recovery_rearms_the_callback(self):
-        net, gateway = make_setup()
-        fired = []
-        controller = TangoController(
-            gateway,
-            net.sim,
-            interval_s=0.1,
-            staleness_s=0.5,
-            on_stale=fired.append,
-        )
-        gateway.outbound.record(0, 0.0, 0.030)
-        # Fresh measurement arrives at t=2, then silence again.
-        net.sim.schedule_at(2.0, lambda: gateway.outbound.record(0, 2.0, 0.030))
-        controller.start()
-        net.run(until=5.0)
-        assert len(fired) == 2
-
-    def test_never_measured_tunnel_does_not_fire(self):
-        net, gateway = make_setup()
-        fired = []
-        controller = TangoController(
-            gateway, net.sim, interval_s=0.1, staleness_s=0.5,
-            on_stale=fired.append,
-        )
-        controller.start()
-        net.run(until=2.0)
-        assert fired == []
 
 
 class TestRestartContract:
@@ -172,27 +124,6 @@ class TestRestartContract:
         # 6 ticks before the stop, then the restarted loop ticks
         # immediately at t=0.5 and every 0.1 s after: 6 more.
         assert controller.ticks == 12
-
-    def test_restart_rearms_edge_triggered_staleness(self):
-        net, gateway = make_setup()
-        fired = []
-        controller = TangoController(
-            gateway,
-            net.sim,
-            interval_s=0.1,
-            staleness_s=0.5,
-            on_stale=fired.append,
-        )
-        gateway.outbound.record(0, 0.0, 0.030)
-        controller.start()
-        net.run(until=2.0)
-        assert len(fired) == 1
-        controller.stop()
-        # A restarted controller reports existing conditions afresh: the
-        # tunnel is still stale, so the callback fires again.
-        controller.start()
-        net.run(until=3.0)
-        assert len(fired) == 2
 
     def test_restart_clears_quarantine_runtime_but_keeps_log(self):
         net, gateway = make_setup()
@@ -212,7 +143,6 @@ class TestRestartContract:
         controller.stop()
         controller.start()
         assert controller.quarantined == set()
-        assert controller.quarantine_state(0) == "healthy"
         assert len(controller.quarantine_log) == events_before  # cumulative
 
 
@@ -249,7 +179,7 @@ class TestQuarantineMachine:
         gateway.outbound.record(0, 0.0, 0.030)
         controller.start()
         net.run(until=1.0)
-        assert controller.quarantine_state(0) == "quarantined"
+        assert controller.quarantined == {0}
         first = controller.quarantine_log[0]
         assert first.action == "quarantine"
         assert first.cause == "stale"
@@ -261,7 +191,7 @@ class TestQuarantineMachine:
         controller = self.make_controller(net, gateway)
         controller.start()
         net.run(until=3.0)
-        assert controller.quarantine_state(0) == "healthy"
+        assert controller.quarantined == set()
         assert controller.quarantine_log == []
 
     def test_single_path_quarantine_engages_fallback(self):
@@ -270,11 +200,9 @@ class TestQuarantineMachine:
         gateway.outbound.record(0, 0.0, 0.030)
         controller.start()
         net.run(until=1.0)
-        assert controller.fallback_active
-        assert any(
-            q.action == "fallback-on" and q.path_id == -1
-            for q in controller.quarantine_log
-        )
+        assert [
+            q.action for q in controller.quarantine_log if q.path_id == -1
+        ] == ["fallback-on"]
 
     def test_probation_after_backoff_then_requarantine_while_still_bad(self):
         net, gateway = make_setup()
@@ -302,11 +230,11 @@ class TestQuarantineMachine:
         )
         controller.start()
         net.run(until=5.0)
-        assert controller.quarantine_state(0) == "healthy"
         assert 0 not in controller.quarantined
         actions = [q.action for q in controller.quarantine_log if q.path_id == 0]
         assert actions[-1] == "restore"
-        assert not controller.fallback_active
+        fallback = [q.action for q in controller.quarantine_log if q.path_id == -1]
+        assert fallback[-1] == "fallback-off"
 
     def test_probation_begins_exactly_at_backoff_expiry(self):
         """now >= probation_at is inclusive: the tick that lands exactly
@@ -342,7 +270,6 @@ class TestQuarantineMachine:
         # the third, not one tick earlier or later.
         assert events["probation"] == pytest.approx(1.7)
         assert events["restore"] == pytest.approx(2.0)
-        assert controller.quarantine_state(0) == "healthy"
 
     def test_restore_resets_backoff_to_base(self):
         net, gateway = make_setup()

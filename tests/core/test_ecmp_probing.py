@@ -30,15 +30,6 @@ class TestMapperUnit:
         assert ecmp_map.fastest.ports == tuple(range(10))
         assert ecmp_map.port_for_fastest() == 0
 
-    def test_cluster_lookup_by_port(self):
-        mapper = EcmpMapper()
-        mapper.observe(5, 0.030)
-        mapper.observe(9, 0.040)
-        ecmp_map = mapper.build_map()
-        assert ecmp_map.cluster_for_port(9).mean_delay_s == pytest.approx(0.040)
-        with pytest.raises(KeyError):
-            ecmp_map.cluster_for_port(999)
-
     def test_min_samples_guard(self):
         mapper = EcmpMapper(min_samples_per_port=3)
         mapper.observe(1, 0.030)

@@ -6,8 +6,8 @@ sender store used to be four hand-written per-path loops over
 :class:`~repro.telemetry.store.StoreCursor` and a series-to-series copy.
 The parent's implementation is kept *here*, as the reference model, and
 hypothesis drives both with the same calls: after every step the sink
-series bytes, the counters, ``path_ids()`` / ``has_path`` and the
-channel's send queue must be equal.
+series bytes, the counters, ``path_ids()`` and the channel's send queue
+must be equal.
 """
 
 from collections import deque
@@ -168,10 +168,6 @@ class _LoopMachine(RuleBasedStateMachine):
     @invariant()
     def sources_agree(self):
         assert self.source.path_ids() == self.parent_source.path_ids()
-        for path_id in IDS:
-            assert self.source.has_path(path_id) == self.parent_source.has_path(
-                path_id
-            )
 
 
 class MirrorMachine(_LoopMachine):
@@ -227,7 +223,6 @@ class MirrorMachine(_LoopMachine):
             assert mirror.samples_discarded == parent.samples_discarded
             assert mirror.sink.path_ids() == parent.sink.path_ids()
             for path_id in IDS:
-                assert mirror.sink.has_path(path_id) == parent.sink.has_path(path_id)
                 ours, theirs = mirror.sink.series(path_id), parent.sink.series(path_id)
                 assert ours.times.tobytes() == theirs.times.tobytes()
                 assert ours.values.tobytes() == theirs.values.tobytes()

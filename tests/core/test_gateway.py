@@ -133,7 +133,7 @@ class TestDataPath:
         switch.fib.add_route("2001:db8:20::/48", edge_link)
         net.inject(switch, inner)
         net.run()
-        assert gateway.inbound.has_path(5)
+        assert gateway.inbound.path_ids() == [5]
         owd = gateway.inbound.series(5).values[0]
         assert owd == pytest.approx(0.030, abs=1e-6)
         assert host.stats.received == 1

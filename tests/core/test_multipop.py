@@ -17,7 +17,10 @@ class TestMultiPopStore:
             t = i * 0.01
             store.record("pop-b", 1, t, 0.028 + 0.005)
             store.record("pop-a", 2, t, 0.030)
-        means = store.comparable_means(window_s=2.0, now=1.0)
+        means = {
+            path_id: store.store.recent_delay(path_id, window_s=2.0, now=1.0)
+            for path_id in (1, 2)
+        }
         assert means[1] == pytest.approx(0.028)
         assert means[2] == pytest.approx(0.030)
         assert means[1] < means[2]  # the true ordering, restored

@@ -118,7 +118,7 @@ class TestProbationHold:
         assert "probation" not in actions
         # Held once, not re-logged every tick.
         assert actions.count("probation-hold") == 1
-        assert controller.quarantine_state(0) == "quarantined"
+        assert controller.quarantined == {0}
 
     def test_hold_does_not_burn_backoff_doublings(self):
         net, gateway = make_setup(groups=("conduit",))
@@ -142,6 +142,35 @@ class TestProbationHold:
         # the single doubling — the held window burned nothing.
         assert backoffs[0] == pytest.approx(1.0)
         assert backoffs[1] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("restart", ["cold", "crash"])
+    def test_hold_is_logged_again_after_a_restart(self, restart):
+        """The once-per-outage dedupe is runtime state: a restarted
+        controller that re-quarantines the path during the same outage
+        logs its own hold (the set used to survive stop() and crash())."""
+        net, gateway = make_setup(groups=("conduit",))
+        registry = SrlgRegistry()
+        registry.tag_link("wan", "conduit")
+        controller = self.make_controller(net, gateway, registry)
+        gateway.outbound.record(0, 0.0, 0.030)
+        registry.mark_down("conduit")
+        controller.start()
+        net.run(until=5.0)
+        if restart == "cold":
+            controller.stop()
+            controller.start()
+        else:
+            controller.crash()
+            controller.restore_state(None)
+            controller.start(warm=True)
+        net.run(until=8.0)
+
+        holds = [
+            q.t for q in controller.quarantine_log if q.action == "probation-hold"
+        ]
+        # Re-quarantined at 5.1 (two unhealthy ticks), probation due at
+        # 6.1: the first tick at or past it on the restarted grid is 6.2.
+        assert holds == pytest.approx([1.7, 6.2])
 
     def test_untagged_tunnel_unaffected_by_down_groups(self):
         net, gateway = make_setup()  # no srlg tags on the tunnel

@@ -217,9 +217,8 @@ class TestDiscardBefore:
 
 class TestMirrorRegistry:
     def test_mirror_to_returns_feeding_mirror(self, deployment):
-        mirror, task = deployment.session.mirror_to("ny")
+        mirror, _ = deployment.session.mirror_to("ny")
         assert mirror.sink is deployment.gateway("ny").outbound
-        assert not task.paused
 
     def test_unknown_edge_raises(self, deployment):
         with pytest.raises(KeyError, match="no mirror"):
@@ -307,10 +306,7 @@ class TestMirrorsOnASharedWheel:
         wheel = TickScheduler(d.sim, 0.1) if on_wheel else None
         d.session.start_telemetry_mirrors(scoped=True, scheduler=wheel)
         _, handle = d.session.mirror_to("la")
-        assert handle.paused is False
         handle.pause()
-        assert handle.paused is True
         handle.resume()
-        assert handle.paused is False
         handle.stop()
         d.session.stop()  # stopping a stopped handle: still a no-op

@@ -99,7 +99,7 @@ class TestGapBoundary:
         }
         assert picks == {0}
         assert selector.switches == 0
-        assert selector.split_fractions() == {0: 1.0}
+        assert selector.split_counts == {0: 20}
 
 
 class TestWeightHardening:
@@ -134,12 +134,10 @@ class TestWeightHardening:
         for f in range(500):
             selector.select(TUNNELS, packet(flow=f), now=float(f))
         assert sum(selector.split_counts.values()) == selector.flowlets_started
-        fractions = selector.split_fractions()
-        assert sum(fractions.values()) == pytest.approx(1.0)
-        assert fractions[0] == pytest.approx(0.6, abs=0.07)
+        assert selector.split_counts[0] / 500 == pytest.approx(0.6, abs=0.07)
 
     def test_empty_counters_before_any_draw(self):
-        assert FlowletSelector().split_fractions() == {}
+        assert FlowletSelector().split_counts == {}
 
     def test_weighted_draws_deterministic_across_restarts(self):
         def run():

@@ -93,15 +93,6 @@ class TestSenderProgram:
         seqs = [sender(switch, data_packet()).tango.seq for _ in range(3)]
         assert seqs == [0, 1, 2]
 
-    def test_on_transmit_callback(self):
-        net, switch = make_switch()
-        sent = []
-        sender = TangoSenderProgram(
-            lookup, FirstTunnelSelector(), on_transmit=lambda pid, p: sent.append(pid)
-        )
-        sender(switch, data_packet())
-        assert sent == [5]
-
     def test_auth_tag_attached_when_authenticator_present(self):
         net, switch = make_switch()
         auth = TelemetryAuthenticator(b"k" * 16)

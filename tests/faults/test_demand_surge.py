@@ -7,7 +7,7 @@ from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.lint import check_fault_plan, vultr_spec
 from repro.scenarios.vultr import VultrDeployment
 from repro.traffic.demand import DemandModel, FlowClass
-from repro.traffic.fluid import FluidEngine
+from repro.traffic.vector import VectorFluidEngine
 
 
 def surge_event(at=1.0, duration=2.0, factor=3.0, **extra):
@@ -35,7 +35,7 @@ def fluid_deployment(offered_bps=1e9):
         ),
         seed=5,
     )
-    engine = FluidEngine(deployment, "ny", demand)
+    engine = VectorFluidEngine(deployment, "ny", demand)
     return deployment, engine
 
 
@@ -153,7 +153,7 @@ class TestInjection:
             ),
             seed=5,
         )
-        FluidEngine(deployment, "ny", demand)
+        VectorFluidEngine(deployment, "ny", demand)
         FaultInjector(
             deployment, plan_of(surge_event(factor=4.0, flow_label=2))
         ).arm()

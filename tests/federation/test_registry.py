@@ -111,7 +111,7 @@ class TestStitchedTunnel:
         assert result.tunnel.sport != result.plan.seg1.sport
 
     def test_relay_binding_installed_at_relay_switch(self, federation):
-        from repro.dataplane.relay import RelayForwardProgram
+        from repro.dataplane.relay import RelayBinding, RelayForwardProgram
 
         result = federation.stitches[("edge0", "edge1")]
         switch = federation.switches[result.plan.relay]
@@ -121,7 +121,17 @@ class TestStitchedTunnel:
             if isinstance(p, RelayForwardProgram)
         ]
         assert len(programs) == 1
-        assert result.tunnel.path_id in programs[0].bound_ids
+        plan = result.plan
+        with pytest.raises(ValueError, match="already bound"):
+            programs[0].bind(
+                RelayBinding(
+                    path_id=result.tunnel.path_id,
+                    arrival_endpoint=plan.seg1.remote_endpoint,
+                    next_src=plan.seg2.local_endpoint,
+                    next_dst=plan.seg2.remote_endpoint,
+                    next_sport=plan.seg2.sport,
+                )
+            )
         # Must run before the gateway receiver terminates the packet.
         assert switch.ingress_programs[0] is programs[0]
 

@@ -110,14 +110,6 @@ class TestHeaderSwap:
         with pytest.raises(ValueError, match="already bound"):
             program.bind(binding())
 
-    def test_unbind_then_pass_through(self, switch):
-        program = RelayForwardProgram()
-        program.bind(binding())
-        program.unbind(777)
-        packet = stitched_packet()
-        program(switch, packet)
-        assert program.relayed == 0
-
     def test_on_transit_hook_sees_relay_clock(self):
         net = Network()
         switch = net.add_switch("relay-sw", clock_offset=0.25)

@@ -113,7 +113,7 @@ class TestSegmentComposer:
             SegmentComposer(903, [], self.offsets)
 
     def test_composed_loss_folds_all_segments(self):
-        assert self.composer.composed_loss([0.1, 0.2, 0.5]) == pytest.approx(
+        assert compose_loss(compose_loss(0.1, 0.2), 0.5) == pytest.approx(
             1 - 0.9 * 0.8 * 0.5
         )
 

@@ -177,13 +177,6 @@ class TestRouteChangeEvent:
         with pytest.raises(ValueError):
             RouteChangeEvent(start=0.0, duration=10.0, transition=20.0)
 
-    def test_active_during_overlap_detection(self):
-        event = self.make()
-        assert event.active_during(0.0, 200.0)
-        assert event.active_during(650.0, 800.0)
-        assert not event.active_during(0.0, 100.0)
-        assert not event.active_during(700.0, 800.0)
-
 
 class TestInstabilityEvent:
     def make(self):
@@ -252,12 +245,6 @@ class TestCompositeDelay:
         )
         assert len(model.events) == 0
         assert len(extended.events) == 1
-
-    def test_events_overlapping_query(self):
-        event = RouteChangeEvent(start=100.0, duration=50.0)
-        model = CompositeDelay(base=ConstantDelay(0.01), events=(event,))
-        assert model.events_overlapping(120.0, 130.0) == [event]
-        assert model.events_overlapping(200.0, 300.0) == []
 
 
 # -- scalar / vector contract ---------------------------------------------------

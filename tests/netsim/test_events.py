@@ -172,7 +172,6 @@ class TestPeriodicPauseResume:
         task = sim.call_every(1.0, lambda: ticks.append(sim.now))
         sim.run(until=2.0)
         task.pause()
-        assert task.paused
         sim.run(until=6.0)
         assert len(ticks) == 3  # 0, 1, 2
 
@@ -184,27 +183,30 @@ class TestPeriodicPauseResume:
         task.pause()
         sim.run(until=5.0)
         task.resume()
-        assert not task.paused
         sim.run(until=7.0)
         # Next firing is now + interval; occurrences 3..5 are simply lost.
         assert ticks == pytest.approx([0.0, 1.0, 2.0, 6.0, 7.0])
 
     def test_pause_is_idempotent(self):
         sim = Simulator()
-        task = sim.call_every(1.0, lambda: None)
+        ticks = []
+        task = sim.call_every(1.0, lambda: ticks.append(sim.now))
         task.pause()
         task.pause()
         task.resume()
         task.resume()
-        assert not task.paused
+        sim.run(until=2.5)
+        assert ticks == pytest.approx([1.0, 2.0])  # armed once, not twice
 
     def test_pause_after_stop_is_noop(self):
         sim = Simulator()
-        task = sim.call_every(1.0, lambda: None)
+        ticks = []
+        task = sim.call_every(1.0, lambda: ticks.append(sim.now))
         task.stop()
         task.pause()
         task.resume()
-        assert not task.paused
+        sim.run(until=2.5)
+        assert ticks == []  # resume did not re-arm a stopped task
 
 
 class TestHeapCompaction:

@@ -107,15 +107,6 @@ class TestLoss:
         assert loss.loss_probability(130.0) == 0.2
         assert loss.loss_probability(99.0) == 0.0
 
-    def test_drop_hook_invoked(self):
-        sim = Simulator()
-        dst = HostNode("dst", sim)
-        link = make_link(sim, dst, loss=ConstantLoss(1.0))
-        drops = []
-        link.on_drop(lambda p, reason: drops.append(reason))
-        link.transmit(sim, make_packet())
-        assert drops == ["loss"]
-
 
 class TestMtu:
     def test_oversized_packet_dropped(self):

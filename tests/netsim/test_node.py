@@ -118,14 +118,6 @@ class TestRouterForwarding:
         assert r.stats.dropped_ttl == 1
         assert dst.stats.received == 0
 
-    def test_local_delivery_not_forwarded(self):
-        net, r, dst = self.build()
-        r.add_local_network("2001:db8:20::/48")
-        net.inject(r, make_packet())
-        net.run()
-        assert r.stats.delivered_local == 1
-        assert dst.stats.received == 0
-
 
 class TestEcmpGroups:
     def build(self, salt=0):

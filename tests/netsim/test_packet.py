@@ -36,7 +36,7 @@ class TestHeaderStack:
             dst=ipaddress.IPv6Address("2001:db8:b0::1"),
         )
         packet.push(outer)
-        assert packet.peek() is outer
+        assert packet.headers[0] is outer
 
     def test_pop_returns_outermost(self):
         packet = make_packet()
@@ -47,10 +47,6 @@ class TestHeaderStack:
         packet = Packet(headers=[])
         with pytest.raises(IndexError):
             packet.pop()
-
-    def test_peek_empty_raises(self):
-        with pytest.raises(IndexError):
-            Packet(headers=[]).peek()
 
     def test_outer_ip_skips_non_ip(self):
         packet = make_packet()

@@ -52,14 +52,6 @@ class TestBuilders:
         with pytest.raises(KeyError, match="known"):
             net.node("missing")
 
-    def test_duplex_link_creates_both_directions(self):
-        net = Network()
-        net.add_host("a")
-        net.add_host("b")
-        fwd, rev = net.add_duplex_link("ab", "a", "b", delay_s=0.002)
-        assert fwd.src.name == "a" and fwd.dst.name == "b"
-        assert rev.src.name == "b" and rev.dst.name == "a"
-
     def test_links_get_distinct_seeds(self):
         net = Network()
         net.add_host("a")

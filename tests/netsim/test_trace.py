@@ -118,17 +118,10 @@ class TestDroneWorkload:
     def test_bursts_inflate_payload(self):
         sim = Simulator()
         sent = []
-        workload = DroneTelemetryWorkload(
-            sim,
-            FACTORY,
-            sent.append,
-            rate_hz=100.0,
-            burst_every=10,
-            burst_multiplier=5,
-        )
-        workload.start(until=0.2)
+        workload = DroneTelemetryWorkload(sim, FACTORY, sent.append, rate_hz=100.0)
+        workload.start(until=1.0)
         sim.run()
         sizes = {p.payload_bytes for p in sent}
-        assert sizes == {64, 320}
-        bursts = [p for p in sent if p.payload_bytes == 320]
-        assert len(bursts) == 2  # packets 10 and 20 of 21
+        assert sizes == {64, 640}
+        bursts = [p for p in sent if p.payload_bytes == 640]
+        assert len(bursts) == 2  # packets 50 and 100 of 101

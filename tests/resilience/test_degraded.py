@@ -253,7 +253,7 @@ class TestFeedOutageVsQuarantine:
         net.run(until=3.0)
         assert controller.mode == MODE_DEGRADED
         assert controller.quarantined == set()
-        assert not controller.fallback_active
+        assert controller.quarantine_log == []
 
     def test_single_stale_path_still_quarantined(self):
         """One stale path among fresh ones is a path problem, not a feed
@@ -283,4 +283,4 @@ class TestFeedOutageVsQuarantine:
         controller.start()
         net.run(until=2.0)
         assert controller.quarantined == {0, 1}
-        assert controller.fallback_active
+        assert controller.quarantine_log[-1].action == "fallback-on"

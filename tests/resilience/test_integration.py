@@ -172,7 +172,6 @@ class TestCombinedFaultCampaign:
         tunnel dead': only the blackholed path is ever quarantined."""
         _, controller, _, _ = crashy
         assert {q.label for q in controller.quarantine_log} == {"GTT"}
-        assert not controller.fallback_active
 
     # -- (c) crash-safe warm restore ------------------------------------------------
 

@@ -299,3 +299,14 @@ class TestWarmRestore:
         ]
         assert len(probations) >= 1
         assert probations[0].t == pytest.approx(1.75, abs=0.06)
+
+    def test_checkpoint_with_a_retired_key_restores_unchanged(self):
+        """A checkpoint written before ``stale_flags`` left the payload
+        still restores: keys the controller does not know are ignored."""
+        net, controller, _ = self.quarantine_then_crash(journal=None)
+        net.run(until=0.95)
+        snapshot = controller.snapshot_state()
+        assert snapshot["quarantined"] == [0] and "stale_flags" not in snapshot
+        controller.crash()
+        controller.restore_state({**snapshot, "stale_flags": {"0": True, "1": False}})
+        assert controller.snapshot_state() == snapshot

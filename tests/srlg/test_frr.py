@@ -54,18 +54,18 @@ class TestBackupTable:
         tunnels = [tun(0, "conduit"), tun(1, "conduit"), tun(2, "backbone")]
         _, _, frr = make_frr(tunnels)
         # Both conduit tunnels back up onto the disjoint backbone path.
-        assert frr.backup_of(0) == 2
-        assert frr.backup_of(1) == 2
-        assert frr.backup_of(2) == 0  # tie among conduit pair -> lowest id
+        assert frr.backup_for[0] == 2
+        assert frr.backup_for[1] == 2
+        assert frr.backup_for[2] == 0  # tie among conduit pair -> lowest id
 
     def test_loss_of_disjointness_repairs_table(self):
         tunnels = [tun(0, "conduit"), tun(1, "backbone"), tun(2, "grid")]
         registry, _, frr = make_frr(tunnels)
-        assert frr.backup_of(0) == 1
+        assert frr.backup_for[0] == 1
         registry.mark_down("backbone")
         frr.tick(1.0)
         # The precomputed backup's group failed: repair to the grid path.
-        assert frr.backup_of(0) == 2
+        assert frr.backup_for[0] == 2
 
 
 class TestSwitchover:

@@ -10,13 +10,13 @@ class TestTagging:
         reg = SrlgRegistry()
         reg.tag_link("wan:ny->la:GTT", "socal-conduit")
         reg.tag_link("wan:ny->la:GTT", "transit:GTT")
-        assert reg.groups_for_link("wan:ny->la:GTT") == frozenset(
-            {"socal-conduit", "transit:GTT"}
-        )
+        for group in ("socal-conduit", "transit:GTT"):
+            assert reg.link_members(group) == ("wan:ny->la:GTT",)
 
     def test_untagged_link_has_no_groups(self):
         reg = SrlgRegistry()
-        assert reg.groups_for_link("wan:whatever") == frozenset()
+        reg.tag_link("wan:ny->la:GTT", "socal-conduit")
+        assert "wan:whatever" not in reg.link_members("socal-conduit")
 
     def test_link_members_sorted(self):
         reg = SrlgRegistry()
@@ -24,16 +24,10 @@ class TestTagging:
         reg.tag_link("a", "g")
         assert reg.link_members("g") == ("a", "b")
 
-    def test_node_tags(self):
-        reg = SrlgRegistry()
-        reg.tag_node("gtt", "socal-conduit")
-        reg.tag_node("telia", "socal-conduit")
-        assert reg.node_members("socal-conduit") == ("gtt", "telia")
-
     def test_groups_enumerates_known(self):
         reg = SrlgRegistry()
         reg.tag_link("l", "b-group")
-        reg.tag_node("n", "a-group")
+        reg.tag_link("n", "a-group")
         assert reg.groups() == ("a-group", "b-group")
 
 

@@ -50,17 +50,6 @@ class TestTimeSeries:
         times, values = series.window(5.0, 9.0)
         assert times.size == 0
 
-    def test_latest(self):
-        series = TimeSeries()
-        for i in range(10):
-            series.append(float(i), float(i))
-        _, values = series.latest(3)
-        np.testing.assert_array_equal(values, [7.0, 8.0, 9.0])
-
-    def test_latest_invalid_count(self):
-        with pytest.raises(ValueError):
-            TimeSeries().latest(0)
-
     def test_mean_and_percentile(self):
         series = TimeSeries()
         for i in range(1, 101):
@@ -240,12 +229,6 @@ class TestMeasurementStore:
 
     def test_recent_delay_unknown_path(self):
         assert MeasurementStore().recent_delay(9, 1.0, 0.0) is None
-
-    def test_has_path(self):
-        store = MeasurementStore()
-        assert not store.has_path(1)
-        store.record(1, 0.0, 1.0)
-        assert store.has_path(1)
 
 
 class TestLastTime:

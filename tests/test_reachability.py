@@ -2,8 +2,8 @@
 
 The product is ``src/repro`` itself plus everything that drives it
 outside the test suite: ``bench/``, ``benchmarks/``, ``examples/`` and
-the console scripts ``pyproject.toml`` installs.  Two rules, checked on
-the syntax trees alone:
+the console scripts ``pyproject.toml`` installs.  Three rules, checked
+on the syntax trees alone:
 
 (a) every module under ``src/repro`` is imported by a product file — a
     package ``__init__`` importing from its own package is a re-export,
@@ -11,7 +11,14 @@ the syntax trees alone:
     ``pkg/__init__`` took ``name`` from;
 (b) every public top-level ``def`` / ``class`` is named by a product
     file somewhere other than its own ``def`` line, ``__all__`` and such
-    re-exports.
+    re-exports;
+(c) every public method or property defined directly in a top-level
+    class is named by a product file the same way — as an attribute, a
+    bare name, or the literal second argument of ``getattr`` /
+    ``hasattr`` (how duck-typed hooks such as ``split_weights`` are
+    found); ``visit_*`` methods are dispatched by node type and exempt.
+    The match is by name, not by receiver: it finds what nothing calls,
+    and cannot tell two classes' ``start`` apart.
 
 Code only tests reach is deleted with those tests or wired into the
 experiment that should run it; what must stay anyway goes in
@@ -42,6 +49,21 @@ EXCEPTIONS = {
     "repro.scenarios.enterprise.EnterpriseDeployment": (
         "EXPERIMENTS.md's generality check is tests/scenarios/test_enterprise.py: "
         "the stack run unchanged on a second, non-Vultr scenario"
+    ),
+    "repro.bgp.network.BgpNetwork.session_pairs": (
+        "tests/bgp/oracle.py, the full-scan engine, is written against it"
+    ),
+    "repro.bgp.network.BgpNetwork.reset_session": (
+        "E15's exact work-count rows (tests/bgp/test_network.py, 114 vs 1,188 "
+        "routers scanned) and the golden RIB dumps are taken over it"
+    ),
+    "repro.netsim.events.Simulator.live_pending": (
+        "the heap-compaction and one-event-per-wheel tests' observable: "
+        "``pending`` counts tombstones, this is what is really scheduled"
+    ),
+    "repro.dataplane.seqnum.SequenceTracker.record_aggregate": (
+        "tests/traffic/oracle.py, the scalar fluid kernel, is written against "
+        "it; ``record_aggregate_many`` is defined as a loop of these"
     ),
 }
 
@@ -139,6 +161,14 @@ def used_names() -> set:
                 names.add(node.attr)
             elif isinstance(node, ast.ImportFrom) and not is_reexport(path, node):
                 names.update(alias.name for alias in node.names)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "hasattr")
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                names.add(node.args[1].value)
     return names
 
 
@@ -150,14 +180,22 @@ def unreachable() -> set:
         if not is_package(path) and name not in used
     }
     names = used_names()
+
+    def unnamed(nodes: list, scope: str) -> set:
+        return {
+            f"{scope}.{node.name}"
+            for node in nodes
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith(("_", "visit_"))
+            and node.name not in names
+        }
+
     for module, path in MODULES.items():
-        for node in TREES[path].body:
-            if (
-                isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and not node.name.startswith("_")
-                and node.name not in names
-            ):
-                found.add(f"{module}.{node.name}")
+        body = TREES[path].body
+        found |= unnamed(body, module)
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                found |= unnamed(node.body, f"{module}.{node.name}")
     return found
 
 

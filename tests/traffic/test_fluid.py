@@ -5,7 +5,8 @@ import pytest
 from repro.core.policy import StaticSelector
 from repro.scenarios.vultr import VultrDeployment
 from repro.traffic.demand import DemandModel, FlowClass, standard_flow_classes
-from repro.traffic.fluid import FluidEngine, fluid_overload_loss
+from repro.traffic.fluid import fluid_overload_loss
+from repro.traffic.vector import VectorFluidEngine
 
 GTT = 2  # NY->LA path ids: 0=NTT, 1=Telia, 2=GTT, 3=Level3
 
@@ -32,7 +33,7 @@ def build(demand, selector=None, **engine_kwargs):
     deployment.establish()
     if selector is not None:
         deployment.set_data_policy("ny", selector)
-    engine = FluidEngine(deployment, "ny", demand, **engine_kwargs)
+    engine = VectorFluidEngine(deployment, "ny", demand, **engine_kwargs)
     return deployment, engine
 
 

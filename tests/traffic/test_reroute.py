@@ -20,7 +20,7 @@ from repro.core.policy import (
 )
 from repro.scenarios.vultr import VultrDeployment
 from repro.traffic.demand import DemandModel, FlowClass
-from repro.traffic.fluid import FluidEngine
+from repro.traffic.vector import VectorFluidEngine
 
 NTT, TELIA, GTT, LEVEL3 = 0, 1, 2, 3
 
@@ -45,7 +45,7 @@ def launch(selector, *, buffer_delay_s=0.1, controller_kwargs=None):
     deployment = VultrDeployment(include_events=False)
     deployment.establish()
     deployment.set_data_policy("ny", selector)
-    engine = FluidEngine(
+    engine = VectorFluidEngine(
         deployment, "ny", overload_demand(), buffer_delay_s=buffer_delay_s
     )
     controller = None
@@ -95,7 +95,7 @@ class TestLowestDelayReroute:
             deployment.gateway_ny.outbound, window_s=0.5
         )
         deployment.set_data_policy("ny", selector)
-        engine = FluidEngine(deployment, "ny", overload_demand())
+        engine = VectorFluidEngine(deployment, "ny", overload_demand())
         engine.start()
         deployment.sim.run(until=deployment.sim.now + 5.0)
 
@@ -119,7 +119,7 @@ class TestHysteresisReroute:
             dwell_s=1.0,
         )
         deployment.set_data_policy("ny", selector)
-        engine = FluidEngine(deployment, "ny", overload_demand())
+        engine = VectorFluidEngine(deployment, "ny", overload_demand())
         engine.start()
         deployment.sim.run(until=deployment.sim.now + 6.0)
 
@@ -155,7 +155,7 @@ class TestLossAwareReroute:
             loss_penalty_s=1.0,
         )
         deployment.set_data_policy("ny", selector)
-        engine = FluidEngine(
+        engine = VectorFluidEngine(
             deployment, "ny", overload_demand(), buffer_delay_s=0.002
         )
         controller = TangoController(gateway, deployment.sim, interval_s=0.1)

@@ -9,6 +9,7 @@ import pytest
 from repro.core.controller import TangoController
 from repro.netsim.events import Simulator
 from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
+from repro.netsim.ticks import TickScheduler
 from repro.scenarios.vultr import VultrDeployment
 from repro.telemetry.store import MeasurementStore
 from repro.traffic.splitting import (
@@ -213,10 +214,12 @@ class TestSplitRebalancer:
             LoadAwareWeights(gateway.outbound, window_s=1.0),
             tunnels,
         )
+        scheduler = TickScheduler(deployment.sim, 0.1)
         controller = TangoController(
-            gateway, deployment.sim, interval_s=0.1, rebalancer=rebalancer
+            gateway, deployment.sim, interval_s=0.1, scheduler=scheduler
         )
         controller.start()
+        rebalancer.attach(scheduler)
         deployment.start_path_probes("ny", interval_s=0.01)
         deployment.net.run(until=2.0)
         controller.stop()

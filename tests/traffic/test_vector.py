@@ -1,15 +1,26 @@
-"""Vectorized fluid engine: seeded bit-equivalence with the scalar oracle.
+"""The array fluid kernel: seeded bit-equivalence with the scalar oracle.
 
-The vectorized engine is only admissible because it is *bit-identical*
-to the scalar closed forms, not merely close: every per-step state
-vector matches to the last ulp, the telemetry ledgers are byte-for-byte
-equal, and selectors fed by both engines make identical reroute
-decisions.  These tests pin that contract on the shipped Vultr
-scenario, including mid-run surges, blackholed links (model objects
-swapped underneath the engine, the fault injector's move), and at
-every tunnel count around :data:`VECTOR_MIN_TUNNELS`, where
-``create_fluid_engine`` switches kernels.
+The array kernel is only admissible because it is *bit-identical* to
+the scalar closed forms, not merely close: every per-step state vector
+matches to the last ulp, the telemetry ledgers are byte-for-byte equal,
+and selectors fed by both make identical reroute decisions.  These
+tests pin that contract against ``tests/traffic/oracle.py`` on the
+shipped Vultr scenario, including mid-run surges, blackholed links
+(model objects swapped underneath the engine, the fault injector's
+move), and at tunnel counts from 1 to 256.
+
+``golden/scalar_kernel.json`` is what the scalar kernel wrote while it
+was still the product's ``FluidEngine`` (captured at ``0605e10``); the
+oracle and the product kernel are each held to it, so the two cannot
+drift together.  Regenerate (only when a change is *meant* to alter
+what the fluid engine writes)::
+
+    PYTHONPATH=src:. python tests/traffic/test_vector.py
 """
+
+import hashlib
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,15 +30,14 @@ from repro.netsim.events import Simulator
 from repro.netsim.links import ConstantLoss
 from repro.scenarios.vultr import VultrDeployment
 from repro.traffic.demand import DemandModel, standard_flow_classes
-from repro.traffic.fluid import FluidEngine
 from repro.traffic.splitting import LoadAwareWeights, WeightedSplitSelector
-from repro.traffic.vector import (
-    VECTOR_MIN_TUNNELS,
-    VectorFluidEngine,
-    create_fluid_engine,
-)
+from repro.traffic.vector import VectorFluidEngine
+from tests import golden
+from tests.traffic.oracle import FluidEngine
 from tests.traffic.standin import SyntheticDeployment
 
+GOLDEN = Path(__file__).parent / "golden" / "scalar_kernel.json"
+KERNELS = [FluidEngine, VectorFluidEngine]
 GTT = 2
 LOAD_FIELDS = ("offered_bps", "utilization", "backlog_bits", "delay_s", "loss")
 
@@ -117,44 +127,31 @@ def assert_runs_identical(fluid_s, fluid_v):
     assert fluid_s.sender.tracker.all_paths() == fluid_v.sender.tracker.all_paths()
 
 
+def surge_run(engine_cls):
+    dep, fluid, _ = build(engine_cls)
+    dep.sim.run(until=dep.sim.now + 12.0)
+    return fluid
+
+
+def blackhole_run(engine_cls):
+    """A Vultr run whose GTT link is blackholed at t=2.5 by swapping its
+    loss model *object*, the fault injector's move."""
+    dep, fluid, _ = build(engine_cls, surge=False)
+    link = dep.wan_link("ny", fluid.tunnels[GTT].short_label)
+    dep.sim.schedule_at(2.5, lambda: setattr(link, "loss", ConstantLoss(1.0)))
+    dep.sim.run(until=dep.sim.now + 6.0)
+    return dep, fluid
+
+
 class TestFactory:
-    """``create_fluid_engine`` reads the tunnel count; nobody picks."""
-
-    def test_vultr_pair_gets_the_scalar_kernel(self):
-        _, fluid, _ = build(create_fluid_engine)
-        assert len(fluid.tunnels) == 4
-        assert type(fluid) is FluidEngine
-
-    @pytest.mark.parametrize(
-        "width, kernel",
-        [
-            (1, FluidEngine),
-            (VECTOR_MIN_TUNNELS - 1, FluidEngine),
-            (VECTOR_MIN_TUNNELS, VectorFluidEngine),
-            (256, VectorFluidEngine),
-        ],
-    )
-    def test_kernel_follows_tunnel_count(self, width, kernel):
-        deployment, demand = standin(width)
-        fluid = create_fluid_engine(deployment, "a", demand)
-        assert type(fluid) is kernel
-        assert isinstance(fluid, FluidEngine)  # substitutable
-
-    def test_engine_argument_is_gone(self):
-        deployment, demand = standin(4)
-        with pytest.raises(TypeError, match="engine"):
-            create_fluid_engine(deployment, "a", demand, engine="vector")
-
-    @pytest.mark.parametrize(
-        "build_engine", [create_fluid_engine, FluidEngine, VectorFluidEngine]
-    )
-    def test_direction_without_tunnels_rejected(self, build_engine):
+    @pytest.mark.parametrize("engine_cls", KERNELS)
+    def test_direction_without_tunnels_rejected(self, engine_cls):
         deployment, demand = standin(0)
         with pytest.raises(ValueError, match="no tunnels from 'a' to 'b'"):
-            build_engine(deployment, "a", demand)
+            engine_cls(deployment, "a", demand)
 
 
-@pytest.mark.parametrize("engine_cls", [FluidEngine, VectorFluidEngine])
+@pytest.mark.parametrize("engine_cls", KERNELS)
 def test_start_is_exclusive_and_restartable(engine_cls):
     dep, fluid = build_standin(engine_cls, 2)
     with pytest.raises(RuntimeError, match="fluid engine already started"):
@@ -172,10 +169,7 @@ def test_start_is_exclusive_and_restartable(engine_cls):
 
 class TestBitEquivalence:
     def test_surge_run_is_bit_identical(self):
-        dep_s, fluid_s, _ = build(FluidEngine)
-        dep_v, fluid_v, _ = build(VectorFluidEngine)
-        dep_s.sim.run(until=dep_s.sim.now + 12.0)
-        dep_v.sim.run(until=dep_v.sim.now + 12.0)
+        fluid_s, fluid_v = map(surge_run, KERNELS)
         assert fluid_v.steps > 100
         assert_runs_identical(fluid_s, fluid_v)
 
@@ -186,10 +180,8 @@ class TestBitEquivalence:
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 8, 256])
     def test_lockstep_on_both_sides_of_the_selection(self, width):
-        # Whichever kernel the tunnel count selects, the other would
-        # have produced the same bytes — so moving the constant can
-        # never change a result, only its cost.  256 is the E19 width.
-        assert 1 < VECTOR_MIN_TUNNELS <= 8
+        # The widths on both sides of the retired kernel selection
+        # (scalar below 6 tunnels); 256 is the E19 width.
         dep_s, fluid_s = build_standin(FluidEngine, width)
         dep_v, fluid_v = build_standin(VectorFluidEngine, width)
         assert_lockstep(dep_s, fluid_s, dep_v, fluid_v, steps=50)
@@ -201,16 +193,7 @@ class TestBitEquivalence:
         # The fault injector replaces link model *objects* mid-run; the
         # vector engine must notice the identity change and reproduce
         # the scalar blackhole path (no telemetry, full ledger loss).
-        runs = []
-        for engine_cls in (FluidEngine, VectorFluidEngine):
-            dep, fluid, _ = build(engine_cls, surge=False)
-            link = dep.wan_link("ny", fluid.tunnels[GTT].short_label)
-            dep.sim.schedule_at(2.5, lambda li=link: setattr(
-                li, "loss", ConstantLoss(1.0)
-            ))
-            dep.sim.run(until=dep.sim.now + 6.0)
-            runs.append((dep, fluid))
-        (dep_s, fluid_s), (dep_v, fluid_v) = runs
+        (dep_s, fluid_s), (dep_v, fluid_v) = map(blackhole_run, KERNELS)
         assert_runs_identical(fluid_s, fluid_v)
         # The blackholed path really stopped producing telemetry...
         gtt_pid = fluid_s.tunnels[GTT].path_id
@@ -275,6 +258,58 @@ class TestVectorState:
 
     def test_state_vectors_are_float64(self):
         _, fluid, _ = build(VectorFluidEngine, surge=False)
-        assert fluid._cap_vec.dtype == np.float64
-        assert fluid._backlog_vec.dtype == np.float64
-        assert fluid._service_vec.dtype == np.float64
+        rows = fluid._rows
+        assert rows._cap_vec.dtype == np.float64
+        assert rows._backlog_vec.dtype == np.float64
+        assert rows._service_vec.dtype == np.float64
+
+
+def dump_run(fluid) -> str:
+    """Everything one direction's run wrote, one line per series, ledger
+    entry and step."""
+    lines = [f"steps {fluid.steps}"]
+    store = fluid.receiver.inbound
+    for pid in store.path_ids():
+        series = store.series(pid)
+        raw = series.times.tobytes() + series.values.tobytes()
+        lines.append(
+            f"series {pid} n={len(series)} {hashlib.sha256(raw).hexdigest()}"
+        )
+    for pid, stats in sorted(fluid.sender.tracker.all_paths().items()):
+        lines.append(f"ledger {pid} {stats!r}")
+    for t, split in fluid.split_trace:
+        lines.append(f"split {t!r} {sorted(split.items())!r}")
+    return "\n".join(lines) + "\n"
+
+
+def standin_run(engine_cls, width):
+    dep, fluid = build_standin(engine_cls, width)
+    dep.sim.run(until=5.05)
+    return fluid
+
+
+GOLDEN_RUNS = {
+    "surge": surge_run,
+    "blackhole_swap": lambda engine_cls: blackhole_run(engine_cls)[1],
+    **{
+        f"standin_{width}": partial(standin_run, width=width)
+        for width in (1, 4, 6, 256)
+    },
+}
+
+
+@pytest.mark.parametrize("engine_cls", KERNELS)
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_kernel_reproduces_the_parents_scalar_kernel(name, engine_cls):
+    text = dump_run(GOLDEN_RUNS[name](engine_cls))
+    assert golden.digest(text) == golden.load(GOLDEN)[name]
+
+
+if __name__ == "__main__":
+    golden.regenerate(
+        GOLDEN,
+        {
+            name: golden.digest(dump_run(run(FluidEngine)))
+            for name, run in sorted(GOLDEN_RUNS.items())
+        },
+    )

@@ -184,7 +184,6 @@ class TestBookkeeping:
         states = [e.state for e in monitor.events]
         assert states == [TRUST_SUSPECT, TRUST_DISTRUSTED]
         assert monitor.anomalies_total == 6
-        assert monitor.anomaly_breakdown() == {"test": 6}
 
     def test_multiple_sources_sum(self):
         a, b = Counter(), Counter()

@@ -93,7 +93,7 @@ class TestInstallation:
 
     def test_sources_cover_all_evidence_layers(self, campaign):
         _, _, stack = campaign
-        assert set(stack.trust.anomaly_breakdown()) == {
+        assert set(stack.trust.sources) == {
             "channel-auth",
             "plausibility",
             "dataplane-auth",
@@ -134,8 +134,7 @@ class TestDefenseNarrative:
         states = [e.state for e in stack.trust.events]
         assert "distrusted" in states
         assert stack.trust.state == TRUST_TRUSTED  # healed post-attack
-        breakdown = stack.trust.anomaly_breakdown()
-        assert breakdown["dataplane-auth"] > 50
+        assert stack.trust.sources["dataplane-auth"]() > 50
 
     def test_distrust_forced_degraded_mode_then_recovered(self, campaign):
         _, controller, stack = campaign
