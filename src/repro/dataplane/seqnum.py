@@ -11,9 +11,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 __all__ = ["SequenceStamper", "SequenceTracker", "SequenceStats"]
+
+#: Rows an aggregate writer may run ahead of its readers before they are
+#: folded in anyway, so an unread tracker never owes more than this.
+_WRITE_BEHIND_DEPTH = 256
 
 
 class SequenceStamper:
@@ -73,6 +79,11 @@ class SequenceTracker:
     The missing-set is unbounded in theory; ``max_gap_tracking`` bounds it
     (oldest entries are forgotten and remain counted as lost), which is
     what a switch implementation with finite state would do.
+
+    Aggregate batches (:meth:`record_aggregate_many`) are write-behind
+    when nobody is reading: rows that arrive faster than the counters
+    are read are kept whole and summed in by the next call of any other
+    method here, so every answer is current.
     """
 
     def __init__(self, max_gap_tracking: int = 4096) -> None:
@@ -81,11 +92,21 @@ class SequenceTracker:
         #: Indexing creates on first sight only; pure reads use ``get``.
         self._paths: defaultdict[int, _PathState] = defaultdict(_PathState)
         self._max_gap_tracking = max_gap_tracking
+        #: An aggregate batch has landed since the counters were last read.
+        self._written = False
+        # The open write-behind block: the path ids every staged row is
+        # for (a copy — callers grow their id lists in place) and the
+        # rows themselves, kept by reference.
+        self._block_ids: list[int] = []
+        self._block_delivered: list[np.ndarray] = []
+        self._block_lost: list[np.ndarray] = []
 
     def observe(self, path_id: int, seq: int) -> str:
         """Record an arrival.  Returns its classification:
         ``"in-order"``, ``"reordered"``, or ``"duplicate"``.
         """
+        if self._written:
+            self._sync()
         state = self._paths[path_id]
         stats = state.stats
         stats.received += 1
@@ -119,6 +140,8 @@ class SequenceTracker:
         """
         if delivered < 0 or lost < 0:
             raise ValueError("delivered and lost must be >= 0")
+        if self._written:
+            self._sync()
         if delivered == 0 and lost == 0:
             return
         state = self._paths[path_id]
@@ -135,27 +158,88 @@ class SequenceTracker:
     ) -> None:
         """Fold aligned per-path aggregate observations into the counters.
 
-        The batched twin of :meth:`record_aggregate` for the vectorized
-        fluid engine: paths are processed in the given order and
-        all-zero pairs are skipped, so the resulting counters are
-        identical to an equivalent loop of scalar calls guarded by
-        ``if delivered or lost``.
+        The batched twin of :meth:`record_aggregate` for the fluid
+        kernel: the counters end up identical to a loop of scalar calls
+        in the given path order guarded by ``if delivered or lost`` (an
+        all-zero pair never creates a path).  ``delivered`` and ``lost``
+        may be numpy integer vectors; they are kept, not copied, so the
+        caller must not write to them afterwards.  A batch is all or
+        nothing: a length mismatch or a negative count raises here with
+        nothing kept.
+
+        A writer whose previous batch has been read since is folded in
+        at once; one that runs ahead of its readers is staged and summed
+        a block of rows at a time — at the next read, a batch for other
+        paths, or ``_WRITE_BEHIND_DEPTH`` rows.
         """
-        if not (len(path_ids) == len(delivered) == len(lost)):
+        count = len(path_ids)
+        if not (count == len(delivered) == len(lost)):
             raise ValueError(
-                f"length mismatch: {len(path_ids)} paths vs "
+                f"length mismatch: {count} paths vs "
                 f"{len(delivered)} delivered / {len(lost)} lost"
             )
+        if not count:
+            return
+        if self._written:
+            delivered, lost = np.asarray(delivered), np.asarray(lost)
+            if delivered.min() < 0 or lost.min() < 0:
+                raise ValueError("delivered and lost must be >= 0")
+            ids = path_ids if type(path_ids) is list else list(path_ids)
+            if ids != self._block_ids:
+                self._flush()
+                self._block_ids = list(ids)
+            self._block_delivered.append(delivered)
+            self._block_lost.append(lost)
+            if len(self._block_lost) == _WRITE_BEHIND_DEPTH:
+                self._flush()
+            return
+        if isinstance(delivered, np.ndarray):
+            delivered = delivered.tolist()
+        if isinstance(lost, np.ndarray):
+            lost = lost.tolist()
+        if min(delivered) < 0 or min(lost) < 0:
+            raise ValueError("delivered and lost must be >= 0")
+        self._fold(path_ids, delivered, lost)
+        self._written = True
+
+    def _fold(
+        self, path_ids: Sequence[int], delivered: list[int], lost: list[int]
+    ) -> None:
         paths = self._paths
         for path_id, delivered_n, lost_n in zip(path_ids, delivered, lost):
-            if delivered_n < 0 or lost_n < 0:
-                raise ValueError("delivered and lost must be >= 0")
             if delivered_n == 0 and lost_n == 0:
                 continue
             stats = paths[path_id].stats
             stats.received += delivered_n
             stats.presumed_lost += lost_n
             stats.highest_seen += delivered_n + lost_n
+
+    def _sync(self) -> None:
+        """Bring the counters up to date for a reader."""
+        self._written = False
+        self._flush()
+
+    def _flush(self) -> None:
+        """Fold the staged block in: one column sum per counter."""
+        if not self._block_lost:
+            return
+        ids, paths = self._block_ids, self._paths
+        delivered = np.array(self._block_delivered)
+        lost = np.array(self._block_lost)
+        self._block_delivered, self._block_lost = [], []
+        totals = delivered.sum(axis=0).tolist(), lost.sum(axis=0).tolist()
+        unseen = [
+            column
+            for column, path_id in enumerate(ids)
+            if path_id not in paths and (totals[0][column] or totals[1][column])
+        ]
+        if unseen:
+            # Paths are created in the order the scalar loop meets them:
+            # by the first row that counts anything, then by position.
+            first_row = ((delivered[:, unseen] + lost[:, unseen]) > 0).argmax(axis=0)
+            for _row, column in sorted(zip(first_row.tolist(), unseen)):
+                paths[ids[column]]
+        self._fold(ids, *totals)
 
     def _trim(self, state: _PathState) -> None:
         if len(state.missing) <= self._max_gap_tracking:
@@ -166,8 +250,19 @@ class SequenceTracker:
 
     def stats_for(self, path_id: int) -> SequenceStats:
         """Counters for one path (zeros if never seen)."""
+        if self._written:
+            self._sync()
         state = self._paths.get(path_id)
         return state.stats if state else SequenceStats()
 
     def all_paths(self) -> dict[int, SequenceStats]:
-        return {path_id: s.stats for path_id, s in self._paths.items()}
+        """A new ``{path id: counters}`` of every path seen."""
+        return {path_id: s.stats for path_id, s in self.states().items()}
+
+    def states(self) -> Mapping[int, _PathState]:
+        """The live per-path states, current as of this call — for a
+        reader that walks them every tick and must not copy them; paths
+        are only ever added."""
+        if self._written:
+            self._sync()
+        return self._paths

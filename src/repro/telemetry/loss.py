@@ -41,14 +41,21 @@ class LossMonitor:
 
     def __init__(self, tracker: SequenceTracker) -> None:
         self._tracker = tracker
+        #: The tracker's path ids ascending, re-sorted only when it has
+        #: gained one.
+        self._ids: list[int] = []
         self._last: dict[int, tuple[int, int]] = {}
         self.series: dict[int, TimeSeries] = {}
         self.bins: dict[int, list[LossBin]] = {}
 
     def sample(self, now: float) -> dict[int, LossBin]:
         """Snapshot all paths; returns the new bin per path."""
+        states = self._tracker.states()
+        if len(self._ids) != len(states):
+            self._ids = sorted(states)
         out: dict[int, LossBin] = {}
-        for path_id, stats in sorted(self._tracker.all_paths().items()):
+        for path_id in self._ids:
+            stats = states[path_id].stats
             prev_received, prev_lost = self._last.get(path_id, (0, 0))
             bin_ = LossBin(
                 t=now,

@@ -32,8 +32,8 @@ scalar loop over the closed forms does:
   ``0.0 * fraction`` are bitwise no-ops;
 * the one reduction (total offered load, for the split trace) happens
   in the per-direction step, as a left-to-right Python ``sum()`` over
-  the ``tolist()`` of the offered vector, never numpy's pairwise
-  ``np.sum``;
+  the ``tolist()`` of the offered vector (taken only when a direction
+  records traces), never numpy's pairwise ``np.sum``;
 * integer ledger truncation uses ``astype(int64)``, which matches
   ``int()`` for the non-negative packet counts involved;
 * what a scalar loop would keep per engine (packet bits, buffer depth,
@@ -47,11 +47,15 @@ byte-identical telemetry series and loss ledgers
 (``tests/traffic/test_vector.py`` for one segment,
 ``tests/federation/test_batched_engine.py`` for many).
 
-Telemetry leaves the kernel through the batched store paths
-(:meth:`~repro.telemetry.store.MeasurementStore.record_aggregate_many`,
-:meth:`~repro.dataplane.seqnum.SequenceTracker.record_aggregate_many`):
+Telemetry leaves the kernel through
+:meth:`~repro.telemetry.store.MeasurementStore.record_aggregate_many`
+and :meth:`~repro.dataplane.seqnum.SequenceTracker.record_aggregate_many`:
 one call per receiving store and one per sending tracker per step, each
 one's rows ascending — the order one engine per direction writes in.
+A lone owner is handed the step's vectors themselves (fresh every step
+and never written again, so it may keep them: while nobody reads, a
+wide step is array operations end to end); several owners get the
+``tolist()`` span of their rows.
 
 Base link models are classified once per model *object* and re-checked
 by ``is`` every step, so a fault that swaps a link's model (an
@@ -243,8 +247,14 @@ class FluidRows:
         if dt <= 0:
             return
         offered = self._advance_tunnels(now, dt)
+        offered_bps = None  # Python floats, made once a direction traces
         for direction in self.directions:
-            direction._evolve(now, dt, offered[direction._lo : direction._hi])
+            segment = None
+            if direction.record_traces:
+                if offered_bps is None:
+                    offered_bps = offered.tolist()
+                segment = offered_bps[direction._lo : direction._hi]
+            direction._evolve(now, dt, segment)
 
     def _base_models(self, now: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-row base delay/loss under the identity-keyed classification."""
@@ -309,7 +319,7 @@ class FluidRows:
         for d in directions:
             d._split_items = [None] * positions
 
-    def _advance_tunnels(self, now: float, dt: float) -> list[float]:
+    def _advance_tunnels(self, now: float, dt: float) -> np.ndarray:
         """Advance every row's fluid queue by ``dt``; write telemetry and
         the loss ledgers; return offered bps per row."""
         # 1. Offered load: scalar direction/class loop collecting one
@@ -359,19 +369,24 @@ class FluidRows:
 
         # 3. Telemetry: one batched write per receiving store
         #    (blackholed rows excluded, preserving staleness semantics).
+        #    A lone owner is handed the step's fresh vector itself.
         recv_order, recv_writes, send_order, send_writes = self._writes
         owd = delay + self._offset_vec
         alive = loss < BLACKHOLE_LOSS
-        if recv_order is not None:
-            owd, alive = owd[recv_order], alive[recv_order]
-        values = owd.tolist()
-        keep = None if alive.all() else alive.tolist()
-        for store, pids, span in recv_writes:
-            part = values if span is None else values[span]
-            if keep is not None:
-                mask = keep if span is None else keep[span]
-                pids, part = list(compress(pids, mask)), list(compress(part, mask))
-            store.record_aggregate_many(pids, now, part)
+        if recv_order is None:
+            store, pids, _ = recv_writes[0]
+            if not alive.all():
+                pids, owd = list(compress(pids, alive.tolist())), owd[alive]
+            store.record_aggregate_many(pids, now, owd)
+        else:
+            values = owd[recv_order].tolist()
+            keep = None if alive.all() else alive[recv_order].tolist()
+            for store, pids, span in recv_writes:
+                part = values[span]
+                if keep is not None:
+                    mask = keep[span]
+                    pids, part = list(compress(pids, mask)), list(compress(part, mask))
+                store.record_aggregate_many(pids, now, part)
 
         # 4. Loss ledgers: carries computed for every row (a zero inflow
         #    contributes rate*0.0 terms that leave the carry
@@ -384,19 +399,19 @@ class FluidRows:
         delivered_n = delivered_f.astype(np.int64)
         self._lost_carry_vec = lost_f - lost_n
         self._delivered_carry_vec = delivered_f - delivered_n
-        if send_order is not None:
-            lost_n, delivered_n = lost_n[send_order], delivered_n[send_order]
-        lost_counts, delivered_counts = lost_n.tolist(), delivered_n.tolist()
-        for tracker, pids, span in send_writes:
-            if span is None:
-                tracker.record_aggregate_many(pids, delivered_counts, lost_counts)
-            else:
+        if send_order is None:
+            tracker, pids, _ = send_writes[0]
+            tracker.record_aggregate_many(pids, delivered_n, lost_n)
+        else:
+            lost_counts = lost_n[send_order].tolist()
+            delivered_counts = delivered_n[send_order].tolist()
+            for tracker, pids, span in send_writes:
                 tracker.record_aggregate_many(
                     pids, delivered_counts[span], lost_counts[span]
                 )
 
         self._step_arrays = (offered, rho, backlog, delay, loss)
-        return offered.tolist()
+        return offered
 
 
 class VectorFluidEngine:
@@ -629,9 +644,12 @@ class VectorFluidEngine:
             if rate > 0:
                 yield position, rate, self._resolver.resolve(cls, now)
 
-    def _evolve(self, now: float, dt: float, offered: list[float]) -> None:
+    def _evolve(
+        self, now: float, dt: float, offered: Optional[list[float]]
+    ) -> None:
         """The per-direction rest of a step, after the tunnel queues
-        advanced under ``offered`` bps per tunnel (tunnel order)."""
+        advanced under ``offered`` bps per tunnel (tunnel order; read
+        only under ``record_traces``)."""
         self.steps += 1
 
         # Evolve class buckets: arrivals minus mean-field departures

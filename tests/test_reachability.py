@@ -63,7 +63,8 @@ EXCEPTIONS = {
     ),
     "repro.dataplane.seqnum.SequenceTracker.record_aggregate": (
         "tests/traffic/oracle.py, the scalar fluid kernel, is written against "
-        "it; ``record_aggregate_many`` is defined as a loop of these"
+        "it, and tests/telemetry/test_write_behind.py's loop model of "
+        "``record_aggregate_many`` is a loop of these"
     ),
 }
 
