@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from ..core.mesh import DEFAULT_RELAY_OVERHEAD_S
 from ..core.tunnels import TangoTunnel
+from ..netsim.links import LossModel
 from .segments import compose_delay, compose_loss
 
 __all__ = ["StitchedWanLink", "RelayPlan", "build_stitched_tunnel"]
@@ -43,7 +44,11 @@ class _ComposedDelay:
         )
 
 
-class _ComposedLoss:
+class _ComposedLoss(LossModel):
+    """Reads both segments' loss models live — a fault may swap either
+    at any moment — so it keeps the base class's promise of no horizon
+    beyond the instant asked (:meth:`LossModel.constant_until`)."""
+
     def __init__(self, link: "StitchedWanLink") -> None:
         self._link = link
 
@@ -59,7 +64,8 @@ class StitchedWanLink:
     """Virtual WAN link over two real segment links.
 
     Duck-types the slice of the netsim ``Link`` surface the fluid engine
-    consumes (``.name``, ``.delay.delay_at``, ``.loss.loss_probability``).
+    consumes (``.name``, ``.delay.delay_at``, ``.loss`` a
+    :class:`~repro.netsim.links.LossModel`).
     Both components read the segment links *live* — an
     :class:`~repro.netsim.links.OverrideLoss` blackhole installed on a
     segment by a fault (e.g. ``relay_outage``) is visible through the

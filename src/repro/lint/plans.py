@@ -232,6 +232,11 @@ def check_fault_plan(
             else:
                 if factor <= 0:
                     bad(index, f"demand_surge factor must be > 0, got {factor:g}")
+            label = params.get("flow_label")
+            if label is not None and (
+                not isinstance(label, int) or isinstance(label, bool)
+            ):
+                bad(index, f"demand_surge flow_label {label!r} is not an int")
         if event.kind == "telemetry_tamper":
             try:
                 bias = float(params["bias_ms"])

@@ -56,6 +56,7 @@ __all__ = [
     "normal_at",
     "hash_seeds",
     "normal_across_seeds",
+    "normal_grid",
     "plain_gaussian_jitter",
     "GaussianJitterRows",
 ]
@@ -134,6 +135,14 @@ def normal_across_seeds(hashed_seeds: np.ndarray, t: float) -> np.ndarray:
     ``hashed_seeds = hash_seeds(seeds)``."""
     index = np.uint64(math.floor(t / _NOISE_QUANTUM) & _MASK64)
     return ndtri(_unit_interval(_splitmix64(index ^ hashed_seeds)))
+
+
+def normal_grid(hashed_seeds: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """:func:`deterministic_normal` over many seeds at many times in one
+    draw: element ``[k, i]`` equals ``normal_at(seeds[i], times[k])`` bit
+    for bit, where ``hashed_seeds = hash_seeds(seeds)``."""
+    index = _time_indices(times).astype(np.uint64)
+    return ndtri(_unit_interval(_splitmix64(index[:, None] ^ hashed_seeds)))
 
 
 def _splitmix64_int(x: int) -> int:

@@ -12,6 +12,7 @@ the calibrated end-to-end one-way-delay of that path (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -58,11 +59,28 @@ class PacketInterceptor:
         raise NotImplementedError
 
 
+def _next_edge(windows: Sequence[tuple[float, float]], t: float) -> float:
+    """The first window start or end after ``t`` (``inf`` if none):
+    which windows contain an instant changes only there."""
+    edges = (edge for window in windows for edge in window if edge > t)
+    return min(edges, default=math.inf)
+
+
 class LossModel:
     """Base class: probability that a packet sent at time ``t`` is lost."""
 
     def loss_probability(self, t: float) -> float:
         raise NotImplementedError
+
+    def constant_until(self, t: float) -> float:
+        """A time after ``t`` before which ``loss_probability`` keeps its
+        value at ``t``: the value is the same at every instant of
+        ``[t, constant_until(t))``, so a caller stepping through time
+        re-evaluates only once it reaches the answer.  The base answer
+        promises the instant ``t`` alone — a model that reads live state
+        (a stitched link's composition) changes at every step.
+        """
+        return math.nextafter(t, math.inf)
 
     def drops(self, seed: int, t: float, nonce: int = 0) -> bool:
         """Deterministic Bernoulli draw for one transmission.
@@ -93,6 +111,9 @@ class ConstantLoss(LossModel):
     def loss_probability(self, t: float) -> float:
         return self.rate
 
+    def constant_until(self, t: float) -> float:
+        return math.inf
+
 
 @dataclass(frozen=True)
 class WindowedLoss(LossModel):
@@ -111,6 +132,9 @@ class WindowedLoss(LossModel):
         for name, rate in (("baseline", self.baseline), ("elevated", self.elevated)):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} loss rate must be in [0, 1], got {rate}")
+        for start, end in self.windows:
+            if end < start:
+                raise ValueError(f"window end before start: ({start}, {end})")
 
     @classmethod
     def around_events(
@@ -128,6 +152,9 @@ class WindowedLoss(LossModel):
             if start <= t < end:
                 return self.elevated
         return self.baseline
+
+    def constant_until(self, t: float) -> float:
+        return _next_edge(self.windows, t)
 
 
 @dataclass(frozen=True)
@@ -195,6 +222,12 @@ class OverrideLoss(LossModel):
         if self._active(t):
             return self.rate
         return self.inner.loss_probability(t)
+
+    def constant_until(self, t: float) -> float:
+        edge = _next_edge(self.windows, t)
+        if self._active(t):
+            return edge
+        return min(edge, self.inner.constant_until(t))
 
     def drops(self, seed: int, t: float, nonce: int = 0) -> bool:
         if self._active(t):

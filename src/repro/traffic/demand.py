@@ -8,9 +8,16 @@ A :class:`DemandModel` groups classes and layers :class:`SurgeWindow`
 multipliers on top — the ``demand_surge`` fault kind is a pure data
 mutation of the model, nothing is scheduled.
 
-Everything is a deterministic function of (seed, time): arrivals use
-counter-based draws from :func:`repro.netsim.delaymodels.normal_at`, so
-replaying a scenario with the same seed reproduces the demand exactly.
+Everything is a deterministic function of (seed, time): a class's
+arrival noise is the counter-based normal draw of its :meth:`stream
+<DemandModel.stream>` at the interval's midpoint, so replaying a
+scenario with the same seed reproduces the demand exactly.
+:meth:`DemandModel.arrivals_between` states one interval of one class as
+scalars (:func:`~repro.netsim.delaymodels.normal_at`); the fluid engine
+evaluates every class of every direction at once on its rows
+(:class:`~repro.traffic.vector.FluidRows`: the same expression tree, the
+stream hashed once per bucket and the noise drawn a block of steps at a
+time with :func:`~repro.netsim.delaymodels.normal_grid`).
 """
 
 from __future__ import annotations
@@ -117,7 +124,18 @@ class DemandModel:
         factor: float,
         flow_label: Optional[int] = None,
     ) -> SurgeWindow:
-        """Register a surge window (the ``demand_surge`` fault hook)."""
+        """Register a surge window (the ``demand_surge`` fault hook).
+
+        A ``flow_label`` no class carries is a ``ValueError`` naming the
+        known labels: a surge aimed at a missing class must not arm as a
+        silent no-op.
+        """
+        labels = sorted(cls.flow_label for cls in self.classes)
+        if flow_label is not None and flow_label not in labels:
+            raise ValueError(
+                f"no flow class with flow_label {flow_label!r} to surge; "
+                f"known labels: {labels}"
+            )
         window = SurgeWindow(start=start, end=end, factor=factor, flow_label=flow_label)
         self.surges.append(window)
         return window
@@ -150,9 +168,12 @@ class DemandModel:
         lam = self.arrival_rate(cls, mid) * (t1 - t0)
         if lam <= 0.0:
             return 0.0
-        stream = _mix_seed(self.seed, cls.seed, cls.flow_label)
-        noise = normal_at(stream, mid)
+        noise = normal_at(self.stream(cls), mid)
         return max(0.0, lam + math.sqrt(lam) * noise)
+
+    def stream(self, cls: FlowClass) -> int:
+        """The counter-RNG stream of ``cls``'s arrival noise in this model."""
+        return _mix_seed(self.seed, cls.seed, cls.flow_label)
 
     def equilibrium_flows(self, cls: FlowClass, t: float) -> float:
         """Little's-law concurrency at the instantaneous rate."""
@@ -171,7 +192,8 @@ class DemandModel:
 @lru_cache(maxsize=4096)
 def _mix_seed(*parts: int) -> int:
     """Fold seed components into one 64-bit stream id (SplitMix-style).
-    Cached: a fluid step asks for each (model, class) stream again."""
+    Cached: :meth:`DemandModel.arrivals_between` asks for a class's
+    stream again every interval."""
     acc = 0x9E3779B97F4A7C15
     for part in parts:
         acc ^= (part & 0xFFFFFFFFFFFFFFFF) + 0x9E3779B97F4A7C15 + ((acc << 6) & 0xFFFFFFFFFFFFFFFF) + (acc >> 2)

@@ -16,24 +16,39 @@ into the *existing* telemetry path:
   ``QuarantinePolicy`` see fluid-mode loss.
 
 :class:`FluidRows` holds one *row* per (direction, tunnel), a contiguous
-segment per direction, and advances all of them with numpy array
-operations on **one** periodic event.  A lone :class:`VectorFluidEngine`
-is the one-segment case (rows of its own); a federation puts all N(N-1)
+segment per direction, and one *bucket* per (direction, flow class),
+direction-major, and advances all of them with numpy array operations
+on **one** periodic event.  A lone :class:`VectorFluidEngine` is the
+one-segment case (rows of its own); a federation puts all N(N-1)
 directions on one (:class:`~repro.federation.registry.PairView` names
 the shared rows).  The implementation is arranged so each elementwise
-operation evaluates the *same IEEE-754 expression tree* a per-tunnel
-scalar loop over the closed forms does:
+operation evaluates the *same IEEE-754 expression tree* a per-direction
+scalar loop over the closed forms and
+:meth:`~repro.traffic.demand.DemandModel.arrivals_between` does:
 
-* vectorization runs across rows while directions and their (few) flow
-  classes keep a Python loop in direction order — selectors are Python
-  objects with state — and offered load accumulates per element in the
-  scalar order: ``offered += rate * fraction`` once per class position,
-  where an unselected tunnel's ``rate * 0.0`` and an unloaded class's
-  ``0.0 * fraction`` are bitwise no-ops;
-* the one reduction (total offered load, for the split trace) happens
-  in the per-direction step, as a left-to-right Python ``sum()`` over
-  the ``tolist()`` of the offered vector (taken only when a direction
-  records traces), never numpy's pairwise ``np.sum``;
+* the only per-bucket Python is the selector's split resolution for
+  each loaded bucket, in bucket order (direction order, then class
+  order) — selectors are Python objects with state; offered load
+  accumulates per element in the scalar order: ``offered += rate *
+  fraction`` once per class position, where an unselected tunnel's
+  ``rate * 0.0`` and an unloaded or missing class's ``0.0 * fraction``
+  are bitwise no-ops;
+* bucket evolution is ``max(0.0, flows + arrivals - departures)`` with
+  ``arrivals = max(0.0, lam + sqrt(lam) * noise)`` and ``lam = ((rate x
+  day curve) x surge) x interval`` elementwise; day-curve factors are
+  the scalar ``math.sin`` of the few diurnal buckets and surge factors
+  are read every step for a direction whose demand has surge windows
+  (the ``demand_surge`` fault adds them mid-run);
+* arrival noise for every bucket comes from one counter-RNG draw over
+  (bucket streams x the next ``_NOISE_BLOCK`` predicted step midpoints,
+  :func:`~repro.netsim.delaymodels.normal_grid`); each step compares
+  its actual midpoint with the prediction and redraws on a miss, so no
+  result depends on the prediction being right;
+* sums run in the scalar order, never numpy's pairwise ``np.sum``: a
+  direction's concurrency is its class buckets added in class order
+  from 0, one class position at a time; a split trace's total is a
+  left-to-right Python ``sum()`` over the ``tolist()`` of the offered
+  vector;
 * integer ledger truncation uses ``astype(int64)``, which matches
   ``int()`` for the non-negative packet counts involved;
 * what a scalar loop would keep per engine (packet bits, buffer depth,
@@ -42,8 +57,8 @@ scalar loop over the closed forms does:
 That scalar loop is ``tests/traffic/oracle.py`` — the product's kernel
 until it had no product caller — and one of it per direction serves as
 a seeded **bit-equivalence oracle**: same deployment, same demand seeds,
-same selectors ⇒ identical per-step rho/backlog/delay/loss,
-byte-identical telemetry series and loss ledgers
+same selectors ⇒ identical per-step rho/backlog/delay/loss, concurrency,
+byte-identical telemetry series, loss ledgers and traces
 (``tests/traffic/test_vector.py`` for one segment,
 ``tests/federation/test_batched_engine.py`` for many).
 
@@ -55,32 +70,41 @@ one's rows ascending — the order one engine per direction writes in.
 A lone owner is handed the step's vectors themselves (fresh every step
 and never written again, so it may keep them: while nobody reads, a
 wide step is array operations end to end); several owners get the
-``tolist()`` span of their rows.
+``tolist()`` span of their rows.  Traces are kept the same way: while
+some direction records them the rows keep each step's offered and
+concurrency vectors by reference, and a direction builds its
+``split_trace`` / ``concurrency_trace`` entries from them when read.
 
 Base link models are classified once per model *object* and re-checked
 by ``is`` every step, so a fault that swaps a link's model (an
 ``OverrideLoss`` blackhole, a delay overlay) is seen at the step it
-lands.  A :class:`ConstantDelay` / :class:`ConstantLoss` is evaluated
-once; rows whose delay is a plain :class:`GaussianJitterDelay`
+lands.  A :class:`ConstantDelay` is evaluated once; rows whose delay is
+a plain :class:`GaussianJitterDelay`
 (:func:`~repro.netsim.delaymodels.plain_gaussian_jitter`) are all drawn
-with one array call; any other model — a stitched link's composition, a
-composite that gained an event, a third-party model — takes the scalar
-``delay_at`` / ``loss_probability`` for that row only.
+with one array call; any other delay model — a stitched link's
+composition, a composite that gained an event, a third-party model —
+takes the scalar ``delay_at`` for that row only.  A row's loss is
+evaluated only when the step reaches its change point
+(:meth:`~repro.netsim.links.LossModel.constant_until`: never again for
+a constant, the next window edge for windowed and override losses,
+every step for a live composition), and a model swap resets it.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import compress
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.netsim.delaymodels import (
     ConstantDelay,
     GaussianJitterRows,
+    hash_seeds,
+    normal_grid,
     plain_gaussian_jitter,
 )
-from repro.netsim.links import ConstantLoss
 from repro.netsim.packet import TANGO_UDP_PORT, Ipv6Header, Packet, UdpHeader
 
 from .demand import DemandModel, FlowClass
@@ -91,6 +115,10 @@ __all__ = ["FluidRows", "VectorFluidEngine"]
 #: How far ``now`` may sit from a step instant and still be on it: the
 #: grid is an accumulated float sum (ten steps of 0.1 are not 1.0).
 _GRID_EPS = 1e-9
+
+#: Steps of arrival noise one draw covers: every bucket's noise for this
+#: many predicted step midpoints comes from a single array call.
+_NOISE_BLOCK = 256
 
 
 def _gather_by_owner(owners: list, pids: list[int]) -> tuple:
@@ -114,22 +142,23 @@ def _gather_by_owner(owners: list, pids: list[int]) -> tuple:
 
 
 class FluidRows:
-    """Array queue state of every direction on one step grid.
+    """Array queue and demand state of every direction on one step grid.
 
     Directions (:class:`VectorFluidEngine`) append their tunnels' rows
-    at construction and keep what is per-direction — demand, class
-    buckets, split resolver, traces, counters; the rows hold what the
-    array step works on and the one periodic task that runs it.  A step
-    is: every direction's class splits (direction order), one array pass
-    over all rows, one batched write per receiving store and sending
-    tracker, every direction's bucket evolution (direction order).
+    and their flow classes' buckets at construction and keep what is
+    per-direction — demand model, split resolver, the traces they have
+    read; the rows hold what the array step works on and the one
+    periodic task that runs it.  A step is: every loaded bucket's split
+    (bucket order), one array pass over all rows, one batched write per
+    receiving store and sending tracker, one array pass over all
+    buckets.
 
     Directions step and stop together: the first ``start()`` arms the
-    task, every row advances whenever it fires (a direction's own
-    ``start()`` is what seeds its buckets), ``stop()`` on any direction
-    halts them all.  Rows join a *running* state only at one of its step
-    instants, after the step ran, so a late direction's first ``dt`` is
-    one whole step like everyone's — anywhere else is a
+    task, every row and bucket advances whenever it fires (a direction's
+    own ``start()`` is what seeds its buckets), ``stop()`` on any
+    direction halts them all.  Rows join a *running* state only at one
+    of its step instants, after the step ran, so a late direction's
+    first ``dt`` is one whole step like everyone's — anywhere else is a
     ``RuntimeError``, never a short or stretched first step.
     """
 
@@ -146,19 +175,42 @@ class FluidRows:
         # Queue state, and the fractional packet carries of the ledgers.
         self._backlog_vec = self._lost_carry_vec = self._delivered_carry_vec = empty
         # Base-model values of the latest step, the model objects they
-        # came from, and the evaluation plans derived from those.
-        self._delay_vals = self._loss_vals = empty
+        # came from, the delay evaluation plan derived from those, and
+        # per row the time its loss value stops being known to hold
+        # (with the earliest of them, the one float a step compares).
+        self._delay_vals = self._loss_vals = self._loss_until = empty
         self._delay_models: list[object] = []
         self._loss_models: list[object] = []
         self._delay_plan: Optional[tuple] = None
-        self._scalar_loss_rows: Optional[list[int]] = None
-        # Derived from membership, rebuilt after rows are added: the
-        # batched-write layout, and per class position the split
-        # fractions of every row (each direction patches its segment
-        # when its split changes) with the tunnels per direction.
+        self._next_loss_change = -math.inf
+        # Demand side: one bucket per (direction, class), direction-major
+        # — (direction, class, class position), the per-class constants,
+        # the float concurrency state, and the buckets whose class has a
+        # day curve.  Per direction: peak concurrency.
+        self._buckets: list[tuple[VectorFluidEngine, FlowClass, int]] = []
+        self._rate_bps_vec = self._arrival_vec = self._duration_vec = empty
+        self._day_vec = self._flows_vec = self._peak_vec = empty
+        self._diurnal: list[tuple[int, FlowClass]] = []
+        # Arrival noise: each bucket's hashed stream, the block drawn for
+        # the predicted midpoints and the index of the next step's row.
+        self._hashed_streams = np.zeros(0, dtype=np.uint64)
+        self._noise = empty
+        self._noise_mids: list[float] = []
+        self._noise_next = 0
+        self._steps = 0
+        #: ``(now, offered, concurrency)`` per step while any direction
+        #: records traces (``None`` until one does).
+        self._history: Optional[list[tuple]] = None
+        # Derived from membership, rebuilt after directions join: the
+        # batched-write layout; per class position the split fractions
+        # of every row (each direction patches its segment when its
+        # split changes) and every row's bucket at that position; the
+        # concurrency gathers.
         self._writes: Optional[tuple] = None
         self._fractions: list[np.ndarray] = []
-        self._widths = np.zeros(0, dtype=np.intp)
+        self._row_buckets: list[np.ndarray] = []
+        self._first_buckets = np.zeros(0, dtype=np.intp)
+        self._later_buckets: list[tuple[np.ndarray, np.ndarray]] = []
         self._step_arrays: tuple[np.ndarray, ...] = ()
         self._task: Any = None
         self._last = sim.now
@@ -177,8 +229,9 @@ class FluidRows:
 
     def _append(
         self, direction: "VectorFluidEngine", links: list, capacities: list[float]
-    ) -> tuple[int, int]:
-        """Add ``direction``'s tunnels as rows; returns its segment."""
+    ) -> None:
+        """Add ``direction``'s tunnels as rows and its classes as buckets;
+        tells it its segments."""
         if direction.sim is not self.sim or direction.step_s != self.step_s:
             raise ValueError(
                 f"fluid rows step every {self.step_s}s on their simulator; a "
@@ -188,6 +241,7 @@ class FluidRows:
         n = len(links)
         cap = np.array(capacities, dtype=np.float64)
         bits_per_packet = direction.packet_bytes * 8.0
+        classes = direction.demand.classes
         tails = {
             "_cap_vec": cap,
             "_bits_vec": np.full(n, bits_per_packet),
@@ -195,6 +249,20 @@ class FluidRows:
             "_buffer_delay_vec": np.full(n, direction.buffer_delay_s),
             "_buffer_vec": cap * direction.buffer_delay_s,
             "_offset_vec": np.full(n, direction._offset),
+            "_loss_until": np.full(n, -math.inf),
+            "_rate_bps_vec": np.array([c.rate_bps for c in classes], dtype=np.float64),
+            "_arrival_vec": np.array(
+                [c.arrival_rate_per_s for c in classes], dtype=np.float64
+            ),
+            "_duration_vec": np.array(
+                [c.mean_duration_s for c in classes], dtype=np.float64
+            ),
+            "_day_vec": np.ones(len(classes)),
+            "_flows_vec": np.zeros(len(classes)),
+            "_peak_vec": np.zeros(1),
+            "_hashed_streams": hash_seeds(
+                [direction.demand.stream(cls) for cls in classes]
+            ),
         }
         for name in (
             "_backlog_vec",
@@ -207,14 +275,26 @@ class FluidRows:
         for name, tail in tails.items():
             head = getattr(self, name)
             setattr(self, name, np.concatenate((head, tail)) if len(head) else tail)
-        lo = len(self._links)
+        lo, blo = len(self._links), len(self._buckets)
         self._links += links
         self._pids += direction._pids
         self._delay_models += [None] * n
         self._loss_models += [None] * n
+        self._next_loss_change = -math.inf
+        self._buckets += [(direction, cls, p) for p, cls in enumerate(classes)]
+        self._diurnal += [
+            (blo + p, cls) for p, cls in enumerate(classes) if cls.diurnal_fraction
+        ]
+        self._noise_mids = []
+        if direction.record_traces and self._history is None:
+            self._history = []
+        direction._lo, direction._hi = lo, lo + n
+        direction._blo, direction._bhi = blo, blo + len(classes)
+        direction._index = len(self.directions)
+        direction._steps_before = self._steps
+        direction._traced = len(self._history or ())
         self._writes = None
         self.directions.append(direction)
-        return lo, lo + n
 
     def start(self, now: float) -> object:
         """Make sure the rows are stepping; returns the shared task."""
@@ -236,6 +316,13 @@ class FluidRows:
             for direction in self.directions:
                 direction._task = None
 
+    def _seed(self, direction: "VectorFluidEngine", flows: list[float]) -> None:
+        """Set ``direction``'s buckets (class order) and fold the new
+        concurrency into its peak."""
+        self._flows_vec[direction._blo : direction._bhi] = flows
+        j = direction._index
+        self._peak_vec[j] = max(float(self._peak_vec[j]), direction.concurrent_flows)
+
     # ------------------------------------------------------------------
     # Step kernel
     # ------------------------------------------------------------------
@@ -246,15 +333,15 @@ class FluidRows:
         self._last = now
         if dt <= 0:
             return
-        offered = self._advance_tunnels(now, dt)
-        offered_bps = None  # Python floats, made once a direction traces
-        for direction in self.directions:
-            segment = None
-            if direction.record_traces:
-                if offered_bps is None:
-                    offered_bps = offered.tolist()
-                segment = offered_bps[direction._lo : direction._hi]
-            direction._evolve(now, dt, segment)
+        if self._writes is None:
+            self._relayout()
+        # Read every step: a demand_surge fault adds windows mid-run.
+        surging = [d for d in self.directions if d.demand.surges]
+        offered = self._advance_tunnels(now, dt, surging)
+        concurrency = self._advance_buckets(now, dt, surging)
+        self._steps += 1
+        if self._history is not None:
+            self._history.append((now, offered, concurrency))
 
     def _base_models(self, now: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-row base delay/loss under the identity-keyed classification."""
@@ -270,9 +357,7 @@ class FluidRows:
             lm = link.loss
             if lm is not loss_models[i]:
                 loss_models[i] = lm
-                self._scalar_loss_rows = None
-                if type(lm) is ConstantLoss:
-                    loss_vals[i] = lm.loss_probability(now)
+                self._loss_until[i] = self._next_loss_change = -math.inf
 
         if self._delay_plan is None:
             scalar_rows, jitter_rows, jitter_models = [], [], []
@@ -290,49 +375,84 @@ class FluidRows:
                 np.array(jitter_rows, dtype=np.intp),
                 GaussianJitterRows(jitter_models),
             )
-        if self._scalar_loss_rows is None:
-            self._scalar_loss_rows = [
-                i for i, lm in enumerate(loss_models) if type(lm) is not ConstantLoss
-            ]
 
         scalar_rows, jitter_rows, jitter = self._delay_plan
         for i in scalar_rows:
             delay_vals[i] = delay_models[i].delay_at(now)
         if len(jitter_rows):
             delay_vals[jitter_rows] = jitter.delays_at(now)
-        for i in self._scalar_loss_rows:
-            loss_vals[i] = loss_models[i].loss_probability(now)
+        if now >= self._next_loss_change:
+            until = self._loss_until
+            for i in np.flatnonzero(until <= now).tolist():
+                lm = loss_models[i]
+                loss_vals[i] = lm.loss_probability(now)
+                until[i] = lm.constant_until(now)
+            self._next_loss_change = float(until.min())
         return delay_vals, loss_vals
 
     def _relayout(self) -> None:
-        """Rebuild what is derived from which directions own which rows."""
+        """Rebuild what is derived from which directions own which rows
+        and buckets."""
         directions = self.directions
         every = [d for d in directions for _ in d._pids]
         self._writes = _gather_by_owner(
             [d.receiver.inbound for d in every], self._pids
         ) + _gather_by_owner([d.sender.tracker for d in every], self._pids)
-        positions = max(len(d.demand.classes) for d in directions)
+        positions = max(d._bhi - d._blo for d in directions)
         self._fractions = [
             np.zeros(len(every), dtype=np.float64) for _ in range(positions)
         ]
-        self._widths = np.array([len(d._pids) for d in directions], dtype=np.intp)
+        # A row whose direction has no class at a position reads the
+        # zero rate one past the last bucket.
+        missing = len(self._buckets)
+        self._row_buckets = [
+            np.array(
+                [d._blo + p if d._blo + p < d._bhi else missing for d in every],
+                dtype=np.intp,
+            )
+            for p in range(positions)
+        ]
+        self._first_buckets = np.array([d._blo for d in directions], dtype=np.intp)
+        self._later_buckets = []
+        for p in range(1, positions):
+            having = [j for j, d in enumerate(directions) if d._blo + p < d._bhi]
+            self._later_buckets.append(
+                (
+                    np.array(having, dtype=np.intp),
+                    np.array([directions[j]._blo + p for j in having], dtype=np.intp),
+                )
+            )
         for d in directions:
             d._split_items = [None] * positions
 
-    def _advance_tunnels(self, now: float, dt: float) -> np.ndarray:
+    def _surge_factors(self, surging: list, t: float) -> np.ndarray:
+        """Per bucket, its demand's surge factor at ``t`` (1.0 for every
+        direction without surge windows)."""
+        factors = np.ones(len(self._buckets))
+        for d in surging:
+            factors[d._blo : d._bhi] = [
+                d.demand.surge_factor(cls.flow_label, t) for cls in d.demand.classes
+            ]
+        return factors
+
+    def _advance_tunnels(self, now: float, dt: float, surging: list) -> np.ndarray:
         """Advance every row's fluid queue by ``dt``; write telemetry and
         the loss ledgers; return offered bps per row."""
-        # 1. Offered load: scalar direction/class loop collecting one
-        #    rate per (class position, direction); vector accumulate,
-        #    one class position at a time.
+        # 1. Offered load: per bucket ``(flows * rate) * surge`` (the
+        #    surge scales the per-flow rate too, so a demand_surge fault
+        #    changes load within one step), one split resolution per
+        #    loaded bucket, then a vector accumulate per class position.
         directions = self.directions
-        if self._writes is None:
-            self._relayout()
+        n_buckets = len(self._buckets)
+        rates = np.zeros(n_buckets + 1)
+        np.multiply(self._flows_vec, self._rate_bps_vec, out=rates[:n_buckets])
+        if surging:
+            rates[:n_buckets] *= self._surge_factors(surging, now)
+        rate_list = rates.tolist()
         fractions = self._fractions
-        rates = [[0.0] * len(directions) for _ in fractions]
-        for j, direction in enumerate(directions):
-            for position, rate, items in direction._class_splits(now):
-                rates[position][j] = rate
+        for (direction, cls, position), rate in zip(self._buckets, rate_list):
+            if rate > 0:
+                items = direction._resolver.resolve(cls, now)
                 if direction._split_items[position] is not items:
                     direction._split_items[position] = items
                     segment = fractions[position][direction._lo : direction._hi]
@@ -340,10 +460,12 @@ class FluidRows:
                     for pid, fraction in items:
                         segment[direction._pid_index[pid]] = fraction
         offered = np.zeros(len(self._pids), dtype=np.float64)
-        alone = len(directions) == 1  # one rate per class: no per-row repeat
-        for class_rates, class_fractions in zip(rates, fractions):
-            scale = class_rates[0] if alone else np.repeat(class_rates, self._widths)
-            offered += scale * class_fractions
+        if len(directions) == 1:  # one rate per class position: no gather
+            for rate, class_fractions in zip(rate_list, fractions):
+                offered += rate * class_fractions
+        else:
+            for row_buckets, class_fractions in zip(self._row_buckets, fractions):
+                offered += rates[row_buckets] * class_fractions
 
         # 2. Fluid queue update — same expression tree as the scalar
         #    closed forms, elementwise across rows.
@@ -413,16 +535,79 @@ class FluidRows:
         self._step_arrays = (offered, rho, backlog, delay, loss)
         return offered
 
+    def _advance_buckets(self, now: float, dt: float, surging: list) -> Any:
+        """Evolve every bucket by ``dt``: Poisson-scale arrivals minus
+        mean-field departures (flows drain at 1/mean_duration; per-step
+        heavy-tail draws would bias the drain upward since E[1/X] >
+        1/E[X]).  Returns the directions' concurrency: a vector, or a
+        one-element list for a lone direction."""
+        flows = self._flows_vec
+        t0 = now - dt
+        arrivals: Any = 0.0  # an empty interval has no arrivals
+        if now > t0:
+            mid = 0.5 * (t0 + now)
+            lam = self._arrival_vec
+            if self._diurnal:
+                day = self._day_vec
+                for b, cls in self._diurnal:
+                    day[b] = cls.diurnal_factor(mid)
+                lam = lam * day
+            if surging:
+                lam = lam * self._surge_factors(surging, mid)
+            lam = lam * (now - t0)
+            # ``max(0.0, x)``: x is never -0.0 or NaN here.
+            arrivals = np.maximum(
+                lam + np.sqrt(lam) * self._arrival_noise(now, mid), 0.0
+            )
+        departures = flows * dt / self._duration_vec
+        flows = self._flows_vec = np.maximum(flows + arrivals - departures, 0.0)
+
+        # Concurrency sums a direction's classes in class order from 0.
+        if len(self.directions) == 1:
+            concurrent = 0
+            for f in flows.tolist():
+                concurrent += f
+            if concurrent > self._peak_vec[0]:
+                self._peak_vec[0] = concurrent
+            return [concurrent]
+        concurrency = flows[self._first_buckets]
+        for having, buckets in self._later_buckets:
+            concurrency[having] += flows[buckets]
+        self._peak_vec = np.maximum(self._peak_vec, concurrency)
+        return concurrency
+
+    def _arrival_noise(self, now: float, mid: float) -> np.ndarray:
+        """Every bucket's arrival noise for the step at ``now`` whose
+        interval midpoint is ``mid``: a row of the current block when
+        the block predicted ``mid``, else a new block drawn from here."""
+        k = self._noise_next
+        if k < len(self._noise_mids) and self._noise_mids[k] == mid:
+            self._noise_next = k + 1
+            return self._noise[k]
+        # The midpoints the coming steps compute, if the task keeps
+        # firing every step_s: t1 = t + step_s, mid = (t1 - (t1 - t) + t1) / 2.
+        mids = [mid]
+        t, step = now, self.step_s
+        for _ in range(_NOISE_BLOCK - 1):
+            t1 = t + step
+            mids.append(0.5 * ((t1 - (t1 - t)) + t1))
+            t = t1
+        self._noise = normal_grid(self._hashed_streams, np.array(mids))
+        self._noise_mids = mids
+        self._noise_next = 1
+        return self._noise[0]
+
 
 class VectorFluidEngine:
     """Fixed-step fluid traffic engine for one direction of a deployment.
 
-    What is per-direction lives here — demand, class buckets, split
-    resolution, traces, counters, :meth:`_evolve`; the tunnels' queue
-    state is a segment of a :class:`FluidRows`: the deployment's
+    What is per-direction lives here — demand model, split resolution,
+    synthetic packets; the tunnels' queue state and the class buckets
+    are segments of a :class:`FluidRows`: the deployment's
     ``fluid_rows`` when it names some (a federation's shared state) and
-    this engine's own otherwise.  ``start()`` / ``stop()`` act on all of
-    the rows' directions (see :class:`FluidRows`).
+    this engine's own otherwise.  The counters and traces below are
+    views of those rows.  ``start()`` / ``stop()`` act on all of the
+    rows' directions (see :class:`FluidRows`).
 
     Args:
         deployment: an established scenario deployment (e.g.
@@ -487,17 +672,10 @@ class VectorFluidEngine:
             capacity = getattr(calibration, "capacity_bps", 0.0) or 0.0
             capacities.append(capacity or default_capacity_bps)
 
-        # Per-(flow-class) aggregate buckets: float concurrency counts.
-        self._flows: dict[int, float] = {cls.flow_label: 0.0 for cls in demand.classes}
         self._packets: dict[int, Packet] = {
             cls.flow_label: self._synthetic_packet(cls) for cls in demand.classes
         }
         self._resolver = SplitResolver(self.sender, self.tunnels, self._packets)
-
-        self.steps = 0
-        self.peak_concurrent_flows = 0.0
-        self.split_trace: list[tuple[float, dict[int, float]]] = []
-        self.concurrency_trace: list[tuple[float, float]] = []
         self._task = None
 
         # Last thing that can fail: it publishes the queue state (rows
@@ -511,17 +689,22 @@ class VectorFluidEngine:
             attach(src, self)
 
     def _init_queue_state(self, links: list, capacities: list[float]) -> None:
-        """Append this direction's tunnels to its rows (tunnel order)."""
+        """Append this direction's tunnels and classes to its rows."""
         self._pid_index = {pid: i for i, pid in enumerate(self._pids)}
         #: Per class position, the resolver's items tuple this
         #: direction's segment of the rows' fractions was written from
         #: (a changed split hands back a new tuple).
         self._split_items: list = []
+        #: The traces as read so far (see :meth:`_read_traces`).
+        self._split_trace: list[tuple[float, dict[int, float]]] = []
+        self._concurrency_trace: list[tuple[float, float]] = []
         rows = getattr(self.deployment, "fluid_rows", None)
         self._rows: FluidRows = (
             FluidRows(self.sim, self.step_s) if rows is None else rows
         )
-        self._lo, self._hi = self._rows._append(self, links, capacities)
+        # Sets _lo/_hi (rows), _blo/_bhi (buckets), _index, _steps_before
+        # and _traced.
+        self._rows._append(self, links, capacities)
         self._loads: dict[int, TunnelLoad] = {}
         #: The rows' step arrays ``_loads`` was built from.
         self._loads_step = self._rows._step_arrays
@@ -540,17 +723,12 @@ class VectorFluidEngine:
         if self._task is not None:
             raise RuntimeError("fluid engine already started")
         now = self.sim.now
-        self._task = self._start_stepping(now)
+        self._task = self._rows.start(now)
         if at_equilibrium:
-            for cls in self.demand.classes:
-                self._flows[cls.flow_label] = self.demand.equilibrium_flows(cls, now)
-            self.peak_concurrent_flows = max(
-                self.peak_concurrent_flows, self.concurrent_flows
+            demand = self.demand
+            self._rows._seed(
+                self, [demand.equilibrium_flows(cls, now) for cls in demand.classes]
             )
-
-    def _start_stepping(self, now: float) -> object:
-        """Make sure the rows are stepping; returns their task."""
-        return self._rows.start(now)
 
     def stop(self) -> None:
         """Halt the rows — this direction and every other one on them."""
@@ -561,9 +739,53 @@ class VectorFluidEngine:
     # ------------------------------------------------------------------
 
     @property
+    def steps(self) -> int:
+        """Steps taken since this direction joined its rows."""
+        return self._rows._steps - self._steps_before
+
+    @property
     def concurrent_flows(self) -> float:
         """Total modeled concurrent flows across all class buckets."""
-        return sum(self._flows[cls.flow_label] for cls in self.demand.classes)
+        return sum(self._rows._flows_vec[self._blo : self._bhi].tolist())
+
+    @property
+    def peak_concurrent_flows(self) -> float:
+        """Largest concurrency seen after a seeding or a step."""
+        return float(self._rows._peak_vec[self._index])
+
+    @property
+    def split_trace(self) -> list[tuple[float, dict[int, float]]]:
+        """``(t, {path id: share of offered load})`` per step (empty
+        without ``record_traces``)."""
+        self._read_traces()
+        return self._split_trace
+
+    @property
+    def concurrency_trace(self) -> list[tuple[float, float]]:
+        """``(t, concurrent flows)`` per step (empty without
+        ``record_traces``)."""
+        self._read_traces()
+        return self._concurrency_trace
+
+    def _read_traces(self) -> None:
+        """Extend the traces with the steps the rows kept since the last
+        read: offered shares left to right in tunnel order (the scalar
+        oracle's float sum), concurrency as the rows summed it."""
+        history = self._rows._history
+        if not self.record_traces or history is None or self._traced == len(history):
+            return
+        pids, j = self._pids, self._index
+        segment = slice(self._lo, self._hi)
+        for now, offered, concurrency in history[self._traced :]:
+            values = offered[segment].tolist()
+            total = sum(values)
+            if total > 0:
+                split = {pid: off / total for pid, off in zip(pids, values)}
+            else:
+                split = dict.fromkeys(pids, 0.0)
+            self._split_trace.append((now, split))
+            self._concurrency_trace.append((now, float(concurrency[j])))
+        self._traced = len(history)
 
     @property
     def splits_recomputed(self) -> int:
@@ -605,10 +827,6 @@ class VectorFluidEngine:
         load = self.last_loads.get(path_id)
         return load.utilization if load is not None else 0.0
 
-    # ------------------------------------------------------------------
-    # Stepping
-    # ------------------------------------------------------------------
-
     def _synthetic_packet(self, cls: FlowClass) -> Packet:
         """A representative packet for selector dispatch.
 
@@ -626,61 +844,6 @@ class VectorFluidEngine:
             flow_label=cls.flow_label,
         )
 
-    def _class_splits(
-        self, now: float
-    ) -> Iterator[tuple[int, float, tuple[tuple[int, float], ...]]]:
-        """``(class position, offered bps, split items)`` per loaded class.
-
-        The surge factor scales the instantaneous per-flow rate too, so
-        a demand_surge fault changes load within one step instead of
-        waiting a mean flow lifetime for concurrency to ramp.
-        """
-        for position, cls in enumerate(self.demand.classes):
-            rate = (
-                self._flows[cls.flow_label]
-                * cls.rate_bps
-                * self.demand.surge_factor(cls.flow_label, now)
-            )
-            if rate > 0:
-                yield position, rate, self._resolver.resolve(cls, now)
-
-    def _evolve(
-        self, now: float, dt: float, offered: Optional[list[float]]
-    ) -> None:
-        """The per-direction rest of a step, after the tunnel queues
-        advanced under ``offered`` bps per tunnel (tunnel order; read
-        only under ``record_traces``)."""
-        self.steps += 1
-
-        # Evolve class buckets: arrivals minus mean-field departures
-        # (flows drain at 1/mean_duration; using per-step heavy-tail
-        # draws here would bias the drain upward since E[1/X] >
-        # 1/E[X]).  Burstiness enters through the Poisson-scale
-        # arrival noise.
-        demand, buckets = self.demand, self._flows
-        concurrent = 0  # summed as ``concurrent_flows`` sums: 0 + f1 + f2 ...
-        for cls in demand.classes:
-            flows = buckets[cls.flow_label]
-            arrivals = demand.arrivals_between(cls, now - dt, now)
-            departures = flows * dt / cls.mean_duration_s
-            flows = buckets[cls.flow_label] = max(0.0, flows + arrivals - departures)
-            concurrent += flows
-        self.peak_concurrent_flows = max(self.peak_concurrent_flows, concurrent)
-
-        if self.record_traces:
-            # Left-to-right float sum in tunnel order: part of the
-            # bit-identity contract with the scalar oracle.
-            total_offered = sum(offered)
-            if total_offered > 0:
-                split = {
-                    pid: off / total_offered
-                    for pid, off in zip(self._pids, offered)
-                }
-            else:
-                split = dict.fromkeys(self._pids, 0.0)
-            self.split_trace.append((now, split))
-            self.concurrency_trace.append((now, concurrent))
-
     def dominant_path(self, at: Optional[float] = None) -> Optional[int]:
         """Path id carrying the largest offered share at/near time ``at``.
 
@@ -688,11 +851,12 @@ class VectorFluidEngine:
         latest step is used; otherwise the last trace entry at or before
         ``at``.
         """
-        if not self.split_trace:
+        trace = self.split_trace
+        if not trace:
             return None
-        entry = self.split_trace[-1]
+        entry = trace[-1]
         if at is not None:
-            for t, split in reversed(self.split_trace):
+            for t, split in reversed(trace):
                 if t <= at:
                     entry = (t, split)
                     break

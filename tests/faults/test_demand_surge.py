@@ -86,6 +86,18 @@ class TestLint:
         )
         assert any("not a number" in f.message for f in findings)
 
+    @pytest.mark.parametrize("label", ["2", 2.0, True])
+    def test_non_int_flow_label_flagged(self, label):
+        findings = check_fault_plan(
+            plan_of(surge_event(flow_label=label)), vultr_spec()
+        )
+        assert [f.code for f in findings] == ["TNG105"]
+        assert f"flow_label {label!r} is not an int" in findings[0].message
+
+    def test_int_flow_label_is_clean(self):
+        plan = plan_of(surge_event(flow_label=2))
+        assert check_fault_plan(plan, vultr_spec()) == []
+
 
 class TestInjection:
     def test_arm_requires_attached_engine(self):
@@ -100,6 +112,15 @@ class TestInjection:
         injector = FaultInjector(deployment, plan_of(surge_event(factor=-1.0)))
         with pytest.raises(ValueError, match="factor must be > 0"):
             injector.arm()
+
+    def test_surge_on_a_missing_class_refuses_to_arm(self):
+        # The edge's demand has one class, label 1: a surge aimed at
+        # label 7 would multiply nothing, so it must not arm.
+        deployment, engine = fluid_deployment()
+        injector = FaultInjector(deployment, plan_of(surge_event(flow_label=7)))
+        with pytest.raises(ValueError, match=r"flow_label 7 .*known labels: \[1\]"):
+            injector.arm()
+        assert engine.demand.surges == []
 
     def test_surge_window_installed_on_demand_model(self):
         deployment, engine = fluid_deployment()

@@ -18,15 +18,18 @@ from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.federation import FederationRegistry
 from repro.federation.registry import PairView
 from repro.netsim.delaymodels import AsymmetryEvent, overlay
+import repro.traffic.vector as vector_module
 from repro.scenarios.topologies import build_live_federation
-from repro.traffic.demand import DemandModel, FlowClass
+from repro.traffic.demand import DemandModel, FlowClass, standard_flow_classes
 from repro.traffic.vector import VectorFluidEngine
-from tests.traffic.oracle import FluidEngine
+from tests.traffic.oracle import FluidEngine, assert_same_types
 
 
-def demand_for(src, dst, seed, *, rate=200.0, surge=None):
+def demand_for(src, dst, seed, *, rate=200.0, surge=None, classes=None):
+    """One 2 Mbps class at ``rate`` arrivals/s, or ``classes``."""
     demand = DemandModel(
-        classes=(
+        classes=classes
+        or (
             FlowClass(
                 name=f"{src}->{dst}",
                 flow_label=1,
@@ -70,11 +73,13 @@ def run_federation(
     run_s=3.0,
     demands=None,
     directions=None,
-    before_run=lambda registry: None,
+    late=(),
+    before_run=lambda registry, engines: None,
 ):
     """Build, drive and run one federation; returns ``(registry,
     {direction: engine})``.  ``demands`` overrides a direction's demand
-    keyword arguments (see :func:`demand_for`)."""
+    keyword arguments (see :func:`demand_for`); ``late`` directions start
+    at the tenth step instant instead of before the run."""
     scenario = build_live_federation(n, seed=seed)
     registry = FederationRegistry(scenario)
     registry.establish()
@@ -90,11 +95,33 @@ def run_federation(
     if directions is None:
         directions = [(s, d) for s in names for d in names if s != d]
     engines = {}
-    for index, (src, dst) in enumerate(directions):
+
+    def start(index, src, dst):
         kwargs = (demands or {}).get((src, dst), {})
         engines[(src, dst)] = start_traffic(
             registry, src, dst, demand_for(src, dst, demand_seed + index, **kwargs)
         )
+
+    for index, (src, dst) in enumerate(directions):
+        if (src, dst) not in late:
+            start(index, src, dst)
+    if late:
+        sim, step_s = registry.sim, registry.report_interval_s
+        rounds = []
+
+        def join():
+            rounds.append(sim.now)
+            if len(rounds) == 10:
+                joiner.stop()
+                for index, (src, dst) in enumerate(directions):
+                    if (src, dst) in late:
+                        start(index, src, dst)
+
+        # On the steps' grid and armed after their first event, so at
+        # every instant it fires after the early directions' step and
+        # before the wheels' round: where a late direction's first step
+        # lands in both layouts.
+        joiner = sim.call_every(step_s, join, start=sim.now + step_s)
     if outage_at is not None:
         plan = FaultPlan(
             name="batched-vs-scalar",
@@ -109,7 +136,7 @@ def run_federation(
             ),
         )
         FaultInjector(registry, plan).arm()
-    before_run(registry)
+    before_run(registry, engines)
     registry.sim.run(until=run_s)
     return registry, engines
 
@@ -152,6 +179,7 @@ def assert_same_run(scalar, batched):
         assert fluid_s.split_trace == fluid_b.split_trace
         assert fluid_s.concurrency_trace == fluid_b.concurrency_trace
         assert fluid_s.last_loads == fluid_b.last_loads
+    assert_same_types(fluid_s, fluid_b)
 
 
 def both(**kwargs):
@@ -202,7 +230,7 @@ class TestAgainstOneScalarEnginePerDirection:
     def test_delay_spike_leaves_the_array_draw_and_returns(self):
         seen = {}
 
-        def arm(registry):
+        def arm(registry, engines):
             src, dst = registry.scenario.member_names[2:4]
             tunnel = registry.direction_tunnels(src, dst)[0]
             link = registry.wan_link(src, dst, tunnel.short_label)
@@ -272,6 +300,106 @@ class TestAgainstOneScalarEnginePerDirection:
         assert_same_run(scalar, batched)
         recv_order, _, send_order, _ = batched[0].traffic._writes
         assert recv_order is not None and send_order is not None
+
+
+def mixed(seed):
+    """Three classes (web and video on day curves) beside the 1-class
+    directions, at a load the federation's paths carry."""
+    return {"classes": standard_flow_classes(20_000.0, seed=seed)}
+
+
+def edges(n):
+    return [f"edge{i}" for i in range(n)]
+
+
+class TestDemandSideAgainstOneScalarEnginePerDirection:
+    """The bucket pass — rates, arrivals with block-drawn noise, day
+    curves, surges, concurrency, traces — against the scalar per-class
+    loop, on every path through it."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_mixed_class_counts_with_day_curves(self, n):
+        names = edges(n)
+        demands = {(names[0], names[1]): mixed(3), (names[-1], names[0]): mixed(4)}
+        scalar, batched = both(n=n, demands=demands, outage_at=1.0)
+        assert_same_run(scalar, batched)
+        rows = batched[0].traffic
+        assert len(rows._buckets) == n * (n - 1) + 2 * 2
+        assert [cls.name for _, cls in rows._diurnal] == ["web", "video"] * 2
+        assert batched[1][(names[0], names[1])].peak_concurrent_flows > 19_000
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_surges_added_mid_run(self, n):
+        names = edges(n)
+        overloaded, one_class = (names[0], names[1]), (names[1], names[2])
+
+        def surge(registry, engines):
+            sim = registry.sim
+            first = engines[overloaded].demand
+            second = engines[one_class].demand
+            # A window ahead of the step that adds it, and one already open.
+            sim.schedule_at(0.75, lambda: first.add_surge(1.0, 2.0, 300.0))
+            sim.schedule_at(
+                1.33, lambda: second.add_surge(0.0, 2.5, 3.0, flow_label=2)
+            )
+
+        scalar, batched = both(
+            n=n, demands={one_class: mixed(5)}, before_run=surge, outage_at=1.5
+        )
+        assert_same_run(scalar, batched)
+        registry, engines = batched
+        ledger = registry.gateways[overloaded[0]].tracker
+        assert any(
+            ledger.stats_for(t.path_id).presumed_lost
+            for t in engines[overloaded].tunnels
+        ), "the surge never overloaded its direction"
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_directions_joining_late(self, n):
+        names = edges(n)
+        late = [(names[1], names[0]), (names[-1], names[1])]
+        scalar, batched = both(
+            n=n, late=late, demands={late[0]: mixed(6)}, outage_at=1.5
+        )
+        assert_same_run(scalar, batched)
+        engines = batched[1]
+        early = engines[(names[0], names[1])]
+        assert [engines[d].steps for d in late] == [early.steps - 10] * 2
+        assert list(engines)[-2:] == late
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_restart_off_the_grid_redraws_the_noise(self, n, monkeypatch):
+        draws = []
+
+        def counted(hashed_streams, times):
+            draws.append(len(times))
+            return normal_grid(hashed_streams, times)
+
+        normal_grid = vector_module.normal_grid
+        monkeypatch.setattr(vector_module, "normal_grid", counted)
+
+        def pause(registry, engines):
+            def stop():
+                for engine in engines.values():
+                    engine.stop()
+
+            def restart():
+                for engine in engines.values():
+                    engine.start(at_equilibrium=False)
+
+            registry.sim.schedule_at(1.234, stop)
+            registry.sim.schedule_at(1.5678, restart)
+
+        names = edges(n)
+        scalar, batched = both(
+            n=n, demands={(names[2], names[0]): mixed(7)}, before_run=pause
+        )
+        assert_same_run(scalar, batched)
+        # One block at the first step, one when the step after the
+        # restart missed the predicted midpoint; every other step hit.
+        assert draws == [vector_module._NOISE_BLOCK] * 2
+        times = [t for t, _ in batched[1][(names[0], names[1])].split_trace]
+        assert times[11] < 1.234 < 1.5678 < times[12]
 
 
 class TestDirectionLifecycle:

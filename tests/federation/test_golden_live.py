@@ -18,9 +18,12 @@ from pathlib import Path
 
 import pytest
 
+import repro.traffic.demand as demand_module
+import repro.traffic.vector as vector_module
 from repro.core.controller import QuarantinePolicy, TangoController
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.federation import FederationRegistry
+from repro.netsim.links import LossModel
 from repro.resilience import ChannelConfig
 from repro.scenarios.topologies import build_live_federation
 from repro.scenarios.vultr import VultrDeployment
@@ -167,6 +170,77 @@ def test_a_federation_tick_is_three_heap_events():
     assert registry.scheduler.rounds == ticks + 1
     fault_events = 2  # relay_outage: mark the member down, clear it
     assert sim.events_processed == 3 * ticks + 2 + fault_events == 304
+    registry.stop()
+
+
+def _loss_model_classes():
+    pending, seen = [LossModel], []
+    while pending:
+        cls = pending.pop()
+        seen.append(cls)
+        pending += cls.__subclasses__()
+    return seen
+
+
+def test_fluid_step_work_is_counted_exactly(monkeypatch):
+    """A federation step's demand and base-loss work, counted on any host.
+
+    12 directions x 1 class x 100 steps; 19 rows: 8 constant-loss, 10
+    behind the relay outage's ``OverrideLoss`` (window [3, 6)), 1 stitched
+    ``_ComposedLoss``.  At the parent commit the step drew arrival noise
+    with one ``normal_at`` per (direction, class) per step (1,200) and
+    called ``loss_probability`` once per non-constant row per step plus
+    once per constant row (11 x 100 + 8 = 1,108).  Now arrival noise is
+    one block draw for up to 256 steps, and a row's loss is evaluated at
+    its change points only: 8 constants once, 10 overrides at the first
+    step and both window edges, the live composition every step.
+    """
+    calls = {"normal_at": 0, "normal_grid": 0, "loss_probability": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        demand_module, "normal_at", counted("normal_at", demand_module.normal_at)
+    )
+    monkeypatch.setattr(
+        vector_module, "normal_grid", counted("normal_grid", vector_module.normal_grid)
+    )
+    nested = []  # an override's inner model, a composition's segments
+
+    def outermost(fn):
+        def wrapper(model, t):
+            if not nested:
+                calls["loss_probability"] += 1
+            nested.append(model)
+            try:
+                return fn(model, t)
+            finally:
+                nested.pop()
+
+        return wrapper
+
+    registry = build_federation_live()
+    for cls in _loss_model_classes():
+        if "loss_probability" in vars(cls):
+            monkeypatch.setattr(
+                cls, "loss_probability", outermost(vars(cls)["loss_probability"])
+            )
+    models = [type(link.loss).__name__ for link in registry.traffic._links]
+    assert sorted(models) == ["ConstantLoss"] * 8 + ["OverrideLoss"] * 10 + [
+        "_ComposedLoss"
+    ]
+    registry.sim.run(until=10.0)
+    assert [e.steps for e in registry.engines.values()] == [100] * 12
+    assert calls == {
+        "normal_at": 0,
+        "normal_grid": 1,
+        "loss_probability": 8 + 10 * 3 + 100,
+    }
     registry.stop()
 
 

@@ -24,6 +24,7 @@ from repro.netsim.delaymodels import (
     hash_seeds,
     normal_across_seeds,
     normal_at,
+    normal_grid,
     overlay,
     plain_gaussian_jitter,
     uniform_at,
@@ -368,6 +369,45 @@ class TestScalarVectorIdentity:
         # times, seeds past 2^63 and grid lines are all in the strategies.
         draws = normal_across_seeds(hash_seeds(seeds), t)
         assert draws.tolist() == [normal_at(seed, t) for seed in seeds]
+
+    @given(
+        seeds=st.lists(
+            st.one_of(SEEDS, st.sampled_from([0, 2**63, 2**64 - 1, 2**64, -1])),
+            min_size=1,
+            max_size=12,
+        ),
+        times=st.lists(
+            st.one_of(TIMES, grid_times().map(lambda t: -abs(t))),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_draw_across_seeds_and_times(self, seeds, times):
+        # The fluid rows' arrival-noise block: one row per time, one
+        # column per stream — negative times and grid lines +-1 ulp
+        # included, since a block's predicted midpoints sit on the grid.
+        draws = normal_grid(hash_seeds(seeds), np.array(times))
+        assert draws.shape == (len(times), len(seeds))
+        expected = [[normal_at(seed, t) for seed in seeds] for t in times]
+        assert draws.tolist() == expected
+
+    def test_draw_across_seeds_and_times_on_grid_edges(self):
+        lines = [k * 1e-4 for k in (-30_000, -1, 0, 1, 15, 1_500, 10_000_001)]
+        times = [
+            near
+            for line in lines
+            for near in (
+                math.nextafter(line, -math.inf),
+                line,
+                math.nextafter(line, math.inf),
+            )
+        ]
+        seeds = [0, 7, 2**63, -1]
+        draws = normal_grid(hash_seeds(seeds), np.array(times))
+        assert draws.tolist() == [[normal_at(seed, t) for seed in seeds] for t in times]
+        # -3.0 and the float below it land on different grid indices.
+        assert draws[1].tolist() != draws[0].tolist()
 
     @given(seed=SEEDS, t=TIMES)
     @settings(max_examples=200, deadline=None)

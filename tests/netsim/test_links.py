@@ -1,12 +1,21 @@
 """Tests for links: delay, loss, serialization, MTU."""
 
 import ipaddress
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.delaymodels import ConstantDelay, RouteChangeEvent
 from repro.netsim.events import Simulator
-from repro.netsim.links import ConstantLoss, Link, WindowedLoss
+from repro.netsim.links import (
+    ConstantLoss,
+    Link,
+    LossModel,
+    OverrideLoss,
+    WindowedLoss,
+)
 from repro.netsim.node import HostNode
 from repro.netsim.packet import Ipv6Header, Packet
 
@@ -66,6 +75,47 @@ class TestDelivery:
         assert arrivals == [pytest.approx(1120 / 8000.0)]
 
 
+WINDOW_START = st.floats(min_value=-10.0, max_value=100.0)
+WINDOW_LENGTH = st.floats(min_value=0.0, max_value=30.0)
+
+
+@st.composite
+def windows(draw, max_size=4):
+    return tuple(
+        (start, start + length)
+        for start, length in draw(
+            st.lists(st.tuples(WINDOW_START, WINDOW_LENGTH), max_size=max_size)
+        )
+    )
+
+
+@st.composite
+def loss_stacks(draw):
+    """``(model, window edges)``: a constant or windowed base under up to
+    three fault overrides (blackholes, flaps, bursts)."""
+    rates = st.floats(min_value=0.0, max_value=1.0)
+    if draw(st.booleans()):
+        model = ConstantLoss(draw(rates))
+        edges = []
+    else:
+        spans = draw(windows())
+        model = WindowedLoss(baseline=draw(rates), elevated=draw(rates), windows=spans)
+        edges = [edge for span in spans for edge in span]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        start, length = draw(WINDOW_START), draw(WINDOW_LENGTH)
+        kind = draw(st.sampled_from(["blackhole", "flap", "burst"]))
+        if kind == "blackhole":
+            model = OverrideLoss.blackhole(model, start, start + length)
+        elif kind == "flap":
+            period = draw(st.floats(min_value=0.5, max_value=10.0))
+            duty = draw(st.floats(min_value=0.05, max_value=1.0))
+            model = OverrideLoss.flapping(model, start, start + length, period, duty)
+        else:
+            model = OverrideLoss.burst(model, start, start + length, draw(rates))
+        edges += [edge for span in model.windows for edge in span]
+    return model, edges
+
+
 class TestLoss:
     def test_lossless_by_default(self):
         sim = Simulator()
@@ -106,6 +156,66 @@ class TestLoss:
         loss = WindowedLoss.around_events([event], elevated=0.2)
         assert loss.loss_probability(130.0) == 0.2
         assert loss.loss_probability(99.0) == 0.0
+
+    def test_windowed_loss_rejects_a_window_ending_before_it_starts(self):
+        # Such a window would never be active; ``constant_until`` reads
+        # windows as ordered edges.
+        with pytest.raises(ValueError, match=r"end before start: \(20.0, 10.0\)"):
+            WindowedLoss(elevated=0.5, windows=((0.0, 1.0), (20.0, 10.0)))
+        empty = WindowedLoss(elevated=0.5, windows=((10.0, 10.0),))
+        assert empty.loss_probability(10.0) == 0.0
+
+
+class TestConstantUntil:
+    """``constant_until(t)``: the value at ``t`` holds on ``[t, answer)``."""
+
+    def test_each_model_names_its_next_change(self):
+        windowed = WindowedLoss(elevated=0.5, windows=((10.0, 20.0),))
+        assert ConstantLoss(0.2).constant_until(5.0) == math.inf
+        assert [windowed.constant_until(t) for t in (5.0, 10.0, 15.0, 20.0)] == [
+            10.0,
+            20.0,
+            20.0,
+            math.inf,
+        ]
+        hole = OverrideLoss.blackhole(windowed, 12.0, 14.0)
+        # Outside its window an override changes at its own next edge or
+        # the inner model's, whichever is first; inside, the inner model
+        # does not matter.
+        assert [hole.constant_until(t) for t in (11.0, 12.5, 14.0)] == [
+            12.0,
+            14.0,
+            20.0,
+        ]
+
+    def test_a_model_that_reads_live_state_promises_one_instant(self):
+        class Live(LossModel):
+            def loss_probability(self, t):
+                return 0.0
+
+        assert Live().constant_until(2.5) == math.nextafter(2.5, math.inf)
+
+    @given(
+        stack=loss_stacks(),
+        t=st.floats(min_value=-20.0, max_value=120.0),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_value_holds_until_the_change_point(self, stack, t, data):
+        model, edges = stack
+        until = model.constant_until(t)
+        assert until > t
+        value = model.loss_probability(t)
+        span = until - t if until < math.inf else 1e3
+        fractions = data.draw(
+            st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20)
+        )
+        points = [t + f * span for f in fractions] + [e for e in edges if e >= t]
+        if until < math.inf:
+            points.append(math.nextafter(until, -math.inf))
+        for point in points:
+            if point < until:
+                assert model.loss_probability(point) == value, point
 
 
 class TestMtu:

@@ -66,6 +66,11 @@ EXCEPTIONS = {
         "it, and tests/telemetry/test_write_behind.py's loop model of "
         "``record_aggregate_many`` is a loop of these"
     ),
+    "repro.traffic.vector.VectorFluidEngine.concurrency_trace": (
+        "the per-step concurrency every oracle comparison checks "
+        "(tests/traffic/test_vector.py, tests/federation/test_batched_engine.py): "
+        "it is what the bucket pass must sum in class order"
+    ),
 }
 
 

@@ -46,7 +46,9 @@ class TestSeedingAndObservables:
         assert engine.concurrent_flows >= 1_000_000
         assert engine.peak_concurrent_flows >= 1_000_000
         # Buckets aggregate: a million flows is three floats.
-        assert len(engine._flows) == 3
+        assert engine._rows._flows_vec.tolist() == [
+            demand.equilibrium_flows(cls, 0.0) for cls in demand.classes
+        ]
         engine.stop()
 
     def test_cold_start_ramps_from_zero(self):

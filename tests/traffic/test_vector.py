@@ -33,7 +33,7 @@ from repro.traffic.demand import DemandModel, standard_flow_classes
 from repro.traffic.splitting import LoadAwareWeights, WeightedSplitSelector
 from repro.traffic.vector import VectorFluidEngine
 from tests import golden
-from tests.traffic.oracle import FluidEngine
+from tests.traffic.oracle import FluidEngine, assert_same_types
 from tests.traffic.standin import SyntheticDeployment
 
 GOLDEN = Path(__file__).parent / "golden" / "scalar_kernel.json"
@@ -115,6 +115,7 @@ def assert_runs_identical(fluid_s, fluid_v):
     assert fluid_s.split_trace == fluid_v.split_trace
     assert fluid_s.concurrency_trace == fluid_v.concurrency_trace
     assert fluid_s.last_loads == fluid_v.last_loads
+    assert_same_types(fluid_s, fluid_v)
 
     store_s = fluid_s.receiver.inbound
     store_v = fluid_v.receiver.inbound
