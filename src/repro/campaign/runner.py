@@ -479,7 +479,9 @@ def run_plan(payload: dict, config: CampaignConfig) -> dict:
 #: running the shard.  A test pointing this at an ``os._exit`` kills the
 #: worker process mid-campaign and exercises the retry path without
 #: patching multiprocessing itself.  In-process retries bypass the hook.
-_shard_crash_hook: Optional[Callable[[int], None]] = None
+#: It is deliberately a rebindable module global read by the workers: a
+#: test must rebind it *before* the fork so children inherit it.
+_shard_crash_hook: Optional[Callable[[int], None]] = None  # tango: noqa[TNG301]
 
 
 def _worker(args: tuple[dict, CampaignConfig]) -> dict:
@@ -756,9 +758,7 @@ def run_campaign(
     config = config or CampaignConfig()
     population = generate_adversarial_plans(count, master_seed)
     payloads = [(adv.to_payload(), config) for adv in population]
-    # The crash-hook seam is deliberately a rebindable module global (a
-    # test must rebind it *before* the fork so children inherit it).
-    results, retries = _execute(_worker, run_plan, payloads, workers)  # tango: noqa[TNG301]
+    results, retries = _execute(_worker, run_plan, payloads, workers)
     results.sort(key=lambda row: row["index"])
     baseline = _baseline(config)
     gates, failures = _apply_gates(results, baseline, config)
@@ -790,8 +790,7 @@ def run_correlated_campaign(
     config = config or CorrelatedConfig()
     population = generate_correlated_plans(count, master_seed)
     payloads = [(adv.to_payload(), config) for adv in population]
-    # Same deliberate seam as run_campaign: see _shard_crash_hook.
-    results, retries = _execute(  # tango: noqa[TNG301]
+    results, retries = _execute(
         _correlated_worker, run_correlated_plan, payloads, workers
     )
     results.sort(key=lambda row: row["index"])

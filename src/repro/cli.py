@@ -25,9 +25,10 @@ Eight subcommands, each a self-contained run of one slice of the system:
   federation experiment (shared establishment, stitched relay rescue,
   relay failover) and prints the gated report.
 * ``lint`` — static determinism & policy-safety analysis: AST rules
-  (``TNG001``–``TNG006``) over source files, Gao–Rexford semantic checks
-  over every shipped scenario, and fault-plan target validation.
-  Examples::
+  (``TNG001``–``TNG006``) and the whole-program fork-safety pass
+  (``TNG202``, ``TNG301``–``TNG303``) over source files, Gao–Rexford
+  semantic checks over every shipped scenario, and fault-plan target
+  validation.  Examples::
 
       tango-repro lint src/repro                 # the CI gate
       tango-repro lint src/repro --format json   # machine-readable
@@ -220,17 +221,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="static determinism & Gao-Rexford policy-safety analysis",
         description=(
             "Run the TNG determinism rules (wall-clock reads, unseeded/"
-            "global RNGs, OS entropy, ordered set iteration, mutable "
-            "defaults) over the given files, the semantic Gao-Rexford "
-            "checks over every shipped scenario, and target validation "
-            "for any --plan files.  Exit status: 0 clean, 1 findings, "
-            "2 usage errors.  Suppress one occurrence with "
+            "global RNGs, OS entropy and environment reads, ordered set "
+            "iteration, mutable defaults) and the whole-program "
+            "fork-safety pass over the given files, the semantic "
+            "Gao-Rexford checks over every shipped scenario, and target "
+            "validation for any --plan files.  Exit status: 0 clean, "
+            "1 findings, 2 usage errors.  Suppress one occurrence with "
             "'# tango: noqa[TNG001]' (with a comment saying why)."
         ),
         epilog=(
             "examples: tango-repro lint src/repro | "
             "tango-repro lint --format json src/repro | "
-            "tango-repro lint --select TNG001,TNG005 src | "
+            "tango-repro lint --select TNG001,TNG301 src | "
             "tango-repro lint --plan examples/faults_blackhole.json src/repro"
         ),
     )
@@ -263,16 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--no-semantics", action="store_true",
         help="skip the Gao-Rexford checks over shipped scenarios",
-    )
-    lint.add_argument(
-        "--flow", action="store_true",
-        help="also run the whole-program determinism-taint and "
-        "fork-safety pass (TNG2xx/TNG3xx); incremental via --flow-cache",
-    )
-    lint.add_argument(
-        "--flow-cache", default=".tango-lint-cache", metavar="DIR",
-        help="per-module summary cache for --flow "
-        "(default: .tango-lint-cache; 'none' disables caching)",
     )
     lint.add_argument(
         "--list-rules", action="store_true",
@@ -720,8 +712,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         write_baseline=args.write_baseline,
         plan_paths=args.plan,
         semantics=not args.no_semantics,
-        flow=args.flow,
-        flow_cache=None if args.flow_cache == "none" else args.flow_cache,
     )
 
 

@@ -370,14 +370,11 @@ class FaultInjector:
         edge (LookupError at arm time otherwise, the CLI's exit-2 path).
         """
         engine = self.deployment.traffic_engine(str(event.params["edge"]))
-        factor = float(event.params["factor"])
-        if factor <= 0:
-            raise ValueError(f"demand_surge factor must be > 0, got {factor}")
         flow_label = event.params.get("flow_label")
         engine.demand.add_surge(
             event.at,
             event.end,
-            factor,
+            float(event.params["factor"]),
             flow_label=None if flow_label is None else int(flow_label),
         )
 
@@ -510,13 +507,7 @@ class FaultInjector:
         sim = self.deployment.sim
         registry = self.deployment.srlg
         group = str(event.params["group"])
-        drain_s = maintenance_drain_s(event)
-        if not 0.0 <= drain_s < event.duration:
-            raise ValueError(
-                f"maintenance drain_s must satisfy 0 <= drain < duration, "
-                f"got drain={drain_s} duration={event.duration}"
-            )
-        fail_at = event.at + drain_s
+        fail_at = event.at + maintenance_drain_s(event)
         for link in self._srlg_links(group):
             link.loss = OverrideLoss.blackhole(link.loss, fail_at, event.end)
 

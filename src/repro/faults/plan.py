@@ -68,6 +68,21 @@ _NEEDS_DURATION = frozenset(
 )
 
 
+#: Parameters every kind that takes them reads as a float.
+_NUMERIC_PARAMS = (
+    "period",
+    "duty",
+    "rate",
+    "extra_ms",
+    "step_ms",
+    "factor",
+    "bias_ms",
+    "delay_s",
+    "ppm",
+    "drain_s",
+)
+
+
 def maintenance_drain_s(event: "FaultEvent") -> float:
     """Effective drain lead-time of a ``maintenance_window`` event.
 
@@ -120,6 +135,45 @@ class FaultEvent:
                 f"{self.kind} fault missing parameter(s): {', '.join(missing)}"
             )
         object.__setattr__(self, "params", dict(self.params))
+        self._check_values()
+
+    def _check_values(self) -> None:
+        """The parameter checks that hold whatever the scenario: each
+        value in the range the link, adversary or demand class it arms
+        enforces, so a plan that validates also arms.  Scenario-dependent
+        checks (targets exist, ``prefix_index`` in range, the defended
+        stack's clock bound) are TNG105's."""
+        values: dict[str, float] = {}
+        for name in _NUMERIC_PARAMS:
+            if name in self.params:
+                try:
+                    values[name] = float(self.params[name])
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"{self.kind} {name} {self.params[name]!r} is not a number"
+                    ) from None
+        rate, drain = values.get("rate"), values.get("drain_s")
+        label = self.params.get("flow_label")
+        problem = None
+        if rate is not None and not 0.0 <= rate <= 1.0:
+            problem = f"rate must be in [0, 1], got {rate:g}"
+        elif values.get("factor", 1.0) <= 0:
+            problem = f"factor must be > 0, got {values['factor']:g}"
+        elif values.get("bias_ms") == 0:
+            problem = "bias_ms must be nonzero"
+        elif values.get("delay_s", 1.0) <= 0:
+            problem = f"delay_s must be > 0, got {values['delay_s']:g}"
+        elif drain is not None and not 0.0 <= drain < self.duration:
+            problem = (
+                f"drain_s {drain:g} must satisfy 0 <= drain_s < duration "
+                f"({self.duration:g})"
+            )
+        elif label is not None and (
+            not isinstance(label, int) or isinstance(label, bool)
+        ):
+            problem = f"flow_label {label!r} is not an int"
+        if problem is not None:
+            raise ValueError(f"{self.kind} {problem}")
 
     @property
     def end(self) -> float:

@@ -8,18 +8,19 @@ trustworthy stand-ins for real transit).  This package moves both checks
 
 * :mod:`repro.lint.engine` + :mod:`repro.lint.rules` — an AST rule
   engine (visitor pattern, per-rule codes ``TNG001``–``TNG006``,
-  ``# tango: noqa[TNGxxx]`` suppression) banning the constructs that
-  break deterministic replay: wall-clock reads, unseeded or global RNGs,
-  OS entropy, ordered set iteration, mutable default arguments.
+  ``# tango: noqa[TNGxxx]`` suppression) banning every construct that
+  breaks deterministic replay where it is written: wall-clock reads and
+  references, unseeded or global RNGs, OS entropy and environment reads,
+  ordered set iteration, mutable default arguments.
 * :mod:`repro.lint.gao_rexford` + :mod:`repro.lint.plans` — semantic
   checks (``TNG101``–``TNG105``) over scenario definitions, loaded but
   never simulated: consistent session labeling (no transit leaks),
   valley-free path feasibility, customer/provider acyclicity, community
   actions that can actually fire, and fault plans whose targets exist.
-* :mod:`repro.lint.flow` — the whole-program pass (``--flow``):
-  import/call-graph construction, interprocedural determinism-taint
-  (``TNG201``–``TNG203``) and fork-safety (``TNG301``–``TNG303``)
-  analysis with per-module summary caching under ``.tango-lint-cache/``.
+* :mod:`repro.lint.flow` — the whole-program pass, which the engine runs
+  as four more rules on every invocation: call-graph construction and
+  the interprocedural model of the campaign runner's fork boundary
+  (``TNG301``–``TNG303``), plus module-global RNG aliasing (``TNG202``).
 * :mod:`repro.lint.baseline` + :mod:`repro.lint.reporters` +
   :mod:`repro.lint.runner` — the CI surface: committed-baseline
   filtering, text/JSON reports, the TNG007 unused-suppression audit,
@@ -29,13 +30,7 @@ trustworthy stand-ins for real transit).  This package moves both checks
 from .baseline import Baseline
 from .engine import NOQA_RE, PARSE_ERROR_CODE, FileContext, LintEngine, Rule
 from .findings import Finding, Severity
-from .flow import (
-    FLOW_RULE_SUMMARIES,
-    FlowAnalyzer,
-    FlowResult,
-    ProjectGraph,
-    SummaryCache,
-)
+from .flow import ProjectGraph, flow_rules
 from .gao_rexford import (
     SEMANTIC_RULE_SUMMARIES,
     check_communities,
@@ -60,18 +55,14 @@ from .runner import DEFAULT_BASELINE, UNUSED_NOQA_CODE, list_rules, run_lint
 __all__ = [
     "Baseline",
     "DEFAULT_BASELINE",
-    "FLOW_RULE_SUMMARIES",
     "FileContext",
     "Finding",
-    "FlowAnalyzer",
-    "FlowResult",
     "LintEngine",
     "NOQA_RE",
     "PARSE_ERROR_CODE",
     "ProjectGraph",
     "RULE_SUMMARIES",
     "Rule",
-    "SummaryCache",
     "UNUSED_NOQA_CODE",
     "SEMANTIC_RULE_SUMMARIES",
     "ScenarioSpec",
@@ -83,6 +74,7 @@ __all__ = [
     "check_scenario",
     "default_rules",
     "enterprise_spec",
+    "flow_rules",
     "leak_witness",
     "list_rules",
     "mesh_spec",

@@ -29,7 +29,7 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .findings import Finding, Severity
 
@@ -45,11 +45,10 @@ __all__ = [
 #: Reserved code for files the engine cannot parse.
 PARSE_ERROR_CODE = "TNG000"
 
-#: The suppression-comment syntax, shared with the flow extractor.
+#: The suppression-comment syntax.
 NOQA_RE = re.compile(
     r"#\s*tango:\s*noqa(?:\[(?P<codes>[A-Z0-9,\s]+)\])?", re.IGNORECASE
 )
-_NOQA_RE = NOQA_RE
 
 
 def comment_lines(source: str) -> Optional[set[int]]:
@@ -188,7 +187,7 @@ class LintEngine:
         #: Per linted path: the noqa inventory, which codes each noqa
         #: actually silenced this run, and the comment lines' text.
         #: Feeds the TNG007 unused-suppression rule in the runner.
-        self.suppressions: dict[str, dict[str, dict[int, object]]] = {}
+        self.suppressions: dict[str, dict[str, dict[int, Any]]] = {}
 
     # -- file discovery -----------------------------------------------------------
 
@@ -243,13 +242,6 @@ class LintEngine:
     def check_file(self, path: str) -> list[Finding]:
         with open(path, "r", encoding="utf-8") as handle:
             return self.check_source(handle.read(), path=path)
-
-    def run(self, paths: Iterable[str]) -> list[Finding]:
-        """Lint every python file under ``paths``; sorted findings."""
-        findings: list[Finding] = []
-        for path in self.iter_python_files(paths):
-            findings.extend(self.check_file(path))
-        return sorted(findings)
 
     # -- suppression --------------------------------------------------------------
 

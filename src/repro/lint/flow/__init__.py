@@ -1,47 +1,36 @@
-"""``repro.lint.flow``: whole-program determinism-taint & fork-safety analysis.
+"""``repro.lint.flow``: the whole-program fork-safety pass.
 
-The per-file rules (``TNG001``–``TNG006``) see one AST at a time, so a
-wall-clock read that crosses a function boundary before reaching simulator
-state — or an RNG object pickled into a worker process — escapes them.
-This subpackage closes that gap with a *project-wide* pass:
+The per-file rules (``TNG001``–``TNG006``) own every nondeterminism
+*source*: each flags the wall-clock reference, unseeded generator, global
+RNG call, entropy draw or environment read where it is written.  What
+one AST at a time cannot see is the campaign runner's ``fork`` boundary:
+which code a worker process reaches, what crosses into it, and which
+module state it silently snapshots.  This subpackage models exactly that:
 
-* :mod:`repro.lint.flow.extract` parses every module once into a
-  serializable :class:`~repro.lint.flow.summaries.ModuleSummary` — imports,
-  re-exports, module globals, and per-function dataflow descriptors;
+* :mod:`repro.lint.flow.extract` parses every module into a
+  :class:`~repro.lint.flow.summaries.ModuleSummary` — re-exports, module
+  globals, and per-function dataflow descriptors;
 * :mod:`repro.lint.flow.callgraph` links summaries into a
   :class:`~repro.lint.flow.callgraph.ProjectGraph` — name resolution
-  through import aliases and ``__init__`` re-exports, the import graph,
-  and its reverse closure (for cache invalidation);
-* :mod:`repro.lint.flow.taint` runs the interprocedural taint fixpoint
-  (sources: wall clock, OS entropy, environment variables, unseeded RNG
-  draws; sinks: simulator scheduling, telemetry stores, ``RecoveryLog``,
-  report writers) and emits the **TNG2xx determinism-taint** findings;
-* :mod:`repro.lint.flow.fork` models the multiprocess campaign runner's
-  fork boundary (worker entrypoints, shipped arguments, module-global
-  mutable state, per-shard seeding) and emits the **TNG3xx fork-safety**
-  findings;
-* :mod:`repro.lint.flow.cache` persists per-module summaries + findings
-  under ``.tango-lint-cache/`` keyed by content hash, invalidated
-  transitively through the import graph, so incremental
-  ``tango-repro lint --flow`` runs re-analyze only what changed.
-
-Every finding's message carries the full source→sink call chain, so the
-diagnosis is actionable without re-running the analysis in your head.
+  through import aliases and ``__init__`` re-exports;
+* :mod:`repro.lint.flow.evaluate` runs the interprocedural fixpoint over
+  object kinds (RNGs, pools, simulators, instances, function references),
+  resolving call edges and fork sites, and emits **TNG202** (an RNG
+  aliased into module-global scope);
+* :mod:`repro.lint.flow.fork` walks the call graph from each worker
+  entrypoint and emits the **TNG3xx fork-safety** findings;
+* :mod:`repro.lint.flow.analysis` runs the whole pass over a file set
+  and hands its findings to the engine as ordinary per-file rules.
 """
 
-from .analysis import FLOW_RULE_SUMMARIES, FlowAnalyzer, FlowResult
-from .cache import SummaryCache
+from .analysis import analyze_project, flow_rules
 from .callgraph import ProjectGraph
 from .extract import extract_module, module_name_for
-from .summaries import ModuleSummary
 
 __all__ = [
-    "FLOW_RULE_SUMMARIES",
-    "FlowAnalyzer",
-    "FlowResult",
-    "ModuleSummary",
     "ProjectGraph",
-    "SummaryCache",
+    "analyze_project",
     "extract_module",
+    "flow_rules",
     "module_name_for",
 ]

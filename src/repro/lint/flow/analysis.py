@@ -1,284 +1,129 @@
-"""The flow-pass orchestrator: files in, findings + cache stats out.
+"""The flow pass as engine rules: files in, per-file findings out.
 
-One :meth:`FlowAnalyzer.run` call is one ``tango-repro lint --flow``
-pass over a file set:
-
-1. read + hash every file; extract a :class:`ModuleSummary` for cache
-   misses, reuse the cached summary for hits (parse is the expensive
-   part — a warm run parses nothing);
-2. link the summaries into a :class:`ProjectGraph` and compute the
-   **dirty set**: changed modules plus their transitive importers
-   (everything else's findings are provably unchanged and come straight
-   from the cache);
-3. run the interprocedural taint fixpoint over *all* summaries (cheap
-   relative to parsing, and cross-module facts need the whole table),
-   derive TNG2xx sink hits and TNG3xx fork findings, but materialize
-   findings only for dirty modules;
-4. apply ``# tango: noqa`` suppressions from the summaries' noqa tables,
-   recording which suppressions fired (feeds the TNG007 unused-
-   suppression rule in the runner);
-5. write refreshed cache entries for dirty modules.
+:func:`analyze_project` parses every file into a
+:class:`~repro.lint.flow.summaries.ModuleSummary`, links the summaries
+into a :class:`~repro.lint.flow.callgraph.ProjectGraph`, runs the
+evaluator's fixpoint over all of them, and turns the TNG202 hits and
+the fork model's TNG3xx hits into findings in the file that holds each
+hazard.  :func:`flow_rules` hands those findings to the
+:class:`~repro.lint.engine.LintEngine` as ordinary per-file rules, so
+``--select``, ``# tango: noqa`` suppression and the TNG007 audit treat
+them exactly like the AST rules' own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+import ast
+import functools
+from typing import Callable, Sequence
 
-from ..findings import Finding, Severity
-from .cache import SummaryCache
+from ..engine import FileContext, Rule
+from ..findings import Finding
 from .callgraph import ProjectGraph
-from .extract import content_hash, extract_module, module_name_for
+from .evaluate import Evaluator
+from .extract import extract_module
 from .fork import derive_fork_findings
-from .summaries import ModuleSummary
-from .taint import Evaluator
 
-__all__ = ["FLOW_RULE_SUMMARIES", "FlowAnalyzer", "FlowResult"]
+__all__ = ["analyze_project", "flow_rules"]
 
-#: Code → one-line summary, mirrored by ``tango-repro lint --list-rules``.
-FLOW_RULE_SUMMARIES: dict[str, str] = {
-    "TNG201": (
-        "nondeterministic value (wall clock / OS entropy / env var / "
-        "unseeded RNG) reaches simulation state through a call chain"
+Report = Callable[[Finding], None]
+
+#: Code → (name, one-line summary) of every rule the pass reports.
+_FLOW_RULES = {
+    "TNG202": (
+        "module-global-rng",
+        "RNG object aliased into module-global scope",
     ),
-    "TNG202": "seeded-RNG object aliased into module-global scope",
-    "TNG203": "wall-clock taint reaches replay-compared output",
     "TNG301": (
-        "mutable module-global state reachable from a fork-worker "
-        "entrypoint"
+        "fork-global-state",
+        "mutable module-global state reachable from a fork-worker entrypoint",
     ),
     "TNG302": (
-        "RNG / Simulator / open handle captured in args shipped across "
-        "the fork boundary"
+        "fork-shipped-object",
+        "RNG / Simulator / open handle captured in args shipped across the "
+        "fork boundary",
     ),
     "TNG303": (
-        "worker-reachable RNG seeded with a constant literal instead of "
-        "a per-shard SeedSequence"
+        "fork-constant-seed",
+        "worker-reachable RNG seeded with a constant literal instead of a "
+        "per-shard SeedSequence",
     ),
 }
 
 
-@dataclass
-class FlowResult:
-    """Everything one flow pass produced.
+def analyze_project(files: Sequence[str]) -> dict[str, list[Finding]]:
+    """Unsuppressed TNG202/TNG3xx findings, keyed by file path.
 
-    Attributes:
-        findings: post-suppression findings (sorted), including TNG000
-            parse errors.
-        analyzed: module names whose findings were (re)computed this run.
-        cached: module names whose findings were loaded from the cache.
-        suppressions: per path → noqa line → ``{"codes": [..]|None,
-            "text": str}`` (None = blanket) — the suppression inventory
-            the TNG007 rule judges.
-        used: per path → noqa line → codes that suppression actually
-            silenced this run (blanket uses record the silenced codes).
+    Files that cannot be read or parsed are skipped: the per-file engine
+    reports them as TNG000.
     """
+    summaries = []
+    lines: dict[str, list[str]] = {}
+    for path in files:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                source = handle.read()
+            summaries.append(extract_module(path, source=source))
+        except (OSError, SyntaxError):
+            continue
+        lines[path] = source.splitlines()
+    graph = ProjectGraph(summaries)
+    evaluator = Evaluator(graph)
+    evaluator.run_fixpoint()
 
-    findings: list[Finding] = field(default_factory=list)
-    analyzed: list[str] = field(default_factory=list)
-    cached: list[str] = field(default_factory=list)
-    suppressions: dict[str, dict[int, dict[str, Any]]] = field(
-        default_factory=dict
-    )
-    used: dict[str, dict[int, list[str]]] = field(default_factory=dict)
-
-
-class FlowAnalyzer:
-    """Whole-program determinism-taint + fork-safety pass.
-
-    Args:
-        cache: summary cache (``SummaryCache(None)`` disables caching).
-    """
-
-    def __init__(self, cache: Optional[SummaryCache] = None) -> None:
-        self.cache = cache if cache is not None else SummaryCache(None)
-
-    def run(self, files: list[str]) -> FlowResult:
-        result = FlowResult()
-        summaries: dict[str, ModuleSummary] = {}
-        sources: dict[str, list[str]] = {}
-        changed: list[str] = []
-        cached_entries: dict[str, dict[str, Any]] = {}
-
-        for path in files:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    source = handle.read()
-            except OSError as exc:
-                result.findings.append(
-                    Finding(
-                        path=path,
-                        line=0,
-                        column=0,
-                        code="TNG000",
-                        message=f"cannot read file: {exc}",
-                    )
-                )
-                continue
-            digest = content_hash(source)
-            module = module_name_for(path)
-            entry = self.cache.get(module, digest)
-            if entry is not None:
-                summary = ModuleSummary.from_dict(entry["summary"])
-                # The same module may be reached through a different
-                # path prefix than when cached; trust the current path.
-                summary.path = path
-                cached_entries[module] = entry
-            else:
-                try:
-                    summary = extract_module(path, source=source)
-                except SyntaxError as exc:
-                    result.findings.append(
-                        Finding(
-                            path=path,
-                            line=exc.lineno or 0,
-                            column=exc.offset or 1,
-                            code="TNG000",
-                            message=f"cannot parse file: {exc.msg}",
-                        )
-                    )
-                    continue
-                changed.append(module)
-            summaries[module] = summary
-            sources[summary.path] = source.splitlines()
-
-        graph = ProjectGraph(summaries.values())
-        dirty = graph.invalidated_by(changed)
-        if self.cache.root is None:
-            dirty = set(summaries)
-
-        evaluator = Evaluator(graph)
-        evaluator.run_fixpoint()
-        fork_hits = derive_fork_findings(graph, evaluator)
-
-        for module in sorted(summaries):
-            summary = summaries[module]
-            lines = sources.get(summary.path, [])
-            self._note_suppressions(result, summary, lines)
-            if module in dirty or module not in cached_entries:
-                findings, used = self._materialize(
-                    module, summary, lines, evaluator, fork_hits
-                )
-                result.analyzed.append(module)
-                self._store(module, summary, findings, used)
-            else:
-                entry = cached_entries[module]
-                findings = [
-                    _finding_from_dict({**f, "path": summary.path})
-                    for f in entry.get("findings", [])
-                ]
-                used = {
-                    int(line): list(codes)
-                    for line, codes in entry.get("used", {}).items()
-                }
-                result.cached.append(module)
-            result.findings.extend(findings)
-            if used:
-                result.used.setdefault(summary.path, {}).update(used)
-        result.findings.sort()
-        return result
-
-    # -- per-module reporting -----------------------------------------------------
-
-    def _materialize(
-        self,
-        module: str,
-        summary: ModuleSummary,
-        lines: list[str],
-        evaluator: Evaluator,
-        fork_hits: dict[str, list[dict[str, Any]]],
-    ) -> tuple[list[Finding], dict[int, list[str]]]:
-        hits: list[dict[str, Any]] = list(evaluator.module_hits.get(module, []))
-        for qual, owner in evaluator.graph.functions.items():
-            if owner != module:
-                continue
-            hits.extend(evaluator.facts[qual].sink_hits)
-        hits.extend(fork_hits.get(module, []))
-
-        findings: list[Finding] = []
-        used: dict[int, list[str]] = {}
-        seen: set[tuple[int, str, str]] = set()
-        for hit in hits:
-            key = (hit["line"], hit["code"], hit["message"])
-            if key in seen:
-                continue
-            seen.add(key)
-            line = hit["line"]
-            noqa = (
-                summary.noqa[line] if line in summary.noqa else _MISSING
-            )
-            if noqa is not _MISSING:
-                codes = noqa
-                if codes is None or hit["code"] in codes:
-                    used.setdefault(line, [])
-                    if hit["code"] not in used[line]:
-                        used[line].append(hit["code"])
-                    continue
-            snippet = (
-                lines[line - 1].strip() if 1 <= line <= len(lines) else ""
-            )
-            findings.append(
+    hits = derive_fork_findings(graph, evaluator)
+    for module, module_hits in evaluator.module_hits.items():
+        hits.setdefault(module, []).extend(module_hits)
+    for qual, facts in evaluator.facts.items():
+        hits.setdefault(graph.functions[qual], []).extend(facts.hits)
+    findings: dict[str, list[Finding]] = {}
+    for module in sorted(hits):
+        path = graph.modules[module].path
+        for hit in hits[module]:
+            findings.setdefault(path, []).append(
                 Finding(
-                    path=summary.path,
-                    line=line,
+                    path=path,
+                    line=hit["line"],
                     column=0,
                     code=hit["code"],
                     message=hit["message"],
-                    severity=Severity.ERROR,
-                    snippet=snippet,
+                    snippet=lines[path][hit["line"] - 1].strip(),
                 )
             )
-        return sorted(findings), used
-
-    def _note_suppressions(
-        self, result: FlowResult, summary: ModuleSummary, lines: list[str]
-    ) -> None:
-        if not summary.noqa:
-            return
-        table = result.suppressions.setdefault(summary.path, {})
-        for line, codes in summary.noqa.items():
-            text = lines[line - 1].strip() if 1 <= line <= len(lines) else ""
-            table[line] = {"codes": codes, "text": text}
-
-    def _store(
-        self,
-        module: str,
-        summary: ModuleSummary,
-        findings: list[Finding],
-        used: dict[int, list[str]],
-    ) -> None:
-        self.cache.put(
-            module,
-            {
-                "content_hash": summary.content_hash,
-                "module": module,
-                "summary": summary.as_dict(),
-                "findings": [
-                    {
-                        "line": f.line,
-                        "column": f.column,
-                        "code": f.code,
-                        "message": f.message,
-                        "severity": f.severity.name,
-                        "snippet": f.snippet,
-                    }
-                    for f in findings
-                ],
-                "used": {str(k): v for k, v in used.items()},
-            },
-        )
+    return findings
 
 
-_MISSING = object()
+class _Replay(ast.NodeVisitor):
+    """A per-file visitor that reports findings computed project-wide."""
+
+    def __init__(self, findings: list[Finding], report: Report) -> None:
+        self.findings = findings
+        self.report = report
+
+    def visit(self, node: ast.AST) -> None:
+        for finding in self.findings:
+            self.report(finding)
 
 
-def _finding_from_dict(payload: dict[str, Any]) -> Finding:
-    return Finding(
-        path=payload["path"],
-        line=payload["line"],
-        column=payload["column"],
-        code=payload["code"],
-        message=payload["message"],
-        severity=Severity[payload.get("severity", "ERROR")],
-        snippet=payload.get("snippet", ""),
+def flow_rules(files: Sequence[str]) -> tuple[Rule, ...]:
+    """One engine rule per flow code over the project ``files``.
+
+    The whole-program pass runs once, when the engine first asks a flow
+    rule for a visitor — never, when ``--select`` names no flow code.
+    """
+
+    @functools.cache
+    def project() -> dict[str, list[Finding]]:
+        return analyze_project(files)
+
+    def replay(code: str) -> Callable[[FileContext, Report], _Replay]:
+        def make_visitor(context: FileContext, report: Report) -> _Replay:
+            findings = project().get(context.path, [])
+            return _Replay([f for f in findings if f.code == code], report)
+
+        return make_visitor
+
+    return tuple(
+        Rule(code, name, summary, replay(code))
+        for code, (name, summary) in _FLOW_RULES.items()
     )

@@ -1,20 +1,15 @@
 """Linking module summaries into a whole-program view.
 
-The :class:`ProjectGraph` owns the summary table and answers the three
-questions every later pass asks:
+The :class:`ProjectGraph` owns the summary table and answers the two
+questions the evaluator asks:
 
 * **name resolution** — given an absolute dotted name (already
   import-resolved by the extractor), which project function or class
   does it denote?  Resolution follows ``__init__`` re-export chains
   (``repro.campaign.run_campaign`` → ``repro.campaign.runner.run_campaign``)
   a bounded number of hops, so package façades don't hide call edges.
-* **import graph** — which project modules does a module import
-  (directly), and, reversed, who are a module's transitive importers?
-  The reverse closure is the cache-invalidation frontier: an edit can
-  only change analysis results in the edited module and modules that
-  (transitively) import it.
-* **dispatch** — which methods does a class define (for receiver-typed
-  call resolution in the taint evaluator).
+* **ownership** — which module defines a function or class (for
+  receiver-typed method dispatch and for anchoring findings).
 """
 
 from __future__ import annotations
@@ -86,43 +81,3 @@ class ProjectGraph:
                 return None
             dotted = rewritten
         return None
-
-    # -- import graph -------------------------------------------------------------
-
-    def direct_deps(self, module: str) -> list[str]:
-        """Project modules ``module`` imports, restricted to the analyzed
-        set (an import edge to an un-analyzed module is irrelevant)."""
-        summary = self.modules.get(module)
-        if summary is None:
-            return []
-        deps = []
-        for dep in summary.deps:
-            resolved = self._dep_in_graph(dep)
-            if resolved is not None and resolved != module:
-                deps.append(resolved)
-        return deps
-
-    def _dep_in_graph(self, dep: str) -> Optional[str]:
-        """An import edge may name a package or a symbol; normalize to
-        the closest analyzed module."""
-        if dep in self.modules:
-            return dep
-        split = self._split_module_prefix(dep)
-        return split[0] if split else None
-
-    def invalidated_by(self, changed: Iterable[str]) -> set[str]:
-        """``changed`` plus every transitive importer — the set whose
-        analysis results may differ after the edit."""
-        reverse: dict[str, set[str]] = {name: set() for name in self.modules}
-        for name in self.modules:
-            for dep in self.direct_deps(name):
-                reverse.setdefault(dep, set()).add(name)
-        dirty: set[str] = set()
-        frontier = [m for m in changed if m in self.modules]
-        while frontier:
-            module = frontier.pop()
-            if module in dirty:
-                continue
-            dirty.add(module)
-            frontier.extend(reverse.get(module, ()))
-        return dirty

@@ -1,12 +1,11 @@
 """AST → :class:`~repro.lint.flow.summaries.ModuleSummary` extraction.
 
-One parse per module, run only when the module's content hash misses the
-cache.  The extractor lowers each function body into the descriptor IR
-documented in :mod:`repro.lint.flow.summaries`: order-preserving,
-control-flow-flattened (branch bodies are concatenated — a conservative
-over-approximation that can only *add* taint), and import-resolved
-(plain dotted calls carry their absolute target, relative imports are
-made absolute against the module's package).
+One parse per module.  The extractor lowers each function body into the
+descriptor IR documented in :mod:`repro.lint.flow.summaries`:
+order-preserving, control-flow-flattened (branch bodies are concatenated
+— a conservative over-approximation), and import-resolved (plain dotted
+calls carry their absolute target, relative imports are made absolute
+against the module's package).
 
 Scope rules mirror Python's closely enough for lint purposes: names
 bound in the function (params, assignments, loop/with/except targets,
@@ -19,41 +18,14 @@ cross-module global reads.
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
 from typing import Optional
 
-from ..engine import NOQA_RE, comment_lines
 from .summaries import Desc, FunctionSummary, GlobalInfo, ModuleSummary
 
-__all__ = ["extract_module", "module_name_for", "content_hash"]
-
-#: Method names that mutate their receiver in place — a call on a
-#: module-level binding counts as a global write.
-_MUTATING_METHODS = frozenset(
-    {
-        "append",
-        "add",
-        "update",
-        "extend",
-        "insert",
-        "remove",
-        "discard",
-        "pop",
-        "popitem",
-        "clear",
-        "setdefault",
-        "appendleft",
-        "extendleft",
-    }
-)
+__all__ = ["extract_module", "module_name_for"]
 
 _INNER_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-
-
-def content_hash(source: str) -> str:
-    """Stable identity of one module's text (the cache key)."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def module_name_for(path: str) -> str:
@@ -80,17 +52,13 @@ def _is_package(path: str) -> bool:
 class _Extractor:
     """One module's extraction state."""
 
-    def __init__(self, module: str, path: str, source: str, tree: ast.Module):
+    def __init__(self, module: str, path: str, tree: ast.Module):
         self.module = module
-        self.path = path
         self.tree = tree
         self.package_parts = (
             module.split(".") if _is_package(path) else module.split(".")[:-1]
         )
-        self.summary = ModuleSummary(
-            module=module, path=path, content_hash=content_hash(source)
-        )
-        self._collect_noqa(source)
+        self.summary = ModuleSummary(module=module, path=path)
         #: Module-scope alias map: local name -> absolute dotted origin.
         self.module_aliases = self._collect_aliases(tree.body)
         self._toplevel_names: set[str] = set()
@@ -122,51 +90,18 @@ class _Extractor:
                     else:
                         root = alias.name.split(".")[0]
                         aliases[root] = root
-                    self._note_dep(alias.name)
             elif isinstance(node, ast.ImportFrom):
                 target = self._absolute(node.module, node.level)
                 if target is None:
                     continue
-                self._note_dep(target)
                 for alias in node.names:
                     if alias.name == "*":
                         continue
                     bound = alias.asname or alias.name
                     aliases[bound] = f"{target}.{alias.name}"
-                    # ``from pkg import submodule`` must edge to the
-                    # submodule, not just the package façade (the graph
-                    # normalizes symbol imports back to their module).
-                    self._note_dep(f"{target}.{alias.name}")
             elif not isinstance(node, _INNER_SCOPES):
                 pending = list(ast.iter_child_nodes(node)) + pending
         return aliases
-
-    def _note_dep(self, dotted: str) -> None:
-        """Record a project-internal import edge (absolute dotted)."""
-        root = self.module.split(".")[0]
-        if dotted.split(".")[0] == root and dotted != self.module:
-            if dotted not in self.summary.deps:
-                self.summary.deps.append(dotted)
-
-    # -- noqa inventory -----------------------------------------------------------
-
-    def _collect_noqa(self, source: str) -> None:
-        commented = comment_lines(source)
-        for lineno, text in enumerate(source.splitlines(), start=1):
-            if commented is not None and lineno not in commented:
-                continue
-            match = NOQA_RE.search(text)
-            if match is None:
-                continue
-            codes = match.group("codes")
-            if codes is None:
-                self.summary.noqa[lineno] = None
-            else:
-                self.summary.noqa[lineno] = sorted(
-                    code.strip().upper()
-                    for code in codes.split(",")
-                    if code.strip()
-                )
 
     # -- expressions --------------------------------------------------------------
 
@@ -414,18 +349,6 @@ class _Extractor:
                     "line": line,
                 }
             )
-        elif isinstance(target, ast.Subscript):
-            base = self._expr(target.value, aliases)
-            out.append({"s": "expr", "v": value})
-            if isinstance(target.value, ast.Name):
-                out.append(
-                    {
-                        "s": "storesub",
-                        "name": target.value.id,
-                        "line": line,
-                    }
-                )
-            _ = base
         else:
             out.append({"s": "expr", "v": value})
 
@@ -470,21 +393,8 @@ class _Extractor:
         local_aliases.update(self._collect_aliases(node.body))
         args = node.args
         params = [a.arg for a in [*args.posonlyargs, *args.args]]
-        summary = FunctionSummary(
-            qualname=qualname, line=node.lineno, params=params
-        )
-        positional_defaults = args.defaults
-        if positional_defaults:
-            for name, default in zip(
-                params[-len(positional_defaults):], positional_defaults
-            ):
-                summary.defaults[name] = self._expr(default, local_aliases)
-        for kwarg, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is not None:
-                summary.params.append(kwarg.arg)
-                summary.defaults[kwarg.arg] = self._expr(default, local_aliases)
-            else:
-                summary.params.append(kwarg.arg)
+        params.extend(a.arg for a in args.kwonlyargs)
+        summary = FunctionSummary(qualname=qualname, params=params)
         self._lower_body(node.body, local_aliases, summary.body)
 
         locals_bound = self._local_bindings(node) | set(summary.params)
@@ -501,9 +411,6 @@ class _Extractor:
                     and (child.id not in locals_bound or child.id in global_names)
                 ):
                     summary.global_reads.append((child.id, child.lineno))
-            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store):
-                if child.id in global_names:
-                    summary.global_writes.append((child.id, child.lineno))
             elif isinstance(child, ast.Attribute) and isinstance(
                 child.ctx, ast.Load
             ):
@@ -512,22 +419,6 @@ class _Extractor:
                     summary.module_attr_reads.append(
                         (dotted, child.attr, child.lineno)
                     )
-            elif isinstance(child, ast.Call):
-                # In-place mutation of a module global: g.append(...), g[k] = v
-                # is caught via storesub statements at eval time.
-                func = child.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in _MUTATING_METHODS
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in self._toplevel_names
-                    and func.value.id not in locals_bound
-                ):
-                    summary.global_writes.append((func.value.id, child.lineno))
-        for stmt in summary.body:
-            if stmt.get("s") == "storesub" and stmt["name"] in self._toplevel_names:
-                if stmt["name"] not in locals_bound:
-                    summary.global_writes.append((stmt["name"], stmt["line"]))
         return summary
 
     # -- module level -------------------------------------------------------------
@@ -557,15 +448,13 @@ class _Extractor:
                 self.summary.functions[qualname] = self._function(node, qualname)
             elif isinstance(node, ast.ClassDef):
                 class_qual = f"{self.module}.{node.name}"
-                methods: list[str] = []
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         method_qual = f"{class_qual}.{item.name}"
-                        methods.append(method_qual)
                         self.summary.functions[method_qual] = self._function(
                             item, method_qual
                         )
-                self.summary.classes[class_qual] = methods
+                self.summary.classes.add(class_qual)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = (
                     node.targets
@@ -573,11 +462,6 @@ class _Extractor:
                     else [node.target]
                 )
                 value = getattr(node, "value", None)
-                desc = (
-                    self._expr(value, self.module_aliases)
-                    if value is not None
-                    else None
-                )
                 for target in targets:
                     if not isinstance(target, ast.Name):
                         continue
@@ -585,11 +469,9 @@ class _Extractor:
                     if name.startswith("__") and name.endswith("__"):
                         continue
                     self.summary.globals[name] = GlobalInfo(
-                        name=name,
                         line=node.lineno,
                         mutable_value=_is_mutable_desc(value),
                         reassignable=not name.lstrip("_").isupper(),
-                        value=desc,
                     )
         # Top-level executable dataflow (module import time).
         toplevel = [
@@ -645,4 +527,4 @@ def extract_module(path: str, source: Optional[str] = None) -> ModuleSummary:
             source = handle.read()
     tree = ast.parse(source, filename=path)
     module = module_name_for(path)
-    return _Extractor(module, path, source, tree).run()
+    return _Extractor(module, path, tree).run()

@@ -1,4 +1,4 @@
-"""The fork-boundary model (TNG3xx) over evaluated taint facts.
+"""The fork-boundary model (TNG3xx) over evaluated facts.
 
 The campaign runner ships work to ``fork``-started processes; three
 things go wrong at that boundary in practice, and each is a rule:
@@ -16,12 +16,17 @@ things go wrong at that boundary in practice, and each is a rule:
   literal seed, so every shard draws the identical stream instead of a
   per-shard ``SeedSequence``-derived one.
 
-Fork *sites* are discovered by the taint evaluator (``pool.submit``,
+Fork *sites* are discovered by the evaluator (``pool.submit``,
 ``multiprocessing.Process(target=...)``), including sites whose
 entrypoint arrives as a function parameter and is resolved in a caller
 (``run_campaign → _execute → pool.submit(worker, ...)``).  This module
-takes the resolved sites, walks the call graph from each entrypoint, and
-emits the findings with the full chain in the message.
+takes the resolved sites and walks the call graph from each entrypoint.
+
+Each finding sits where its hazard is: TNG301 at the global's binding
+line, TNG302 at the fork site, TNG303 at the RNG construction — one
+finding per hazard however many fork sites reach it, so a justified
+``# tango: noqa`` silences exactly one seam.  The first witness chain
+found is in the message.
 """
 
 from __future__ import annotations
@@ -29,13 +34,18 @@ from __future__ import annotations
 from typing import Any
 
 from .callgraph import ProjectGraph
-from .taint import Evaluator
+from .evaluate import Evaluator
 
 __all__ = ["derive_fork_findings"]
 
 #: Worker-reachability BFS is capped defensively; the campaign worker's
 #: real closure is a few dozen functions.
 _MAX_REACHABLE = 400
+
+_SNAPSHOT_ADVICE = (
+    "fork-started children snapshot module state at pool creation — "
+    "pass it through the payload instead"
+)
 
 
 def _reachable_from(evaluator: Evaluator, entry: str) -> list[str]:
@@ -68,34 +78,26 @@ def derive_fork_findings(
     hits: dict[str, list[dict[str, Any]]] = {}
 
     def report(module: str, code: str, line: int, message: str) -> None:
-        hit = {"code": code, "line": line, "message": message}
         bucket = hits.setdefault(module, [])
-        if hit not in bucket:
-            bucket.append(hit)
+        if all((h["code"], h["line"]) != (code, line) for h in bucket):
+            bucket.append({"code": code, "line": line, "message": message})
 
     for qual in sorted(evaluator.facts):
-        facts = evaluator.facts[qual]
-        if not facts.fork_sites:
-            continue
-        module = graph.functions.get(qual)
-        if module is None:
-            continue
-        for site in facts.fork_sites:
-            line = site.get("line", 0)
+        module = graph.functions[qual]
+        for site in evaluator.facts[qual].fork_sites:
             # TNG302: concrete objects captured in shipped arguments.
             for obj in site.get("shipped", []):
-                kind = obj.get("kind")
                 label = {
                     "rng": "an RNG object",
                     "sim": "a Simulator",
                     "file": "an open file handle",
-                }.get(kind, kind)
+                }[obj["kind"]]
                 origin = obj.get("origin")
                 detail = f" (from {origin})" if origin else ""
                 report(
                     module,
                     "TNG302",
-                    line,
+                    site["line"],
                     f"{label}{detail} is captured in arguments shipped "
                     f"across the fork boundary via {_chain(site, site.get('entry') or '<worker>')}; "
                     "children inherit a duplicated stream/handle — ship "
@@ -104,76 +106,47 @@ def derive_fork_findings(
             entry = site.get("entry")
             if entry is None:
                 continue
-            reachable = _reachable_from(evaluator, entry)
             chain = _chain(site, entry)
-            for reached in reachable:
+            for reached in _reachable_from(evaluator, entry):
                 reached_module = graph.functions.get(reached)
                 if reached_module is None:
                     continue
                 summary = graph.modules[reached_module]
-                fn = summary.functions.get(reached)
-                if fn is None:
-                    continue
+                fn = summary.functions[reached]
                 step = (
                     chain if reached == entry else f"{chain} -> ... -> {reached}"
                 )
                 # TNG301: mutable/rebindable module globals read from
-                # worker-reachable code.
-                for name, read_line in fn.global_reads:
-                    info = summary.globals.get(name)
-                    if info is None:
-                        continue
-                    if not (info.mutable_value or info.reassignable):
-                        continue
-                    what = (
-                        "mutable module-global"
-                        if info.mutable_value
-                        else "rebindable module-global"
-                    )
-                    report(
-                        module,
-                        "TNG301",
-                        line,
-                        f"{what} '{name}' ({summary.path}:{info.line}) is "
-                        f"read by worker-reachable code: {step} reads it at "
-                        f"{summary.path}:{read_line}; fork-started children "
-                        "snapshot module state at pool creation — pass it "
-                        "through the payload instead",
-                    )
-                for mod_name, attr, read_line in fn.module_attr_reads:
-                    target = graph.modules.get(mod_name)
-                    if target is None:
-                        continue
-                    info = target.globals.get(attr)
+                # worker-reachable code, same module or another one.
+                reads = [
+                    (reached_module, name, line) for name, line in fn.global_reads
+                ] + list(fn.module_attr_reads)
+                for owner, name, read_line in reads:
+                    target = graph.modules.get(owner)
+                    info = None if target is None else target.globals.get(name)
                     if info is None or not (
                         info.mutable_value or info.reassignable
                     ):
                         continue
+                    what = "mutable" if info.mutable_value else "rebindable"
                     report(
-                        module,
+                        owner,
                         "TNG301",
-                        line,
-                        f"mutable module-global '{mod_name}.{attr}' "
-                        f"({target.path}:{info.line}) is read by "
+                        info.line,
+                        f"{what} module-global '{name}' is read by "
                         f"worker-reachable code: {step} reads it at "
-                        f"{summary.path}:{read_line}; fork-started children "
-                        "snapshot module state at pool creation — pass it "
-                        "through the payload instead",
+                        f"{summary.path}:{read_line}; {_SNAPSHOT_ADVICE}",
                     )
                 # TNG303: constant-literal-seed RNGs in worker code.
-                reached_facts = evaluator.facts.get(reached)
-                if reached_facts is None:
-                    continue
-                for rng in reached_facts.const_seed_rngs:
+                for rng in evaluator.facts[reached].const_seed_rngs:
                     report(
-                        module,
+                        reached_module,
                         "TNG303",
-                        line,
-                        f"worker-reachable RNG {rng['target']} at "
-                        f"{rng['where']} uses a constant literal seed "
-                        f"({step}); every shard draws the identical stream "
-                        "— derive per-shard seeds from a "
-                        "numpy.random.SeedSequence spawned off the master "
+                        rng["line"],
+                        f"worker-reachable RNG {rng['target']} uses a "
+                        f"constant literal seed ({step}); every shard draws "
+                        "the identical stream — derive per-shard seeds from "
+                        "a numpy.random.SeedSequence spawned off the master "
                         "seed and shard index",
                     )
     return hits

@@ -1,14 +1,11 @@
-"""Serializable per-module summaries — the unit of caching.
+"""Per-module summaries: what the whole-program pass knows about a module.
 
-A :class:`ModuleSummary` is everything the whole-program pass needs to
-know about one module *without re-parsing it*: imports (for the import
-graph and cache invalidation), re-exports (for name resolution through
-``__init__`` façades), module-level globals (for the fork-safety and
-RNG-aliasing rules), and one :class:`FunctionSummary` per function or
-method holding the function's dataflow **descriptors** — a small,
-JSON-serializable IR of its assignments, calls, and returns that the
-taint evaluator (:mod:`repro.lint.flow.taint`) interprets against the
-current summary table.
+A :class:`ModuleSummary` holds re-exports (for name resolution through
+``__init__`` façades), module-level globals (for the fork-safety rules),
+and one :class:`FunctionSummary` per function or method holding the
+function's dataflow **descriptors** — a small IR of its assignments,
+calls, and returns that the evaluator (:mod:`repro.lint.flow.evaluate`)
+interprets against the current facts table.
 
 Descriptors are plain dicts with a ``"k"`` discriminator::
 
@@ -18,7 +15,7 @@ Descriptors are plain dicts with a ``"k"`` discriminator::
     {"k": "call", "fn": d|None, "dotted": str|None,
      "line": int, "args": [d...], "kw": {...}}    call site
     {"k": "tuple", "items": [d...]}               tuple/list/set display
-    {"k": "bin", "parts": [d...]}                 any taint-merging expr
+    {"k": "bin", "parts": [d...]}                 any param-merging expr
     {"k": "sub", "base": d, "index": d}           subscript load
 
 ``dotted`` is the import-alias-resolved target for plain dotted calls
@@ -30,18 +27,13 @@ the receiver's abstract value at evaluation time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 __all__ = [
-    "SUMMARY_FORMAT_VERSION",
     "FunctionSummary",
     "GlobalInfo",
     "ModuleSummary",
 ]
-
-#: Bumped whenever the extraction IR or analysis changes shape; cached
-#: entries with a different version are discarded wholesale.
-SUMMARY_FORMAT_VERSION = 3
 
 Desc = dict[str, Any]
 
@@ -51,40 +43,17 @@ class GlobalInfo:
     """One module-level binding (plain assignment, not def/class/import).
 
     Attributes:
-        name: the bound name.
         line: definition line.
         mutable_value: the bound value is a mutable display or mutable
             constructor call (``[]``, ``{}``, ``set()``, ``deque()`` …).
         reassignable: the name follows the lowercase module-state
             convention (not ALL_CAPS, not a dunder) — a seam some
             function or test may rebind at runtime.
-        value: the value's descriptor (for RNG-aliasing detection).
     """
 
-    name: str
     line: int
     mutable_value: bool
     reassignable: bool
-    value: Optional[Desc] = None
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "mutable_value": self.mutable_value,
-            "reassignable": self.reassignable,
-            "value": self.value,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "GlobalInfo":
-        return cls(
-            name=payload["name"],
-            line=payload["line"],
-            mutable_value=payload["mutable_value"],
-            reassignable=payload["reassignable"],
-            value=payload.get("value"),
-        )
 
 
 @dataclass
@@ -94,57 +63,21 @@ class FunctionSummary:
     Attributes:
         qualname: fully dotted name (``repro.campaign.runner._worker`` or
             ``repro.core.controller.TangoController.start``).
-        line: definition line.
-        params: positional-or-keyword parameter names, in order.
-        defaults: parameter name → default-value descriptor (only for
-            params that have one) — how taint enters through defaults.
+        params: parameter names, positional ones first, in order.
         body: statement descriptors, in source order.  Statements are
             dicts with an ``"s"`` discriminator: ``assign`` / ``ret`` /
             ``expr`` / ``setattr`` / ``globaldecl``.
         global_reads: names read that resolve to module-level bindings of
             the *same* module, with lines.
-        global_writes: names written through a ``global`` declaration, or
-            mutated in place (subscript store / mutating method call on a
-            module-level binding).
         module_attr_reads: ``(module_dotted, attr, line)`` loads off
             imported project modules (cross-module global access).
     """
 
     qualname: str
-    line: int
     params: list[str] = field(default_factory=list)
-    defaults: dict[str, Desc] = field(default_factory=dict)
     body: list[Desc] = field(default_factory=list)
     global_reads: list[tuple[str, int]] = field(default_factory=list)
-    global_writes: list[tuple[str, int]] = field(default_factory=list)
     module_attr_reads: list[tuple[str, str, int]] = field(default_factory=list)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "params": self.params,
-            "defaults": self.defaults,
-            "body": self.body,
-            "global_reads": [list(t) for t in self.global_reads],
-            "global_writes": [list(t) for t in self.global_writes],
-            "module_attr_reads": [list(t) for t in self.module_attr_reads],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "FunctionSummary":
-        return cls(
-            qualname=payload["qualname"],
-            line=payload["line"],
-            params=list(payload["params"]),
-            defaults=dict(payload["defaults"]),
-            body=list(payload["body"]),
-            global_reads=[tuple(t) for t in payload["global_reads"]],
-            global_writes=[tuple(t) for t in payload["global_writes"]],
-            module_attr_reads=[
-                (t[0], t[1], t[2]) for t in payload["module_attr_reads"]
-            ],
-        )
 
 
 @dataclass
@@ -153,55 +86,12 @@ class ModuleSummary:
 
     module: str
     path: str
-    content_hash: str
-    #: Absolute dotted names of *project* modules this module imports
-    #: (module- or function-scoped) — the import-graph edges.
-    deps: list[str] = field(default_factory=list)
     #: Exported name → absolute dotted target (``from .x import y`` plus
     #: plain defs), used to resolve calls through package façades.
     exports: dict[str, str] = field(default_factory=dict)
     globals: dict[str, GlobalInfo] = field(default_factory=dict)
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
-    #: Class qualname → list of method qualnames (dispatch table).
-    classes: dict[str, list[str]] = field(default_factory=dict)
+    #: Class qualnames (the receiver types of method dispatch).
+    classes: set[str] = field(default_factory=set)
     #: Module-level statements (run at import time), same IR as bodies.
     toplevel: list[Desc] = field(default_factory=list)
-    #: ``tango: noqa`` comment inventory: line → codes (None = blanket).
-    noqa: dict[int, Optional[list[str]]] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "content_hash": self.content_hash,
-            "deps": self.deps,
-            "exports": self.exports,
-            "globals": {n: g.as_dict() for n, g in self.globals.items()},
-            "functions": {
-                q: f.as_dict() for q, f in self.functions.items()
-            },
-            "classes": self.classes,
-            "toplevel": self.toplevel,
-            "noqa": {str(k): v for k, v in self.noqa.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=payload["module"],
-            path=payload["path"],
-            content_hash=payload["content_hash"],
-            deps=list(payload["deps"]),
-            exports=dict(payload["exports"]),
-            globals={
-                n: GlobalInfo.from_dict(g)
-                for n, g in payload["globals"].items()
-            },
-            functions={
-                q: FunctionSummary.from_dict(f)
-                for q, f in payload["functions"].items()
-            },
-            classes={k: list(v) for k, v in payload["classes"].items()},
-            toplevel=list(payload["toplevel"]),
-            noqa={int(k): v for k, v in payload["noqa"].items()},
-        )

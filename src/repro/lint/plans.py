@@ -182,8 +182,11 @@ def check_fault_plan(
 ) -> list[Finding]:
     """Every fault-plan target must exist in the scenario (``TNG105``).
 
-    Mirrors the contracts :class:`~repro.faults.injector.FaultInjector`
-    enforces at arm time, evaluated without a deployment.
+    Mirrors the scenario-dependent contracts
+    :class:`~repro.faults.injector.FaultInjector` enforces at arm time,
+    evaluated without a deployment; the scenario-independent parameter
+    checks already ran when each :class:`~repro.faults.plan.FaultEvent`
+    was built.
     """
     findings: list[Finding] = []
 
@@ -224,59 +227,18 @@ def check_fault_plan(
                         f"prefix_index {prefix_index} out of range for edge "
                         f"{edge!r} with {count} route prefixes",
                     )
-        if event.kind == "demand_surge":
-            try:
-                factor = float(params["factor"])
-            except (TypeError, ValueError):
-                bad(index, f"demand_surge factor {params['factor']!r} is not a number")
-            else:
-                if factor <= 0:
-                    bad(index, f"demand_surge factor must be > 0, got {factor:g}")
-            label = params.get("flow_label")
-            if label is not None and (
-                not isinstance(label, int) or isinstance(label, bool)
-            ):
-                bad(index, f"demand_surge flow_label {label!r} is not an int")
-        if event.kind == "telemetry_tamper":
-            try:
-                bias = float(params["bias_ms"])
-            except (TypeError, ValueError):
-                bad(index, f"telemetry_tamper bias_ms {params['bias_ms']!r} is not a number")
-            else:
-                if bias == 0:
-                    bad(index, "telemetry_tamper bias_ms must be nonzero")
-        if event.kind == "telemetry_replay":
-            try:
-                delay = float(params["delay_s"])
-            except (TypeError, ValueError):
-                bad(index, f"telemetry_replay delay_s {params['delay_s']!r} is not a number")
-            else:
-                if delay <= 0:
-                    bad(index, f"telemetry_replay delay_s must be > 0, got {delay:g}")
-        if event.kind == "gray_loss":
-            try:
-                rate = float(params["rate"])
-            except (TypeError, ValueError):
-                bad(index, f"gray_loss rate {params['rate']!r} is not a number")
-            else:
-                if not 0.0 < rate <= 1.0:
-                    bad(index, f"gray_loss rate must be in (0, 1], got {rate:g}")
         if event.kind == "clock_drift":
             from ..trust.clock import ClockIntegrityMonitor
 
-            try:
-                ppm = float(params["ppm"])
-            except (TypeError, ValueError):
-                bad(index, f"clock_drift ppm {params['ppm']!r} is not a number")
-            else:
-                bound = ClockIntegrityMonitor.MAX_TRACKABLE_PPM
-                if abs(ppm) > bound:
-                    bad(
-                        index,
-                        f"clock_drift ppm {ppm:g} exceeds the clock-integrity "
-                        f"monitor's re-estimation bound (|ppm| <= {bound:g}); "
-                        "the defended controller cannot track it",
-                    )
+            ppm = float(params["ppm"])
+            bound = ClockIntegrityMonitor.MAX_TRACKABLE_PPM
+            if abs(ppm) > bound:
+                bad(
+                    index,
+                    f"clock_drift ppm {ppm:g} exceeds the clock-integrity "
+                    f"monitor's re-estimation bound (|ppm| <= {bound:g}); "
+                    "the defended controller cannot track it",
+                )
         if event.kind in ("srlg_failure", "maintenance_window"):
             group = str(params["group"])
             if group not in spec.srlg_groups:
@@ -285,22 +247,6 @@ def check_fault_plan(
                     f"unknown risk group {group!r}; scenario "
                     f"{spec.name!r} tags {sorted(spec.srlg_groups)}",
                 )
-        if event.kind == "maintenance_window" and "drain_s" in params:
-            try:
-                drain = float(params["drain_s"])
-            except (TypeError, ValueError):
-                bad(
-                    index,
-                    f"maintenance_window drain_s {params['drain_s']!r} "
-                    "is not a number",
-                )
-            else:
-                if not 0.0 <= drain < event.duration:
-                    bad(
-                        index,
-                        f"maintenance_window drain_s {drain:g} must satisfy "
-                        f"0 <= drain_s < duration ({event.duration:g})",
-                    )
         if event.kind == "relay_outage":
             member = str(params["member"])
             if member not in spec.edges:

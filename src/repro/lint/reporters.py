@@ -4,24 +4,15 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from .findings import Finding
 
 __all__ = ["render_text", "render_json"]
 
 
-def render_text(
-    findings: Sequence[Finding],
-    checked_files: int = 0,
-    extra: Optional[dict[str, Any]] = None,
-) -> str:
-    """flake8-style ``path:line:col: CODE message`` lines plus a summary.
-
-    ``extra`` carries auxiliary run stats; the ``flow`` key (analyzed /
-    cached module counts from the whole-program pass) renders as one
-    trailing line.
-    """
+def render_text(findings: Sequence[Finding], checked_files: int = 0) -> str:
+    """flake8-style ``path:line:col: CODE message`` lines plus a summary."""
     lines = [finding.render() for finding in findings]
     if findings:
         by_code = Counter(finding.code for finding in findings)
@@ -33,26 +24,14 @@ def render_text(
         )
     else:
         lines.append(f"clean: 0 findings in {checked_files} file(s)")
-    if extra and extra.get("flow"):
-        flow = extra["flow"]
-        lines.append(
-            f"flow: {flow['analyzed']} module(s) analyzed, "
-            f"{flow['cached']} from cache"
-        )
     return "\n".join(lines) + "\n"
 
 
-def render_json(
-    findings: Sequence[Finding],
-    checked_files: int = 0,
-    extra: Optional[dict[str, Any]] = None,
-) -> str:
+def render_json(findings: Sequence[Finding], checked_files: int = 0) -> str:
     """Machine-readable report (stable key order, trailing newline)."""
     payload: dict[str, Any] = {
         "checked_files": checked_files,
         "finding_count": len(findings),
         "findings": [finding.as_dict() for finding in findings],
     }
-    if extra:
-        payload.update(extra)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -8,7 +8,8 @@ construct that historically breaks that class of guarantee:
 ========  ==============================================================
 TNG001    wall-clock reads (``time.time``, ``perf_counter``,
           ``datetime.now`` ...) — simulation code must use the simulated
-          clock, never the host's.
+          clock, never the host's.  Any reference counts, not only a
+          call: ``clock=time.perf_counter`` is a read deferred.
 TNG002    unseeded RNG construction (``np.random.default_rng()``,
           ``random.Random()`` ...) — every generator must take an
           explicit seed so replays can reproduce its stream.
@@ -17,8 +18,9 @@ TNG003    calls on the process-global RNG state (``random.random()``,
           across subsystems, so adding a draw *anywhere* perturbs draws
           *everywhere*; use an owned, seeded generator instead.
 TNG004    operating-system entropy (``os.urandom``, ``uuid.uuid4``,
-          ``secrets.*``, ``random.SystemRandom``) — unreplayable by
-          construction.
+          ``secrets.*``, ``random.SystemRandom``) and process-environment
+          reads (``os.environ``, ``os.getenv``) — unreplayable by
+          construction, or different on the next host.
 TNG005    ordered iteration over ``set``/``frozenset`` values — set
           iteration order is a function of element hashes and insertion
           history; feeding it into loops, lists, or tuples makes control
@@ -27,10 +29,12 @@ TNG006    mutable default arguments — shared across calls, so one call
           site's history leaks into the next run's behavior.
 ========  ==============================================================
 
-All rules are purely syntactic (no imports are executed); the trade-off
-is the usual one for static analysis — a tracked value laundered through
-an attribute or a container escapes TNG005, and dynamic dispatch escapes
-everything.  The runtime chaos job remains the backstop.
+All rules are purely syntactic (no imports are executed) and fire where
+the hazard is written, so a value that then travels through any number
+of calls needs no second check.  The trade-off is the usual one for
+static analysis — a tracked value laundered through an attribute or a
+container escapes TNG005, and dynamic dispatch escapes everything.  The
+runtime chaos job remains the backstop.
 """
 
 from __future__ import annotations
@@ -90,13 +94,17 @@ def _resolve_dotted(node: ast.expr, aliases: dict[str, str]) -> Optional[str]:
     return ".".join([origin, *parts]) if parts else origin
 
 
-class _CallRule(ast.NodeVisitor):
-    """Base visitor for rules that diagnose specific call targets."""
+class _AliasVisitor(ast.NodeVisitor):
+    """Base visitor for rules that resolve names through the file's imports."""
 
     def __init__(self, context: FileContext, report: Report) -> None:
         self.context = context
         self.report = report
         self.aliases = _collect_aliases(context.tree)
+
+
+class _CallRule(_AliasVisitor):
+    """Base visitor for rules that diagnose specific call targets."""
 
     def visit_Call(self, node: ast.Call) -> None:
         dotted = _resolve_dotted(node.func, self.aliases)
@@ -105,6 +113,24 @@ class _CallRule(ast.NodeVisitor):
         self.generic_visit(node)
 
     def check_call(self, node: ast.Call, dotted: str) -> None:
+        raise NotImplementedError
+
+
+class _LoadRule(_AliasVisitor):
+    """Base visitor for rules that diagnose any load of specific names —
+    a call ``time.time()`` and a reference ``clock=time.perf_counter``
+    alike."""
+
+    def _visit_load(self, node: ast.Name | ast.Attribute) -> None:
+        if isinstance(node.ctx, ast.Load):
+            dotted = _resolve_dotted(node, self.aliases)
+            if dotted is not None:
+                self.check_load(node, dotted)
+        self.generic_visit(node)
+
+    visit_Name = visit_Attribute = _visit_load
+
+    def check_load(self, node: ast.expr, dotted: str) -> None:
         raise NotImplementedError
 
 
@@ -130,14 +156,14 @@ _WALLCLOCK = frozenset(
 )
 
 
-class _WallclockVisitor(_CallRule):
-    def check_call(self, node: ast.Call, dotted: str) -> None:
+class _WallclockVisitor(_LoadRule):
+    def check_load(self, node: ast.expr, dotted: str) -> None:
         if dotted in _WALLCLOCK:
             self.report(
                 self.context.finding(
                     node,
                     "TNG001",
-                    f"wall-clock read {dotted}() in simulation code; "
+                    f"wall-clock read {dotted} in simulation code; "
                     "use the simulated clock (Simulator.now)",
                 )
             )
@@ -258,17 +284,25 @@ _OS_ENTROPY = frozenset(
 )
 
 
-class _OsEntropyVisitor(_CallRule):
-    def check_call(self, node: ast.Call, dotted: str) -> None:
+#: The process environment: configuration that differs between hosts.
+_ENVIRONMENT = frozenset({"os.environ", "os.environb", "os.getenv", "os.getenvb"})
+
+
+class _OsEntropyVisitor(_LoadRule):
+    def check_load(self, node: ast.expr, dotted: str) -> None:
         if dotted in _OS_ENTROPY:
-            self.report(
-                self.context.finding(
-                    node,
-                    "TNG004",
-                    f"{dotted}() draws operating-system entropy, which is "
-                    "unreplayable by construction",
-                )
+            message = (
+                f"{dotted} draws operating-system entropy, which is "
+                "unreplayable by construction"
             )
+        elif dotted in _ENVIRONMENT:
+            message = (
+                f"{dotted} reads the process environment, which differs "
+                "between hosts and runs; pass the setting in explicitly"
+            )
+        else:
+            return
+        self.report(self.context.finding(node, "TNG004", message))
 
 
 # -- TNG005: ordered iteration over sets -----------------------------------------
@@ -453,12 +487,7 @@ _MUTABLE_CALLS = frozenset(
 )
 
 
-class _MutableDefaultVisitor(ast.NodeVisitor):
-    def __init__(self, context: FileContext, report: Report) -> None:
-        self.context = context
-        self.report = report
-        self.aliases = _collect_aliases(context.tree)
-
+class _MutableDefaultVisitor(_AliasVisitor):
     def _is_mutable(self, node: ast.expr) -> bool:
         if isinstance(
             node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp)
@@ -506,7 +535,7 @@ RULE_SUMMARIES: dict[str, str] = {
     "TNG001": "wall-clock read in simulation code",
     "TNG002": "RNG constructed without an explicit seed",
     "TNG003": "call on process-global RNG state",
-    "TNG004": "operating-system entropy source",
+    "TNG004": "operating-system entropy source or environment read",
     "TNG005": "ordered iteration over a set",
     "TNG006": "mutable default argument",
 }

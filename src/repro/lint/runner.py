@@ -2,12 +2,12 @@
 
 Composes the check layers —
 
-1. AST determinism rules over the given files/directories,
+1. AST determinism rules and the whole-program fork-safety pass
+   (:mod:`repro.lint.flow`, as engine rules) over the given
+   files/directories,
 2. semantic Gao–Rexford checks over every shipped scenario,
 3. fault-plan validation for any ``--plan`` files,
-4. (``--flow``) the whole-program determinism-taint and fork-safety
-   pass (:mod:`repro.lint.flow`), incremental via ``.tango-lint-cache``,
-5. the TNG007 unused-suppression audit over every noqa the run judged,
+4. the TNG007 unused-suppression audit over every noqa the run judged,
 
 — then applies the baseline filter and renders a report.  Exit status:
 0 clean (or all findings baselined), 1 findings, 2 usage/configuration
@@ -17,13 +17,12 @@ errors (unknown rule code, unreadable baseline, missing path).
 from __future__ import annotations
 
 import sys
-from typing import Any, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 from .baseline import Baseline
 from .engine import PARSE_ERROR_CODE, LintEngine
 from .findings import Finding, Severity
-from .flow import FLOW_RULE_SUMMARIES, FlowAnalyzer, FlowResult, SummaryCache
-from .flow.cache import DEFAULT_CACHE_DIR
+from .flow import flow_rules
 from .gao_rexford import SEMANTIC_RULE_SUMMARIES
 from .plans import check_plan_files, check_scenario, shipped_scenario_specs
 from .reporters import render_json, render_text
@@ -42,86 +41,47 @@ UNUSED_NOQA_CODE = "TNG007"
 def list_rules(stdout: Optional[TextIO] = None) -> int:
     """Print every rule code with its severity and one-line summary."""
     out = stdout if stdout is not None else sys.stdout
-    print(f"{PARSE_ERROR_CODE}  error    file cannot be parsed", file=out)
-    for rule in default_rules():
-        print(
-            f"{rule.code}  {rule.severity.label:<8} "
-            f"{rule.summary} [{rule.name}]",
-            file=out,
-        )
-    print(
-        f"{UNUSED_NOQA_CODE}  warning  "
-        "suppression comment silences no finding [unused-noqa]",
-        file=out,
-    )
-    for code, summary in SEMANTIC_RULE_SUMMARIES.items():
-        print(f"{code}  error    {summary}", file=out)
-    for code in sorted(FLOW_RULE_SUMMARIES):
-        print(
-            f"{code}  error    {FLOW_RULE_SUMMARIES[code]} (--flow)",
-            file=out,
-        )
+    rows = [
+        (PARSE_ERROR_CODE, "error", "file cannot be parsed"),
+        (
+            UNUSED_NOQA_CODE,
+            "warning",
+            "suppression comment silences no finding [unused-noqa]",
+        ),
+        *(
+            (rule.code, rule.severity.label, f"{rule.summary} [{rule.name}]")
+            for rule in (*default_rules(), *flow_rules(()))
+        ),
+        *((code, "error", s) for code, s in SEMANTIC_RULE_SUMMARIES.items()),
+    ]
+    for code, severity, summary in sorted(rows):
+        print(f"{code}  {severity:<8} {summary}", file=out)
     return 0
 
 
-def _family_ran(code: str, *, flow: bool, semantics: bool) -> bool:
+def _family_ran(code: str, *, semantics: bool) -> bool:
     """Did this run execute the rule family ``code`` belongs to?  Only
     then can an unused suppression of it be judged."""
     if code in (PARSE_ERROR_CODE, UNUSED_NOQA_CODE):
         return False
-    if code.startswith("TNG1"):
-        return semantics
-    if code.startswith(("TNG2", "TNG3")):
-        return flow
-    return True  # per-file AST rules always run
+    return semantics or not code.startswith("TNG1")
 
 
-def _unused_suppressions(
-    engine: LintEngine,
-    flow_result: Optional[FlowResult],
-    *,
-    flow: bool,
-    semantics: bool,
-) -> list[Finding]:
+def _unused_suppressions(engine: LintEngine, *, semantics: bool) -> list[Finding]:
     """Derive TNG007 findings from this run's suppression bookkeeping.
 
     TNG007 findings deliberately bypass noqa handling: a dead blanket
     suppression must not be able to silence its own diagnosis.
     """
-    # path -> line -> (codes|None, text)
-    inventory: dict[str, dict[int, tuple[Optional[list[str]], str]]] = {}
-    used: dict[str, dict[int, set[str]]] = {}
-    for path, usage in engine.suppressions.items():
-        for line, codes in usage["inventory"].items():
-            text = str(usage["text"].get(line, ""))
-            inventory.setdefault(path, {})[line] = (codes, text)  # type: ignore[arg-type]
-        for line, codes_used in usage["used"].items():
-            used.setdefault(path, {}).setdefault(line, set()).update(
-                codes_used  # type: ignore[arg-type]
-            )
-    if flow_result is not None:
-        for path, table in flow_result.suppressions.items():
-            for line, entry in table.items():
-                inventory.setdefault(path, {}).setdefault(
-                    line, (entry["codes"], entry["text"])
-                )
-        for path, table in flow_result.used.items():
-            for line, codes_used in table.items():
-                used.setdefault(path, {}).setdefault(line, set()).update(
-                    codes_used
-                )
-
     findings: list[Finding] = []
-    for path in sorted(inventory):
-        for line in sorted(inventory[path]):
-            codes, text = inventory[path][line]
-            fired = used.get(path, {}).get(line, set())
+    for path in sorted(engine.suppressions):
+        usage = engine.suppressions[path]
+        for line in sorted(usage["inventory"]):
+            codes = usage["inventory"][line]
+            text = usage["text"][line]
+            fired = set(usage["used"].get(line, ()))
             if codes is None:
-                # Blanket noqa: judged only when every file-level family
-                # ran (i.e. the flow pass too) — otherwise a TNG2xx
-                # finding it legitimately silences may simply not have
-                # been computed this run.
-                if flow and not fired:
+                if not fired:
                     findings.append(
                         Finding(
                             path=path,
@@ -141,7 +101,7 @@ def _unused_suppressions(
             dead = [
                 code
                 for code in codes
-                if _family_ran(code, flow=flow, semantics=semantics)
+                if _family_ran(code, semantics=semantics)
                 and code not in fired
             ]
             if dead:
@@ -172,8 +132,6 @@ def run_lint(
     write_baseline: Optional[str] = None,
     plan_paths: Sequence[str] = (),
     semantics: bool = True,
-    flow: bool = False,
-    flow_cache: Optional[str] = DEFAULT_CACHE_DIR,
     stdout: Optional[TextIO] = None,
     stderr: Optional[TextIO] = None,
 ) -> int:
@@ -183,16 +141,14 @@ def run_lint(
         paths: files/directories for the AST rules (may be empty when
             only semantic checks are wanted).
         fmt: ``text`` or ``json``.
-        select: comma-separated rule codes to restrict to (AST rules
-            and, with ``flow=True``, TNG2xx/TNG3xx flow rules).
+        select: comma-separated rule codes to restrict to (AST and
+            flow rules).
         baseline_path: baseline file to filter findings against.
         write_baseline: write the *unfiltered* findings to this baseline
             file and exit 0 (the accept-current-state workflow).
         plan_paths: fault-plan JSON files to validate against the Vultr
             scenario spec.
         semantics: run the Gao–Rexford checks over shipped scenarios.
-        flow: run the whole-program taint/fork-safety pass.
-        flow_cache: summary cache directory (None = no caching).
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
@@ -202,55 +158,13 @@ def run_lint(
         if select
         else None
     )
-    flow_codes = set(FLOW_RULE_SUMMARIES)
-    engine_select: Optional[list[str]] = None
-    flow_select: Optional[set[str]] = None
-    if selected is not None:
-        flow_select = {code for code in selected if code in flow_codes}
-        engine_select = [code for code in selected if code not in flow_codes]
-        if flow_select and not flow:
-            print(
-                "tango-repro lint: rule code(s) "
-                f"{', '.join(sorted(flow_select))} require --flow",
-                file=err,
-            )
-            return 2
     try:
-        engine = LintEngine(default_rules(), select=engine_select)
-    except ValueError as exc:
+        files = list(LintEngine.iter_python_files(paths))
+        engine = LintEngine((*default_rules(), *flow_rules(files)), select=selected)
+    except (FileNotFoundError, ValueError) as exc:
         print(f"tango-repro lint: {exc}", file=err)
         return 2
-
-    findings: list[Finding] = []
-    checked_files = 0
-    try:
-        files = list(engine.iter_python_files(paths))
-    except FileNotFoundError as exc:
-        print(f"tango-repro lint: {exc}", file=err)
-        return 2
-    if selected is None or engine_select:
-        for file_path in files:
-            findings.extend(engine.check_file(file_path))
-            checked_files += 1
-    else:  # only flow codes selected: skip the per-file visitors
-        checked_files = len(files)
-
-    flow_result: Optional[FlowResult] = None
-    flow_stats: Optional[dict[str, Any]] = None
-    if flow:
-        analyzer = FlowAnalyzer(SummaryCache(flow_cache))
-        flow_result = analyzer.run(files)
-        for finding in flow_result.findings:
-            if finding.code == PARSE_ERROR_CODE:
-                continue  # the per-file engine already reported it
-            if flow_select is not None and finding.code not in flow_select:
-                continue
-            findings.append(finding)
-        flow_stats = {
-            "analyzed": len(flow_result.analyzed),
-            "cached": len(flow_result.cached),
-            "cache_dir": flow_cache,
-        }
+    findings = [f for path in files for f in engine.check_file(path)]
 
     if semantics and selected is None:
         for spec in shipped_scenario_specs():
@@ -258,11 +172,7 @@ def run_lint(
     if plan_paths:
         findings.extend(check_plan_files(list(plan_paths)))
     if selected is None:
-        findings.extend(
-            _unused_suppressions(
-                engine, flow_result, flow=flow, semantics=semantics
-            )
-        )
+        findings.extend(_unused_suppressions(engine, semantics=semantics))
     findings.sort()
 
     if write_baseline:
@@ -287,7 +197,6 @@ def run_lint(
             return 2
         findings = baseline.filter_new(findings)
 
-    extra = {"flow": flow_stats} if flow_stats is not None else None
     renderer = render_json if fmt == "json" else render_text
-    out.write(renderer(findings, checked_files, extra=extra))
+    out.write(renderer(findings, len(files)))
     return 1 if findings else 0

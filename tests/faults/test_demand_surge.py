@@ -1,10 +1,12 @@
 """Tests for the demand_surge fault kind (fluid traffic engine)."""
 
+import json
+
 import pytest
 
 from repro.core.policy import StaticSelector
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
-from repro.lint import check_fault_plan, vultr_spec
+from repro.lint import check_fault_plan, check_plan_files, vultr_spec
 from repro.scenarios.vultr import VultrDeployment
 from repro.traffic.demand import DemandModel, FlowClass
 from repro.traffic.vector import VectorFluidEngine
@@ -65,6 +67,17 @@ class TestPlanValidation:
         assert replayed.events[0].params["flow_label"] == 1
 
 
+def lint_surge_file(tmp_path, **params):
+    """Lint a plan *file*: a surge FaultEvent refuses to build reaches
+    the linter only this way, as a TNG105 finding."""
+    path = tmp_path / "plan.json"
+    event = {"kind": "demand_surge", "at": 1.0, "duration": 2.0, "edge": "ny"}
+    path.write_text(
+        json.dumps({"name": "surge-test", "events": [{**event, **params}]})
+    )
+    return check_plan_files([str(path)], spec=vultr_spec())
+
+
 class TestLint:
     def test_valid_plan_is_clean(self):
         assert check_fault_plan(plan_of(surge_event()), vultr_spec()) == []
@@ -74,23 +87,17 @@ class TestLint:
         findings = check_fault_plan(plan, vultr_spec())
         assert any("unknown edge" in f.message for f in findings)
 
-    def test_nonpositive_factor_flagged(self):
-        findings = check_fault_plan(
-            plan_of(surge_event(factor=0.0)), vultr_spec()
-        )
+    def test_nonpositive_factor_flagged(self, tmp_path):
+        findings = lint_surge_file(tmp_path, factor=0.0)
         assert any("factor must be > 0" in f.message for f in findings)
 
-    def test_non_numeric_factor_flagged(self):
-        findings = check_fault_plan(
-            plan_of(surge_event(factor="huge")), vultr_spec()
-        )
+    def test_non_numeric_factor_flagged(self, tmp_path):
+        findings = lint_surge_file(tmp_path, factor="huge")
         assert any("not a number" in f.message for f in findings)
 
     @pytest.mark.parametrize("label", ["2", 2.0, True])
-    def test_non_int_flow_label_flagged(self, label):
-        findings = check_fault_plan(
-            plan_of(surge_event(flow_label=label)), vultr_spec()
-        )
+    def test_non_int_flow_label_flagged(self, tmp_path, label):
+        findings = lint_surge_file(tmp_path, factor=3.0, flow_label=label)
         assert [f.code for f in findings] == ["TNG105"]
         assert f"flow_label {label!r} is not an int" in findings[0].message
 
@@ -109,9 +116,8 @@ class TestInjection:
 
     def test_arm_rejects_nonpositive_factor(self):
         deployment, _engine = fluid_deployment()
-        injector = FaultInjector(deployment, plan_of(surge_event(factor=-1.0)))
         with pytest.raises(ValueError, match="factor must be > 0"):
-            injector.arm()
+            FaultInjector(deployment, plan_of(surge_event(factor=-1.0))).arm()
 
     def test_surge_on_a_missing_class_refuses_to_arm(self):
         # The edge's demand has one class, label 1: a surge aimed at

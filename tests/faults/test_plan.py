@@ -1,5 +1,7 @@
 """Tests for declarative fault plans."""
 
+import json
+
 import pytest
 
 from repro.faults import FAULT_KINDS, FaultEvent, FaultPlan
@@ -149,3 +151,67 @@ class TestFaultPlan:
         path = tmp_path / "plan.json"
         path.write_text(plan.to_json())
         assert FaultPlan.from_file(str(path)) == plan
+
+
+#: One event per scenario-independent parameter check.  Each must be
+#: refused by FaultEvent, by TNG105 lint, and on the way to arm().
+BAD_EVENTS = {
+    "loss-burst-rate-above-1": ("loss_burst", {"src": "ny", "path": "GTT", "rate": 3}),
+    "telemetry-loss-rate-below-0": ("telemetry_loss", {"edge": "ny", "rate": -0.5}),
+    "gray-loss-rate-above-1": ("gray_loss", {"src": "ny", "path": "GTT", "rate": 1.5}),
+    "surge-factor-zero": ("demand_surge", {"edge": "ny", "factor": 0}),
+    "surge-factor-not-a-number": (
+        "demand_surge",
+        {"edge": "ny", "factor": "huge"},
+    ),
+    "surge-flow-label-not-an-int": (
+        "demand_surge",
+        {"edge": "ny", "factor": 2.0, "flow_label": "2"},
+    ),
+    "tamper-bias-zero": (
+        "telemetry_tamper",
+        {"src": "ny", "path": "NTT", "bias_ms": 0},
+    ),
+    "replay-delay-zero": (
+        "telemetry_replay",
+        {"src": "ny", "path": "GTT", "delay_s": 0},
+    ),
+    "drain-not-inside-window": (
+        "maintenance_window",
+        {"group": "socal-conduit", "drain_s": 2.0},
+    ),
+    "flap-period-not-a-number": (
+        "link_flap",
+        {"src": "ny", "path": "GTT", "period": "fast"},
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def vultr():
+    from repro.lint import vultr_spec
+    from repro.scenarios.vultr import VultrDeployment
+
+    deployment = VultrDeployment(include_events=False)
+    deployment.establish()
+    return vultr_spec(), deployment
+
+
+@pytest.mark.parametrize("name", sorted(BAD_EVENTS))
+def test_bad_parameters_rejected_by_every_consumer(name, vultr, tmp_path):
+    from repro.faults import FaultInjector
+    from repro.lint import check_plan_files
+
+    spec, deployment = vultr
+    kind, params = BAD_EVENTS[name]
+    with pytest.raises(ValueError):
+        FaultEvent(kind, at=1.0, duration=2.0, params=params)
+
+    path = tmp_path / "plan.json"
+    event = {"kind": kind, "at": 1.0, "duration": 2.0, **params}
+    path.write_text(json.dumps({"name": "bad", "seed": 1, "events": [event]}))
+    findings = check_plan_files([str(path)], spec=spec)
+    assert [f.code for f in findings] == ["TNG105"], findings
+
+    with pytest.raises(ValueError):
+        FaultInjector(deployment, FaultPlan.from_file(str(path))).arm()

@@ -1,21 +1,19 @@
-"""The whole-program flow pass: call graph, taint, fork safety, cache.
+"""The whole-program flow pass: extraction, call graph, fork safety.
 
 Fixtures are miniature packages written to ``tmp_path`` — each test
 builds the smallest project exhibiting one cross-module property the
 per-file rules cannot see.
 """
 
+import ast
 import io
 from pathlib import Path
 
-import pytest
-
 from repro.lint import run_lint
-from repro.lint.engine import LintEngine
+from repro.lint.engine import FileContext, LintEngine
 from repro.lint.flow import (
-    FlowAnalyzer,
     ProjectGraph,
-    SummaryCache,
+    analyze_project,
     extract_module,
     module_name_for,
 )
@@ -37,14 +35,14 @@ def write_project(tmp_path: Path, files: dict) -> Path:
     return root
 
 
-def analyze(root: Path, cache_dir=None):
-    files = list(LintEngine.iter_python_files([str(root)]))
-    cache = SummaryCache(str(cache_dir) if cache_dir else None)
-    return FlowAnalyzer(cache).run(files)
+def analyze(root: Path) -> list:
+    """Every unsuppressed flow finding under ``root``, sorted."""
+    by_path = analyze_project(list(LintEngine.iter_python_files([str(root)])))
+    return sorted(f for findings in by_path.values() for f in findings)
 
 
-def codes(result):
-    return sorted(f.code for f in result.findings)
+def codes(findings) -> list:
+    return sorted(f.code for f in findings)
 
 
 class TestExtraction:
@@ -53,30 +51,24 @@ class TestExtraction:
         assert module_name_for(str(root / "sub" / "leaf.py")) == "proj.sub.leaf"
         assert module_name_for(str(root / "__init__.py")) == "proj"
 
-    def test_deps_and_exports(self, tmp_path):
+    def test_exports_follow_reexports(self, tmp_path):
         root = write_project(
             tmp_path,
             {
                 "__init__.py": "from .clock import stamp\n",
-                "clock.py": "import time\n\ndef stamp():\n    return time.time()\n",
+                "clock.py": "def stamp():\n    return 0\n",
             },
         )
         summary = extract_module(str(root / "__init__.py"))
-        assert "proj.clock" in summary.deps
         assert summary.exports["stamp"] == "proj.clock.stamp"
 
-    def test_noqa_in_docstring_is_not_inventory(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "doc.py": (
-                    '"""Shows the syntax: # tango: noqa[TNG001]."""\n'
-                    "x = 1  # tango: noqa[TNG001]\n"
-                ),
-            },
+    def test_noqa_in_docstring_is_not_inventory(self):
+        source = (
+            '"""Shows the syntax: # tango: noqa[TNG001]."""\n'
+            "x = 1  # tango: noqa[TNG001]\n"
         )
-        summary = extract_module(str(root / "doc.py"))
-        assert list(summary.noqa) == [2]
+        context = FileContext("doc.py", source, ast.parse(source))
+        assert context.noqa_inventory() == {2: ["TNG001"]}
 
 
 class TestCallGraph:
@@ -98,140 +90,14 @@ class TestCallGraph:
         assert graph.resolve("os.path.join") is None
 
     def test_import_cycle_does_not_diverge(self, tmp_path):
-        graph = self.build(
+        root = write_project(
             tmp_path,
             {
                 "a.py": "from proj import b\n\ndef fa():\n    return b.fb()\n",
-                "b.py": "def fb():\n    from proj import a\n    return 0\n",
+                "b.py": "def fb():\n    from proj import a\n    return a.fa()\n",
             },
         )
-        dirty = graph.invalidated_by(["proj.a"])
-        assert {"proj.a", "proj.b"} <= dirty
-
-    def test_invalidation_covers_transitive_importers(self, tmp_path):
-        graph = self.build(
-            tmp_path,
-            {
-                "leaf.py": "X = 1\n",
-                "mid.py": "from proj.leaf import X\n",
-                "top.py": "from proj.mid import X\n",
-                "other.py": "Y = 2\n",
-            },
-        )
-        dirty = graph.invalidated_by(["proj.leaf"])
-        assert {"proj.leaf", "proj.mid", "proj.top"} <= dirty
-        assert "proj.other" not in dirty
-
-
-class TestDeterminismTaint:
-    def test_wallclock_through_helper_chain(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "clock.py": (
-                    "import time\n\n\ndef stamp():\n    return time.time()\n"
-                ),
-                "engine.py": (
-                    "from proj.clock import stamp\n\n\n"
-                    "def drive(sim):\n"
-                    "    sim.schedule_at(stamp(), None)\n"
-                ),
-            },
-        )
-        result = analyze(root)
-        assert codes(result) == ["TNG201"]
-        finding = result.findings[0]
-        assert finding.path.endswith("engine.py")
-        assert "time.time" in finding.message
-        assert "schedule_at" in finding.message
-        assert "->" in finding.message  # the full source→sink chain
-
-    def test_taint_through_default_argument(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "jit.py": (
-                    "import time\n\n\n"
-                    "def jitter(delay=time.time()):\n"
-                    "    return delay\n\n\n"
-                    "def drive(sim):\n"
-                    "    sim.schedule_at(jitter(), None)\n"
-                ),
-            },
-        )
-        result = analyze(root)
-        assert "TNG201" in codes(result)
-
-    def test_unseeded_rng_leak_across_modules(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "randsrc.py": (
-                    "import numpy as np\n\n"
-                    "GEN = np.random.default_rng()\n\n\n"
-                    "def draw():\n    return GEN.uniform()\n"
-                ),
-                "consume.py": (
-                    "from proj.randsrc import draw\n\n\n"
-                    "def feed(store):\n    store.record(draw())\n"
-                ),
-            },
-        )
-        result = analyze(root)
-        got = codes(result)
-        assert "TNG202" in got  # the module-global generator itself
-        assert "TNG201" in got  # its draw reaching the telemetry store
-        leak = [f for f in result.findings if f.code == "TNG201"][0]
-        assert leak.path.endswith("consume.py")
-        assert "unseeded" in leak.message
-
-    def test_method_dispatch_on_instance(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "disp.py": (
-                    "import time\n\n\n"
-                    "class Clock:\n"
-                    "    def now(self):\n"
-                    "        return time.time()\n\n\n"
-                    "def use(sim):\n"
-                    "    c = Clock()\n"
-                    "    sim.schedule_at(c.now(), None)\n"
-                ),
-            },
-        )
-        result = analyze(root)
-        assert "TNG201" in codes(result)
-
-    def test_wallclock_in_report_output(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "rep.py": (
-                    "import json\nimport time\n\n\n"
-                    "def report():\n"
-                    '    payload = {"t": time.time()}\n'
-                    "    return json.dumps(payload)\n"
-                ),
-            },
-        )
-        result = analyze(root)
-        assert codes(result) == ["TNG203"]
-        assert "replay-compared output" in result.findings[0].message
-
-    def test_seeded_rng_draw_is_clean(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "ok.py": (
-                    "import numpy as np\n\n\n"
-                    "def drive(sim, seed):\n"
-                    "    rng = np.random.default_rng(seed)\n"
-                    "    sim.schedule_at(rng.uniform(), None)\n"
-                ),
-            },
-        )
-        assert codes(analyze(root)) == []
+        assert analyze(root) == []
 
 
 FORK_FIXTURE = {
@@ -255,37 +121,44 @@ FORK_FIXTURE = {
 }
 
 
+def fork_fixture_with_noqa() -> dict:
+    """FORK_FIXTURE with a ``# tango: noqa`` on each hazard's own line."""
+    files = dict(FORK_FIXTURE)
+    for name, line_text, code in (
+        ("work.py", "_registry = {}", "TNG301"),
+        ("work.py", "rng = np.random.default_rng(42)", "TNG303"),
+        ("launch.py", "return pool.submit(work, (payloads, rng))", "TNG302"),
+    ):
+        assert line_text in files[name]
+        files[name] = files[name].replace(
+            line_text, f"{line_text}  # tango: noqa[{code}]"
+        )
+    return files
+
+
 class TestForkSafety:
     def test_fork_fixture_trips_all_three_rules(self, tmp_path):
         root = write_project(tmp_path, dict(FORK_FIXTURE))
-        result = analyze(root)
-        got = codes(result)
-        assert "TNG301" in got  # _registry read from worker
-        assert "TNG302" in got  # rng shipped in submit args
-        assert "TNG303" in got  # default_rng(42) inside the worker
-        by_code = {f.code: f for f in result.findings}
-        assert by_code["TNG301"].path.endswith("launch.py")
+        findings = analyze(root)
+        assert codes(findings) == ["TNG301", "TNG302", "TNG303"]
+        # Each finding sits where its hazard is written.
+        assert {f.code: (Path(f.path).name, f.line) for f in findings} == {
+            "TNG301": ("work.py", 3),  # _registry = {}
+            "TNG302": ("launch.py", 11),  # pool.submit(work, (..., rng))
+            "TNG303": ("work.py", 8),  # default_rng(42) in the worker
+        }
+        by_code = {f.code: f for f in findings}
         assert "_registry" in by_code["TNG301"].message
         assert "fork boundary" in by_code["TNG301"].message
         assert "RNG" in by_code["TNG302"].message
         assert "SeedSequence" in by_code["TNG303"].message
 
     def test_fork_findings_are_suppressible(self, tmp_path):
-        files = dict(FORK_FIXTURE)
-        files["launch.py"] = files["launch.py"].replace(
-            "    return pool.submit(work, (payloads, rng))",
-            "    return pool.submit(work, (payloads, rng))"
-            "  # tango: noqa[TNG301,TNG302,TNG303]",
+        root = write_project(tmp_path, fork_fixture_with_noqa())
+        status, out, _ = run(
+            [str(root)], semantics=False, select="TNG301,TNG302,TNG303"
         )
-        root = write_project(tmp_path, files)
-        result = analyze(root)
-        assert codes(result) == []
-        launch = [p for p in result.used if p.endswith("launch.py")][0]
-        assert set().union(*result.used[launch].values()) == {
-            "TNG301",
-            "TNG302",
-            "TNG303",
-        }
+        assert status == 0, out
 
     def test_entry_resolved_through_param_passing(self, tmp_path):
         # run() forwards the worker through an _execute-style helper, so
@@ -311,58 +184,41 @@ class TestForkSafety:
                 ),
             },
         )
-        result = analyze(root)
-        trips = [f for f in result.findings if f.code == "TNG301"]
-        assert trips, codes(result)
-        assert trips[0].path.endswith("run.py")
+        trips = [f for f in analyze(root) if f.code == "TNG301"]
+        assert len(trips) == 1, trips
+        assert trips[0].path.endswith("w.py") and trips[0].line == 1
         assert "_state" in trips[0].message
+        assert "run -> proj.exe.execute -> fork boundary" in trips[0].message
 
-
-class TestCacheIncrementality:
-    def test_warm_run_reanalyzes_nothing(self, tmp_path):
-        root = write_project(tmp_path, dict(FORK_FIXTURE))
-        cache = tmp_path / "cache"
-        first = analyze(root, cache_dir=cache)
-        assert sorted(first.analyzed) == [
-            "proj",
-            "proj.launch",
-            "proj.work",
-        ]
-        second = analyze(root, cache_dir=cache)
-        assert second.analyzed == []
-        assert sorted(second.cached) == sorted(first.analyzed)
-        # cached findings survive byte-identically
-        assert [f.render() for f in second.findings] == [
-            f.render() for f in first.findings
-        ]
-
-    def test_edit_dirties_only_transitive_importers(self, tmp_path):
+    def test_justified_seam_masks_only_itself(self, tmp_path):
+        # One global is a deliberate seam with a justified noqa; a second
+        # global the worker reads must still be reported, once, however
+        # many fork sites reach it.
         root = write_project(
             tmp_path,
             {
-                "leaf.py": "def leaf():\n    return 1\n",
-                "mid.py": (
-                    "from proj.leaf import leaf\n\n\n"
-                    "def mid():\n    return leaf()\n"
+                "w.py": (
+                    "_hook = None  # tango: noqa[TNG301]\n"
+                    "_table = {'a': 1}\n\n\n"
+                    "def work(args):\n"
+                    "    if _hook is not None:\n"
+                    "        _hook(args)\n"
+                    "    return _table['a']\n"
                 ),
-                "lone.py": "def lone():\n    return 2\n",
+                "run.py": (
+                    "from concurrent.futures import ProcessPoolExecutor\n\n"
+                    "from proj.w import work\n\n\n"
+                    "def run(payloads):\n"
+                    "    pool = ProcessPoolExecutor(2)\n"
+                    "    first = pool.submit(work, payloads[0])\n"
+                    "    return first, pool.submit(work, payloads[1])\n"
+                ),
             },
         )
-        cache = tmp_path / "cache"
-        analyze(root, cache_dir=cache)
-        (root / "leaf.py").write_text("def leaf():\n    return 3\n")
-        result = analyze(root, cache_dir=cache)
-        assert sorted(result.analyzed) == ["proj.leaf", "proj.mid"]
-        assert "proj.lone" in result.cached
-
-    def test_version_or_corruption_degrades_to_full_run(self, tmp_path):
-        root = write_project(tmp_path, {"m.py": "x = 1\n"})
-        cache = tmp_path / "cache"
-        analyze(root, cache_dir=cache)
-        for entry in cache.glob("*.json"):
-            entry.write_text("{not json")
-        result = analyze(root, cache_dir=cache)
-        assert "proj.m" in result.analyzed
+        status, out, _ = run([str(root)], semantics=False)
+        assert status == 1
+        assert f"{root / 'w.py'}:2: TNG301" in out
+        assert "1 finding(s)" in out, out
 
 
 def run(paths, **kwargs):
@@ -372,36 +228,30 @@ def run(paths, **kwargs):
 
 
 class TestRunnerIntegration:
-    def test_committed_tree_flow_clean(self, tmp_path):
+    def test_committed_tree_flow_clean(self):
         status, out, err = run(
-            [SRC], flow=True, flow_cache=str(tmp_path / "cache")
+            [SRC], select="TNG202,TNG301,TNG302,TNG303", semantics=False
         )
         assert status == 0, out + err
-        assert "clean: 0 findings" in out
-        assert "flow:" in out
+        # The one justified fork-boundary seam is acknowledged where it
+        # is bound, not at the fork sites that reach it.
+        seams = [
+            (path.name, line.split(":")[0])
+            for path in Path(SRC).rglob("*.py")
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if "tango: noqa[TNG301]" in line and not line.lstrip().startswith('"')
+        ]
+        assert seams == [("runner.py", "_shard_crash_hook")]
 
     def test_flow_findings_reach_the_report(self, tmp_path):
         root = write_project(tmp_path, dict(FORK_FIXTURE))
-        status, out, _ = run(
-            [str(root)], flow=True, flow_cache=None, semantics=False
-        )
+        status, out, _ = run([str(root)], semantics=False)
         assert status == 1
         assert "TNG301" in out and "TNG302" in out and "TNG303" in out
 
-    def test_select_flow_code_requires_flow(self, tmp_path):
-        status, _, err = run([SRC], select="TNG301")
-        assert status == 2
-        assert "--flow" in err
-
     def test_select_restricts_flow_codes(self, tmp_path):
         root = write_project(tmp_path, dict(FORK_FIXTURE))
-        status, out, _ = run(
-            [str(root)],
-            flow=True,
-            flow_cache=None,
-            semantics=False,
-            select="TNG302",
-        )
+        status, out, _ = run([str(root)], semantics=False, select="TNG302")
         assert status == 1
         assert "TNG302" in out
         assert "TNG301" not in out and "TNG303" not in out
@@ -410,36 +260,13 @@ class TestRunnerIntegration:
         root = write_project(tmp_path, dict(FORK_FIXTURE))
         baseline = tmp_path / "baseline.json"
         status, _, _ = run(
-            [str(root)],
-            flow=True,
-            flow_cache=None,
-            semantics=False,
-            write_baseline=str(baseline),
+            [str(root)], semantics=False, write_baseline=str(baseline)
         )
         assert status == 0
         status, out, _ = run(
-            [str(root)],
-            flow=True,
-            flow_cache=None,
-            semantics=False,
-            baseline_path=str(baseline),
+            [str(root)], semantics=False, baseline_path=str(baseline)
         )
         assert status == 0, out
-
-    def test_flow_stats_in_json_report(self, tmp_path):
-        import json as json_mod
-
-        root = write_project(tmp_path, {"m.py": "x = 1\n"})
-        status, out, _ = run(
-            [str(root)],
-            flow=True,
-            flow_cache=str(tmp_path / "cache"),
-            semantics=False,
-            fmt="json",
-        )
-        payload = json_mod.loads(out)
-        assert payload["flow"]["analyzed"] == 2  # proj + proj.m
-        assert payload["flow"]["cached"] == 0
 
 
 class TestUnusedSuppression:
@@ -466,43 +293,27 @@ class TestUnusedSuppression:
         status, out, _ = run([str(root)], semantics=False)
         assert status == 0, out
 
-    def test_flow_code_noqa_judged_only_with_flow(self, tmp_path):
+    def test_dead_flow_code_noqa_is_flagged(self, tmp_path):
         root = write_project(
             tmp_path,
             {"m.py": "x = 1  # tango: noqa[TNG301]\n"},
         )
         status, out, _ = run([str(root)], semantics=False)
-        assert status == 0, out  # flow family did not run: benefit of doubt
-        status, out, _ = run(
-            [str(root)], semantics=False, flow=True, flow_cache=None
-        )
         assert status == 1
         assert "TNG007" in out
 
-    def test_blanket_noqa_judged_only_with_flow(self, tmp_path):
+    def test_dead_blanket_noqa_is_flagged(self, tmp_path):
         root = write_project(
             tmp_path,
             {"m.py": "x = 1  # tango: noqa\n"},
         )
         status, out, _ = run([str(root)], semantics=False)
-        assert status == 0, out
-        status, out, _ = run(
-            [str(root)], semantics=False, flow=True, flow_cache=None
-        )
         assert status == 1
         assert "blanket" in out
 
     def test_used_flow_noqa_survives_the_audit(self, tmp_path):
-        files = dict(FORK_FIXTURE)
-        files["launch.py"] = files["launch.py"].replace(
-            "    return pool.submit(work, (payloads, rng))",
-            "    return pool.submit(work, (payloads, rng))"
-            "  # tango: noqa[TNG301,TNG302,TNG303]",
-        )
-        root = write_project(tmp_path, files)
-        status, out, _ = run(
-            [str(root)], semantics=False, flow=True, flow_cache=None
-        )
+        root = write_project(tmp_path, fork_fixture_with_noqa())
+        status, out, _ = run([str(root)], semantics=False)
         assert status == 0, out
 
     def test_tng007_cannot_be_self_suppressed(self, tmp_path):

@@ -1,5 +1,6 @@
 """Fault-plan target validation (TNG105) against scenario specs."""
 
+import json
 from pathlib import Path
 
 from repro.faults.plan import FaultEvent, FaultPlan
@@ -10,6 +11,15 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 def plan_of(*events: FaultEvent) -> FaultPlan:
     return FaultPlan(name="test-plan", seed=1, events=events)
+
+
+def lint_plan_file(tmp_path, spec, kind, at, duration, **params) -> list:
+    """Lint a one-event plan *file*: an event :class:`FaultEvent` refuses
+    to build reaches the linter only this way, as a TNG105 finding."""
+    path = tmp_path / "plan.json"
+    event = {"kind": kind, "at": at, "duration": duration, **params}
+    path.write_text(json.dumps({"name": "test-plan", "seed": 1, "events": [event]}))
+    return check_plan_files([str(path)], spec=spec)
 
 
 class TestCheckFaultPlan:
@@ -125,7 +135,7 @@ class TestAdversarialKinds:
     def setup_method(self):
         self.spec = vultr_spec()
 
-    def adversarial(self, kind, **params):
+    def adversarial_params(self, kind, **params) -> dict:
         defaults = {
             "telemetry_tamper": {"src": "ny", "path": "NTT", "bias_ms": 12.0},
             "telemetry_replay": {"src": "ny", "path": "GTT", "delay_s": 1.0},
@@ -133,10 +143,16 @@ class TestAdversarialKinds:
             "clock_drift": {"edge": "la", "ppm": 200.0},
         }[kind]
         duration = 0.0 if kind == "clock_drift" else 4.0
-        return plan_of(
-            FaultEvent(
-                kind, at=3.0, duration=duration, params={**defaults, **params}
-            )
+        return {"at": 3.0, "duration": duration, **defaults, **params}
+
+    def adversarial(self, kind, **params):
+        event = self.adversarial_params(kind, **params)
+        at, duration = event.pop("at"), event.pop("duration")
+        return plan_of(FaultEvent(kind, at=at, duration=duration, params=event))
+
+    def lint_adversarial(self, tmp_path, kind, **params):
+        return lint_plan_file(
+            tmp_path, self.spec, kind, **self.adversarial_params(kind, **params)
         )
 
     def test_valid_fixtures_clean(self):
@@ -148,31 +164,33 @@ class TestAdversarialKinds:
         ):
             assert check_fault_plan(self.adversarial(kind), self.spec) == []
 
-    def test_tamper_bias_must_be_a_nonzero_number(self):
-        findings = check_fault_plan(
-            self.adversarial("telemetry_tamper", bias_ms=0.0), self.spec
+    def test_tamper_bias_must_be_a_nonzero_number(self, tmp_path):
+        findings = self.lint_adversarial(
+            tmp_path, "telemetry_tamper", bias_ms=0.0
         )
         assert len(findings) == 1
         assert "bias_ms must be nonzero" in findings[0].message
-        findings = check_fault_plan(
-            self.adversarial("telemetry_tamper", bias_ms="big"), self.spec
+        findings = self.lint_adversarial(
+            tmp_path, "telemetry_tamper", bias_ms="big"
         )
         assert "is not a number" in findings[0].message
 
-    def test_replay_delay_must_be_positive(self):
-        findings = check_fault_plan(
-            self.adversarial("telemetry_replay", delay_s=-1.0), self.spec
+    def test_replay_delay_must_be_positive(self, tmp_path):
+        findings = self.lint_adversarial(
+            tmp_path, "telemetry_replay", delay_s=-1.0
         )
         assert len(findings) == 1
         assert "delay_s must be > 0" in findings[0].message
 
-    def test_gray_loss_rate_must_be_a_probability(self):
-        for rate in (0.0, 1.5):
-            findings = check_fault_plan(
-                self.adversarial("gray_loss", rate=rate), self.spec
-            )
+    def test_gray_loss_rate_must_be_a_probability(self, tmp_path):
+        # The range GrayLoss itself enforces: [0, 1], ends included.
+        for rate in (-0.1, 1.5):
+            findings = self.lint_adversarial(tmp_path, "gray_loss", rate=rate)
             assert len(findings) == 1
-            assert "rate must be in (0, 1]" in findings[0].message
+            assert "rate must be in [0, 1]" in findings[0].message
+        for rate in (0.0, 1.0):
+            plan = self.adversarial("gray_loss", rate=rate)
+            assert check_fault_plan(plan, self.spec) == []
 
     def test_adversarial_kinds_check_their_targets_too(self):
         findings = check_fault_plan(
@@ -256,21 +274,13 @@ class TestCorrelatedKinds:
         assert len(findings) == 1
         assert "unknown region 'mars'" in findings[0].message
 
-    def test_drain_must_be_numeric_and_inside_window(self):
-        bad_value = self.check(
-            FaultEvent(
-                "maintenance_window", at=1.0, duration=2.0,
-                params={"group": "ntt-backbone", "drain_s": "soon"},
+    def test_drain_must_be_numeric_and_inside_window(self, tmp_path):
+        for drain, problem in (("soon", "not a number"), (2.0, "drain_s")):
+            findings = lint_plan_file(
+                tmp_path, self.spec, "maintenance_window", at=1.0,
+                duration=2.0, group="ntt-backbone", drain_s=drain,
             )
-        )
-        assert any("not a number" in f.message for f in bad_value)
-        too_long = self.check(
-            FaultEvent(
-                "maintenance_window", at=1.0, duration=2.0,
-                params={"group": "ntt-backbone", "drain_s": 2.0},
-            )
-        )
-        assert any("drain_s" in f.message for f in too_long)
+            assert any(problem in f.message for f in findings)
 
     def test_transit_tags_are_valid_groups(self):
         findings = self.check(

@@ -48,6 +48,17 @@ class TestWallclock:
         """
         assert codes_and_lines(src) == [("TNG001", 2)]
 
+    def test_reference_without_call_flagged(self):
+        # A clock held as a value is a read deferred to its caller.
+        src = """\
+        import time
+        from time import monotonic
+        def f(clock=time.perf_counter):
+            return clock()
+        tick = monotonic
+        """
+        assert codes_and_lines(src) == [("TNG001", 3), ("TNG001", 5)]
+
     def test_time_sleep_is_not_a_clock_read(self):
         src = """\
         import time
@@ -126,6 +137,22 @@ class TestOsEntropy:
         c = secrets.token_hex(8)
         """
         assert codes_and_lines(src) == [
+            ("TNG004", 4),
+            ("TNG004", 5),
+            ("TNG004", 6),
+        ]
+
+    def test_environment_reads_flagged(self):
+        src = """\
+        import os
+        from os import environ
+        a = os.environ["SEED"]
+        b = os.environ.get("SEED", "7")
+        c = os.getenv("SEED")
+        d = environ.get("SEED")
+        """
+        assert codes_and_lines(src) == [
+            ("TNG004", 3),
             ("TNG004", 4),
             ("TNG004", 5),
             ("TNG004", 6),
