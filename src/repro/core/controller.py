@@ -150,6 +150,28 @@ class _QuarantineRuntime:
     probation_at: float = 0.0
 
 
+class _Observation:
+    """One tick's look at the gateway (module-private).
+
+    The tunnel table in id order, re-listed only when it grows, and per
+    tunnel the age of its last outbound sample (None: never measured)
+    and its last loss bin, plus the freshest age of all.  One slotted
+    object rather than six controller attributes: an instance past 30
+    attributes loses CPython's shared-key dict, and every ``self.x`` in
+    the tick gets slower.
+    """
+
+    __slots__ = ("ids", "labels", "id_set", "ages", "losses", "freshest")
+
+    def __init__(self) -> None:
+        self.ids: list[int] = []
+        self.labels: list[str] = []
+        self.id_set: frozenset[int] = frozenset()
+        self.ages: list[Optional[float]] = []
+        self.losses: list[float] = []
+        self.freshest: Optional[float] = None
+
+
 class TangoController:
     """Slow-path loop for one gateway.
 
@@ -242,6 +264,11 @@ class TangoController:
         #: Paths whose probation is currently held back by a down risk
         #: group (dedupes the "probation-hold" log line per outage).
         self._probation_held: set[int] = set()
+        #: A superset of the paths whose quarantine machine is not at
+        #: rest (state other than healthy, or an unhealthy streak
+        #: running): the only ones a tick without a cause has to visit.
+        self._unsettled: set[int] = set()
+        self._seen = _Observation()
 
     def start(self, warm: bool = False) -> None:
         """Begin (or restart) the control loop.
@@ -309,6 +336,7 @@ class TangoController:
         self.stop()
         self.crashed = True
         self._qstate.clear()
+        self._unsettled.clear()
         self._probation_held.clear()
         self._fallback_active = False
         self.mode = MODE_COOPERATIVE
@@ -343,42 +371,59 @@ class TangoController:
             # plane on *this* tick, before slower health machinery runs.
             self.frr.tick(now)
         if self.quarantine_policy is not None or self.degraded is not None:
-            healths = self.health()
+            self._observe(now)
             if self.degraded is not None:
-                self._degraded_tick(healths, now)
+                self._degraded_tick(now)
             if self.quarantine_policy is not None:
-                self._quarantine_tick(healths, now)
+                self._quarantine_tick(now)
         if (
             self.journal is not None
             and self.ticks % self.journal.checkpoint_every_ticks == 0
         ):
             self.journal.checkpoint(self.snapshot_state())
 
+    # -- per-tick observation -----------------------------------------------------
+
+    def _observe(self, now: float) -> None:
+        """Read every tunnel's outbound age and last loss bin, once.
+
+        The one observation a tick's health checks share: degraded
+        mode reads the freshest age, the quarantine machine and the
+        fallback flag the per-tunnel lists, :meth:`health` all of it.
+        """
+        seen = self._seen
+        table = self.gateway.tunnel_table
+        if len(table) != len(seen.ids):
+            # Tunnels are only ever added (a stitched relay may arrive
+            # after the loop starts): a new count is a new table.
+            tunnels = table.all_tunnels()
+            seen.ids = [tunnel.path_id for tunnel in tunnels]
+            seen.labels = [tunnel.label for tunnel in tunnels]
+            seen.id_set = frozenset(seen.ids)
+        lasts = self.gateway.outbound.last_times(seen.ids)
+        seen.ages = ages = [None if last is None else now - last for last in lasts]
+        last_loss = self.gateway.loss_monitor.last_loss
+        seen.losses = [last_loss.get(path_id, 0.0) for path_id in seen.ids]
+        measured = [age for age in ages if age is not None]
+        seen.freshest = min(measured) if measured else None
+
     # -- degraded-mode estimation -------------------------------------------------
 
-    @staticmethod
-    def _peer_staleness(healths: list[TunnelHealth]) -> Optional[float]:
-        """Age of the *freshest* mirrored sample across paths (None when
-        nothing has ever been measured) — the feed-level health signal."""
-        ages = [
-            h.last_measurement_age_s
-            for h in healths
-            if h.last_measurement_age_s is not None
-        ]
-        return min(ages) if ages else None
-
-    def _feed_outage(self, healths: list[TunnelHealth]) -> bool:
+    def _feed_outage(self) -> bool:
         """True when every measured path is stale at once: the mirror is
         down, not the tunnels.  Only meaningful with a degraded config —
         without a fallback estimator, staleness keeps quarantining."""
-        if self.degraded is None:
-            return False
-        measured = [h for h in healths if h.last_measurement_age_s is not None]
-        return bool(measured) and all(not h.fresh for h in measured)
+        return (
+            self.degraded is not None
+            and self._seen.freshest is not None
+            and self._seen.freshest > self.staleness_s
+        )
 
-    def _degraded_tick(self, healths: list[TunnelHealth], now: float) -> None:
+    def _degraded_tick(self, now: float) -> None:
         config = self.degraded
-        staleness = self._peer_staleness(healths)
+        # The age of the freshest mirrored sample across paths (None when
+        # nothing has ever been measured) is the feed-level health signal.
+        staleness = self._seen.freshest
         if self.trust is not None and self.trust.distrusted:
             # A distrusted peer feed is worse than a stale one: force the
             # local-RTT fallback and suppress healing until the trust
@@ -447,68 +492,79 @@ class TangoController:
 
     # -- quarantine state machine -------------------------------------------------
 
-    def _unhealthy_cause(
-        self, health: TunnelHealth, suppress_stale: bool = False
-    ) -> Optional[str]:
-        """Why this tunnel counts as unhealthy, or None if it doesn't.
+    def _quarantine_tick(self, now: float) -> None:
+        """Step the machine of every tunnel that has a cause or is not at
+        rest, in table order.
 
-        Warming-up tunnels (never measured) are exempt from the staleness
-        trigger: only a measured-then-silent tunnel counts.  During a
-        feed-level outage (``suppress_stale``) staleness is not a
-        per-path verdict either — the degraded estimator keeps routing
-        instead of quarantining the whole candidate set.
+        A cause is staleness — only of a measured-then-silent tunnel
+        (warming-up ones are exempt), and not during a feed-level outage,
+        when the degraded estimator keeps routing instead of
+        quarantining the whole candidate set — or recent loss above the
+        policy's threshold.
         """
-        if health.last_measurement_age_s is not None and not health.fresh:
-            if not suppress_stale:
-                return "stale"
-        if health.recent_loss > self.quarantine_policy.loss_threshold:
-            return "loss"
-        return None
-
-    def _quarantine_tick(self, healths: list[TunnelHealth], now: float) -> None:
         policy = self.quarantine_policy
-        suppress_stale = self._feed_outage(healths)
-        for health in healths:
-            runtime = self._qstate.setdefault(
-                health.path_id, _QuarantineRuntime(backoff_s=policy.probation_delay_s)
-            )
-            cause = self._unhealthy_cause(health, suppress_stale)
+        qstate = self._qstate
+        seen = self._seen
+        if not qstate.keys() >= seen.id_set:
+            for path_id in seen.ids:
+                if path_id not in qstate:
+                    qstate[path_id] = _QuarantineRuntime(
+                        backoff_s=policy.probation_delay_s
+                    )
+        stale_after = float("inf") if self._feed_outage() else self.staleness_s
+        threshold = policy.loss_threshold
+        unsettled = self._unsettled
+        for path_id, label, age, loss in zip(
+            seen.ids, seen.labels, seen.ages, seen.losses
+        ):
+            if age is not None and age > stale_after:
+                cause: Optional[str] = "stale"
+            elif loss > threshold:
+                cause = "loss"
+            elif path_id in unsettled:
+                cause = None
+            else:
+                continue
+            runtime = qstate[path_id]
             if runtime.state == "healthy":
                 if cause is None:
                     runtime.unhealthy_streak = 0
+                    unsettled.discard(path_id)
                 else:
+                    unsettled.add(path_id)
                     runtime.unhealthy_streak += 1
                     if runtime.unhealthy_streak >= policy.unhealthy_ticks:
-                        self._enter_quarantine(health, runtime, now, cause)
+                        self._enter_quarantine(path_id, label, runtime, now, cause)
             elif runtime.state == "quarantined":
                 if now >= runtime.probation_at:
-                    if self._risk_group_down(health.path_id):
+                    if self._risk_group_down(path_id):
                         # The failure domain is still down: probing the
                         # tunnel can only re-confirm the outage and burn
                         # a backoff doubling.  Hold probation (without
                         # growing backoff) until the group recovers.
-                        if health.path_id not in self._probation_held:
-                            self._probation_held.add(health.path_id)
+                        if path_id not in self._probation_held:
+                            self._probation_held.add(path_id)
                             self._log(
-                                now, health, "probation-hold", cause="srlg-down"
+                                now, path_id, label, "probation-hold",
+                                cause="srlg-down",
                             )
                     else:
-                        self._probation_held.discard(health.path_id)
+                        self._probation_held.discard(path_id)
                         runtime.state = "probation"
                         runtime.healthy_streak = 0
-                        self.quarantined.discard(health.path_id)
-                        self._log(now, health, "probation")
+                        self.quarantined.discard(path_id)
+                        self._log(now, path_id, label, "probation")
             elif runtime.state == "probation":
                 if cause is not None:
-                    self._enter_quarantine(health, runtime, now, cause)
+                    self._enter_quarantine(path_id, label, runtime, now, cause)
                 else:
                     runtime.healthy_streak += 1
                     if runtime.healthy_streak >= policy.probation_ticks:
                         runtime.state = "healthy"
                         runtime.backoff_s = policy.probation_delay_s
                         runtime.unhealthy_streak = 0
-                        self._log(now, health, "restore")
-        self._update_fallback(healths, now)
+                        self._log(now, path_id, label, "restore")
+        self._update_fallback(now)
 
     def _risk_group_down(self, path_id: int) -> bool:
         """True when the tunnel's shared-risk group is known to be down."""
@@ -522,7 +578,8 @@ class TangoController:
 
     def _enter_quarantine(
         self,
-        health: TunnelHealth,
+        path_id: int,
+        label: str,
         runtime: _QuarantineRuntime,
         now: float,
         cause: str,
@@ -535,12 +592,12 @@ class TangoController:
         runtime.backoff_s = min(
             backoff * policy.backoff_factor, policy.max_probation_delay_s
         )
-        self.quarantined.add(health.path_id)
-        self._log(now, health, "quarantine", cause=cause, backoff_s=backoff)
+        self.quarantined.add(path_id)
+        self._log(now, path_id, label, "quarantine", cause=cause, backoff_s=backoff)
 
-    def _update_fallback(self, healths: list[TunnelHealth], now: float) -> None:
-        all_ids = {h.path_id for h in healths}
-        active = bool(all_ids) and all_ids <= self.quarantined
+    def _update_fallback(self, now: float) -> None:
+        seen = self._seen
+        active = bool(seen.ids) and seen.id_set <= self.quarantined
         if active == self._fallback_active:
             return
         self._fallback_active = active
@@ -554,7 +611,8 @@ class TangoController:
     def _log(
         self,
         now: float,
-        health: TunnelHealth,
+        path_id: int,
+        label: str,
         action: str,
         cause: str = "",
         backoff_s: float = 0.0,
@@ -562,8 +620,8 @@ class TangoController:
         self.quarantine_log.append(
             QuarantineEvent(
                 t=now,
-                path_id=health.path_id,
-                label=health.label,
+                path_id=path_id,
+                label=label,
                 action=action,
                 cause=cause,
                 backoff_s=backoff_s,
@@ -573,8 +631,8 @@ class TangoController:
             self.journal.record(
                 action,
                 now,
-                path_id=health.path_id,
-                label=health.label,
+                path_id=path_id,
+                label=label,
                 cause=cause,
                 backoff_s=backoff_s,
             )
@@ -638,6 +696,7 @@ class TangoController:
             self._apply_mode(str(snapshot.get("mode", MODE_COOPERATIVE)))
         for entry in wal:
             self._replay_wal_entry(entry)
+        self._unsettled = set(self._qstate)
 
     def _replay_wal_entry(self, entry: Mapping) -> None:
         kind = str(entry["kind"])
@@ -674,22 +733,19 @@ class TangoController:
     # -- health -----------------------------------------------------------------
 
     def health(self) -> list[TunnelHealth]:
-        """Per-tunnel health based on mirrored-measurement freshness."""
-        now = self.sim.now
-        out = []
-        for tunnel in self.gateway.tunnel_table.all_tunnels():
-            last = self.gateway.outbound.last_time(tunnel.path_id)
-            age = None if last is None else now - last
-            fresh = age is not None and age <= self.staleness_s
-            out.append(
-                TunnelHealth(
-                    path_id=tunnel.path_id,
-                    label=tunnel.label,
-                    fresh=fresh,
-                    last_measurement_age_s=age,
-                    recent_loss=self.gateway.loss_monitor.recent_loss(
-                        tunnel.path_id
-                    ),
-                )
+        """Per-tunnel health now: the control loop's observation, with
+        freshness judged against the staleness horizon."""
+        self._observe(self.sim.now)
+        seen, staleness = self._seen, self.staleness_s
+        return [
+            TunnelHealth(
+                path_id=path_id,
+                label=label,
+                fresh=age is not None and age <= staleness,
+                last_measurement_age_s=age,
+                recent_loss=loss,
             )
-        return out
+            for path_id, label, age, loss in zip(
+                seen.ids, seen.labels, seen.ages, seen.losses
+            )
+        ]

@@ -48,6 +48,7 @@ from ..core.multipop import MultiPopStore
 from ..core.session import TangoSession
 from ..core.tunnels import TangoTunnel, build_tunnels
 from ..dataplane.relay import RelayBinding, attach_relay_program
+from ..netsim.packet import TangoHeader
 from ..netsim.ticks import TickScheduler
 from ..netsim.topology import Network
 from ..scenarios.topologies import LiveFederationScenario
@@ -63,13 +64,32 @@ from ..traffic.vector import FluidRows, VectorFluidEngine
 from .segments import Segment, SegmentComposer
 from .stitching import RelayPlan, StitchedWanLink, build_stitched_tunnel
 
-__all__ = ["FederationState", "StitchResult", "PairView", "FederationRegistry"]
+__all__ = [
+    "FederationState",
+    "StitchResult",
+    "PairView",
+    "FederationRegistry",
+    "check_path_id_space",
+]
 
 #: Path-id block per unordered pair: two direction bases of stride 64.
 _PAIR_ID_STRIDE = 128
+#: Stitched tunnels take ids 1..63 of the block after the last pair's.
+_MAX_STITCHED = 63
 #: Source-port region stitched tunnels draw from (direct tunnels use
 #: ``build_tunnels``' 40000+ region).
 _RELAY_SPORT_BASE = 41000
+
+
+def check_path_id_space(pair_count: int) -> None:
+    """Refuse an id allocation for ``pair_count`` pairs (plus the stitched
+    block after them) that would not fit ``TangoHeader.path_id``."""
+    last = _PAIR_ID_STRIDE * pair_count + _MAX_STITCHED
+    if last > TangoHeader.MAX_PATH_ID:
+        raise ValueError(
+            f"{pair_count} pairs need path ids up to {last}, past the "
+            f"Tango header's {TangoHeader.MAX_PATH_ID}"
+        )
 
 
 @dataclass
@@ -227,6 +247,7 @@ class FederationRegistry:
             for i in range(len(names))
             for j in range(i + 1, len(names))
         ]
+        check_path_id_space(len(pairs))
         for pair_index, (a, b) in enumerate(pairs):
             a_cfg = self.scenario.peer_slice(a, b)
             b_cfg = self.scenario.peer_slice(b, a)
@@ -510,8 +531,10 @@ class FederationRegistry:
             )
         plan = self.plan_relay(src, dst, relay=relay)
         self._relay_count += 1
-        if self._relay_count >= 64:
-            raise RuntimeError("stitched-tunnel id block exhausted (63 max)")
+        if self._relay_count > _MAX_STITCHED:
+            raise RuntimeError(
+                f"stitched-tunnel id block exhausted ({_MAX_STITCHED} max)"
+            )
         offset = self._relay_count
         assert self.state is not None
         base = _PAIR_ID_STRIDE * self.state.pair_count

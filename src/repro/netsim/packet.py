@@ -119,6 +119,9 @@ class TangoHeader:
 
     #: 8B timestamp + 4B seq + 2B path id + 2B flags/reserved.
     WIRE_BYTES = 16
+    #: The largest ``path_id`` the 2-byte field carries.  Allocators
+    #: check their id blocks against it once; packets are not checked.
+    MAX_PATH_ID = 0xFFFF
     #: Truncated MAC length when authentication is enabled.
     AUTH_TAG_BYTES = 8
 

@@ -8,12 +8,18 @@ delay timeline.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from ..dataplane.seqnum import SequenceTracker
-from .store import TimeSeries
+from .store import MeasurementStore, TimeSeries
 
 __all__ = ["LossBin", "LossMonitor"]
+
+#: What :meth:`LossMonitor.sample` returns while the tracker has no path.
+_NO_BINS: Mapping[int, "LossBin"] = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -34,52 +40,114 @@ class LossMonitor:
     """Periodically snapshots a tracker into per-path loss-rate series.
 
     Call :meth:`sample` on a fixed cadence (the Tango controller does this
-    from its control loop); each call converts the delta of counters since
-    the previous call into a :class:`LossBin` and appends the loss
-    fraction to the per-path series.
+    from its control loop); each call turns the counters' growth since
+    the previous call into one bin per path.  What is kept per path is
+    the tracker's cumulative ``(received, presumed_lost)`` at every
+    sample, so the loss over the last ``k`` bins is a difference of two
+    entries; the per-bin loss fractions are written to a
+    :class:`~repro.telemetry.store.MeasurementStore` as one aggregate
+    row per sample.
     """
 
     def __init__(self, tracker: SequenceTracker) -> None:
         self._tracker = tracker
         #: The tracker's path ids ascending, re-sorted only when it has
-        #: gained one.
+        #: gained one, and per id its counters and histories.
         self._ids: list[int] = []
-        self._last: dict[int, tuple[int, int]] = {}
-        self.series: dict[int, TimeSeries] = {}
-        self.bins: dict[int, list[LossBin]] = {}
+        self._columns: list[tuple] = []
+        #: Per path: cumulative counts at each of its samples, after a
+        #: leading 0 (the counts before its first sample).
+        self._received: dict[int, array] = {}
+        self._lost: dict[int, array] = {}
+        #: Per path: the number of samples taken before it was first seen.
+        self._born: dict[int, int] = {}
+        self._samples = 0
+        #: Last bin's loss fraction per path.
+        self.last_loss: dict[int, float] = {}
+        self._fractions = MeasurementStore()
 
-    def sample(self, now: float) -> dict[int, LossBin]:
+    @property
+    def series(self) -> dict[int, TimeSeries]:
+        """Per-path loss-fraction series, one sample per :meth:`sample`."""
+        return dict(self._fractions.items())
+
+    def sample(self, now: float) -> Mapping[int, LossBin]:
         """Snapshot all paths; returns the new bin per path."""
         states = self._tracker.states()
         if len(self._ids) != len(states):
-            self._ids = sorted(states)
-        out: dict[int, LossBin] = {}
-        for path_id in self._ids:
-            stats = states[path_id].stats
-            prev_received, prev_lost = self._last.get(path_id, (0, 0))
-            bin_ = LossBin(
-                t=now,
-                received=stats.received - prev_received,
-                presumed_lost=stats.presumed_lost - prev_lost,
-            )
-            self._last[path_id] = (stats.received, stats.presumed_lost)
-            series = self.series.get(path_id)
-            if series is None:
-                series = self.series[path_id] = TimeSeries()
-            series.append(now, bin_.loss_fraction)
-            self.bins.setdefault(path_id, []).append(bin_)
-            out[path_id] = bin_
-        return out
+            self._admit(states)
+        self._samples += 1
+        if not self._ids:
+            # A controller ticks long before (or without) any traffic.
+            return _NO_BINS
+        fractions = []
+        for stats, received, lost in self._columns:
+            got, dropped = stats.received, stats.presumed_lost
+            total = got - received[-1] + dropped - lost[-1]
+            fractions.append((dropped - lost[-1]) / total if total else 0.0)
+            received.append(got)
+            lost.append(dropped)
+        self.last_loss = dict(zip(self._ids, fractions))
+        self._fractions.record_aggregate_many(self._ids, now, fractions)
+        return _Bins(self, now, self._samples, self._ids)
+
+    def _admit(self, states: Mapping) -> None:
+        """Start histories for the paths the tracker has gained."""
+        for path_id in states:
+            if path_id not in self._born:
+                self._born[path_id] = self._samples
+                self._received[path_id] = array("q", [0])
+                self._lost[path_id] = array("q", [0])
+        self._ids = sorted(states)
+        self._columns = [
+            (states[p].stats, self._received[p], self._lost[p]) for p in self._ids
+        ]
 
     def recent_loss(self, path_id: int, bins: int = 1) -> float:
         """Mean loss fraction over the last ``bins`` samples (0 if none)."""
         if bins < 1:
             raise ValueError(f"bins must be positive, got {bins}")
-        history = self.bins.get(path_id, [])
-        if not history:
+        received = self._received.get(path_id)
+        if received is None:
             return 0.0
-        tail = history[-bins:]
-        received = sum(b.received for b in tail)
-        lost = sum(b.presumed_lost for b in tail)
-        total = received + lost
-        return lost / total if total else 0.0
+        lost = self._lost[path_id]
+        start = max(len(received) - 1 - bins, 0)
+        dropped = lost[-1] - lost[start]
+        total = received[-1] - received[start] + dropped
+        return dropped / total if total else 0.0
+
+    def _bin(self, path_id: int, t: float, sample: int) -> LossBin:
+        """Path ``path_id``'s bin of the ``sample``-th sample (1-based)."""
+        row = sample - self._born[path_id]
+        received, lost = self._received[path_id], self._lost[path_id]
+        return LossBin(
+            t=t,
+            received=received[row] - received[row - 1],
+            presumed_lost=lost[row] - lost[row - 1],
+        )
+
+
+class _Bins(Mapping[int, LossBin]):
+    """One sample's bins, built on lookup from the monitor's histories."""
+
+    __slots__ = ("_monitor", "_t", "_sample", "_ids")
+
+    def __init__(
+        self, monitor: LossMonitor, t: float, sample: int, ids: list[int]
+    ) -> None:
+        self._monitor = monitor
+        self._t = t
+        self._sample = sample
+        self._ids = ids
+
+    def __getitem__(self, path_id: int) -> LossBin:
+        born = self._monitor._born.get(path_id)
+        if born is None or born >= self._sample:
+            raise KeyError(path_id)
+        return self._monitor._bin(path_id, self._t, self._sample)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)

@@ -331,6 +331,19 @@ class MeasurementStore:
             return None
         return series.last_time
 
+    def last_times(self, path_ids: Sequence[int]) -> list[Optional[float]]:
+        """:meth:`last_time` of each of ``path_ids``, read in one pass."""
+        if self._written:
+            self._sync()
+        get = self._series.get
+        out: list[Optional[float]] = []
+        for path_id in path_ids:
+            series = get(path_id)
+            out.append(
+                float(series._last_t) if series is not None and series._size else None
+            )
+        return out
+
     def last_value(self, path_id: int) -> Optional[float]:
         """Value of ``path_id``'s most recent sample, or None if unmeasured."""
         if self._written:

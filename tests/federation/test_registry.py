@@ -6,6 +6,8 @@ from repro.core.controller import QuarantinePolicy
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.federation import FederationRegistry
+from repro.federation.registry import check_path_id_space
+from repro.netsim.packet import TangoHeader
 from repro.scenarios.topologies import build_live_federation
 from repro.scenarios.vultr import VultrDeployment
 from repro.srlg.diversity import FateAwareSelector, max_disjoint_backup
@@ -85,6 +87,27 @@ class TestEstablishment:
     def test_establish_twice_rejected(self, federation):
         with pytest.raises(RuntimeError, match="already established"):
             federation.establish()
+
+
+class TestPathIdSpace:
+    """Every allocated id must fit the header's 2-byte ``path_id``."""
+
+    @staticmethod
+    def pairs(members):
+        return members * (members - 1) // 2
+
+    def test_32_members_fit(self):
+        check_path_id_space(self.pairs(32))
+
+    def test_33_members_refused(self):
+        with pytest.raises(ValueError, match="path ids up to 67647"):
+            check_path_id_space(self.pairs(33))
+
+    def test_establish_refuses_before_any_work(self):
+        registry = FederationRegistry(build_live_federation(33, seed=1))
+        with pytest.raises(ValueError, match=str(TangoHeader.MAX_PATH_ID)):
+            registry.establish()
+        assert registry.state is None and not registry.sessions
 
 
 class TestStitchedTunnel:

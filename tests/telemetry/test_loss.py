@@ -1,9 +1,12 @@
 """Tests for the loss monitor."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataplane.seqnum import SequenceTracker
 from repro.telemetry.loss import LossBin, LossMonitor
+from tests.core import oracle
 
 
 class TestLossBin:
@@ -80,3 +83,58 @@ class TestLossMonitor:
         bins = monitor.sample(1.0)
         assert bins[1].presumed_lost == 0
         assert bins[1].received == 3
+
+
+#: Paths 5 and 9 exist from the start; 1 (below both) only once first used.
+_FIRST_IDS = [5, 9]
+_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("aggregate"),
+            st.sampled_from(_FIRST_IDS + [1]),
+            st.integers(0, 12),
+            st.integers(0, 6),
+        ),
+        # Gaps presume loss, a late arrival reconciles it: a bin's loss
+        # can be negative.
+        st.tuples(
+            st.just("observe"), st.sampled_from(_FIRST_IDS + [1]), st.integers(-3, 4)
+        ),
+        st.tuples(st.just("sample")),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=_steps)
+def test_cumulative_counters_match_the_bin_list(steps):
+    """Bins, series bytes and ``recent_loss`` over 1..5 bins equal the
+    list-of-bins monitor's for any tracker update stream."""
+    trackers = SequenceTracker(), SequenceTracker()
+    for tracker in trackers:
+        for path_id in _FIRST_IDS:
+            tracker.record_aggregate(path_id, 0, 0)
+    ours, theirs = LossMonitor(trackers[0]), oracle.LossMonitor(trackers[1])
+    now = 0.0
+    for step in steps:
+        if step[0] == "aggregate":
+            for tracker in trackers:
+                tracker.record_aggregate(*step[1:])
+        elif step[0] == "observe":
+            _, path_id, ahead = step
+            for tracker in trackers:
+                seq = tracker.stats_for(path_id).highest_seen + ahead
+                tracker.observe(path_id, max(seq, 0))
+        else:
+            now += 0.25
+            assert dict(ours.sample(now)) == theirs.sample(now)
+        for path_id in _FIRST_IDS + [1, 99]:
+            for bins in range(1, 6):
+                assert ours.recent_loss(path_id, bins) == theirs.recent_loss(
+                    path_id, bins
+                )
+    assert sorted(ours.series) == sorted(theirs.series)
+    for path_id, series in theirs.series.items():
+        assert ours.series[path_id].times.tobytes() == series.times.tobytes()
+        assert ours.series[path_id].values.tobytes() == series.values.tobytes()
