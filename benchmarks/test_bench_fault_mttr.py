@@ -16,7 +16,7 @@ from conftest import emit
 
 from repro.analysis.report import format_kv
 from repro.bgp.network import CONVERGENCE_DELAY_S
-from repro.core.controller import QuarantinePolicy, TangoController
+from repro.core.controller import QuarantinePolicy
 from repro.core.policy import LowestDelaySelector
 from repro.faults import FaultEvent, FaultInjector, FaultPlan, RecoveryLog
 from repro.netsim.trace import PacketFactory
@@ -57,17 +57,13 @@ def run_campaign():
     deployment = VultrDeployment(include_events=False)
     deployment.establish()
     deployment.start_path_probes("ny")
-    deployment.set_data_policy(
-        "ny", LowestDelaySelector(deployment.gateway_ny.outbound, window_s=1.0)
-    )
-    controller = TangoController(
-        deployment.gateway_ny,
-        deployment.sim,
+    controller = deployment.start_controller(
+        "ny",
+        LowestDelaySelector(deployment.gateway_ny.outbound, window_s=1.0),
         interval_s=0.1,
         staleness_s=0.5,
         quarantine=QuarantinePolicy(),
     )
-    controller.start()
 
     factory = PacketFactory(
         src=str(deployment.pairing.a.host_address(4)),

@@ -22,7 +22,7 @@ from conftest import emit
 
 from repro.analysis.report import format_kv
 from repro.bgp.network import CONVERGENCE_DELAY_S
-from repro.core.controller import QuarantinePolicy, TangoController
+from repro.core.controller import QuarantinePolicy
 from repro.core.policy import LowestDelaySelector
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.netsim.trace import PacketFactory
@@ -62,15 +62,12 @@ def run_campaign():
     )
     deployment.establish()
     deployment.start_path_probes("ny")
-    deployment.set_data_policy(
-        "ny", LowestDelaySelector(deployment.gateway_ny.outbound, window_s=1.0)
-    )
     estimator = RttFallbackEstimator.for_deployment(deployment, "ny")
     estimator.start()
     journal = ControllerJournal(checkpoint_every_ticks=10)
-    controller = TangoController(
-        deployment.gateway_ny,
-        deployment.sim,
+    controller = deployment.start_controller(
+        "ny",
+        LowestDelaySelector(deployment.gateway_ny.outbound, window_s=1.0),
         interval_s=0.1,
         staleness_s=HORIZON_S,
         quarantine=QuarantinePolicy(),
@@ -79,9 +76,7 @@ def run_campaign():
         ),
         journal=journal,
     )
-    controller.start()
-    deployment.attach_controller("ny", controller)
-    supervisor = deployment.supervise("ny", journal=journal)
+    supervisor = deployment.supervisors["ny"]
 
     factory = PacketFactory(
         src=str(deployment.pairing.a.host_address(4)),

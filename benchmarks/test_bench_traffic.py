@@ -34,7 +34,7 @@ import time
 from conftest import emit
 
 from repro.analysis.report import format_table
-from repro.core.controller import QuarantinePolicy, TangoController
+from repro.core.controller import QuarantinePolicy
 from repro.scenarios.vultr import VultrDeployment
 from repro.traffic.demand import DemandModel, standard_flow_classes
 from repro.traffic.equivalence import run_equivalence
@@ -77,12 +77,9 @@ def run_scale():
         ),
         seed=9,
     )
-    deployment.set_data_policy("ny", selector)
-    controller = TangoController(
-        gateway, sim, interval_s=0.1, quarantine=QuarantinePolicy()
+    controller = deployment.start_controller(
+        "ny", selector, interval_s=0.1, quarantine=QuarantinePolicy()
     )
-    deployment.attach_controller("ny", controller)
-    controller.start()
 
     start = sim.now
     surge_at = start + duration_s / 3.0

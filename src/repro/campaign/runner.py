@@ -123,7 +123,7 @@ def _build_victim(
     ``(deployment, controller, sent_counter, fate, frr)`` — the last two
     are ``None`` outside the ``"srlg"`` mode.
     """
-    from ..core.controller import QuarantinePolicy, TangoController
+    from ..core.controller import QuarantinePolicy
     from ..core.policy import LowestDelaySelector
     from ..netsim.trace import PacketFactory
     from ..resilience.channel import ChannelConfig
@@ -137,37 +137,29 @@ def _build_victim(
     )
     deployment.establish()
     deployment.start_path_probes(VICTIM, interval_s=config.probe_interval_s)
-    inner = LowestDelaySelector(deployment.gateway(VICTIM).outbound, window_s=1.0)
+    selector = LowestDelaySelector(deployment.gateway(VICTIM).outbound, window_s=1.0)
     fate = None
     frr = None
-    controller_kwargs = {}
+    defenses: dict[str, Any] = {}
     if defended and defense == "srlg":
         from ..srlg import FastReroute, FateAwareSelector
 
-        fate = FateAwareSelector(inner, deployment.srlg)
-        deployment.set_data_policy(VICTIM, fate)
+        selector = fate = FateAwareSelector(selector, deployment.srlg)
         frr = FastReroute(deployment.gateway(VICTIM), deployment.srlg, fate)
-        controller_kwargs = {"frr": frr}
-    else:
-        deployment.set_data_policy(VICTIM, inner)
-        if defended:
-            stack = install_defense(
-                deployment,
-                VICTIM,
-                CAMPAIGN_KEY,
-                horizon_s=config.telemetry_horizon_s,
-            )
-            controller_kwargs = stack.controller_kwargs()
-    controller = TangoController(
-        deployment.gateway(VICTIM),
-        deployment.sim,
+        defenses = {"frr": frr, "srlg_registry": deployment.srlg}
+    elif defended:
+        stack = install_defense(
+            deployment, VICTIM, CAMPAIGN_KEY, horizon_s=config.telemetry_horizon_s
+        )
+        defenses = {"degraded": stack.degraded}
+    controller = deployment.start_controller(
+        VICTIM,
+        selector,
         interval_s=config.controller_interval_s,
         staleness_s=config.staleness_s,
         quarantine=QuarantinePolicy(),
-        **controller_kwargs,
+        **defenses,
     )
-    deployment.attach_controller(VICTIM, controller)
-    controller.start()
 
     peer = deployment.peer_of(VICTIM)
     factory = PacketFactory(

@@ -471,7 +471,7 @@ def cmd_faults_sample_plan() -> int:
 
 
 def cmd_faults_run(args: argparse.Namespace) -> int:
-    from .core.controller import QuarantinePolicy, TangoController
+    from .core.controller import QuarantinePolicy
     from .core.policy import LowestDelaySelector
     from .faults import FaultInjector, FaultPlan, RecoveryLog
     from .netsim.trace import PacketFactory
@@ -504,10 +504,6 @@ def cmd_faults_run(args: argparse.Namespace) -> int:
     controllers = {}
     for edge in (deployment.pairing.a.name, deployment.pairing.b.name):
         deployment.start_path_probes(edge)
-        deployment.set_data_policy(
-            edge,
-            LowestDelaySelector(deployment.gateway(edge).outbound, window_s=1.0),
-        )
         degraded = journal = None
         if args.resilient:
             from .resilience import (
@@ -522,20 +518,15 @@ def cmd_faults_run(args: argparse.Namespace) -> int:
                 estimates=estimator.estimates, horizon_s=0.5
             )
             journal = ControllerJournal()
-        controller = TangoController(
-            deployment.gateway(edge),
-            deployment.sim,
+        controllers[edge] = deployment.start_controller(
+            edge,
+            LowestDelaySelector(deployment.gateway(edge).outbound, window_s=1.0),
             interval_s=0.1,
             staleness_s=0.5,
             quarantine=QuarantinePolicy(),
             degraded=degraded,
             journal=journal,
         )
-        controller.start()
-        deployment.attach_controller(edge, controller)
-        if args.resilient:
-            deployment.supervise(edge, journal=journal)
-        controllers[edge] = controller
 
     # Background data stream per edge: reroute timings are about user
     # traffic, and the selector only records choices for packets it sees.

@@ -15,22 +15,28 @@ software:
   exponential-backoff re-probation) and, when *everything* is unhealthy,
   falls back to the BGP-best tunnel — never worse than the status quo.
 
+:class:`TangoController` is the loop; :class:`QuarantineMachine` and
+:class:`ModeMachine` own all runtime state.  A transition is one call:
+the journal (a ``NullJournal`` when none is kept) records the entry and
+the machine's ``apply`` applies it, as it does on WAL replay.
+
 Lifecycle contract: :meth:`TangoController.start` may be called again
-after :meth:`TangoController.stop`.  A cold (re)start resets all
-quarantine runtime state — quarantined tunnels are re-admitted pending
-a fresh verdict — while cumulative records (``choice_trace``,
-``quarantine_log``, ``mode_log``, ``ticks``) are preserved.  Calling
-``start`` on a running controller remains an error.
+after :meth:`TangoController.stop`.  A cold (re)start resets both
+machines — quarantined tunnels are re-admitted pending a fresh verdict —
+while cumulative records (``choice_trace``, ``quarantine_log``,
+``mode_log``, ``ticks``) are preserved.  Calling ``start`` on a running
+controller remains an error.
 
 Resilience extensions (``repro.resilience``):
 
 * **degraded-mode estimation** — with a
   :class:`~repro.resilience.degraded.DegradedModeConfig`, a peer
-  telemetry feed stale past the horizon downgrades path selection to
-  local RTT-probe estimates (and a feed-level outage stops counting as
-  per-path staleness for quarantine — a quiet mirror is not four dead
-  tunnels); the mirror healing upgrades back, both transitions recorded
-  in :attr:`TangoController.mode_log`.
+  telemetry feed stale past the horizon (or distrusted by the config's
+  trust monitor) downgrades path selection to local RTT-probe estimates
+  (and a feed-level outage stops counting as per-path staleness for
+  quarantine — a quiet mirror is not four dead tunnels); the mirror
+  healing upgrades back, both transitions recorded in
+  :attr:`TangoController.mode_log`.
 * **crash safety** — with a
   :class:`~repro.resilience.journal.ControllerJournal`, every quarantine
   /fallback/mode transition and data-path choice change is written ahead
@@ -43,7 +49,8 @@ Resilience extensions (``repro.resilience``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from ..netsim.events import PeriodicTask, Simulator
@@ -54,6 +61,7 @@ from ..resilience.degraded import (
     DegradedModeConfig,
     ModeTransition,
 )
+from ..resilience.journal import NullJournal
 from ..telemetry.store import TimeSeries
 from .gateway import TangoGateway
 from .policy import GuardedSelector, MeasuredSelector
@@ -62,12 +70,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.journal import ControllerJournal
     from ..srlg.frr import FastReroute
     from ..srlg.registry import SrlgRegistry
-    from ..trust.policy import PeerTrustMonitor
 
 __all__ = [
     "TunnelHealth",
     "QuarantinePolicy",
     "QuarantineEvent",
+    "QuarantineMachine",
+    "ModeMachine",
     "TangoController",
 ]
 
@@ -134,7 +143,7 @@ class QuarantineEvent:
     t: float
     path_id: int
     label: str
-    action: str  # quarantine | probation | restore | fallback-on | fallback-off
+    action: str  # quarantine | probation[-hold] | restore | fallback-on/-off
     cause: str = ""
     backoff_s: float = 0.0
 
@@ -155,10 +164,7 @@ class _Observation:
 
     The tunnel table in id order, re-listed only when it grows, and per
     tunnel the age of its last outbound sample (None: never measured)
-    and its last loss bin, plus the freshest age of all.  One slotted
-    object rather than six controller attributes: an instance past 30
-    attributes loses CPython's shared-key dict, and every ``self.x`` in
-    the tick gets slower.
+    and its last loss bin, plus the freshest age of all.
     """
 
     __slots__ = ("ids", "labels", "id_set", "ages", "losses", "freshest")
@@ -170,6 +176,321 @@ class _Observation:
         self.ages: list[Optional[float]] = []
         self.losses: list[float] = []
         self.freshest: Optional[float] = None
+
+
+class QuarantineMachine:
+    """Evicts stale or lossy tunnels from the data-plane candidate set,
+    re-admits them on probation after a backoff (held while their
+    shared-risk group is down), restores them after enough healthy
+    probation ticks, and flags the BGP-best fallback while every tunnel
+    is out.  ``policy`` None: the controller never ticks the machine.
+    """
+
+    def __init__(
+        self,
+        policy: Optional[QuarantinePolicy],
+        gateway: TangoGateway,
+        journal: NullJournal,
+        srlg_registry: Optional["SrlgRegistry"],
+    ) -> None:
+        self.policy = policy
+        self.gateway = gateway
+        self.journal = journal
+        self.srlg_registry = srlg_registry
+        #: Path ids evicted from the data-plane candidate set: the very
+        #: set the installed :class:`GuardedSelector` reads.
+        self.quarantined: set[int] = set()
+        #: Every transition, in tick order (the recovery log source).
+        self.log: list[QuarantineEvent] = []
+        #: True while every tunnel is quarantined.
+        self.fallback = False
+        self._runtimes: dict[int, _QuarantineRuntime] = {}
+        #: Paths whose probation a down risk group holds back: dedupes
+        #: the "probation-hold" line per outage; not replayed, so a
+        #: restarted machine logs its own hold.
+        self._held: set[int] = set()
+        #: A superset of the paths whose machine is not at rest (state
+        #: other than healthy, or an unhealthy streak running): the only
+        #: ones a tick without a cause has to visit.
+        self._unsettled: set[int] = set()
+        self._guarded = False
+
+    def guard(self) -> None:
+        """Wrap the data selector so it skips quarantined paths, once:
+        the wrapper is installed data-plane state and outlives restarts."""
+        if not self._guarded:
+            self._guarded = True
+            self.gateway.set_data_selector(
+                GuardedSelector(self.gateway.data_selector, self.quarantined)
+            )
+
+    def forget(self) -> None:
+        """Lose the machine's memory, as a crash does (the quarantined
+        set is installed data-plane state and survives)."""
+        self._runtimes.clear()
+        self._held.clear()
+        self._unsettled.clear()
+        self.fallback = False
+
+    def reset(self) -> None:
+        """Forget, and re-admit every tunnel pending a fresh verdict."""
+        self.forget()
+        self.quarantined.clear()
+
+    def tick(self, now: float, seen: _Observation, stale_after: float) -> None:
+        """Step every tunnel that has a cause or is not at rest, in table
+        order, then the fallback flag.  A cause is staleness past
+        ``stale_after`` of a measured tunnel (warming-up ones are exempt)
+        or loss above the policy's threshold; ``""`` is none."""
+        policy = self.policy
+        runtimes = self._runtimes
+        if not runtimes.keys() >= seen.id_set:
+            for pid in seen.id_set - runtimes.keys():
+                runtimes[pid] = _QuarantineRuntime(backoff_s=policy.probation_delay_s)
+        threshold = policy.loss_threshold
+        unsettled = self._unsettled
+        for path_id, label, age, loss in zip(
+            seen.ids, seen.labels, seen.ages, seen.losses
+        ):
+            if age is not None and age > stale_after:
+                cause = "stale"
+            elif loss > threshold:
+                cause = "loss"
+            elif path_id in unsettled:
+                cause = ""
+            else:
+                continue
+            runtime = runtimes[path_id]
+            if runtime.state == "healthy":
+                if not cause:
+                    runtime.unhealthy_streak = 0
+                    unsettled.discard(path_id)
+                    continue
+                unsettled.add(path_id)
+                runtime.unhealthy_streak += 1
+                if runtime.unhealthy_streak >= policy.unhealthy_ticks:
+                    backoff = runtime.backoff_s or policy.probation_delay_s
+                    self._transition(now, "quarantine", path_id, label, cause, backoff)
+            elif runtime.state == "quarantined":
+                if now < runtime.probation_at:
+                    continue
+                if not self._risk_group_down(path_id):
+                    self._transition(now, "probation", path_id, label)
+                elif path_id not in self._held:
+                    # Probing can only re-confirm the group's outage and
+                    # burn a backoff doubling: hold until it recovers.
+                    self._held.add(path_id)
+                    self._transition(now, "probation-hold", path_id, label, "srlg-down")
+            elif runtime.state == "probation":
+                if cause:
+                    backoff = runtime.backoff_s or policy.probation_delay_s
+                    self._transition(now, "quarantine", path_id, label, cause, backoff)
+                    continue
+                runtime.healthy_streak += 1
+                if runtime.healthy_streak >= policy.probation_ticks:
+                    self._transition(now, "restore", path_id, label)
+        active = bool(seen.ids) and seen.id_set <= self.quarantined
+        if active != self.fallback:
+            self._transition(now, "fallback-on" if active else "fallback-off")
+
+    def _risk_group_down(self, path_id: int) -> bool:
+        """True when the tunnel's shared-risk group is known to be down."""
+        if self.srlg_registry is None:
+            return False
+        down = self.srlg_registry.down_groups()
+        return bool(down and self.gateway.tunnel_table.by_id(path_id).srlgs & down)
+
+    def _transition(
+        self,
+        now: float,
+        action: str,
+        path_id: int = -1,
+        label: str = "*",
+        cause: str = "",
+        backoff_s: float = 0.0,
+    ) -> None:
+        """One live transition: logged, journaled, then applied."""
+        self.log.append(QuarantineEvent(now, path_id, label, action, cause, backoff_s))
+        if path_id < 0:
+            entry = self.journal.record("fallback", now, active=action == "fallback-on")
+        else:
+            entry = self.journal.record(
+                action, now, path_id=path_id, label=label, cause=cause,
+                backoff_s=backoff_s,
+            )
+        self.apply(entry)
+
+    def apply(self, entry: Mapping) -> None:
+        """Apply one journaled transition, live or on WAL replay (holds,
+        other machines' and informational kinds change nothing)."""
+        kind = entry["kind"]
+        if kind == "fallback":
+            self.fallback = entry["active"]
+        if kind not in ("quarantine", "probation", "restore"):
+            return
+        path_id = entry["path_id"]
+        runtime = self._runtimes.setdefault(path_id, _QuarantineRuntime())
+        policy = self.policy
+        if kind == "quarantine":
+            backoff = entry["backoff_s"]
+            runtime.state = "quarantined"
+            runtime.unhealthy_streak = 0
+            runtime.probation_at = entry["t"] + backoff
+            runtime.backoff_s = min(
+                backoff * policy.backoff_factor, policy.max_probation_delay_s
+            )
+            self.quarantined.add(path_id)
+        elif kind == "probation":
+            runtime.state = "probation"
+            runtime.healthy_streak = 0
+            self.quarantined.discard(path_id)
+            self._held.discard(path_id)
+        else:
+            runtime.state = "healthy"
+            runtime.backoff_s = policy.probation_delay_s
+            runtime.unhealthy_streak = 0
+
+    def snapshot(self) -> dict:
+        """The machine's part of a checkpoint."""
+        return {
+            "fallback_active": self.fallback,
+            "quarantined": sorted(self.quarantined),
+            "qstate": {
+                str(path_id): asdict(runtime)
+                for path_id, runtime in sorted(self._runtimes.items())
+            },
+        }
+
+    def restore(self, snapshot: Mapping, wal: Sequence[Mapping]) -> None:
+        """Reset, load the checkpoint's part, replay the WAL.  Streak
+        counters inside replayed transitions restart at zero — a
+        conservative loss (hysteresis re-arms, state is exact)."""
+        self.reset()
+        for key, raw in snapshot.get("qstate", {}).items():
+            self._runtimes[int(key)] = _QuarantineRuntime(**raw)
+        self.quarantined.update(snapshot.get("quarantined", ()))
+        self.fallback = snapshot.get("fallback_active", False)
+        for entry in wal:
+            self.apply(entry)
+        self._unsettled.update(self._runtimes)
+
+
+class ModeMachine:
+    """The estimation source: the peer's mirrored samples (cooperative)
+    or the local RTT estimates (degraded).  Downgrades when the peer feed
+    goes stale past the config's horizon or its trust monitor distrusts
+    the peer; upgrades after ``heal_ticks`` fresh ticks.  ``config``
+    None: the mode stays cooperative and the machine is never ticked.
+    """
+
+    def __init__(
+        self,
+        config: Optional[DegradedModeConfig],
+        gateway: TangoGateway,
+        journal: NullJournal,
+    ) -> None:
+        self.config = config
+        self.gateway = gateway
+        self.journal = journal
+        #: cooperative | degraded.
+        self.mode = MODE_COOPERATIVE
+        #: Every downgrade/upgrade, in tick order (cumulative trace).
+        self.log: list[ModeTransition] = []
+        self._heal_streak = 0
+        #: The store that means "cooperative" to the measured selector.
+        self._cooperative_store = None
+
+    def forget(self) -> None:
+        """Lose the machine's memory, as a crash does (the data plane
+        keeps its store; :meth:`resume` re-learns the cooperative one)."""
+        self.mode = MODE_COOPERATIVE
+        self._heal_streak = 0
+        self._cooperative_store = None
+
+    def reset(self) -> None:
+        """Start over in cooperative mode."""
+        self._heal_streak = 0
+        if self.mode != MODE_COOPERATIVE:
+            self._enter(MODE_COOPERATIVE)
+
+    def resume(self) -> None:
+        """Point the data plane at the mode's store (every start).  After
+        a crash the data plane may still hold the degraded estimates; the
+        mirrored store is then the gateway's outbound by construction."""
+        selector = self._measured_selector()
+        if selector is None or self.config is None:
+            return
+        store = getattr(selector, "store", None)
+        if store is None or store is self.config.estimates:
+            if self._cooperative_store is None:
+                self._cooperative_store = self.gateway.outbound
+        else:
+            self._cooperative_store = store
+        self._enter(self.mode)
+
+    def tick(self, now: float, staleness: Optional[float]) -> None:
+        """``staleness``: age of the freshest mirrored sample across
+        paths (None: nothing measured yet)."""
+        config = self.config
+        trust = config.trust
+        distrusted = False
+        if trust is not None:
+            if trust.poll(now):
+                self.journal.record("trust", now, state=trust.state)
+            # Distrust is worse than staleness: it forces the local-RTT
+            # fallback and suppresses healing until the peer is readmitted.
+            distrusted = trust.distrusted
+        horizon = config.horizon_s
+        if self.mode == MODE_COOPERATIVE:
+            if distrusted or (staleness is not None and staleness > horizon):
+                self._transition(MODE_DEGRADED, now, staleness)
+        elif distrusted or staleness is None or staleness > horizon:
+            self._heal_streak = 0
+        else:
+            self._heal_streak += 1
+            if self._heal_streak >= config.heal_ticks:
+                self._transition(MODE_COOPERATIVE, now, staleness)
+
+    def _transition(self, mode: str, now: float, staleness: Optional[float]) -> None:
+        """One live transition: logged, journaled, then applied."""
+        self.log.append(ModeTransition(t=now, mode=mode, staleness_s=staleness))
+        self.apply(self.journal.record("mode", now, mode=mode))
+
+    def apply(self, entry: Mapping) -> None:
+        """Apply one journaled ``mode`` entry (others change nothing),
+        live or on WAL replay."""
+        if entry["kind"] == "mode":
+            self._heal_streak = 0
+            self._enter(entry["mode"])
+
+    def _enter(self, mode: str) -> None:
+        """Set the mode and point the measured selector at its store."""
+        self.mode = mode
+        selector = self._measured_selector()
+        if selector is None:
+            return
+        if mode == MODE_DEGRADED:
+            selector.store = self.config.estimates
+        elif self._cooperative_store is not None:
+            selector.store = self._cooperative_store
+
+    def _measured_selector(self) -> Optional[MeasuredSelector]:
+        """The store-reading selector deciding data traffic, if any."""
+        selector = self.gateway.data_selector
+        if isinstance(selector, GuardedSelector):
+            selector = selector.inner
+        return selector if isinstance(selector, MeasuredSelector) else None
+
+    def snapshot(self) -> dict:
+        """The machine's part of a checkpoint."""
+        return {"mode": self.mode}
+
+    def restore(self, snapshot: Mapping, wal: Sequence[Mapping]) -> None:
+        """Reset, enter the checkpoint's mode, replay the WAL."""
+        self.reset()
+        self._enter(snapshot.get("mode", MODE_COOPERATIVE))
+        for entry in wal:
+            self.apply(entry)
 
 
 class TangoController:
@@ -184,15 +505,13 @@ class TangoController:
         quarantine: enable graceful degradation with these parameters;
             None (the default) keeps the controller report-only.
         degraded: enable RTT-probing fallback when the peer telemetry
-            feed goes stale past the config's horizon; None keeps the
-            PR 1 behavior (cooperative estimates only).
+            feed goes stale past the config's horizon or its trust
+            monitor distrusts the peer; None keeps cooperative estimates.
         journal: write-ahead-log every routing decision and checkpoint
             runtime state periodically; None disables persistence.
-        trust: peer-trust monitor (see :mod:`repro.trust.policy`) polled
-            every tick; while the peer feed is distrusted the controller
-            forces degraded local-RTT selection regardless of staleness.
-            Requires ``degraded`` — distrust demotion needs a fallback
-            estimate store to route on.
+        frr: fast reroute over shared-risk groups, ticked with the loop.
+        srlg_registry: failure-domain state quarantine probation consults
+            before probing a tunnel whose risk group is still down.
         scheduler: register the control loop into this shared
             :class:`~repro.netsim.ticks.TickScheduler` instead of a
             dedicated ``PeriodicTask`` — with N controllers the
@@ -210,92 +529,64 @@ class TangoController:
         quarantine: Optional[QuarantinePolicy] = None,
         degraded: Optional[DegradedModeConfig] = None,
         journal: Optional["ControllerJournal"] = None,
-        trust: Optional["PeerTrustMonitor"] = None,
         frr: Optional["FastReroute"] = None,
         srlg_registry: Optional["SrlgRegistry"] = None,
         scheduler: Optional[TickScheduler] = None,
     ) -> None:
         if interval_s <= 0:
             raise ValueError(f"interval must be positive, got {interval_s}")
-        if trust is not None and degraded is None:
-            raise ValueError(
-                "trust demotion needs a degraded config: a distrusted peer "
-                "feed leaves nothing to route on without local RTT fallback"
-            )
         self.gateway = gateway
         self.sim = sim
         self.interval_s = interval_s
         self.staleness_s = staleness_s
-        self.choice_trace = TimeSeries()
-        self.scheduler = scheduler
-        #: The scheduled control loop, on the wheel or a dedicated task.
-        self._loop: Optional[PeriodicTask | TickHandle] = None
-        self.ticks = 0
         self.quarantine_policy = quarantine
-        #: Path ids currently evicted from the data-plane candidate set.
-        #: Shared by reference with the installed :class:`GuardedSelector`.
-        self.quarantined: set[int] = set()
-        #: Every state-machine transition, in tick order — the recovery log
-        #: source (see ``repro.faults.recovery``).
-        self.quarantine_log: list[QuarantineEvent] = []
-        self._qstate: dict[int, _QuarantineRuntime] = {}
-        self._guard: Optional[GuardedSelector] = None
-        self._fallback_active = False
         self.degraded = degraded
-        self.journal = journal
-        self.trust = trust
-        #: Estimation source currently in use: cooperative | degraded.
-        self.mode = MODE_COOPERATIVE
-        #: Every downgrade/upgrade, in tick order (cumulative trace).
-        self.mode_log: list[ModeTransition] = []
+        self.journal = journal or NullJournal()
+        self.frr = frr
+        self.srlg_registry = srlg_registry
+        self.scheduler = scheduler
+        self.choice_trace = TimeSeries()
+        self.ticks = 0
         #: True between :meth:`crash` and the next (re)start.
         self.crashed = False
-        self._heal_streak = 0
-        self._cooperative_store = None
+        self.quarantine_machine = QuarantineMachine(
+            quarantine, gateway, self.journal, srlg_registry
+        )
+        self.mode_machine = ModeMachine(degraded, gateway, self.journal)
+        # The machines' records, never rebound.
+        self.quarantined = self.quarantine_machine.quarantined
+        self.quarantine_log = self.quarantine_machine.log
+        self.mode_log = self.mode_machine.log
+        #: The scheduled control loop, on the wheel or a dedicated task.
+        self._loop: Optional[PeriodicTask | TickHandle] = None
         self._last_logged_choice: Optional[float] = None
-        #: Fast reroute over shared-risk groups, ticked with the loop.
-        self.frr = frr
-        #: Failure-domain state feed; quarantine probation consults it
-        #: before probing a tunnel whose risk group is still down.
-        #: Defaults to the FRR engine's registry when one is attached.
-        self.srlg_registry = srlg_registry
-        if self.srlg_registry is None and frr is not None:
-            self.srlg_registry = frr.registry
-        #: Paths whose probation is currently held back by a down risk
-        #: group (dedupes the "probation-hold" log line per outage).
-        self._probation_held: set[int] = set()
-        #: A superset of the paths whose quarantine machine is not at
-        #: rest (state other than healthy, or an unhealthy streak
-        #: running): the only ones a tick without a cause has to visit.
-        self._unsettled: set[int] = set()
         self._seen = _Observation()
+
+    @property
+    def mode(self) -> str:
+        """Estimation source currently in use: cooperative | degraded."""
+        return self.mode_machine.mode
 
     def start(self, warm: bool = False) -> None:
         """Begin (or restart) the control loop.
 
-        Safe after :meth:`stop`: a cold start resets quarantine runtime
-        state so a tunnel that was quarantined before the restart is
-        re-evaluated from scratch.  Cumulative traces are kept either
-        way.
+        Safe after :meth:`stop`: a cold start resets both machines so a
+        tunnel that was quarantined before the restart is re-evaluated
+        from scratch.  Cumulative traces are kept either way.
 
         Args:
             warm: keep the current runtime state — the supervisor's
                 recovery path, used right after :meth:`restore_state` so
                 a restart does not re-thrash tunnels.
         """
-        if self._loop is not None:
+        if self.running:
             raise RuntimeError("controller already started")
         if not warm:
-            self._reset_quarantine_runtime()
-        if self.quarantine_policy is not None and self._guard is None:
-            self._guard = GuardedSelector(
-                self.gateway.data_selector, self.quarantined
-            )
-            self.gateway.set_data_selector(self._guard)
-        self._capture_cooperative_store()
-        # Re-point the selector at the restored mode's store: after a
-        # warm restore the dataplane may still hold the pre-crash one.
-        self._apply_mode(self.mode)
+            self.quarantine_machine.reset()
+            self.mode_machine.reset()
+        if self.quarantine_policy is not None:
+            self.quarantine_machine.guard()
+        self.mode_machine.resume()
         self.crashed = False
         if self.scheduler is not None:
             self._loop = self.scheduler.register_every_s(
@@ -335,23 +626,9 @@ class TangoController:
         """
         self.stop()
         self.crashed = True
-        self._qstate.clear()
-        self._unsettled.clear()
-        self._probation_held.clear()
-        self._fallback_active = False
-        self.mode = MODE_COOPERATIVE
-        self._heal_streak = 0
-        self._cooperative_store = None
         self._last_logged_choice = None
-
-    def _reset_quarantine_runtime(self) -> None:
-        self._qstate.clear()
-        self.quarantined.clear()
-        self._probation_held.clear()
-        self._fallback_active = False
-        self._heal_streak = 0
-        if self.mode != MODE_COOPERATIVE:
-            self._apply_mode(MODE_COOPERATIVE)
+        self.quarantine_machine.forget()
+        self.mode_machine.forget()
 
     def _tick(self) -> None:
         self.ticks += 1
@@ -360,37 +637,30 @@ class TangoController:
         choice = getattr(self.gateway.selector, "last_choice", None)
         recorded = float(-1 if choice is None else choice)
         self.choice_trace.append(now, recorded)
-        if self.journal is not None and recorded != self._last_logged_choice:
+        if recorded != self._last_logged_choice:
             self._last_logged_choice = recorded
             self.journal.record("choice", now, path_id=int(recorded))
-        if self.trust is not None:
-            if self.trust.poll(now) and self.journal is not None:
-                self.journal.record("trust", now, state=self.trust.state)
         if self.frr is not None:
             # Fast reroute first: a group event should repoint the data
             # plane on *this* tick, before slower health machinery runs.
             self.frr.tick(now)
         if self.quarantine_policy is not None or self.degraded is not None:
-            self._observe(now)
+            seen = self._observe(now)
+            stale_after = self.staleness_s
             if self.degraded is not None:
-                self._degraded_tick(now)
+                self.mode_machine.tick(now, seen.freshest)
+                if seen.freshest is not None and seen.freshest > stale_after:
+                    # Every measured path stale at once: the mirror is
+                    # down, not the tunnels — the degraded estimator keeps
+                    # routing instead of everything being quarantined.
+                    stale_after = math.inf
             if self.quarantine_policy is not None:
-                self._quarantine_tick(now)
-        if (
-            self.journal is not None
-            and self.ticks % self.journal.checkpoint_every_ticks == 0
-        ):
-            self.journal.checkpoint(self.snapshot_state())
+                self.quarantine_machine.tick(now, seen, stale_after)
+        self.journal.checkpoint_if_due(self.ticks, self.snapshot_state)
 
-    # -- per-tick observation -----------------------------------------------------
-
-    def _observe(self, now: float) -> None:
-        """Read every tunnel's outbound age and last loss bin, once.
-
-        The one observation a tick's health checks share: degraded
-        mode reads the freshest age, the quarantine machine and the
-        fallback flag the per-tunnel lists, :meth:`health` all of it.
-        """
+    def _observe(self, now: float) -> _Observation:
+        """Read every tunnel's outbound age and last loss bin, once: the
+        observation both machines and :meth:`health` share."""
         seen = self._seen
         table = self.gateway.tunnel_table
         if len(table) != len(seen.ids):
@@ -406,236 +676,7 @@ class TangoController:
         seen.losses = [last_loss.get(path_id, 0.0) for path_id in seen.ids]
         measured = [age for age in ages if age is not None]
         seen.freshest = min(measured) if measured else None
-
-    # -- degraded-mode estimation -------------------------------------------------
-
-    def _feed_outage(self) -> bool:
-        """True when every measured path is stale at once: the mirror is
-        down, not the tunnels.  Only meaningful with a degraded config —
-        without a fallback estimator, staleness keeps quarantining."""
-        return (
-            self.degraded is not None
-            and self._seen.freshest is not None
-            and self._seen.freshest > self.staleness_s
-        )
-
-    def _degraded_tick(self, now: float) -> None:
-        config = self.degraded
-        # The age of the freshest mirrored sample across paths (None when
-        # nothing has ever been measured) is the feed-level health signal.
-        staleness = self._seen.freshest
-        if self.trust is not None and self.trust.distrusted:
-            # A distrusted peer feed is worse than a stale one: force the
-            # local-RTT fallback and suppress healing until the trust
-            # machine readmits the peer (probation or better).
-            if self.mode == MODE_COOPERATIVE:
-                self._set_mode(MODE_DEGRADED, now, staleness)
-            self._heal_streak = 0
-            return
-        if self.mode == MODE_COOPERATIVE:
-            if staleness is not None and staleness > config.horizon_s:
-                self._set_mode(MODE_DEGRADED, now, staleness)
-        else:
-            if staleness is not None and staleness <= config.horizon_s:
-                self._heal_streak += 1
-                if self._heal_streak >= config.heal_ticks:
-                    self._set_mode(MODE_COOPERATIVE, now, staleness)
-            else:
-                self._heal_streak = 0
-
-    def _set_mode(self, mode: str, now: float, staleness: Optional[float]) -> None:
-        """Transition the estimation source, logging and journaling it."""
-        if mode == self.mode:
-            return
-        self._apply_mode(mode)
-        self._heal_streak = 0
-        self.mode_log.append(
-            ModeTransition(t=now, mode=mode, staleness_s=staleness)
-        )
-        if self.journal is not None:
-            self.journal.record("mode", now, mode=mode)
-
-    def _apply_mode(self, mode: str) -> None:
-        """Point the measured selector at the mode's store (no logging)."""
-        self.mode = mode
-        selector = self._measured_selector()
-        if selector is None or self.degraded is None:
-            return
-        if mode == MODE_DEGRADED:
-            selector.store = self.degraded.estimates
-        elif self._cooperative_store is not None:
-            selector.store = self._cooperative_store
-
-    def _measured_selector(self) -> Optional[MeasuredSelector]:
-        """The store-reading selector deciding data traffic, if any."""
-        selector = self.gateway.data_selector
-        if isinstance(selector, GuardedSelector):
-            selector = selector.inner
-        return selector if isinstance(selector, MeasuredSelector) else None
-
-    def _capture_cooperative_store(self) -> None:
-        """Remember which store means "cooperative" for mode swaps.
-
-        After a crash the dead controller's dataplane may still point at
-        the degraded estimates; the mirrored store is then the gateway's
-        outbound store by construction.
-        """
-        selector = self._measured_selector()
-        if selector is None or self.degraded is None:
-            return
-        store = getattr(selector, "store", None)
-        if store is None or store is self.degraded.estimates:
-            if self._cooperative_store is None:
-                self._cooperative_store = self.gateway.outbound
-        else:
-            self._cooperative_store = store
-
-    # -- quarantine state machine -------------------------------------------------
-
-    def _quarantine_tick(self, now: float) -> None:
-        """Step the machine of every tunnel that has a cause or is not at
-        rest, in table order.
-
-        A cause is staleness — only of a measured-then-silent tunnel
-        (warming-up ones are exempt), and not during a feed-level outage,
-        when the degraded estimator keeps routing instead of
-        quarantining the whole candidate set — or recent loss above the
-        policy's threshold.
-        """
-        policy = self.quarantine_policy
-        qstate = self._qstate
-        seen = self._seen
-        if not qstate.keys() >= seen.id_set:
-            for path_id in seen.ids:
-                if path_id not in qstate:
-                    qstate[path_id] = _QuarantineRuntime(
-                        backoff_s=policy.probation_delay_s
-                    )
-        stale_after = float("inf") if self._feed_outage() else self.staleness_s
-        threshold = policy.loss_threshold
-        unsettled = self._unsettled
-        for path_id, label, age, loss in zip(
-            seen.ids, seen.labels, seen.ages, seen.losses
-        ):
-            if age is not None and age > stale_after:
-                cause: Optional[str] = "stale"
-            elif loss > threshold:
-                cause = "loss"
-            elif path_id in unsettled:
-                cause = None
-            else:
-                continue
-            runtime = qstate[path_id]
-            if runtime.state == "healthy":
-                if cause is None:
-                    runtime.unhealthy_streak = 0
-                    unsettled.discard(path_id)
-                else:
-                    unsettled.add(path_id)
-                    runtime.unhealthy_streak += 1
-                    if runtime.unhealthy_streak >= policy.unhealthy_ticks:
-                        self._enter_quarantine(path_id, label, runtime, now, cause)
-            elif runtime.state == "quarantined":
-                if now >= runtime.probation_at:
-                    if self._risk_group_down(path_id):
-                        # The failure domain is still down: probing the
-                        # tunnel can only re-confirm the outage and burn
-                        # a backoff doubling.  Hold probation (without
-                        # growing backoff) until the group recovers.
-                        if path_id not in self._probation_held:
-                            self._probation_held.add(path_id)
-                            self._log(
-                                now, path_id, label, "probation-hold",
-                                cause="srlg-down",
-                            )
-                    else:
-                        self._probation_held.discard(path_id)
-                        runtime.state = "probation"
-                        runtime.healthy_streak = 0
-                        self.quarantined.discard(path_id)
-                        self._log(now, path_id, label, "probation")
-            elif runtime.state == "probation":
-                if cause is not None:
-                    self._enter_quarantine(path_id, label, runtime, now, cause)
-                else:
-                    runtime.healthy_streak += 1
-                    if runtime.healthy_streak >= policy.probation_ticks:
-                        runtime.state = "healthy"
-                        runtime.backoff_s = policy.probation_delay_s
-                        runtime.unhealthy_streak = 0
-                        self._log(now, path_id, label, "restore")
-        self._update_fallback(now)
-
-    def _risk_group_down(self, path_id: int) -> bool:
-        """True when the tunnel's shared-risk group is known to be down."""
-        if self.srlg_registry is None:
-            return False
-        down = self.srlg_registry.down_groups()
-        if not down:
-            return False
-        tunnel = self.gateway.tunnel_table.by_id(path_id)
-        return tunnel is not None and bool(tunnel.srlgs & down)
-
-    def _enter_quarantine(
-        self,
-        path_id: int,
-        label: str,
-        runtime: _QuarantineRuntime,
-        now: float,
-        cause: str,
-    ) -> None:
-        policy = self.quarantine_policy
-        backoff = runtime.backoff_s or policy.probation_delay_s
-        runtime.state = "quarantined"
-        runtime.unhealthy_streak = 0
-        runtime.probation_at = now + backoff
-        runtime.backoff_s = min(
-            backoff * policy.backoff_factor, policy.max_probation_delay_s
-        )
-        self.quarantined.add(path_id)
-        self._log(now, path_id, label, "quarantine", cause=cause, backoff_s=backoff)
-
-    def _update_fallback(self, now: float) -> None:
-        seen = self._seen
-        active = bool(seen.ids) and seen.id_set <= self.quarantined
-        if active == self._fallback_active:
-            return
-        self._fallback_active = active
-        action = "fallback-on" if active else "fallback-off"
-        self.quarantine_log.append(
-            QuarantineEvent(t=now, path_id=-1, label="*", action=action)
-        )
-        if self.journal is not None:
-            self.journal.record("fallback", now, active=active)
-
-    def _log(
-        self,
-        now: float,
-        path_id: int,
-        label: str,
-        action: str,
-        cause: str = "",
-        backoff_s: float = 0.0,
-    ) -> None:
-        self.quarantine_log.append(
-            QuarantineEvent(
-                t=now,
-                path_id=path_id,
-                label=label,
-                action=action,
-                cause=cause,
-                backoff_s=backoff_s,
-            )
-        )
-        if self.journal is not None:
-            self.journal.record(
-                action,
-                now,
-                path_id=path_id,
-                label=label,
-                cause=cause,
-                backoff_s=backoff_s,
-            )
+        return seen
 
     # -- crash-safe persistence ----------------------------------------------------
 
@@ -643,19 +684,8 @@ class TangoController:
         """JSON-serializable runtime state — the checkpoint payload."""
         return {
             "ticks": self.ticks,
-            "mode": self.mode,
-            "fallback_active": self._fallback_active,
-            "quarantined": sorted(self.quarantined),
-            "qstate": {
-                str(pid): {
-                    "state": rt.state,
-                    "unhealthy_streak": rt.unhealthy_streak,
-                    "healthy_streak": rt.healthy_streak,
-                    "backoff_s": rt.backoff_s,
-                    "probation_at": rt.probation_at,
-                }
-                for pid, rt in sorted(self._qstate.items())
-            },
+            **self.mode_machine.snapshot(),
+            **self.quarantine_machine.snapshot(),
         }
 
     def restore_state(
@@ -663,80 +693,23 @@ class TangoController:
         snapshot: Optional[Mapping],
         wal: Sequence[Mapping] = (),
     ) -> None:
-        """Warm-restore from a checkpoint plus WAL replay.
-
-        The snapshot rebuilds the quarantine machines, fallback flag and
-        estimation mode as of the last checkpoint (keys it does not know
-        are ignored); WAL entries then re-apply every decision made
-        since, in order.
-        Streak counters inside replayed transitions restart at zero — a
-        conservative loss (hysteresis re-arms, state is exact).  Must be
-        followed by ``start(warm=True)``; cumulative traces are never
-        touched (they are the experimenter's record, not process state).
+        """Warm-restore from a checkpoint plus WAL replay: each machine
+        resets, loads its part of the checkpoint (keys it does not know
+        are ignored) and applies every WAL entry since.  Must be followed
+        by ``start(warm=True)``; cumulative traces are never touched
+        (they are the experimenter's record, not process state).
         """
         if self.running:
             raise RuntimeError("cannot restore a running controller")
-        self._qstate.clear()
-        self.quarantined.clear()
-        self._probation_held.clear()
-        self._fallback_active = False
-        self._heal_streak = 0
-        self.mode = MODE_COOPERATIVE
-        if snapshot is not None:
-            for pid_str, raw in snapshot.get("qstate", {}).items():
-                self._qstate[int(pid_str)] = _QuarantineRuntime(
-                    state=str(raw["state"]),
-                    unhealthy_streak=int(raw["unhealthy_streak"]),
-                    healthy_streak=int(raw["healthy_streak"]),
-                    backoff_s=float(raw["backoff_s"]),
-                    probation_at=float(raw["probation_at"]),
-                )
-            self.quarantined.update(int(p) for p in snapshot.get("quarantined", ()))
-            self._fallback_active = bool(snapshot.get("fallback_active", False))
-            self._apply_mode(str(snapshot.get("mode", MODE_COOPERATIVE)))
-        for entry in wal:
-            self._replay_wal_entry(entry)
-        self._unsettled = set(self._qstate)
-
-    def _replay_wal_entry(self, entry: Mapping) -> None:
-        kind = str(entry["kind"])
-        policy = self.quarantine_policy
-        if kind == "quarantine" and policy is not None:
-            pid = int(entry["path_id"])
-            runtime = self._qstate.setdefault(pid, _QuarantineRuntime())
-            backoff = float(entry["backoff_s"]) or policy.probation_delay_s
-            runtime.state = "quarantined"
-            runtime.unhealthy_streak = 0
-            runtime.probation_at = float(entry["t"]) + backoff
-            runtime.backoff_s = min(
-                backoff * policy.backoff_factor, policy.max_probation_delay_s
-            )
-            self.quarantined.add(pid)
-        elif kind == "probation":
-            pid = int(entry["path_id"])
-            runtime = self._qstate.setdefault(pid, _QuarantineRuntime())
-            runtime.state = "probation"
-            runtime.healthy_streak = 0
-            self.quarantined.discard(pid)
-        elif kind == "restore" and policy is not None:
-            pid = int(entry["path_id"])
-            runtime = self._qstate.setdefault(pid, _QuarantineRuntime())
-            runtime.state = "healthy"
-            runtime.backoff_s = policy.probation_delay_s
-            runtime.unhealthy_streak = 0
-        elif kind == "fallback":
-            self._fallback_active = bool(entry["active"])
-        elif kind == "mode":
-            self._apply_mode(str(entry["mode"]))
-        # "choice" entries are informational (the data plane re-decides).
+        self.quarantine_machine.restore(snapshot or {}, wal)
+        self.mode_machine.restore(snapshot or {}, wal)
 
     # -- health -----------------------------------------------------------------
 
     def health(self) -> list[TunnelHealth]:
         """Per-tunnel health now: the control loop's observation, with
         freshness judged against the staleness horizon."""
-        self._observe(self.sim.now)
-        seen, staleness = self._seen, self.staleness_s
+        seen, staleness = self._observe(self.sim.now), self.staleness_s
         return [
             TunnelHealth(
                 path_id=path_id,

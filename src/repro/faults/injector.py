@@ -307,10 +307,10 @@ class FaultInjector:
         fault has no duration; recovery is the supervisor's job (or
         nobody's, which the run then shows)."""
         deployment = self.deployment
-        deployment.controller_for(str(event.params["edge"]))  # fail at arm time
+        edge = str(event.params["edge"])
+        deployment.controller_for(edge)  # fail at arm time
         deployment.sim.schedule_at(
-            event.at,
-            lambda: deployment.crash_controller(str(event.params["edge"])),
+            event.at, lambda: deployment.controller_for(edge).crash()
         )
 
     def _arm_clock_step(self, event: FaultEvent, index: int) -> None:

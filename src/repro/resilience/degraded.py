@@ -15,7 +15,8 @@ the moment the mirror heals.  This module provides the two pieces:
   can be pointed at;
 * :class:`DegradedModeConfig` — the controller-side knobs: which estimate
   store to fall back to, the staleness horizon that triggers the
-  downgrade, and the healthy-tick hysteresis for the upgrade.
+  downgrade, the healthy-tick hysteresis for the upgrade, and the
+  optional peer-trust monitor whose distrust forces the downgrade.
 
 Mode transitions are recorded as :class:`ModeTransition` entries in the
 controller's ``mode_log`` (and its write-ahead log when journaling).
@@ -32,6 +33,7 @@ from ..telemetry.store import MeasurementStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..scenarios.deployment import PacketLevelDeployment
+    from ..trust.policy import PeerTrustMonitor
 
 __all__ = [
     "ModeTransition",
@@ -72,11 +74,15 @@ class DegradedModeConfig:
             sample across paths) beyond which the controller downgrades.
         heal_ticks: consecutive fresh control ticks required before
             upgrading back — hysteresis against a flapping mirror.
+        trust: peer-trust monitor polled every control tick; while it
+            distrusts the peer the controller routes on :attr:`estimates`
+            whatever the feed's staleness, and does not heal.
     """
 
     estimates: MeasurementStore
     horizon_s: float = 1.0
     heal_ticks: int = 2
+    trust: Optional["PeerTrustMonitor"] = None
 
     def __post_init__(self) -> None:
         if self.horizon_s <= 0:

@@ -25,12 +25,13 @@ same seed — the property the E14 acceptance test pins down.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
-__all__ = ["WriteAheadLog", "ControllerJournal"]
+__all__ = ["WriteAheadLog", "NullJournal", "ControllerJournal"]
 
 
 def _dumps(payload: Any) -> str:
@@ -39,17 +40,32 @@ def _dumps(payload: Any) -> str:
 
 
 class WriteAheadLog:
-    """Append-only decision log, optionally backed by a JSONL file."""
+    """Append-only decision log, optionally backed by a JSONL file.
+
+    Re-opening a file drops a last record that lacks its newline and
+    does not parse (a crash cut the append short); any other bad line
+    raises ``ValueError`` naming the file and line.
+    """
 
     def __init__(self, path: Optional[Path] = None) -> None:
         self.path = path
         self._entries: list[dict] = []
         if path is not None and path.exists():
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if line:
-                        self._entries.append(json.loads(line))
+            data = path.read_bytes()
+            end = data.rfind(b"\n") + 1
+            for number, line in enumerate(data[:end].splitlines(), 1):
+                if not line.strip():
+                    continue
+                try:
+                    self._entries.append(json.loads(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path.name}:{number}: {exc}") from exc
+            if data[end:].strip():
+                # append() writes a record and its newline in one call, so
+                # this one never completed: cut it, keep it if it parses.
+                os.truncate(path, end)
+                with contextlib.suppress(ValueError):
+                    self.append(json.loads(data[end:]))
 
     def append(self, entry: dict) -> None:
         self._entries.append(entry)
@@ -72,7 +88,19 @@ class WriteAheadLog:
         return len(self._entries)
 
 
-class ControllerJournal:
+class NullJournal:
+    """The journal of a controller that keeps none: :meth:`record` builds
+    the entry the controller's machines apply, and keeps nothing."""
+
+    def record(self, kind: str, t: float, **payload: Any) -> dict:
+        """One decision entry: ``kind``, time ``t`` and the payload."""
+        return {"kind": kind, "t": t, **payload}
+
+    def checkpoint_if_due(self, ticks: int, snapshot: Callable[[], dict]) -> None:
+        """Called every control tick; no checkpoint is ever due."""
+
+
+class ControllerJournal(NullJournal):
     """Checkpoint + WAL pair for one controller.
 
     Args:
@@ -108,13 +136,18 @@ class ControllerJournal:
 
     # -- write path ----------------------------------------------------------------
 
-    def record(self, kind: str, t: float, **payload: Any) -> None:
-        """Append one decision to the WAL (before it takes effect is the
-        contract; the controller calls this from the mutation site)."""
-        entry = {"kind": kind, "t": t}
-        entry.update(payload)
+    def record(self, kind: str, t: float, **payload: Any) -> dict:
+        """Append one decision to the WAL before it takes effect: the
+        controller applies the returned entry."""
+        entry = super().record(kind, t, **payload)
         self.wal.append(entry)
         self.records += 1
+        return entry
+
+    def checkpoint_if_due(self, ticks: int, snapshot: Callable[[], dict]) -> None:
+        """Checkpoint ``snapshot()`` every ``checkpoint_every_ticks`` ticks."""
+        if ticks % self.checkpoint_every_ticks == 0:
+            self.checkpoint(snapshot())
 
     def checkpoint(self, snapshot: dict) -> None:
         """Persist a full state snapshot and truncate the WAL."""

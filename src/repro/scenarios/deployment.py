@@ -134,7 +134,6 @@ class PacketLevelDeployment:
         )
         self.state: Optional[SessionState] = None
         self._probe_generators: list[ProbeGenerator] = []
-        self._probe_selectors: dict[str, ApplicationSelector] = {}
         self.telemetry_channel = telemetry_channel
         #: edge name -> attached TangoController (the controller-crash
         #: fault and the supervisor both resolve controllers here).
@@ -254,11 +253,7 @@ class PacketLevelDeployment:
     def set_data_policy(self, src: str, selector: PathSelector) -> None:
         """Install the forwarding policy for data traffic from ``src``,
         preserving any pinned per-path probe streams."""
-        existing = self._probe_selectors.get(src)
-        if existing is not None:
-            existing.default = selector
-        else:
-            self.gateway(src).set_selector(selector)
+        self.gateway(src).set_data_selector(selector)
 
     def start_path_probes(
         self, src: str, interval_s: Optional[float] = None
@@ -270,11 +265,10 @@ class PacketLevelDeployment:
         interval = interval_s or self.pairing.probe_interval_s
         gateway = self.gateway(src)
         dst_edge = self.pairing.peer_of(src)
-        selector = self._probe_selectors.get(src)
-        if selector is None:
-            selector = ApplicationSelector(default=gateway.selector)
+        selector = gateway.selector
+        if not isinstance(selector, ApplicationSelector):
+            selector = ApplicationSelector(default=selector)
             gateway.set_selector(selector)
-            self._probe_selectors[src] = selector
         generators = []
         send = self.sender_for(src)
         for index, tunnel in enumerate(self.tunnels(src)):
@@ -300,6 +294,21 @@ class PacketLevelDeployment:
         self._probe_generators.clear()
 
     # -- controllers & supervision ---------------------------------------------------
+
+    def start_controller(
+        self, edge_name: str, selector: PathSelector, **kwargs
+    ) -> TangoController:
+        """Install the data policy ``selector``, then build, start and
+        attach ``edge_name``'s :class:`TangoController` (``kwargs`` are
+        its keyword parameters); a ``journal`` also gets it supervised."""
+        self.set_data_policy(edge_name, selector)
+        controller = TangoController(self.gateway(edge_name), self.sim, **kwargs)
+        controller.start()
+        self.attach_controller(edge_name, controller)
+        journal = kwargs.get("journal")
+        if journal is not None:
+            self.supervise(edge_name, journal=journal)
+        return controller
 
     def attach_controller(
         self, edge_name: str, controller: TangoController
@@ -361,11 +370,6 @@ class PacketLevelDeployment:
         supervisor.start()
         self.supervisors[edge_name] = supervisor
         return supervisor
-
-    def crash_controller(self, edge_name: str) -> None:
-        """Kill ``edge_name``'s controller now (its supervisor, if any,
-        will notice on its next heartbeat)."""
-        self.controller_for(edge_name).crash()
 
     # -- failure injection ----------------------------------------------------------
 

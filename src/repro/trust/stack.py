@@ -12,8 +12,8 @@ The full stack for an edge ``E`` defending its outbound direction:
   own :class:`~repro.resilience.degraded.RttFallbackEstimator` envelope
   and (optionally) a :class:`~repro.trust.clock.ClockIntegrityMonitor`;
 * a :class:`~repro.trust.policy.PeerTrustMonitor` accumulates the
-  evidence and, wired into ``E``'s controller together with the degraded
-  config, demotes selection to local-RTT mode while distrusted.
+  evidence and, carried into ``E``'s controller by the degraded config,
+  demotes selection to local-RTT mode while distrusted.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ class DefenseStack:
     degraded: DegradedModeConfig
     channel: ReliableTelemetryChannel
 
-    def controller_kwargs(self) -> dict:
-        """Keyword arguments to pass into ``TangoController(...)``."""
-        return {"degraded": self.degraded, "trust": self.trust}
-
 
 def install_defense(
     deployment: "PacketLevelDeployment",
@@ -65,8 +61,8 @@ def install_defense(
 
     Requires an established deployment running the reliable telemetry
     channel (the gate and record MACs live in its delivery path).  The
-    returned stack's :meth:`DefenseStack.controller_kwargs` plugs into
-    the edge's :class:`~repro.core.controller.TangoController`.
+    returned stack's :attr:`DefenseStack.degraded` is the ``degraded``
+    argument of the edge's :class:`~repro.core.controller.TangoController`.
 
     Args:
         deployment: established :class:`PacketLevelDeployment`.
@@ -103,7 +99,9 @@ def install_defense(
             peer_auth.stats.rejected + peer_auth.stats.replayed
         )
     trust = PeerTrustMonitor(PeerTrustPolicy(), sources, name=f"{edge}<-{peer}")
-    degraded = DegradedModeConfig(estimates=estimator.estimates, horizon_s=horizon_s)
+    degraded = DegradedModeConfig(
+        estimates=estimator.estimates, horizon_s=horizon_s, trust=trust
+    )
     stack = DefenseStack(
         edge=edge,
         estimator=estimator,

@@ -1,29 +1,36 @@
-"""The per-tunnel observe loop and list-of-bins loss monitor, kept as oracles.
+"""The controller as it was before its machines, and the list-of-bins
+loss monitor, kept as oracles.
 
-These were once the product's: ``TangoController`` built a frozen
+:class:`TangoController` is one class holding every transition twice:
+applied live in the tick (``_quarantine_tick``, ``_set_mode``) and again
+in ``_replay_wal_entry``, with the runtime reset by three hand-kept
+attribute lists (``crash``, ``_reset_quarantine_runtime``,
+``restore_state``).  Its tick is the per-tunnel loop: a frozen
 ``TunnelHealth`` per tunnel per tick (re-listing the tunnel table and
-asking the outbound store for each tunnel's last time), ran every
-tunnel through the quarantine machine, and scanned the list again for
-degraded mode and the fallback flag; ``LossMonitor`` kept one frozen
-``LossBin`` per path per sample and appended each loss fraction to its
-own series.  They live here, unchanged in behaviour, so that
-``tests/core/test_observe.py`` can drive them and the product with the
-same calls and require the same logs, flags and series bytes.
+asking the outbound store for each tunnel's last time), every tunnel
+through the quarantine machine, and the list scanned again for degraded
+mode and the fallback flag.  It takes the peer-trust monitor as its own
+argument.  ``LossMonitor`` keeps one frozen ``LossBin`` per path per
+sample and appends each loss fraction to its own series.
 
-:class:`TangoController` subclasses the product's and replaces only the
-per-tick observation and what reads it; start/stop, crash, journal
-replay and mode swaps are the product's own on both sides.
+Both stand alone, sharing only plain records with the product, so that
+``tests/core/test_observe.py`` can drive them and the product with the
+same calls and require the same logs, flags, journal and series bytes.
 """
 
-from typing import Optional
+from typing import Mapping, Optional, Sequence
 
 from repro.core.controller import (
     QuarantineEvent,
     TunnelHealth,
     _QuarantineRuntime,
 )
-from repro.core.controller import TangoController as ProductController
-from repro.resilience.degraded import MODE_COOPERATIVE, MODE_DEGRADED
+from repro.core.policy import GuardedSelector, MeasuredSelector
+from repro.resilience.degraded import (
+    MODE_COOPERATIVE,
+    MODE_DEGRADED,
+    ModeTransition,
+)
 from repro.telemetry.loss import LossBin
 from repro.telemetry.store import TimeSeries
 
@@ -75,8 +82,109 @@ class LossMonitor:
         return lost / total if total else 0.0
 
 
-class TangoController(ProductController):
-    """The product controller with the per-tunnel ``TunnelHealth`` loop."""
+class TangoController:
+    """Slow-path loop for one gateway: one class, every transition twice."""
+
+    def __init__(
+        self,
+        gateway,
+        sim,
+        interval_s: float = 0.1,
+        staleness_s: float = 2.0,
+        quarantine=None,
+        degraded=None,
+        journal=None,
+        trust=None,
+        frr=None,
+        srlg_registry=None,
+        scheduler=None,
+    ) -> None:
+        if interval_s <= 0:
+            raise ValueError(f"interval must be positive, got {interval_s}")
+        if trust is not None and degraded is None:
+            raise ValueError(
+                "trust demotion needs a degraded config: a distrusted peer "
+                "feed leaves nothing to route on without local RTT fallback"
+            )
+        self.gateway = gateway
+        self.sim = sim
+        self.interval_s = interval_s
+        self.staleness_s = staleness_s
+        self.choice_trace = TimeSeries()
+        self.scheduler = scheduler
+        self._loop = None
+        self.ticks = 0
+        self.quarantine_policy = quarantine
+        self.quarantined: set[int] = set()
+        self.quarantine_log: list[QuarantineEvent] = []
+        self._qstate: dict[int, _QuarantineRuntime] = {}
+        self._guard: Optional[GuardedSelector] = None
+        self._fallback_active = False
+        self.degraded = degraded
+        self.journal = journal
+        self.trust = trust
+        self.mode = MODE_COOPERATIVE
+        self.mode_log: list[ModeTransition] = []
+        self.crashed = False
+        self._heal_streak = 0
+        self._cooperative_store = None
+        self._last_logged_choice: Optional[float] = None
+        self.frr = frr
+        self.srlg_registry = srlg_registry
+        if self.srlg_registry is None and frr is not None:
+            self.srlg_registry = frr.registry
+        self._probation_held: set[int] = set()
+
+    def start(self, warm: bool = False) -> None:
+        if self._loop is not None:
+            raise RuntimeError("controller already started")
+        if not warm:
+            self._reset_quarantine_runtime()
+        if self.quarantine_policy is not None and self._guard is None:
+            self._guard = GuardedSelector(
+                self.gateway.data_selector, self.quarantined
+            )
+            self.gateway.set_data_selector(self._guard)
+        self._capture_cooperative_store()
+        self._apply_mode(self.mode)
+        self.crashed = False
+        if self.scheduler is not None:
+            self._loop = self.scheduler.register_every_s(
+                self.interval_s,
+                lambda now: self._tick(),
+                name=self.gateway.config.name,
+            )
+        else:
+            self._loop = self.sim.call_every(self.interval_s, self._tick)
+
+    def stop(self) -> None:
+        if self._loop is not None:
+            self._loop.stop()
+            self._loop = None
+
+    @property
+    def running(self) -> bool:
+        return self._loop is not None
+
+    def crash(self) -> None:
+        self.stop()
+        self.crashed = True
+        self._qstate.clear()
+        self._probation_held.clear()
+        self._fallback_active = False
+        self.mode = MODE_COOPERATIVE
+        self._heal_streak = 0
+        self._cooperative_store = None
+        self._last_logged_choice = None
+
+    def _reset_quarantine_runtime(self) -> None:
+        self._qstate.clear()
+        self.quarantined.clear()
+        self._probation_held.clear()
+        self._fallback_active = False
+        self._heal_streak = 0
+        if self.mode != MODE_COOPERATIVE:
+            self._apply_mode(MODE_COOPERATIVE)
 
     def _tick(self) -> None:
         self.ticks += 1
@@ -104,6 +212,8 @@ class TangoController(ProductController):
             and self.ticks % self.journal.checkpoint_every_ticks == 0
         ):
             self.journal.checkpoint(self.snapshot_state())
+
+    # -- degraded-mode estimation -------------------------------------------------
 
     @staticmethod
     def _peer_staleness(healths: list[TunnelHealth]) -> Optional[float]:
@@ -138,6 +248,46 @@ class TangoController(ProductController):
                     self._set_mode(MODE_COOPERATIVE, now, staleness)
             else:
                 self._heal_streak = 0
+
+    def _set_mode(self, mode: str, now: float, staleness: Optional[float]) -> None:
+        if mode == self.mode:
+            return
+        self._apply_mode(mode)
+        self._heal_streak = 0
+        self.mode_log.append(
+            ModeTransition(t=now, mode=mode, staleness_s=staleness)
+        )
+        if self.journal is not None:
+            self.journal.record("mode", now, mode=mode)
+
+    def _apply_mode(self, mode: str) -> None:
+        self.mode = mode
+        selector = self._measured_selector()
+        if selector is None or self.degraded is None:
+            return
+        if mode == MODE_DEGRADED:
+            selector.store = self.degraded.estimates
+        elif self._cooperative_store is not None:
+            selector.store = self._cooperative_store
+
+    def _measured_selector(self) -> Optional[MeasuredSelector]:
+        selector = self.gateway.data_selector
+        if isinstance(selector, GuardedSelector):
+            selector = selector.inner
+        return selector if isinstance(selector, MeasuredSelector) else None
+
+    def _capture_cooperative_store(self) -> None:
+        selector = self._measured_selector()
+        if selector is None or self.degraded is None:
+            return
+        store = getattr(selector, "store", None)
+        if store is None or store is self.degraded.estimates:
+            if self._cooperative_store is None:
+                self._cooperative_store = self.gateway.outbound
+        else:
+            self._cooperative_store = store
+
+    # -- quarantine state machine -------------------------------------------------
 
     def _unhealthy_cause(
         self, health: TunnelHealth, suppress_stale: bool = False
@@ -257,6 +407,87 @@ class TangoController(ProductController):
                 cause=cause,
                 backoff_s=backoff_s,
             )
+
+    # -- crash-safe persistence ----------------------------------------------------
+
+    def snapshot_state(self) -> dict:
+        return {
+            "ticks": self.ticks,
+            "mode": self.mode,
+            "fallback_active": self._fallback_active,
+            "quarantined": sorted(self.quarantined),
+            "qstate": {
+                str(pid): {
+                    "state": rt.state,
+                    "unhealthy_streak": rt.unhealthy_streak,
+                    "healthy_streak": rt.healthy_streak,
+                    "backoff_s": rt.backoff_s,
+                    "probation_at": rt.probation_at,
+                }
+                for pid, rt in sorted(self._qstate.items())
+            },
+        }
+
+    def restore_state(
+        self,
+        snapshot: Optional[Mapping],
+        wal: Sequence[Mapping] = (),
+    ) -> None:
+        if self.running:
+            raise RuntimeError("cannot restore a running controller")
+        self._qstate.clear()
+        self.quarantined.clear()
+        self._probation_held.clear()
+        self._fallback_active = False
+        self._heal_streak = 0
+        self.mode = MODE_COOPERATIVE
+        if snapshot is not None:
+            for pid_str, raw in snapshot.get("qstate", {}).items():
+                self._qstate[int(pid_str)] = _QuarantineRuntime(
+                    state=str(raw["state"]),
+                    unhealthy_streak=int(raw["unhealthy_streak"]),
+                    healthy_streak=int(raw["healthy_streak"]),
+                    backoff_s=float(raw["backoff_s"]),
+                    probation_at=float(raw["probation_at"]),
+                )
+            self.quarantined.update(int(p) for p in snapshot.get("quarantined", ()))
+            self._fallback_active = bool(snapshot.get("fallback_active", False))
+            self._apply_mode(str(snapshot.get("mode", MODE_COOPERATIVE)))
+        for entry in wal:
+            self._replay_wal_entry(entry)
+
+    def _replay_wal_entry(self, entry: Mapping) -> None:
+        kind = str(entry["kind"])
+        policy = self.quarantine_policy
+        if kind == "quarantine" and policy is not None:
+            pid = int(entry["path_id"])
+            runtime = self._qstate.setdefault(pid, _QuarantineRuntime())
+            backoff = float(entry["backoff_s"]) or policy.probation_delay_s
+            runtime.state = "quarantined"
+            runtime.unhealthy_streak = 0
+            runtime.probation_at = float(entry["t"]) + backoff
+            runtime.backoff_s = min(
+                backoff * policy.backoff_factor, policy.max_probation_delay_s
+            )
+            self.quarantined.add(pid)
+        elif kind == "probation":
+            pid = int(entry["path_id"])
+            runtime = self._qstate.setdefault(pid, _QuarantineRuntime())
+            runtime.state = "probation"
+            runtime.healthy_streak = 0
+            self.quarantined.discard(pid)
+        elif kind == "restore" and policy is not None:
+            pid = int(entry["path_id"])
+            runtime = self._qstate.setdefault(pid, _QuarantineRuntime())
+            runtime.state = "healthy"
+            runtime.backoff_s = policy.probation_delay_s
+            runtime.unhealthy_streak = 0
+        elif kind == "fallback":
+            self._fallback_active = bool(entry["active"])
+        elif kind == "mode":
+            self._apply_mode(str(entry["mode"]))
+
+    # -- health -----------------------------------------------------------------
 
     def health(self) -> list[TunnelHealth]:
         now = self.sim.now

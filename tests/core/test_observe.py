@@ -1,16 +1,22 @@
-"""The controller's per-tick observation, against the per-tunnel oracle.
+"""The controller's loop and machines, against the standalone oracle.
 
-``tests/core/oracle.py`` keeps the loop the controller used to run: one
-``TunnelHealth`` per tunnel per tick, every tunnel through the
-quarantine machine, degraded mode and the fallback flag each scanning
-the list again.  Hypothesis builds two identical edges — one controlled
-by the product, one by the oracle (with the oracle's ``LossMonitor``) —
-drives both with the same calls, and after every step requires the same
-quarantine log, quarantined set, mode log, fallback flag, checkpoint,
-journal and loss series.
+``tests/core/oracle.py`` keeps the controller as it was before its
+quarantine and mode machines: every transition applied live and again
+in its WAL replay, the runtime reset by hand-kept lists, and the
+per-tunnel loop — one ``TunnelHealth`` per tunnel per tick, every
+tunnel through the quarantine machine, degraded mode and the fallback
+flag each scanning the list again.  Hypothesis builds two identical
+edges — one controlled by the product, one by the oracle (with the
+oracle's ``LossMonitor``) — drives both with the same calls (crash and
+warm restore, cold restart, trust, FRR and SRLG among them), and after
+every step requires the same quarantine log, quarantined set, mode log,
+fallback flag, checkpoint, journal dump and loss series.
+
+``OBSERVE_EXAMPLES`` sets the number of examples (default 80).
 """
 
 import ipaddress
+import os
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -75,21 +81,24 @@ class _Edge:
             frr = FastReroute(self.gateway, self.registry, selector)
         self.anomalies = 0
         degraded = trust = None
+        if flags["trust"]:
+            trust = PeerTrustMonitor(
+                PeerTrustPolicy(
+                    suspect_anomalies=1,
+                    distrust_anomalies=2,
+                    clean_polls=2,
+                    probation_delay_s=0.625,
+                    probation_polls=2,
+                ),
+                {"feed": lambda: self.anomalies},
+            )
         if flags["degraded"]:
             degraded = DegradedModeConfig(
-                estimates=MeasurementStore(), horizon_s=0.5, heal_ticks=2
+                estimates=MeasurementStore(), horizon_s=0.5, heal_ticks=2, trust=trust
             )
-            if flags["trust"]:
-                trust = PeerTrustMonitor(
-                    PeerTrustPolicy(
-                        suspect_anomalies=1,
-                        distrust_anomalies=2,
-                        clean_polls=2,
-                        probation_delay_s=0.625,
-                        probation_polls=2,
-                    ),
-                    {"feed": lambda: self.anomalies},
-                )
+        # The product reads trust from the degraded config; the oracle
+        # takes it as its own argument.
+        extra = {} if controller_cls is TangoController else {"trust": trust}
         self.journal = (
             ControllerJournal(checkpoint_every_ticks=4) if flags["journal"] else None
         )
@@ -110,9 +119,9 @@ class _Edge:
             quarantine=quarantine,
             degraded=degraded,
             journal=self.journal,
-            trust=trust,
             frr=frr,
             srlg_registry=self.registry,
+            **extra,
         )
         self.controller.start()
 
@@ -238,7 +247,7 @@ class ObserveMachine(RuleBasedStateMachine):
         assert ours.quarantine_log == theirs.quarantine_log
         assert ours.quarantined == theirs.quarantined
         assert ours.mode_log == theirs.mode_log
-        assert ours._fallback_active == theirs._fallback_active
+        assert ours.quarantine_machine.fallback == theirs._fallback_active
         assert ours.snapshot_state() == theirs.snapshot_state()
         if self.edges[0].journal is not None:
             assert self.edges[0].journal.dump() == self.edges[1].journal.dump()
@@ -333,5 +342,7 @@ class TestBoundaries:
 
 TestObserveMatchesOracle = ObserveMachine.TestCase
 TestObserveMatchesOracle.settings = settings(
-    max_examples=80, stateful_step_count=40, deadline=None
+    max_examples=int(os.environ.get("OBSERVE_EXAMPLES", "80")),
+    stateful_step_count=40,
+    deadline=None,
 )

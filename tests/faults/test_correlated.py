@@ -135,19 +135,17 @@ class TestMaintenanceWindow:
 
 class TestGroupRecovery:
     def test_group_records_attribute_per_affected_tunnel(self):
-        from repro.core.controller import QuarantinePolicy, TangoController
+        from repro.core.controller import QuarantinePolicy
 
         d = deployment()
         d.start_path_probes("ny", interval_s=0.05)
-        controller = TangoController(
-            d.gateway("ny"),
-            d.sim,
+        controller = d.start_controller(
+            "ny",
+            d.gateway("ny").data_selector,
             interval_s=0.1,
             staleness_s=0.5,
             quarantine=QuarantinePolicy(),
         )
-        d.attach_controller("ny", controller)
-        controller.start()
         plan = plan_of(srlg_failure(at=2.0, duration=3.0))
         FaultInjector(d, plan).arm()
         d.net.run(until=8.0)

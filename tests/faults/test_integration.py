@@ -11,7 +11,7 @@ import pytest
 
 from repro.bgp.network import CONVERGENCE_DELAY_S
 from repro.cli import main
-from repro.core.controller import QuarantinePolicy, TangoController
+from repro.core.controller import QuarantinePolicy
 from repro.core.policy import LowestDelaySelector
 from repro.faults import FaultEvent, FaultInjector, FaultPlan, RecoveryLog
 from repro.netsim.trace import PacketFactory
@@ -27,17 +27,13 @@ def run_blackhole_campaign():
     deployment.start_path_probes("ny")
     # GTT is the calibrated-best ny->la path, so the adaptive selector
     # pins the data stream to it — the blackhole hits the active tunnel.
-    deployment.set_data_policy(
-        "ny", LowestDelaySelector(deployment.gateway("ny").outbound, window_s=1.0)
-    )
-    controller = TangoController(
-        deployment.gateway("ny"),
-        deployment.sim,
+    controller = deployment.start_controller(
+        "ny",
+        LowestDelaySelector(deployment.gateway("ny").outbound, window_s=1.0),
         interval_s=0.1,
         staleness_s=0.5,
         quarantine=QuarantinePolicy(),
     )
-    controller.start()
 
     factory = PacketFactory(
         src=str(deployment.pairing.a.host_address(4)),

@@ -20,7 +20,7 @@ import pytest
 
 import repro.traffic.demand as demand_module
 import repro.traffic.vector as vector_module
-from repro.core.controller import QuarantinePolicy, TangoController
+from repro.core.controller import QuarantinePolicy
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.federation import FederationRegistry
 from repro.netsim.links import LossModel
@@ -115,16 +115,13 @@ def vultr_two_party(channel: bool) -> str:
     controllers = {}
     for edge in ("ny", "la"):
         deployment.start_path_probes(edge)
-        controller = TangoController(
-            deployment.gateway(edge),
-            deployment.sim,
+        controllers[edge] = deployment.start_controller(
+            edge,
+            deployment.gateway(edge).data_selector,
             interval_s=0.1,
             staleness_s=0.5,
             quarantine=QuarantinePolicy(),
         )
-        controller.start()
-        deployment.attach_controller(edge, controller)
-        controllers[edge] = controller
     events = [
         FaultEvent("telemetry_drop", at=3.5, duration=1.0, params={"edge": "la"}),
     ]

@@ -17,7 +17,7 @@ mid-run controller crash while a blackholed tunnel sits in quarantine:
 
 import pytest
 
-from repro.core.controller import QuarantinePolicy, TangoController
+from repro.core.controller import QuarantinePolicy
 from repro.core.policy import LowestDelaySelector
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.netsim.trace import PacketFactory
@@ -72,15 +72,12 @@ def run_campaign(with_crash):
     )
     deployment.establish()
     deployment.start_path_probes("ny")
-    deployment.set_data_policy(
-        "ny", LowestDelaySelector(deployment.gateway("ny").outbound, window_s=1.0)
-    )
     estimator = RttFallbackEstimator.for_deployment(deployment, "ny")
     estimator.start()
     journal = ControllerJournal(checkpoint_every_ticks=10)
-    controller = TangoController(
-        deployment.gateway("ny"),
-        deployment.sim,
+    controller = deployment.start_controller(
+        "ny",
+        LowestDelaySelector(deployment.gateway("ny").outbound, window_s=1.0),
         interval_s=0.1,
         staleness_s=HORIZON_S,
         quarantine=QuarantinePolicy(),
@@ -89,9 +86,7 @@ def run_campaign(with_crash):
         ),
         journal=journal,
     )
-    controller.start()
-    deployment.attach_controller("ny", controller)
-    supervisor = deployment.supervise("ny", journal=journal)
+    supervisor = deployment.supervisors["ny"]
 
     factory = PacketFactory(
         src=str(deployment.pairing.a.host_address(4)),

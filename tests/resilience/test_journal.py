@@ -106,6 +106,37 @@ class TestControllerJournal:
         assert snapshot == {"ticks": 50, "quarantined": [1]}
         assert wal == [{"kind": "quarantine", "t": 5.2, "path_id": 3, "cause": "loss"}]
 
+    def test_reopen_drops_a_torn_last_record(self, tmp_path):
+        """A crash mid-append leaves the last record without its newline
+        and cut short: recovery keeps everything before it, and the next
+        append starts on a line of its own."""
+        first = ControllerJournal(tmp_path)
+        first.record("quarantine", 5.2, path_id=3, cause="loss")
+        first.record("probation", 6.2, path_id=3, label="GTT")
+        wal_path = tmp_path / "wal.jsonl"
+        data = wal_path.read_bytes()
+        wal_path.write_bytes(data[:-7])
+        second = ControllerJournal(tmp_path)
+        _, wal = second.recover()
+        assert wal == [{"kind": "quarantine", "t": 5.2, "path_id": 3, "cause": "loss"}]
+        second.record("restore", 7.0, path_id=3)
+        _, wal = ControllerJournal(tmp_path).recover()
+        assert [e["kind"] for e in wal] == ["quarantine", "restore"]
+
+    def test_reopen_keeps_a_whole_record_missing_only_its_newline(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        path.write_text('{"kind":"mode","t":1.0}\n{"kind":"mode","t":2.0}')
+        wal = WriteAheadLog(path)
+        assert [e["t"] for e in wal.entries()] == [1.0, 2.0]
+        wal.append({"kind": "mode", "t": 3.0})
+        assert [e["t"] for e in WriteAheadLog(path).entries()] == [1.0, 2.0, 3.0]
+
+    def test_a_bad_line_before_the_tail_names_its_place(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        path.write_text('{"kind":"mode","t":1.0}\n{"kind":"mo\n{"kind":"mode"}\n')
+        with pytest.raises(ValueError, match=r"wal\.jsonl:2"):
+            WriteAheadLog(path)
+
     def test_memory_journal_does_not_touch_disk(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         journal = ControllerJournal()

@@ -11,7 +11,7 @@ stores the packet path fills, and the policies route around it.
 
 import pytest
 
-from repro.core.controller import QuarantinePolicy, TangoController
+from repro.core.controller import QuarantinePolicy
 from repro.core.policy import (
     HysteresisSelector,
     LossAwareSelector,
@@ -44,20 +44,16 @@ def overload_demand(offered_bps=9.6e9, seed=17):
 def launch(selector, *, buffer_delay_s=0.1, controller_kwargs=None):
     deployment = VultrDeployment(include_events=False)
     deployment.establish()
-    deployment.set_data_policy("ny", selector)
+    controller = None
+    if controller_kwargs is None:
+        deployment.set_data_policy("ny", selector)
+    else:
+        controller = deployment.start_controller(
+            "ny", selector, interval_s=0.1, **controller_kwargs
+        )
     engine = VectorFluidEngine(
         deployment, "ny", overload_demand(), buffer_delay_s=buffer_delay_s
     )
-    controller = None
-    if controller_kwargs is not None:
-        controller = TangoController(
-            deployment.gateway_ny,
-            deployment.sim,
-            interval_s=0.1,
-            **controller_kwargs,
-        )
-        deployment.attach_controller("ny", controller)
-        controller.start()
     engine.start()
     return deployment, engine, controller
 
@@ -154,13 +150,11 @@ class TestLossAwareReroute:
             window_s=0.5,
             loss_penalty_s=1.0,
         )
-        deployment.set_data_policy("ny", selector)
         engine = VectorFluidEngine(
             deployment, "ny", overload_demand(), buffer_delay_s=0.002
         )
-        controller = TangoController(gateway, deployment.sim, interval_s=0.1)
-        deployment.attach_controller("ny", controller)
-        controller.start()  # samples the loss monitor each tick
+        # The controller samples the loss monitor each tick.
+        controller = deployment.start_controller("ny", selector, interval_s=0.1)
         engine.start()
         deployment.sim.run(until=deployment.sim.now + 5.0)
         controller.stop()

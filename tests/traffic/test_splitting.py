@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.core.controller import TangoController
 from repro.netsim.events import Simulator
 from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
 from repro.netsim.ticks import TickScheduler
@@ -208,17 +207,15 @@ class TestSplitRebalancer:
         gateway = deployment.gateway_ny
         tunnels = deployment.tunnels("ny")
         selector = WeightedSplitSelector(seed=3)
-        deployment.set_data_policy("ny", selector)
         rebalancer = SplitRebalancer(
             selector,
             LoadAwareWeights(gateway.outbound, window_s=1.0),
             tunnels,
         )
         scheduler = TickScheduler(deployment.sim, 0.1)
-        controller = TangoController(
-            gateway, deployment.sim, interval_s=0.1, scheduler=scheduler
+        controller = deployment.start_controller(
+            "ny", selector, interval_s=0.1, scheduler=scheduler
         )
-        controller.start()
         rebalancer.attach(scheduler)
         deployment.start_path_probes("ny", interval_s=0.01)
         deployment.net.run(until=2.0)

@@ -12,7 +12,6 @@ from repro.core.controller import (
     MODE_COOPERATIVE,
     MODE_DEGRADED,
     QuarantinePolicy,
-    TangoController,
 )
 from repro.core.policy import LowestDelaySelector
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
@@ -34,20 +33,15 @@ def campaign():
     )
     d.establish()
     d.start_path_probes("ny", interval_s=0.05)
-    d.set_data_policy(
-        "ny", LowestDelaySelector(d.gateway("ny").outbound, window_s=1.0)
-    )
     stack = install_defense(d, "ny", KEY)
-    controller = TangoController(
-        d.gateway("ny"),
-        d.sim,
+    controller = d.start_controller(
+        "ny",
+        LowestDelaySelector(d.gateway("ny").outbound, window_s=1.0),
         interval_s=0.1,
         staleness_s=0.5,
         quarantine=QuarantinePolicy(),
-        **stack.controller_kwargs(),
+        degraded=stack.degraded,
     )
-    d.attach_controller("ny", controller)
-    controller.start()
     plan = FaultPlan(
         name="tamper-ntt",
         seed=7,
@@ -80,16 +74,10 @@ class TestInstallation:
         with pytest.raises(RuntimeError, match="establish"):
             install_defense(d, "ny", KEY)
 
-    def test_controller_trust_requires_degraded(self, campaign):
-        d, _, stack = campaign
-        with pytest.raises(ValueError, match="degraded"):
-            TangoController(
-                d.gateway("ny"), d.sim, trust=stack.trust, degraded=None
-            )
-
     def test_stack_registered_on_deployment(self, campaign):
         d, _, stack = campaign
         assert d.defenses["ny"] is stack
+        assert stack.degraded.trust is stack.trust
 
     def test_sources_cover_all_evidence_layers(self, campaign):
         _, _, stack = campaign
