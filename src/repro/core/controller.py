@@ -15,14 +15,16 @@ software:
   exponential-backoff re-probation) and, when *everything* is unhealthy,
   falls back to the BGP-best tunnel — never worse than the status quo.
 
-:class:`TangoController` is the loop; :class:`QuarantineMachine` and
-:class:`ModeMachine` own all runtime state.  A transition is one call:
-the journal (a ``NullJournal`` when none is kept) records the entry and
-the machine's ``apply`` applies it, as it does on WAL replay.
+:class:`TangoController` is the loop; its stages, in tick order, are
+fast reroute, the :class:`ModeMachine` and the :class:`QuarantineMachine`,
+each present when its collaborator is given.  The machines own all
+runtime state.  A transition is one call: the journal (a ``NullJournal``
+when none is kept) records the entry and the machine's ``apply`` applies
+it, as it does on WAL replay.
 
 Lifecycle contract: :meth:`TangoController.start` may be called again
-after :meth:`TangoController.stop`.  A cold (re)start resets both
-machines — quarantined tunnels are re-admitted pending a fresh verdict —
+after :meth:`TangoController.stop`.  A cold (re)start resets every
+machine — quarantined tunnels are re-admitted pending a fresh verdict —
 while cumulative records (``choice_trace``, ``quarantine_log``,
 ``mode_log``, ``ticks``) are preserved.  Calling ``start`` on a running
 controller remains an error.
@@ -44,14 +46,14 @@ Resilience extensions (``repro.resilience``):
   :meth:`TangoController.crash` models process death (runtime memory
   wiped, installed data-plane state retained), and
   :meth:`TangoController.restore_state` + ``start(warm=True)`` is the
-  supervisor's warm-recovery path.
+  supervisor's restart path (an empty journal restores a cold start).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from ..netsim.events import PeriodicTask, Simulator
 from ..netsim.ticks import TickHandle, TickScheduler
@@ -164,18 +166,47 @@ class _Observation:
 
     The tunnel table in id order, re-listed only when it grows, and per
     tunnel the age of its last outbound sample (None: never measured)
-    and its last loss bin, plus the freshest age of all.
+    and its last loss bin, plus the freshest age of all.  ``outage``: the
+    mode stage found every measured path stale past ``staleness_s``.
     """
 
-    __slots__ = ("ids", "labels", "id_set", "ages", "losses", "freshest")
+    __slots__ = ("staleness_s", "ids", "labels", "id_set", "ages", "losses",
+                 "freshest", "outage")
 
-    def __init__(self) -> None:
+    def __init__(self, staleness_s: float) -> None:
+        self.staleness_s = staleness_s
         self.ids: list[int] = []
         self.labels: list[str] = []
         self.id_set: frozenset[int] = frozenset()
         self.ages: list[Optional[float]] = []
         self.losses: list[float] = []
         self.freshest: Optional[float] = None
+        self.outage = False
+
+
+class _Reroute:
+    """Fast reroute as a loop stage (module-private): not journaled, and
+    a crash leaves its pin installed, so its lifecycle is empty."""
+
+    observes = False
+
+    def __init__(self, frr: "FastReroute") -> None:
+        self.frr = frr
+
+    def tick(self, now: float, seen: _Observation) -> None:
+        self.frr.tick(now)
+
+    def start(self, warm: bool) -> None:
+        pass
+
+    def forget(self) -> None:
+        pass
+
+    def snapshot(self) -> dict:
+        return {}
+
+    def restore(self, snapshot: Mapping, wal: Sequence[Mapping]) -> None:
+        pass
 
 
 class QuarantineMachine:
@@ -183,12 +214,14 @@ class QuarantineMachine:
     re-admits them on probation after a backoff (held while their
     shared-risk group is down), restores them after enough healthy
     probation ticks, and flags the BGP-best fallback while every tunnel
-    is out.  ``policy`` None: the controller never ticks the machine.
+    is out.
     """
+
+    observes = True
 
     def __init__(
         self,
-        policy: Optional[QuarantinePolicy],
+        policy: QuarantinePolicy,
         gateway: TangoGateway,
         journal: NullJournal,
         srlg_registry: Optional["SrlgRegistry"],
@@ -215,9 +248,12 @@ class QuarantineMachine:
         self._unsettled: set[int] = set()
         self._guarded = False
 
-    def guard(self) -> None:
-        """Wrap the data selector so it skips quarantined paths, once:
-        the wrapper is installed data-plane state and outlives restarts."""
+    def start(self, warm: bool) -> None:
+        """Every (re)start (a cold one resets).  The first wraps the data
+        selector so it skips quarantined paths, once: the wrapper is
+        installed data-plane state and outlives restarts."""
+        if not warm:
+            self.reset()
         if not self._guarded:
             self._guarded = True
             self.gateway.set_data_selector(
@@ -237,12 +273,13 @@ class QuarantineMachine:
         self.forget()
         self.quarantined.clear()
 
-    def tick(self, now: float, seen: _Observation, stale_after: float) -> None:
+    def tick(self, now: float, seen: _Observation) -> None:
         """Step every tunnel that has a cause or is not at rest, in table
-        order, then the fallback flag.  A cause is staleness past
-        ``stale_after`` of a measured tunnel (warming-up ones are exempt)
-        or loss above the policy's threshold; ``""`` is none."""
+        order, then the fallback flag.  A cause is staleness of a measured
+        tunnel (warming-up ones are exempt; a feed outage is none) or loss
+        above the policy's threshold; ``""`` is none."""
         policy = self.policy
+        stale_after = math.inf if seen.outage else seen.staleness_s
         runtimes = self._runtimes
         if not runtimes.keys() >= seen.id_set:
             for pid in seen.id_set - runtimes.keys():
@@ -379,13 +416,14 @@ class ModeMachine:
     """The estimation source: the peer's mirrored samples (cooperative)
     or the local RTT estimates (degraded).  Downgrades when the peer feed
     goes stale past the config's horizon or its trust monitor distrusts
-    the peer; upgrades after ``heal_ticks`` fresh ticks.  ``config``
-    None: the mode stays cooperative and the machine is never ticked.
+    the peer; upgrades after ``heal_ticks`` fresh ticks.
     """
+
+    observes = True
 
     def __init__(
         self,
-        config: Optional[DegradedModeConfig],
+        config: DegradedModeConfig,
         gateway: TangoGateway,
         journal: NullJournal,
     ) -> None:
@@ -402,7 +440,7 @@ class ModeMachine:
 
     def forget(self) -> None:
         """Lose the machine's memory, as a crash does (the data plane
-        keeps its store; :meth:`resume` re-learns the cooperative one)."""
+        keeps its store; :meth:`start` re-learns the cooperative one)."""
         self.mode = MODE_COOPERATIVE
         self._heal_streak = 0
         self._cooperative_store = None
@@ -413,12 +451,14 @@ class ModeMachine:
         if self.mode != MODE_COOPERATIVE:
             self._enter(MODE_COOPERATIVE)
 
-    def resume(self) -> None:
-        """Point the data plane at the mode's store (every start).  After
-        a crash the data plane may still hold the degraded estimates; the
-        mirrored store is then the gateway's outbound by construction."""
+    def start(self, warm: bool) -> None:
+        """Every (re)start (a cold one resets): point the data plane at the
+        mode's store.  After a crash it may still hold the degraded
+        estimates; the mirrored store is then the gateway's outbound."""
+        if not warm:
+            self.reset()
         selector = self._measured_selector()
-        if selector is None or self.config is None:
+        if selector is None:
             return
         store = getattr(selector, "store", None)
         if store is None or store is self.config.estimates:
@@ -428,9 +468,10 @@ class ModeMachine:
             self._cooperative_store = store
         self._enter(self.mode)
 
-    def tick(self, now: float, staleness: Optional[float]) -> None:
-        """``staleness``: age of the freshest mirrored sample across
-        paths (None: nothing measured yet)."""
+    def tick(self, now: float, seen: _Observation) -> None:
+        """Step on the age of the freshest mirrored sample across paths
+        (None: nothing measured yet), then mark a feed outage."""
+        staleness = seen.freshest
         config = self.config
         trust = config.trust
         distrusted = False
@@ -450,6 +491,9 @@ class ModeMachine:
             self._heal_streak += 1
             if self._heal_streak >= config.heal_ticks:
                 self._transition(MODE_COOPERATIVE, now, staleness)
+        # Every measured path stale at once: the mirror is down, not the
+        # tunnels; the degraded estimator routes, quarantine holds off.
+        seen.outage = staleness is not None and staleness > seen.staleness_s
 
     def _transition(self, mode: str, now: float, staleness: Optional[float]) -> None:
         """One live transition: logged, journaled, then applied."""
@@ -486,9 +530,12 @@ class ModeMachine:
         return {"mode": self.mode}
 
     def restore(self, snapshot: Mapping, wal: Sequence[Mapping]) -> None:
-        """Reset, enter the checkpoint's mode, replay the WAL."""
+        """Reset, enter the checkpoint's mode if it differs (so an empty
+        journal restores a cold start), replay the WAL."""
         self.reset()
-        self._enter(snapshot.get("mode", MODE_COOPERATIVE))
+        mode = snapshot.get("mode", MODE_COOPERATIVE)
+        if mode != self.mode:
+            self._enter(mode)
         for entry in wal:
             self.apply(entry)
 
@@ -496,20 +543,26 @@ class ModeMachine:
 class TangoController:
     """Slow-path loop for one gateway.
 
+    The constructor checks the arguments against each other before
+    anything is installed, then builds :attr:`stages`; each has
+    ``observes``, ``tick``, ``start``, ``forget``, ``snapshot`` and
+    ``restore``.
+
     Args:
         gateway: the gateway to manage.
         sim: simulator whose clock drives the loop.
         interval_s: loop cadence.
         staleness_s: a tunnel with no mirrored measurement within this
             horizon is reported unhealthy.
-        quarantine: enable graceful degradation with these parameters;
-            None (the default) keeps the controller report-only.
-        degraded: enable RTT-probing fallback when the peer telemetry
-            feed goes stale past the config's horizon or its trust
-            monitor distrusts the peer; None keeps cooperative estimates.
+        quarantine: add the quarantine stage with these parameters; None
+            (the default) keeps the controller report-only.
+        degraded: add the mode stage: RTT-probing fallback when the peer
+            telemetry feed goes stale past the config's horizon or its
+            trust monitor distrusts the peer; None keeps cooperative
+            estimates.
         journal: write-ahead-log every routing decision and checkpoint
-            runtime state periodically; None disables persistence.
-        frr: fast reroute over shared-risk groups, ticked with the loop.
+            runtime state periodically; None keeps a ``NullJournal``.
+        frr: add fast reroute over shared-risk groups as the first stage.
         srlg_registry: failure-domain state quarantine probation consults
             before probing a tunnel whose risk group is still down.
         scheduler: register the control loop into this shared
@@ -535,42 +588,54 @@ class TangoController:
     ) -> None:
         if interval_s <= 0:
             raise ValueError(f"interval must be positive, got {interval_s}")
+        #: Schedules the loop, on the shared wheel or a dedicated task.
+        self._schedule: Callable[[], PeriodicTask | TickHandle]
+        if scheduler is None:
+            self._schedule = lambda: sim.call_every(interval_s, self._tick)
+        else:
+            every = scheduler.every_for(interval_s)
+            self._schedule = lambda: scheduler.register(
+                self._scheduled_tick, every=every, name=gateway.config.name
+            )
         self.gateway = gateway
         self.sim = sim
         self.interval_s = interval_s
         self.staleness_s = staleness_s
-        self.quarantine_policy = quarantine
-        self.degraded = degraded
         self.journal = journal or NullJournal()
-        self.frr = frr
         self.srlg_registry = srlg_registry
-        self.scheduler = scheduler
+        self.mode_machine = degraded and ModeMachine(degraded, gateway, self.journal)
+        self.quarantine_machine = machine = quarantine and QuarantineMachine(
+            quarantine, gateway, self.journal, srlg_registry
+        )
+        # Fast reroute first, so a group event repoints the data plane on
+        # this very tick; the quarantine stage reads the mode stage's outage.
+        stages = (frr and _Reroute(frr), self.mode_machine, machine)
+        #: The loop's stages in tick order, one per collaborator given.
+        self.stages = tuple(stage for stage in stages if stage)
+        self._observes = any(stage.observes for stage in self.stages)
         self.choice_trace = TimeSeries()
         self.ticks = 0
         #: True between :meth:`crash` and the next (re)start.
         self.crashed = False
-        self.quarantine_machine = QuarantineMachine(
-            quarantine, gateway, self.journal, srlg_registry
-        )
-        self.mode_machine = ModeMachine(degraded, gateway, self.journal)
-        # The machines' records, never rebound.
-        self.quarantined = self.quarantine_machine.quarantined
-        self.quarantine_log = self.quarantine_machine.log
-        self.mode_log = self.mode_machine.log
+        # The machines' records, never rebound; a feature that is off
+        # keeps its records, empty.
+        self.quarantined = machine.quarantined if machine else set()
+        self.quarantine_log = machine.log if machine else []
+        self.mode_log = self.mode_machine.log if self.mode_machine else []
         #: The scheduled control loop, on the wheel or a dedicated task.
         self._loop: Optional[PeriodicTask | TickHandle] = None
         self._last_logged_choice: Optional[float] = None
-        self._seen = _Observation()
+        self._seen = _Observation(staleness_s)
 
     @property
     def mode(self) -> str:
         """Estimation source currently in use: cooperative | degraded."""
-        return self.mode_machine.mode
+        return self.mode_machine.mode if self.mode_machine else MODE_COOPERATIVE
 
     def start(self, warm: bool = False) -> None:
         """Begin (or restart) the control loop.
 
-        Safe after :meth:`stop`: a cold start resets both machines so a
+        Safe after :meth:`stop`: a cold start resets every machine so a
         tunnel that was quarantined before the restart is re-evaluated
         from scratch.  Cumulative traces are kept either way.
 
@@ -581,21 +646,10 @@ class TangoController:
         """
         if self.running:
             raise RuntimeError("controller already started")
-        if not warm:
-            self.quarantine_machine.reset()
-            self.mode_machine.reset()
-        if self.quarantine_policy is not None:
-            self.quarantine_machine.guard()
-        self.mode_machine.resume()
+        for stage in self.stages:
+            stage.start(warm)
         self.crashed = False
-        if self.scheduler is not None:
-            self._loop = self.scheduler.register_every_s(
-                self.interval_s,
-                self._scheduled_tick,
-                name=self.gateway.config.name,
-            )
-        else:
-            self._loop = self.sim.call_every(self.interval_s, self._tick)
+        self._loop = self._schedule()
 
     def stop(self) -> None:
         if self._loop is not None:
@@ -618,17 +672,18 @@ class TangoController:
         What survives is exactly what would survive a real crash: the
         data plane's installed state (the :class:`GuardedSelector`, its
         quarantined-set contents, whichever measurement store the
-        selector was pointed at) and the experimenter's cumulative traces
-        (``choice_trace``, ``quarantine_log``, ``mode_log``, ``ticks``).
-        Everything the controller *knew* — quarantine machines, streaks,
-        probation holds, estimation-mode bookkeeping — is wiped;
-        recovery must come from the journal (see :meth:`restore_state`).
+        selector was pointed at, a fast-reroute pin) and the
+        experimenter's cumulative traces (``choice_trace``,
+        ``quarantine_log``, ``mode_log``, ``ticks``).  Everything the
+        controller *knew* — quarantine machines, streaks, probation
+        holds, estimation-mode bookkeeping — is wiped; recovery must come
+        from the journal (see :meth:`restore_state`).
         """
         self.stop()
         self.crashed = True
         self._last_logged_choice = None
-        self.quarantine_machine.forget()
-        self.mode_machine.forget()
+        for stage in self.stages:
+            stage.forget()
 
     def _tick(self) -> None:
         self.ticks += 1
@@ -640,27 +695,14 @@ class TangoController:
         if recorded != self._last_logged_choice:
             self._last_logged_choice = recorded
             self.journal.record("choice", now, path_id=int(recorded))
-        if self.frr is not None:
-            # Fast reroute first: a group event should repoint the data
-            # plane on *this* tick, before slower health machinery runs.
-            self.frr.tick(now)
-        if self.quarantine_policy is not None or self.degraded is not None:
-            seen = self._observe(now)
-            stale_after = self.staleness_s
-            if self.degraded is not None:
-                self.mode_machine.tick(now, seen.freshest)
-                if seen.freshest is not None and seen.freshest > stale_after:
-                    # Every measured path stale at once: the mirror is
-                    # down, not the tunnels — the degraded estimator keeps
-                    # routing instead of everything being quarantined.
-                    stale_after = math.inf
-            if self.quarantine_policy is not None:
-                self.quarantine_machine.tick(now, seen, stale_after)
+        seen = self._observe(now) if self._observes else self._seen
+        for stage in self.stages:
+            stage.tick(now, seen)
         self.journal.checkpoint_if_due(self.ticks, self.snapshot_state)
 
     def _observe(self, now: float) -> _Observation:
         """Read every tunnel's outbound age and last loss bin, once: the
-        observation both machines and :meth:`health` share."""
+        observation the stages and :meth:`health` share."""
         seen = self._seen
         table = self.gateway.tunnel_table
         if len(table) != len(seen.ids):
@@ -676,24 +718,26 @@ class TangoController:
         seen.losses = [last_loss.get(path_id, 0.0) for path_id in seen.ids]
         measured = [age for age in ages if age is not None]
         seen.freshest = min(measured) if measured else None
+        seen.outage = False
         return seen
 
     # -- crash-safe persistence ----------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """JSON-serializable runtime state — the checkpoint payload."""
-        return {
-            "ticks": self.ticks,
-            **self.mode_machine.snapshot(),
-            **self.quarantine_machine.snapshot(),
-        }
+        """JSON-serializable runtime state — the checkpoint payload.  Its
+        keys do not depend on the stages: a machine not built is at rest."""
+        state = {"ticks": self.ticks, "mode": MODE_COOPERATIVE, "qstate": {}}
+        state.update(fallback_active=False, quarantined=[])
+        for stage in self.stages:
+            state.update(stage.snapshot())
+        return state
 
     def restore_state(
         self,
         snapshot: Optional[Mapping],
         wal: Sequence[Mapping] = (),
     ) -> None:
-        """Warm-restore from a checkpoint plus WAL replay: each machine
+        """Warm-restore from a checkpoint plus WAL replay: each stage
         resets, loads its part of the checkpoint (keys it does not know
         are ignored) and applies every WAL entry since.  Must be followed
         by ``start(warm=True)``; cumulative traces are never touched
@@ -701,8 +745,8 @@ class TangoController:
         """
         if self.running:
             raise RuntimeError("cannot restore a running controller")
-        self.quarantine_machine.restore(snapshot or {}, wal)
-        self.mode_machine.restore(snapshot or {}, wal)
+        for stage in self.stages:
+            stage.restore(snapshot or {}, wal)
 
     # -- health -----------------------------------------------------------------
 

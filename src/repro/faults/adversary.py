@@ -32,6 +32,7 @@ from typing import Callable, Optional
 
 from ..netsim.links import Link, PacketInterceptor
 from ..netsim.packet import Packet, TangoHeader
+from ..resilience.channel import _uniform
 
 __all__ = [
     "AdversaryChain",
@@ -39,17 +40,6 @@ __all__ = [
     "TelemetryReplay",
     "GrayLoss",
 ]
-
-
-def _uniform(seed: int, index: int) -> float:
-    """Counter-based uniform draw in [0, 1) — splitmix64 finalizer."""
-    x = (seed * 0x9E3779B97F4A7C15 + index * 0xBF58476D1CE4E5B9) & (2**64 - 1)
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & (2**64 - 1)
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & (2**64 - 1)
-    x ^= x >> 31
-    return x / 2**64
 
 
 class _Stage(PacketInterceptor):

@@ -170,8 +170,12 @@ class TickScheduler:
         *,
         name: str = "",
     ) -> TickHandle:
-        """Register by period in seconds; must be an integer multiple of
-        the wheel's base interval (within float tolerance)."""
+        """Register by period in seconds (see :meth:`every_for`)."""
+        return self.register(callback, every=self.every_for(interval_s), name=name)
+
+    def every_for(self, interval_s: float) -> int:
+        """Wheel rounds per ``interval_s``, which must be an integer
+        multiple of the base interval (within float tolerance)."""
         ratio = interval_s / self.interval_s
         every = int(round(ratio))
         if every < 1 or abs(ratio - every) > 1e-9 * max(1.0, abs(ratio)):
@@ -179,7 +183,7 @@ class TickScheduler:
                 f"period {interval_s}s is not an integer multiple of the "
                 f"wheel interval {self.interval_s}s"
             )
-        return self.register(callback, every=every, name=name)
+        return every
 
     def stop(self) -> None:
         """Tear down the wheel: the underlying task is cancelled and no

@@ -53,7 +53,8 @@ def _uniform(seed: int, index: int) -> float:
 
     splitmix64-style mixing; the channel draws one per frame (loss) and
     one per retransmission (jitter), indexed so pause/resume cannot shift
-    any other draw — the replay-exactness contract of ``repro.faults``.
+    any other draw — the replay-exactness contract of ``repro.faults``,
+    whose gray-loss adversary draws from it too.
     """
     x = (seed * 0x9E3779B97F4A7C15 + index * 0xBF58476D1CE4E5B9) & _MASK64
     x ^= x >> 30

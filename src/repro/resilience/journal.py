@@ -99,6 +99,11 @@ class NullJournal:
     def checkpoint_if_due(self, ticks: int, snapshot: Callable[[], dict]) -> None:
         """Called every control tick; no checkpoint is ever due."""
 
+    def recover(self) -> tuple[Optional[dict], list[dict]]:
+        """Nothing was kept: no checkpoint, no WAL — a restore from it
+        leaves the controller as a cold start would."""
+        return None, []
+
 
 class ControllerJournal(NullJournal):
     """Checkpoint + WAL pair for one controller.

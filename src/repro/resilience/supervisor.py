@@ -11,10 +11,12 @@ switch would).  A :class:`Supervisor` closes that gap:
   counter stalled (a hung loop looks exactly like a dead one);
 * **restart** — scheduled after a capped exponential backoff (repeated
   crashes wait longer; a stretch of healthy uptime resets the backoff);
-* **warm restore** — before restarting, the controller's state is
-  rebuilt from its journal (checkpoint + WAL replay), so recovery does
-  not re-thrash tunnels that were already quarantined, nor forget the
-  degraded/cooperative estimation mode.
+* **warm restore** — every restart first rebuilds the controller's state
+  from the controller's own journal (checkpoint + WAL replay), so
+  recovery does not re-thrash tunnels that were already quarantined,
+  nor forget the degraded/cooperative estimation mode.  A controller
+  that keeps no journal has nothing to recover: its restart is a cold
+  start.
 
 Every detection and restart is recorded as a :class:`SupervisorEvent`
 with simulation timestamps — the E14 benchmark's recovery-time source.
@@ -29,23 +31,8 @@ from ..netsim.events import PeriodicTask, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.controller import TangoController
-    from .journal import ControllerJournal
 
 __all__ = ["SupervisorPolicy", "SupervisorEvent", "Supervisor"]
-
-
-def _uniform(seed: int, index: int) -> float:
-    """Counter-based uniform in [0, 1): splitmix64 of (seed, index).
-
-    Same construction as the fault injector's draws — a pure function of
-    its arguments, so a supervisor replays the identical jitter schedule
-    for the same seed regardless of event interleaving.
-    """
-    x = (seed * 0x9E3779B97F4A7C15 + index) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    x ^= x >> 31
-    return (x >> 11) / float(1 << 53)
 
 
 @dataclass(frozen=True)
@@ -53,18 +40,13 @@ class SupervisorPolicy:
     """Detection and restart tuning.
 
     Attributes:
-        check_interval_s: heartbeat cadence (should exceed the
+        check_interval_s: heartbeat cadence; must exceed the supervised
             controller's tick interval, or a healthy controller looks
-            stalled between checks).
+            stalled between checks.
         restart_delay_s: backoff before the first restart attempt.
         backoff_factor: multiplier per successive crash.
         max_restart_delay_s: backoff ceiling.
         healthy_after_s: uptime that resets the backoff to its base.
-        jitter_frac: deterministic jitter added to each restart delay,
-            as a fraction of it — decorrelates simultaneous restarts of
-            both edges' controllers without sacrificing replayability
-            (the draw is a pure function of the supervisor's seed and
-            its crash count, never of wall clock).
     """
 
     check_interval_s: float = 0.5
@@ -72,7 +54,6 @@ class SupervisorPolicy:
     backoff_factor: float = 2.0
     max_restart_delay_s: float = 5.0
     healthy_after_s: float = 10.0
-    jitter_frac: float = 0.0
 
     def __post_init__(self) -> None:
         if self.check_interval_s <= 0:
@@ -98,35 +79,33 @@ class SupervisorEvent:
 
 
 class Supervisor:
-    """Watches one controller; restarts it warm from its journal.
+    """Watches one controller; restarts it warm from the controller's own
+    journal.
 
     Args:
         controller: the controller to supervise (already started).
         sim: simulator whose clock drives the heartbeat.
-        journal: the controller's journal; ``None`` restarts cold (the
-            PR 1 behavior — runtime state reset, traces kept).
-        policy: detection/backoff tuning.
-        seed: jitter stream identity; two supervisors with different
-            seeds (e.g. one per edge) decorrelate even when their
-            controllers crash at the same instant.
+        policy: detection/backoff tuning; its heartbeat must be slower
+            than the controller's tick (``ValueError`` otherwise).
     """
 
     def __init__(
         self,
         controller: "TangoController",
         sim: Simulator,
-        journal: Optional["ControllerJournal"] = None,
         policy: SupervisorPolicy = SupervisorPolicy(),
-        seed: int = 0,
     ) -> None:
+        if policy.check_interval_s <= controller.interval_s:
+            raise ValueError(
+                f"heartbeat every {policy.check_interval_s}s is no slower than "
+                f"the controller's {controller.interval_s}s tick: a healthy "
+                "controller would look stalled"
+            )
         self.controller = controller
         self.sim = sim
-        self.journal = journal
         self.policy = policy
-        self.seed = seed
         self.events: list[SupervisorEvent] = []
         self.restarts = 0
-        self._crashes = 0
         self._task: Optional[PeriodicTask] = None
         self._last_ticks = controller.ticks
         self._delay_s = policy.restart_delay_s
@@ -166,13 +145,8 @@ class Supervisor:
                 )
             return
         delay = self._delay_s
-        if self.policy.jitter_frac > 0.0:
-            delay += delay * self.policy.jitter_frac * _uniform(
-                self.seed, self._crashes
-            )
-        self._crashes += 1
         self._delay_s = min(
-            self._delay_s * self.policy.backoff_factor,
+            delay * self.policy.backoff_factor,
             self.policy.max_restart_delay_s,
         )
         self._restart_pending = True
@@ -193,12 +167,8 @@ class Supervisor:
             # Hung, not dead: the flag is up but the loop is wedged.
             # Take it down so the restart below is a clean one.
             controller.stop()
-        if self.journal is not None:
-            snapshot, wal = self.journal.recover()
-            controller.restore_state(snapshot, wal)
-            controller.start(warm=True)
-        else:
-            controller.start()
+        controller.restore_state(*controller.journal.recover())
+        controller.start(warm=True)
         self.restarts += 1
         self._restart_pending = False
         self._last_ticks = controller.ticks

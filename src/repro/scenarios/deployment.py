@@ -38,7 +38,6 @@ from ..netsim.packet import Packet
 from ..netsim.topology import Network
 from ..netsim.trace import PacketFactory, ProbeGenerator
 from ..resilience.channel import ChannelConfig
-from ..resilience.journal import ControllerJournal
 from ..resilience.supervisor import Supervisor
 from ..srlg import Region, SrlgRegistry
 from ..telemetry.store import MeasurementStore
@@ -305,9 +304,8 @@ class PacketLevelDeployment:
         controller = TangoController(self.gateway(edge_name), self.sim, **kwargs)
         controller.start()
         self.attach_controller(edge_name, controller)
-        journal = kwargs.get("journal")
-        if journal is not None:
-            self.supervise(edge_name, journal=journal)
+        if kwargs.get("journal") is not None:
+            self.supervise(edge_name)
         return controller
 
     def attach_controller(
@@ -349,24 +347,11 @@ class PacketLevelDeployment:
                 f"attached: {sorted(self.traffic_engines)}"
             ) from None
 
-    def supervise(
-        self,
-        edge_name: str,
-        journal: Optional[ControllerJournal] = None,
-    ) -> Supervisor:
-        """Start a supervisor over ``edge_name``'s attached controller.
-
-        With a journal, restarts are warm (checkpoint + WAL replay);
-        without, they are cold.  The supervisor is returned and kept in
-        :attr:`supervisors`.  Each edge's restart-jitter stream gets a
-        distinct seed from its pairing index so simultaneous crashes at
-        both edges decorrelate.
-        """
-        controller = self.controller_for(edge_name)
-        seed = 41 + [e.name for e in (self.pairing.a, self.pairing.b)].index(
-            edge_name
-        )
-        supervisor = Supervisor(controller, self.sim, journal=journal, seed=seed)
+    def supervise(self, edge_name: str) -> Supervisor:
+        """Start a supervisor over ``edge_name``'s attached controller; it
+        restarts the controller from the controller's own journal.  The
+        supervisor is returned and kept in :attr:`supervisors`."""
+        supervisor = Supervisor(self.controller_for(edge_name), self.sim)
         supervisor.start()
         self.supervisors[edge_name] = supervisor
         return supervisor

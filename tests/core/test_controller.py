@@ -9,6 +9,7 @@ from repro.core.controller import QuarantinePolicy, TangoController
 from repro.core.gateway import TangoGateway
 from repro.core.policy import StaticSelector
 from repro.core.tunnels import TangoTunnel
+from repro.netsim.ticks import TickScheduler
 from repro.netsim.topology import Network
 
 
@@ -85,6 +86,19 @@ class TestControlLoop:
         net, gateway = make_setup()
         with pytest.raises(ValueError):
             TangoController(gateway, net.sim, interval_s=0.0)
+
+    def test_interval_off_the_wheel_fails_before_anything_is_installed(self):
+        net, gateway = make_setup()
+        selector = gateway.data_selector
+        with pytest.raises(ValueError, match="integer multiple"):
+            TangoController(
+                gateway,
+                net.sim,
+                interval_s=0.15,
+                quarantine=QuarantinePolicy(),
+                scheduler=TickScheduler(net.sim, 0.1),
+            )
+        assert gateway.data_selector is selector
 
 
 class TestHealth:

@@ -8,9 +8,11 @@ tunnel through the quarantine machine, degraded mode and the fallback
 flag each scanning the list again.  Hypothesis builds two identical
 edges — one controlled by the product, one by the oracle (with the
 oracle's ``LossMonitor``) — drives both with the same calls (crash and
-warm restore, cold restart, trust, FRR and SRLG among them), and after
-every step requires the same quarantine log, quarantined set, mode log,
-fallback flag, checkpoint, journal dump and loss series.
+restore, cold restart, trust, FRR and SRLG among them; the product
+restores the supervisor's way, from its own journal, the oracle cold
+when it keeps none), and after every step requires the same quarantine
+log, quarantined set, mode log, checkpoint, journal dump, tick count,
+choice trace, FRR log and loss series.
 
 ``OBSERVE_EXAMPLES`` sets the number of examples (default 80).
 """
@@ -79,6 +81,7 @@ class _Edge:
             selector = FateAwareSelector(StaticSelector(0), self.registry)
             self.gateway.set_selector(selector)
             frr = FastReroute(self.gateway, self.registry, selector)
+        self.frr = frr
         self.anomalies = 0
         degraded = trust = None
         if flags["trust"]:
@@ -217,16 +220,18 @@ class ObserveMachine(RuleBasedStateMachine):
 
     @rule()
     def crash_and_recover(self):
-        def recover(edge):
-            controller = edge.controller
-            controller.crash()
-            if edge.journal is not None:
-                controller.restore_state(*edge.journal.recover())
-                controller.start(warm=True)
-            else:
-                controller.start()
-
-        self._both(recover)
+        # The product restarts the supervisor's way, from its own journal
+        # (a NullJournal's is empty); the oracle keeps its cold branch.
+        ours, theirs = (edge.controller for edge in self.edges)
+        ours.crash()
+        ours.restore_state(*ours.journal.recover())
+        ours.start(warm=True)
+        theirs.crash()
+        if self.edges[1].journal is not None:
+            theirs.restore_state(*self.edges[1].journal.recover())
+            theirs.start(warm=True)
+        else:
+            theirs.start()
 
     @rule()
     def restart_cold(self):
@@ -247,8 +252,13 @@ class ObserveMachine(RuleBasedStateMachine):
         assert ours.quarantine_log == theirs.quarantine_log
         assert ours.quarantined == theirs.quarantined
         assert ours.mode_log == theirs.mode_log
-        assert ours.quarantine_machine.fallback == theirs._fallback_active
         assert ours.snapshot_state() == theirs.snapshot_state()
+        assert ours.ticks == theirs.ticks
+        for column in ("times", "values"):
+            mine = getattr(ours.choice_trace, column)
+            assert mine.tobytes() == getattr(theirs.choice_trace, column).tobytes()
+        if self.edges[0].frr is not None:
+            assert self.edges[0].frr.log == self.edges[1].frr.log
         if self.edges[0].journal is not None:
             assert self.edges[0].journal.dump() == self.edges[1].journal.dump()
 

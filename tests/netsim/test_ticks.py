@@ -199,11 +199,10 @@ class TestControllerIntegration:
     def test_controller_interval_must_fit_wheel(self):
         sim = Simulator()
         scheduler = TickScheduler(sim, 0.1)
-        controller = TangoController(
-            StandinGateway("edge"), sim, interval_s=0.25, scheduler=scheduler
-        )
         with pytest.raises(ValueError, match="integer multiple"):
-            controller.start()
+            TangoController(
+                StandinGateway("edge"), sim, interval_s=0.25, scheduler=scheduler
+            )
 
     def test_rebalancer_attaches_to_wheel(self):
         sim = Simulator()

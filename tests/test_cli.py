@@ -7,6 +7,7 @@ import pytest
 from repro.cli import build_parser, main
 
 BLACKHOLE_PLAN = Path(__file__).parents[1] / "examples" / "faults_blackhole.json"
+CRASH_PLAN = BLACKHOLE_PLAN.with_name("faults_crash.json")
 
 
 class TestParser:
@@ -96,6 +97,19 @@ class TestFaults:
     def test_run_parses_resilient_flag(self):
         args = build_parser().parse_args(["faults", "run", "--resilient"])
         assert args.resilient
+
+    def test_supervised_restart_keeps_the_probation_schedule(self, tmp_path):
+        # ny's controller dies at 6.5 s with GTT quarantined since 5.7;
+        # the warm restore keeps probation due at 6.7 (the first tick
+        # on the restarted grid is 6.75), not one fresh backoff later.
+        out = tmp_path / "log.txt"
+        argv = ["faults", "run", "--resilient", "--plan", str(CRASH_PLAN)]
+        assert main(argv + ["--transitions", "--out", str(out)]) == 0
+        gtt = [line for line in out.read_text().splitlines() if "GTT " in line]
+        assert gtt[1:3] == [
+            "ny 5.700000 path=2 label=GTT quarantine cause=stale backoff=1.000000",
+            "ny 6.750000 path=2 label=GTT probation cause=- backoff=0.000000",
+        ]
 
 
 class TestFaultsRunBadPlan:
