@@ -25,8 +25,8 @@ from conftest import emit
 
 from repro.analysis.report import format_kv
 from repro.core.ecmp_probing import EcmpMapper
-from repro.dataplane.encap import encapsulate
-from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
+from repro.dataplane.encap import encapsulate, tunnel_headers
+from repro.netsim.packet import Ipv6Header, Packet, TangoHeader, UdpHeader
 from repro.scenarios.topologies import build_ecmp_fanout
 
 PROBES = 400
@@ -75,16 +75,11 @@ def run_tunneled():
         lambda s, p: (arrivals.append(s.sim.now - p.created_at), None)[1]
     )
 
+    outer = tunnel_headers("2001:db8:eca::1", "2001:db8:eca::2")
+
     def send(i):
         packet = probe(sport=20000 + i)
-        encapsulate(
-            packet,
-            src="2001:db8:eca::1",
-            dst="2001:db8:eca::2",
-            path_id=0,
-            timestamp_ns=0,
-            seq=i,
-        )
+        encapsulate(packet, outer, TangoHeader(timestamp_ns=0, seq=i, path_id=0))
         net.inject(src, packet)
 
     for i in range(PROBES):

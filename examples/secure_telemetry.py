@@ -71,7 +71,7 @@ def run(auth_key: bytes) -> dict:
         flow_label=77,
     )
     data = ProbeGenerator(
-        deployment.sim, factory, deployment.sender_for("ny"), interval=0.02
+        deployment.sim, [factory], deployment.sender_for("ny"), interval=0.02
     )
     data.start(at=2.0)
     deployment.net.run(until=8.0)

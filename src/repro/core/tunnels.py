@@ -12,11 +12,12 @@ per-packet source-routing decision the core never learns about.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from ..bgp.attributes import LargeCommunity
-from ..netsim.packet import TANGO_UDP_PORT
+from ..dataplane.encap import tunnel_headers
+from ..netsim.packet import TANGO_UDP_PORT, Ipv6Header, UdpHeader
 from .discovery import DiscoveredPath, asn_label
 
 __all__ = ["TangoTunnel", "TunnelTable", "build_tunnels", "bgp_best"]
@@ -43,6 +44,8 @@ class TangoTunnel:
             traverses — physical failure domains (conduits, regional
             grids) plus ``transit:<AS>`` fate tags.  Empty when the
             scenario carries no annotations (legacy behaviour).
+        outer_headers: the tunnel's outer IPv6 and UDP headers, built once
+            from the endpoints and ``sport`` and shared by every packet.
     """
 
     path_id: int
@@ -55,6 +58,16 @@ class TangoTunnel:
     sport: int = TANGO_UDP_PORT
     short_label: str = ""
     srlgs: frozenset[str] = frozenset()
+    outer_headers: tuple[Ipv6Header, UdpHeader] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "outer_headers",
+            tunnel_headers(self.local_endpoint, self.remote_endpoint, self.sport),
+        )
 
     @property
     def is_default_path(self) -> bool:
@@ -92,12 +105,14 @@ class TunnelTable:
 
     This is the "statically configured table" of the paper: both endpoints
     cooperate, so each side simply knows which host prefixes live behind
-    the other's Tango switch.
+    the other's Tango switch.  Each destination's answer (a miss
+    included) is remembered until the next :meth:`add`.
     """
 
     def __init__(self) -> None:
         self._by_prefix: dict[ipaddress.IPv6Network, list[TangoTunnel]] = {}
         self._by_id: dict[int, TangoTunnel] = {}
+        self._memo: dict[ipaddress.IPv6Address, list[TangoTunnel]] = {}
 
     def add(self, remote_host_prefix: ipaddress.IPv6Network, tunnel: TangoTunnel) -> None:
         """Register ``tunnel`` as a way to reach ``remote_host_prefix``."""
@@ -105,13 +120,21 @@ class TunnelTable:
             raise ValueError(f"duplicate tunnel path_id {tunnel.path_id}")
         self._by_prefix.setdefault(remote_host_prefix, []).append(tunnel)
         self._by_id[tunnel.path_id] = tunnel
+        self._memo.clear()
 
     def tunnels_for(self, dst: ipaddress.IPv6Address) -> list[TangoTunnel]:
         """Tunnels toward the Tango edge hosting ``dst`` ([] if none)."""
+        try:
+            return self._memo[dst]
+        except KeyError:
+            pass
+        found: list[TangoTunnel] = []
         for prefix, tunnels in self._by_prefix.items():
             if dst in prefix:
-                return tunnels
-        return []
+                found = tunnels
+                break
+        self._memo[dst] = found
+        return found
 
     def by_id(self, path_id: int) -> Optional[TangoTunnel]:
         return self._by_id.get(path_id)

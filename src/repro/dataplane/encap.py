@@ -10,7 +10,7 @@ wall-clock timestamp, a per-tunnel sequence number, and a path id.
 from __future__ import annotations
 
 import ipaddress
-from typing import Optional, Union
+from typing import Union
 
 from ..netsim.packet import (
     TANGO_UDP_PORT,
@@ -23,6 +23,7 @@ from ..netsim.packet import (
 __all__ = [
     "TunnelDecapError",
     "encapsulate",
+    "tunnel_headers",
     "decapsulate",
     "is_tango_encapsulated",
     "TUNNEL_OVERHEAD_BYTES",
@@ -39,46 +40,51 @@ class TunnelDecapError(ValueError):
     well-formed Tango tunnel packet."""
 
 
-def encapsulate(
-    packet: Packet,
+def tunnel_headers(
     src: Union[str, ipaddress.IPv6Address],
     dst: Union[str, ipaddress.IPv6Address],
-    path_id: int,
-    timestamp_ns: int,
-    seq: int,
     sport: int = TANGO_UDP_PORT,
     dport: int = TANGO_UDP_PORT,
-    auth_tag: Optional[bytes] = None,
-) -> Packet:
-    """Wrap ``packet`` in a Tango tunnel toward ``dst``.
+) -> tuple[Ipv6Header, UdpHeader]:
+    """A tunnel's outer IPv6 and UDP headers, built once per tunnel.
+
+    Headers are frozen, so every packet of the tunnel shares the pair.
 
     Args:
-        packet: the inner (host-addressed) packet; mutated in place.
         src: tunnel source — an address in the local edge's route prefix
             for this path.
         dst: tunnel destination — an address in the remote edge's route
             prefix for this path; this choice *is* the routing decision.
-        path_id: Tango path identifier carried for attribution.
-        timestamp_ns: sender wall-clock timestamp.
-        seq: per-tunnel sequence number.
         sport, dport: tunnel UDP ports.  All packets of a tunnel share
             them, so core ECMP sees one flow.
-        auth_tag: optional authenticated-telemetry MAC.
+    """
+    return (
+        Ipv6Header(
+            src=ipaddress.IPv6Address(src) if isinstance(src, str) else src,
+            dst=ipaddress.IPv6Address(dst) if isinstance(dst, str) else dst,
+        ),
+        UdpHeader(sport=sport, dport=dport),
+    )
+
+
+def encapsulate(
+    packet: Packet,
+    outer: tuple[Ipv6Header, UdpHeader],
+    tango: TangoHeader,
+) -> Packet:
+    """Wrap ``packet`` in a Tango tunnel.
+
+    Args:
+        packet: the inner (host-addressed) packet; mutated in place.
+        outer: the tunnel's shared outer headers (:func:`tunnel_headers`).
+        tango: this packet's Tango header — timestamp, per-tunnel
+            sequence number, path id and optional authenticated-telemetry
+            MAC.
 
     Returns:
         The same packet object with three headers pushed.
     """
-    tango = TangoHeader(
-        timestamp_ns=timestamp_ns, seq=seq, path_id=path_id, auth_tag=auth_tag
-    )
-    packet.push(tango)
-    packet.push(UdpHeader(sport=sport, dport=dport))
-    packet.push(
-        Ipv6Header(
-            src=ipaddress.IPv6Address(src) if isinstance(src, str) else src,
-            dst=ipaddress.IPv6Address(dst) if isinstance(dst, str) else dst,
-        )
-    )
+    packet.push(outer[0], outer[1], tango)
     return packet
 
 

@@ -23,7 +23,7 @@ import ipaddress
 from typing import Callable, Iterable, Optional, Protocol
 
 from ..netsim.node import ProgrammableSwitch
-from ..netsim.packet import Packet, TangoHeader
+from ..netsim.packet import Ipv6Header, Packet, TangoHeader, UdpHeader
 from ..telemetry.auth import TelemetryAuthenticator
 from .encap import decapsulate, encapsulate, is_tango_encapsulated
 from .seqnum import SequenceStamper, SequenceTracker
@@ -43,9 +43,9 @@ class Tunnel(Protocol):
     the concrete class lives in :mod:`repro.core.tunnels`)."""
 
     path_id: int
-    local_endpoint: ipaddress.IPv6Address
-    remote_endpoint: ipaddress.IPv6Address
-    sport: int
+    #: The tunnel's shared outer headers
+    #: (:func:`~repro.dataplane.encap.tunnel_headers`).
+    outer_headers: tuple[Ipv6Header, UdpHeader]
 
 
 #: Looks up the tunnels available toward a destination host address;
@@ -97,20 +97,16 @@ class TangoSenderProgram:
             self.passed_through += 1
             return packet
         tunnel = self.selector.select(tunnels, packet, switch.sim.now)
-        seq = self.stamper.next_for(tunnel.path_id)
+        path_id = tunnel.path_id
+        seq = self.stamper.next_for(path_id)
         timestamp_ns = switch.clock.now_ns()
         auth_tag = None
         if self.authenticator is not None:
-            auth_tag = self.authenticator.tag(timestamp_ns, seq, tunnel.path_id)
+            auth_tag = self.authenticator.tag(timestamp_ns, seq, path_id)
         encapsulate(
             packet,
-            src=tunnel.local_endpoint,
-            dst=tunnel.remote_endpoint,
-            path_id=tunnel.path_id,
-            timestamp_ns=timestamp_ns,
-            seq=seq,
-            sport=tunnel.sport,
-            auth_tag=auth_tag,
+            tunnel.outer_headers,
+            TangoHeader(timestamp_ns, seq, path_id, auth_tag),
         )
         self.encapsulated += 1
         return packet

@@ -153,15 +153,26 @@ def _splitmix64_int(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def uniform_at(seed: int, t: float) -> float:
-    """Scalar :func:`deterministic_uniform`: equal, bit for bit, to
-    ``deterministic_uniform(seed, np.array([t]))[0]``."""
+def _hash_seed(seed: int) -> int:
+    """The per-seed half of the scalar counter hash; a model draws from a
+    fixed stream, so it computes this once, at construction."""
+    return _splitmix64_int(seed & _MASK64)
+
+
+def _uniform_hashed(hashed_seed: int, t: float) -> float:
+    """:func:`uniform_at` given ``_hash_seed(seed)``."""
     # ``& _MASK64`` is the two's-complement view numpy's int64 -> uint64
     # cast takes of a negative grid index.
     index = math.floor(t / _NOISE_QUANTUM) & _MASK64
-    mixed = _splitmix64_int(index ^ _splitmix64_int(seed & _MASK64))
+    mixed = _splitmix64_int(index ^ hashed_seed)
     u = (mixed >> 11) * _TWO_POW_MINUS_53
     return min(max(u, 1e-12), 1.0 - 1e-12)
+
+
+def uniform_at(seed: int, t: float) -> float:
+    """Scalar :func:`deterministic_uniform`: equal, bit for bit, to
+    ``deterministic_uniform(seed, np.array([t]))[0]``."""
+    return _uniform_hashed(_hash_seed(seed), t)
 
 
 def normal_at(seed: int, t: float) -> float:
@@ -229,6 +240,7 @@ class GaussianJitterDelay(DelayModel):
     sigma: float
     seed: int = 0
     _floor: float = field(init=False, repr=False, compare=False)
+    _hashed_seed: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.base < 0:
@@ -240,6 +252,7 @@ class GaussianJitterDelay(DelayModel):
         object.__setattr__(
             self, "_floor", self.base * 0.9 if self.sigma > 0 else self.base
         )
+        object.__setattr__(self, "_hashed_seed", _hash_seed(self.seed))
 
     def delays(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)
@@ -247,7 +260,8 @@ class GaussianJitterDelay(DelayModel):
         return np.maximum(self.base + noise, self.floor)
 
     def delay_at(self, t: float) -> float:
-        return max(self.base + normal_at(self.seed, t) * self.sigma, self._floor)
+        normal = float(ndtri(_uniform_hashed(self._hashed_seed, t)))
+        return max(self.base + normal * self.sigma, self._floor)
 
     @property
     def floor(self) -> float:
@@ -302,6 +316,8 @@ class SpikeProcess(DelayModel):
     seed: int = 1
     #: Chance that one quantized sample spikes.
     _probability: float = field(init=False, repr=False, compare=False)
+    #: ``_hash_seed`` of the gate stream and of the magnitude stream.
+    _hashed_seeds: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rate_per_second < 0:
@@ -314,6 +330,9 @@ class SpikeProcess(DelayModel):
         object.__setattr__(
             self, "_probability", min(self.rate_per_second * _NOISE_QUANTUM, 1.0)
         )
+        object.__setattr__(
+            self, "_hashed_seeds", (_hash_seed(self.seed), _hash_seed(self.seed + 1))
+        )
 
     def delays(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)
@@ -325,8 +344,9 @@ class SpikeProcess(DelayModel):
         return np.where(gate, spikes, 0.0)
 
     def delay_at(self, t: float) -> float:
-        if uniform_at(self.seed, t) < self._probability:
-            return self.min_magnitude + uniform_at(self.seed + 1, t) * (
+        gate, magnitude = self._hashed_seeds
+        if _uniform_hashed(gate, t) < self._probability:
+            return self.min_magnitude + _uniform_hashed(magnitude, t) * (
                 self.max_magnitude - self.min_magnitude
             )
         return 0.0
@@ -376,10 +396,12 @@ class RouteChangeEvent(DelayEvent):
     transition: float = 30.0
     churn_max: float = 10e-3
     seed: int = 2
+    _hashed_seed: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.transition > self.duration:
             raise ValueError("transition period cannot exceed event duration")
+        object.__setattr__(self, "_hashed_seed", _hash_seed(self.seed))
 
     def extra_delays(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)
@@ -396,7 +418,7 @@ class RouteChangeEvent(DelayEvent):
     def extra_at(self, t: float) -> float:
         rel = t - self.start
         if 0 <= rel < self.transition:
-            return uniform_at(self.seed, t) * self.churn_max
+            return _uniform_hashed(self._hashed_seed, t) * self.churn_max
         if self.transition <= rel < self.duration:
             return float(self.shift)
         return 0.0
@@ -420,12 +442,21 @@ class InstabilityEvent(DelayEvent):
     spike_max: float = 50e-3
     minor_max: float = 2e-3
     seed: int = 3
+    #: ``_hash_seed`` of the spike, magnitude and minor-bump streams.
+    _hashed_seeds: tuple[int, int, int] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not 0 <= self.spike_probability <= 1:
             raise ValueError("spike_probability must be in [0, 1]")
         if not 0 <= self.spike_min <= self.spike_max:
             raise ValueError("need 0 <= spike_min <= spike_max")
+        object.__setattr__(
+            self,
+            "_hashed_seeds",
+            tuple(_hash_seed(self.seed + k) for k in range(3)),
+        )
 
     def extra_delays(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)
@@ -445,11 +476,12 @@ class InstabilityEvent(DelayEvent):
     def extra_at(self, t: float) -> float:
         if not 0 <= t - self.start < self.duration:
             return 0.0
-        if uniform_at(self.seed, t) < self.spike_probability:
-            return self.spike_min + uniform_at(self.seed + 1, t) * (
+        spike, magnitude, minor = self._hashed_seeds
+        if _uniform_hashed(spike, t) < self.spike_probability:
+            return self.spike_min + _uniform_hashed(magnitude, t) * (
                 self.spike_max - self.spike_min
             )
-        return uniform_at(self.seed + 2, t) * self.minor_max
+        return _uniform_hashed(minor, t) * self.minor_max
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
 """Discrete-event simulation core.
 
-A small, deterministic event loop: events are ``(time, sequence, callback)``
-triples kept in a binary heap.  The sequence number makes ordering of
-same-time events deterministic (FIFO), which keeps every experiment in the
-repository reproducible bit-for-bit for a given seed.
+A small, deterministic event loop: the heap holds ``(time, sequence,
+event)`` tuples, so heap order is the tuple order CPython compares in C
+(sequence numbers are unique, so the event itself is never compared).
+The sequence number makes ordering of same-time events deterministic
+(FIFO), which keeps every experiment in the repository reproducible
+bit-for-bit for a given seed.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable, Optional
 
 from .simclock import SimClock
@@ -48,12 +51,6 @@ class Event:
         if self._sim is not None:
             self._sim._note_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        # Heap order is (time, seq); spelled out because this runs ~8
-        # times per event and two tuple builds dominated it.
-        time, other_time = self.time, other.time
-        return time < other_time or (time == other_time and self.seq < other.seq)
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.9f}, seq={self.seq}, {state})"
@@ -77,7 +74,9 @@ class Simulator:
 
     def __init__(self, start: float = 0.0) -> None:
         self.clock = SimClock(start)
-        self._queue: list[Event] = []
+        #: ``(time, seq, event)`` entries; replaced only in place, so a
+        #: local alias held by :meth:`run` survives a compaction.
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._events_processed = 0
         self._cancelled_pending = 0
@@ -125,7 +124,7 @@ class Simulator:
         internal array layout."""
         self.tombstones_reaped += self._cancelled_pending
         self.compactions += 1
-        self._queue = [e for e in self._queue if not e.cancelled]
+        self._queue[:] = [entry for entry in self._queue if not entry[2].cancelled]
         heapq.heapify(self._queue)
         self._cancelled_pending = 0
 
@@ -133,14 +132,18 @@ class Simulator:
         """Schedule ``callback`` to run at absolute simulation time ``time``.
 
         Raises:
-            ValueError: if ``time`` is before the current simulation time.
+            ValueError: if ``time`` is NaN or before the current simulation
+                time.
         """
-        if time < self.clock.now:
-            raise ValueError(
-                f"cannot schedule in the past: {time} < {self.clock.now}"
-            )
-        event = Event(time, next(self._seq), callback, sim=self)
-        heapq.heappush(self._queue, event)
+        now = self.clock.now
+        # One comparison rejects both: NaN is not >= anything.
+        if not time >= now:
+            if time != time:
+                raise ValueError(f"cannot schedule at time {time}")
+            raise ValueError(f"cannot schedule in the past: {time} < {now}")
+        seq = next(self._seq)
+        event = Event(time, seq, callback, sim=self)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_in(self, delay: float, callback: Callable[[], None]) -> Event:
@@ -157,22 +160,25 @@ class Simulator:
                 clock is left at ``until``.  ``None`` runs to exhaustion.
             max_events: safety valve against runaway schedules.
         """
+        queue = self._queue
+        pop = heapq.heappop
+        advance_to = self.clock.advance_to
         executed = 0
-        while self._queue:
+        while queue:
             if max_events is not None and executed >= max_events:
                 break
-            event = self._queue[0]
+            time, _seq, event = queue[0]
             if event.cancelled:
-                heapq.heappop(self._queue)
+                pop(queue)
                 self._cancelled_pending -= 1
                 continue
-            if until is not None and event.time > until:
+            if until is not None and time > until:
                 break
-            heapq.heappop(self._queue)
+            pop(queue)
             # Detach so a cancel() from inside the callback (a task
             # pausing itself) is not counted as a queued tombstone.
             event._sim = None
-            self.clock.advance_to(event.time)
+            advance_to(time)
             event.callback()
             self._events_processed += 1
             executed += 1
@@ -186,12 +192,12 @@ class Simulator:
             True if an event ran, False if the queue is empty.
         """
         while self._queue:
-            event = heapq.heappop(self._queue)
+            time, _seq, event = heapq.heappop(self._queue)
             if event.cancelled:
                 self._cancelled_pending -= 1
                 continue
             event._sim = None
-            self.clock.advance_to(event.time)
+            self.clock.advance_to(time)
             event.callback()
             self._events_processed += 1
             return True
@@ -209,9 +215,15 @@ class Simulator:
 
         This is the workhorse behind probe generators (the paper sends one
         probe per path every 10 ms).  The returned handle can be stopped.
+
+        Raises:
+            ValueError: if ``interval`` is not a positive finite number, or
+                ``start`` is not finite.
         """
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
+        if not (interval > 0 and math.isfinite(interval)):
+            raise ValueError(f"interval must be positive and finite, got {interval}")
+        if start is not None and not math.isfinite(start):
+            raise ValueError(f"start must be finite, got {start}")
         task = PeriodicTask(self, interval, callback, end=end)
         first = self.clock.now if start is None else start
         task._arm(first)

@@ -64,11 +64,14 @@ class Fib:
 
     Small and explicit rather than trie-based: edge and backbone tables in
     these experiments hold tens of routes, and an ordered scan keeps the
-    matching semantics obvious.
+    matching semantics obvious.  A router sees few distinct destinations,
+    so each lookup's answer (a miss included) is remembered per address
+    until the next route change.
     """
 
     def __init__(self) -> None:
         self._entries: list[FibEntry] = []
+        self._memo: dict[IPAddress, Optional[FibEntry]] = {}
 
     def add_route(
         self, prefix: Union[str, IPNetwork], links: Union["Link", Sequence["Link"]]
@@ -86,6 +89,7 @@ class Fib:
         self._entries.append(entry)
         # Keep longest prefixes first so the first containment hit wins.
         self._entries.sort(key=lambda e: e.prefix.prefixlen, reverse=True)
+        self._memo.clear()
         return entry
 
     def remove_route(self, prefix: Union[str, IPNetwork]) -> bool:
@@ -93,14 +97,22 @@ class Fib:
         network = ipaddress.ip_network(prefix) if isinstance(prefix, str) else prefix
         before = len(self._entries)
         self._entries = [e for e in self._entries if e.prefix != network]
+        self._memo.clear()
         return len(self._entries) != before
 
     def lookup(self, address: IPAddress) -> Optional[FibEntry]:
         """Longest-prefix match, or None if no route covers ``address``."""
+        try:
+            return self._memo[address]
+        except KeyError:
+            pass
+        found = None
         for entry in self._entries:
             if entry.prefix.version == address.version and address in entry.prefix:
-                return entry
-        return None
+                found = entry
+                break
+        self._memo[address] = found
+        return found
 
     def routes(self) -> list[FibEntry]:
         """All installed entries, longest prefix first."""

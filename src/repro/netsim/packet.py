@@ -48,6 +48,9 @@ class Ipv4Header:
     dst: ipaddress.IPv4Address
     ttl: int = 64
     protocol: int = 17
+    _successor: Optional["Ipv4Header"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     WIRE_BYTES = 20
     #: On-wire size of this header; every header type answers ``wire_bytes``.
@@ -56,6 +59,15 @@ class Ipv4Header:
     @property
     def version(self) -> int:
         return 4
+
+    def decremented(self) -> "Ipv4Header":
+        """This header with ``ttl`` one lower, built on first use and then
+        kept here: every packet sharing this header shares its successor."""
+        successor = self._successor
+        if successor is None:
+            successor = Ipv4Header(self.src, self.dst, self.ttl - 1, self.protocol)
+            object.__setattr__(self, "_successor", successor)
+        return successor
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,9 @@ class Ipv6Header:
     dst: ipaddress.IPv6Address
     hop_limit: int = 64
     next_header: int = 17
+    _successor: Optional["Ipv6Header"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     WIRE_BYTES = 40
     wire_bytes = WIRE_BYTES
@@ -77,6 +92,18 @@ class Ipv6Header:
     @property
     def version(self) -> int:
         return 6
+
+    def decremented(self) -> "Ipv6Header":
+        """This header with ``hop_limit`` one lower, built on first use and
+        then kept here: every packet sharing this header shares its
+        successor."""
+        successor = self._successor
+        if successor is None:
+            successor = Ipv6Header(
+                self.src, self.dst, self.hop_limit - 1, self.next_header
+            )
+            object.__setattr__(self, "_successor", successor)
+        return successor
 
 
 @dataclass(frozen=True)
@@ -181,9 +208,10 @@ class Packet:
 
     # -- header stack operations -------------------------------------------
 
-    def push(self, header: Header) -> None:
-        """Encapsulate: add ``header`` as the new outermost header."""
-        self.headers.insert(0, header)
+    def push(self, *headers: Header) -> None:
+        """Encapsulate: add ``headers`` as the new outermost headers,
+        outermost first."""
+        self.headers[0:0] = headers
 
     def pop(self) -> Header:
         """Decapsulate: remove and return the outermost header."""
@@ -271,14 +299,10 @@ class Packet:
                 discarded by the caller; loops surface loudly, not silently).
         """
         ip = self.outer_ip
-        index = self.headers.index(ip)
         if isinstance(ip, Ipv4Header):
             if ip.ttl <= 1:
                 raise ValueError(f"TTL expired for packet {self.packet_id}")
-            new_ip: Header = Ipv4Header(ip.src, ip.dst, ip.ttl - 1, ip.protocol)
-        else:
-            if ip.hop_limit <= 1:
-                raise ValueError(f"hop limit expired for packet {self.packet_id}")
-            new_ip = Ipv6Header(ip.src, ip.dst, ip.hop_limit - 1, ip.next_header)
-        self.headers[index] = new_ip
+        elif ip.hop_limit <= 1:
+            raise ValueError(f"hop limit expired for packet {self.packet_id}")
+        self.headers[self.headers.index(ip)] = ip.decremented()
         return self

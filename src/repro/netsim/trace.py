@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .events import PeriodicTask, Simulator
 from .packet import Ipv6Header, Packet, UdpHeader
@@ -58,28 +58,32 @@ class PacketFactory:
 
 
 class ProbeGenerator:
-    """Constant-rate probe stream, one packet every ``interval`` seconds.
+    """Constant-rate probe streams: every ``interval`` seconds, one packet
+    from each factory, in factory order.
 
     This is the paper's measurement workload ("we ran a ping along each
     path every 10ms"), except that Tango needs no ping: any packet gets
     timestamped by the sender-side program, so probes here are ordinary
-    small UDP packets.
+    small UDP packets.  One generator carries all of an edge's per-path
+    streams as one heap event per round; a one-factory generator is one
+    plain stream.
     """
 
     def __init__(
         self,
         sim: Simulator,
-        factory: PacketFactory,
+        factories: Sequence[PacketFactory],
         send: Callable[[Packet], None],
         interval: float = 0.010,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
         self._sim = sim
-        self._factory = factory
+        self._factories = tuple(factories)
         self._send = send
         self._interval = interval
         self._task: Optional[PeriodicTask] = None
+        #: Packets sent, over all factories.
         self.sent = 0
 
     def start(self, at: Optional[float] = None, until: Optional[float] = None) -> None:
@@ -97,10 +101,13 @@ class ProbeGenerator:
             self._task = None
 
     def _emit(self) -> None:
-        packet = self._factory.build()
-        packet.created_at = self._sim.now
-        self.sent += 1
-        self._send(packet)
+        now = self._sim.now
+        send = self._send
+        for factory in self._factories:
+            packet = factory.build()
+            packet.created_at = now
+            self.sent += 1
+            send(packet)
 
 
 #: Every ``BURST_EVERY``-th drone packet carries ``BURST_MULTIPLIER``

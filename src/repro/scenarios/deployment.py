@@ -256,9 +256,10 @@ class PacketLevelDeployment:
 
     def start_path_probes(
         self, src: str, interval_s: Optional[float] = None
-    ) -> list[ProbeGenerator]:
+    ) -> ProbeGenerator:
         """One probe stream pinned to each path from ``src`` (the paper
-        ran "a ping along each path every 10ms")."""
+        ran "a ping along each path every 10ms"), all carried by one
+        generator: a round sends one probe per path, in tunnel order."""
         if self.state is None:
             raise RuntimeError("call establish() first")
         interval = interval_s or self.pairing.probe_interval_s
@@ -268,24 +269,26 @@ class PacketLevelDeployment:
         if not isinstance(selector, ApplicationSelector):
             selector = ApplicationSelector(default=selector)
             gateway.set_selector(selector)
-        generators = []
-        send = self.sender_for(src)
+        factories = []
         for index, tunnel in enumerate(self.tunnels(src)):
             flow_label = 1000 + tunnel.path_id
             selector.assign(flow_label, StaticSelector(index))
-            factory = PacketFactory(
-                src=str(self.pairing.edge(src).host_address(2)),
-                dst=str(dst_edge.host_address(2)),
-                sport=52000 + index,
-                dport=52000,
-                payload_bytes=16,
-                flow_label=flow_label,
+            factories.append(
+                PacketFactory(
+                    src=str(self.pairing.edge(src).host_address(2)),
+                    dst=str(dst_edge.host_address(2)),
+                    sport=52000 + index,
+                    dport=52000,
+                    payload_bytes=16,
+                    flow_label=flow_label,
+                )
             )
-            generator = ProbeGenerator(self.sim, factory, send, interval)
+        generator = ProbeGenerator(self.sim, factories, self.sender_for(src), interval)
+        # An edge with no tunnels has nothing to probe: schedule no rounds.
+        if factories:
             generator.start()
-            generators.append(generator)
             self._probe_generators.append(generator)
-        return generators
+        return generator
 
     def stop_probes(self) -> None:
         for generator in self._probe_generators:

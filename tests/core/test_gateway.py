@@ -9,7 +9,7 @@ from repro.core.gateway import TangoGateway
 from repro.core.policy import StaticSelector
 from repro.core.tunnels import TangoTunnel
 from repro.netsim.topology import Network
-from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
+from repro.netsim.packet import Ipv6Header, Packet, TangoHeader, UdpHeader
 from repro.dataplane.encap import is_tango_encapsulated
 
 
@@ -109,7 +109,7 @@ class TestDataPath:
     def test_inbound_measurement_recorded(self):
         net, switch, gateway = make_gateway()
         # Build an encapsulated packet addressed to our endpoint.
-        from repro.dataplane.encap import encapsulate
+        from repro.dataplane.encap import encapsulate, tunnel_headers
 
         inner = Packet(
             headers=[
@@ -121,11 +121,8 @@ class TestDataPath:
         )
         encapsulate(
             inner,
-            src="2001:db8:c0::1",
-            dst="2001:db8:b0::1",
-            path_id=5,
-            timestamp_ns=0,
-            seq=0,
+            tunnel_headers("2001:db8:c0::1", "2001:db8:b0::1"),
+            TangoHeader(timestamp_ns=0, seq=0, path_id=5),
         )
         net.sim.clock.advance_to(0.030)
         host = net.add_host("host")

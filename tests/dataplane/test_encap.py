@@ -10,11 +10,13 @@ from repro.dataplane.encap import (
     decapsulate,
     encapsulate,
     is_tango_encapsulated,
+    tunnel_headers,
 )
 from repro.netsim.packet import (
     TANGO_UDP_PORT,
     Ipv6Header,
     Packet,
+    TangoHeader,
     UdpHeader,
 )
 
@@ -32,17 +34,23 @@ def inner_packet():
     )
 
 
-def encap(packet=None, **kwargs):
+def encap(
+    packet=None,
+    src="2001:db8:a0::1",
+    dst="2001:db8:b0::1",
+    path_id=3,
+    timestamp_ns=123_456_789,
+    seq=42,
+    sport=TANGO_UDP_PORT,
+    dport=TANGO_UDP_PORT,
+    auth_tag=None,
+):
     packet = packet or inner_packet()
-    defaults = dict(
-        src="2001:db8:a0::1",
-        dst="2001:db8:b0::1",
-        path_id=3,
-        timestamp_ns=123_456_789,
-        seq=42,
+    return encapsulate(
+        packet,
+        tunnel_headers(src, dst, sport, dport),
+        TangoHeader(timestamp_ns, seq, path_id, auth_tag),
     )
-    defaults.update(kwargs)
-    return encapsulate(packet, **defaults)
 
 
 class TestEncapsulate:
@@ -80,6 +88,15 @@ class TestEncapsulate:
         packet = encap(auth_tag=b"12345678")
         assert packet.tango.auth_tag == b"12345678"
 
+    def test_packets_of_a_tunnel_share_its_outer_headers(self):
+        outer = tunnel_headers("2001:db8:a0::1", "2001:db8:b0::1", 40001)
+        first, second = inner_packet(), inner_packet()
+        encapsulate(first, outer, TangoHeader(1, 0, 3))
+        encapsulate(second, outer, TangoHeader(2, 1, 3))
+        assert first.headers[0] is second.headers[0] is outer[0]
+        assert first.headers[1] is second.headers[1] is outer[1]
+        assert first.tango.seq == 0 and second.tango.seq == 1
+
 
 class TestDetection:
     def test_encapsulated_detected(self):
@@ -112,14 +129,7 @@ class TestDecapsulate:
 
     def test_double_encap_decap_peels_one_layer(self):
         packet = encap()
-        encapsulate(
-            packet,
-            src="2001:db8:c0::1",
-            dst="2001:db8:d0::1",
-            path_id=7,
-            timestamp_ns=1,
-            seq=0,
-        )
+        encap(packet, src="2001:db8:c0::1", dst="2001:db8:d0::1", path_id=7)
         inner, tango, _ = decapsulate(packet)
         assert tango.path_id == 7
         assert is_tango_encapsulated(inner)

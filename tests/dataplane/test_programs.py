@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.dataplane.encap import is_tango_encapsulated
+from repro.dataplane.encap import is_tango_encapsulated, tunnel_headers
 from repro.dataplane.programs import TangoReceiverProgram, TangoSenderProgram
 from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
 from repro.netsim.topology import Network
@@ -15,9 +15,7 @@ from repro.telemetry.auth import TelemetryAuthenticator
 @dataclass(frozen=True)
 class FakeTunnel:
     path_id: int
-    local_endpoint: ipaddress.IPv6Address
-    remote_endpoint: ipaddress.IPv6Address
-    sport: int = 40000
+    outer_headers: tuple[Ipv6Header, UdpHeader]
 
 
 class FirstTunnelSelector:
@@ -25,10 +23,11 @@ class FirstTunnelSelector:
         return tunnels[0]
 
 
+LOCAL_ENDPOINT = ipaddress.IPv6Address("2001:db8:a0::1")
+REMOTE_ENDPOINT = ipaddress.IPv6Address("2001:db8:b0::1")
+
 TUNNEL = FakeTunnel(
-    path_id=5,
-    local_endpoint=ipaddress.IPv6Address("2001:db8:a0::1"),
-    remote_endpoint=ipaddress.IPv6Address("2001:db8:b0::1"),
+    path_id=5, outer_headers=tunnel_headers(LOCAL_ENDPOINT, REMOTE_ENDPOINT, 40000)
 )
 
 REMOTE_HOST_PREFIX = ipaddress.ip_network("2001:db8:20::/48")
@@ -109,7 +108,7 @@ class TestReceiverProgram:
         sender = TangoSenderProgram(lookup, FirstTunnelSelector())
         measurements = []
         receiver = TangoReceiverProgram(
-            local_endpoints=[TUNNEL.remote_endpoint],
+            local_endpoints=[REMOTE_ENDPOINT],
             on_measurement=lambda pid, t, owd, hdr: measurements.append(
                 (pid, owd)
             ),
@@ -160,7 +159,7 @@ class TestReceiverProgram:
         rx = net.add_switch("rx")
         sender = TangoSenderProgram(lookup, FirstTunnelSelector(), authenticator=auth)
         receiver = TangoReceiverProgram(
-            local_endpoints=[TUNNEL.remote_endpoint], authenticator=auth
+            local_endpoints=[REMOTE_ENDPOINT], authenticator=auth
         )
         inner = receiver(rx, sender(tx, data_packet()))
         assert inner is not None
@@ -173,7 +172,7 @@ class TestReceiverProgram:
         rx = net.add_switch("rx")
         sender = TangoSenderProgram(lookup, FirstTunnelSelector(), authenticator=auth)
         receiver = TangoReceiverProgram(
-            local_endpoints=[TUNNEL.remote_endpoint], authenticator=auth
+            local_endpoints=[REMOTE_ENDPOINT], authenticator=auth
         )
         packet = sender(tx, data_packet())
         # Tamper: replace the Tango header timestamp (tag now stale).
@@ -189,6 +188,6 @@ class TestReceiverProgram:
         rx = net.add_switch("rx")
         sender = TangoSenderProgram(lookup, FirstTunnelSelector())  # no auth
         receiver = TangoReceiverProgram(
-            local_endpoints=[TUNNEL.remote_endpoint], authenticator=auth
+            local_endpoints=[REMOTE_ENDPOINT], authenticator=auth
         )
         assert receiver(rx, sender(tx, data_packet())) is None

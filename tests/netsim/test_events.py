@@ -1,5 +1,7 @@
 """Tests for the discrete-event loop."""
 
+import math
+
 import pytest
 
 from repro.netsim.events import Simulator
@@ -29,6 +31,24 @@ class TestScheduling:
         sim = Simulator()
         with pytest.raises(ValueError, match="non-negative"):
             sim.schedule_in(-0.1, lambda: None)
+
+    def test_nan_time_raises(self):
+        sim = Simulator(start=1.0)
+        with pytest.raises(ValueError, match="nan"):
+            sim.schedule_at(math.nan, lambda: None)
+        assert sim.pending == 0
+
+    def test_nan_delay_raises_and_leaves_the_clock_alone(self):
+        """A NaN used to compare neither before nor after anything: the
+        event sat at the heap's top, ran first and set the clock to NaN."""
+        sim = Simulator(start=1.0)
+        seen = []
+        sim.schedule_at(2.0, lambda: seen.append(sim.now))
+        with pytest.raises(ValueError, match="nan"):
+            sim.schedule_in(math.nan, lambda: seen.append("nan"))
+        sim.run()
+        assert seen == [2.0]
+        assert sim.now == 2.0
 
     def test_events_run_in_time_order(self):
         sim = Simulator()
@@ -163,6 +183,20 @@ class TestPeriodicTask:
     def test_zero_interval_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             Simulator().call_every(0.0, lambda: None)
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf])
+    def test_non_finite_interval_rejected(self, interval):
+        sim = Simulator()
+        with pytest.raises(ValueError, match=str(interval)):
+            sim.call_every(interval, lambda: None)
+        assert sim.pending == 0
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf])
+    def test_non_finite_start_rejected(self, start):
+        sim = Simulator()
+        with pytest.raises(ValueError, match=str(start)):
+            sim.call_every(1.0, lambda: None, start=start)
+        assert sim.pending == 0
 
 
 class TestPeriodicPauseResume:

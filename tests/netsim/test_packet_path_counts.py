@@ -1,0 +1,199 @@
+"""Counted, not timed: the packet path builds no outer header and scans no
+prefix per packet, and a probe round is one heap event per edge.
+
+A tunnel's outer IPv6 and UDP headers are built once
+(``TangoTunnel.outer_headers``), a header's hop-limit successor once
+(``Ipv6Header.decremented``), and ``Fib.lookup`` / ``TunnelTable.
+tunnels_for`` answer a destination they have seen from a memo.  After a
+warm-up, constructions and ``IPv6Network.__contains__`` calls are
+counted over a live Vultr run — exact on any host; each regression
+would show up as a multiple of the packet count.  The memos are also
+checked to forget on every route or tunnel change.
+"""
+
+import ipaddress
+from collections import Counter
+
+import pytest
+
+from repro.core.session import TelemetryMirror
+from repro.core.tunnels import TangoTunnel, TunnelTable
+from repro.netsim.node import Fib
+from repro.netsim.packet import Ipv6Header, TangoHeader, UdpHeader
+from repro.netsim.topology import Network
+from repro.netsim.trace import PacketFactory, ProbeGenerator
+from repro.scenarios.vultr import VultrDeployment
+
+EDGES = ("ny", "la")
+WARM_UP_S = 0.5
+UNTIL_S = 1.5
+
+
+def probing_deployment() -> VultrDeployment:
+    """Both edges probing every path, plus a 20 ms data stream from ny
+    that takes the data policy's tunnel."""
+    deployment = VultrDeployment(include_events=False)
+    deployment.establish()
+    for edge in EDGES:
+        deployment.start_path_probes(edge)
+    data = PacketFactory(
+        src=str(deployment.pairing.a.host_address(4)),
+        dst=str(deployment.pairing.b.host_address(4)),
+        flow_label=9,
+    )
+    send = deployment.sender_for("ny")
+    deployment.sim.call_every(0.02, lambda: send(data.build()))
+    return deployment
+
+
+def encapsulated(deployment) -> int:
+    return sum(g.sender.encapsulated for g in deployment.gateways.values())
+
+
+def test_no_outer_header_build_or_prefix_scan_per_packet(monkeypatch):
+    deployment = probing_deployment()
+    deployment.net.run(until=WARM_UP_S)
+    built = Counter()
+    for cls in (Ipv6Header, UdpHeader, TangoHeader):
+        original = cls.__init__
+
+        def counting(self, *args, _cls=cls, _original=original, **kwargs):
+            built[_cls] += 1
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    contains = ipaddress.IPv6Network.__contains__
+    scans = []
+
+    def counting_contains(self, other):
+        scans.append(other)
+        return contains(self, other)
+
+    monkeypatch.setattr(ipaddress.IPv6Network, "__contains__", counting_contains)
+    before = encapsulated(deployment)
+    deployment.net.run(until=UNTIL_S)
+    packets = encapsulated(deployment) - before
+    # 100 rounds of 4 probes per edge, plus 50 data packets.
+    assert packets == 2 * 4 * 100 + 50
+    assert built[Ipv6Header] == 0
+    assert built[UdpHeader] == 0
+    assert built[TangoHeader] == packets
+    assert scans == []
+
+
+def test_a_probe_round_is_one_heap_event_per_edge(monkeypatch):
+    rounds, syncs = [], []
+    emit, sync = ProbeGenerator._emit, TelemetryMirror.sync
+
+    def counting_emit(self):
+        rounds.append(self._sim.now)
+        emit(self)
+
+    def counting_sync(self, *args, **kwargs):
+        syncs.append(self)
+        return sync(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProbeGenerator, "_emit", counting_emit)
+    monkeypatch.setattr(TelemetryMirror, "sync", counting_sync)
+    deployment = VultrDeployment(include_events=False)
+    deployment.establish()
+    generators = [deployment.start_path_probes(edge) for edge in EDGES]
+    events_before = deployment.sim.events_processed
+    deployment.net.run(until=0.995)
+    # Rounds at 0.00 .. 0.99 s: one firing per edge, one packet per path.
+    assert len(set(rounds)) == 100
+    assert len(rounds) == len(EDGES) * 100
+    paths = sum(len(deployment.tunnels(edge)) for edge in EDGES)
+    assert sum(g.sent for g in generators) == paths * 100
+    # Every other event is a link delivery or a telemetry-mirror sync.
+    deliveries = sum(l.stats.delivered for l in deployment.net.links.values())
+    processed = deployment.sim.events_processed - events_before
+    assert processed == len(rounds) + deliveries + len(syncs)
+
+
+class TestFibMemo:
+    def lookup_pair(self):
+        net = Network()
+        a, b = net.add_host("a"), net.add_host("b")
+        link_a = net.add_link("a->b", a, b, delay_s=0.001)
+        link_b = net.add_link("b->a", b, a, delay_s=0.001)
+        return Fib(), link_a, link_b
+
+    def test_add_route_after_a_cached_miss(self):
+        fib, link_a, _ = self.lookup_pair()
+        address = ipaddress.IPv6Address("2001:db8:1::5")
+        assert fib.lookup(address) is None
+        fib.add_route("2001:db8:1::/48", link_a)
+        assert fib.lookup(address).links == [link_a]
+
+    def test_more_specific_route_after_a_cached_hit(self):
+        fib, link_a, link_b = self.lookup_pair()
+        address = ipaddress.IPv6Address("2001:db8:1::5")
+        fib.add_route("2001:db8::/32", link_a)
+        assert fib.lookup(address).links == [link_a]
+        fib.add_route("2001:db8:1::/48", link_b)
+        assert fib.lookup(address).links == [link_b]
+
+    def test_remove_route_after_a_cached_hit(self):
+        fib, link_a, link_b = self.lookup_pair()
+        address = ipaddress.IPv6Address("2001:db8:1::5")
+        fib.add_route("2001:db8::/32", link_a)
+        fib.add_route("2001:db8:1::/48", link_b)
+        assert fib.lookup(address).links == [link_b]
+        assert fib.remove_route("2001:db8:1::/48")
+        assert fib.lookup(address).links == [link_a]
+        fib.remove_route("2001:db8::/32")
+        assert fib.lookup(address) is None
+
+    def test_replacing_a_route_after_a_cached_hit(self):
+        fib, link_a, link_b = self.lookup_pair()
+        address = ipaddress.IPv6Address("2001:db8:1::5")
+        fib.add_route("2001:db8:1::/48", link_a)
+        assert fib.lookup(address).links == [link_a]
+        fib.add_route("2001:db8:1::/48", link_b)
+        assert fib.lookup(address).links == [link_b]
+
+
+def tunnel(path_id: int) -> TangoTunnel:
+    return TangoTunnel(
+        path_id=path_id,
+        label=f"path {path_id}",
+        local_endpoint=ipaddress.IPv6Address(f"2001:db8:a{path_id}::1"),
+        remote_endpoint=ipaddress.IPv6Address(f"2001:db8:b{path_id}::1"),
+        remote_prefix=ipaddress.IPv6Network(f"2001:db8:b{path_id}::/48"),
+    )
+
+
+class TestTunnelTableMemo:
+    HOSTS = ipaddress.IPv6Network("2001:db8:20::/48")
+    ADDRESS = ipaddress.IPv6Address("2001:db8:20::9")
+
+    def test_add_after_a_cached_miss(self):
+        table = TunnelTable()
+        assert table.tunnels_for(self.ADDRESS) == []
+        table.add(self.HOSTS, tunnel(0))
+        assert [t.path_id for t in table.tunnels_for(self.ADDRESS)] == [0]
+
+    def test_add_after_a_cached_hit(self):
+        table = TunnelTable()
+        table.add(self.HOSTS, tunnel(0))
+        assert [t.path_id for t in table.tunnels_for(self.ADDRESS)] == [0]
+        table.add(self.HOSTS, tunnel(1))
+        assert [t.path_id for t in table.tunnels_for(self.ADDRESS)] == [0, 1]
+
+    def test_add_for_another_prefix_after_a_cached_miss(self):
+        table = TunnelTable()
+        table.add(self.HOSTS, tunnel(0))
+        other = ipaddress.IPv6Address("2001:db8:30::9")
+        assert table.tunnels_for(other) == []
+        table.add(ipaddress.IPv6Network("2001:db8:30::/48"), tunnel(1))
+        assert [t.path_id for t in table.tunnels_for(other)] == [1]
+
+
+@pytest.mark.parametrize("path_id", [0, 3])
+def test_tunnel_outer_headers_are_its_endpoints(path_id):
+    t = tunnel(path_id)
+    outer_ip, outer_udp = t.outer_headers
+    assert (outer_ip.src, outer_ip.dst) == (t.local_endpoint, t.remote_endpoint)
+    assert outer_udp.sport == t.sport
+    assert tunnel(path_id).outer_headers == t.outer_headers

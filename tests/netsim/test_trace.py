@@ -52,7 +52,7 @@ class TestProbeGenerator:
     def test_emits_at_interval(self):
         sim = Simulator()
         sent = []
-        gen = ProbeGenerator(sim, FACTORY, sent.append, interval=0.010)
+        gen = ProbeGenerator(sim, [FACTORY], sent.append, interval=0.010)
         gen.start()
         sim.run(until=0.1)
         assert len(sent) == 11  # t=0.00 .. 0.10 inclusive
@@ -61,7 +61,7 @@ class TestProbeGenerator:
     def test_start_at_future_time(self):
         sim = Simulator()
         sent = []
-        gen = ProbeGenerator(sim, FACTORY, sent.append, interval=0.010)
+        gen = ProbeGenerator(sim, [FACTORY], sent.append, interval=0.010)
         gen.start(at=0.05)
         sim.run(until=0.1)
         assert len(sent) == 6
@@ -69,7 +69,7 @@ class TestProbeGenerator:
     def test_until_bound(self):
         sim = Simulator()
         sent = []
-        gen = ProbeGenerator(sim, FACTORY, sent.append, interval=0.010)
+        gen = ProbeGenerator(sim, [FACTORY], sent.append, interval=0.010)
         gen.start(until=0.05)
         sim.run(until=1.0)
         assert len(sent) == 6
@@ -77,7 +77,7 @@ class TestProbeGenerator:
     def test_stop(self):
         sim = Simulator()
         sent = []
-        gen = ProbeGenerator(sim, FACTORY, sent.append, interval=0.010)
+        gen = ProbeGenerator(sim, [FACTORY], sent.append, interval=0.010)
         gen.start()
         sim.run(until=0.05)
         gen.stop()
@@ -86,7 +86,7 @@ class TestProbeGenerator:
 
     def test_double_start_rejected(self):
         sim = Simulator()
-        gen = ProbeGenerator(sim, FACTORY, lambda p: None)
+        gen = ProbeGenerator(sim, [FACTORY], lambda p: None)
         gen.start()
         with pytest.raises(RuntimeError):
             gen.start()
@@ -94,13 +94,32 @@ class TestProbeGenerator:
     def test_probes_carry_created_at(self):
         sim = Simulator()
         sent = []
-        ProbeGenerator(sim, FACTORY, sent.append, interval=0.010).start()
+        ProbeGenerator(sim, [FACTORY], sent.append, interval=0.010).start()
         sim.run(until=0.02)
         assert [p.created_at for p in sent] == pytest.approx([0.0, 0.01, 0.02])
 
+    def test_one_round_sends_every_factory_in_order(self):
+        sim = Simulator()
+        sent = []
+        other = PacketFactory(src="2001:db8:10::2", dst="2001:db8:20::2", flow_label=7)
+        gen = ProbeGenerator(sim, [FACTORY, other], sent.append, interval=0.010)
+        gen.start()
+        sim.run(until=0.015)
+        assert [p.flow_label for p in sent] == [FACTORY.flow_label, 7] * 2
+        assert [p.created_at for p in sent] == pytest.approx([0.0, 0.0, 0.01, 0.01])
+        assert gen.sent == 4
+
+    def test_no_factories_sends_nothing(self):
+        sim = Simulator()
+        sent = []
+        gen = ProbeGenerator(sim, [], sent.append, interval=0.010)
+        gen.start()
+        sim.run(until=0.05)
+        assert sent == [] and gen.sent == 0
+
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
-            ProbeGenerator(Simulator(), FACTORY, lambda p: None, interval=0.0)
+            ProbeGenerator(Simulator(), [FACTORY], lambda p: None, interval=0.0)
 
 
 class TestDroneWorkload:

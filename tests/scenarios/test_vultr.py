@@ -184,6 +184,16 @@ class TestWorkloadPlumbing:
         with pytest.raises(RuntimeError, match="establish"):
             d.start_path_probes("ny")
 
+    def test_edge_without_tunnels_probes_nothing(self, monkeypatch):
+        d = VultrDeployment(include_events=False)
+        d.establish()
+        monkeypatch.setattr(d, "tunnels", lambda src: [])
+        pending = d.sim.pending
+        generator = d.start_path_probes("ny")
+        assert d.sim.pending == pending
+        d.net.run(until=0.1)
+        assert generator.sent == 0
+
     def test_fast_campaign_validation(self, deployment):
         with pytest.raises(ValueError, match="t1 > t0"):
             deployment.run_fast_campaign("ny", 10.0, 10.0)
