@@ -543,10 +543,9 @@ def cmd_faults_run(args: argparse.Namespace) -> int:
     injector = FaultInjector(deployment, plan)
     try:
         injector.arm()
-    except (ValueError, KeyError, LookupError) as exc:
-        message = exc.args[0] if exc.args else exc
+    except ValueError as exc:
         print(
-            f"tango-repro: cannot arm fault plan {plan.name!r}: {message}",
+            f"tango-repro: cannot arm fault plan {plan.name!r}: {exc}",
             file=sys.stderr,
         )
         return 2

@@ -23,7 +23,7 @@ delay process.)
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from ..bgp.messages import as_prefix
 from ..bgp.snapshot import SnapshotCache
@@ -33,6 +33,7 @@ from .adversary import AdversaryChain, GrayLoss, TelemetryReplay, TelemetryTampe
 from .plan import FaultEvent, FaultPlan, maintenance_drain_s
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..federation.registry import FederationRegistry
     from ..scenarios.deployment import PacketLevelDeployment
 
 __all__ = ["FaultInjector"]
@@ -48,22 +49,25 @@ class FaultInjector:
 
     Args:
         deployment: a :class:`~repro.scenarios.deployment.PacketLevelDeployment`
-            after ``establish()`` — tunnels and wide-area links must exist.
+            or :class:`~repro.federation.registry.FederationRegistry` after
+            ``establish()`` — tunnels and wide-area links must exist.
         plan: the campaign to arm.
 
-    Call :meth:`arm` exactly once, before (or during) the simulation run;
-    every event earlier than the current simulation time is rejected, so
-    a plan cannot silently lose its past.
+    Call :meth:`arm` once, before (or during) the simulation run; every
+    event earlier than the current simulation time is rejected, so a plan
+    cannot silently lose its past.
     """
 
     def __init__(
         self,
-        deployment: "PacketLevelDeployment",
+        deployment: Union["PacketLevelDeployment", "FederationRegistry"],
         plan: FaultPlan,
     ) -> None:
         if deployment.state is None:
             raise RuntimeError("deployment must be established before arming faults")
-        self.deployment = deployment
+        # Duck-typed over both deployment types: its shape() names the
+        # kinds each one arms, and arm() checks a plan against it.
+        self.deployment: Any = deployment
         self.plan = plan
         self.armed: list[str] = []
         self._bgp_saved_loss: dict[str, LossModel] = {}
@@ -121,20 +125,67 @@ class FaultInjector:
         return False
 
     def arm(self) -> int:
-        """Arm every event of the plan.  Returns the number armed."""
+        """Arm every event of the plan.  Returns the number armed.
+
+        All or nothing: the plan must pass :meth:`FaultPlan.check`
+        against this deployment's shape (the check ``tango-repro lint``
+        runs), lie in the future, and find every run attachment its
+        kinds use.  Otherwise one ValueError lists every problem, and
+        nothing has been installed or scheduled.
+        """
         if self._armed:
             raise RuntimeError("fault plan already armed")
-        self._armed = True
         now = self.deployment.sim.now
+        events = self.plan.events
+        problems = self.plan.check(self.deployment.shape()) + [
+            f"event #{index}: fault at t={event.at} is in the past (now={now})"
+            for index, event in enumerate(events)
+            if event.at < now
+        ]
+        if not problems:
+            problems = [
+                f"event #{index}: {problem}"
+                for index, event in enumerate(events)
+                if (problem := self._missing_attachment(event)) is not None
+            ]
+        if problems:
+            raise ValueError("; ".join(problems))
+        self._armed = True
         for index, event in enumerate(self.plan.timeline):
-            if event.at < now:
-                raise ValueError(
-                    f"fault at t={event.at} is in the past (now={now})"
-                )
-            handler = getattr(self, f"_arm_{event.kind}")
-            handler(event, index)
+            getattr(self, f"_arm_{event.kind}")(event, index)
             self.armed.append(f"{event.kind} {event.target} at={event.at:g}")
         return len(self.armed)
+
+    def _missing_attachment(self, event: FaultEvent) -> Optional[str]:
+        """Why the run lacks what ``event`` arms onto, or None.
+
+        The shape says which edges exist; whether a controller, traffic
+        engine, reliable channel or mirror is attached at one depends on
+        how the run was set up.
+        """
+        deployment = self.deployment
+        edge = event.params.get("edge")
+        problem: Optional[str] = None
+        try:
+            if event.kind == "controller_crash":
+                deployment.controller_for(edge)
+            elif event.kind == "telemetry_drop":
+                deployment.session.mirror_to(edge)
+            elif event.kind == "telemetry_loss":
+                deployment.session.channel_to(edge)
+            elif event.kind == "demand_surge":
+                # A surge on a class the engine lacks would multiply nothing.
+                engine = deployment.traffic_engine(edge)
+                labels = sorted(cls.flow_label for cls in engine.demand.classes)
+                label = event.params.get("flow_label")
+                if label is not None and label not in labels:
+                    problem = (
+                        f"no flow class with flow_label {label!r} to surge; "
+                        f"known labels: {labels}"
+                    )
+        except LookupError as exc:
+            problem = str(exc.args[0])
+        return problem
 
     # -- link-level faults: pure functions of time ---------------------------------
 
@@ -240,11 +291,6 @@ class FaultInjector:
         sim = deployment.sim
         edge = deployment.pairing.edge(str(event.params["edge"]))
         prefix_index = int(event.params["prefix_index"])
-        if not 0 <= prefix_index < len(edge.route_prefixes):
-            raise ValueError(
-                f"prefix_index {prefix_index} out of range for edge "
-                f"{edge.name!r} with {len(edge.route_prefixes)} route prefixes"
-            )
         prefix = str(edge.route_prefixes[prefix_index])
         router = deployment.bgp.router(edge.tenant_router)
         key = ("origination", edge.name, prefix_index)
@@ -308,7 +354,6 @@ class FaultInjector:
         nobody's, which the run then shows)."""
         deployment = self.deployment
         edge = str(event.params["edge"])
-        deployment.controller_for(edge)  # fail at arm time
         deployment.sim.schedule_at(
             event.at, lambda: deployment.controller_for(edge).crash()
         )
@@ -367,7 +412,7 @@ class FaultInjector:
         nothing scheduled — the engine evaluates the surge as a function
         of time, so replays are structurally deterministic.  Requires a
         :class:`~repro.traffic.vector.VectorFluidEngine` attached at the
-        edge (LookupError at arm time otherwise, the CLI's exit-2 path).
+        edge (see :meth:`_missing_attachment`).
         """
         engine = self.deployment.traffic_engine(str(event.params["edge"]))
         flow_label = event.params.get("flow_label")
@@ -381,17 +426,14 @@ class FaultInjector:
     # -- correlated failures: shared-fate domains ----------------------------------
 
     def _srlg_links(self, group: str) -> list[Link]:
-        """Member links of ``group``, or a loud error for unknown/empty
-        groups (the CLI's exit-2 path — a typo'd group name must not arm
-        as a silent no-op)."""
-        registry = self.deployment.srlg
-        members = registry.link_members(group)
-        if not members:
-            raise ValueError(
-                f"SRLG {group!r} has no member links in this deployment; "
-                f"known groups: {sorted(registry.groups())}"
-            )
-        return [self.deployment.net.links[name] for name in members]
+        """The network links of ``group`` (a federation also tags its
+        stitched links, which fail with their segments)."""
+        links = self.deployment.net.links
+        return [
+            links[name]
+            for name in self.deployment.srlg.link_members(group)
+            if name in links
+        ]
 
     def _arm_srlg_failure(self, event: FaultEvent, index: int) -> None:
         """Shared-fate failure: every member link of one risk group goes
@@ -479,19 +521,10 @@ class FaultInjector:
         stay advertised but dark — the harder case for detection.
         """
         deployment = self.deployment
-        member_links = getattr(deployment, "member_links", None)
-        if member_links is None:
-            raise ValueError(
-                "relay_outage requires a federation deployment exposing "
-                "member_links(); two-party deployments have no members"
-            )
         sim = deployment.sim
         registry = deployment.srlg
         member = str(event.params["member"])
-        links = member_links(member)
-        if not links:
-            raise ValueError(f"member {member!r} has no WAN links to fail")
-        for link in links:
+        for link in deployment.member_links(member):
             link.loss = OverrideLoss.blackhole(link.loss, event.at, event.end)
         group = f"member:{member}"
         sim.schedule_at(event.at, lambda: registry.mark_down(group))

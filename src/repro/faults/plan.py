@@ -10,10 +10,18 @@ invariant stated in ``repro.netsim.links``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
-__all__ = ["FAULT_KINDS", "FaultEvent", "FaultPlan", "maintenance_drain_s"]
+__all__ = [
+    "FAULT_KINDS",
+    "DeploymentShape",
+    "FaultEvent",
+    "FaultPlan",
+    "maintenance_drain_s",
+]
 
 #: Kind -> parameters that must be present in ``FaultEvent.params``.
 _REQUIRED_PARAMS: dict[str, tuple[str, ...]] = {
@@ -46,27 +54,7 @@ FAULT_KINDS = frozenset(_REQUIRED_PARAMS)
 
 #: Kinds that require a positive duration (a zero-length blackhole is a
 #: no-op and almost certainly a plan-authoring mistake).
-_NEEDS_DURATION = frozenset(
-    {
-        "link_blackhole",
-        "link_flap",
-        "loss_burst",
-        "delay_spike",
-        "bgp_session_down",
-        "prefix_withdraw",
-        "telemetry_drop",
-        "telemetry_loss",
-        "demand_surge",
-        "telemetry_tamper",
-        "telemetry_replay",
-        "gray_loss",
-        "srlg_failure",
-        "regional_outage",
-        "maintenance_window",
-        "relay_outage",
-    }
-)
-
+_NEEDS_DURATION = FAULT_KINDS - {"clock_step", "clock_drift", "controller_crash"}
 
 #: Parameters every kind that takes them reads as a float.
 _NUMERIC_PARAMS = (
@@ -81,6 +69,28 @@ _NUMERIC_PARAMS = (
     "ppm",
     "drain_s",
 )
+
+#: Parameters that are indices or counts.
+_INT_PARAMS = ("prefix_index", "every", "flow_label")
+
+#: Parameters that name a target in the deployment.
+_NAME_PARAMS = ("src", "path", "edge", "a", "b", "group", "region", "member")
+
+#: A flap materialises one loss window per cycle: bound the list.
+_MAX_FLAP_CYCLES = 10_000
+
+
+def _finite(what: str, value: Any) -> float:
+    """``value`` as a float, or a ValueError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} {value!r} is not a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what} {value!r} must be finite")
+    return number
 
 
 def maintenance_drain_s(event: "FaultEvent") -> float:
@@ -117,16 +127,23 @@ class FaultEvent:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in FAULT_KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; have {sorted(FAULT_KINDS)}"
             )
-        if self.at < 0:
-            raise ValueError(f"fault onset must be >= 0, got {self.at}")
-        if self.duration < 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
-        if self.kind in _NEEDS_DURATION and self.duration <= 0:
-            raise ValueError(f"{self.kind} fault needs a positive duration")
+        at = _finite(f"{self.kind} at", self.at)
+        duration = _finite(f"{self.kind} duration", self.duration)
+        if at < 0:
+            raise ValueError(
+                f"{self.kind} at (the fault onset) must be >= 0, got {at}"
+            )
+        if duration < 0:
+            raise ValueError(f"{self.kind} duration must be >= 0, got {duration}")
+        if self.kind in _NEEDS_DURATION and duration <= 0:
+            raise ValueError(
+                f"{self.kind} duration {duration:g} is zero; the kind needs a "
+                "positive duration"
+            )
         missing = [
             name for name in _REQUIRED_PARAMS[self.kind] if name not in self.params
         ]
@@ -138,40 +155,55 @@ class FaultEvent:
         self._check_values()
 
     def _check_values(self) -> None:
-        """The parameter checks that hold whatever the scenario: each
-        value in the range the link, adversary or demand class it arms
-        enforces, so a plan that validates also arms.  Scenario-dependent
-        checks (targets exist, ``prefix_index`` in range, the defended
-        stack's clock bound) are TNG105's."""
-        values: dict[str, float] = {}
-        for name in _NUMERIC_PARAMS:
-            if name in self.params:
-                try:
-                    values[name] = float(self.params[name])
-                except (TypeError, ValueError):
-                    raise ValueError(
-                        f"{self.kind} {name} {self.params[name]!r} is not a number"
-                    ) from None
+        """The parameter checks that hold whatever the deployment: each
+        value of the type, and in the range, that the link, adversary or
+        demand class it arms enforces, so a plan that validates also
+        arms.  Deployment-dependent checks (targets exist, ``prefix_index``
+        in range, the defended stack's clock bound) are
+        :meth:`FaultPlan.check`'s."""
+        values = {
+            name: _finite(f"{self.kind} {name}", self.params[name])
+            for name in _NUMERIC_PARAMS
+            if name in self.params
+        }
+        for name in _INT_PARAMS:
+            value = self.params.get(name, 0)
+            if value is None and name == "flow_label":
+                continue  # no label: the surge multiplies every class
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{self.kind} {name} {value!r} is not an int")
+        for name in _NAME_PARAMS:
+            if name in self.params and not isinstance(self.params[name], str):
+                raise ValueError(
+                    f"{self.kind} {name} {self.params[name]!r} is not a string"
+                )
         rate, drain = values.get("rate"), values.get("drain_s")
-        label = self.params.get("flow_label")
+        period, duty = values.get("period"), values.get("duty", 0.5)
         problem = None
         if rate is not None and not 0.0 <= rate <= 1.0:
             problem = f"rate must be in [0, 1], got {rate:g}"
+        elif period is not None and period <= 0:
+            problem = f"period must be > 0, got {period:g}"
+        elif period is not None and self.duration / period > _MAX_FLAP_CYCLES:
+            problem = (
+                f"duration / period must be <= {_MAX_FLAP_CYCLES} flap "
+                f"cycles, got {self.duration:g} / {period:g}"
+            )
+        elif not 0.0 < duty <= 1.0:
+            problem = f"duty must be in (0, 1], got {duty:g}"
         elif values.get("factor", 1.0) <= 0:
             problem = f"factor must be > 0, got {values['factor']:g}"
         elif values.get("bias_ms") == 0:
             problem = "bias_ms must be nonzero"
         elif values.get("delay_s", 1.0) <= 0:
             problem = f"delay_s must be > 0, got {values['delay_s']:g}"
+        elif self.params.get("every", 1) < 1:
+            problem = f"every must be >= 1, got {self.params['every']}"
         elif drain is not None and not 0.0 <= drain < self.duration:
             problem = (
                 f"drain_s {drain:g} must satisfy 0 <= drain_s < duration "
                 f"({self.duration:g})"
             )
-        elif label is not None and (
-            not isinstance(label, int) or isinstance(label, bool)
-        ):
-            problem = f"flow_label {label!r} is not an int"
         if problem is not None:
             raise ValueError(f"{self.kind} {problem}")
 
@@ -206,6 +238,98 @@ class FaultEvent:
 
 
 @dataclass(frozen=True)
+class DeploymentShape:
+    """What an established deployment offers a fault plan to target.
+
+    Read off a live deployment by its ``shape()`` method and checked
+    against by :meth:`FaultPlan.check` — the one place a plan's targets
+    are validated, for ``tango-repro lint`` and ``FaultInjector.arm``
+    alike.
+
+    Attributes:
+        name: deployment label used in problem messages.
+        kinds: fault kinds the deployment type can arm; any other kind
+            is refused by name.
+        bgp_neighbors: per BGP router, the routers it has a session with.
+        srlg_groups: risk groups with at least one member link.
+        edges: names a plan's ``src`` / ``edge`` parameter may use.
+        path_labels: per sending edge, its wide-area path labels.
+        route_prefix_counts: per edge, its route prefixes (bounds
+            ``prefix_index``).
+        regions: named failure regions.
+        members: federation members with at least one WAN link.
+    """
+
+    name: str
+    kinds: frozenset[str]
+    bgp_neighbors: Mapping[str, frozenset[str]]
+    srlg_groups: frozenset[str]
+    edges: tuple[str, ...] = ()
+    path_labels: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    route_prefix_counts: Mapping[str, int] = field(default_factory=dict)
+    regions: tuple[str, ...] = ()
+    members: tuple[str, ...] = ()
+
+
+def _target_problems(event: FaultEvent, shape: DeploymentShape) -> list[str]:
+    """Why ``event`` cannot arm on a deployment of ``shape`` (empty: it can)."""
+    from ..trust.clock import ClockIntegrityMonitor
+
+    if event.kind not in shape.kinds:
+        return [
+            f"deployment {shape.name!r} takes no {event.kind} faults; it "
+            f"takes {', '.join(sorted(shape.kinds))}"
+        ]
+    params, needs = event.params, _REQUIRED_PARAMS[event.kind]
+    problems: list[str] = []
+
+    def unknown(what: str, name: str, have: Any) -> None:
+        problems.append(
+            f"unknown {what} {name!r}; deployment {shape.name!r} has "
+            f"{sorted(have)}"
+        )
+
+    edge = next((params[name] for name in ("src", "edge") if name in needs), None)
+    if edge is not None and edge not in shape.edges:
+        unknown("edge", edge, shape.edges)
+    elif "path" in needs:
+        labels = shape.path_labels.get(edge, ())
+        if params["path"] not in labels:
+            problems.append(
+                f"edge {edge!r} has no wide-area path {params['path']!r}; "
+                f"have {sorted(labels)}"
+            )
+    elif "prefix_index" in needs:
+        count = shape.route_prefix_counts.get(edge, 0)
+        if not 0 <= params["prefix_index"] < count:
+            problems.append(
+                f"prefix_index {params['prefix_index']} out of range for edge "
+                f"{edge!r} with {count} route prefixes"
+            )
+    if "a" in needs:
+        a, b = params["a"], params["b"]
+        strangers = [r for r in (a, b) if r not in shape.bgp_neighbors]
+        for router in strangers:
+            unknown("router", router, shape.bgp_neighbors)
+        if not strangers and b not in shape.bgp_neighbors[a]:
+            problems.append(f"no BGP session between {a!r} and {b!r}")
+    if "group" in needs and params["group"] not in shape.srlg_groups:
+        unknown("risk group", params["group"], shape.srlg_groups)
+    if "region" in needs and params["region"] not in shape.regions:
+        unknown("region", params["region"], shape.regions)
+    if "member" in needs and params["member"] not in shape.members:
+        unknown("federation member", params["member"], shape.members)
+    bound = ClockIntegrityMonitor.MAX_TRACKABLE_PPM
+    if event.kind == "clock_drift" and abs(params["ppm"]) > bound:
+        problems.append(
+            f"clock_drift ppm {params['ppm']:g} exceeds the clock-integrity "
+            f"monitor's re-estimation bound (|ppm| <= {bound:g}); the "
+            "defended controller cannot track it"
+        )
+    return problems
+
+
+@dataclass(frozen=True)
 class FaultPlan:
     """An ordered chaos campaign: events plus the seed that replays it.
 
@@ -232,6 +356,15 @@ class FaultPlan:
     def horizon(self) -> float:
         """When the last fault has cleared (0.0 for an empty plan)."""
         return max((e.end for e in self.events), default=0.0)
+
+    def check(self, shape: DeploymentShape) -> list[str]:
+        """Every reason this plan cannot arm on a deployment of ``shape``,
+        each prefixed with its event's index; empty when it can."""
+        return [
+            f"event #{index}: {problem}"
+            for index, event in enumerate(self.events)
+            for problem in _target_problems(event, shape)
+        ]
 
     # -- JSON round trip ----------------------------------------------------------
 
@@ -262,22 +395,25 @@ class FaultPlan:
             entry = dict(raw)
             try:
                 kind = entry.pop("kind")
-                at = float(entry.pop("at"))
+                at = entry.pop("at")
             except KeyError as exc:
                 raise ValueError(f"event #{i} missing field {exc}") from None
-            duration = float(entry.pop("duration", 0.0))
+            duration = entry.pop("duration", 0.0)
             try:
-                events.append(
-                    FaultEvent(kind=kind, at=at, duration=duration, params=entry)
-                )
+                event = FaultEvent(kind=kind, at=at, duration=duration, params=entry)
             except ValueError as exc:
                 # FaultEvent's own validation knows nothing about list
                 # position; re-raise with the index so a 40-event plan's
                 # author learns *which* event is malformed.
                 raise ValueError(f"event #{i}: {exc}") from None
+            # JSON has one number type: onsets and durations are floats.
+            events.append(replace(event, at=float(at), duration=float(duration)))
+        seed = payload.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"fault plan seed {seed!r} is not an int")
         return cls(
             name=str(payload.get("name", "unnamed")),
-            seed=int(payload.get("seed", 0)),
+            seed=seed,
             events=tuple(events),
         )
 

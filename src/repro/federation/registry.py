@@ -48,9 +48,11 @@ from ..core.multipop import MultiPopStore
 from ..core.session import TangoSession
 from ..core.tunnels import TangoTunnel, build_tunnels
 from ..dataplane.relay import RelayBinding, attach_relay_program
+from ..faults.plan import DeploymentShape
 from ..netsim.packet import TangoHeader
 from ..netsim.ticks import TickScheduler
 from ..netsim.topology import Network
+from ..scenarios.deployment import shape_of
 from ..scenarios.topologies import LiveFederationScenario
 from ..scenarios.vultr import PathCalibration
 from ..srlg.registry import SrlgRegistry
@@ -71,6 +73,13 @@ __all__ = [
     "FederationRegistry",
     "check_path_id_space",
 ]
+
+#: Fault kinds a federation arms: clocks live on the member switches and
+#: risk groups in the shared registry; the other kinds' paths, prefixes,
+#: mirrors, controllers, engines and BGP-to-link sync are per pair.
+_FEDERATION_KINDS = frozenset(
+    {"clock_step", "clock_drift", "srlg_failure", "maintenance_window", "relay_outage"}
+)
 
 #: Path-id block per unordered pair: two direction bases of stride 64.
 _PAIR_ID_STRIDE = 128
@@ -419,6 +428,20 @@ class FederationRegistry:
                 f"{member!r} is not a federation member; members: "
                 f"{self.scenario.member_names}"
             ) from None
+
+    def shape(self) -> DeploymentShape:
+        """What a fault plan may target here: member switches' clocks,
+        risk groups (transit and member fate tags included) and members
+        that have WAN links."""
+        names = self.scenario.member_names
+        return shape_of(
+            f"federation-{len(names)}",
+            _FEDERATION_KINDS,
+            self.bgp,
+            self.srlg,
+            edges=tuple(names),
+            members=tuple(name for name in names if self._member_links[name]),
+        )
 
     def snapshot_stats(self) -> dict:
         """Convergence-cache counters (the CI-visible dedup evidence)."""

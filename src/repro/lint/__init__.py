@@ -13,8 +13,8 @@ trustworthy stand-ins for real transit).  This package moves both checks
   references, unseeded or global RNGs, OS entropy and environment reads,
   ordered set iteration, mutable default arguments.
 * :mod:`repro.lint.gao_rexford` + :mod:`repro.lint.plans` — semantic
-  checks (``TNG101``–``TNG105``) over scenario definitions, loaded but
-  never simulated: consistent session labeling (no transit leaks),
+  checks (``TNG101``–``TNG105``) over the shipped deployments,
+  established but never run: consistent session labeling (no transit leaks),
   valley-free path feasibility, customer/provider acyclicity, community
   actions that can actually fire, and fault plans whose targets exist.
 * :mod:`repro.lint.flow` — the whole-program pass, which the engine runs
@@ -38,16 +38,7 @@ from .gao_rexford import (
     leak_witness,
     valley_free_reachable,
 )
-from .plans import (
-    ScenarioSpec,
-    check_fault_plan,
-    check_plan_files,
-    check_scenario,
-    enterprise_spec,
-    mesh_spec,
-    shipped_scenario_specs,
-    vultr_spec,
-)
+from .plans import check_plan_files, check_scenario, shipped_findings
 from .reporters import render_json, render_text
 from .rules import RULE_SUMMARIES, default_rules
 from .runner import DEFAULT_BASELINE, UNUSED_NOQA_CODE, list_rules, run_lint
@@ -65,23 +56,18 @@ __all__ = [
     "Rule",
     "UNUSED_NOQA_CODE",
     "SEMANTIC_RULE_SUMMARIES",
-    "ScenarioSpec",
     "Severity",
     "check_communities",
-    "check_fault_plan",
     "check_network",
     "check_plan_files",
     "check_scenario",
     "default_rules",
-    "enterprise_spec",
     "flow_rules",
     "leak_witness",
     "list_rules",
-    "mesh_spec",
     "render_json",
     "render_text",
     "run_lint",
-    "shipped_scenario_specs",
+    "shipped_findings",
     "valley_free_reachable",
-    "vultr_spec",
 ]

@@ -24,7 +24,7 @@ from .engine import PARSE_ERROR_CODE, LintEngine
 from .findings import Finding, Severity
 from .flow import flow_rules
 from .gao_rexford import SEMANTIC_RULE_SUMMARIES
-from .plans import check_plan_files, check_scenario, shipped_scenario_specs
+from .plans import check_plan_files, shipped_findings
 from .reporters import render_json, render_text
 from .rules import default_rules
 
@@ -146,9 +146,9 @@ def run_lint(
         baseline_path: baseline file to filter findings against.
         write_baseline: write the *unfiltered* findings to this baseline
             file and exit 0 (the accept-current-state workflow).
-        plan_paths: fault-plan JSON files to validate against the Vultr
-            scenario spec.
-        semantics: run the Gao–Rexford checks over shipped scenarios.
+        plan_paths: fault-plan JSON files to check against the shipped
+            deployments.
+        semantics: run the Gao–Rexford checks over shipped deployments.
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
@@ -167,8 +167,7 @@ def run_lint(
     findings = [f for path in files for f in engine.check_file(path)]
 
     if semantics and selected is None:
-        for spec in shipped_scenario_specs():
-            findings.extend(check_scenario(spec))
+        findings.extend(shipped_findings())
     if plan_paths:
         findings.extend(check_plan_files(list(plan_paths)))
     if selected is None:

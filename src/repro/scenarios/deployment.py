@@ -32,6 +32,7 @@ from ..core.policy import ApplicationSelector, StaticSelector
 from ..core.session import SessionState, TangoSession
 from ..core.tunnels import TangoTunnel
 from ..dataplane.programs import PathSelector
+from ..faults.plan import FAULT_KINDS, DeploymentShape
 from ..netsim.delaymodels import GaussianJitterDelay
 from ..netsim.links import ConstantLoss, Link, WindowedLoss
 from ..netsim.packet import Packet
@@ -42,10 +43,33 @@ from ..resilience.supervisor import Supervisor
 from ..srlg import Region, SrlgRegistry
 from ..telemetry.store import MeasurementStore
 
-__all__ = ["PacketLevelDeployment"]
+__all__ = ["PacketLevelDeployment", "shape_of"]
 
 #: Default edge-network noise (ms): base and sigma of each access link.
 DEFAULT_EDGE_NOISE_MS = (0.6, 0.35)
+
+
+def shape_of(
+    name: str,
+    kinds: frozenset[str],
+    bgp: BgpNetwork,
+    srlg: SrlgRegistry,
+    **targets,
+) -> DeploymentShape:
+    """A :class:`DeploymentShape` whose BGP, risk-group and region
+    targets are read off the live ``bgp`` and ``srlg``; ``targets`` are
+    the deployment type's own (edges, paths, members)."""
+    return DeploymentShape(
+        name=name,
+        kinds=kinds,
+        bgp_neighbors={
+            router_name: frozenset(router.neighbors)
+            for router_name, router in bgp.routers.items()
+        },
+        srlg_groups=frozenset(srlg.groups()),
+        regions=srlg.regions(),
+        **targets,
+    )
 
 
 class PacketLevelDeployment:
@@ -66,6 +90,9 @@ class PacketLevelDeployment:
             sequenced/acked transport with this config instead of the
             idealized lossless mirrors (``None`` keeps PR 1 behavior).
     """
+
+    #: Label in fault-plan problems and lint findings.
+    name = "two-party"
 
     def __init__(
         self,
@@ -159,6 +186,22 @@ class PacketLevelDeployment:
         else:
             self.session.start_telemetry_mirrors()
         return self.state
+
+    def shape(self) -> DeploymentShape:
+        """What a fault plan may target here; every kind but the
+        federation's ``relay_outage`` applies."""
+        edges = (self.pairing.a.name, self.pairing.b.name)
+        return shape_of(
+            self.name,
+            FAULT_KINDS - {"relay_outage"},
+            self.bgp,
+            self.srlg,
+            edges=edges,
+            path_labels={edge: tuple(self.path_labels(edge)) for edge in edges},
+            route_prefix_counts={
+                edge: len(self.pairing.edge(edge).route_prefixes) for edge in edges
+            },
+        )
 
     def _build_edge_links(self) -> None:
         base, sigma = self.edge_noise_ms
@@ -367,16 +410,9 @@ class PacketLevelDeployment:
         self.sim.schedule_at(at, lambda: setattr(link, "loss", ConstantLoss(1.0)))
 
     def wan_link(self, src: str, label: str) -> Link:
-        """The wide-area link carrying ``src``'s path ``label`` (KeyError
-        with the available names otherwise) — the fault injector's handle."""
-        name = f"{src}->{self.peer_of(src)}:{label}"
-        try:
-            return self.net.links[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown wide-area link {name!r}; have "
-                f"{sorted(k for k in self.net.links if ':' in k)}"
-            ) from None
+        """The wide-area link carrying ``src``'s path ``label`` — the fault
+        injector's handle (:meth:`shape` lists the labels)."""
+        return self.net.links[f"{src}->{self.peer_of(src)}:{label}"]
 
     # -- fast measurement campaign ---------------------------------------------------
 

@@ -146,6 +146,8 @@ class EnterpriseDeployment(PacketLevelDeployment):
     edge by AS 6939 — nothing assumes a shared provider.
     """
 
+    name = "enterprise"
+
     def __init__(
         self,
         include_events: bool = True,

@@ -65,7 +65,6 @@ __all__ = [
     "NY_TO_LA_PATHS",
     "LA_TO_NY_PATHS",
     "VULTR_REGIONS",
-    "VULTR_SRLG_GROUPS",
     "build_bgp_network",
     "make_pairing",
     "VultrDeployment",
@@ -274,20 +273,6 @@ VULTR_REGIONS: tuple[Region, ...] = (
     ),
 )
 
-#: Every risk-group name a fault plan may target in this scenario —
-#: explicit physical groups plus the automatic per-transit fate tags
-#: stamped by ``build_tunnels`` (TNG105 validates plans against this).
-VULTR_SRLG_GROUPS: frozenset[str] = frozenset(
-    {
-        SRLG_SOCAL_CONDUIT,
-        SRLG_NTT_BACKBONE,
-        SRLG_COGENT_BACKBONE,
-        SRLG_LEVEL3_BACKBONE,
-    }
-    | {f"transit:{label}" for label in ("NTT", "Telia", "GTT", "Cogent", "Level3")}
-)
-
-
 def build_bgp_network() -> BgpNetwork:
     """The AS-level control plane of the deployment (Figure 3)."""
     net = BgpNetwork()
@@ -384,6 +369,8 @@ class VultrDeployment(PacketLevelDeployment):
             instability window (drives the loss/TCP experiments).
         auth_key: enable authenticated telemetry when non-empty.
     """
+
+    name = "vultr"
 
     def __init__(
         self,

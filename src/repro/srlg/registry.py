@@ -53,7 +53,6 @@ class SrlgRegistry:
 
     def __init__(self) -> None:
         self._link_groups: dict[str, frozenset[str]] = {}
-        self._known: set[str] = set()
         self._regions: dict[str, Region] = {}
         self._down: dict[str, int] = {}
         self._draining: dict[str, int] = {}
@@ -67,7 +66,6 @@ class SrlgRegistry:
         """Add ``link_name`` to each named group (idempotent, additive)."""
         merged = self._link_groups.get(link_name, frozenset()) | frozenset(groups)
         self._link_groups[link_name] = merged
-        self._known.update(groups)
 
     def link_members(self, group: str) -> tuple[str, ...]:
         """Links belonging to ``group``, sorted for determinism."""
@@ -80,8 +78,8 @@ class SrlgRegistry:
         )
 
     def groups(self) -> tuple[str, ...]:
-        """Every group name ever tagged, sorted."""
-        return tuple(sorted(self._known))
+        """Every group with a member link, sorted."""
+        return tuple(sorted(set().union(*self._link_groups.values())))
 
     # -- regions -------------------------------------------------------
 
@@ -89,7 +87,6 @@ class SrlgRegistry:
         if region.name in self._regions:
             raise ValueError(f"region {region.name!r} already registered")
         self._regions[region.name] = region
-        self._known.update(region.groups)
 
     def region(self, name: str) -> Region:
         try:
@@ -108,7 +105,6 @@ class SrlgRegistry:
         """Take a down-hold on ``group``; the first hold transitions it."""
         count = self._down.get(group, 0)
         self._down[group] = count + 1
-        self._known.add(group)
         if count == 0:
             self.epoch += 1
 
@@ -126,7 +122,6 @@ class SrlgRegistry:
         """Take a draining-hold: scheduled maintenance gave advance notice."""
         count = self._draining.get(group, 0)
         self._draining[group] = count + 1
-        self._known.add(group)
         if count == 0:
             self.epoch += 1
 
@@ -159,7 +154,7 @@ class SrlgRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SrlgRegistry(groups={len(self._known)}, "
+            f"SrlgRegistry(groups={len(self.groups())}, "
             f"links={len(self._link_groups)}, down={sorted(self._down)}, "
             f"draining={sorted(self._draining)})"
         )

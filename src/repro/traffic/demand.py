@@ -124,18 +124,8 @@ class DemandModel:
         factor: float,
         flow_label: Optional[int] = None,
     ) -> SurgeWindow:
-        """Register a surge window (the ``demand_surge`` fault hook).
-
-        A ``flow_label`` no class carries is a ``ValueError`` naming the
-        known labels: a surge aimed at a missing class must not arm as a
-        silent no-op.
-        """
-        labels = sorted(cls.flow_label for cls in self.classes)
-        if flow_label is not None and flow_label not in labels:
-            raise ValueError(
-                f"no flow class with flow_label {flow_label!r} to surge; "
-                f"known labels: {labels}"
-            )
+        """Register a surge window (the ``demand_surge`` fault hook; the
+        injector refuses a ``flow_label`` no class carries)."""
         window = SurgeWindow(start=start, end=end, factor=factor, flow_label=flow_label)
         self.surges.append(window)
         return window

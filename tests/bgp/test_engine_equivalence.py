@@ -25,7 +25,6 @@ from repro.bgp.snapshot import SnapshotCache
 from repro.cli import main
 from repro.core.discovery import PathDiscovery
 from repro.faults import FaultEvent, FaultPlan
-from repro.lint.plans import check_fault_plan, vultr_spec
 from repro.scenarios.enterprise import (
     BUSINESS_ISP_ASN,
     build_enterprise_bgp,
@@ -34,6 +33,7 @@ from repro.scenarios.topologies import build_mesh_scenario
 from repro.scenarios.vultr import VULTR_ASN, build_bgp_network
 from tests.bgp.oracle import ENGINES, full_scan
 from tests.bgp.test_golden_ribs import vultr_resets
+from tests.faults.shapes import vultr_shape
 
 
 def rib_dump(net: BgpNetwork) -> dict:
@@ -238,7 +238,7 @@ def bench_fault_plan() -> FaultPlan:
 
 
 def test_bench_fault_plan_targets_exist_in_vultr():
-    assert check_fault_plan(bench_fault_plan(), vultr_spec()) == []
+    assert bench_fault_plan().check(vultr_shape()) == []
 
 
 def fault_replay(tmp_path) -> str:

@@ -48,11 +48,11 @@ class TestPlanGeneration:
             assert first.at < second.at < first.end
 
     def test_population_lints_clean_against_vultr(self):
-        from repro.lint.plans import check_fault_plan, vultr_spec
+        from tests.faults.shapes import vultr_shape
 
-        spec = vultr_spec()
+        shape = vultr_shape()
         for adv in generate_correlated_plans(8, 2026):
-            assert check_fault_plan(adv.plan, spec) == []
+            assert adv.plan.check(shape) == []
 
     def test_count_validated(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from repro.campaign.plans import (
     generate_adversarial_plans,
 )
 from repro.faults.plan import FAULT_KINDS
-from repro.lint.plans import check_fault_plan, vultr_spec
+from tests.faults.shapes import vultr_shape
 
 
 class TestDeterminism:
@@ -51,9 +51,9 @@ class TestPopulationShape:
     def test_all_plans_pass_tng105(self):
         """Every generated plan must validate clean against the Vultr
         scenario — the campaign must never arm an invalid plan."""
-        spec = vultr_spec()
+        shape = vultr_shape()
         for adv in generate_adversarial_plans(20, master_seed=8):
-            assert check_fault_plan(adv.plan, spec) == []
+            assert adv.plan.check(shape) == []
 
     def test_tamper_bias_exceeds_gap_to_best(self):
         """A favored tamper must make its path *appear* best, so the

@@ -83,7 +83,7 @@ class TestRegionalOutage:
 
     def test_unknown_region_rejected_at_arm(self):
         d = deployment()
-        with pytest.raises(LookupError, match="mars"):
+        with pytest.raises(ValueError, match="unknown region 'mars'"):
             FaultInjector(d, plan_of(self.event(region="mars"))).arm()
 
 

@@ -6,10 +6,11 @@ import pytest
 
 from repro.core.policy import StaticSelector
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
-from repro.lint import check_fault_plan, check_plan_files, vultr_spec
+from repro.lint import check_plan_files
 from repro.scenarios.vultr import VultrDeployment
 from repro.traffic.demand import DemandModel, FlowClass
 from repro.traffic.vector import VectorFluidEngine
+from tests.faults.shapes import vultr_shape
 
 
 def surge_event(at=1.0, duration=2.0, factor=3.0, **extra):
@@ -75,17 +76,17 @@ def lint_surge_file(tmp_path, **params):
     path.write_text(
         json.dumps({"name": "surge-test", "events": [{**event, **params}]})
     )
-    return check_plan_files([str(path)], spec=vultr_spec())
+    return check_plan_files([str(path)])
 
 
 class TestLint:
     def test_valid_plan_is_clean(self):
-        assert check_fault_plan(plan_of(surge_event()), vultr_spec()) == []
+        assert plan_of(surge_event()).check(vultr_shape()) == []
 
     def test_unknown_edge_flagged(self):
         plan = plan_of(surge_event(edge="sf"))
-        findings = check_fault_plan(plan, vultr_spec())
-        assert any("unknown edge" in f.message for f in findings)
+        problems = plan.check(vultr_shape())
+        assert any("unknown edge" in p for p in problems)
 
     def test_nonpositive_factor_flagged(self, tmp_path):
         findings = lint_surge_file(tmp_path, factor=0.0)
@@ -103,7 +104,7 @@ class TestLint:
 
     def test_int_flow_label_is_clean(self):
         plan = plan_of(surge_event(flow_label=2))
-        assert check_fault_plan(plan, vultr_spec()) == []
+        assert plan.check(vultr_shape()) == []
 
 
 class TestInjection:
@@ -111,7 +112,7 @@ class TestInjection:
         deployment = VultrDeployment(include_events=False)
         deployment.establish()
         injector = FaultInjector(deployment, plan_of(surge_event()))
-        with pytest.raises(LookupError, match="no traffic engine"):
+        with pytest.raises(ValueError, match="no traffic engine"):
             injector.arm()
 
     def test_arm_rejects_nonpositive_factor(self):

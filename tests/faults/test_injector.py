@@ -52,6 +52,53 @@ class TestArming:
         with pytest.raises(ValueError, match="in the past"):
             injector.arm()
 
+    @pytest.mark.parametrize(
+        "second, problem",
+        [
+            (
+                FaultEvent(
+                    "bgp_session_down",
+                    at=2.0,
+                    duration=1.0,
+                    params={"a": "vultr-ny", "b": "sprint"},
+                ),
+                "event #1: unknown router 'sprint'",
+            ),
+            (
+                FaultEvent("controller_crash", at=2.0, params={"edge": "la"}),
+                "event #1: no controller attached at edge 'la'",
+            ),
+        ],
+        ids=["bad-target", "missing-attachment"],
+    )
+    def test_refused_arm_installs_nothing(self, second, problem):
+        """A plan whose second event cannot arm leaves the first one
+        uninstalled too, and a retry is refused for the same reason."""
+        d = deployment()
+        d.start_path_probes("ny")
+        links = {name: (link.loss, link.delay) for name, link in d.net.links.items()}
+        pending = d.sim.pending
+        injector = FaultInjector(d, plan_of(blackhole(at=1.0), second))
+        for _attempt in range(2):
+            with pytest.raises(ValueError, match=problem):
+                injector.arm()
+            assert {
+                name: (link.loss, link.delay) for name, link in d.net.links.items()
+            } == links
+            assert d.sim.pending == pending
+            assert injector.armed == []
+
+    def test_every_problem_reported_at_once(self):
+        d = deployment()
+        d.sim.clock.advance_to(5.0)
+        plan = plan_of(blackhole(at=2.0, src="tokyo"), blackhole(at=6.0, path="X"))
+        with pytest.raises(ValueError) as refused:
+            FaultInjector(d, plan).arm()
+        message = str(refused.value)
+        assert "event #0: unknown edge 'tokyo'" in message
+        assert "event #0: fault at t=2.0 is in the past" in message
+        assert "event #1: edge 'ny' has no wide-area path 'X'" in message
+
     def test_armed_describes_events(self):
         d = deployment()
         injector = FaultInjector(d, plan_of(blackhole()))

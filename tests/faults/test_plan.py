@@ -1,6 +1,7 @@
 """Tests for declarative fault plans."""
 
 import json
+import math
 
 import pytest
 
@@ -153,8 +154,11 @@ class TestFaultPlan:
         assert FaultPlan.from_file(str(path)) == plan
 
 
-#: One event per scenario-independent parameter check.  Each must be
-#: refused by FaultEvent, by TNG105 lint, and on the way to arm().
+NAN = float("nan")
+
+#: One event per scenario-independent parameter check, its bad value in
+#: its last field.  Each must be refused by FaultEvent (naming the kind
+#: and that field), by TNG105 lint, and on the way to arm().
 BAD_EVENTS = {
     "loss-burst-rate-above-1": ("loss_burst", {"src": "ny", "path": "GTT", "rate": 3}),
     "telemetry-loss-rate-below-0": ("telemetry_loss", {"edge": "ny", "rate": -0.5}),
@@ -184,17 +188,44 @@ BAD_EVENTS = {
         "link_flap",
         {"src": "ny", "path": "GTT", "period": "fast"},
     ),
+    # A NaN onset never compares due, so the blackhole would never fire.
+    "blackhole-at-nan": ("link_blackhole", {"src": "ny", "path": "GTT", "at": NAN}),
+    # An endless flap materialises windows forever at arm time.
+    "flap-duration-inf": (
+        "link_flap",
+        {"src": "ny", "path": "GTT", "period": 1.0, "duration": math.inf},
+    ),
+    "surge-factor-nan": ("demand_surge", {"edge": "ny", "factor": NAN}),
+    "spike-extra-ms-nan": (
+        "delay_spike",
+        {"src": "ny", "path": "GTT", "extra_ms": NAN},
+    ),
+    "clock-step-nan": ("clock_step", {"edge": "ny", "step_ms": NAN}),
+    # abs(nan) > bound is False: the drift bound alone would pass it.
+    "drift-ppm-nan": ("clock_drift", {"edge": "la", "ppm": NAN}),
+    "prefix-index-not-integral": (
+        "prefix_withdraw",
+        {"edge": "la", "prefix_index": 1.5},
+    ),
+    "flap-period-zero": ("link_flap", {"src": "ny", "path": "GTT", "period": 0}),
+    "flap-duty-above-1": (
+        "link_flap",
+        {"src": "ny", "path": "GTT", "period": 1.0, "duty": 3},
+    ),
+    "replay-every-zero": (
+        "telemetry_replay",
+        {"src": "ny", "path": "GTT", "delay_s": 1.0, "every": 0},
+    ),
 }
 
 
 @pytest.fixture(scope="module")
 def vultr():
-    from repro.lint import vultr_spec
     from repro.scenarios.vultr import VultrDeployment
 
     deployment = VultrDeployment(include_events=False)
     deployment.establish()
-    return vultr_spec(), deployment
+    return deployment
 
 
 @pytest.mark.parametrize("name", sorted(BAD_EVENTS))
@@ -202,16 +233,18 @@ def test_bad_parameters_rejected_by_every_consumer(name, vultr, tmp_path):
     from repro.faults import FaultInjector
     from repro.lint import check_plan_files
 
-    spec, deployment = vultr
     kind, params = BAD_EVENTS[name]
-    with pytest.raises(ValueError):
-        FaultEvent(kind, at=1.0, duration=2.0, params=params)
+    bad_field = list(params)[-1]  # each row's bad value is its last field
+    fields = {"at": 1.0, "duration": 2.0, **params}
+    with pytest.raises(ValueError, match=f"^{kind} {bad_field} "):
+        at, duration = fields.pop("at"), fields.pop("duration")
+        FaultEvent(kind, at=at, duration=duration, params=fields)
 
     path = tmp_path / "plan.json"
     event = {"kind": kind, "at": 1.0, "duration": 2.0, **params}
     path.write_text(json.dumps({"name": "bad", "seed": 1, "events": [event]}))
-    findings = check_plan_files([str(path)], spec=spec)
+    findings = check_plan_files([str(path)])
     assert [f.code for f in findings] == ["TNG105"], findings
 
     with pytest.raises(ValueError):
-        FaultInjector(deployment, FaultPlan.from_file(str(path))).arm()
+        FaultInjector(vultr, FaultPlan.from_file(str(path))).arm()

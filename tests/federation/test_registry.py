@@ -279,7 +279,7 @@ class TestLiveFailover:
                 ),
             ),
         )
-        with pytest.raises(ValueError, match="federation deployment"):
+        with pytest.raises(ValueError, match="'vultr' takes no relay_outage"):
             FaultInjector(deployment, plan).arm()
 
 

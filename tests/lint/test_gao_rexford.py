@@ -14,9 +14,9 @@ from repro.lint import (
     check_network,
     check_scenario,
     leak_witness,
-    shipped_scenario_specs,
     valley_free_reachable,
 )
+from repro.scenarios.shipped import shipped_deployments
 
 C, P, R = Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER
 
@@ -170,5 +170,6 @@ class TestCommunities:
 
 class TestShippedScenarios:
     def test_every_shipped_scenario_validates_clean(self):
-        for spec in shipped_scenario_specs():
-            assert check_scenario(spec) == [], spec.name
+        # Established: the pinned route prefixes' communities are live.
+        for deployment in shipped_deployments():
+            assert check_scenario(deployment) == [], deployment.shape().name

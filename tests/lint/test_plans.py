@@ -1,30 +1,35 @@
-"""Fault-plan target validation (TNG105) against scenario specs."""
+"""Fault-plan target validation: FaultPlan.check against deployment
+shapes, and TNG105 over plan files."""
 
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.lint import check_fault_plan, check_plan_files, vultr_spec
+from repro.lint import check_plan_files
+from tests.faults.shapes import federation_shape, vultr_shape
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+REGRESSIONS = REPO_ROOT / "tests" / "regressions" / "faults"
 
 
 def plan_of(*events: FaultEvent) -> FaultPlan:
     return FaultPlan(name="test-plan", seed=1, events=events)
 
 
-def lint_plan_file(tmp_path, spec, kind, at, duration, **params) -> list:
+def lint_plan_file(tmp_path, kind, at, duration, **params) -> list:
     """Lint a one-event plan *file*: an event :class:`FaultEvent` refuses
     to build reaches the linter only this way, as a TNG105 finding."""
     path = tmp_path / "plan.json"
     event = {"kind": kind, "at": at, "duration": duration, **params}
     path.write_text(json.dumps({"name": "test-plan", "seed": 1, "events": [event]}))
-    return check_plan_files([str(path)], spec=spec)
+    return check_plan_files([str(path)])
 
 
 class TestCheckFaultPlan:
     def setup_method(self):
-        self.spec = vultr_spec()
+        self.shape = vultr_shape()
 
     def test_valid_plan_clean(self):
         plan = plan_of(
@@ -47,7 +52,7 @@ class TestCheckFaultPlan:
                 params={"a": "vultr-ny", "b": "cogent"},
             ),
         )
-        assert check_fault_plan(plan, self.spec) == []
+        assert plan.check(self.shape) == []
 
     def test_unknown_edge(self):
         plan = plan_of(
@@ -58,10 +63,9 @@ class TestCheckFaultPlan:
                 params={"src": "tokyo", "path": "GTT"},
             )
         )
-        findings = check_fault_plan(plan, self.spec, path="plan.json")
-        assert [f.code for f in findings] == ["TNG105"]
-        assert "unknown edge 'tokyo'" in findings[0].message
-        assert findings[0].path == "plan.json"
+        problems = plan.check(self.shape)
+        assert len(problems) == 1
+        assert "unknown edge 'tokyo'" in problems[0]
 
     def test_unknown_path_label(self):
         plan = plan_of(
@@ -72,9 +76,9 @@ class TestCheckFaultPlan:
                 params={"src": "ny", "path": "Sprint"},
             )
         )
-        findings = check_fault_plan(plan, self.spec)
-        assert len(findings) == 1
-        assert "no wide-area path 'Sprint'" in findings[0].message
+        problems = plan.check(self.shape)
+        assert len(problems) == 1
+        assert "no wide-area path 'Sprint'" in problems[0]
 
     def test_prefix_index_out_of_range(self):
         plan = plan_of(
@@ -85,9 +89,9 @@ class TestCheckFaultPlan:
                 params={"edge": "ny", "prefix_index": 99},
             )
         )
-        findings = check_fault_plan(plan, self.spec)
-        assert len(findings) == 1
-        assert "prefix_index 99 out of range" in findings[0].message
+        problems = plan.check(self.shape)
+        assert len(problems) == 1
+        assert "prefix_index 99 out of range" in problems[0]
 
     def test_unknown_router_in_session_down(self):
         plan = plan_of(
@@ -98,9 +102,9 @@ class TestCheckFaultPlan:
                 params={"a": "vultr-ny", "b": "sprint"},
             )
         )
-        findings = check_fault_plan(plan, self.spec)
-        assert len(findings) == 1
-        assert "unknown router 'sprint'" in findings[0].message
+        problems = plan.check(self.shape)
+        assert len(problems) == 1
+        assert "unknown router 'sprint'" in problems[0]
 
     def test_no_session_between_known_routers(self):
         # Both routers exist, but level3 is an LA-side provider only.
@@ -112,9 +116,9 @@ class TestCheckFaultPlan:
                 params={"a": "vultr-ny", "b": "level3"},
             )
         )
-        findings = check_fault_plan(plan, self.spec)
-        assert len(findings) == 1
-        assert "no BGP session" in findings[0].message
+        problems = plan.check(self.shape)
+        assert len(problems) == 1
+        assert "no BGP session" in problems[0]
 
     def test_every_finding_names_the_event(self):
         plan = plan_of(
@@ -125,15 +129,14 @@ class TestCheckFaultPlan:
                 params={"edge": "mars"},
             )
         )
-        findings = check_fault_plan(plan, self.spec)
-        assert "plan 'test-plan' event #0" in findings[0].message
+        assert plan.check(self.shape)[0].startswith("event #0: unknown edge")
 
 
 class TestAdversarialKinds:
     """TNG105 fixtures for the Byzantine-peer fault kinds."""
 
     def setup_method(self):
-        self.spec = vultr_spec()
+        self.shape = vultr_shape()
 
     def adversarial_params(self, kind, **params) -> dict:
         defaults = {
@@ -152,7 +155,7 @@ class TestAdversarialKinds:
 
     def lint_adversarial(self, tmp_path, kind, **params):
         return lint_plan_file(
-            tmp_path, self.spec, kind, **self.adversarial_params(kind, **params)
+            tmp_path, kind, **self.adversarial_params(kind, **params)
         )
 
     def test_valid_fixtures_clean(self):
@@ -162,7 +165,7 @@ class TestAdversarialKinds:
             "gray_loss",
             "clock_drift",
         ):
-            assert check_fault_plan(self.adversarial(kind), self.spec) == []
+            assert self.adversarial(kind).check(self.shape) == []
 
     def test_tamper_bias_must_be_a_nonzero_number(self, tmp_path):
         findings = self.lint_adversarial(
@@ -190,13 +193,13 @@ class TestAdversarialKinds:
             assert "rate must be in [0, 1]" in findings[0].message
         for rate in (0.0, 1.0):
             plan = self.adversarial("gray_loss", rate=rate)
-            assert check_fault_plan(plan, self.spec) == []
+            assert plan.check(self.shape) == []
 
     def test_adversarial_kinds_check_their_targets_too(self):
-        findings = check_fault_plan(
-            self.adversarial("telemetry_tamper", path="Sprint"), self.spec
+        problems = self.adversarial("telemetry_tamper", path="Sprint").check(
+            self.shape
         )
-        assert any("no wide-area path 'Sprint'" in f.message for f in findings)
+        assert any("no wide-area path 'Sprint'" in p for p in problems)
 
     def test_clock_drift_beyond_monitor_bound_rejected(self):
         """A drift the monitor cannot re-estimate away tests nothing but
@@ -204,22 +207,18 @@ class TestAdversarialKinds:
         from repro.trust.clock import ClockIntegrityMonitor
 
         bound = ClockIntegrityMonitor.MAX_TRACKABLE_PPM
-        findings = check_fault_plan(
-            self.adversarial("clock_drift", ppm=bound + 1), self.spec
-        )
-        assert len(findings) == 1
-        assert "re-estimation bound" in findings[0].message
-        assert check_fault_plan(
-            self.adversarial("clock_drift", ppm=-bound), self.spec
-        ) == []
+        problems = self.adversarial("clock_drift", ppm=bound + 1).check(self.shape)
+        assert len(problems) == 1
+        assert "re-estimation bound" in problems[0]
+        assert self.adversarial("clock_drift", ppm=-bound).check(self.shape) == []
 
 
 class TestCorrelatedKinds:
     def setup_method(self):
-        self.spec = vultr_spec()
+        self.shape = vultr_shape()
 
     def check(self, event):
-        return check_fault_plan(plan_of(event), self.spec)
+        return plan_of(event).check(self.shape)
 
     def test_valid_correlated_events_clean(self):
         plan = plan_of(
@@ -242,66 +241,64 @@ class TestCorrelatedKinds:
                 params={"group": "ntt-backbone", "drain_s": 0.5},
             ),
         )
-        assert check_fault_plan(plan, self.spec) == []
+        assert plan.check(self.shape) == []
 
     def test_unknown_group_rejected(self):
-        findings = self.check(
+        problems = self.check(
             FaultEvent(
                 "srlg_failure", at=1.0, duration=2.0,
                 params={"group": "atlantis-cable"},
             )
         )
-        assert len(findings) == 1
-        assert "unknown risk group 'atlantis-cable'" in findings[0].message
+        assert len(problems) == 1
+        assert "unknown risk group 'atlantis-cable'" in problems[0]
 
     def test_maintenance_group_also_checked(self):
-        findings = self.check(
+        problems = self.check(
             FaultEvent(
                 "maintenance_window", at=1.0, duration=2.0,
                 params={"group": "nope"},
             )
         )
-        assert len(findings) == 1
-        assert "unknown risk group" in findings[0].message
+        assert len(problems) == 1
+        assert "unknown risk group" in problems[0]
 
     def test_unknown_region_rejected(self):
-        findings = self.check(
+        problems = self.check(
             FaultEvent(
                 "regional_outage", at=1.0, duration=2.0,
                 params={"region": "mars"},
             )
         )
-        assert len(findings) == 1
-        assert "unknown region 'mars'" in findings[0].message
+        assert len(problems) == 1
+        assert "unknown region 'mars'" in problems[0]
 
     def test_drain_must_be_numeric_and_inside_window(self, tmp_path):
         for drain, problem in (("soon", "not a number"), (2.0, "drain_s")):
             findings = lint_plan_file(
-                tmp_path, self.spec, "maintenance_window", at=1.0,
+                tmp_path, "maintenance_window", at=1.0,
                 duration=2.0, group="ntt-backbone", drain_s=drain,
             )
             assert any(problem in f.message for f in findings)
 
     def test_transit_tags_are_valid_groups(self):
-        findings = self.check(
+        problems = self.check(
             FaultEvent(
                 "srlg_failure", at=1.0, duration=2.0,
                 params={"group": "transit:NTT"},
             )
         )
-        assert findings == []
+        assert problems == []
 
 
 class TestRelayOutage:
-    """TNG105 fixtures for the federation relay-outage fault kind: the
-    member must be a declared mesh member of the scenario."""
+    """The federation relay-outage kind: the member must be one of the
+    live federation's members, and a two-party deployment has none."""
 
     def setup_method(self):
-        from repro.lint import mesh_spec
+        self.shape = federation_shape(4)
 
-        self.spec = mesh_spec(4)
-
-    def check(self, member):
+    def check(self, member, shape=None):
         plan = plan_of(
             FaultEvent(
                 "relay_outage",
@@ -310,49 +307,39 @@ class TestRelayOutage:
                 params={"member": member},
             )
         )
-        return check_fault_plan(plan, self.spec)
+        return plan.check(shape or self.shape)
 
     def test_declared_member_accepted(self):
         assert self.check("edge2") == []
 
     def test_unknown_member_rejected(self):
-        findings = self.check("edge9")
-        assert [f.code for f in findings] == ["TNG105"]
-        assert "unknown federation member 'edge9'" in findings[0].message
-        assert "edge0" in findings[0].message  # names the valid members
+        problems = self.check("edge9")
+        assert len(problems) == 1
+        assert "unknown federation member 'edge9'" in problems[0]
+        assert "edge0" in problems[0]  # names the valid members
 
     def test_two_party_scenario_has_no_members(self):
-        findings = check_fault_plan(
-            plan_of(
-                FaultEvent(
-                    "relay_outage",
-                    at=2.0,
-                    duration=2.0,
-                    params={"member": "ny"},
-                )
-            ),
-            vultr_spec(),
+        # 'ny' is a Vultr edge, but a two-party deployment arms no
+        # relay_outage at all: the kind is refused by name.
+        for member in ("ny", "tokyo"):
+            problems = self.check(member, vultr_shape())
+            assert len(problems) == 1
+            assert "'vultr' takes no relay_outage faults" in problems[0]
+
+    def test_federation_refuses_two_party_kinds(self):
+        plan = plan_of(
+            FaultEvent(
+                "link_blackhole",
+                at=1.0,
+                duration=1.0,
+                params={"src": "edge0", "path": "NTT"},
+            )
         )
-        # 'ny' is a vultr edge, so it passes the static member check;
-        # arming against a two-party deployment still fails at runtime
-        # (no member_links).  A name outside the edge set is caught.
-        assert findings == []
-        findings = check_fault_plan(
-            plan_of(
-                FaultEvent(
-                    "relay_outage",
-                    at=2.0,
-                    duration=2.0,
-                    params={"member": "tokyo"},
-                )
-            ),
-            vultr_spec(),
-        )
-        assert len(findings) == 1
+        problems = plan.check(self.shape)
+        assert len(problems) == 1
+        assert "'federation-4' takes no link_blackhole faults" in problems[0]
 
     def test_zero_duration_rejected_at_authoring(self):
-        import pytest
-
         with pytest.raises(ValueError, match="positive duration"):
             FaultEvent(
                 "relay_outage", at=2.0, duration=0.0, params={"member": "edge2"}
@@ -386,3 +373,34 @@ class TestCheckPlanFiles:
         findings = check_plan_files([str(plan)])
         assert len(findings) == 1
         assert findings[0].path == str(plan)
+        assert findings[0].message.startswith("plan 'x' event #0: edge 'ny'")
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_bench_plans_check_clean(self, seed):
+        """The benchmark's plans fit the deployments it arms them on."""
+        from bench.workloads.chaos_replay import ChaosReplay
+        from bench.workloads.federation import FederationLive
+
+        for smoke in (True, False):
+            chaos = ChaosReplay().plan(seed, smoke).fault_plan
+            assert chaos.check(vultr_shape()) == []
+            live = FederationLive().plan(seed, smoke)
+            assert live.fault_plan.check(federation_shape(live.n_edges)) == []
+
+    def test_plan_fitting_the_federation_is_clean(self, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            '{"name": "x", "events": [{"kind": "relay_outage", "at": 1.0,'
+            ' "duration": 1.0, "member": "edge2"}]}'
+        )
+        assert check_plan_files([str(plan)]) == []
+
+
+@pytest.mark.parametrize(
+    "plan", sorted(REGRESSIONS.glob("*.json")), ids=lambda p: p.stem
+)
+def test_regression_plan_is_one_finding(plan):
+    """Each regression plan is wrong in one way, reported as one TNG105
+    — a mistyped field included, which once escaped as a TypeError."""
+    findings = check_plan_files([str(plan)])
+    assert [f.code for f in findings] == ["TNG105"], findings

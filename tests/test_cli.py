@@ -5,9 +5,11 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.lint import check_plan_files
 
 BLACKHOLE_PLAN = Path(__file__).parents[1] / "examples" / "faults_blackhole.json"
 CRASH_PLAN = BLACKHOLE_PLAN.with_name("faults_crash.json")
+REGRESSIONS = Path(__file__).parent / "regressions" / "faults"
 
 
 class TestParser:
@@ -166,6 +168,27 @@ class TestFaultsRunBadPlan:
         assert "event #1:" in err
         assert "missing parameter" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "plan", sorted(REGRESSIONS.glob("*.json")), ids=lambda p: p.stem
+    )
+    def test_regression_plan_exits_2_in_one_line(self, plan, capsys):
+        argv = ["faults", "run", "--plan", str(plan), "--duration", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tango-repro: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["relay_outage_on_vultr", "flap_period_zero"])
+    def test_run_refuses_what_lint_reports(self, name, capsys):
+        """One check behind both commands: the plan lint flags is the
+        plan ``faults run`` refuses, with the same problem text."""
+        plan = REGRESSIONS / f"{name}.json"
+        [finding] = check_plan_files([str(plan)])
+        problem = finding.message[finding.message.index("event #0: ") :]
+        assert main(["faults", "run", "--plan", str(plan)]) == 2
+        assert problem in capsys.readouterr().err
 
 
 class TestFaultsCampaign:

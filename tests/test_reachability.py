@@ -46,10 +46,6 @@ EXCEPTIONS = {
         "no deployment has a sender-side loss source to hand it until "
         "ROADMAP's loss-feed item lands; that item reads it"
     ),
-    "repro.scenarios.enterprise.EnterpriseDeployment": (
-        "EXPERIMENTS.md's generality check is tests/scenarios/test_enterprise.py: "
-        "the stack run unchanged on a second, non-Vultr scenario"
-    ),
     "repro.bgp.network.BgpNetwork.session_pairs": (
         "tests/bgp/oracle.py, the full-scan engine, is written against it"
     ),
