@@ -12,6 +12,7 @@ discovery protocol is needed on the data path — a lookup table suffices.
 from __future__ import annotations
 
 import ipaddress
+import math
 from dataclasses import dataclass
 
 __all__ = ["EdgeConfig", "PairingConfig"]
@@ -103,8 +104,8 @@ class PairingConfig:
             ("report_interval_s", self.report_interval_s),
             ("control_interval_s", self.control_interval_s),
         ):
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.a.name == self.b.name:
             raise ValueError("the two edges of a pairing must be distinct")
 

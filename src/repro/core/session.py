@@ -21,6 +21,7 @@ freshness (one report interval plus the reverse path delay), not packets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional
 
@@ -29,7 +30,7 @@ from ..bgp.network import BgpNetwork
 from ..bgp.snapshot import SnapshotCache
 from ..netsim.events import Simulator
 from ..netsim.ticks import TickScheduler
-from ..telemetry.store import MeasurementStore, StoreCursor
+from ..telemetry.store import MeasurementStore, StoreCursor, TimeSeries
 from .config import EdgeConfig, PairingConfig
 from .discovery import DiscoveryResult, PathDiscovery
 from .gateway import TangoGateway
@@ -66,12 +67,15 @@ class TelemetryMirror:
         where source and sink belong to exactly one pairing.  A
         federation scopes each session's mirror to its own tunnel ids so
         N sessions sharing per-member stores do not cross-feed."""
-        if latency_s < 0:
-            raise ValueError(f"latency must be >= 0, got {latency_s}")
+        if not (latency_s >= 0 and math.isfinite(latency_s)):
+            raise ValueError(f"latency must be finite and >= 0, got {latency_s}")
         self.source = source
         self.sink = sink
         self.latency_s = latency_s
         self._cursor = StoreCursor(source, path_ids)
+        #: The sink series each path is copied into, looked up on its
+        #: first block (the store keeps a series once it creates one).
+        self._targets: dict[int, TimeSeries] = {}
         self.samples_mirrored = 0
         self.samples_discarded = 0
 
@@ -102,10 +106,18 @@ class TelemetryMirror:
         Returns:
             Number of samples copied this call.
         """
-        horizon = now - self.latency_s
+        sink, targets = self.sink, self._targets
         copied = 0
-        for path_id, series, start, end in self._cursor.take(horizon):
-            self.sink.series(path_id).extend_from(series, start, end)
+        for path_id, series, start, end in self._cursor.take(now - self.latency_s):
+            target = targets.get(path_id)
+            if target is None:
+                target = targets[path_id] = sink.series(path_id)
+            elif sink._written:
+                sink._sync()
+            if end - start == 1:  # the common block: one report interval
+                target.append(series._times.item(start), series._values.item(start))
+            else:
+                target.extend_from(series, start, end)
             copied += end - start
         self.samples_mirrored += copied
         return copied

@@ -30,6 +30,7 @@ prefix of the source; once the wire heals it catches up completely.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -124,6 +125,18 @@ class ChannelConfig:
     staleness_s: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in (
+            "report_interval_s",
+            "latency_s",
+            "rto_s",
+            "max_rto_s",
+            "rto_backoff",
+            "jitter_frac",
+            "staleness_s",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.report_interval_s <= 0:
             raise ValueError("report_interval_s must be positive")
         if self.latency_s < 0:

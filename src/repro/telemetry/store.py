@@ -9,7 +9,7 @@ layers (which read windows and summaries).
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -127,10 +127,9 @@ class TimeSeries:
         lo, hi = self.count_before(t0), self.count_before(t1)
         return self._times[lo:hi], self._values[lo:hi]
 
-    def count_before(self, t: float, inclusive: bool = False) -> int:
-        """Rows with time ``< t`` (``<= t`` when ``inclusive``)."""
-        side = "right" if inclusive else "left"
-        return int(self._times[: self._size].searchsorted(t, side))
+    def count_before(self, t: float) -> int:
+        """Rows with time ``< t``."""
+        return int(self._times[: self._size].searchsorted(t))
 
     @property
     def last_time(self) -> Optional[float]:
@@ -374,11 +373,16 @@ class StoreCursor:
     ``ReliableTelemetryChannel`` — the seam every receiver-side sample
     crosses on its way to the sender.  ``path_ids`` scopes the reader:
     a sorted list changed only by :meth:`extend_scope`; ``None`` follows
-    every id in the store, re-listed only when the store gains a series.
-    Paths are visited in ascending id order.
+    every id in the store.  Paths are visited in ascending id order.
+
+    Each followed path is one ``[path id, series, position]`` entry,
+    resolved when its series first exists — the store creates a series
+    once and keeps it — and re-resolved only after :meth:`extend_scope`
+    or when the store gains a series.  A read then costs a size check
+    per path, and a search over that path's unread rows only.
     """
 
-    __slots__ = ("store", "_scoped", "_ids", "_positions")
+    __slots__ = ("store", "_scoped", "_ids", "_followed", "_known")
 
     def __init__(
         self, store: MeasurementStore, path_ids: Optional[Iterable[int]] = None
@@ -386,7 +390,9 @@ class StoreCursor:
         self.store = store
         self._scoped = path_ids is not None
         self._ids: list[int] = sorted(set(path_ids)) if self._scoped else []
-        self._positions: dict[int, int] = {}
+        self._followed: list[list] = []
+        #: Series in the store when ``_followed`` was resolved (-1: stale).
+        self._known = -1
 
     @property
     def scope(self) -> Optional[frozenset[int]]:
@@ -397,21 +403,29 @@ class StoreCursor:
         """Follow ``path_id`` too (no-op for an unscoped reader)."""
         if self._scoped and path_id not in self._ids:
             insort(self._ids, path_id)
+            self._known = -1
 
-    def _unread(self) -> Iterator[tuple[int, TimeSeries, int]]:
-        """(path id, series, position) of each followed path with unread rows."""
+    def _follow(self) -> list[list]:
+        """The followed paths' entries, the store brought up to date."""
         store = self.store
         if store._written:
             store._sync()
         series_by_id = store._series
-        if not self._scoped and len(self._ids) != len(series_by_id):
-            self._ids = sorted(series_by_id)
-        for path_id in self._ids:
-            series = series_by_id.get(path_id)
-            if series is not None:
-                start = self._positions.get(path_id, 0)
-                if series._size > start:
-                    yield path_id, series, start
+        if len(series_by_id) != self._known:
+            # Scope and store only grow, so every entry is kept.
+            entries = {entry[0]: entry for entry in self._followed}
+            followed = []
+            for path_id in self._ids if self._scoped else sorted(series_by_id):
+                entry = entries.get(path_id)
+                if entry is None:
+                    series = series_by_id.get(path_id)
+                    if series is None:
+                        continue
+                    entry = [path_id, series, 0]
+                followed.append(entry)
+            self._followed = followed
+            self._known = len(series_by_id)
+        return self._followed
 
     def take(
         self, through: float = np.inf
@@ -419,19 +433,34 @@ class StoreCursor:
         """Consume unread rows with time ``<= through``: yields ``(path id,
         series, start, end)`` per path that has any.  A block counts as
         consumed once the caller asks for the next, so a consumer that
-        raises leaves its block unread."""
-        for path_id, series, start in self._unread():
-            end = series.count_before(through, inclusive=True)
-            if end > start:
-                yield path_id, series, start, end
-                self._positions[path_id] = end
+        raises leaves its block unread.  A NaN ``through`` is refused: no
+        row compares against it, and a search would hand over every row."""
+        if through != through:
+            raise ValueError(f"take through a NaN time: {through}")
+        for entry in self._follow():
+            _, series, start = entry
+            size = series._size
+            if size > start:
+                if series._last_t <= through:
+                    end = size
+                else:
+                    end = bisect_right(series._times, through, start, size)
+                    if end == start:
+                        continue
+                yield entry[0], series, start, end
+                entry[2] = end
 
     def discard_before(self, t: float) -> int:
-        """Skip the unread rows with time ``< t``; returns how many."""
+        """Skip the unread rows with time ``< t``; returns how many.  A NaN
+        ``t`` is refused rather than taken to be later than every row."""
+        if t != t:
+            raise ValueError(f"discard before a NaN time: {t}")
         discarded = 0
-        for path_id, series, start in self._unread():
-            cut = series.count_before(t)
-            if cut > start:
-                self._positions[path_id] = cut
+        for entry in self._follow():
+            _, series, start = entry
+            size = series._size
+            if size > start:
+                cut = bisect_left(series._times, t, start, size)
                 discarded += cut - start
+                entry[2] = cut
         return discarded

@@ -70,3 +70,16 @@ class TestPairingConfig:
                 b=edge("la", host="2001:db8:10::/48", routes=("2001:db8:a0::/48",)),
                 probe_interval_s=0.0,
             )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["probe_interval_s", "report_interval_s", "control_interval_s"]
+    )
+    def test_non_finite_interval_rejected_by_name(self, field, value):
+        # At the parent the check was ``value <= 0``, which NaN passes.
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            PairingConfig(
+                a=edge("ny"),
+                b=edge("la", host="2001:db8:10::/48", routes=("2001:db8:a0::/48",)),
+                **{field: value},
+            )

@@ -95,6 +95,24 @@ class TestTelemetryMirror:
         with pytest.raises(ValueError):
             TelemetryMirror(MeasurementStore(), MeasurementStore(), latency_s=-1.0)
 
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_latency_rejected(self, latency):
+        # At the parent a NaN latency constructed, and its horizon let a
+        # sync at t=0 copy a row stamped t=5.
+        with pytest.raises(ValueError, match=str(latency)):
+            TelemetryMirror(MeasurementStore(), MeasurementStore(), latency_s=latency)
+
+    def test_nan_sync_time_copies_nothing(self):
+        source, sink = MeasurementStore(), MeasurementStore()
+        source.record(1, 5.0, 0.03)
+        mirror = TelemetryMirror(source, sink)
+        with pytest.raises(ValueError, match="nan"):
+            mirror.sync(float("nan"))
+        with pytest.raises(ValueError, match="nan"):
+            mirror.discard_before(float("nan"))
+        assert sink.path_ids() == [] and mirror.samples_discarded == 0
+        assert mirror.sync(5.0) == 1
+
     def test_multiple_paths_mirrored(self):
         source, sink = MeasurementStore(), MeasurementStore()
         source.record(1, 0.0, 0.03)

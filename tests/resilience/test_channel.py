@@ -11,6 +11,18 @@ from repro.resilience.channel import (
 )
 from repro.telemetry.store import MeasurementStore
 
+NAN, INF = float("nan"), float("inf")
+#: The float knobs ``ChannelConfig`` refuses when not finite.
+FINITE_FIELDS = [
+    "report_interval_s",
+    "latency_s",
+    "rto_s",
+    "max_rto_s",
+    "rto_backoff",
+    "jitter_frac",
+    "staleness_s",
+]
+
 
 def make_channel(config=None, seed=0):
     sim = Simulator()
@@ -51,11 +63,30 @@ class TestConfigValidation:
             {"frame_records": 0},
             {"dupack_threshold": 0},
             {"staleness_s": 0.0},
+            {"report_interval_s": NAN},
+            {"report_interval_s": INF},
+            {"latency_s": NAN},
+            {"latency_s": INF},
+            {"rto_s": NAN},
+            {"max_rto_s": NAN},
+            {"max_rto_s": INF},
+            {"rto_backoff": NAN},
+            {"rto_backoff": INF},
+            {"jitter_frac": NAN},
+            {"jitter_frac": INF},
+            {"staleness_s": NAN},
+            {"staleness_s": INF},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ChannelConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", FINITE_FIELDS)
+    def test_nan_is_refused_by_name(self, field):
+        # At the parent every check was ``<= 0`` or ``< 0``, so NaN passed.
+        with pytest.raises(ValueError, match=f"{field} must be finite, got nan"):
+            ChannelConfig(**{field: NAN})
 
 
 class TestLosslessDelivery:

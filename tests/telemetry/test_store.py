@@ -380,15 +380,14 @@ class TestExtendFrom:
 
 
 class TestCountBefore:
-    def test_strict_and_inclusive_with_ties(self):
+    def test_strict_with_ties(self):
         series = TimeSeries()
         for t in (1.0, 2.0, 2.0, 3.0):
             series.append(t, 0.0)
         assert series.count_before(2.0) == 1
-        assert series.count_before(2.0, inclusive=True) == 3
-        assert series.count_before(0.0, inclusive=True) == 0
+        assert series.count_before(0.0) == 0
         assert series.count_before(float("inf")) == 4
-        assert TimeSeries().count_before(1.0, inclusive=True) == 0
+        assert TimeSeries().count_before(1.0) == 0
 
 
 class TestStoreCursor:
@@ -450,3 +449,27 @@ class TestStoreCursor:
                 if path_id == 20:
                     raise RuntimeError("sink refused the block")
         assert self.blocks(cursor) == [(20, 0, 3)]
+
+    @pytest.mark.parametrize("read", ["take", "discard_before"])
+    def test_a_nan_time_is_refused_and_reads_nothing(self, read):
+        # At the parent take(nan) handed over every row, future ones
+        # included, and discard_before(nan) dropped every unread row.
+        cursor = StoreCursor(self.store(), {3, 20})
+        with pytest.raises(ValueError, match="nan"):
+            list(getattr(cursor, read)(float("nan")))
+        assert self.blocks(cursor, 1.0) == [(3, 0, 1), (20, 0, 1)]
+
+    def test_a_scope_grown_below_its_ids_keeps_positions(self):
+        store = self.store()
+        cursor = StoreCursor(store, {20, 100})
+        assert self.blocks(cursor, 2.0) == [(20, 0, 2), (100, 0, 2)]
+        cursor.extend_scope(3)
+        store.record(20, 4.0, 0.0)
+        assert self.blocks(cursor) == [(3, 0, 3), (20, 2, 4), (100, 2, 3)]
+
+    def test_a_scoped_id_is_followed_once_its_series_appears(self):
+        store = self.store()
+        cursor = StoreCursor(store, {7, 20})
+        assert self.blocks(cursor) == [(20, 0, 3)]
+        store.record(7, 4.0, 0.0)
+        assert self.blocks(cursor) == [(7, 0, 1)]

@@ -11,6 +11,14 @@ read through its public API and must equal the model — a copy, so that
 checking does not itself count as the reader that switches staging off;
 separate rules read the real object in place.
 
+The store machine also runs the report road over both stores: the
+product ``StoreCursor`` / ``TelemetryMirror`` on the product store, and
+the parent's cursor and mirror (``tests/telemetry/oracle.py``) on the
+loop model, each into its own sink.  After every step the sinks, the
+read positions and the counters must be equal — through rows newer than
+the horizon, staged blocks in source and sink, discards past the horizon,
+a scope grown below its ids, and a sink that refuses a row mid-sync.
+
 The exact work counts at the bottom pin what write-behind is for: on a
 256-wide engine nobody reads, a step costs no per-path Python at all.
 """
@@ -23,12 +31,14 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.core.session import TelemetryMirror
 from repro.dataplane import seqnum as seqnum_module
 from repro.dataplane.seqnum import SequenceTracker
 from repro.telemetry import store as store_module
 from repro.telemetry.loss import LossMonitor
 from repro.telemetry.store import MeasurementStore, StoreCursor, TimeSeries
 from repro.traffic.vector import VectorFluidEngine
+from tests.telemetry.oracle import OracleCursor, OracleMirror
 from tests.traffic.test_vector import standin
 
 NAN = float("nan")
@@ -78,6 +88,13 @@ def outcome(call):
     except (ValueError, IndexError) as error:
         return type(error)
 
+
+#: (name, latency, scope): scoped above the ids a scope may grow by.
+MIRRORS = (("scoped", 0.1, {20, 64, 200}), ("unscoped", 0.0, None))
+MIRROR_NAMES = st.sampled_from([name for name, _, _ in MIRRORS])
+#: Sink rows against the mirror's horizon: behind it (mostly refused by
+#: the sink), at it (staged under rows still to be mirrored) or ahead.
+SINK_AHEAD = st.lists(st.sampled_from([-0.5, 0.0, 0.0, 0.3]), min_size=2, max_size=3)
 
 WRITES = st.sampled_from(
     [
@@ -151,7 +168,14 @@ class StoreMachine(_WriteBehindMachine):
         super().__init__()
         self.now = 0.0
         self.ours, self.model = MeasurementStore(), LoopStore()
-        self.cursors = StoreCursor(self.ours), StoreCursor(self.model)
+        self.cursors = StoreCursor(self.ours), OracleCursor(self.model)
+        self.mirrors = {
+            which: (
+                TelemetryMirror(self.ours, MeasurementStore(), latency, scope),
+                OracleMirror(self.model, LoopStore(), latency, scope),
+            )
+            for which, latency, scope in MIRRORS
+        }
 
     @rule(dt=st.sampled_from(STEPS))
     def advance(self, dt):
@@ -208,18 +232,83 @@ class StoreMachine(_WriteBehindMachine):
         ours, model = (c.discard_before(self.now - back) for c in self.cursors)
         assert ours == model
 
-    @invariant()
-    def a_reader_would_see_the_model(self):
-        seen = copy.deepcopy(self.ours)
-        assert seen.path_ids() == self.model.path_ids()
+    @rule(which=MIRROR_NAMES)
+    def mirror_sync(self, which):
+        # A sink that is ahead of a path raises at that path: the paths
+        # before it are copied, it and the rest stay unread.
+        mirror, oracle = self.mirrors[which]
+        assert outcome(lambda: mirror.sync(self.now)) == outcome(
+            lambda: oracle.sync(self.now)
+        )
+
+    @rule(which=MIRROR_NAMES, back=st.sampled_from([-0.3, 0.0, *STEPS]))
+    def mirror_discard(self, which, back):
+        # back < latency discards past the horizon, < 0 past the clock.
+        mirror, oracle = self.mirrors[which]
+        t = self.now - back
+        assert mirror.discard_before(t) == oracle.discard_before(t)
+
+    @rule(path_id=path_ids)
+    def mirror_extend_scope(self, path_id):
+        for mirror in self.mirrors["scoped"]:
+            mirror.extend_scope(path_id)
+
+    @rule(
+        which=MIRROR_NAMES,
+        ids=st.lists(path_ids, min_size=1, max_size=3, unique=True),
+        ahead=SINK_AHEAD,
+        value=delays,
+    )
+    def sink_writes(self, which, ids, ahead, value):
+        # Back to back, so the product sink stages all but the first; then
+        # newer source rows for the same paths are mirrored over them.  A
+        # sink row ahead of those rows makes the sync refuse its path.
+        mirror, oracle = self.mirrors[which]
+        for dt in ahead:
+            self.now += 0.01
+            t, values = self.now - mirror.latency_s + dt, [value] * len(ids)
+            ours, model = (
+                outcome(lambda: sink.record_aggregate_many(ids, t, values))
+                for sink in (mirror.sink, oracle.sink)
+            )
+            assert ours == model
+        for path_id in ids:
+            self.both(lambda s: s.record(path_id, self.now + 0.01, value))
+        self.now += mirror.latency_s + 0.01
+        self.mirror_sync(which)
+
+    def same_store(self, seen, model):
+        assert seen.path_ids() == model.path_ids()
         assert not seen._block_rows and not seen._written
-        assert len(self.ours._block_rows) < store_module._WRITE_BEHIND_DEPTH
         for path_id in IDS:
-            ours, theirs = seen.series(path_id), self.model.series(path_id)
+            ours, theirs = seen.series(path_id), model.series(path_id)
             assert ours.times.tobytes() == theirs.times.tobytes()
             assert ours.values.tobytes() == theirs.values.tobytes()
             assert ours.grows == theirs.grows
             assert ours.last_time == theirs.last_time
+
+    @invariant()
+    def a_reader_would_see_the_model(self):
+        self.same_store(copy.deepcopy(self.ours), self.model)
+        assert len(self.ours._block_rows) < store_module._WRITE_BEHIND_DEPTH
+
+    @invariant()
+    def the_mirrors_match_the_oracle(self):
+        for mirror, oracle in self.mirrors.values():
+            self.same_store(copy.deepcopy(mirror.sink), oracle.sink)
+            assert mirror.path_ids == oracle.path_ids
+            assert mirror.samples_mirrored == oracle.samples_mirrored
+            assert mirror.samples_discarded == oracle.samples_discarded
+            assert positions(mirror._cursor) == positions(oracle._cursor)
+        assert positions(self.cursors[0]) == positions(self.cursors[1])
+
+
+def positions(cursor):
+    """Rows of each id a cursor has consumed or discarded."""
+    if isinstance(cursor, OracleCursor):
+        return [cursor._positions.get(path_id, 0) for path_id in IDS]
+    entries = {entry[0]: entry for entry in cursor._followed}
+    return [entries[p][2] if p in entries else 0 for p in IDS]
 
 
 class TrackerMachine(_WriteBehindMachine):
@@ -285,7 +374,9 @@ class TrackerMachine(_WriteBehindMachine):
 
 _SETTINGS = settings(max_examples=60, stateful_step_count=40, deadline=None)
 TestStoreMatchesLoop = StoreMachine.TestCase
-TestStoreMatchesLoop.settings = _SETTINGS
+TestStoreMatchesLoop.settings = settings(
+    _SETTINGS, max_examples=150, derandomize=True
+)
 TestTrackerMatchesLoop = TrackerMachine.TestCase
 TestTrackerMatchesLoop.settings = _SETTINGS
 
