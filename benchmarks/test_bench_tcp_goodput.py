@@ -21,7 +21,7 @@ from conftest import emit
 from repro.analysis.report import format_table
 from repro.core.policy import StaticSelector
 from repro.netsim.delaymodels import InstabilityEvent
-from repro.netsim.links import WindowedLoss
+from repro.netsim.links import WindowedLoss, replace_models
 from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
 from repro.netsim.transport import connect_tcp
 from repro.scenarios.vultr import VultrDeployment
@@ -49,8 +49,11 @@ def run_transfer(path_index: int, conn_id: int):
         spike_max=0.050,
         seed=88,
     )
-    link.delay = link.delay.with_event(event)
-    link.loss = WindowedLoss.around_events([event], elevated=0.03)
+    replace_models(
+        link,
+        delay=link.delay.with_event(event),
+        loss=WindowedLoss.around_events([event], elevated=0.03),
+    )
 
     deployment.set_data_policy("ny", StaticSelector(path_index))
     ny, la = deployment.pairing.a, deployment.pairing.b

@@ -20,6 +20,7 @@ Run:
 from repro.analysis.report import format_table
 from repro.core.policy import JitterAwareSelector, StaticSelector
 from repro.netsim.delaymodels import InstabilityEvent
+from repro.netsim.links import replace_models
 from repro.netsim.trace import DroneTelemetryWorkload, PacketFactory
 from repro.scenarios.vultr import VultrDeployment
 
@@ -35,15 +36,18 @@ def run_workload(policy_name: str) -> dict:
     # Inject a (time-shifted) instability window on the NY->LA GTT path
     # — the Figure 4 (right) event, early enough to hit this short run.
     link = deployment.net.links["ny->la:GTT"]
-    link.delay = link.delay.with_event(
-        InstabilityEvent(
-            start=10.0,
-            duration=15.0,
-            spike_probability=0.05,
-            spike_min=0.010,
-            spike_max=0.050,
-            seed=77,
-        )
+    replace_models(
+        link,
+        delay=link.delay.with_event(
+            InstabilityEvent(
+                start=10.0,
+                duration=15.0,
+                spike_probability=0.05,
+                spike_min=0.010,
+                spike_max=0.050,
+                seed=77,
+            )
+        ),
     )
 
     deployment.start_path_probes("ny")

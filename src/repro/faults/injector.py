@@ -28,7 +28,13 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 from ..bgp.messages import as_prefix
 from ..bgp.snapshot import SnapshotCache
 from ..netsim.delaymodels import AsymmetryEvent, overlay
-from ..netsim.links import ConstantLoss, Link, LossModel, OverrideLoss
+from ..netsim.links import (
+    ConstantLoss,
+    Link,
+    LossModel,
+    OverrideLoss,
+    replace_models,
+)
 from .adversary import AdversaryChain, GrayLoss, TelemetryReplay, TelemetryTamper
 from .plan import FaultEvent, FaultPlan, maintenance_drain_s
 
@@ -194,36 +200,47 @@ class FaultInjector:
 
     def _arm_link_blackhole(self, event: FaultEvent, index: int) -> None:
         link = self._link(event)
-        link.loss = OverrideLoss.blackhole(link.loss, event.at, event.end)
+        replace_models(
+            link, loss=OverrideLoss.blackhole(link.loss, event.at, event.end)
+        )
 
     def _arm_link_flap(self, event: FaultEvent, index: int) -> None:
         link = self._link(event)
-        link.loss = OverrideLoss.flapping(
-            link.loss,
-            event.at,
-            event.end,
-            period=float(event.params["period"]),
-            duty=float(event.params.get("duty", 0.5)),
+        replace_models(
+            link,
+            loss=OverrideLoss.flapping(
+                link.loss,
+                event.at,
+                event.end,
+                period=float(event.params["period"]),
+                duty=float(event.params.get("duty", 0.5)),
+            ),
         )
 
     def _arm_loss_burst(self, event: FaultEvent, index: int) -> None:
         link = self._link(event)
-        link.loss = OverrideLoss.burst(
-            link.loss,
-            event.at,
-            event.end,
-            rate=float(event.params["rate"]),
-            seed=_mix(self.plan.seed, index),
+        replace_models(
+            link,
+            loss=OverrideLoss.burst(
+                link.loss,
+                event.at,
+                event.end,
+                rate=float(event.params["rate"]),
+                seed=_mix(self.plan.seed, index),
+            ),
         )
 
     def _arm_delay_spike(self, event: FaultEvent, index: int) -> None:
         link = self._link(event)
-        link.delay = overlay(
-            link.delay,
-            AsymmetryEvent(
-                start=event.at,
-                duration=event.duration,
-                shift=float(event.params["extra_ms"]) * 1e-3,
+        replace_models(
+            link,
+            delay=overlay(
+                link.delay,
+                AsymmetryEvent(
+                    start=event.at,
+                    duration=event.duration,
+                    shift=float(event.params["extra_ms"]) * 1e-3,
+                ),
             ),
         )
 
@@ -447,7 +464,9 @@ class FaultInjector:
         registry = self.deployment.srlg
         group = str(event.params["group"])
         for link in self._srlg_links(group):
-            link.loss = OverrideLoss.blackhole(link.loss, event.at, event.end)
+            replace_models(
+                link, loss=OverrideLoss.blackhole(link.loss, event.at, event.end)
+            )
         sim.schedule_at(event.at, lambda: registry.mark_down(group))
         sim.schedule_at(event.end, lambda: registry.clear_down(group))
 
@@ -465,7 +484,9 @@ class FaultInjector:
         region = registry.region(str(event.params["region"]))
         for group in region.groups:
             for link in self._srlg_links(group):
-                link.loss = OverrideLoss.blackhole(link.loss, event.at, event.end)
+                replace_models(
+                    link, loss=OverrideLoss.blackhole(link.loss, event.at, event.end)
+                )
         sessions = sorted(
             {
                 tuple(sorted((router, neighbor)))
@@ -525,7 +546,9 @@ class FaultInjector:
         registry = deployment.srlg
         member = str(event.params["member"])
         for link in deployment.member_links(member):
-            link.loss = OverrideLoss.blackhole(link.loss, event.at, event.end)
+            replace_models(
+                link, loss=OverrideLoss.blackhole(link.loss, event.at, event.end)
+            )
         group = f"member:{member}"
         sim.schedule_at(event.at, lambda: registry.mark_down(group))
         sim.schedule_at(event.end, lambda: registry.clear_down(group))
@@ -542,7 +565,9 @@ class FaultInjector:
         group = str(event.params["group"])
         fail_at = event.at + maintenance_drain_s(event)
         for link in self._srlg_links(group):
-            link.loss = OverrideLoss.blackhole(link.loss, fail_at, event.end)
+            replace_models(
+                link, loss=OverrideLoss.blackhole(link.loss, fail_at, event.end)
+            )
 
         def begin_failure() -> None:
             registry.clear_draining(group)
@@ -567,6 +592,7 @@ class FaultInjector:
                 )
                 if not reachable and link.name not in self._bgp_saved_loss:
                     self._bgp_saved_loss[link.name] = link.loss
-                    link.loss = ConstantLoss(1.0)
+                    replace_models(link, loss=ConstantLoss(1.0))
                 elif reachable and link.name in self._bgp_saved_loss:
-                    link.loss = self._bgp_saved_loss.pop(link.name)
+                    saved = self._bgp_saved_loss.pop(link.name)
+                    replace_models(link, loss=saved)

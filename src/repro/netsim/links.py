@@ -8,13 +8,19 @@ campaign replayed with the same seed drops exactly the same packets.
 Wide-area AS-level paths are modeled as single links whose delay process is
 the calibrated end-to-end one-way-delay of that path (see
 ``repro.scenarios.vultr``); intra-edge hops use constant-delay links.
+
+A link's models are set in its constructor and replaced only through
+:func:`replace_models` (a fault's wrap, a path failure), which bumps the
+process-wide :func:`swap_epoch`: whoever keeps something derived from
+link models — the fluid engine's per-row classification — re-checks it
+only when the epoch has moved.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from .delaymodels import DelayEvent, DelayModel, uniform_at
 from .packet import Packet
@@ -31,6 +37,8 @@ __all__ = [
     "PacketInterceptor",
     "Link",
     "LinkStats",
+    "replace_models",
+    "swap_epoch",
 ]
 
 
@@ -353,3 +361,38 @@ class Link:
 
     def __repr__(self) -> str:
         return f"Link({self.name}: {self.src.name} -> {self.dst.name})"
+
+
+#: Swaps announced so far in this process (see :func:`replace_models`).
+_swap_epoch = 0
+
+
+def replace_models(
+    link: Any,
+    *,
+    delay: Optional[DelayModel] = None,
+    loss: Optional[LossModel] = None,
+) -> None:
+    """Install ``delay`` and/or ``loss`` on ``link`` and announce it.
+
+    The one way a link's models change after construction: each call
+    bumps the process-wide :func:`swap_epoch`, so anything derived from
+    link models is re-derived the next time it is used.  ``link`` is a
+    :class:`Link` or anything duck-typing its ``delay`` / ``loss``
+    attributes (a stand-in, a segment of a stitched link).  Models are
+    replaced, never edited, so this covers every change.
+    """
+    global _swap_epoch
+    if delay is not None:
+        link.delay = delay
+    if loss is not None:
+        link.loss = loss
+    _swap_epoch += 1
+
+
+def swap_epoch() -> int:
+    """How many :func:`replace_models` calls this process has made: an
+    unchanged epoch means no link anywhere has a new model object.  It
+    counts swaps in every simulation, so a moved epoch may be someone
+    else's."""
+    return _swap_epoch

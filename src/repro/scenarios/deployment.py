@@ -34,7 +34,7 @@ from ..core.tunnels import TangoTunnel
 from ..dataplane.programs import PathSelector
 from ..faults.plan import FAULT_KINDS, DeploymentShape
 from ..netsim.delaymodels import GaussianJitterDelay
-from ..netsim.links import ConstantLoss, Link, WindowedLoss
+from ..netsim.links import ConstantLoss, Link, WindowedLoss, replace_models
 from ..netsim.packet import Packet
 from ..netsim.topology import Network
 from ..netsim.trace import PacketFactory, ProbeGenerator
@@ -407,7 +407,9 @@ class PacketLevelDeployment:
     def fail_path(self, src: str, label: str, at: float) -> None:
         """Blackhole one wide-area path at simulation time ``at``."""
         link = self.wan_link(src, label)
-        self.sim.schedule_at(at, lambda: setattr(link, "loss", ConstantLoss(1.0)))
+        self.sim.schedule_at(
+            at, lambda: replace_models(link, loss=ConstantLoss(1.0))
+        )
 
     def wan_link(self, src: str, label: str) -> Link:
         """The wide-area link carrying ``src``'s path ``label`` — the fault

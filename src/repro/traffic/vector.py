@@ -75,11 +75,16 @@ some direction records them the rows keep each step's offered and
 concurrency vectors by reference, and a direction builds its
 ``split_trace`` / ``concurrency_trace`` entries from them when read.
 
-Base link models are classified once per model *object* and re-checked
-by ``is`` every step, so a fault that swaps a link's model (an
-``OverrideLoss`` blackhole, a delay overlay) is seen at the step it
-lands.  A :class:`ConstantDelay` is evaluated once; rows whose delay is
-a plain :class:`GaussianJitterDelay`
+Base link models are classified once per model *object*.  A link's
+models change only through :func:`~repro.netsim.links.replace_models`
+(a fault's ``OverrideLoss`` blackhole, a delay overlay, a failed path),
+which bumps the process-wide swap epoch; a step whose epoch moved since
+the previous step (or since a direction joined) re-checks every row's
+models by ``is``, so a swap is seen at the step it lands, and a step
+whose epoch did not move reads no link at all.  A moved epoch may be
+another simulation's swap: the re-check then finds nothing new and
+changes nothing.  A :class:`ConstantDelay` is evaluated once; rows
+whose delay is a plain :class:`GaussianJitterDelay`
 (:func:`~repro.netsim.delaymodels.plain_gaussian_jitter`) are all drawn
 with one array call; any other delay model — a stitched link's
 composition, a composite that gained an event, a third-party model —
@@ -105,6 +110,7 @@ from repro.netsim.delaymodels import (
     normal_grid,
     plain_gaussian_jitter,
 )
+from repro.netsim.links import swap_epoch
 from repro.netsim.packet import TANGO_UDP_PORT, Ipv6Header, Packet, UdpHeader
 
 from .demand import DemandModel, FlowClass
@@ -139,6 +145,14 @@ def _gather_by_owner(owners: list, pids: list[int]) -> tuple:
         order += rows
         writes.append((owner, [pids[r] for r in rows], span))
     return np.array(order, dtype=np.intp), writes
+
+
+def _require(name: str, value: float, *, zero_ok: bool = False) -> None:
+    """Refuse a non-finite ``value``, a negative one, and zero unless
+    ``zero_ok``, naming ``name``."""
+    if not (math.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 class FluidRows:
@@ -178,11 +192,19 @@ class FluidRows:
         # came from, the delay evaluation plan derived from those, and
         # per row the time its loss value stops being known to hold
         # (with the earliest of them, the one float a step compares).
+        # The swap epoch the models were last checked at (None: check at
+        # the next step).
         self._delay_vals = self._loss_vals = self._loss_until = empty
         self._delay_models: list[object] = []
         self._loss_models: list[object] = []
-        self._delay_plan: Optional[tuple] = None
+        self._delay_plan: tuple = ([], np.zeros(0, dtype=np.intp), None)
         self._next_loss_change = -math.inf
+        self._epoch: Optional[int] = None
+        # What a step derives from the above and the per-row constants,
+        # kept until they change: base delay + service time, 1.0 - base
+        # loss, and capacity * dt for the dt it was taken at.
+        self._base_service_vec = self._base_pass_vec = self._cap_dt = empty
+        self._cap_dt_for = math.nan
         # Demand side: one bucket per (direction, class), direction-major
         # — (direction, class, class position), the per-class constants,
         # the float concurrency state, and the buckets whose class has a
@@ -281,6 +303,8 @@ class FluidRows:
         self._delay_models += [None] * n
         self._loss_models += [None] * n
         self._next_loss_change = -math.inf
+        self._epoch = None
+        self._cap_dt_for = math.nan
         self._buckets += [(direction, cls, p) for p, cls in enumerate(classes)]
         self._diurnal += [
             (blo + p, cls) for p, cls in enumerate(classes) if cls.diurnal_fraction
@@ -344,51 +368,65 @@ class FluidRows:
             self._history.append((now, offered, concurrency))
 
     def _base_models(self, now: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row base delay/loss under the identity-keyed classification."""
-        delay_vals, loss_vals = self._delay_vals, self._loss_vals
+        """Per row, ``base delay + service time`` and ``1.0 - base loss``
+        at ``now``: re-derived only where a base value can have changed."""
+        rescanned = swap_epoch() != self._epoch
+        if rescanned:
+            self._rescan(now)
+        delay_vals, delay_models = self._delay_vals, self._delay_models
+        scalar_rows, jitter_rows, jitter = self._delay_plan
+        for i in scalar_rows:
+            delay_vals[i] = delay_models[i].delay_at(now)
+        if len(jitter_rows):
+            delay_vals[jitter_rows] = jitter.delays_at(now)
+        if rescanned or scalar_rows or len(jitter_rows):
+            self._base_service_vec = delay_vals + self._service_vec
+        if now >= self._next_loss_change:
+            until, loss_vals = self._loss_until, self._loss_vals
+            for i in np.flatnonzero(until <= now).tolist():
+                lm = self._loss_models[i]
+                loss_vals[i] = lm.loss_probability(now)
+                until[i] = lm.constant_until(now)
+            self._next_loss_change = float(until.min())
+            self._base_pass_vec = 1.0 - loss_vals
+        return self._base_service_vec, self._base_pass_vec
+
+    def _rescan(self, now: float) -> None:
+        """Check every row's link for new model objects (the swap epoch
+        moved): a new delay model re-plans the delay evaluation, a new
+        loss model is evaluated at this step."""
+        delay_vals = self._delay_vals
         delay_models, loss_models = self._delay_models, self._loss_models
+        replan = False
         for i, link in enumerate(self._links):
             dm = link.delay
             if dm is not delay_models[i]:
                 delay_models[i] = dm
-                self._delay_plan = None
+                replan = True
                 if type(dm) is ConstantDelay:
                     delay_vals[i] = dm.delay_at(now)
             lm = link.loss
             if lm is not loss_models[i]:
                 loss_models[i] = lm
                 self._loss_until[i] = self._next_loss_change = -math.inf
-
-        if self._delay_plan is None:
-            scalar_rows, jitter_rows, jitter_models = [], [], []
-            for i, dm in enumerate(delay_models):
-                if type(dm) is ConstantDelay:
-                    continue
-                plain = plain_gaussian_jitter(dm)
-                if plain is None:
-                    scalar_rows.append(i)
-                else:
-                    jitter_rows.append(i)
-                    jitter_models.append(plain)
-            self._delay_plan = (
-                scalar_rows,
-                np.array(jitter_rows, dtype=np.intp),
-                GaussianJitterRows(jitter_models),
-            )
-
-        scalar_rows, jitter_rows, jitter = self._delay_plan
-        for i in scalar_rows:
-            delay_vals[i] = delay_models[i].delay_at(now)
-        if len(jitter_rows):
-            delay_vals[jitter_rows] = jitter.delays_at(now)
-        if now >= self._next_loss_change:
-            until = self._loss_until
-            for i in np.flatnonzero(until <= now).tolist():
-                lm = loss_models[i]
-                loss_vals[i] = lm.loss_probability(now)
-                until[i] = lm.constant_until(now)
-            self._next_loss_change = float(until.min())
-        return delay_vals, loss_vals
+        self._epoch = swap_epoch()
+        if not replan:
+            return
+        scalar_rows, jitter_rows, jitter_models = [], [], []
+        for i, dm in enumerate(delay_models):
+            if type(dm) is ConstantDelay:
+                continue
+            plain = plain_gaussian_jitter(dm)
+            if plain is None:
+                scalar_rows.append(i)
+            else:
+                jitter_rows.append(i)
+                jitter_models.append(plain)
+        self._delay_plan = (
+            scalar_rows,
+            np.array(jitter_rows, dtype=np.intp),
+            GaussianJitterRows(jitter_models),
+        )
 
     def _relayout(self) -> None:
         """Rebuild what is derived from which directions own which rows
@@ -459,35 +497,44 @@ class FluidRows:
                     segment[:] = 0.0
                     for pid, fraction in items:
                         segment[direction._pid_index[pid]] = fraction
-        offered = np.zeros(len(self._pids), dtype=np.float64)
         if len(directions) == 1:  # one rate per class position: no gather
-            for rate, class_fractions in zip(rate_list, fractions):
-                offered += rate * class_fractions
+            terms = [rate * f for rate, f in zip(rate_list, fractions)]
         else:
-            for row_buckets, class_fractions in zip(self._row_buckets, fractions):
-                offered += rates[row_buckets] * class_fractions
+            terms = [rates[b] * f for b, f in zip(self._row_buckets, fractions)]
+        # The sum starts from the first term (every demand has a class),
+        # not from zeros: a term is never -0.0 (rates and fractions are
+        # >= +0.0), so it is what 0.0 + term would be.
+        offered = terms[0]
+        for term in terms[1:]:
+            offered += term
 
         # 2. Fluid queue update — same expression tree as the scalar
         #    closed forms, elementwise across rows.
-        base_delay, base_loss = self._base_models(now)
+        #    Hoisted terms keep their place in the tree: ``base_service``
+        #    is ``base_delay + service`` and ``base_pass`` is ``1.0 -
+        #    base_loss``; the buffer clamp's ``maximum(backlog - buffer,
+        #    0.0)`` is the scalar ``backlog - buffer if backlog > buffer
+        #    else 0.0`` (backlog is never NaN or -0.0).
+        base_service, base_pass = self._base_models(now)
         cap = self._cap_vec
+        if dt != self._cap_dt_for:
+            self._cap_dt_for, self._cap_dt = dt, cap * dt
         rho = offered / cap
         inflow = offered * dt
-        backlog = self._backlog_vec + inflow - cap * dt
-        over = backlog > self._buffer_vec
-        lost_bits = np.where(over, backlog - self._buffer_vec, 0.0)
-        backlog = np.where(over, self._buffer_vec, backlog)
-        backlog = np.maximum(backlog, 0.0)
+        backlog = self._backlog_vec + inflow - self._cap_dt
+        buffer = self._buffer_vec
+        lost_bits = np.maximum(backlog - buffer, 0.0)
+        backlog = np.maximum(np.minimum(backlog, buffer), 0.0)
         self._backlog_vec = backlog
 
         overload = np.zeros(len(cap), dtype=np.float64)
         np.divide(lost_bits, inflow, out=overload, where=inflow > 0.0)
-        loss = 1.0 - (1.0 - base_loss) * (1.0 - overload)
+        loss = 1.0 - base_pass * (1.0 - overload)
 
         wait_rho = np.minimum(np.maximum(rho, 0.0), RHO_WAIT_CAP)
         wait = wait_rho / (2.0 * (1.0 - wait_rho)) * self._service_vec
         queue_wait = np.minimum(wait + backlog / cap, self._buffer_delay_vec)
-        delay = base_delay + self._service_vec + queue_wait
+        delay = base_service + queue_wait
 
         # 3. Telemetry: one batched write per receiving store
         #    (blackholed rows excluded, preserving staleness semantics).
@@ -640,8 +687,10 @@ class VectorFluidEngine:
         buffer_delay_s: float = 0.1,
         record_traces: bool = True,
     ) -> None:
-        if step_s <= 0:
-            raise ValueError("step_s must be > 0")
+        _require("step_s", step_s)
+        _require("default_capacity_bps", default_capacity_bps)
+        _require("packet_bytes", packet_bytes)
+        _require("buffer_delay_s", buffer_delay_s, zero_ok=True)
         tunnels = list(deployment.tunnels(src))
         peer = deployment.peer_of(src)
         if not tunnels:
@@ -669,8 +718,12 @@ class VectorFluidEngine:
         capacities = []
         for tunnel in tunnels:
             calibration = calibrations.get(tunnel.short_label)
-            capacity = getattr(calibration, "capacity_bps", 0.0) or 0.0
-            capacities.append(capacity or default_capacity_bps)
+            capacity = getattr(calibration, "capacity_bps", None)
+            if capacity is None:
+                capacity = default_capacity_bps
+            else:
+                _require(f"capacity_bps of {src}'s {tunnel.short_label}", capacity)
+            capacities.append(capacity)
 
         self._packets: dict[int, Packet] = {
             cls.flow_label: self._synthetic_packet(cls) for cls in demand.classes

@@ -18,6 +18,7 @@ from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.federation import FederationRegistry
 from repro.federation.registry import PairView
 from repro.netsim.delaymodels import AsymmetryEvent, overlay
+from repro.netsim.links import replace_models
 import repro.traffic.vector as vector_module
 from repro.scenarios.topologies import build_live_federation
 from repro.traffic.demand import DemandModel, FlowClass, standard_flow_classes
@@ -245,9 +246,9 @@ class TestAgainstOneScalarEnginePerDirection:
                 return None if plan is None else list(plan[0])
 
             # Swap mid-interval; observe just after the next steps ran.
-            sim.schedule_at(0.95, lambda: setattr(link, "delay", spiked))
+            sim.schedule_at(0.95, lambda: replace_models(link, delay=spiked))
             sim.schedule_at(1.05, lambda: seen.update(during=scalar_rows()))
-            sim.schedule_at(1.65, lambda: setattr(link, "delay", plain))
+            sim.schedule_at(1.65, lambda: replace_models(link, delay=plain))
             sim.schedule_at(1.75, lambda: seen.update(after=scalar_rows()))
             seen["pid"] = tunnel.path_id
 

@@ -168,17 +168,17 @@ class TestStitchedTunnel:
         )
 
     def test_composed_link_sees_segment_loss_live(self, federation):
-        from repro.netsim.links import OverrideLoss
+        from repro.netsim.links import OverrideLoss, replace_models
 
         result = federation.stitches[("edge0", "edge1")]
         link = result.link
         assert link.loss.loss_probability(0.0) == pytest.approx(0.0)
         saved = link.seg2.loss
         try:
-            link.seg2.loss = OverrideLoss.blackhole(saved, 0.0, 10.0)
+            replace_models(link.seg2, loss=OverrideLoss.blackhole(saved, 0.0, 10.0))
             assert link.loss.loss_probability(5.0) == pytest.approx(1.0)
         finally:
-            link.seg2.loss = saved
+            replace_models(link.seg2, loss=saved)
 
     def test_second_stitch_for_same_direction_rejected(self, federation):
         with pytest.raises(ValueError, match="already has a stitched"):

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.policy import LowestDelaySelector, StaticSelector
 from repro.netsim.delaymodels import AsymmetryEvent
+from repro.netsim.links import replace_models
 from repro.netsim.trace import PacketFactory
 from repro.scenarios.vultr import VultrDeployment
 
@@ -112,8 +113,11 @@ class TestAsymmetricEvent:
         d.establish()
         # Patch the NY→LA GTT link with an asymmetric event.
         link = d.net.links["ny->la:GTT"]
-        link.delay = link.delay.with_event(
-            AsymmetryEvent(start=1.0, duration=2.0, shift=0.020)
+        replace_models(
+            link,
+            delay=link.delay.with_event(
+                AsymmetryEvent(start=1.0, duration=2.0, shift=0.020)
+            ),
         )
         d.start_path_probes("ny", interval_s=0.02)
         d.start_path_probes("la", interval_s=0.02)

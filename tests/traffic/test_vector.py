@@ -19,15 +19,17 @@ what the fluid engine writes)::
 """
 
 import hashlib
+import math
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.netsim.delaymodels import GaussianJitterDelay
 from repro.netsim.events import Simulator
-from repro.netsim.links import ConstantLoss
+from repro.netsim.links import ConstantLoss, replace_models
 from repro.scenarios.vultr import VultrDeployment
 from repro.traffic.demand import DemandModel, standard_flow_classes
 from repro.traffic.splitting import LoadAwareWeights, WeightedSplitSelector
@@ -72,8 +74,11 @@ def standin(width):
     )
     for tunnel in deployment.tunnels("a")[1::2]:
         link = deployment.wan_link("a", tunnel.short_label)
-        link.delay = GaussianJitterDelay(0.03, 2e-4, seed=tunnel.path_id)
-        link.loss = ConstantLoss(0.01)
+        replace_models(
+            link,
+            delay=GaussianJitterDelay(0.03, 2e-4, seed=tunnel.path_id),
+            loss=ConstantLoss(0.01),
+        )
     demand = DemandModel(classes=standard_flow_classes(50_000.0), seed=42)
     demand.add_surge(2.0, 4.0, 2.5)
     return deployment, demand
@@ -139,7 +144,7 @@ def blackhole_run(engine_cls):
     loss model *object*, the fault injector's move."""
     dep, fluid, _ = build(engine_cls, surge=False)
     link = dep.wan_link("ny", fluid.tunnels[GTT].short_label)
-    dep.sim.schedule_at(2.5, lambda: setattr(link, "loss", ConstantLoss(1.0)))
+    dep.sim.schedule_at(2.5, lambda: replace_models(link, loss=ConstantLoss(1.0)))
     dep.sim.run(until=dep.sim.now + 6.0)
     return dep, fluid
 
@@ -150,6 +155,40 @@ class TestFactory:
         deployment, demand = standin(0)
         with pytest.raises(ValueError, match="no tunnels from 'a' to 'b'"):
             engine_cls(deployment, "a", demand)
+
+    @pytest.mark.parametrize(
+        ("field", "kwargs"),
+        [
+            ("buffer_delay_s", {"buffer_delay_s": math.nan}),
+            ("buffer_delay_s", {"buffer_delay_s": -1.0}),
+            ("buffer_delay_s", {"buffer_delay_s": math.inf}),
+            ("default_capacity_bps", {"default_capacity_bps": -1.0}),
+            ("default_capacity_bps", {"default_capacity_bps": math.nan}),
+            ("default_capacity_bps", {"default_capacity_bps": 0.0}),
+            ("packet_bytes", {"packet_bytes": 0}),
+            ("packet_bytes", {"packet_bytes": -1500}),
+            ("step_s", {"step_s": math.nan}),
+            ("step_s", {"step_s": math.inf}),
+            ("step_s", {"step_s": 0.0}),
+        ],
+    )
+    def test_bad_number_rejected_naming_the_field(self, field, kwargs):
+        deployment, demand = standin(2)
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            VectorFluidEngine(deployment, "a", demand, **kwargs)
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_calibrated_capacity_rejected_naming_the_field(self, capacity):
+        deployment, demand = standin(2)
+        deployment.calibrations = {"a": {"p1": SimpleNamespace(capacity_bps=capacity)}}
+        with pytest.raises(ValueError, match="^capacity_bps of a's p1 must be finite"):
+            VectorFluidEngine(deployment, "a", demand)
+
+    def test_calibration_without_capacity_takes_the_default(self):
+        deployment, demand = standin(2)
+        deployment.calibrations = {"a": {"p1": SimpleNamespace(capacity_bps=None)}}
+        fluid = VectorFluidEngine(deployment, "a", demand, default_capacity_bps=3e9)
+        assert fluid._rows._cap_vec.tolist() == [3e9, 3e9]
 
 
 @pytest.mark.parametrize("engine_cls", KERNELS)
