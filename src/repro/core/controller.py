@@ -66,7 +66,7 @@ from ..resilience.degraded import (
 from ..resilience.journal import NullJournal
 from ..telemetry.store import TimeSeries
 from .gateway import TangoGateway
-from .policy import GuardedSelector, MeasuredSelector
+from .policy import GuardedSelector, MeasuredSelector, QuarantineSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.journal import ControllerJournal
@@ -121,6 +121,10 @@ class QuarantinePolicy:
     probation_ticks: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("probation_delay_s", "backoff_factor", "max_probation_delay_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not 0.0 <= self.loss_threshold <= 1.0:
             raise ValueError(
                 f"loss_threshold must be in [0, 1], got {self.loss_threshold}"
@@ -232,7 +236,7 @@ class QuarantineMachine:
         self.srlg_registry = srlg_registry
         #: Path ids evicted from the data-plane candidate set: the very
         #: set the installed :class:`GuardedSelector` reads.
-        self.quarantined: set[int] = set()
+        self.quarantined: set[int] = QuarantineSet()
         #: Every transition, in tick order (the recovery log source).
         self.log: list[QuarantineEvent] = []
         #: True while every tunnel is quarantined.

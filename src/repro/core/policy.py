@@ -20,11 +20,22 @@ Policies included:
 * :class:`LossAwareSelector` — delay plus a per-unit-loss penalty.
 * :class:`ApplicationSelector` — per-flow-class delegation ("distinct
   routes for different applications", paper Section 3).
+* :class:`GuardedSelector` — skips the paths in a :class:`QuarantineSet`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Sequence, runtime_checkable
+import functools
+import math
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Optional,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 import numpy as np
 
@@ -43,7 +54,14 @@ __all__ = [
     "LossAwareSelector",
     "ApplicationSelector",
     "GuardedSelector",
+    "QuarantineSet",
 ]
+
+
+def _require_finite(name: str, value: float) -> None:
+    """Refuse a NaN or infinite ``value``, naming ``name``."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @runtime_checkable
@@ -90,6 +108,7 @@ class _MeasuredSelector:
         window_s: float = 1.0,
         fallback_index: int = 0,
     ) -> None:
+        _require_finite("window_s", window_s)
         if window_s <= 0:
             raise ValueError(f"window must be positive, got {window_s}")
         self.store = store
@@ -160,6 +179,8 @@ class HysteresisSelector(_MeasuredSelector):
         fallback_index: int = 0,
     ) -> None:
         super().__init__(store, window_s, fallback_index)
+        _require_finite("margin_s", margin_s)
+        _require_finite("dwell_s", dwell_s)
         if margin_s < 0:
             raise ValueError(f"margin must be non-negative, got {margin_s}")
         if dwell_s < 0:
@@ -209,6 +230,7 @@ class JitterAwareSelector(_MeasuredSelector):
         fallback_index: int = 0,
     ) -> None:
         super().__init__(store, window_s, fallback_index)
+        _require_finite("jitter_weight", jitter_weight)
         if jitter_weight < 0:
             raise ValueError(f"jitter_weight must be >= 0, got {jitter_weight}")
         self.jitter_weight = jitter_weight
@@ -249,6 +271,7 @@ class LossAwareSelector(_MeasuredSelector):
         fallback_index: int = 0,
     ) -> None:
         super().__init__(store, window_s, fallback_index)
+        _require_finite("loss_penalty_s", loss_penalty_s)
         if loss_penalty_s < 0:
             raise ValueError(f"loss_penalty_s must be >= 0, got {loss_penalty_s}")
         self.loss_monitor = loss_monitor
@@ -306,6 +329,45 @@ class ApplicationSelector:
         return selector.select(tunnels, packet, now)
 
 
+def _counted(mutator: Callable[..., Any]) -> Callable[..., Any]:
+    """``set`` method ``mutator`` that first bumps the set's ``version``."""
+
+    @functools.wraps(mutator)
+    def counted(self: "QuarantineSet", *args: Any) -> Any:
+        self.version += 1
+        return mutator(self, *args)
+
+    return counted
+
+
+class QuarantineSet(set):
+    """A set of path ids that counts its own mutations.
+
+    ``version`` goes up on every call of a mutating method (whether or
+    not it changed the contents), so a reader that saw ``version`` *v*
+    knows the contents are unchanged for as long as it still reads *v*.
+    :meth:`GuardedSelector.choice_token` names the guard's choice by it.
+    """
+
+    def __init__(self, path_ids: Iterable[int] = ()) -> None:
+        super().__init__(path_ids)
+        self.version = 0
+
+    add = _counted(set.add)
+    discard = _counted(set.discard)
+    remove = _counted(set.remove)
+    pop = _counted(set.pop)
+    clear = _counted(set.clear)
+    update = _counted(set.update)
+    difference_update = _counted(set.difference_update)
+    intersection_update = _counted(set.intersection_update)
+    symmetric_difference_update = _counted(set.symmetric_difference_update)
+    __ior__ = _counted(set.__ior__)
+    __iand__ = _counted(set.__iand__)
+    __isub__ = _counted(set.__isub__)
+    __ixor__ = _counted(set.__ixor__)
+
+
 class GuardedSelector:
     """Graceful-degradation wrapper: filter quarantined paths, then delegate.
 
@@ -320,13 +382,21 @@ class GuardedSelector:
     Probes pinned via :class:`ApplicationSelector` classes bypass this
     wrapper by construction, so quarantined paths keep being measured and
     can prove themselves healthy again.
+
+    Over a :class:`StaticSelector` the choice is a function of the
+    quarantined set, the pinned index and the tunnel list alone:
+    :meth:`choice_token` names it, and a caller that already holds the
+    choice for a token replays it with :meth:`repeat_choice` instead of
+    selecting again.
     """
 
     def __init__(
         self, inner: PathSelector, quarantined: Optional[set[int]] = None
     ) -> None:
         self.inner = inner
-        self.quarantined: set[int] = quarantined if quarantined is not None else set()
+        self.quarantined: set[int] = (
+            quarantined if quarantined is not None else QuarantineSet()
+        )
         self.fallbacks = 0
         self._last_choice: Optional[int] = None
 
@@ -350,3 +420,27 @@ class GuardedSelector:
             tunnel = bgp_best(candidates)
         self._last_choice = tunnel.path_id
         return tunnel
+
+    def choice_token(self, tunnels: Sequence[TangoTunnel]) -> Optional[tuple]:
+        """What :meth:`select` over ``tunnels`` answers from, or ``None``.
+
+        Non-``None`` only over a :class:`StaticSelector` and a
+        :class:`QuarantineSet`: then the answer is a function of the set's
+        contents (named by the set and its ``version``), the pinned index
+        and the tunnel list, which only ever grows (its length).  Two
+        equal tokens for the same tunnel list mean the same choice, for
+        any packet at any time.
+        """
+        quarantined = self.quarantined
+        inner = self.inner
+        if type(quarantined) is not QuarantineSet or type(inner) is not StaticSelector:
+            return None
+        return (quarantined, quarantined.version, inner.index, len(tunnels))
+
+    def repeat_choice(self, path_id: int) -> None:
+        """Record a choice :meth:`select` made under an unchanged
+        :meth:`choice_token` again, as the select would: the fallback to
+        the BGP-best path is the only way a quarantined path is chosen."""
+        if path_id in self.quarantined:
+            self.fallbacks += 1
+        self._last_choice = path_id

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -55,9 +55,9 @@ __all__ = [
     "uniform_at",
     "normal_at",
     "hash_seeds",
-    "normal_across_seeds",
     "normal_grid",
     "plain_gaussian_jitter",
+    "StepBlocks",
     "GaussianJitterRows",
 ]
 
@@ -124,17 +124,9 @@ def deterministic_normal(seed: int, times: np.ndarray) -> np.ndarray:
 
 
 def hash_seeds(seeds: Sequence[int]) -> np.ndarray:
-    """The per-seed half of the counter hash, for :func:`normal_across_seeds`
+    """The per-seed half of the counter hash, for :func:`normal_grid`
     (done once for a fixed set of streams, not once per draw)."""
     return _splitmix64(np.array([s & _MASK64 for s in seeds], dtype=np.uint64))
-
-
-def normal_across_seeds(hashed_seeds: np.ndarray, t: float) -> np.ndarray:
-    """:func:`deterministic_normal` across many seeds at one time: element
-    ``i`` equals ``normal_at(seeds[i], t)`` bit for bit, where
-    ``hashed_seeds = hash_seeds(seeds)``."""
-    index = np.uint64(math.floor(t / _NOISE_QUANTUM) & _MASK64)
-    return ndtri(_unit_interval(_splitmix64(index ^ hashed_seeds)))
 
 
 def normal_grid(hashed_seeds: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -580,17 +572,80 @@ def plain_gaussian_jitter(model: object) -> Optional[GaussianJitterDelay]:
     return model if type(model) is GaussianJitterDelay else None
 
 
-class GaussianJitterRows:
-    """Many plain :class:`GaussianJitterDelay` processes evaluated at one
-    time with one array draw: ``delays_at(t)[i] == models[i].delay_at(t)``
-    bit for bit."""
+#: Steps one :class:`StepBlocks` draw covers.
+BLOCK_STEPS = 256
 
-    def __init__(self, models: Sequence[GaussianJitterDelay]) -> None:
+
+def _at_instant(t0: float, t1: float) -> float:
+    """The sample time of the step ``(t0, t1]`` that samples at its end."""
+    return t1
+
+
+class StepBlocks:
+    """One row of a block array per step of a fixed-step loop, the block
+    drawn for :data:`BLOCK_STEPS` steps at a time.
+
+    ``draw(times)`` is a pure function of its sample times returning one
+    row per time; ``sample_time(t0, t1)`` is where the step ``(t0, t1]``
+    samples.  :meth:`row` asked for sample time ``t`` at step instant
+    ``now`` serves the block's next row when the block predicted ``t``,
+    else draws a new block for ``t`` and the sample times of the next
+    steps, predicted as the loop computes them (``t1 = t0 + step_s``).
+    A wrong prediction costs a draw, never a value: every row served is
+    ``draw`` at its own sample time.
+    """
+
+    def __init__(
+        self,
+        draw: Callable[[np.ndarray], np.ndarray],
+        step_s: float,
+        sample_time: Callable[[float, float], float] = _at_instant,
+    ) -> None:
+        self._draw = draw
+        self._step_s = step_s
+        self._sample_time = sample_time
+        self._times: list[float] = []
+        self._block: np.ndarray = np.zeros(0)
+        self._next = 0
+        #: Blocks drawn so far.
+        self.draws = 0
+
+    def row(self, now: float, t: float) -> np.ndarray:
+        """The row for sample time ``t`` of the step ending at ``now``."""
+        k = self._next
+        if k < len(self._times) and self._times[k] == t:
+            self._next = k + 1
+            return self._block[k]
+        times = [t]
+        t0, step, sample_time = now, self._step_s, self._sample_time
+        for _ in range(BLOCK_STEPS - 1):
+            t1 = t0 + step
+            times.append(sample_time(t0, t1))
+            t0 = t1
+        self._block = self._draw(np.array(times))
+        self._times = times
+        self._next = 1
+        self.draws += 1
+        return self._block[0]
+
+
+class GaussianJitterRows:
+    """Many plain :class:`GaussianJitterDelay` processes evaluated at the
+    instants of a loop stepping every ``step_s``, a block of
+    :data:`BLOCK_STEPS` instants per array draw (:class:`StepBlocks`):
+    ``delays_at(t)[i] == models[i].delay_at(t)`` bit for bit at any
+    ``t``, on the predicted instants or off them."""
+
+    def __init__(self, models: Sequence[GaussianJitterDelay], step_s: float) -> None:
         self._hashed_seeds = hash_seeds([m.seed for m in models])
         self._base = np.array([m.base for m in models], dtype=np.float64)
         self._sigma = np.array([m.sigma for m in models], dtype=np.float64)
         self._floor = np.array([m.floor for m in models], dtype=np.float64)
+        self.blocks = StepBlocks(self._delays, step_s)
+
+    def _delays(self, times: np.ndarray) -> np.ndarray:
+        noise = normal_grid(self._hashed_seeds, times) * self._sigma
+        return np.maximum(self._base + noise, self._floor)
 
     def delays_at(self, t: float) -> np.ndarray:
-        noise = normal_across_seeds(self._hashed_seeds, t) * self._sigma
-        return np.maximum(self._base + noise, self._floor)
+        return self.blocks.row(t, t)

@@ -8,13 +8,16 @@ delay timeline.
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
+import numpy as np
+
 from ..dataplane.seqnum import SequenceTracker
-from .store import MeasurementStore, TimeSeries
+from .store import TimeSeries
 
 __all__ = ["LossBin", "LossMonitor"]
 
@@ -41,12 +44,13 @@ class LossMonitor:
 
     Call :meth:`sample` on a fixed cadence (the Tango controller does this
     from its control loop); each call turns the counters' growth since
-    the previous call into one bin per path.  What is kept per path is
-    the tracker's cumulative ``(received, presumed_lost)`` at every
-    sample, so the loss over the last ``k`` bins is a difference of two
-    entries; the per-bin loss fractions are written to a
-    :class:`~repro.telemetry.store.MeasurementStore` as one aggregate
-    row per sample.
+    the previous call into one bin per path.  What is kept is the time
+    of every sample and per path the tracker's cumulative ``(received,
+    presumed_lost)`` at each of them — and the latest bin's loss
+    fractions, :attr:`last_loss`.  Everything else is derived from those
+    counters when read: the loss over the last ``k`` bins is a
+    difference of two entries, a bin is a difference of two neighbours,
+    and :attr:`series` divides each bin's counts.
     """
 
     def __init__(self, tracker: SequenceTracker) -> None:
@@ -62,33 +66,52 @@ class LossMonitor:
         #: Per path: the number of samples taken before it was first seen.
         self._born: dict[int, int] = {}
         self._samples = 0
+        #: The time of every sample, and of the latest one with a path.
+        self._times = array("d")
+        self._last_t = -math.inf
         #: Last bin's loss fraction per path.
         self.last_loss: dict[int, float] = {}
-        self._fractions = MeasurementStore()
 
     @property
     def series(self) -> dict[int, TimeSeries]:
-        """Per-path loss-fraction series, one sample per :meth:`sample`."""
-        return dict(self._fractions.items())
+        """Per-path loss-fraction series, one sample per :meth:`sample`
+        since the path was first seen; built from the counters on read."""
+        out: dict[int, TimeSeries] = {}
+        for path_id, born in sorted(self._born.items()):
+            samples = range(born + 1, born + len(self._received[path_id]))
+            if samples:
+                fractions = [self._bin(path_id, 0.0, s).loss_fraction for s in samples]
+                out[path_id] = series = TimeSeries()
+                series.extend(
+                    np.array(self._times[born : samples.stop - 1]), np.array(fractions)
+                )
+        return out
 
     def sample(self, now: float) -> Mapping[int, LossBin]:
         """Snapshot all paths; returns the new bin per path."""
         states = self._tracker.states()
         if len(self._ids) != len(states):
             self._admit(states)
-        self._samples += 1
         if not self._ids:
             # A controller ticks long before (or without) any traffic.
+            self._samples += 1
+            self._times.append(now)
             return _NO_BINS
-        fractions = []
-        for stats, received, lost in self._columns:
+        if not (now >= self._last_t):
+            raise ValueError(
+                f"time went backwards or is NaN: {now} after {self._last_t}"
+            )
+        self._samples += 1
+        self._times.append(now)
+        self._last_t = now
+        self.last_loss = last_loss = {}
+        for path_id, stats, received, lost in self._columns:
             got, dropped = stats.received, stats.presumed_lost
-            total = got - received[-1] + dropped - lost[-1]
-            fractions.append((dropped - lost[-1]) / total if total else 0.0)
+            new_lost = dropped - lost[-1]
+            total = got - received[-1] + new_lost
+            last_loss[path_id] = new_lost / total if total else 0.0
             received.append(got)
             lost.append(dropped)
-        self.last_loss = dict(zip(self._ids, fractions))
-        self._fractions.record_aggregate_many(self._ids, now, fractions)
         return _Bins(self, now, self._samples, self._ids)
 
     def _admit(self, states: Mapping) -> None:
@@ -100,7 +123,7 @@ class LossMonitor:
                 self._lost[path_id] = array("q", [0])
         self._ids = sorted(states)
         self._columns = [
-            (states[p].stats, self._received[p], self._lost[p]) for p in self._ids
+            (p, states[p].stats, self._received[p], self._lost[p]) for p in self._ids
         ]
 
     def recent_loss(self, path_id: int, bins: int = 1) -> float:

@@ -19,6 +19,7 @@ many million concurrent flows the buckets represent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.netsim.packet import Packet
 
@@ -96,8 +97,14 @@ class SplitResolver:
     even the O(tunnels) weight scan: a stable token means the cached
     items are provably current, and a ``None`` token (refresh due,
     fallback possible) drops to the full path, so policy refresh clocks
-    still advance exactly on schedule.  For selectors without a token,
-    ``split_weights``/``select`` is invoked every step — only the
+    still advance exactly on schedule.  The select path has the same
+    shortcut: a selector with ``choice_token(tunnels)`` (e.g.
+    :class:`~repro.core.policy.GuardedSelector` over a pinned index)
+    whose token equals the one the cached choice was made under is not
+    asked again; ``repeat_choice(path_id)`` hands it the cached choice,
+    which leaves its observable state (``last_choice``, ``fallbacks``)
+    where a select would.  For selectors without a token (or a ``None``
+    one), ``split_weights``/``select`` is invoked every step — only the
     normalization and sort are skipped — so selector-internal state
     (refresh clocks, split counters, flowlet tables) evolves exactly as
     before.
@@ -124,9 +131,10 @@ class SplitResolver:
         self.sender = sender
         self.tunnels = tunnels
         self._packets = packets
-        # flow_label -> (selector, raw key, sorted (path_id, fraction) items)
+        # flow_label -> (selector, raw key, sorted (path_id, fraction)
+        # items, the selector's choice token when the items were chosen)
         self._cache: dict[
-            int, tuple[object, object, tuple[tuple[int, float], ...]]
+            int, tuple[Any, Any, tuple[tuple[int, float], ...], object]
         ] = {}
         self.splits_recomputed = 0
 
@@ -169,13 +177,28 @@ class SplitResolver:
                 )
                 self._remember(cls.flow_label, selector, key, items)
                 return items
+        # A selector whose choice is a function of what its token names
+        # (a quarantine guard over a pinned index) is asked again only
+        # when the token moves; the cached choice is replayed to it.  A
+        # cached token shows the selector has ``choice_token``: the
+        # steady path skips looking it up.
+        cached = self._cache.get(cls.flow_label)
+        if cached is not None and cached[0] is selector and cached[3] is not None:
+            token = selector.choice_token(self.tunnels)
+            if token == cached[3]:
+                selector.repeat_choice(cached[1][1])
+                return cached[2]
+        else:
+            choice_fn = getattr(selector, "choice_token", None)
+            token = None if choice_fn is None else choice_fn(self.tunnels)
         chosen = selector.select(self.tunnels, self._packets[cls.flow_label], now)
         key = ("select", chosen.path_id)
-        cached = self._cache.get(cls.flow_label)
         if cached is not None and cached[0] is selector and cached[1] == key:
+            if token is not None:
+                self._cache[cls.flow_label] = (selector, key, cached[2], token)
             return cached[2]
         items = ((chosen.path_id, 1.0),)
-        self._remember(cls.flow_label, selector, key, items)
+        self._remember(cls.flow_label, selector, key, items, token)
         return items
 
     def _remember(
@@ -184,6 +207,7 @@ class SplitResolver:
         selector: object,
         key: object,
         items: tuple[tuple[int, float], ...],
+        token: object = None,
     ) -> None:
-        self._cache[flow_label] = (selector, key, items)
+        self._cache[flow_label] = (selector, key, items, token)
         self.splits_recomputed += 1

@@ -19,6 +19,7 @@ paths in the data plane"; this module supplies the policy half:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 from repro.netsim.delaymodels import uniform_at
@@ -112,6 +113,8 @@ class WeightedSplitSelector:
         refresh_s: float = 0.25,
         seed: int = 0,
     ) -> None:
+        if not math.isfinite(refresh_s):
+            raise ValueError(f"refresh_s must be finite, got {refresh_s!r}")
         if refresh_s < 0:
             raise ValueError("refresh_s must be >= 0")
         self.weights = weights

@@ -40,10 +40,12 @@ scalar loop over the closed forms and
   are read every step for a direction whose demand has surge windows
   (the ``demand_surge`` fault adds them mid-run);
 * arrival noise for every bucket comes from one counter-RNG draw over
-  (bucket streams x the next ``_NOISE_BLOCK`` predicted step midpoints,
+  (bucket streams x the next ``BLOCK_STEPS`` predicted step midpoints,
   :func:`~repro.netsim.delaymodels.normal_grid`); each step compares
   its actual midpoint with the prediction and redraws on a miss, so no
-  result depends on the prediction being right;
+  result depends on the prediction being right
+  (:class:`~repro.netsim.delaymodels.StepBlocks`, which draws the plain
+  jitter rows' delays a block of step instants at a time the same way);
 * sums run in the scalar order, never numpy's pairwise ``np.sum``: a
   direction's concurrency is its class buckets added in class order
   from 0, one class position at a time; a split trace's total is a
@@ -85,14 +87,16 @@ whose epoch did not move reads no link at all.  A moved epoch may be
 another simulation's swap: the re-check then finds nothing new and
 changes nothing.  A :class:`ConstantDelay` is evaluated once; rows
 whose delay is a plain :class:`GaussianJitterDelay`
-(:func:`~repro.netsim.delaymodels.plain_gaussian_jitter`) are all drawn
-with one array call; any other delay model — a stitched link's
-composition, a composite that gained an event, a third-party model —
-takes the scalar ``delay_at`` for that row only.  A row's loss is
-evaluated only when the step reaches its change point
-(:meth:`~repro.netsim.links.LossModel.constant_until`: never again for
-a constant, the next window edge for windowed and override losses,
-every step for a live composition), and a model swap resets it.
+(:func:`~repro.netsim.delaymodels.plain_gaussian_jitter`) are drawn
+together, one array call per ``BLOCK_STEPS`` steps
+(:class:`~repro.netsim.delaymodels.GaussianJitterRows`); any other
+delay model — a stitched link's composition, a composite that gained
+an event, a third-party model — takes the scalar ``delay_at`` for that
+row only.  A row's loss is evaluated only when the step reaches its
+change point (:meth:`~repro.netsim.links.LossModel.constant_until`:
+never again for a constant, the next window edge for windowed and
+override losses, every step for a live composition), and a model swap
+resets it.
 """
 
 from __future__ import annotations
@@ -106,6 +110,7 @@ import numpy as np
 from repro.netsim.delaymodels import (
     ConstantDelay,
     GaussianJitterRows,
+    StepBlocks,
     hash_seeds,
     normal_grid,
     plain_gaussian_jitter,
@@ -122,9 +127,11 @@ __all__ = ["FluidRows", "VectorFluidEngine"]
 #: grid is an accumulated float sum (ten steps of 0.1 are not 1.0).
 _GRID_EPS = 1e-9
 
-#: Steps of arrival noise one draw covers: every bucket's noise for this
-#: many predicted step midpoints comes from a single array call.
-_NOISE_BLOCK = 256
+
+def _midpoint(t0: float, t1: float) -> float:
+    """The arrival-noise sample time of the step ``(t0, t1]``, computed
+    as the bucket pass does (``t0`` there is ``t1 - dt``)."""
+    return 0.5 * ((t1 - (t1 - t0)) + t1)
 
 
 def _gather_by_owner(owners: list, pids: list[int]) -> tuple:
@@ -213,12 +220,10 @@ class FluidRows:
         self._rate_bps_vec = self._arrival_vec = self._duration_vec = empty
         self._day_vec = self._flows_vec = self._peak_vec = empty
         self._diurnal: list[tuple[int, FlowClass]] = []
-        # Arrival noise: each bucket's hashed stream, the block drawn for
-        # the predicted midpoints and the index of the next step's row.
+        # Arrival noise: each bucket's hashed stream, and the blocks of
+        # rows drawn for the predicted step midpoints.
         self._hashed_streams = np.zeros(0, dtype=np.uint64)
-        self._noise = empty
-        self._noise_mids: list[float] = []
-        self._noise_next = 0
+        self._noise = StepBlocks(self._draw_noise, step_s, _midpoint)
         self._steps = 0
         #: ``(now, offered, concurrency)`` per step while any direction
         #: records traces (``None`` until one does).
@@ -309,7 +314,7 @@ class FluidRows:
         self._diurnal += [
             (blo + p, cls) for p, cls in enumerate(classes) if cls.diurnal_fraction
         ]
-        self._noise_mids = []
+        self._noise = StepBlocks(self._draw_noise, self.step_s, _midpoint)
         if direction.record_traces and self._history is None:
             self._history = []
         direction._lo, direction._hi = lo, lo + n
@@ -425,7 +430,7 @@ class FluidRows:
         self._delay_plan = (
             scalar_rows,
             np.array(jitter_rows, dtype=np.intp),
-            GaussianJitterRows(jitter_models),
+            GaussianJitterRows(jitter_models, self.step_s),
         )
 
     def _relayout(self) -> None:
@@ -604,7 +609,7 @@ class FluidRows:
             lam = lam * (now - t0)
             # ``max(0.0, x)``: x is never -0.0 or NaN here.
             arrivals = np.maximum(
-                lam + np.sqrt(lam) * self._arrival_noise(now, mid), 0.0
+                lam + np.sqrt(lam) * self._noise.row(now, mid), 0.0
             )
         departures = flows * dt / self._duration_vec
         flows = self._flows_vec = np.maximum(flows + arrivals - departures, 0.0)
@@ -623,26 +628,10 @@ class FluidRows:
         self._peak_vec = np.maximum(self._peak_vec, concurrency)
         return concurrency
 
-    def _arrival_noise(self, now: float, mid: float) -> np.ndarray:
-        """Every bucket's arrival noise for the step at ``now`` whose
-        interval midpoint is ``mid``: a row of the current block when
-        the block predicted ``mid``, else a new block drawn from here."""
-        k = self._noise_next
-        if k < len(self._noise_mids) and self._noise_mids[k] == mid:
-            self._noise_next = k + 1
-            return self._noise[k]
-        # The midpoints the coming steps compute, if the task keeps
-        # firing every step_s: t1 = t + step_s, mid = (t1 - (t1 - t) + t1) / 2.
-        mids = [mid]
-        t, step = now, self.step_s
-        for _ in range(_NOISE_BLOCK - 1):
-            t1 = t + step
-            mids.append(0.5 * ((t1 - (t1 - t)) + t1))
-            t = t1
-        self._noise = normal_grid(self._hashed_streams, np.array(mids))
-        self._noise_mids = mids
-        self._noise_next = 1
-        return self._noise[0]
+    def _draw_noise(self, mids: np.ndarray) -> np.ndarray:
+        """Every bucket's arrival noise at each of ``mids``, one row per
+        midpoint."""
+        return normal_grid(self._hashed_streams, mids)
 
 
 class VectorFluidEngine:

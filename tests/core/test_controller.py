@@ -161,6 +161,16 @@ class TestRestartContract:
 
 
 class TestQuarantinePolicy:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["probation_delay_s", "backoff_factor", "max_probation_delay_s"]
+    )
+    def test_non_finite_parameter_refused_naming_the_field(self, field, value):
+        # At the parent a NaN passed every comparison: ``probation_at``
+        # became NaN and a quarantined tunnel was never re-admitted.
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            QuarantinePolicy(**{field: value})
+
     def test_defaults_valid(self):
         policy = QuarantinePolicy()
         assert policy.unhealthy_ticks == 2

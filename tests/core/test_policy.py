@@ -11,6 +11,7 @@ from repro.core.policy import (
     JitterAwareSelector,
     LossAwareSelector,
     LowestDelaySelector,
+    QuarantineSet,
     StaticSelector,
 )
 from repro.core.tunnels import TangoTunnel
@@ -43,6 +44,40 @@ def packet(flow=0):
         ],
         flow_label=flow,
     )
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def loss_aware(**kwargs):
+    return LossAwareSelector(MeasurementStore(), LossMonitor(SequenceTracker()), **kwargs)
+
+
+#: One row per numeric field: the selector it belongs to and the field.
+NUMERIC_FIELDS = [
+    (LowestDelaySelector, "window_s"),
+    (HysteresisSelector, "window_s"),
+    (HysteresisSelector, "margin_s"),
+    (HysteresisSelector, "dwell_s"),
+    (JitterAwareSelector, "window_s"),
+    (JitterAwareSelector, "jitter_weight"),
+    (LossAwareSelector, "window_s"),
+    (LossAwareSelector, "loss_penalty_s"),
+]
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF])
+@pytest.mark.parametrize(
+    ("cls", "field"), NUMERIC_FIELDS, ids=[f"{c.__name__}.{f}" for c, f in NUMERIC_FIELDS]
+)
+def test_non_finite_parameter_refused_naming_the_field(cls, field, value):
+    # At the parent NaN passed every ``< 0`` / ``<= 0`` check: a NaN
+    # window is always empty, a NaN margin or dwell never switches.
+    build = loss_aware if cls is LossAwareSelector else (
+        lambda **kwargs: cls(MeasurementStore(), **kwargs)
+    )
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        build(**{field: value})
 
 
 def store_with(means: dict[int, float], now=10.0, n=50, spread=0.0, seed=0):
@@ -245,6 +280,50 @@ class TestLastChoice:
         assert selector.last_choice is None
         selector.select(TUNNELS, packet(flow=1), 10.0)
         assert selector.last_choice == 2
+
+
+class TestQuarantineSet:
+    MUTATIONS = {
+        "add": lambda q: q.add(5),
+        "discard": lambda q: q.discard(5),
+        "remove": lambda q: q.remove(1),
+        "pop": lambda q: q.pop(),
+        "clear": lambda q: q.clear(),
+        "update": lambda q: q.update([1, 2]),
+        "difference_update": lambda q: q.difference_update([2]),
+        "intersection_update": lambda q: q.intersection_update([1, 3]),
+        "symmetric_difference_update": lambda q: q.symmetric_difference_update([3]),
+        "|=": lambda q: q.__ior__({4}),
+        "&=": lambda q: q.__iand__({1, 4}),
+        "-=": lambda q: q.__isub__({4}),
+        "^=": lambda q: q.__ixor__({6}),
+    }
+
+    @pytest.mark.parametrize("name", MUTATIONS)
+    def test_every_mutator_counts_once(self, name):
+        quarantined = QuarantineSet([1, 2, 3])
+        assert quarantined.version == 0
+        self.MUTATIONS[name](quarantined)
+        assert quarantined.version == 1
+
+    def test_reads_and_new_sets_count_nothing(self):
+        quarantined = QuarantineSet([1, 2])
+        assert 1 in quarantined and len(quarantined) == 2
+        assert quarantined | {3} == {1, 2, 3} and quarantined - {1} == {2}
+        assert sorted(quarantined) == [1, 2] and quarantined == {1, 2}
+        assert quarantined.version == 0
+
+    def test_in_place_operators_keep_the_object(self):
+        quarantined = original = QuarantineSet([1])
+        quarantined |= {2}
+        quarantined -= {1}
+        assert quarantined is original and quarantined.version == 2
+
+    def test_guard_tokens_only_a_static_choice_over_a_quarantine_set(self):
+        assert GuardedSelector(StaticSelector(1)).choice_token(TUNNELS) is not None
+        assert GuardedSelector(StaticSelector(1), {0}).choice_token(TUNNELS) is None
+        store = MeasurementStore()
+        assert GuardedSelector(LowestDelaySelector(store)).choice_token(TUNNELS) is None
 
 
 class TestGuardedSelector:

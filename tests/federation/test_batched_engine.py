@@ -17,7 +17,7 @@ from repro.core.controller import QuarantinePolicy
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.federation import FederationRegistry
 from repro.federation.registry import PairView
-from repro.netsim.delaymodels import AsymmetryEvent, overlay
+from repro.netsim.delaymodels import BLOCK_STEPS, AsymmetryEvent, overlay
 from repro.netsim.links import replace_models
 import repro.traffic.vector as vector_module
 from repro.scenarios.topologies import build_live_federation
@@ -398,7 +398,7 @@ class TestDemandSideAgainstOneScalarEnginePerDirection:
         assert_same_run(scalar, batched)
         # One block at the first step, one when the step after the
         # restart missed the predicted midpoint; every other step hit.
-        assert draws == [vector_module._NOISE_BLOCK] * 2
+        assert draws == [BLOCK_STEPS] * 2
         times = [t for t, _ in batched[1][(names[0], names[1])].split_trace]
         assert times[11] < 1.234 < 1.5678 < times[12]
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.delaymodels import (
+    BLOCK_STEPS,
     AsymmetryEvent,
     CompositeDelay,
     ConstantDelay,
@@ -22,7 +23,6 @@ from repro.netsim.delaymodels import (
     deterministic_normal,
     deterministic_uniform,
     hash_seeds,
-    normal_across_seeds,
     normal_at,
     normal_grid,
     overlay,
@@ -367,7 +367,7 @@ class TestScalarVectorIdentity:
     def test_draw_across_seeds(self, seeds, t):
         # The array kernel's draw: many streams at one time.  Negative
         # times, seeds past 2^63 and grid lines are all in the strategies.
-        draws = normal_across_seeds(hash_seeds(seeds), t)
+        draws = normal_grid(hash_seeds(seeds), np.array([t]))[0]
         assert draws.tolist() == [normal_at(seed, t) for seed in seeds]
 
     @given(
@@ -417,7 +417,7 @@ class TestScalarVectorIdentity:
             GaussianJitterDelay(0.010, 0.005, seed=seed + 1),  # floor clip fires
             GaussianJitterDelay(0.020, 0.0, seed=seed + 2),
         ]
-        rows = GaussianJitterRows(models)
+        rows = GaussianJitterRows(models, 0.1)
         assert rows.delays_at(t).tolist() == [m.delay_at(t) for m in models]
 
     def test_cached_parameters_leave_models_frozen_hashable_equal(self):
@@ -432,6 +432,81 @@ class TestScalarVectorIdentity:
         assert spike == SpikeProcess(50.0, 0.01, 0.05, seed=6)
         assert hash(spike) == hash(SpikeProcess(50.0, 0.01, 0.05, seed=6))
         assert "_probability" not in repr(spike)
+
+
+def jitter_models(seed, width):
+    """``width`` plain jitter models: calibrated, floor-clipping, flat."""
+    shapes = [(0.028, 0.0003), (0.010, 0.005), (0.020, 0.0)]
+    return [
+        GaussianJitterDelay(*shapes[i % 3], seed=seed + i) for i in range(width)
+    ]
+
+
+class TestJitterBlocks:
+    """``GaussianJitterRows`` draws a block of ``BLOCK_STEPS`` predicted
+    step instants at a time; whatever the instants it is asked for, each
+    answer is every model's own ``delay_at`` bit for bit, and a block is
+    drawn only when the asked instant is not the next predicted one."""
+
+    _OPS = st.lists(
+        st.one_of(
+            # Consecutive step instants, as the stepping loop computes them.
+            st.tuples(st.just("step"), st.integers(1, 600)),
+            # An instant off the grid (or anywhere), then stepping resumes
+            # from there: a stop and a start one step after a late instant.
+            st.tuples(st.just("jump"), TIMES),
+            st.tuples(st.just("pause"), st.floats(1e-9, 50.0)),
+            # A re-plan: new rows (another width and streams) at this instant.
+            st.tuples(st.just("replan"), st.integers(1, 5)),
+        ),
+        max_size=10,
+    )
+
+    @given(seed=SEEDS, t=TIMES, step=st.sampled_from([0.1, 0.01, 0.25, 1e-3]), ops=_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_block_rows_equal_each_models_delay_at(self, seed, t, step, ops):
+        models = jitter_models(seed, 3)
+        rows = GaussianJitterRows(models, step)
+        predicted = None  # the instant the rows' block serves next
+        served = 0  # rows served from the current block
+        draws = 0
+
+        def ask(at):
+            nonlocal predicted, served, draws
+            if at == predicted and served < BLOCK_STEPS:
+                served += 1
+            else:
+                draws, served = draws + 1, 1
+            assert rows.delays_at(at).tolist() == [m.delay_at(at) for m in models]
+            assert rows.blocks.draws == draws
+            predicted = at + step
+
+        ask(t)
+        for op, arg in ops:
+            if op == "step":
+                for _ in range(arg):
+                    t = t + step
+                    ask(t)
+            elif op == "jump":
+                t = arg
+                ask(t)
+            elif op == "pause":
+                t = t + arg
+                ask(t)
+            else:
+                models = jitter_models(seed + 17 * arg, arg)
+                rows = GaussianJitterRows(models, step)
+                predicted, draws = None, 0
+                ask(t)
+
+    def test_a_long_run_on_the_grid_draws_one_block_per_block_steps(self):
+        models = jitter_models(3, 4)
+        rows = GaussianJitterRows(models, 0.1)
+        t = 0.0
+        for _ in range(3 * BLOCK_STEPS + 1):
+            t = t + 0.1
+            assert rows.delays_at(t).tolist() == [m.delay_at(t) for m in models]
+        assert rows.blocks.draws == 4
 
 
 class TestPlainGaussianJitter:

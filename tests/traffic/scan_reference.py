@@ -57,7 +57,7 @@ class ScanningRows(FluidRows):
             self._delay_plan = (
                 scalar_rows,
                 np.array(jitter_rows, dtype=np.intp),
-                GaussianJitterRows(jitter_models),
+                GaussianJitterRows(jitter_models, self.step_s),
             )
 
         scalar_rows, jitter_rows, jitter = self._delay_plan

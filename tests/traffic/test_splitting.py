@@ -167,6 +167,13 @@ class TestWeightedSplitSelector:
         with pytest.raises(ValueError):
             WeightedSplitSelector().select([], packet(), now=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_refresh_refused_naming_the_field(self, value):
+        # At the parent a NaN refresh was never due: the policy was never
+        # re-read and ``split_token`` kept returning stale weights.
+        with pytest.raises(ValueError, match="^refresh_s must be finite"):
+            WeightedSplitSelector(lambda tunnels, now: [1.0] * len(tunnels), refresh_s=value)
+
 
 class TestSplitRebalancer:
     def test_rebalance_installs_weights_and_records_history(self):
