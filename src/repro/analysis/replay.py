@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..bgp.messages import as_ipv6_prefix
 from ..core.tunnels import TangoTunnel
 from ..dataplane.programs import PathSelector
 from ..netsim.packet import Packet
@@ -188,5 +189,5 @@ def _candidate(path_id: int) -> TangoTunnel:
         label=f"path-{path_id}",
         local_endpoint=_NO_ADDRESS,
         remote_endpoint=_NO_ADDRESS,
-        remote_prefix=ipaddress.IPv6Network("::/128"),
+        remote_prefix=as_ipv6_prefix("::/128"),
     )

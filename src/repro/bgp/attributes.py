@@ -10,7 +10,7 @@ codes, LOCAL_PREF, and MED.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -75,8 +75,14 @@ class AsPath:
         return asn in self.asns
 
     def strip_private(self) -> "AsPath":
-        """Remove private ASNs (what Vultr does to tenant sessions)."""
-        return AsPath(tuple(a for a in self.asns if not is_private_asn(a)))
+        """Remove private ASNs (what Vultr does to tenant sessions).
+
+        A path without one is returned as is: every export calls this,
+        and the paths it sees rarely hold a private ASN."""
+        for asn in self.asns:
+            if _PRIVATE_ASN_MIN <= asn <= _PRIVATE_ASN_MAX:
+                return AsPath(tuple(a for a in self.asns if not is_private_asn(a)))
+        return self
 
     def without(self, asn: int) -> "AsPath":
         """Remove every occurrence of ``asn`` (used to present transit-only
@@ -156,11 +162,28 @@ class RouteAttributes:
     communities: frozenset[Community] = frozenset()
     large_communities: frozenset[LargeCommunity] = frozenset()
 
+    # The copies below name every field rather than going through
+    # ``dataclasses.replace``: every import and export makes one.
+
     def with_path(self, as_path: AsPath) -> "RouteAttributes":
-        return replace(self, as_path=as_path)
+        return RouteAttributes(
+            as_path,
+            self.origin,
+            self.local_pref,
+            self.med,
+            self.communities,
+            self.large_communities,
+        )
 
     def with_local_pref(self, local_pref: int) -> "RouteAttributes":
-        return replace(self, local_pref=local_pref)
+        return RouteAttributes(
+            self.as_path,
+            self.origin,
+            local_pref,
+            self.med,
+            self.communities,
+            self.large_communities,
+        )
 
     def add_communities(
         self,
@@ -168,8 +191,11 @@ class RouteAttributes:
         large: Iterable[LargeCommunity] = (),
     ) -> "RouteAttributes":
         """Return attributes with extra communities attached."""
-        return replace(
-            self,
-            communities=self.communities | frozenset(communities),
-            large_communities=self.large_communities | frozenset(large),
+        return RouteAttributes(
+            self.as_path,
+            self.origin,
+            self.local_pref,
+            self.med,
+            self.communities | frozenset(communities),
+            self.large_communities | frozenset(large),
         )

@@ -26,6 +26,10 @@ from .rib import AdjRibIn, AdjRibOut, LocRib, RibEntry
 
 __all__ = ["Neighbor", "BgpRouter"]
 
+#: The 4-byte ASN space (RFC 6793); AS 0 is reserved (RFC 7607).
+_ASN_MIN = 1
+_ASN_MAX = 2**32 - 1
+
 
 @dataclass
 class Neighbor:
@@ -55,6 +59,10 @@ class BgpRouter:
         allowas_in: accept routes whose path already contains ``asn``.
         strip_private_on_export: remove private ASNs from exported paths,
             as Vultr does for its BGP tenants (paper footnote 2).
+
+    Raises:
+        ValueError: ``asn`` is not an int in ``1..4294967295`` (a bool
+            is not an ASN).
     """
 
     def __init__(
@@ -64,6 +72,14 @@ class BgpRouter:
         allowas_in: bool = False,
         strip_private_on_export: bool = True,
     ) -> None:
+        if (
+            not isinstance(asn, int)
+            or isinstance(asn, bool)
+            or not _ASN_MIN <= asn <= _ASN_MAX
+        ):
+            raise ValueError(
+                f"{name}: asn must be an int in {_ASN_MIN}..{_ASN_MAX}, got {asn!r}"
+            )
         self.name = name
         self.asn = asn
         self.allowas_in = allowas_in

@@ -27,7 +27,7 @@ from typing import Optional
 
 from .attributes import RouteAttributes
 from .messages import Announcement, Prefix, prefix_key
-from .network import BgpNetwork
+from .network import BgpNetwork, check_max_rounds
 from .rib import RibEntry
 from .router import BgpRouter
 
@@ -213,7 +213,12 @@ class SnapshotCache:
         exists for its current configuration.
 
         Returns the wave count, 0 on a cache hit (no propagation ran).
+
+        Raises:
+            ValueError: ``max_rounds`` is not an int >= 1; nothing has
+                moved, not even a restore from the cache.
         """
+        check_max_rounds(max_rounds)
         key = network_fingerprint(network)
         if key is None:
             self.bypasses += 1

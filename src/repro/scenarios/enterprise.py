@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import ipaddress
 
+from ..bgp.messages import as_ipv6_prefix
 from ..bgp.network import BgpNetwork
 from ..bgp.router import BgpRouter
 from ..core.config import EdgeConfig, PairingConfig
@@ -104,7 +105,7 @@ def build_enterprise_bgp() -> BgpNetwork:
 
 
 def _prefix(index: int) -> ipaddress.IPv6Network:
-    return ipaddress.IPv6Network(f"2001:db8:e{index:03x}::/48")
+    return as_ipv6_prefix(f"2001:db8:e{index:03x}::/48")
 
 
 def make_enterprise_pairing(

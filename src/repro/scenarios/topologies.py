@@ -14,12 +14,12 @@ Two generators:
 
 from __future__ import annotations
 
-import ipaddress
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from ..bgp.messages import as_ipv6_prefix
 from ..bgp.network import BgpNetwork
 from ..bgp.router import BgpRouter
 from ..bgp.snapshot import SnapshotCache
@@ -349,13 +349,9 @@ def build_live_federation(
                 tenant_asn=_EDGE_BASE_ASN + index,
                 provider_router=provider,
                 provider_asn=_PROVIDER_BASE_ASN + index,
-                host_prefix=ipaddress.IPv6Network(
-                    f"2001:db8:{0x1000 + index:x}::/48"
-                ),
+                host_prefix=as_ipv6_prefix(f"2001:db8:{0x1000 + index:x}::/48"),
                 route_prefixes=tuple(
-                    ipaddress.IPv6Network(
-                        f"2001:db8:{0x2000 + index * 0x100 + m:x}::/48"
-                    )
+                    as_ipv6_prefix(f"2001:db8:{0x2000 + index * 0x100 + m:x}::/48")
                     for m in range(slices)
                 ),
                 clock_offset_s=((index * 37) % 23 - 11) * 1e-3,

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
 
+from ..bgp.messages import as_ipv6_prefix
 from ..bgp.network import BgpNetwork
 from ..bgp.router import BgpRouter
 from ..core.config import EdgeConfig, PairingConfig
@@ -313,7 +314,7 @@ def build_bgp_network() -> BgpNetwork:
 
 
 def _prefix(index: int) -> ipaddress.IPv6Network:
-    return ipaddress.IPv6Network(f"2001:db8:{index:x}::/48")
+    return as_ipv6_prefix(f"2001:db8:{index:x}::/48")
 
 
 def make_pairing(

@@ -239,6 +239,10 @@ class FluidRows:
         self._first_buckets = np.zeros(0, dtype=np.intp)
         self._later_buckets: list[tuple[np.ndarray, np.ndarray]] = []
         self._step_arrays: tuple[np.ndarray, ...] = ()
+        # Directions joined since the last layout: each one's row, bucket
+        # and peak arrays, folded into the arrays above by the next
+        # layout with one concatenation per array.
+        self._joining: list[dict[str, np.ndarray]] = []
         self._task: Any = None
         self._last = sim.now
 
@@ -299,9 +303,11 @@ class FluidRows:
             "_loss_vals",
         ):
             tails[name] = np.zeros(n, dtype=np.float64)
-        for name, tail in tails.items():
-            head = getattr(self, name)
-            setattr(self, name, np.concatenate((head, tail)) if len(head) else tail)
+        if self.directions:
+            self._joining.append(tails)
+        else:  # the first direction's arrays are the rows' arrays
+            for name, tail in tails.items():
+                setattr(self, name, tail)
         lo, blo = len(self._links), len(self._buckets)
         self._links += links
         self._pids += direction._pids
@@ -348,9 +354,23 @@ class FluidRows:
     def _seed(self, direction: "VectorFluidEngine", flows: list[float]) -> None:
         """Set ``direction``'s buckets (class order) and fold the new
         concurrency into its peak."""
-        self._flows_vec[direction._blo : direction._bhi] = flows
+        buckets, peak = self._bucket_state(direction)
+        buckets[:] = flows
+        peak[0] = max(float(peak[0]), direction.concurrent_flows)
+
+    def _bucket_state(
+        self, direction: "VectorFluidEngine"
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``direction``'s flows (class order) and its one-element peak,
+        as writable views: of its own arrays while it waits for the next
+        layout, of the rows' arrays after."""
+        waiting = direction._index - (len(self.directions) - len(self._joining))
+        if waiting >= 0:
+            tails = self._joining[waiting]
+            return tails["_flows_vec"], tails["_peak_vec"]
         j = direction._index
-        self._peak_vec[j] = max(float(self._peak_vec[j]), direction.concurrent_flows)
+        flows = self._flows_vec[direction._blo : direction._bhi]
+        return flows, self._peak_vec[j : j + 1]
 
     # ------------------------------------------------------------------
     # Step kernel
@@ -434,8 +454,13 @@ class FluidRows:
         )
 
     def _relayout(self) -> None:
-        """Rebuild what is derived from which directions own which rows
-        and buckets."""
+        """Fold in the directions that joined, then rebuild what is
+        derived from which directions own which rows and buckets."""
+        if self._joining:
+            joining, self._joining = self._joining, []
+            for name in joining[0]:
+                parts = [getattr(self, name), *(tails[name] for tails in joining)]
+                setattr(self, name, np.concatenate(parts))
         directions = self.directions
         every = [d for d in directions for _ in d._pids]
         self._writes = _gather_by_owner(
@@ -788,12 +813,12 @@ class VectorFluidEngine:
     @property
     def concurrent_flows(self) -> float:
         """Total modeled concurrent flows across all class buckets."""
-        return sum(self._rows._flows_vec[self._blo : self._bhi].tolist())
+        return sum(self._rows._bucket_state(self)[0].tolist())
 
     @property
     def peak_concurrent_flows(self) -> float:
         """Largest concurrency seen after a seeding or a step."""
-        return float(self._rows._peak_vec[self._index])
+        return float(self._rows._bucket_state(self)[1][0])
 
     @property
     def split_trace(self) -> list[tuple[float, dict[int, float]]]:

@@ -1,5 +1,7 @@
 """Tests for topology construction and convergence."""
 
+import math
+
 import pytest
 
 from repro.bgp.attributes import RouteAttributes
@@ -8,6 +10,7 @@ from repro.bgp.network import BgpNetwork
 from repro.bgp.poisoning import poisoned_attributes
 from repro.bgp.policy import Relationship
 from repro.bgp.router import BgpRouter
+from repro.bgp.snapshot import SnapshotCache
 from tests.bgp.oracle import full_scan
 from tests.bgp.test_golden_ribs import dump_network
 
@@ -314,3 +317,48 @@ class TestResetSessionEngines:
         down, up = net.reset_session("vultr-la", "ntt")
         assert down >= 1 and up >= 1
         assert net.best_path("tango-ny", "2001:db8:a0::/48").asns == before
+
+
+class TestMaxRoundsRefused:
+    """A wave budget that is not an int >= 1 is refused by name before
+    anything moves: NaN would never trip (a dispute wheel would spin
+    forever), and 0 or -1 would blame dispute wheels for a network that
+    converges."""
+
+    @pytest.mark.parametrize(
+        "max_rounds",
+        [math.nan, math.inf, 0, -1, 1.5, True, "200", None],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("via", ["network", "snapshot cache"])
+    def test_refused_before_anything_moves(self, max_rounds, via):
+        net = linear_chain()
+        cache = SnapshotCache()
+        stub = net.router("stub")
+        if via == "snapshot cache":
+            # Leave a snapshot of the very state the call would restore.
+            stub.originate(P)
+            cache.converge(net)
+            stub.withdraw_origination(P)
+            cache.converge(net)
+        stub.originate(P)
+        counters = (net.convergence_count, net.total_rounds, net.snapshot_restores)
+        stats = (cache.hits, cache.misses, cache.bypasses)
+        converge = net.converge if via == "network" else (
+            lambda max_rounds: cache.converge(net, max_rounds)
+        )
+        with pytest.raises(ValueError, match="^max_rounds must be an int >= 1"):
+            converge(max_rounds=max_rounds)
+        assert (
+            net.convergence_count, net.total_rounds, net.snapshot_restores
+        ) == counters
+        assert (cache.hits, cache.misses, cache.bypasses) == stats
+        assert not net.reachable("transit", P)
+        # The refused call left the pending work queued.
+        converge(max_rounds=200)
+        assert net.reachable("transit", P)
+
+    def test_one_wave_budget_is_enough_for_a_converged_network(self):
+        net = linear_chain()
+        net.converge()
+        assert net.converge(max_rounds=1) == 1

@@ -28,6 +28,19 @@ def make_router(**kwargs):
     return router
 
 
+class TestAsn:
+    @pytest.mark.parametrize(
+        "asn", [-5, 0, 2**32, 1.5, True, False, "100", None], ids=repr
+    )
+    def test_refused_naming_asn(self, asn):
+        with pytest.raises(ValueError, match="^r: asn must be an int in 1..4294967295"):
+            BgpRouter("r", asn)
+
+    @pytest.mark.parametrize("asn", [1, 65000, 2**32 - 1])
+    def test_four_byte_range_accepted(self, asn):
+        assert BgpRouter("r", asn).asn == asn
+
+
 class TestSessions:
     def test_duplicate_neighbor_rejected(self):
         router = make_router()
