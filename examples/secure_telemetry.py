@@ -42,9 +42,9 @@ def attacker_program(switch, packet):
     if tango is not None and tango.path_id == GTT:
         _attack_counter["n"] += 1
         if _attack_counter["n"] % TAMPER_EVERY == 0:
-            index = packet.headers.index(tango)
-            packet.headers[index] = replace(
-                tango, timestamp_ns=tango.timestamp_ns - ATTACK_EXTRA_NS
+            packet.replace_header(
+                packet.headers.index(tango),
+                replace(tango, timestamp_ns=tango.timestamp_ns - ATTACK_EXTRA_NS),
             )
     return packet
 

@@ -15,6 +15,8 @@ import ipaddress
 import math
 from dataclasses import dataclass
 
+from ..netsim.packet import as_address
+
 __all__ = ["EdgeConfig", "PairingConfig"]
 
 
@@ -65,15 +67,17 @@ class EdgeConfig:
             )
 
     def host_address(self, index: int = 1) -> ipaddress.IPv6Address:
-        """The ``index``-th host address inside the host prefix."""
-        return self.host_prefix[index]
+        """The ``index``-th host address inside the host prefix (interned,
+        see :func:`~repro.netsim.packet.as_address`)."""
+        return as_address(self.host_prefix[index])
 
     def tunnel_endpoint(self, route_index: int) -> ipaddress.IPv6Address:
         """The tunnel endpoint address within route prefix ``route_index``.
 
         By convention the endpoint is the ``::1`` address of the prefix.
+        It is interned (see :func:`~repro.netsim.packet.as_address`).
         """
-        return self.route_prefixes[route_index][1]
+        return as_address(self.route_prefixes[route_index][1])
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 from ..bgp.attributes import LargeCommunity
 from ..dataplane.encap import tunnel_headers
-from ..netsim.packet import TANGO_UDP_PORT, Ipv6Header, UdpHeader
+from ..netsim.packet import TANGO_UDP_PORT, Ipv6Header, UdpHeader, as_address
 from .discovery import DiscoveredPath, asn_label
 
 __all__ = ["TangoTunnel", "TunnelTable", "build_tunnels", "bgp_best"]
@@ -46,6 +46,9 @@ class TangoTunnel:
             scenario carries no annotations (legacy behaviour).
         outer_headers: the tunnel's outer IPv6 and UDP headers, built once
             from the endpoints and ``sport`` and shared by every packet.
+
+    Both endpoints are interned at construction
+    (:func:`~repro.netsim.packet.as_address`).
     """
 
     path_id: int
@@ -63,6 +66,8 @@ class TangoTunnel:
     )
 
     def __post_init__(self) -> None:
+        for name in ("local_endpoint", "remote_endpoint"):
+            object.__setattr__(self, name, as_address(getattr(self, name)))
         object.__setattr__(
             self,
             "outer_headers",

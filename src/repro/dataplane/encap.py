@@ -84,21 +84,15 @@ def encapsulate(
     Returns:
         The same packet object with three headers pushed.
     """
-    packet.push(outer[0], outer[1], tango)
+    packet.encapsulate(outer[0], outer[1], tango)
     return packet
 
 
 def is_tango_encapsulated(packet: Packet) -> bool:
-    """True when the packet's outer headers form a Tango tunnel."""
-    if len(packet.headers) < 3:
-        return False
-    outer, udp, tango = packet.headers[0], packet.headers[1], packet.headers[2]
-    return (
-        isinstance(outer, Ipv6Header)  # the prototype tunnels over IPv6
-        and isinstance(udp, UdpHeader)
-        and udp.dport == TANGO_UDP_PORT
-        and isinstance(tango, TangoHeader)
-    )
+    """True when the packet's outer headers form a Tango tunnel: IPv6
+    (the prototype tunnels over IPv6), UDP to :data:`TANGO_UDP_PORT`,
+    Tango.  The packet keeps this fact with its header stack."""
+    return packet.tunneled
 
 
 def decapsulate(packet: Packet) -> tuple[Packet, TangoHeader, Ipv6Header]:
@@ -107,13 +101,10 @@ def decapsulate(packet: Packet) -> tuple[Packet, TangoHeader, Ipv6Header]:
     Raises:
         TunnelDecapError: if the packet is not Tango-encapsulated.
     """
-    if not is_tango_encapsulated(packet):
+    if not packet.tunneled:
         raise TunnelDecapError(
             f"packet {packet.packet_id} is not a Tango tunnel packet: "
             f"{[type(h).__name__ for h in packet.headers[:3]]}"
         )
-    outer = packet.pop()
-    packet.pop()  # UDP
-    tango = packet.pop()
-    assert isinstance(tango, TangoHeader) and isinstance(outer, Ipv6Header)
-    return packet, tango, outer
+    outer, _udp, tango = packet.decapsulate()
+    return packet, tango, outer  # type: ignore[return-value]

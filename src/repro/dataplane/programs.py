@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional, Protocol
 from ..netsim.node import ProgrammableSwitch
 from ..netsim.packet import Ipv6Header, Packet, TangoHeader, UdpHeader
 from ..telemetry.auth import TelemetryAuthenticator
-from .encap import decapsulate, encapsulate, is_tango_encapsulated
+from .encap import decapsulate, is_tango_encapsulated
 from .seqnum import SequenceStamper, SequenceTracker
 
 __all__ = [
@@ -103,11 +103,9 @@ class TangoSenderProgram:
         auth_tag = None
         if self.authenticator is not None:
             auth_tag = self.authenticator.tag(timestamp_ns, seq, path_id)
-        encapsulate(
-            packet,
-            tunnel.outer_headers,
-            TangoHeader(timestamp_ns, seq, path_id, auth_tag),
-        )
+        outer, udp = tunnel.outer_headers
+        tango = TangoHeader(timestamp_ns, seq, path_id, auth_tag)
+        packet.encapsulate(outer, udp, tango)
         self.encapsulated += 1
         return packet
 

@@ -96,10 +96,10 @@ class RelayForwardProgram:
             return packet
         if self.on_transit is not None:
             self.on_transit(tango.path_id, switch.clock.now())
-        packet.headers[0] = replace(
-            outer, src=binding.next_src, dst=binding.next_dst
+        packet.replace_header(
+            0, replace(outer, src=binding.next_src, dst=binding.next_dst)
         )
-        packet.headers[1] = replace(udp, sport=binding.next_sport)
+        packet.replace_header(1, replace(udp, sport=binding.next_sport))
         self.relayed += 1
         return packet
 

@@ -113,9 +113,9 @@ class TelemetryTamper(_Stage):
         tango = packet.tango
         if tango is None:
             return packet
-        index = packet.headers.index(tango)
-        packet.headers[index] = replace(
-            tango, timestamp_ns=tango.timestamp_ns + self.bias_ns
+        packet.replace_header(
+            packet.headers.index(tango),
+            replace(tango, timestamp_ns=tango.timestamp_ns + self.bias_ns),
         )
         self.tampered += 1
         return packet
@@ -205,6 +205,7 @@ class GrayLoss(_Stage):
         # would surface as one visible burst at window end.
         hidden = self._hidden.get(tango.path_id, 0)
         if hidden:
-            index = packet.headers.index(tango)
-            packet.headers[index] = replace(tango, seq=tango.seq - hidden)
+            packet.replace_header(
+                packet.headers.index(tango), replace(tango, seq=tango.seq - hidden)
+            )
         return packet

@@ -172,6 +172,14 @@ def normal_at(seed: int, t: float) -> float:
     return float(ndtri(uniform_at(seed, t)))
 
 
+def _check_non_negative(name: str, value: float) -> None:
+    """Refuse a NaN, infinite or negative model parameter by name: a NaN
+    delay fails mid-run in the event heap, an infinite one strands its
+    packet in flight."""
+    if not (value >= 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
 class DelayModel(ABC):
     """A one-way-delay process: time (seconds) -> delay (seconds)."""
 
@@ -201,8 +209,7 @@ class ConstantDelay(DelayModel):
     base: float
 
     def __post_init__(self) -> None:
-        if self.base < 0:
-            raise ValueError(f"delay must be non-negative, got {self.base}")
+        _check_non_negative("base", self.base)
 
     def delays(self, times: np.ndarray) -> np.ndarray:
         return np.full(np.shape(times), self.base, dtype=np.float64)
@@ -235,10 +242,8 @@ class GaussianJitterDelay(DelayModel):
     _hashed_seed: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.base < 0:
-            raise ValueError(f"base delay must be non-negative, got {self.base}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        _check_non_negative("base", self.base)
+        _check_non_negative("sigma", self.sigma)
         # Allow a little downside so the distribution isn't one-sided, but
         # never below 90% of base (propagation cannot be beaten).
         object.__setattr__(
@@ -273,10 +278,11 @@ class DiurnalVariation(DelayModel):
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be non-negative, got {self.amplitude}")
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        _check_non_negative("amplitude", self.amplitude)
+        if not (self.period > 0 and math.isfinite(self.period)):
+            raise ValueError(f"period must be finite and positive, got {self.period}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
 
     def delays(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)
@@ -312,9 +318,10 @@ class SpikeProcess(DelayModel):
     _hashed_seeds: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.rate_per_second < 0:
-            raise ValueError("rate_per_second must be non-negative")
-        if not 0 <= self.min_magnitude <= self.max_magnitude:
+        _check_non_negative("rate_per_second", self.rate_per_second)
+        _check_non_negative("min_magnitude", self.min_magnitude)
+        _check_non_negative("max_magnitude", self.max_magnitude)
+        if not self.min_magnitude <= self.max_magnitude:
             raise ValueError(
                 "need 0 <= min_magnitude <= max_magnitude, got "
                 f"{self.min_magnitude}, {self.max_magnitude}"

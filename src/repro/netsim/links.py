@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from .delaymodels import DelayEvent, DelayModel, uniform_at
@@ -296,10 +297,14 @@ class Link:
         seed: int = 0,
         srlgs: tuple[str, ...] = (),
     ) -> None:
-        if bandwidth_bps is not None and bandwidth_bps <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
-        if mtu <= 0:
-            raise ValueError(f"mtu must be positive, got {mtu}")
+        if bandwidth_bps is not None and not (
+            bandwidth_bps > 0 and math.isfinite(bandwidth_bps)
+        ):
+            raise ValueError(
+                f"bandwidth_bps must be positive and finite, got {bandwidth_bps}"
+            )
+        if isinstance(mtu, bool) or not isinstance(mtu, int) or mtu <= 0:
+            raise ValueError(f"mtu must be a positive int, got {mtu!r}")
         self.name = name
         self.src = src
         self.dst = dst
@@ -322,7 +327,8 @@ class Link:
         """
         now = sim.now
         self.stats.transmitted += 1
-        if packet.wire_bytes > self.mtu:
+        size = packet.wire_bytes
+        if size > self.mtu:
             self.stats.dropped_mtu += 1
             return False
         if self.loss.drops(self.seed, now, self.stats.transmitted):
@@ -330,16 +336,17 @@ class Link:
             return False
         if self.interceptor is not None:
             maybe = self.interceptor.process(
-                packet, now, lambda extra: self._inject(sim, extra)
+                packet, now, partial(self._inject, sim)
             )
             if maybe is None:
                 self.stats.dropped_intercept += 1
                 return False
             packet = maybe
+            size = packet.wire_bytes
         latency = self.delay.delay_at(now)
         if self.bandwidth_bps is not None:
-            latency += packet.wire_bytes * 8.0 / self.bandwidth_bps
-        sim.schedule_in(latency, lambda: self._deliver(packet))
+            latency += size * 8.0 / self.bandwidth_bps
+        sim.schedule_at(now + latency, partial(self._deliver, packet, size))
         return True
 
     def _inject(self, sim: "Simulator", packet: Packet) -> None:
@@ -349,14 +356,16 @@ class Link:
         own packets) but takes a fresh delay sample at the current time.
         """
         self.stats.injected += 1
+        size = packet.wire_bytes
         latency = self.delay.delay_at(sim.now)
         if self.bandwidth_bps is not None:
-            latency += packet.wire_bytes * 8.0 / self.bandwidth_bps
-        sim.schedule_in(latency, lambda: self._deliver(packet))
+            latency += size * 8.0 / self.bandwidth_bps
+        sim.schedule_in(latency, partial(self._deliver, packet, size))
 
-    def _deliver(self, packet: Packet) -> None:
+    def _deliver(self, packet: Packet, size: int) -> None:
+        """Hand ``packet`` (``size`` wire bytes, as sent) to ``dst``."""
         self.stats.delivered += 1
-        self.stats.bytes_delivered += packet.wire_bytes
+        self.stats.bytes_delivered += size
         self.dst.receive(packet, ingress=self)
 
     def __repr__(self) -> str:

@@ -15,6 +15,7 @@ link, so it is a drop-in replacement in scenario builders.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from .delaymodels import DelayModel
@@ -97,12 +98,13 @@ class QueuedLink(Link):
             self.max_backlog_bytes = max(
                 self.max_backlog_bytes, self._backlog_bytes
             )
-            sim.schedule_at(
-                start, lambda size=packet.wire_bytes: self._dequeue(size)
-            )
+            sim.schedule_at(start, partial(self._dequeue, packet.wire_bytes))
         self._busy_until = departure
         propagation = self.delay.delay_at(now)
-        sim.schedule_at(departure + propagation, lambda: self._deliver(packet))
+        sim.schedule_at(
+            departure + propagation,
+            partial(self._deliver, packet, packet.wire_bytes),
+        )
         return True
 
     def _dequeue(self, size: int) -> None:

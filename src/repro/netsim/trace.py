@@ -9,6 +9,7 @@ those workloads.
 from __future__ import annotations
 
 import ipaddress
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -26,10 +27,10 @@ __all__ = [
 class PacketFactory:
     """Builds plain (pre-encapsulation) data packets for a host pair.
 
-    The addresses are parsed and the two headers built once, at
-    construction: headers are frozen, so every packet of the factory
-    shares them, while each packet gets its own header *list* and
-    ``meta`` dict.
+    The addresses are parsed and the header stack built once, at
+    construction: headers are frozen and a packet's stack is a tuple, so
+    every packet of the factory shares them, while each packet gets its
+    own ``meta`` dict.
     """
 
     src: str
@@ -38,20 +39,23 @@ class PacketFactory:
     dport: int = 50000
     payload_bytes: int = 64
     flow_label: int = 0
-    _ip: Ipv6Header = field(init=False, repr=False, compare=False)
-    _udp: UdpHeader = field(init=False, repr=False, compare=False)
+    _headers: tuple[Ipv6Header, UdpHeader] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        self._ip = Ipv6Header(
-            src=ipaddress.IPv6Address(self.src),
-            dst=ipaddress.IPv6Address(self.dst),
+        self._headers = (
+            Ipv6Header(
+                src=ipaddress.IPv6Address(self.src),
+                dst=ipaddress.IPv6Address(self.dst),
+            ),
+            UdpHeader(sport=self.sport, dport=self.dport),
         )
-        self._udp = UdpHeader(sport=self.sport, dport=self.dport)
 
     def build(self) -> Packet:
         """A fresh packet with an IPv6+UDP header stack."""
         return Packet(
-            headers=[self._ip, self._udp],
+            headers=self._headers,
             payload_bytes=self.payload_bytes,
             flow_label=self.flow_label,
         )
@@ -76,8 +80,8 @@ class ProbeGenerator:
         send: Callable[[Packet], None],
         interval: float = 0.010,
     ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
+        if not (interval > 0 and math.isfinite(interval)):
+            raise ValueError(f"interval must be finite and positive, got {interval}")
         self._sim = sim
         self._factories = tuple(factories)
         self._send = send
@@ -137,10 +141,10 @@ class DroneTelemetryWorkload:
         rate_hz: float = 100.0,
         deadline_s: float = 0.050,
     ) -> None:
-        if rate_hz <= 0:
-            raise ValueError(f"rate must be positive, got {rate_hz}")
-        if deadline_s <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline_s}")
+        if not (rate_hz > 0 and math.isfinite(rate_hz)):
+            raise ValueError(f"rate_hz must be finite and positive, got {rate_hz}")
+        if not deadline_s > 0:
+            raise ValueError(f"deadline_s must be positive, got {deadline_s}")
         self._sim = sim
         self._factory = factory
         self._send = send

@@ -116,7 +116,13 @@ from repro.netsim.delaymodels import (
     plain_gaussian_jitter,
 )
 from repro.netsim.links import swap_epoch
-from repro.netsim.packet import TANGO_UDP_PORT, Ipv6Header, Packet, UdpHeader
+from repro.netsim.packet import (
+    TANGO_UDP_PORT,
+    Ipv6Header,
+    Packet,
+    UdpHeader,
+    as_address,
+)
 
 from .demand import DemandModel, FlowClass
 from .fluid import BLACKHOLE_LOSS, RHO_WAIT_CAP, SplitResolver, TunnelLoad
@@ -739,8 +745,14 @@ class VectorFluidEngine:
                 _require(f"capacity_bps of {src}'s {tunnel.short_label}", capacity)
             capacities.append(capacity)
 
+        anchor = self.tunnels[0]
+        outer = Ipv6Header(
+            src=as_address(anchor.local_endpoint),
+            dst=as_address(anchor.remote_endpoint),
+        )
         self._packets: dict[int, Packet] = {
-            cls.flow_label: self._synthetic_packet(cls) for cls in demand.classes
+            cls.flow_label: self._synthetic_packet(outer, cls)
+            for cls in demand.classes
         }
         self._resolver = SplitResolver(self.sender, self.tunnels, self._packets)
         self._task = None
@@ -894,17 +906,17 @@ class VectorFluidEngine:
         load = self.last_loads.get(path_id)
         return load.utilization if load is not None else 0.0
 
-    def _synthetic_packet(self, cls: FlowClass) -> Packet:
-        """A representative packet for selector dispatch.
+    def _synthetic_packet(self, outer: Ipv6Header, cls: FlowClass) -> Packet:
+        """A representative packet for selector dispatch, under the first
+        tunnel's ``outer`` header.
 
         Selectors only read the flow label (``ApplicationSelector``) and
         the five-tuple (``FlowletSelector`` keying); one packet per
         class keeps each class a stable flow.
         """
-        anchor = self.tunnels[0]
         return Packet(
             headers=[
-                Ipv6Header(src=anchor.local_endpoint, dst=anchor.remote_endpoint),
+                outer,
                 UdpHeader(sport=49_152 + cls.flow_label, dport=TANGO_UDP_PORT),
             ],
             payload_bytes=max(0, self.packet_bytes - 48),

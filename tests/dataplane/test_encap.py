@@ -119,7 +119,7 @@ class TestDecapsulate:
         original_headers = list(original.headers)
         packet = encap(original)
         inner, tango, outer = decapsulate(packet)
-        assert inner.headers == original_headers
+        assert list(inner.headers) == original_headers
         assert tango.seq == 42
         assert str(outer.dst) == "2001:db8:b0::1"
 

@@ -178,7 +178,7 @@ class TestReceiverProgram:
         # Tamper: replace the Tango header timestamp (tag now stale).
         from dataclasses import replace
 
-        packet.headers[2] = replace(packet.headers[2], timestamp_ns=999)
+        packet.replace_header(2, replace(packet.headers[2], timestamp_ns=999))
         assert receiver(rx, packet) is None
         assert receiver.rejected_auth == 1
 

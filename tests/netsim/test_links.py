@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.delaymodels import ConstantDelay, RouteChangeEvent
+from repro.netsim.delaymodels import (
+    ConstantDelay,
+    DelayModel,
+    DiurnalVariation,
+    GaussianJitterDelay,
+    RouteChangeEvent,
+    SpikeProcess,
+)
 from repro.netsim.events import Simulator
 from repro.netsim.links import (
     ConstantLoss,
@@ -18,6 +25,7 @@ from repro.netsim.links import (
 )
 from repro.netsim.node import HostNode
 from repro.netsim.packet import Ipv6Header, Packet
+from repro.netsim.trace import DroneTelemetryWorkload, PacketFactory, ProbeGenerator
 
 
 def make_packet(payload=100):
@@ -259,3 +267,82 @@ class TestDeterminism:
 
         assert run(7) == run(7)
         assert run(7) != run(8)
+
+
+def _link(**kwargs):
+    sim = Simulator()
+    return make_link(sim, HostNode("dst", sim), **kwargs)
+
+
+def _probes(interval):
+    return ProbeGenerator(Simulator(), [], lambda packet: None, interval=interval)
+
+
+NAN, INF = math.nan, math.inf
+
+#: (constructor call, the field its error must name).  A NaN delay used
+#: to fail mid-run inside ``schedule_at``; an infinite one stranded its
+#: packet in flight; a NaN or fractional link or probe parameter ran on.
+REFUSED_AT_CONSTRUCTION = {
+    "ConstantDelay(nan)": (lambda: ConstantDelay(NAN), "base"),
+    "ConstantDelay(inf)": (lambda: ConstantDelay(INF), "base"),
+    "GaussianJitterDelay(base=nan)": (
+        lambda: GaussianJitterDelay(base=NAN, sigma=0.001),
+        "base",
+    ),
+    "GaussianJitterDelay(sigma=inf)": (
+        lambda: GaussianJitterDelay(base=0.01, sigma=INF),
+        "sigma",
+    ),
+    "DiurnalVariation(amplitude=nan)": (
+        lambda: DiurnalVariation(amplitude=NAN),
+        "amplitude",
+    ),
+    "DiurnalVariation(period=inf)": (
+        lambda: DiurnalVariation(amplitude=0.001, period=INF),
+        "period",
+    ),
+    "DiurnalVariation(phase=nan)": (
+        lambda: DiurnalVariation(amplitude=0.001, phase=NAN),
+        "phase",
+    ),
+    "SpikeProcess(rate_per_second=nan)": (
+        lambda: SpikeProcess(NAN, min_magnitude=0.0, max_magnitude=0.01),
+        "rate_per_second",
+    ),
+    "SpikeProcess(min_magnitude=nan)": (
+        lambda: SpikeProcess(1.0, min_magnitude=NAN, max_magnitude=0.01),
+        "min_magnitude",
+    ),
+    "SpikeProcess(max_magnitude=inf)": (
+        lambda: SpikeProcess(1.0, min_magnitude=0.0, max_magnitude=INF),
+        "max_magnitude",
+    ),
+    "Link(bandwidth_bps=nan)": (lambda: _link(bandwidth_bps=NAN), "bandwidth_bps"),
+    "Link(bandwidth_bps=inf)": (lambda: _link(bandwidth_bps=INF), "bandwidth_bps"),
+    "Link(mtu=1.5)": (lambda: _link(mtu=1.5), "mtu"),
+    "Link(mtu=True)": (lambda: _link(mtu=True), "mtu"),
+    "ProbeGenerator(interval=nan)": (lambda: _probes(NAN), "interval"),
+    "ProbeGenerator(interval=inf)": (lambda: _probes(INF), "interval"),
+    "DroneTelemetryWorkload(rate_hz=nan)": (
+        lambda: DroneTelemetryWorkload(
+            Simulator(), PacketFactory("::1", "::2"), lambda p: None, rate_hz=NAN
+        ),
+        "rate_hz",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_AT_CONSTRUCTION))
+def test_non_finite_parameters_are_refused_at_construction(case):
+    build, field_name = REFUSED_AT_CONSTRUCTION[case]
+    with pytest.raises(ValueError, match=field_name):
+        build()
+
+
+def test_every_delay_model_is_in_the_table():
+    """A new DelayModel subclass with a float field gets a row too."""
+    covered = {case.split("(")[0] for case in REFUSED_AT_CONSTRUCTION}
+    models = {cls.__name__ for cls in DelayModel.__subclasses__()}
+    # CompositeDelay holds only models, each refused at its own construction.
+    assert models - covered == {"CompositeDelay"}

@@ -110,8 +110,8 @@ class TestRouterForwarding:
     def test_expired_hop_limit_dropped(self):
         net, r, dst = self.build()
         packet = make_packet()
-        packet.headers[0] = Ipv6Header(
-            src=packet.outer_ip.src, dst=packet.outer_ip.dst, hop_limit=1
+        packet.replace_header(
+            0, Ipv6Header(src=packet.outer_ip.src, dst=packet.outer_ip.dst, hop_limit=1)
         )
         net.inject(r, packet)
         net.run()

@@ -203,3 +203,77 @@ class TestValidation:
     def test_packet_ids_are_unique(self):
         ids = {make_packet().packet_id for _ in range(100)}
         assert len(ids) == 100
+
+
+V6 = ipaddress.IPv6Address("2001:db8:10::2")
+V4 = ipaddress.IPv4Address("10.0.0.1")
+
+#: (constructor call, error type, the field its error must name).  A
+#: ``str`` address used to be accepted and fail later, mid-run, inside
+#: ``Fib.lookup``; the other values were accepted and carried along.
+REFUSED_HEADERS = {
+    "Ipv6Header(str src)": (lambda: Ipv6Header("::1", V6), TypeError, "src"),
+    "Ipv6Header(str dst)": (lambda: Ipv6Header(V6, "::2"), TypeError, "dst"),
+    "Ipv6Header(IPv4 src)": (lambda: Ipv6Header(V4, V6), TypeError, "src"),
+    "Ipv6Header(hop_limit=-3)": (
+        lambda: Ipv6Header(V6, V6, hop_limit=-3),
+        ValueError,
+        "hop_limit",
+    ),
+    "Ipv6Header(hop_limit=300)": (
+        lambda: Ipv6Header(V6, V6, hop_limit=300),
+        ValueError,
+        "hop_limit",
+    ),
+    "Ipv6Header(hop_limit=1.5)": (
+        lambda: Ipv6Header(V6, V6, hop_limit=1.5),
+        TypeError,
+        "hop_limit",
+    ),
+    "Ipv4Header(str dst)": (lambda: Ipv4Header(V4, "10.0.0.2"), TypeError, "dst"),
+    "Ipv4Header(IPv6 src)": (lambda: Ipv4Header(V6, V4), TypeError, "src"),
+    "Ipv4Header(ttl=-3)": (lambda: Ipv4Header(V4, V4, ttl=-3), ValueError, "ttl"),
+    "Ipv4Header(ttl=300)": (lambda: Ipv4Header(V4, V4, ttl=300), ValueError, "ttl"),
+    "Ipv4Header(ttl=True)": (lambda: Ipv4Header(V4, V4, ttl=True), TypeError, "ttl"),
+    "UdpHeader(sport=1.5)": (lambda: UdpHeader(sport=1.5, dport=2), TypeError, "sport"),
+    "UdpHeader(dport=True)": (
+        lambda: UdpHeader(sport=1, dport=True),
+        TypeError,
+        "dport",
+    ),
+    "Packet(payload_bytes=1.5)": (
+        lambda: Packet([], payload_bytes=1.5),
+        TypeError,
+        "payload_bytes",
+    ),
+    "Packet(payload_bytes=True)": (
+        lambda: Packet([], payload_bytes=True),
+        TypeError,
+        "payload_bytes",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_HEADERS))
+def test_unroutable_header_values_are_refused(case):
+    build, error, field_name = REFUSED_HEADERS[case]
+    with pytest.raises(error, match=field_name):
+        build()
+
+
+def test_hop_bounds_are_accepted():
+    assert Ipv6Header(V6, V6, hop_limit=0).hop_limit == 0
+    assert Ipv4Header(V4, V4, ttl=255).ttl == 255
+
+
+def test_tango_path_id_stays_unchecked():
+    """Allocators check their id blocks once; packets are not checked."""
+    assert TangoHeader(timestamp_ns=0, seq=0, path_id=TangoHeader.MAX_PATH_ID + 1)
+
+
+def test_a_tunnel_is_an_ip_a_udp_and_a_tango_header():
+    packet = make_packet()
+    before = packet.headers
+    with pytest.raises(TypeError, match="a tunnel is"):
+        packet.encapsulate(UdpHeader(1, 2), UdpHeader(1, 2), TangoHeader(0, 0, 0))
+    assert packet.headers is before and not packet.tunneled

@@ -1,25 +1,34 @@
-"""Counted, not timed: the packet path builds no outer header and scans no
-prefix per packet, and a probe round is one heap event per edge.
+"""Counted, not timed: the packet path builds no outer header, scans no
+prefix, re-derives no header fact and hashes no address per packet, and
+a probe round is one heap event per edge.
 
 A tunnel's outer IPv6 and UDP headers are built once
 (``TangoTunnel.outer_headers``), a header's hop-limit successor once
 (``Ipv6Header.decremented``), and ``Fib.lookup`` / ``TunnelTable.
-tunnels_for`` answer a destination they have seen from a memo.  After a
-warm-up, constructions and ``IPv6Network.__contains__`` calls are
-counted over a live Vultr run — exact on any host; each regression
+tunnels_for`` answer a destination they have seen from a memo.  A
+packet derives its header facts when it is built and keeps them through
+encapsulation, hops and decapsulation; header addresses are interned, so
+memo hits are identity hits on a stored hash; a link schedules a
+delivery with no closure.  After a warm-up, constructions, scans,
+derivations, stdlib address hashes and comparisons, and Python calls
+are counted over a live Vultr run — exact on any host; each regression
 would show up as a multiple of the packet count.  The memos are also
 checked to forget on every route or tunnel change.
 """
 
+import gc
 import ipaddress
+import sys
 from collections import Counter
 
 import pytest
 
 from repro.core.session import TelemetryMirror
 from repro.core.tunnels import TangoTunnel, TunnelTable
+from repro.dataplane.programs import TangoSenderProgram
+from repro.netsim.links import Link
 from repro.netsim.node import Fib
-from repro.netsim.packet import Ipv6Header, TangoHeader, UdpHeader
+from repro.netsim.packet import Ipv6Header, Packet, TangoHeader, UdpHeader
 from repro.netsim.topology import Network
 from repro.netsim.trace import PacketFactory, ProbeGenerator
 from repro.scenarios.vultr import VultrDeployment
@@ -79,6 +88,86 @@ def test_no_outer_header_build_or_prefix_scan_per_packet(monkeypatch):
     assert built[UdpHeader] == 0
     assert built[TangoHeader] == packets
     assert scans == []
+
+
+def test_no_header_fact_derived_or_address_hashed_per_hop(monkeypatch):
+    deployment = probing_deployment()
+    deployment.net.run(until=WARM_UP_S)
+    counts = Counter()
+
+    def count(owner, name):
+        original = vars(owner)[name]
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(ipaddress.IPv6Address, "__hash__")
+    count(ipaddress.IPv6Address, "__eq__")
+    count(Packet, "_restack")
+    count(Packet, "__init__")
+    count(Packet, "replace_header")
+    before = encapsulated(deployment)
+    deployment.net.run(until=UNTIL_S)
+    assert encapsulated(deployment) - before == 2 * 4 * 100 + 50
+    # Every lookup key is interned: its own hash, identity hits.
+    assert counts["__hash__"] == 0
+    assert counts["__eq__"] == 0
+    # A stack is derived when a packet is built or a header replaced,
+    # never per hop, encapsulation or decapsulation.
+    assert counts["__init__"] == 2 * 4 * 100 + 50
+    assert counts["_restack"] == counts["__init__"] + counts["replace_header"]
+
+
+#: Python calls the egress program makes to encapsulate one probe: the
+#: tunnel check and its flag (2), ``dst``, the tunnel lookup and the
+#: destination's stored hash (2), the two-level probe selector (2), the
+#: simulator and switch clocks (6), the sequence stamp, the Tango header
+#: and its size (2), and ``encapsulate``.  It was 17 or 19, by whether
+#: the memo's key was the very address object or only an equal one (a
+#: stdlib ``__eq__`` pair).
+SENDER_CALLS_PER_ENCAPSULATION = 17
+
+
+def test_python_calls_per_encapsulated_packet_are_exact():
+    deployment = probing_deployment()
+    deployment.net.run(until=WARM_UP_S)
+    sender = TangoSenderProgram.__call__.__code__
+    links = Link.transmit.__code__.co_filename
+    per_probe = Counter()
+    lambdas = []
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code is sender:
+                frames.append([frame.f_locals["packet"], 0])
+            elif frames:
+                frames[-1][1] += 1
+            if code.co_name == "<lambda>" and code.co_filename == links:
+                lambdas.append(frame)
+        elif event == "return" and frame.f_code is sender:
+            packet, calls = frames.pop()
+            if packet.tunneled and packet.flow_label >= 1000:
+                per_probe[calls] += 1
+
+    # A cyclic collection inside the window would finalize earlier
+    # tests' garbage (a suspended generator runs Python to close) and
+    # charge it to whatever frame is live.
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        deployment.net.run(until=UNTIL_S)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert per_probe == {SENDER_CALLS_PER_ENCAPSULATION: 2 * 4 * 100}
+    # Deliveries are scheduled as partials: no closure per transmit.
+    assert lambdas == []
 
 
 def test_a_probe_round_is_one_heap_event_per_edge(monkeypatch):
