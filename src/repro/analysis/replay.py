@@ -32,6 +32,7 @@ from ..core.tunnels import TangoTunnel
 from ..dataplane.programs import PathSelector
 from ..netsim.packet import Packet
 from ..telemetry.store import MeasurementStore
+from ..validate import non_negative, positive
 
 __all__ = ["ReplayResult", "PolicyReplay"]
 
@@ -87,12 +88,8 @@ class PolicyReplay:
         decision_interval_s: float = 0.1,
         visibility_latency_s: float = 0.1,
     ) -> None:
-        if decision_interval_s <= 0:
-            raise ValueError(
-                f"decision_interval_s must be positive, got {decision_interval_s}"
-            )
-        if visibility_latency_s < 0:
-            raise ValueError("visibility_latency_s must be >= 0")
+        positive("decision_interval_s", decision_interval_s)
+        non_negative("visibility_latency_s", visibility_latency_s)
         self.true = true
         self.decision_interval_s = decision_interval_s
         self.visibility_latency_s = visibility_latency_s

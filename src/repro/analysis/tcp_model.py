@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..validate import non_negative, positive, probability
+
 __all__ = [
     "DeliveryStats",
     "InOrderDeliveryModel",
@@ -59,8 +61,7 @@ class InOrderDeliveryModel:
     """
 
     def __init__(self, stall_threshold_s: float = 0.0) -> None:
-        if stall_threshold_s < 0:
-            raise ValueError("stall threshold must be >= 0")
+        non_negative("stall_threshold_s", stall_threshold_s)
         self.stall_threshold_s = stall_threshold_s
 
     def replay(
@@ -105,12 +106,9 @@ def mathis_throughput(
     bound degenerates; callers cap by link rate) and raises for invalid
     inputs rather than silently extrapolating.
     """
-    if mss_bytes <= 0:
-        raise ValueError(f"mss must be positive, got {mss_bytes}")
-    if rtt_s <= 0:
-        raise ValueError(f"rtt must be positive, got {rtt_s}")
-    if not 0 <= loss_fraction <= 1:
-        raise ValueError(f"loss must be in [0, 1], got {loss_fraction}")
+    positive("mss_bytes", mss_bytes)
+    positive("rtt_s", rtt_s)
+    probability("loss_fraction", loss_fraction)
     if loss_fraction == 0:
         return float("inf")
     return mss_bytes / (rtt_s * math.sqrt(2.0 * loss_fraction / 3.0))

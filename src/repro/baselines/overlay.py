@@ -25,6 +25,7 @@ from ..analysis.replay import PolicyReplay, ReplayResult
 from ..core.policy import LowestDelaySelector
 from ..netsim.delaymodels import deterministic_normal
 from ..telemetry.store import MeasurementStore
+from ..validate import non_negative, positive
 from .rtt_probing import sample_at
 
 __all__ = ["OverlayBaseline"]
@@ -52,10 +53,8 @@ class OverlayBaseline:
         host_noise_sigma_s: float = 0.5e-3,
         seed: int = 1300,
     ) -> None:
-        if forwarding_overhead_s < 0:
-            raise ValueError("forwarding overhead must be >= 0")
-        if probe_interval_s <= 0:
-            raise ValueError("probe interval must be positive")
+        non_negative("forwarding_overhead_s", forwarding_overhead_s)
+        positive("probe_interval_s", probe_interval_s)
         self.fwd_true = fwd_true
         self.forwarding_overhead_s = forwarding_overhead_s
         self.probe_interval_s = probe_interval_s

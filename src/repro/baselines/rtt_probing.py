@@ -24,6 +24,7 @@ from ..analysis.replay import PolicyReplay, ReplayResult
 from ..core.policy import LowestDelaySelector
 from ..netsim.delaymodels import deterministic_normal
 from ..telemetry.store import MeasurementStore
+from ..validate import positive
 
 __all__ = ["RttProbingBaseline", "sample_at"]
 
@@ -54,8 +55,7 @@ class RttProbingBaseline:
         host_noise_sigma_s: float = 0.5e-3,
         seed: int = 900,
     ) -> None:
-        if probe_interval_s <= 0:
-            raise ValueError("probe interval must be positive")
+        positive("probe_interval_s", probe_interval_s)
         self.fwd_true = fwd_true
         self.rev_true = rev_true
         self.probe_interval_s = probe_interval_s

@@ -13,6 +13,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from ..validate import check_fields, int_in
+
 __all__ = [
     "Origin",
     "AsPath",
@@ -108,13 +110,11 @@ class AsPath:
 class Community(object):
     """A standard RFC 1997 community, rendered ``asn:value``."""
 
-    asn: int
-    value: int
+    asn: int = field(metadata={"check": int_in(0, 0xFFFF)})
+    value: int = field(metadata={"check": int_in(0, 0xFFFF)})
 
     def __post_init__(self) -> None:
-        for name, part in (("asn", self.asn), ("value", self.value)):
-            if not 0 <= part <= 0xFFFF:
-                raise ValueError(f"community {name} out of 16-bit range: {part}")
+        check_fields(self)
 
     def __str__(self) -> str:
         return f"{self.asn}:{self.value}"
@@ -129,18 +129,12 @@ class LargeCommunity:
     transitive baggage, exactly as on the real Internet.
     """
 
-    global_admin: int
-    data1: int
-    data2: int
+    global_admin: int = field(metadata={"check": int_in(0, 0xFFFFFFFF)})
+    data1: int = field(metadata={"check": int_in(0, 0xFFFFFFFF)})
+    data2: int = field(metadata={"check": int_in(0, 0xFFFFFFFF)})
 
     def __post_init__(self) -> None:
-        for name, part in (
-            ("global_admin", self.global_admin),
-            ("data1", self.data1),
-            ("data2", self.data2),
-        ):
-            if not 0 <= part <= 0xFFFFFFFF:
-                raise ValueError(f"large community {name} out of range: {part}")
+        check_fields(self)
 
     def __str__(self) -> str:
         return f"{self.global_admin}:{self.data1}:{self.data2}"

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
+from ..validate import int_in
 from .attributes import AsPath
 from .messages import Prefix, Withdrawal, as_prefix, prefix_key
 from .policy import Relationship
@@ -34,7 +35,6 @@ from .router import BgpRouter
 
 __all__ = [
     "ConvergenceError",
-    "check_max_rounds",
     "BgpNetwork",
     "CONVERGENCE_DELAY_S",
 ]
@@ -47,18 +47,6 @@ CONVERGENCE_DELAY_S = 180.0
 
 class ConvergenceError(RuntimeError):
     """Raised when propagation fails to reach a fixpoint (policy bug)."""
-
-
-def check_max_rounds(max_rounds: object) -> None:
-    """Refuse a wave budget that is not an int >= 1: a NaN budget never
-    trips (a dispute wheel would spin forever), and 0 or less would
-    blame dispute wheels for a network that converges."""
-    if (
-        not isinstance(max_rounds, int)
-        or isinstance(max_rounds, bool)
-        or max_rounds < 1
-    ):
-        raise ValueError(f"max_rounds must be an int >= 1, got {max_rounds!r}")
 
 
 class BgpNetwork:
@@ -252,7 +240,9 @@ class BgpNetwork:
                 valley-free policies indicates a modeling bug rather than a
                 genuine BGP wedgie.
         """
-        check_max_rounds(max_rounds)
+        # A NaN budget never trips (a dispute wheel would spin forever);
+        # 0 or less would blame dispute wheels for a network that converges.
+        int_in(1)("max_rounds", max_rounds)
         self.convergence_count += 1
         waves = 0
         full_sync = self._take_full_sync()

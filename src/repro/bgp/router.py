@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from ..validate import int_in
 from .attributes import AsPath, RouteAttributes
 from .communities import TrafficControlInterpreter
 from .messages import Announcement, Prefix, Withdrawal, as_prefix, prefix_key
@@ -72,14 +73,7 @@ class BgpRouter:
         allowas_in: bool = False,
         strip_private_on_export: bool = True,
     ) -> None:
-        if (
-            not isinstance(asn, int)
-            or isinstance(asn, bool)
-            or not _ASN_MIN <= asn <= _ASN_MAX
-        ):
-            raise ValueError(
-                f"{name}: asn must be an int in {_ASN_MIN}..{_ASN_MAX}, got {asn!r}"
-            )
+        int_in(_ASN_MIN, _ASN_MAX)(f"{name}: asn", asn)
         self.name = name
         self.asn = asn
         self.allowas_in = allowas_in

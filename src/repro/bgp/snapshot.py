@@ -25,9 +25,10 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
+from ..validate import int_in
 from .attributes import RouteAttributes
 from .messages import Announcement, Prefix, prefix_key
-from .network import BgpNetwork, check_max_rounds
+from .network import BgpNetwork
 from .rib import RibEntry
 from .router import BgpRouter
 
@@ -197,8 +198,7 @@ class SnapshotCache:
     """
 
     def __init__(self, capacity: int = 16) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        int_in(1)("capacity", capacity)
         self.capacity = capacity
         self._snapshots: dict[str, NetworkSnapshot] = {}
         self.hits = 0
@@ -218,7 +218,7 @@ class SnapshotCache:
             ValueError: ``max_rounds`` is not an int >= 1; nothing has
                 moved, not even a restore from the cache.
         """
-        check_max_rounds(max_rounds)
+        int_in(1)("max_rounds", max_rounds)
         key = network_fingerprint(network)
         if key is None:
             self.bypasses += 1

@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from ..faults.plan import FaultEvent, FaultPlan
+from ..validate import int_in
 
 __all__ = [
     "AdversarialPlan",
@@ -263,8 +264,7 @@ def generate_correlated_plans(
     seed sequence namespaced ``[master_seed, index, 18]`` so E17 and E18
     populations generated from the same master seed stay decorrelated.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    int_in(1)("count", count)
     plans: list[AdversarialPlan] = []
     for index in range(count):
         archetype = CORRELATED_ARCHETYPES[index % len(CORRELATED_ARCHETYPES)]
@@ -302,8 +302,7 @@ def generate_adversarial_plans(
     Plan ``i`` is a pure function of ``(master_seed, i)``; generating 16
     or 64 plans yields the same first 16.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    int_in(1)("count", count)
     plans: list[AdversarialPlan] = []
     for index in range(count):
         archetype = ARCHETYPES[index % len(ARCHETYPES)]

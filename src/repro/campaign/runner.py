@@ -42,13 +42,14 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:
     from ..core.controller import TangoController
     from ..scenarios.vultr import VultrDeployment
 
+from ..validate import check_fields, non_negative, positive, probability
 from .plans import (
     AdversarialPlan,
     generate_adversarial_plans,
@@ -75,29 +76,30 @@ VICTIM = "ny"
 class CampaignConfig:
     """Per-run simulation recipe and the SLO thresholds gating it."""
 
-    horizon_s: float = 14.0
-    probe_interval_s: float = 0.05
-    data_gap_s: float = 0.02
-    controller_interval_s: float = 0.1
-    staleness_s: float = 0.5
-    telemetry_horizon_s: float = 1.0
-    warmup_s: float = 1.0
+    horizon_s: float = field(default=14.0, metadata={"check": positive})
+    probe_interval_s: float = field(default=0.05, metadata={"check": positive})
+    data_gap_s: float = field(default=0.02, metadata={"check": positive})
+    controller_interval_s: float = field(default=0.1, metadata={"check": positive})
+    staleness_s: float = field(default=0.5, metadata={"check": positive})
+    telemetry_horizon_s: float = field(default=1.0, metadata={"check": positive})
+    warmup_s: float = field(default=1.0, metadata={"check": non_negative})
     #: SLOs.
-    regret_factor: float = 2.0
-    regret_floor_ms: float = 1.0
-    min_undefended_steer_horizons: float = 3.0
-    availability_slo: float = 0.92
-    mttr_slo_s: float = 2.0
+    regret_factor: float = field(default=2.0, metadata={"check": positive})
+    regret_floor_ms: float = field(default=1.0, metadata={"check": non_negative})
+    min_undefended_steer_horizons: float = field(
+        default=3.0, metadata={"check": non_negative}
+    )
+    availability_slo: float = field(default=0.92, metadata={"check": probability})
+    mttr_slo_s: float = field(default=2.0, metadata={"check": positive})
     #: Regret charged for a tick spent on a path that delivers nothing
     #: (blackholed / silently lossy) — large enough to dominate any real
     #: path gap, finite so medians stay defined.
-    unusable_penalty_ms: float = 50.0
+    unusable_penalty_ms: float = field(default=50.0, metadata={"check": non_negative})
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.horizon_s <= self.warmup_s:
             raise ValueError("horizon_s must exceed warmup_s")
-        if self.telemetry_horizon_s <= 0:
-            raise ValueError("telemetry_horizon_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -106,9 +108,11 @@ class CorrelatedConfig(CampaignConfig):
 
     #: Availability floor while *two* risk groups are down at once (only
     #: one calibrated path survives the overlap).
-    availability_two_group_slo: float = 0.9
+    availability_two_group_slo: float = field(
+        default=0.9, metadata={"check": probability}
+    )
     #: FRR switchover budget, in telemetry horizons.
-    switchover_horizons: float = 1.0
+    switchover_horizons: float = field(default=1.0, metadata={"check": positive})
 
 
 def _build_victim(

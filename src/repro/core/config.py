@@ -12,10 +12,10 @@ discovery protocol is needed on the data path — a lookup table suffices.
 from __future__ import annotations
 
 import ipaddress
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..netsim.packet import as_address
+from ..validate import check_fields, finite, positive
 
 __all__ = ["EdgeConfig", "PairingConfig"]
 
@@ -51,9 +51,10 @@ class EdgeConfig:
     provider_asn: int
     host_prefix: ipaddress.IPv6Network
     route_prefixes: tuple[ipaddress.IPv6Network, ...]
-    clock_offset_s: float = 0.0
+    clock_offset_s: float = field(default=0.0, metadata={"check": finite})
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not self.route_prefixes:
             raise ValueError(f"edge {self.name!r} needs at least one route prefix")
         overlapping = [
@@ -97,19 +98,13 @@ class PairingConfig:
 
     a: EdgeConfig
     b: EdgeConfig
-    probe_interval_s: float = 0.010
-    report_interval_s: float = 0.100
-    control_interval_s: float = 0.100
+    probe_interval_s: float = field(default=0.010, metadata={"check": positive})
+    report_interval_s: float = field(default=0.100, metadata={"check": positive})
+    control_interval_s: float = field(default=0.100, metadata={"check": positive})
     auth_key: bytes = b""
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("probe_interval_s", self.probe_interval_s),
-            ("report_interval_s", self.report_interval_s),
-            ("control_interval_s", self.control_interval_s),
-        ):
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        check_fields(self)
         if self.a.name == self.b.name:
             raise ValueError("the two edges of a pairing must be distinct")
 

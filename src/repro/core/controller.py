@@ -52,7 +52,7 @@ Resilience extensions (``repro.resilience``):
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from ..netsim.events import PeriodicTask, Simulator
@@ -65,6 +65,7 @@ from ..resilience.degraded import (
 )
 from ..resilience.journal import NullJournal
 from ..telemetry.store import TimeSeries
+from ..validate import check_fields, finite, int_in, positive, probability
 from .gateway import TangoGateway
 from .policy import GuardedSelector, MeasuredSelector, QuarantineSet
 
@@ -113,32 +114,19 @@ class QuarantinePolicy:
             to fully restore the tunnel (and reset its backoff).
     """
 
-    loss_threshold: float = 0.5
-    unhealthy_ticks: int = 2
-    probation_delay_s: float = 1.0
-    backoff_factor: float = 2.0
-    max_probation_delay_s: float = 30.0
-    probation_ticks: int = 3
+    loss_threshold: float = field(default=0.5, metadata={"check": probability})
+    unhealthy_ticks: int = field(default=2, metadata={"check": int_in(1)})
+    probation_delay_s: float = field(default=1.0, metadata={"check": positive})
+    backoff_factor: float = field(default=2.0, metadata={"check": finite})
+    max_probation_delay_s: float = field(default=30.0, metadata={"check": finite})
+    probation_ticks: int = field(default=3, metadata={"check": int_in(1)})
 
     def __post_init__(self) -> None:
-        for name in ("probation_delay_s", "backoff_factor", "max_probation_delay_s"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not 0.0 <= self.loss_threshold <= 1.0:
-            raise ValueError(
-                f"loss_threshold must be in [0, 1], got {self.loss_threshold}"
-            )
-        if self.unhealthy_ticks < 1:
-            raise ValueError("unhealthy_ticks must be >= 1")
-        if self.probation_delay_s <= 0:
-            raise ValueError("probation_delay_s must be positive")
+        check_fields(self)
         if self.backoff_factor < 1.0:
             raise ValueError("backoff_factor must be >= 1")
         if self.max_probation_delay_s < self.probation_delay_s:
             raise ValueError("max_probation_delay_s below probation_delay_s")
-        if self.probation_ticks < 1:
-            raise ValueError("probation_ticks must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -590,8 +578,7 @@ class TangoController:
         srlg_registry: Optional["SrlgRegistry"] = None,
         scheduler: Optional[TickScheduler] = None,
     ) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval must be positive, got {interval_s}")
+        positive("interval_s", interval_s)
         #: Schedules the loop, on the shared wheel or a dedicated task.
         self._schedule: Callable[[], PeriodicTask | TickHandle]
         if scheduler is None:

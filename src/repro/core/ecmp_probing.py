@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..validate import int_in, positive
+
 __all__ = ["EcmpCluster", "EcmpMap", "EcmpMapper"]
 
 
@@ -73,10 +75,8 @@ class EcmpMapper:
     def __init__(
         self, cluster_gap_s: float = 1e-3, min_samples_per_port: int = 1
     ) -> None:
-        if cluster_gap_s <= 0:
-            raise ValueError(f"cluster gap must be positive, got {cluster_gap_s}")
-        if min_samples_per_port < 1:
-            raise ValueError("min_samples_per_port must be >= 1")
+        positive("cluster_gap_s", cluster_gap_s)
+        int_in(1)("min_samples_per_port", min_samples_per_port)
         self.cluster_gap_s = cluster_gap_s
         self.min_samples_per_port = min_samples_per_port
         self._observations: dict[int, list[float]] = {}

@@ -15,8 +15,10 @@ much delay improvement does each additional member buy?
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
+
+from ..validate import check_fields, int_in, non_negative
 
 __all__ = ["MeshPath", "MeshRoute", "TangoMesh"]
 
@@ -33,11 +35,10 @@ class MeshPath:
     src: str
     dst: str
     label: str
-    delay_s: float
+    delay_s: float = field(metadata={"check": non_negative})
 
     def __post_init__(self) -> None:
-        if self.delay_s < 0:
-            raise ValueError(f"delay must be >= 0, got {self.delay_s}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,7 @@ class TangoMesh:
     """
 
     def __init__(self, relay_overhead_s: float = DEFAULT_RELAY_OVERHEAD_S) -> None:
-        if relay_overhead_s < 0:
-            raise ValueError("relay overhead must be >= 0")
+        non_negative("relay_overhead_s", relay_overhead_s)
         self.relay_overhead_s = relay_overhead_s
         self._members: set[str] = set()
         self._paths: dict[tuple[str, str], list[MeshPath]] = {}
@@ -124,8 +124,7 @@ class TangoMesh:
         independently picks any of the pair's direct paths, so diversity
         multiplies.
         """
-        if max_relays < 0:
-            raise ValueError("max_relays must be >= 0")
+        int_in(0)("max_relays", max_relays)
         routes = [
             MeshRoute(hops=(p,), relay_overhead_s=self.relay_overhead_s)
             for p in self.direct_paths(src, dst)

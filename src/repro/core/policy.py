@@ -26,7 +26,6 @@ Policies included:
 from __future__ import annotations
 
 import functools
-import math
 from typing import (
     Any,
     Callable,
@@ -43,6 +42,7 @@ from ..dataplane.programs import PathSelector
 from ..netsim.packet import Packet
 from ..telemetry.loss import LossMonitor
 from ..telemetry.store import MeasurementStore
+from ..validate import int_in, non_negative, positive
 from .tunnels import TangoTunnel, bgp_best
 
 __all__ = [
@@ -56,12 +56,6 @@ __all__ = [
     "GuardedSelector",
     "QuarantineSet",
 ]
-
-
-def _require_finite(name: str, value: float) -> None:
-    """Refuse a NaN or infinite ``value``, naming ``name``."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @runtime_checkable
@@ -79,8 +73,7 @@ class StaticSelector:
     """Always the ``index``-th tunnel.  Index 0 = the BGP default path."""
 
     def __init__(self, index: int = 0) -> None:
-        if index < 0:
-            raise ValueError(f"index must be non-negative, got {index}")
+        int_in(0)("index", index)
         self.index = index
 
     @property
@@ -108,9 +101,7 @@ class _MeasuredSelector:
         window_s: float = 1.0,
         fallback_index: int = 0,
     ) -> None:
-        _require_finite("window_s", window_s)
-        if window_s <= 0:
-            raise ValueError(f"window must be positive, got {window_s}")
+        positive("window_s", window_s)
         self.store = store
         self.window_s = window_s
         self.fallback_index = fallback_index
@@ -179,12 +170,8 @@ class HysteresisSelector(_MeasuredSelector):
         fallback_index: int = 0,
     ) -> None:
         super().__init__(store, window_s, fallback_index)
-        _require_finite("margin_s", margin_s)
-        _require_finite("dwell_s", dwell_s)
-        if margin_s < 0:
-            raise ValueError(f"margin must be non-negative, got {margin_s}")
-        if dwell_s < 0:
-            raise ValueError(f"dwell must be non-negative, got {dwell_s}")
+        non_negative("margin_s", margin_s)
+        non_negative("dwell_s", dwell_s)
         self.margin_s = margin_s
         self.dwell_s = dwell_s
         self._current: Optional[int] = None
@@ -230,9 +217,7 @@ class JitterAwareSelector(_MeasuredSelector):
         fallback_index: int = 0,
     ) -> None:
         super().__init__(store, window_s, fallback_index)
-        _require_finite("jitter_weight", jitter_weight)
-        if jitter_weight < 0:
-            raise ValueError(f"jitter_weight must be >= 0, got {jitter_weight}")
+        non_negative("jitter_weight", jitter_weight)
         self.jitter_weight = jitter_weight
 
     def select(
@@ -271,9 +256,7 @@ class LossAwareSelector(_MeasuredSelector):
         fallback_index: int = 0,
     ) -> None:
         super().__init__(store, window_s, fallback_index)
-        _require_finite("loss_penalty_s", loss_penalty_s)
-        if loss_penalty_s < 0:
-            raise ValueError(f"loss_penalty_s must be >= 0, got {loss_penalty_s}")
+        non_negative("loss_penalty_s", loss_penalty_s)
         self.loss_monitor = loss_monitor
         self.loss_penalty_s = loss_penalty_s
         self.loss_bins = loss_bins

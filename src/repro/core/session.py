@@ -21,7 +21,6 @@ freshness (one report interval plus the reverse path delay), not packets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional
 
@@ -31,6 +30,7 @@ from ..bgp.snapshot import SnapshotCache
 from ..netsim.events import Simulator
 from ..netsim.ticks import TickScheduler
 from ..telemetry.store import MeasurementStore, StoreCursor, TimeSeries
+from ..validate import non_negative
 from .config import EdgeConfig, PairingConfig
 from .discovery import DiscoveryResult, PathDiscovery
 from .gateway import TangoGateway
@@ -67,8 +67,7 @@ class TelemetryMirror:
         where source and sink belong to exactly one pairing.  A
         federation scopes each session's mirror to its own tunnel ids so
         N sessions sharing per-member stores do not cross-feed."""
-        if not (latency_s >= 0 and math.isfinite(latency_s)):
-            raise ValueError(f"latency must be finite and >= 0, got {latency_s}")
+        non_negative("latency_s", latency_s)
         self.source = source
         self.sink = sink
         self.latency_s = latency_s

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 from ..netsim.node import ProgrammableSwitch
 from ..netsim.packet import Packet
+from ..validate import positive
 from .tunnels import TangoTunnel
 
 __all__ = ["TokenBucket", "NetworkSlice", "SliceManager"]
@@ -37,10 +38,8 @@ class TokenBucket:
     """
 
     def __init__(self, rate_bps: float, burst_bytes: int) -> None:
-        if rate_bps <= 0:
-            raise ValueError(f"rate must be positive, got {rate_bps}")
-        if burst_bytes <= 0:
-            raise ValueError(f"burst must be positive, got {burst_bytes}")
+        positive("rate_bps", rate_bps)
+        positive("burst_bytes", burst_bytes)
         self.rate_bps = rate_bps
         self.burst_bytes = burst_bytes
         self._tokens = float(burst_bytes)

@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 from ..netsim.delaymodels import uniform_at
 from ..netsim.packet import Packet
+from ..validate import positive
 from .programs import Tunnel
 
 __all__ = ["FlowletSelector"]
@@ -54,8 +55,7 @@ class FlowletSelector:
         weights: Optional[WeightFunction] = None,
         seed: int = 0,
     ) -> None:
-        if gap_s <= 0:
-            raise ValueError(f"flowlet gap must be positive, got {gap_s}")
+        positive("gap_s", gap_s)
         self.gap_s = gap_s
         self.weights = weights
         self.seed = seed

@@ -15,6 +15,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..validate import int_in
+
 __all__ = ["SequenceStamper", "SequenceTracker", "SequenceStats"]
 
 #: Rows an aggregate writer may run ahead of its readers before they are
@@ -87,8 +89,7 @@ class SequenceTracker:
     """
 
     def __init__(self, max_gap_tracking: int = 4096) -> None:
-        if max_gap_tracking <= 0:
-            raise ValueError("max_gap_tracking must be positive")
+        int_in(1)("max_gap_tracking", max_gap_tracking)
         #: Indexing creates on first sight only; pure reads use ``get``.
         self._paths: defaultdict[int, _PathState] = defaultdict(_PathState)
         self._max_gap_tracking = max_gap_tracking

@@ -33,6 +33,7 @@ from typing import Callable, Optional
 from ..netsim.links import Link, PacketInterceptor
 from ..netsim.packet import Packet, TangoHeader
 from ..resilience.channel import _uniform
+from ..validate import int_in, positive, probability
 
 __all__ = [
     "AdversaryChain",
@@ -135,10 +136,8 @@ class TelemetryReplay(_Stage):
 
     def __init__(self, start: float, end: float, delay_s: float, every: int) -> None:
         super().__init__(start, end)
-        if delay_s <= 0:
-            raise ValueError(f"replay delay must be positive, got {delay_s}")
-        if every < 1:
-            raise ValueError(f"replay cadence must be >= 1, got {every}")
+        positive("delay_s", delay_s)
+        int_in(1)("every", every)
         self.delay_s = delay_s
         self.every = every
         self.replayed = 0
@@ -178,8 +177,7 @@ class GrayLoss(_Stage):
 
     def __init__(self, start: float, end: float, rate: float, seed: int) -> None:
         super().__init__(start, end)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"gray loss rate must be in [0, 1], got {rate}")
+        probability("rate", rate)
         self.rate = rate
         self.seed = seed
         self.dropped = 0

@@ -10,10 +10,11 @@ invariant stated in ``repro.netsim.links``).
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
+
+from ..validate import finite, non_negative, positive, probability
 
 __all__ = [
     "FAULT_KINDS",
@@ -70,6 +71,15 @@ _NUMERIC_PARAMS = (
     "drain_s",
 )
 
+#: The range each numeric parameter must be in, wherever it is armed.
+_RANGES = (
+    ("rate", probability),
+    ("period", positive),
+    ("duty", positive),
+    ("factor", positive),
+    ("delay_s", positive),
+)
+
 #: Parameters that are indices or counts.
 _INT_PARAMS = ("prefix_index", "every", "flow_label")
 
@@ -78,19 +88,6 @@ _NAME_PARAMS = ("src", "path", "edge", "a", "b", "group", "region", "member")
 
 #: A flap materialises one loss window per cycle: bound the list.
 _MAX_FLAP_CYCLES = 10_000
-
-
-def _finite(what: str, value: Any) -> float:
-    """``value`` as a float, or a ValueError naming ``what``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} {value!r} is not a number")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"{what} {value!r} must be finite")
-    return number
 
 
 def maintenance_drain_s(event: "FaultEvent") -> float:
@@ -131,14 +128,8 @@ class FaultEvent:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; have {sorted(FAULT_KINDS)}"
             )
-        at = _finite(f"{self.kind} at", self.at)
-        duration = _finite(f"{self.kind} duration", self.duration)
-        if at < 0:
-            raise ValueError(
-                f"{self.kind} at (the fault onset) must be >= 0, got {at}"
-            )
-        if duration < 0:
-            raise ValueError(f"{self.kind} duration must be >= 0, got {duration}")
+        non_negative(f"{self.kind} at (the fault onset)", self.at)
+        duration = non_negative(f"{self.kind} duration", self.duration)
         if self.kind in _NEEDS_DURATION and duration <= 0:
             raise ValueError(
                 f"{self.kind} duration {duration:g} is zero; the kind needs a "
@@ -162,7 +153,7 @@ class FaultEvent:
         in range, the defended stack's clock bound) are
         :meth:`FaultPlan.check`'s."""
         values = {
-            name: _finite(f"{self.kind} {name}", self.params[name])
+            name: finite(f"{self.kind} {name}", self.params[name])
             for name in _NUMERIC_PARAMS
             if name in self.params
         }
@@ -177,26 +168,20 @@ class FaultEvent:
                 raise ValueError(
                     f"{self.kind} {name} {self.params[name]!r} is not a string"
                 )
-        rate, drain = values.get("rate"), values.get("drain_s")
-        period, duty = values.get("period"), values.get("duty", 0.5)
+        for name, check in _RANGES:
+            if name in values:
+                check(f"{self.kind} {name}", values[name])
+        period, drain = values.get("period"), values.get("drain_s")
         problem = None
-        if rate is not None and not 0.0 <= rate <= 1.0:
-            problem = f"rate must be in [0, 1], got {rate:g}"
-        elif period is not None and period <= 0:
-            problem = f"period must be > 0, got {period:g}"
-        elif period is not None and self.duration / period > _MAX_FLAP_CYCLES:
+        if period is not None and self.duration / period > _MAX_FLAP_CYCLES:
             problem = (
                 f"duration / period must be <= {_MAX_FLAP_CYCLES} flap "
                 f"cycles, got {self.duration:g} / {period:g}"
             )
-        elif not 0.0 < duty <= 1.0:
-            problem = f"duty must be in (0, 1], got {duty:g}"
-        elif values.get("factor", 1.0) <= 0:
-            problem = f"factor must be > 0, got {values['factor']:g}"
+        elif values.get("duty", 0.5) > 1.0:
+            problem = f"duty must be <= 1, got {values['duty']:g}"
         elif values.get("bias_ms") == 0:
             problem = "bias_ms must be nonzero"
-        elif values.get("delay_s", 1.0) <= 0:
-            problem = f"delay_s must be > 0, got {values['delay_s']:g}"
         elif self.params.get("every", 1) < 1:
             problem = f"every must be >= 1, got {self.params['every']}"
         elif drain is not None and not 0.0 <= drain < self.duration:

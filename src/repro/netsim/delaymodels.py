@@ -38,6 +38,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import ndtri
 
+from ..validate import check_fields, finite, non_negative, positive, probability
+
 __all__ = [
     "DelayModel",
     "ConstantDelay",
@@ -172,14 +174,6 @@ def normal_at(seed: int, t: float) -> float:
     return float(ndtri(uniform_at(seed, t)))
 
 
-def _check_non_negative(name: str, value: float) -> None:
-    """Refuse a NaN, infinite or negative model parameter by name: a NaN
-    delay fails mid-run in the event heap, an infinite one strands its
-    packet in flight."""
-    if not (value >= 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be finite and non-negative, got {value}")
-
-
 class DelayModel(ABC):
     """A one-way-delay process: time (seconds) -> delay (seconds)."""
 
@@ -209,7 +203,8 @@ class ConstantDelay(DelayModel):
     base: float
 
     def __post_init__(self) -> None:
-        _check_non_negative("base", self.base)
+        # Inline, not declared: one per link, hundreds per scenario.
+        non_negative("base", self.base)
 
     def delays(self, times: np.ndarray) -> np.ndarray:
         return np.full(np.shape(times), self.base, dtype=np.float64)
@@ -235,15 +230,14 @@ class GaussianJitterDelay(DelayModel):
     samples); with the calibrated sigmas, clipping essentially never fires.
     """
 
-    base: float
-    sigma: float
+    base: float = field(metadata={"check": non_negative})
+    sigma: float = field(metadata={"check": non_negative})
     seed: int = 0
     _floor: float = field(init=False, repr=False, compare=False)
     _hashed_seed: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_non_negative("base", self.base)
-        _check_non_negative("sigma", self.sigma)
+        check_fields(self)
         # Allow a little downside so the distribution isn't one-sided, but
         # never below 90% of base (propagation cannot be beaten).
         object.__setattr__(
@@ -273,16 +267,12 @@ class DiurnalVariation(DelayModel):
     a non-negative offset with mean ``amplitude / 2``.
     """
 
-    amplitude: float
-    period: float = 86400.0
-    phase: float = 0.0
+    amplitude: float = field(metadata={"check": non_negative})
+    period: float = field(default=86400.0, metadata={"check": positive})
+    phase: float = field(default=0.0, metadata={"check": finite})
 
     def __post_init__(self) -> None:
-        _check_non_negative("amplitude", self.amplitude)
-        if not (self.period > 0 and math.isfinite(self.period)):
-            raise ValueError(f"period must be finite and positive, got {self.period}")
-        if not math.isfinite(self.phase):
-            raise ValueError(f"phase must be finite, got {self.phase}")
+        check_fields(self)
 
     def delays(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)
@@ -308,9 +298,9 @@ class SpikeProcess(DelayModel):
     ``(min_magnitude, max_magnitude)``.
     """
 
-    rate_per_second: float
-    min_magnitude: float
-    max_magnitude: float
+    rate_per_second: float = field(metadata={"check": non_negative})
+    min_magnitude: float = field(metadata={"check": non_negative})
+    max_magnitude: float = field(metadata={"check": non_negative})
     seed: int = 1
     #: Chance that one quantized sample spikes.
     _probability: float = field(init=False, repr=False, compare=False)
@@ -318,13 +308,11 @@ class SpikeProcess(DelayModel):
     _hashed_seeds: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_non_negative("rate_per_second", self.rate_per_second)
-        _check_non_negative("min_magnitude", self.min_magnitude)
-        _check_non_negative("max_magnitude", self.max_magnitude)
-        if not self.min_magnitude <= self.max_magnitude:
+        check_fields(self)
+        if self.max_magnitude < self.min_magnitude:
             raise ValueError(
-                "need 0 <= min_magnitude <= max_magnitude, got "
-                f"{self.min_magnitude}, {self.max_magnitude}"
+                f"max_magnitude {self.max_magnitude} below min_magnitude "
+                f"{self.min_magnitude}"
             )
         object.__setattr__(
             self, "_probability", min(self.rate_per_second * _NOISE_QUANTUM, 1.0)
@@ -389,17 +377,20 @@ class RouteChangeEvent(DelayEvent):
         [duration, ...)              back to zero
     """
 
-    start: float
-    duration: float = 600.0
-    shift: float = 5e-3
-    transition: float = 30.0
-    churn_max: float = 10e-3
+    start: float = field(metadata={"check": finite})
+    duration: float = field(default=600.0, metadata={"check": non_negative})
+    shift: float = field(default=5e-3, metadata={"check": finite})
+    transition: float = field(default=30.0, metadata={"check": non_negative})
+    churn_max: float = field(default=10e-3, metadata={"check": non_negative})
     seed: int = 2
     _hashed_seed: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.transition > self.duration:
-            raise ValueError("transition period cannot exceed event duration")
+            raise ValueError(
+                f"duration {self.duration} is shorter than transition {self.transition}"
+            )
         object.__setattr__(self, "_hashed_seed", _hash_seed(self.seed))
 
     def extra_delays(self, times: np.ndarray) -> np.ndarray:
@@ -434,12 +425,12 @@ class InstabilityEvent(DelayEvent):
     samples get a minor uniform bump.
     """
 
-    start: float
-    duration: float = 300.0
-    spike_probability: float = 0.02
-    spike_min: float = 10e-3
-    spike_max: float = 50e-3
-    minor_max: float = 2e-3
+    start: float = field(metadata={"check": finite})
+    duration: float = field(default=300.0, metadata={"check": non_negative})
+    spike_probability: float = field(default=0.02, metadata={"check": probability})
+    spike_min: float = field(default=10e-3, metadata={"check": non_negative})
+    spike_max: float = field(default=50e-3, metadata={"check": non_negative})
+    minor_max: float = field(default=2e-3, metadata={"check": non_negative})
     seed: int = 3
     #: ``_hash_seed`` of the spike, magnitude and minor-bump streams.
     _hashed_seeds: tuple[int, int, int] = field(
@@ -447,10 +438,9 @@ class InstabilityEvent(DelayEvent):
     )
 
     def __post_init__(self) -> None:
-        if not 0 <= self.spike_probability <= 1:
-            raise ValueError("spike_probability must be in [0, 1]")
-        if not 0 <= self.spike_min <= self.spike_max:
-            raise ValueError("need 0 <= spike_min <= spike_max")
+        check_fields(self)
+        if self.spike_max < self.spike_min:
+            raise ValueError("spike_max below spike_min")
         object.__setattr__(
             self,
             "_hashed_seeds",
@@ -493,9 +483,12 @@ class AsymmetryEvent(DelayEvent):
     Tango's one-way measurements.
     """
 
-    start: float
-    duration: float
-    shift: float
+    start: float = field(metadata={"check": finite})
+    duration: float = field(metadata={"check": non_negative})
+    shift: float = field(metadata={"check": finite})
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     def extra_delays(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)

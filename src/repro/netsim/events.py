@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from typing import Callable, Optional
 
+from ..validate import finite, positive
 from .simclock import SimClock
 
 __all__ = ["Event", "Simulator", "PeriodicTask"]
@@ -220,10 +220,9 @@ class Simulator:
             ValueError: if ``interval`` is not a positive finite number, or
                 ``start`` is not finite.
         """
-        if not (interval > 0 and math.isfinite(interval)):
-            raise ValueError(f"interval must be positive and finite, got {interval}")
-        if start is not None and not math.isfinite(start):
-            raise ValueError(f"start must be finite, got {start}")
+        positive("interval", interval)
+        if start is not None:
+            finite("start", start)
         task = PeriodicTask(self, interval, callback, end=end)
         first = self.clock.now if start is None else start
         task._arm(first)

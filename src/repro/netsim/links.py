@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
+from ..validate import check_fields, finite, int_in, positive, probability
 from .delaymodels import DelayEvent, DelayModel, uniform_at
 from .packet import Packet
 
@@ -114,8 +115,8 @@ class ConstantLoss(LossModel):
     rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"loss rate must be in [0, 1], got {self.rate}")
+        # Inline, not declared: one per link, hundreds per scenario.
+        probability("rate", self.rate)
 
     def loss_probability(self, t: float) -> float:
         return self.rate
@@ -133,16 +134,14 @@ class WindowedLoss(LossModel):
     event too.
     """
 
-    baseline: float = 0.0
-    elevated: float = 0.05
+    baseline: float = field(default=0.0, metadata={"check": probability})
+    elevated: float = field(default=0.05, metadata={"check": probability})
     windows: Sequence[tuple[float, float]] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        for name, rate in (("baseline", self.baseline), ("elevated", self.elevated)):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} loss rate must be in [0, 1], got {rate}")
+        check_fields(self)
         for start, end in self.windows:
-            if end < start:
+            if not start <= end:  # NaN fails too
                 raise ValueError(f"window end before start: ({start}, {end})")
 
     @classmethod
@@ -181,14 +180,13 @@ class OverrideLoss(LossModel):
 
     inner: LossModel
     windows: tuple[tuple[float, float], ...]
-    rate: float = 1.0
+    rate: float = field(default=1.0, metadata={"check": probability})
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"override rate must be in [0, 1], got {self.rate}")
+        check_fields(self)
         for start, end in self.windows:
-            if end < start:
+            if not start <= end:  # NaN fails too
                 raise ValueError(f"window end before start: ({start}, {end})")
 
     @classmethod
@@ -206,10 +204,10 @@ class OverrideLoss(LossModel):
         duty: float = 0.5,
     ) -> "OverrideLoss":
         """Link up/down cycling: down for ``duty`` of every ``period``."""
-        if period <= 0:
-            raise ValueError(f"flap period must be positive, got {period}")
-        if not 0.0 < duty <= 1.0:
-            raise ValueError(f"duty must be in (0, 1], got {duty}")
+        finite("flap start", start)
+        finite("flap end", end)
+        positive("flap period", period)
+        probability("duty", positive("duty", duty))
         windows = []
         t = start
         while t < end:
@@ -297,14 +295,9 @@ class Link:
         seed: int = 0,
         srlgs: tuple[str, ...] = (),
     ) -> None:
-        if bandwidth_bps is not None and not (
-            bandwidth_bps > 0 and math.isfinite(bandwidth_bps)
-        ):
-            raise ValueError(
-                f"bandwidth_bps must be positive and finite, got {bandwidth_bps}"
-            )
-        if isinstance(mtu, bool) or not isinstance(mtu, int) or mtu <= 0:
-            raise ValueError(f"mtu must be a positive int, got {mtu!r}")
+        if bandwidth_bps is not None:
+            positive("bandwidth_bps", bandwidth_bps)
+        int_in(1)("mtu", mtu)
         self.name = name
         self.src = src
         self.dst = dst

@@ -18,6 +18,7 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Optional
 
+from ..validate import non_negative, positive
 from .delaymodels import DelayModel
 from .links import Link, LossModel
 from .packet import Packet
@@ -52,10 +53,8 @@ class QueuedLink(Link):
         mtu: int = 1500,
         seed: int = 0,
     ) -> None:
-        if bandwidth_bps <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
-        if buffer_bytes < 0:
-            raise ValueError(f"buffer must be >= 0, got {buffer_bytes}")
+        positive("bandwidth_bps", bandwidth_bps)
+        non_negative("buffer_bytes", buffer_bytes)
         super().__init__(
             name=name,
             src=src,

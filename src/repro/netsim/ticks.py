@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+from ..validate import int_in, positive
 from .events import PeriodicTask, Simulator
 
 __all__ = ["TickScheduler", "TickHandle"]
@@ -126,8 +127,7 @@ class TickScheduler:
     """
 
     def __init__(self, sim: Simulator, interval_s: float) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be positive, got {interval_s}")
+        positive("interval_s", interval_s)
         self.sim = sim
         self.interval_s = interval_s
         self._buckets: dict[int, list[TickHandle]] = {}
@@ -156,8 +156,7 @@ class TickScheduler:
         for a scheduler and registrant created at the same instant this
         matches ``call_every``'s immediate first fire.
         """
-        if not isinstance(every, int) or every < 1:
-            raise ValueError(f"every must be a positive int, got {every!r}")
+        int_in(1)("every", every)
         handle = TickHandle(self, callback, every, name, self._seq)
         self._seq += 1
         self._arm(handle, self._round_at_or_after(self.sim.now))

@@ -9,10 +9,10 @@ those workloads.
 from __future__ import annotations
 
 import ipaddress
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from ..validate import positive
 from .events import PeriodicTask, Simulator
 from .packet import Ipv6Header, Packet, UdpHeader
 
@@ -80,8 +80,7 @@ class ProbeGenerator:
         send: Callable[[Packet], None],
         interval: float = 0.010,
     ) -> None:
-        if not (interval > 0 and math.isfinite(interval)):
-            raise ValueError(f"interval must be finite and positive, got {interval}")
+        positive("interval", interval)
         self._sim = sim
         self._factories = tuple(factories)
         self._send = send
@@ -141,10 +140,8 @@ class DroneTelemetryWorkload:
         rate_hz: float = 100.0,
         deadline_s: float = 0.050,
     ) -> None:
-        if not (rate_hz > 0 and math.isfinite(rate_hz)):
-            raise ValueError(f"rate_hz must be finite and positive, got {rate_hz}")
-        if not deadline_s > 0:
-            raise ValueError(f"deadline_s must be positive, got {deadline_s}")
+        positive("rate_hz", rate_hz)
+        positive("deadline_s", deadline_s)
         self._sim = sim
         self._factory = factory
         self._send = send

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ..validate import positive
 from .events import Event, Simulator
 from .packet import Packet
 
@@ -75,10 +76,8 @@ class TcpSender:
         initial_cwnd_segments: int = 10,
         min_rto_s: float = 0.2,
     ) -> None:
-        if transfer_bytes <= 0:
-            raise ValueError("transfer_bytes must be positive")
-        if mss <= 0:
-            raise ValueError("mss must be positive")
+        positive("transfer_bytes", transfer_bytes)
+        positive("mss", mss)
         self.sim = sim
         self.send = send
         self.build_packet = build_packet

@@ -30,13 +30,13 @@ prefix of the source; once the wire heals it catches up completely.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..netsim.events import PeriodicTask, Simulator
 from ..telemetry.store import MeasurementStore, StoreCursor
+from ..validate import check_fields, finite, int_in, non_negative, positive, probability
 
 __all__ = [
     "TelemetryRecord",
@@ -111,50 +111,27 @@ class ChannelConfig:
         staleness_s: peer-feed health horizon for :meth:`health`.
     """
 
-    report_interval_s: float = 0.05
-    latency_s: float = 0.04
-    loss_rate: float = 0.0
-    rto_s: float = 0.2
-    rto_backoff: float = 2.0
-    max_rto_s: float = 2.0
-    jitter_frac: float = 0.1
-    queue_limit: int = 4096
-    window_records: int = 1024
-    frame_records: int = 64
-    dupack_threshold: int = 3
-    staleness_s: float = 1.0
+    report_interval_s: float = field(default=0.05, metadata={"check": positive})
+    latency_s: float = field(default=0.04, metadata={"check": non_negative})
+    loss_rate: float = field(default=0.0, metadata={"check": probability})
+    rto_s: float = field(default=0.2, metadata={"check": positive})
+    rto_backoff: float = field(default=2.0, metadata={"check": finite})
+    max_rto_s: float = field(default=2.0, metadata={"check": finite})
+    jitter_frac: float = field(default=0.1, metadata={"check": non_negative})
+    queue_limit: int = field(default=4096, metadata={"check": int_in(1)})
+    window_records: int = field(default=1024, metadata={"check": int_in(1)})
+    frame_records: int = field(default=64, metadata={"check": int_in(1)})
+    dupack_threshold: int = field(default=3, metadata={"check": int_in(1)})
+    staleness_s: float = field(default=1.0, metadata={"check": positive})
 
     def __post_init__(self) -> None:
-        for name in (
-            "report_interval_s",
-            "latency_s",
-            "rto_s",
-            "max_rto_s",
-            "rto_backoff",
-            "jitter_frac",
-            "staleness_s",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.report_interval_s <= 0:
-            raise ValueError("report_interval_s must be positive")
-        if self.latency_s < 0:
-            raise ValueError("latency_s must be >= 0")
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
-        if self.rto_s <= 0 or self.max_rto_s < self.rto_s:
-            raise ValueError("need 0 < rto_s <= max_rto_s")
+        check_fields(self)
+        if self.loss_rate == 1.0:
+            raise ValueError(f"loss_rate must be below 1, got {self.loss_rate!r}")
+        if self.max_rto_s < self.rto_s:
+            raise ValueError("max_rto_s below rto_s")
         if self.rto_backoff < 1.0:
             raise ValueError("rto_backoff must be >= 1")
-        if self.jitter_frac < 0:
-            raise ValueError("jitter_frac must be >= 0")
-        if min(self.queue_limit, self.window_records, self.frame_records) < 1:
-            raise ValueError("queue/window/frame sizes must be >= 1")
-        if self.dupack_threshold < 1:
-            raise ValueError("dupack_threshold must be >= 1")
-        if self.staleness_s <= 0:
-            raise ValueError("staleness_s must be positive")
 
 
 @dataclass
@@ -316,8 +293,7 @@ class ReliableTelemetryChannel:
         override needs no scheduled state changes."""
         if end <= start:
             raise ValueError(f"need end > start, got [{start}, {end})")
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"rate must be in [0, 1], got {rate}")
+        probability("rate", rate)
         self._loss_windows.append(_LossWindow(start, end, rate))
 
     def loss_rate(self, now: float) -> float:

@@ -24,12 +24,13 @@ controller's ``mode_log`` (and its write-ahead log when journaling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..netsim.delaymodels import normal_at
 from ..netsim.events import PeriodicTask, Simulator
 from ..telemetry.store import MeasurementStore
+from ..validate import check_fields, int_in, positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..scenarios.deployment import PacketLevelDeployment
@@ -80,15 +81,12 @@ class DegradedModeConfig:
     """
 
     estimates: MeasurementStore
-    horizon_s: float = 1.0
-    heal_ticks: int = 2
+    horizon_s: float = field(default=1.0, metadata={"check": positive})
+    heal_ticks: int = field(default=2, metadata={"check": int_in(1)})
     trust: Optional["PeerTrustMonitor"] = None
 
     def __post_init__(self) -> None:
-        if self.horizon_s <= 0:
-            raise ValueError(f"horizon_s must be positive, got {self.horizon_s}")
-        if self.heal_ticks < 1:
-            raise ValueError("heal_ticks must be >= 1")
+        check_fields(self)
 
 
 class RttFallbackEstimator:
@@ -126,8 +124,7 @@ class RttFallbackEstimator:
         host_noise_sigma_s: float = 0.5e-3,
         seed: int = 900,
     ) -> None:
-        if probe_interval_s <= 0:
-            raise ValueError("probe interval must be positive")
+        positive("probe_interval_s", probe_interval_s)
         if len(forward) != len(reverse):
             raise ValueError(
                 f"directions expose different path counts: "

@@ -31,6 +31,8 @@ import os
 from pathlib import Path
 from typing import Any, Callable, Optional
 
+from ..validate import int_in
+
 __all__ = ["WriteAheadLog", "NullJournal", "ControllerJournal"]
 
 
@@ -122,8 +124,7 @@ class ControllerJournal(NullJournal):
         directory: Optional[str | Path] = None,
         checkpoint_every_ticks: int = 50,
     ) -> None:
-        if checkpoint_every_ticks < 1:
-            raise ValueError("checkpoint_every_ticks must be >= 1")
+        int_in(1)("checkpoint_every_ticks", checkpoint_every_ticks)
         self.checkpoint_every_ticks = checkpoint_every_ticks
         self.directory = Path(directory) if directory is not None else None
         self.checkpoints = 0

@@ -24,10 +24,11 @@ with simulation timestamps — the E14 benchmark's recovery-time source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..netsim.events import PeriodicTask, Simulator
+from ..validate import check_fields, finite, positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.controller import TangoController
@@ -49,23 +50,18 @@ class SupervisorPolicy:
         healthy_after_s: uptime that resets the backoff to its base.
     """
 
-    check_interval_s: float = 0.5
-    restart_delay_s: float = 0.25
-    backoff_factor: float = 2.0
-    max_restart_delay_s: float = 5.0
-    healthy_after_s: float = 10.0
+    check_interval_s: float = field(default=0.5, metadata={"check": positive})
+    restart_delay_s: float = field(default=0.25, metadata={"check": positive})
+    backoff_factor: float = field(default=2.0, metadata={"check": finite})
+    max_restart_delay_s: float = field(default=5.0, metadata={"check": finite})
+    healthy_after_s: float = field(default=10.0, metadata={"check": positive})
 
     def __post_init__(self) -> None:
-        if self.check_interval_s <= 0:
-            raise ValueError("check_interval_s must be positive")
-        if self.restart_delay_s <= 0:
-            raise ValueError("restart_delay_s must be positive")
+        check_fields(self)
         if self.backoff_factor < 1.0:
             raise ValueError("backoff_factor must be >= 1")
         if self.max_restart_delay_s < self.restart_delay_s:
             raise ValueError("max_restart_delay_s below restart_delay_s")
-        if self.healthy_after_s <= 0:
-            raise ValueError("healthy_after_s must be positive")
 
 
 @dataclass(frozen=True)

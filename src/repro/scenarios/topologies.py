@@ -28,6 +28,7 @@ from ..core.discovery import DiscoveredPath, DiscoveryResult, PathDiscovery, asn
 from ..core.mesh import TangoMesh
 from ..netsim.delaymodels import ConstantDelay, GaussianJitterDelay
 from ..netsim.topology import Network
+from ..validate import int_in
 from .vultr import PathCalibration
 
 __all__ = [
@@ -94,12 +95,8 @@ def build_mesh_scenario(
         providers_per_edge: transits each edge's provider connects to.
         seed: drives distances and provider assignment.
     """
-    if n_edges < 2:
-        raise ValueError(f"need at least 2 edges, got {n_edges}")
-    if not 1 <= providers_per_edge <= len(_TRANSIT_ASNS):
-        raise ValueError(
-            f"providers_per_edge must be in 1..{len(_TRANSIT_ASNS)}"
-        )
+    int_in(2)("n_edges", n_edges)
+    int_in(1, len(_TRANSIT_ASNS))("providers_per_edge", providers_per_edge)
     rng = np.random.default_rng(seed)
     bgp = BgpNetwork()
     for asn in _TRANSIT_ASNS:
@@ -300,14 +297,9 @@ def build_live_federation(
     direct connectivity collapses to one fate-shared path: the pair the
     E20 experiment heals with a stitched relay tunnel.
     """
-    if n_edges < 2:
-        raise ValueError(f"need at least 2 edges, got {n_edges}")
-    if not 1 <= providers_per_edge <= len(_TRANSIT_ASNS):
-        raise ValueError(
-            f"providers_per_edge must be in 1..{len(_TRANSIT_ASNS)}"
-        )
-    if prefixes_per_peer < 1:
-        raise ValueError("prefixes_per_peer must be >= 1")
+    int_in(2)("n_edges", n_edges)
+    int_in(1, len(_TRANSIT_ASNS))("providers_per_edge", providers_per_edge)
+    int_in(1)("prefixes_per_peer", prefixes_per_peer)
     rng = np.random.default_rng(seed)
     bgp = BgpNetwork()
     for asn in _TRANSIT_ASNS:

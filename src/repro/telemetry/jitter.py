@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..validate import positive
 from .store import MeasurementStore
 
 __all__ = [
@@ -37,8 +38,7 @@ def rolling_window_std(
     n = times.size
     if n < 2:
         return float("nan")
-    if window_s <= 0:
-        raise ValueError(f"window must be positive, got {window_s}")
+    positive("window_s", window_s)
     # Center first: the variance is shift-invariant, and centering keeps
     # the prefix-sum trick numerically stable even when values carry a
     # large constant (e.g. a clock offset dwarfing the jitter).

@@ -28,6 +28,7 @@ from functools import lru_cache
 from typing import Optional
 
 from repro.netsim.delaymodels import normal_at
+from repro.validate import check_fields, finite, non_negative, positive, probability
 
 _SECONDS_PER_DAY = 86_400.0
 
@@ -44,22 +45,19 @@ class FlowClass:
 
     name: str
     flow_label: int
-    arrival_rate_per_s: float
-    mean_size_bytes: float
-    rate_bps: float
-    diurnal_fraction: float = 0.0
-    diurnal_phase_s: float = 0.0
+    arrival_rate_per_s: float = field(metadata={"check": non_negative})
+    mean_size_bytes: float = field(metadata={"check": positive})
+    rate_bps: float = field(metadata={"check": positive})
+    diurnal_fraction: float = field(default=0.0, metadata={"check": probability})
+    diurnal_phase_s: float = field(default=0.0, metadata={"check": finite})
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.arrival_rate_per_s < 0:
-            raise ValueError("arrival_rate_per_s must be >= 0")
-        if self.mean_size_bytes <= 0:
-            raise ValueError("mean_size_bytes must be > 0")
-        if self.rate_bps <= 0:
-            raise ValueError("rate_bps must be > 0")
-        if not 0.0 <= self.diurnal_fraction < 1.0:
-            raise ValueError("diurnal_fraction must be in [0, 1)")
+        check_fields(self)
+        if self.diurnal_fraction == 1.0:
+            raise ValueError(
+                f"diurnal_fraction must be below 1, got {self.diurnal_fraction!r}"
+            )
 
     @property
     def mean_duration_s(self) -> float:
@@ -87,16 +85,15 @@ class SurgeWindow:
     matching class is scaled.  Stacked windows multiply.
     """
 
-    start: float
-    end: float
-    factor: float
+    start: float = field(metadata={"check": finite})
+    end: float = field(metadata={"check": finite})
+    factor: float = field(metadata={"check": positive})
     flow_label: Optional[int] = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.end <= self.start:
-            raise ValueError("surge end must be after start")
-        if self.factor <= 0:
-            raise ValueError("surge factor must be > 0")
+            raise ValueError(f"end {self.end} must be after start {self.start}")
 
     def active(self, t: float) -> bool:
         return self.start <= t < self.end
@@ -203,9 +200,8 @@ def standard_flow_classes(
     load sits well under the ~36 Gbps Vultr aggregate capacity so
     congestion comes from surges and skewed splits, not raw demand.
     """
+    positive("target_concurrent_flows", target_concurrent_flows)
     scale = target_concurrent_flows / 1_050_000.0
-    if scale <= 0:
-        raise ValueError("target_concurrent_flows must be > 0")
     web = FlowClass(
         name="web",
         flow_label=1,

@@ -19,12 +19,12 @@ paths in the data plane"; this module supplies the policy half:
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional, Sequence
 
 from repro.netsim.delaymodels import uniform_at
 from repro.netsim.packet import Packet
 from repro.telemetry.store import MeasurementStore
+from repro.validate import non_negative, positive, probability
 
 __all__ = ["LoadAwareWeights", "WeightedSplitSelector", "SplitRebalancer"]
 
@@ -58,10 +58,8 @@ class LoadAwareWeights:
         headroom_floor: float = 0.05,
         delay_floor_s: float = 1e-4,
     ) -> None:
-        if window_s <= 0:
-            raise ValueError("window_s must be > 0")
-        if not 0.0 < headroom_floor <= 1.0:
-            raise ValueError("headroom_floor must be in (0, 1]")
+        positive("window_s", window_s)
+        probability("headroom_floor", positive("headroom_floor", headroom_floor))
         self.store = store
         self.window_s = window_s
         self.utilization = utilization
@@ -113,10 +111,7 @@ class WeightedSplitSelector:
         refresh_s: float = 0.25,
         seed: int = 0,
     ) -> None:
-        if not math.isfinite(refresh_s):
-            raise ValueError(f"refresh_s must be finite, got {refresh_s!r}")
-        if refresh_s < 0:
-            raise ValueError("refresh_s must be >= 0")
+        non_negative("refresh_s", refresh_s)
         self.weights = weights
         self.refresh_s = refresh_s
         self.seed = seed

@@ -123,6 +123,7 @@ from repro.netsim.packet import (
     UdpHeader,
     as_address,
 )
+from repro.validate import non_negative, positive
 
 from .demand import DemandModel, FlowClass
 from .fluid import BLACKHOLE_LOSS, RHO_WAIT_CAP, SplitResolver, TunnelLoad
@@ -158,14 +159,6 @@ def _gather_by_owner(owners: list, pids: list[int]) -> tuple:
         order += rows
         writes.append((owner, [pids[r] for r in rows], span))
     return np.array(order, dtype=np.intp), writes
-
-
-def _require(name: str, value: float, *, zero_ok: bool = False) -> None:
-    """Refuse a non-finite ``value``, a negative one, and zero unless
-    ``zero_ok``, naming ``name``."""
-    if not (math.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
-        bound = ">= 0" if zero_ok else "> 0"
-        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 class FluidRows:
@@ -707,10 +700,10 @@ class VectorFluidEngine:
         buffer_delay_s: float = 0.1,
         record_traces: bool = True,
     ) -> None:
-        _require("step_s", step_s)
-        _require("default_capacity_bps", default_capacity_bps)
-        _require("packet_bytes", packet_bytes)
-        _require("buffer_delay_s", buffer_delay_s, zero_ok=True)
+        positive("step_s", step_s)
+        positive("default_capacity_bps", default_capacity_bps)
+        positive("packet_bytes", packet_bytes)
+        non_negative("buffer_delay_s", buffer_delay_s)
         tunnels = list(deployment.tunnels(src))
         peer = deployment.peer_of(src)
         if not tunnels:
@@ -742,7 +735,7 @@ class VectorFluidEngine:
             if capacity is None:
                 capacity = default_capacity_bps
             else:
-                _require(f"capacity_bps of {src}'s {tunnel.short_label}", capacity)
+                positive(f"capacity_bps of {src}'s {tunnel.short_label}", capacity)
             capacities.append(capacity)
 
         anchor = self.tunnels[0]

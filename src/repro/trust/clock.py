@@ -25,6 +25,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+from ..validate import int_in, non_negative, positive
+
 __all__ = ["ClockEvent", "ClockIntegrityMonitor"]
 
 
@@ -81,16 +83,11 @@ class ClockIntegrityMonitor:
         drift_threshold_ppm: float = 50.0,
         min_span_s: float = 3.0,
     ) -> None:
-        if window < 8:
-            raise ValueError(f"window must be >= 8, got {window}")
-        if not 2 <= min_samples <= window:
-            raise ValueError("need 2 <= min_samples <= window")
-        if step_threshold_s <= 0:
-            raise ValueError("step_threshold_s must be positive")
-        if drift_threshold_ppm <= 0:
-            raise ValueError("drift_threshold_ppm must be positive")
-        if min_span_s < 0:
-            raise ValueError("min_span_s must be >= 0")
+        int_in(8)("window", window)
+        int_in(2, window)("min_samples", min_samples)
+        positive("step_threshold_s", step_threshold_s)
+        positive("drift_threshold_ppm", drift_threshold_ppm)
+        non_negative("min_span_s", min_span_s)
         self.window = window
         self.min_samples = min_samples
         self.step_threshold_s = step_threshold_s

@@ -30,6 +30,7 @@ import statistics
 from typing import Optional
 
 from ..telemetry.store import MeasurementStore
+from ..validate import int_in, non_negative, positive
 from .clock import ClockIntegrityMonitor
 
 __all__ = ["PlausibilityFilter"]
@@ -60,14 +61,10 @@ class PlausibilityFilter:
         max_age_s: float = 2.0,
         calibration_samples: int = 12,
     ) -> None:
-        if abs_slack_s <= 0:
-            raise ValueError("abs_slack_s must be positive")
-        if rel_slack < 0:
-            raise ValueError("rel_slack must be >= 0")
-        if max_age_s <= 0:
-            raise ValueError("max_age_s must be positive")
-        if calibration_samples < 2:
-            raise ValueError("calibration_samples must be >= 2")
+        positive("abs_slack_s", abs_slack_s)
+        non_negative("rel_slack", rel_slack)
+        positive("max_age_s", max_age_s)
+        int_in(2)("calibration_samples", calibration_samples)
         self.envelope = envelope
         self.monitor = monitor
         self.abs_slack_s = abs_slack_s

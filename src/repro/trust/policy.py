@@ -15,8 +15,10 @@ cooperative feed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
+
+from ..validate import check_fields, finite, int_in, positive
 
 __all__ = [
     "TRUST_TRUSTED",
@@ -52,29 +54,22 @@ class PeerTrustPolicy:
             to restore full trust (and reset the backoff).
     """
 
-    suspect_anomalies: int = 3
-    distrust_anomalies: int = 12
-    clean_polls: int = 5
-    probation_delay_s: float = 3.0
-    backoff_factor: float = 2.0
-    max_probation_delay_s: float = 60.0
-    probation_polls: int = 3
+    suspect_anomalies: int = field(default=3, metadata={"check": int_in(1)})
+    distrust_anomalies: int = field(default=12, metadata={"check": int_in(1)})
+    clean_polls: int = field(default=5, metadata={"check": int_in(1)})
+    probation_delay_s: float = field(default=3.0, metadata={"check": positive})
+    backoff_factor: float = field(default=2.0, metadata={"check": finite})
+    max_probation_delay_s: float = field(default=60.0, metadata={"check": finite})
+    probation_polls: int = field(default=3, metadata={"check": int_in(1)})
 
     def __post_init__(self) -> None:
-        if self.suspect_anomalies < 1:
-            raise ValueError("suspect_anomalies must be >= 1")
+        check_fields(self)
         if self.distrust_anomalies < self.suspect_anomalies:
             raise ValueError("distrust_anomalies below suspect_anomalies")
-        if self.clean_polls < 1:
-            raise ValueError("clean_polls must be >= 1")
-        if self.probation_delay_s <= 0:
-            raise ValueError("probation_delay_s must be positive")
         if self.backoff_factor < 1.0:
             raise ValueError("backoff_factor must be >= 1")
         if self.max_probation_delay_s < self.probation_delay_s:
             raise ValueError("max_probation_delay_s below probation_delay_s")
-        if self.probation_polls < 1:
-            raise ValueError("probation_polls must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ class TestPairingConfig:
     )
     def test_non_finite_interval_rejected_by_name(self, field, value):
         # At the parent the check was ``value <= 0``, which NaN passes.
-        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
             PairingConfig(
                 a=edge("ny"),
                 b=edge("la", host="2001:db8:10::/48", routes=("2001:db8:a0::/48",)),

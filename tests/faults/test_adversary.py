@@ -86,7 +86,7 @@ class TestTelemetryReplay:
     def test_validation(self):
         with pytest.raises(ValueError, match="delay"):
             TelemetryReplay(0.0, 1.0, delay_s=0.0, every=2)
-        with pytest.raises(ValueError, match="cadence"):
+        with pytest.raises(ValueError, match="^every must be an int >= 1"):
             TelemetryReplay(0.0, 1.0, delay_s=1.0, every=0)
         with pytest.raises(ValueError, match="window"):
             TelemetryTamper(start=2.0, end=1.0, bias_s=0.01)

@@ -90,11 +90,11 @@ class TestLint:
 
     def test_nonpositive_factor_flagged(self, tmp_path):
         findings = lint_surge_file(tmp_path, factor=0.0)
-        assert any("factor must be > 0" in f.message for f in findings)
+        assert any("factor must be finite and positive" in f.message for f in findings)
 
     def test_non_numeric_factor_flagged(self, tmp_path):
         findings = lint_surge_file(tmp_path, factor="huge")
-        assert any("not a number" in f.message for f in findings)
+        assert any("factor must be finite, got 'huge'" in f.message for f in findings)
 
     @pytest.mark.parametrize("label", ["2", 2.0, True])
     def test_non_int_flow_label_flagged(self, tmp_path, label):
@@ -117,7 +117,7 @@ class TestInjection:
 
     def test_arm_rejects_nonpositive_factor(self):
         deployment, _engine = fluid_deployment()
-        with pytest.raises(ValueError, match="factor must be > 0"):
+        with pytest.raises(ValueError, match="factor must be finite and positive"):
             FaultInjector(deployment, plan_of(surge_event(factor=-1.0))).arm()
 
     def test_surge_on_a_missing_class_refuses_to_arm(self):

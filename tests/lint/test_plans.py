@@ -176,21 +176,21 @@ class TestAdversarialKinds:
         findings = self.lint_adversarial(
             tmp_path, "telemetry_tamper", bias_ms="big"
         )
-        assert "is not a number" in findings[0].message
+        assert "bias_ms must be finite, got 'big'" in findings[0].message
 
     def test_replay_delay_must_be_positive(self, tmp_path):
         findings = self.lint_adversarial(
             tmp_path, "telemetry_replay", delay_s=-1.0
         )
         assert len(findings) == 1
-        assert "delay_s must be > 0" in findings[0].message
+        assert "delay_s must be finite and positive" in findings[0].message
 
     def test_gray_loss_rate_must_be_a_probability(self, tmp_path):
         # The range GrayLoss itself enforces: [0, 1], ends included.
         for rate in (-0.1, 1.5):
             findings = self.lint_adversarial(tmp_path, "gray_loss", rate=rate)
             assert len(findings) == 1
-            assert "rate must be in [0, 1]" in findings[0].message
+            assert "rate must be a probability in [0, 1]" in findings[0].message
         for rate in (0.0, 1.0):
             plan = self.adversarial("gray_loss", rate=rate)
             assert plan.check(self.shape) == []
@@ -274,7 +274,7 @@ class TestCorrelatedKinds:
         assert "unknown region 'mars'" in problems[0]
 
     def test_drain_must_be_numeric_and_inside_window(self, tmp_path):
-        for drain, problem in (("soon", "not a number"), (2.0, "drain_s")):
+        for drain, problem in (("soon", "drain_s must be finite"), (2.0, "drain_s")):
             findings = lint_plan_file(
                 tmp_path, "maintenance_window", at=1.0,
                 duration=2.0, group="ntt-backbone", drain_s=drain,

@@ -54,7 +54,7 @@ class TestFiringParity:
     def test_every_must_be_positive_int(self):
         scheduler = TickScheduler(Simulator(), 0.1)
         for bad in (0, -1, 1.5, "2"):
-            with pytest.raises(ValueError, match="positive int"):
+            with pytest.raises(ValueError, match="^every must be an int >= 1"):
                 scheduler.register(lambda now: None, every=bad)
 
     def test_pause_resume_matches_periodic_task(self):

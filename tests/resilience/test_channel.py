@@ -85,7 +85,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field", FINITE_FIELDS)
     def test_nan_is_refused_by_name(self, field):
         # At the parent every check was ``<= 0`` or ``< 0``, so NaN passed.
-        with pytest.raises(ValueError, match=f"{field} must be finite, got nan"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite.*, got nan$"):
             ChannelConfig(**{field: NAN})
 
 
