@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from ..frozen import slot_init
 from ..validate import check_fields, int_in
 
 __all__ = [
@@ -42,7 +43,8 @@ class Origin(enum.IntEnum):
     INCOMPLETE = 2
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class AsPath:
     """An AS_PATH: a sequence of ASNs, most recent hop first.
 
@@ -52,24 +54,16 @@ class AsPath:
     """
 
     asns: tuple[int, ...] = ()
-    #: Hash and length are on the decision-process hot path (every
-    #: candidate comparison reads both), so they are precomputed once at
-    #: construction.  The cached hash equals the frozen-dataclass hash of
-    #: the ``asns`` field, keeping hash/equality semantics unchanged.
-    _hash: int = field(init=False, repr=False, compare=False)
-    _length: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.asns,)))
-        object.__setattr__(self, "_length", len(self.asns))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def prepend(self, asn: int, count: int = 1) -> "AsPath":
-        """Return a path with ``asn`` prepended ``count`` times."""
-        if count < 1:
-            raise ValueError(f"prepend count must be >= 1, got {count}")
+        """Return a path with ``asn`` prepended ``count`` times.
+
+        Raises:
+            ValueError: ``count`` is not an int >= 1 (a bool or a float
+                is refused, not rounded).
+        """
+        if type(count) is not int or count < 1:
+            raise ValueError(f"prepend count must be an int >= 1, got {count!r}")
         return AsPath((asn,) * count + self.asns)
 
     def contains(self, asn: int) -> bool:
@@ -94,13 +88,13 @@ class AsPath:
     @property
     def length(self) -> int:
         """AS_PATH length as the decision process counts it (with repeats)."""
-        return self._length
+        return len(self.asns)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.asns)
 
     def __len__(self) -> int:
-        return self._length
+        return len(self.asns)
 
     def __str__(self) -> str:
         return " ".join(str(a) for a in self.asns) if self.asns else "<empty>"
@@ -140,7 +134,8 @@ class LargeCommunity:
         return f"{self.global_admin}:{self.data1}:{self.data2}"
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class RouteAttributes:
     """The attribute bundle carried with an announcement.
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..frozen import slot_init
 from .attributes import LargeCommunity, RouteAttributes
 
 __all__ = [
@@ -47,12 +48,17 @@ def no_export_to(provider_asn: int, target_asn: int) -> LargeCommunity:
     return LargeCommunity(provider_asn, ACTION_NO_EXPORT_TO, target_asn)
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class ExportAction:
     """Outcome of interpreting traffic-control communities for one export."""
 
     allow: bool = True
     prepend: int = 0
+
+
+#: The outcome of every export no community acts on, built once.
+_EXPORT_UNCHANGED = ExportAction()
 
 
 class TrafficControlInterpreter:
@@ -95,4 +101,6 @@ class TrafficControlInterpreter:
                 and community.data2 == target_asn
             ):
                 prepend = max(prepend, community.data1 - ACTION_PREPEND_TO)
+        if allow and not prepend:
+            return _EXPORT_UNCHANGED
         return ExportAction(allow=allow, prepend=prepend)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Union
 
+from ..frozen import slot_init
 from .attributes import RouteAttributes
 
 __all__ = [
@@ -140,7 +141,8 @@ def prefix_key(prefix: Prefix) -> str:
     return str(prefix)
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Announcement:
     """A reachability announcement for one prefix.
 
@@ -155,7 +157,8 @@ class Announcement:
         return f"{self.prefix} via [{self.attributes.as_path}]"
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Withdrawal:
     """Withdrawal of a previously announced prefix."""
 

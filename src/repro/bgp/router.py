@@ -83,6 +83,9 @@ class BgpRouter:
         self.loc_rib = LocRib()
         self.adj_rib_out = AdjRibOut()
         self.originated: dict[Prefix, RouteAttributes] = {}
+        #: True while a snapshot may hold ``originated``: the next
+        #: ``originate`` / ``withdraw_origination`` copies it first.
+        self._originated_shared = False
         #: Cache slot owned by :func:`repro.bgp.snapshot.network_fingerprint`:
         #: the canonical text of ``originated``, None whenever it may be
         #: stale (every mutation of ``originated`` resets it).
@@ -144,18 +147,26 @@ class BgpRouter:
         normalized = as_prefix(prefix)
         attrs = attributes or RouteAttributes()
         if self.originated.get(normalized) != attrs:
-            self.originated[normalized] = attrs
+            self._own_originated()[normalized] = attrs
             self._origination_lines = None
             self._pending_export.add(normalized)
 
     def withdraw_origination(self, prefix: Union[str, Prefix]) -> bool:
         """Stop originating ``prefix``.  True if it was being originated."""
         normalized = as_prefix(prefix)
-        if self.originated.pop(normalized, None) is None:
+        if normalized not in self.originated:
             return False
+        del self._own_originated()[normalized]
         self._origination_lines = None
         self._pending_export.add(normalized)
         return True
+
+    def _own_originated(self) -> dict[Prefix, RouteAttributes]:
+        """``originated``, copied first if a snapshot may hold it."""
+        if self._originated_shared:
+            self.originated = self.originated.copy()
+            self._originated_shared = False
+        return self.originated
 
     # -- import side ------------------------------------------------------------
 
@@ -254,10 +265,9 @@ class BgpRouter:
         """
         neighbor = self._require_neighbor(neighbor_name)
         exports: dict[Prefix, Announcement] = {}
-        routes = self.loc_rib.snapshot()
-        for prefix in sorted(routes, key=prefix_key):
-            best = routes[prefix]
-            if prefix in self.originated:
+        for prefix in sorted(self.loc_rib.prefixes(), key=prefix_key):
+            best = self.loc_rib.best(prefix)
+            if best is None or prefix in self.originated:
                 continue  # our origination supersedes the learned route
             if best.neighbor == neighbor_name:
                 continue  # split horizon

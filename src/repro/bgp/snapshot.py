@@ -7,12 +7,17 @@ a flapping fault alternates between the same two configurations.  Since
 the fixpoint is a pure function of the network configuration (routers,
 sessions, originations — Gao–Rexford plus deterministic tie-breaks make
 it unique), converged state can be cached against a canonical fingerprint
-of that configuration and restored in O(state) instead of re-propagating.
+of that configuration and restored in O(routers) instead of
+re-propagating.
 
-Snapshots are copy-on-write in the practical sense: every RIB entry,
-announcement, and attribute bundle is a frozen dataclass, so capturing or
-restoring a snapshot copies only the per-router dicts that index them,
-never the entries themselves.
+Snapshots are copy-on-write.  Every RIB entry, announcement and
+attribute bundle is a frozen value, and capturing or restoring a
+snapshot copies no table at all: a router's Adj-RIB-In, Loc-RIB,
+Adj-RIB-Out and origination table hand the snapshot their dicts, or
+adopt the snapshot's, and mark them shared.  The first write to a
+shared table copies it (Adj-RIB-Out per neighbor), so a captured
+snapshot is never written again and a cache hit pays only for the
+tables the next convergence changes.
 
 Custom import/export policies are opaque callables — they cannot be
 fingerprinted — so a network using them is never cached (the cache
@@ -107,7 +112,8 @@ def network_fingerprint(network: BgpNetwork) -> Optional[str]:
 
 @dataclass(frozen=True)
 class _RouterState:
-    """One router's converged state: shallow copies of its four tables."""
+    """One router's converged state: its four tables, shared with the
+    router until it next writes them (never written again after that)."""
 
     adj_rib_in: dict[Prefix, tuple[RibEntry, ...]]
     loc_rib: dict[Prefix, RibEntry]
@@ -154,11 +160,12 @@ def capture_snapshot(
         )
     routers: dict[str, _RouterState] = {}
     for name, router in network.routers.items():
+        router._originated_shared = True
         routers[name] = _RouterState(
             adj_rib_in=router.adj_rib_in.snapshot(),
             loc_rib=router.loc_rib.snapshot(),
             adj_rib_out=router.adj_rib_out.snapshot(),
-            originated=dict(router.originated),
+            originated=router.originated,
             origination_lines=router._origination_lines,
         )
     return NetworkSnapshot(fingerprint=fingerprint, routers=routers)
@@ -179,7 +186,8 @@ def restore_snapshot(network: BgpNetwork, snapshot: NetworkSnapshot) -> None:
         router.adj_rib_in.restore(state.adj_rib_in)
         router.loc_rib.restore(state.loc_rib)
         router.adj_rib_out.restore(state.adj_rib_out)
-        router.originated = dict(state.originated)
+        router.originated = state.originated
+        router._originated_shared = True
         router._origination_lines = state.origination_lines
         router.clear_pending_exports()
     network._pending_full_sync.clear()
@@ -191,7 +199,7 @@ class SnapshotCache:
 
     Drop-in accelerator for any ``network.converge()`` call site: use
     :meth:`converge` instead, and configurations already seen restore in
-    O(state) with zero propagation waves.
+    O(routers) with zero propagation waves.
 
     Args:
         capacity: snapshots retained (least recently used evicted first).

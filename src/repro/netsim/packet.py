@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Iterable, Optional, Union
 
+from ..frozen import slot_init
+
 __all__ = [
     "IPAddress",
     "InternedIPv4Address",
@@ -248,7 +250,8 @@ class UdpHeader:
                 raise ValueError(f"{name} out of range: {port}")
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class TangoHeader:
     """The Tango telemetry header piggybacked on data packets.
 

@@ -18,6 +18,7 @@ many million concurrent flows the buckets represent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -50,9 +51,15 @@ def fluid_wait_s(rho: float, service_s: float) -> float:
     simulator serializes fixed-size packets): ``W = rho / (2 (1 - rho))
     * service``.  Clamped at :data:`RHO_WAIT_CAP` — overload delay is
     carried by the explicit fluid backlog, not this term.
+
+    Raises:
+        ValueError: ``service_s`` is negative or NaN, or ``rho`` is NaN
+            (either would make the wait NaN).
     """
-    if service_s < 0:
-        raise ValueError("service_s must be >= 0")
+    if not service_s >= 0:
+        raise ValueError(f"service_s must be >= 0, got {service_s!r}")
+    if math.isnan(rho):
+        raise ValueError("rho must not be NaN")
     rho = min(max(rho, 0.0), RHO_WAIT_CAP)
     return rho / (2.0 * (1.0 - rho)) * service_s
 

@@ -115,9 +115,9 @@ class TestRouteAttributes:
 
 
 class TestAsPathHashCaching:
-    """AsPath caches its hash and length at construction (hot in RIB
-    dict lookups); the cache must be indistinguishable from computing
-    fresh."""
+    """AsPath's hash and length are those of its ``asns`` tuple.  They
+    were cached at construction once; building paths proved the hotter
+    cost, and without the cache they must read exactly as before."""
 
     @given(st.lists(asns, max_size=12))
     def test_cached_hash_matches_tuple_semantics(self, asn_list):

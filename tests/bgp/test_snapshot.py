@@ -1,5 +1,6 @@
 """Tests for the convergence snapshot cache."""
 
+import copy
 import hashlib
 
 import pytest
@@ -239,6 +240,107 @@ class TestCaptureRestore:
         net.converge()
         restore_snapshot(net, snap)
         assert net.best_path("sink", P) is not None
+
+
+def _tables(net: BgpNetwork) -> dict:
+    """A deep copy of every router's four tables, read without marking
+    anything shared."""
+    return copy.deepcopy(
+        {
+            name: (
+                r.adj_rib_in._table,
+                r.loc_rib._table,
+                r.adj_rib_out._sent,
+                r.originated,
+            )
+            for name, r in net.routers.items()
+        }
+    )
+
+
+_COW_OPERATIONS = st.one_of(
+    st.tuples(
+        st.just("originate"),
+        st.sampled_from(_ROUTERS),
+        st.sampled_from(_PREFIXES),
+        st.integers(0, 2),
+    ),
+    st.tuples(
+        st.just("withdraw"), st.sampled_from(_ROUTERS), st.sampled_from(_PREFIXES)
+    ),
+    st.tuples(st.just("toggle_session"), st.sampled_from(("left", "right"))),
+    st.tuples(st.just("converge")),
+    st.tuples(st.just("capture")),
+    st.tuples(st.just("restore"), st.integers(0, 7)),
+)
+
+
+class TestCopyOnWrite:
+    """A snapshot shares the tables it captures and a restore adopts
+    them; whatever runs afterwards copies before it writes."""
+
+    @given(st.lists(_COW_OPERATIONS, max_size=30))
+    @settings(max_examples=120, deadline=None)
+    def test_captured_snapshots_are_never_written(self, operations):
+        net = diamond()
+        #: (snapshot, its sessions, deep copy at capture, tables its
+        #: first restore gave or None)
+        captured = []
+        for op in operations:
+            if op[0] == "originate":
+                attrs = RouteAttributes(
+                    communities=frozenset(Community(65000, v) for v in range(op[3]))
+                )
+                net.router(op[1]).originate(op[2], attrs)
+            elif op[0] == "withdraw":
+                net.router(op[1]).withdraw_origination(op[2])
+            elif op[0] == "toggle_session":
+                if op[1] in net.router("sink").neighbors:
+                    net.disconnect("sink", op[1])
+                else:
+                    net.connect("sink", op[1], Relationship.PROVIDER)
+            elif op[0] == "converge":
+                net.converge()
+            elif op[0] == "capture":
+                net.converge()
+                snapshot = capture_snapshot(net)
+                sessions = set(net.session_pairs())
+                captured.append(
+                    [snapshot, sessions, copy.deepcopy(snapshot.routers), None]
+                )
+            elif captured:
+                entry = captured[op[1] % len(captured)]
+                snapshot, sessions, _, first = entry
+                if sessions != set(net.session_pairs()):
+                    continue  # a snapshot only restores onto its own topology
+                restore_snapshot(net, snapshot)
+                for name, state in snapshot.routers.items():
+                    router = net.routers[name]
+                    assert router.adj_rib_in._table is state.adj_rib_in
+                    assert router.loc_rib._table is state.loc_rib
+                    assert router.adj_rib_out._sent is state.adj_rib_out
+                    assert router.originated is state.originated
+                tables = _tables(net)
+                if first is None:
+                    entry[3] = tables
+                else:
+                    assert tables == first
+            for snapshot, _, at_capture, _ in captured:
+                assert snapshot.routers == at_capture
+
+    def test_restore_copies_a_table_on_its_first_write_only(self):
+        net = diamond()
+        net.router("origin").originate(P)
+        net.converge()
+        snap = capture_snapshot(net)
+        sink = net.router("sink")
+        restore_snapshot(net, snap)
+        sink.originate(Q)
+        held = sink.originated
+        assert held is not snap.routers["sink"].originated
+        sink.originate("2001:db8:10::/48")
+        assert sink.originated is held  # written in place from now on
+        assert Q not in snap.routers["sink"].originated
 
 
 class TestSnapshotCache:

@@ -9,7 +9,16 @@ During ``establish()`` of the N=4 live federation (seed 42):
 * no ``dataclasses.replace`` call comes from ``repro.bgp``;
 * ``AsPath.strip_private`` hands back the path itself whenever it holds
   no private ASN;
-* every ``originated``, Loc-RIB and Adj-RIB-In key is an interned prefix.
+* every ``originated``, Loc-RIB and Adj-RIB-In key is an interned prefix;
+* no dataclass-generated ``__init__`` runs for a class built by
+  :func:`repro.frozen.slot_init` — each is built by its slot-descriptor
+  ``__init__`` — and the interpreter's no-op outcome is one shared
+  ``ExportAction``;
+* ``restore_snapshot`` copies no dict: after each of its 31 calls every
+  table of every router is the very dict the snapshot holds, and
+  ``capture_snapshot`` (13 calls) copies none either;
+* the copy-on-write copies made afterwards, when a table shared with a
+  snapshot is first written, are exactly ``COW_COPIES``.
 
 Then traffic starts on 11 of the 12 directions, one after another, and
 the rows step: :class:`~repro.traffic.vector.FluidRows` concatenates
@@ -21,6 +30,12 @@ Exact on any host.  At the parent commit establishment made 8,313
 stdlib hash calls and 491 ``replace`` calls from ``repro.bgp``, every
 export built a new path, the scenario's prefixes were plain networks,
 and the 11 directions concatenated 19 x 10 = 190 arrays as they joined.
+Before copy-on-write tables and slot-descriptor construction, the 31
+restores copied 2,728 dicts and the 13 captures 1,144 (every table of
+every router, each time), and 3,270 dataclass-generated ``__init__``
+frames ran for these classes: 1,012 ``RouteAttributes``, 783 ``AsPath``,
+484 ``ExportAction``, 469 ``Announcement``, 455 ``RibEntry`` and 67
+``Withdrawal``.
 """
 
 import dataclasses
@@ -30,11 +45,15 @@ import sys
 import numpy as np
 import pytest
 
+from repro.bgp import snapshot
 from repro.bgp.attributes import AsPath, is_private_asn
 from repro.bgp.messages import InternedIPv4Network, InternedIPv6Network
+from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib
+from repro.bgp.router import BgpRouter
 from repro.federation import FederationRegistry
 from repro.scenarios.topologies import build_live_federation
 from repro.traffic.vector import FluidRows
+from tests.test_frozen import CLASSES as SLOT_INIT_CLASSES
 
 INTERNED = (InternedIPv4Network, InternedIPv6Network)
 STDLIB_HASH = ipaddress._BaseNetwork.__hash__.__code__
@@ -46,6 +65,36 @@ REPLACE = dataclasses.replace.__code__
 #: flows, hashed streams) and 1 per direction (peak).
 ROWS_ARRAYS = 19
 
+SLOT_INITS = {cls.__init__.__code__: cls.__name__ for cls in SLOT_INIT_CLASSES}
+#: Objects each slot-descriptor ``__init__`` built during establish():
+#: the parent's counts, but for ``ExportAction`` (484 then), whose
+#: no-op outcome is now one shared instance.
+FAST_INITS = {
+    "RouteAttributes": 1_012,
+    "AsPath": 783,
+    "Announcement": 469,
+    "RibEntry": 455,
+    "Withdrawal": 67,
+    "ExportAction": 15,
+}
+SHARED_OWN = AdjRibIn._own.__code__  # LocRib inherits the same method
+assert LocRib._own.__code__ is SHARED_OWN
+OUT_OWN = AdjRibOut._own.__code__
+OUT_OWN_INDEX = AdjRibOut._own_index.__code__
+OWN_ORIGINATED = BgpRouter._own_originated.__code__
+
+#: Copy-on-write copies during establish(), per table: the tables a
+#: restore or capture shared and a later converge then wrote.
+#: ``AdjRibOut`` counts a neighbor table copied, not one created for a
+#: neighbor first sent something.
+COW_COPIES = {
+    "AdjRibIn": 145,
+    "LocRib": 145,
+    "AdjRibOut index": 111,
+    "AdjRibOut table": 213,
+    "originated": 46,
+}
+
 
 class EstablishCounts:
     """What ``establish()`` did, counted by a profile hook and a wrapper."""
@@ -55,6 +104,15 @@ class EstablishCounts:
         self.bgp_replaces = 0
         #: ``(path, result)`` of every strip_private call.
         self.strips: list[tuple[AsPath, AsPath]] = []
+        #: ``__init__`` frames of slot_init classes, fast per class and stock.
+        self.fast_inits: dict[str, int] = {}
+        self.stock_inits = 0
+        self.cow_copies = dict.fromkeys(COW_COPIES, 0)
+        #: Calls, and tables not the snapshot's own dicts right after each.
+        self.restores = 0
+        self.restore_copies = 0
+        self.captures = 0
+        self.capture_copies = 0
 
     def profile(self, frame, event, arg) -> None:
         if event != "call":
@@ -66,6 +124,50 @@ class EstablishCounts:
             caller = frame.f_back.f_globals.get("__name__", "")
             if caller.startswith("repro.bgp"):
                 self.bgp_replaces += 1
+        elif code.co_name == "__init__":
+            name = SLOT_INITS.get(code)
+            if name is not None:
+                self.fast_inits[name] = self.fast_inits.get(name, 0) + 1
+            elif type(frame.f_locals.get("self")) in SLOT_INIT_CLASSES:
+                self.stock_inits += 1
+        elif code is SHARED_OWN:
+            self.cow_copies[type(frame.f_locals["self"]).__name__] += 1
+        elif code is OUT_OWN:
+            rib, neighbor = frame.f_locals["self"], frame.f_locals["neighbor"]
+            if neighbor in rib._sent:
+                self.cow_copies["AdjRibOut table"] += 1
+        elif code is OUT_OWN_INDEX:
+            self.cow_copies["AdjRibOut index"] += 1
+        elif code is OWN_ORIGINATED:
+            if frame.f_locals["self"]._originated_shared:
+                self.cow_copies["originated"] += 1
+
+    def restore(self, network, state) -> None:
+        RESTORE(network, state)
+        self.restores += 1
+        self.restore_copies += _unshared_tables(network, state)
+
+    def capture(self, network, fingerprint=None):
+        state = CAPTURE(network, fingerprint)
+        self.captures += 1
+        self.capture_copies += _unshared_tables(network, state)
+        return state
+
+
+RESTORE = snapshot.restore_snapshot
+CAPTURE = snapshot.capture_snapshot
+
+
+def _unshared_tables(network, state) -> int:
+    """How many of the network's tables are not the snapshot's own dicts."""
+    held = 0
+    for name, router_state in state.routers.items():
+        router = network.routers[name]
+        held += router.adj_rib_in._table is not router_state.adj_rib_in
+        held += router.loc_rib._table is not router_state.loc_rib
+        held += router.adj_rib_out._sent is not router_state.adj_rib_out
+        held += router.originated is not router_state.originated
+    return held
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +184,8 @@ def established():
         return result
 
     monkeypatch.setattr(AsPath, "strip_private", recorded_strip)
+    monkeypatch.setattr(snapshot, "restore_snapshot", counts.restore)
+    monkeypatch.setattr(snapshot, "capture_snapshot", counts.capture)
     sys.setprofile(counts.profile)
     try:
         registry.establish()
@@ -126,6 +230,24 @@ def test_every_rib_key_is_an_interned_prefix(established):
             assert not plain, f"{router.name}: plain prefix keys {plain}"
             keys += len(table)
     assert keys > 0
+
+
+def test_no_dataclass_generated_init_for_slot_init_classes(established):
+    _, counts = established
+    assert counts.stock_inits == 0
+    assert counts.fast_inits == FAST_INITS
+
+
+def test_restore_and_capture_copy_no_dict(established):
+    _, counts = established
+    assert (counts.restores, counts.captures) == (31, 13)
+    assert counts.restore_copies == 0
+    assert counts.capture_copies == 0
+
+
+def test_copy_on_write_copies_are_counted_exactly(established):
+    _, counts = established
+    assert counts.cow_copies == COW_COPIES
 
 
 def test_fluid_rows_concatenate_each_array_once_per_layout(monkeypatch):
