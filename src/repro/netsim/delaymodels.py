@@ -22,7 +22,15 @@ Design requirements, and how they are met:
   Equality is bit-exact — ``delay_at(t) == delays(np.array([t]))[0]`` for
   every shipped model and event — and property-tested
   (``tests/netsim/test_delaymodels.py``).  Only third-party models that
-  do not define ``delay_at`` go through a one-element array.
+  do not define ``delay_at`` go through a one-element array.  A
+  :class:`GaussianJitterDelay` keeps the grid index and delay of its
+  last scalar draw and answers a repeat of that index from it: a probe
+  round sends every path's probe over the same access link at one
+  instant, and the draw is a pure function of ``(seed, index)``, so the
+  kept value is the one a fresh draw would give, in any order of times.
+  A time whose grid index is NaN or outside int64 (NaN, ±inf, or beyond
+  about ±9.2e14 s) has no draw: both evaluations refuse it with the same
+  ``ValueError`` instead of numpy casting it to INT64_MIN.
 * **Composability.**  A path's process is a :class:`CompositeDelay` of a
   base model plus any number of :class:`DelayEvent` overlays, mirroring how
   the paper narrates its traces (steady path + route change + instability).
@@ -69,6 +77,9 @@ __all__ = [
 _NOISE_QUANTUM = 1e-4
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+#: Grid indices lie in int64, ``[-2**63, 2**63)``; numpy's cast sends
+#: anything else (and NaN) to INT64_MIN with only a warning.
+_INDEX_END = 2.0**63
 #: 53 mantissa bits of a mixed word, scaled into [0, 1).
 _TWO_POW_MINUS_53 = 1.0 / 9007199254740992.0
 
@@ -90,11 +101,22 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
         return x ^ (x >> np.uint64(31))
 
 
+def _off_grid(t: float) -> ValueError:
+    return ValueError(
+        f"time {t!r} s has no noise-grid index: NaN, or outside int64 "
+        f"in units of {_NOISE_QUANTUM} s"
+    )
+
+
 def _time_indices(times: np.ndarray) -> np.ndarray:
     """Quantize times (seconds) to noise-grid indices."""
-    return np.floor(np.asarray(times, dtype=np.float64) / _NOISE_QUANTUM).astype(
-        np.int64
-    )
+    times = np.asarray(times, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an infinite quotient is refused below
+        quanta = times / _NOISE_QUANTUM
+    on_grid = (quanta >= -_INDEX_END) & (quanta < _INDEX_END)
+    if not on_grid.all():
+        raise _off_grid(float(times.flat[np.argmin(on_grid)]))
+    return np.floor(quanta).astype(np.int64)
 
 
 def deterministic_uniform(seed: int, times: np.ndarray) -> np.ndarray:
@@ -153,20 +175,37 @@ def _hash_seed(seed: int) -> int:
     return _splitmix64_int(seed & _MASK64)
 
 
-def _uniform_hashed(hashed_seed: int, t: float) -> float:
-    """:func:`uniform_at` given ``_hash_seed(seed)``."""
+def _grid_index(t: float) -> int:
+    """:func:`_time_indices` of one time."""
+    quanta = t / _NOISE_QUANTUM
+    if not -_INDEX_END <= quanta < _INDEX_END:
+        raise _off_grid(t)
+    return math.floor(quanta)
+
+
+def _uniform_hashed(hashed_seed: int, index: int) -> float:
+    """:func:`uniform_at` given ``_hash_seed(seed)`` and ``_grid_index(t)``.
+
+    The packet path's one draw, one Python call: :func:`_splitmix64_int`
+    is written out and the clip is done by comparisons.
+    """
     # ``& _MASK64`` is the two's-complement view numpy's int64 -> uint64
     # cast takes of a negative grid index.
-    index = math.floor(t / _NOISE_QUANTUM) & _MASK64
-    mixed = _splitmix64_int(index ^ hashed_seed)
-    u = (mixed >> 11) * _TWO_POW_MINUS_53
-    return min(max(u, 1e-12), 1.0 - 1e-12)
+    x = (((index & _MASK64) ^ hashed_seed) + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    u = ((x ^ (x >> 31)) >> 11) * _TWO_POW_MINUS_53
+    if u < 1e-12:
+        return 1e-12
+    if u > 1.0 - 1e-12:
+        return 1.0 - 1e-12
+    return u
 
 
 def uniform_at(seed: int, t: float) -> float:
     """Scalar :func:`deterministic_uniform`: equal, bit for bit, to
     ``deterministic_uniform(seed, np.array([t]))[0]``."""
-    return _uniform_hashed(_hash_seed(seed), t)
+    return _uniform_hashed(_hash_seed(seed), _grid_index(t))
 
 
 def normal_at(seed: int, t: float) -> float:
@@ -235,6 +274,11 @@ class GaussianJitterDelay(DelayModel):
     seed: int = 0
     _floor: float = field(init=False, repr=False, compare=False)
     _hashed_seed: int = field(init=False, repr=False, compare=False)
+    #: ``[(grid index, delay)]`` of the last scalar draw, replaced in one
+    #: store so an index is never read beside another draw's delay.
+    _drawn: list[tuple[Optional[int], float]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -244,6 +288,7 @@ class GaussianJitterDelay(DelayModel):
             self, "_floor", self.base * 0.9 if self.sigma > 0 else self.base
         )
         object.__setattr__(self, "_hashed_seed", _hash_seed(self.seed))
+        object.__setattr__(self, "_drawn", [(None, 0.0)])
 
     def delays(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)
@@ -251,8 +296,16 @@ class GaussianJitterDelay(DelayModel):
         return np.maximum(self.base + noise, self.floor)
 
     def delay_at(self, t: float) -> float:
-        normal = float(ndtri(_uniform_hashed(self._hashed_seed, t)))
-        return max(self.base + normal * self.sigma, self._floor)
+        index = _grid_index(t)
+        last_index, last_delay = self._drawn[0]
+        if index == last_index:
+            return last_delay
+        normal = float(ndtri(_uniform_hashed(self._hashed_seed, index)))
+        delay = self.base + normal * self.sigma
+        if delay < self._floor:
+            delay = self._floor
+        self._drawn[0] = (index, delay)
+        return delay
 
     @property
     def floor(self) -> float:
@@ -331,9 +384,10 @@ class SpikeProcess(DelayModel):
         return np.where(gate, spikes, 0.0)
 
     def delay_at(self, t: float) -> float:
+        index = _grid_index(t)
         gate, magnitude = self._hashed_seeds
-        if _uniform_hashed(gate, t) < self._probability:
-            return self.min_magnitude + _uniform_hashed(magnitude, t) * (
+        if _uniform_hashed(gate, index) < self._probability:
+            return self.min_magnitude + _uniform_hashed(magnitude, index) * (
                 self.max_magnitude - self.min_magnitude
             )
         return 0.0
@@ -408,7 +462,8 @@ class RouteChangeEvent(DelayEvent):
     def extra_at(self, t: float) -> float:
         rel = t - self.start
         if 0 <= rel < self.transition:
-            return _uniform_hashed(self._hashed_seed, t) * self.churn_max
+            churn = _uniform_hashed(self._hashed_seed, _grid_index(t))
+            return churn * self.churn_max
         if self.transition <= rel < self.duration:
             return float(self.shift)
         return 0.0
@@ -465,12 +520,13 @@ class InstabilityEvent(DelayEvent):
     def extra_at(self, t: float) -> float:
         if not 0 <= t - self.start < self.duration:
             return 0.0
+        index = _grid_index(t)
         spike, magnitude, minor = self._hashed_seeds
-        if _uniform_hashed(spike, t) < self.spike_probability:
-            return self.spike_min + _uniform_hashed(magnitude, t) * (
+        if _uniform_hashed(spike, index) < self.spike_probability:
+            return self.spike_min + _uniform_hashed(magnitude, index) * (
                 self.spike_max - self.spike_min
             )
-        return _uniform_hashed(minor, t) * self.minor_max
+        return _uniform_hashed(minor, index) * self.minor_max
 
 
 @dataclass(frozen=True)

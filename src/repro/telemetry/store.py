@@ -154,7 +154,10 @@ class TimeSeries:
 
     def mean(self) -> float:
         """Mean value over the whole series (nan when empty)."""
-        return float(np.mean(self.values)) if self._size else float("nan")
+        if not self._size:
+            return float("nan")
+        # ``float(np.mean(...))`` bit for bit, as in ``recent_delay``.
+        return float(np.add.reduce(self._values[: self._size])) / self._size
 
     def percentile(self, q: float) -> float:
         """Value percentile (q in [0, 100]; nan when empty)."""
@@ -319,7 +322,10 @@ class MeasurementStore:
         _, values = series.window(now - window_s, now + 1e-12)
         if values.size == 0:
             return None
-        return float(np.mean(values))
+        # ``float(np.mean(values))`` bit for bit without its Python
+        # wrapper: the same pairwise float64 ``add.reduce``, then one
+        # division by the count.
+        return float(np.add.reduce(values)) / values.size
 
     def last_time(self, path_id: int) -> Optional[float]:
         """Time of ``path_id``'s most recent sample, or None if unmeasured."""

@@ -1,7 +1,10 @@
 """Tests for delay processes, including property-based determinism."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +318,25 @@ def shipped_events(seed):
     ]
 
 
+def unmix(mixed):
+    """The word the SplitMix64 finalizer maps to ``mixed`` (it is a
+    bijection on 64-bit words: each xor-shift and odd multiply inverts)."""
+    mask = 2**64 - 1
+
+    def unshift(x, s):
+        y = x
+        for _ in range(64 // s + 1):
+            y = x ^ (y >> s)
+        return y
+
+    x = unshift(mixed, 31)
+    x = (x * pow(0x94D049BB133111EB, -1, 2**64)) & mask
+    x = unshift(x, 27)
+    x = (x * pow(0xBF58476D1CE4E5B9, -1, 2**64)) & mask
+    x = unshift(x, 30)
+    return (x - 0x9E3779B97F4A7C15) & mask
+
+
 class TestScalarVectorIdentity:
     @given(seed=SEEDS, t=TIMES)
     @settings(max_examples=300, deadline=None)
@@ -409,6 +431,23 @@ class TestScalarVectorIdentity:
         # -3.0 and the float below it land on different grid indices.
         assert draws[1].tolist() != draws[0].tolist()
 
+    @pytest.mark.parametrize(
+        "top",
+        # The 53 bits a draw keeps: zero, either side of 1e-12, the middle,
+        # either side of 1 - 1e-12, all ones.
+        [0, 9006, 9008, 2**52, 2**53 - 9008, 2**53 - 9006, 2**53 - 1],
+    )
+    def test_clip_at_both_ends(self, top):
+        # A seed whose draw at t mixes to the given word: the clip to
+        # [1e-12, 1 - 1e-12] is one chance in 5e11 per draw otherwise.
+        t = 0.5
+        seed = unmix(unmix(top << 11 | 0x5A5) ^ math.floor(t / 1e-4))
+        u = min(max(top / 2**53, 1e-12), 1.0 - 1e-12)
+        assert uniform_at(seed, t) == u
+        assert deterministic_uniform(seed, np.array([t]))[0] == u
+        model = GaussianJitterDelay(0.028, 0.0003, seed=seed)
+        assert model.delay_at(t) == model.delays(np.array([t]))[0]
+
     @given(seed=SEEDS, t=TIMES)
     @settings(max_examples=200, deadline=None)
     def test_jitter_rows(self, seed, t):
@@ -426,12 +465,86 @@ class TestScalarVectorIdentity:
         assert a == b and hash(a) == hash(b)
         assert a.floor == 0.028 * 0.9
         assert repr(a) == "GaussianJitterDelay(base=0.028, sigma=0.0003, seed=3)"
+        # The last draw a model keeps is no part of its value either.
+        a.delay_at(1.25)
+        assert a == b and hash(a) == hash(b) and {a, b} == {a}
+        assert repr(a) == repr(b)
         with pytest.raises(AttributeError):
             a.sigma = 0.1
         spike = SpikeProcess(50.0, 0.01, 0.05, seed=6)
         assert spike == SpikeProcess(50.0, 0.01, 0.05, seed=6)
         assert hash(spike) == hash(SpikeProcess(50.0, 0.01, 0.05, seed=6))
         assert "_probability" not in repr(spike)
+
+
+def fresh_draw(model, t):
+    """``model``'s delay at ``t`` from a new model that has drawn nothing."""
+    return GaussianJitterDelay(model.base, model.sigma, model.seed).delays(
+        np.array([t])
+    )[0]
+
+
+@st.composite
+def draw_sequences(draw):
+    """Times for a run of scalar draws: fresh times, exact repeats, other
+    times in the last time's noise quantum, and returns to earlier times."""
+    times = [draw(TIMES)]
+    for _ in range(draw(st.integers(0, 30))):
+        last = times[-1]
+        kind = draw(st.sampled_from(["time", "repeat", "quantum", "earlier"]))
+        if kind == "time":
+            times.append(draw(TIMES))
+        elif kind == "repeat":
+            times.append(last)
+        elif kind == "quantum":
+            grid = math.floor(last / 1e-4)
+            times.append((grid + draw(st.floats(0.0, 0.999))) * 1e-4)
+        else:
+            times.append(draw(st.sampled_from(times)))
+    return times
+
+
+class TestDrawCache:
+    """A jitter model answers a repeat of its last noise quantum from the
+    draw it kept; no sequence of times can tell that apart from drawing
+    afresh every time."""
+
+    @given(seed=SEEDS, times=draw_sequences(), picks=st.lists(st.integers(0, 2)))
+    @settings(max_examples=300, deadline=None)
+    def test_every_draw_is_a_fresh_models_draw(self, seed, times, picks):
+        # Three models on one seed: same noise, different delays.
+        models = [
+            GaussianJitterDelay(0.028, 0.0003, seed=seed),
+            GaussianJitterDelay(0.010, 0.005, seed=seed),  # floor clip fires
+            GaussianJitterDelay(0.020, 0.0, seed=seed),
+        ]
+        for k, t in enumerate(times):
+            model = models[picks[k % len(picks)] if picks else 0]
+            assert model.delay_at(t) == fresh_draw(model, t)
+
+    @given(seed=SEEDS, times=draw_sequences(), later=draw_sequences())
+    @settings(max_examples=150, deadline=None)
+    def test_copies_of_a_model_that_has_drawn_draw_alike(self, seed, times, later):
+        model = GaussianJitterDelay(0.028, 0.0003, seed=seed)
+        for t in times:
+            model.delay_at(t)
+        clones = [
+            copy.copy(model),
+            copy.deepcopy(model),
+            pickle.loads(pickle.dumps(model)),
+            dataclasses.replace(model),
+        ]
+        for t in times[-1:] + later:
+            expected = fresh_draw(model, t)
+            assert model.delay_at(t) == expected
+            for clone in clones:
+                assert clone == model
+                assert clone.delay_at(t) == expected
+        # A replaced parameter must not be answered from the old draw.
+        wider = dataclasses.replace(model, sigma=0.002)
+        t = later[-1]
+        assert wider.delay_at(t) == fresh_draw(wider, t)
+        assert wider.delay_at(t) != model.delay_at(t)
 
 
 def jitter_models(seed, width):

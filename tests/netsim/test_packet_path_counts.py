@@ -1,6 +1,7 @@
 """Counted, not timed: the packet path builds no outer header, scans no
-prefix, re-derives no header fact and hashes no address per packet, and
-a probe round is one heap event per edge.
+prefix, re-derives no header fact and hashes no address per packet, a
+probe round is one heap event per edge, a jitter stream draws once per
+noise quantum and a window mean does not go through ``np.mean``.
 
 A tunnel's outer IPv6 and UDP headers are built once
 (``TangoTunnel.outer_headers``), a header's hop-limit successor once
@@ -18,20 +19,26 @@ checked to forget on every route or tunnel change.
 
 import gc
 import ipaddress
+import math
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from repro.core.policy import LowestDelaySelector
 from repro.core.session import TelemetryMirror
 from repro.core.tunnels import TangoTunnel, TunnelTable
 from repro.dataplane.programs import TangoSenderProgram
+from repro.netsim import delaymodels
+from repro.netsim.delaymodels import GaussianJitterDelay
 from repro.netsim.links import Link
 from repro.netsim.node import Fib
 from repro.netsim.packet import Ipv6Header, Packet, TangoHeader, UdpHeader
 from repro.netsim.topology import Network
 from repro.netsim.trace import PacketFactory, ProbeGenerator
 from repro.scenarios.vultr import VultrDeployment
+from repro.telemetry.store import MeasurementStore
 
 EDGES = ("ny", "la")
 WARM_UP_S = 0.5
@@ -198,6 +205,46 @@ def test_a_probe_round_is_one_heap_event_per_edge(monkeypatch):
     deliveries = sum(l.stats.delivered for l in deployment.net.links.values())
     processed = deployment.sim.events_processed - events_before
     assert processed == len(rounds) + deliveries + len(syncs)
+
+
+def test_one_draw_per_noise_quantum_and_no_np_mean_per_window(monkeypatch):
+    """Over the live window with ny's data on ``LowestDelaySelector``:
+    the parent ran ``ndtri`` 2,550 times for 1,794 distinct (jitter
+    model, grid index) pairs — a probe round crosses each access link
+    at one instant — ran 2,750 ``_splitmix64_int`` frames (one per
+    scalar draw), and called ``np.mean`` once per ``recent_delay`` read,
+    200 times."""
+    deployment = probing_deployment()
+    deployment.set_data_policy(
+        "ny", LowestDelaySelector(deployment.gateway("ny").outbound, window_s=1.0)
+    )
+    deployment.net.run(until=WARM_UP_S)
+    counts = Counter()
+    drawn = set()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            if name == "delay_at":
+                model, t = args
+                drawn.add((id(model), math.floor(t / 1e-4)))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(delaymodels, "ndtri")
+    count(delaymodels, "_splitmix64_int")
+    count(GaussianJitterDelay, "delay_at")
+    count(MeasurementStore, "recent_delay")
+    count(np, "mean")
+    deployment.net.run(until=UNTIL_S)
+    assert counts["delay_at"] == 2550
+    assert counts["ndtri"] == len(drawn) == 1794
+    assert counts["_splitmix64_int"] == 0
+    assert counts["recent_delay"] == 200
+    assert counts["mean"] == 0
 
 
 class TestFibMemo:

@@ -231,6 +231,68 @@ class TestMeasurementStore:
         assert MeasurementStore().recent_delay(9, 1.0, 0.0) is None
 
 
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+#: Series lengths around numpy's 8-wide summation unroll and its
+#: 128-element pairwise block, where a different summation order would
+#: show first.
+LENGTHS = st.one_of(
+    st.integers(1, 20),
+    st.integers(120, 136),
+    st.integers(250, 262),
+    st.sampled_from([1000, 1024, 3000]),
+)
+
+
+@st.composite
+def delay_series(draw):
+    """Times on a 10 ms grid and delays over several magnitudes."""
+    n = draw(LENGTHS)
+    scale = draw(st.sampled_from([1e-3, 0.03, 1.0, 1e6]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    values = np.random.default_rng(seed).random(n) * scale
+    head = draw(
+        st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=min(n, 8))
+    )
+    values[: len(head)] = head
+    return np.arange(n) * 0.01, values
+
+
+class TestWindowMeansAreNumpyMeans:
+    """``recent_delay`` and ``TimeSeries.mean`` skip ``np.mean``'s Python
+    wrapper; they must still return its float, bit for bit."""
+
+    @given(
+        series=delay_series(),
+        window_s=st.floats(1e-3, 40.0),
+        now=st.floats(-1.0, 40.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_recent_delay_is_the_window_mean(self, series, window_s, now):
+        times, values = series
+        store = MeasurementStore()
+        store.extend(1, times, values)
+        _, window = store.series(1).window(now - window_s, now + 1e-12)
+        got = store.recent_delay(1, window_s, now)
+        if window.size == 0:
+            assert got is None
+        else:
+            assert type(got) is float
+            assert bits(got) == bits(float(np.mean(window)))
+
+    @given(series=delay_series())
+    @settings(max_examples=200, deadline=None)
+    def test_series_mean_is_the_numpy_mean(self, series):
+        times, values = series
+        ts = TimeSeries()
+        for t, v in zip(times.tolist(), values.tolist()):
+            ts.append(t, v)
+        assert type(ts.mean()) is float
+        assert bits(ts.mean()) == bits(float(np.mean(values)))
+
+
 class TestLastTime:
     def test_empty_series_has_no_last_time(self):
         assert TimeSeries().last_time is None
