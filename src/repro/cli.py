@@ -324,7 +324,15 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     from .analysis.report import format_table
     from .analysis.stats import campaign_table
     from .scenarios.vultr import VultrDeployment
+    from .validate import finite, positive
 
+    try:
+        finite("--start-hour", args.start_hour)
+        positive("--hours", args.hours)
+        positive("--interval", args.interval)
+    except ValueError as exc:
+        print(f"tango-repro: {exc}", file=sys.stderr)
+        return 2
     deployment = VultrDeployment(include_events=not args.no_events)
     deployment.establish()
     t0 = args.start_hour * 3600.0
@@ -476,7 +484,14 @@ def cmd_faults_run(args: argparse.Namespace) -> int:
     from .faults import FaultInjector, FaultPlan, RecoveryLog
     from .netsim.trace import PacketFactory
     from .scenarios.vultr import VultrDeployment
+    from .validate import positive
 
+    if args.duration is not None:
+        try:
+            positive("--duration", args.duration)
+        except ValueError as exc:
+            print(f"tango-repro: {exc}", file=sys.stderr)
+            return 2
     if args.plan:
         try:
             plan = FaultPlan.from_file(args.plan)

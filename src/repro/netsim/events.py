@@ -159,7 +159,13 @@ class Simulator:
             until: stop once the next event would fire after this time; the
                 clock is left at ``until``.  ``None`` runs to exhaustion.
             max_events: safety valve against runaway schedules.
+
+        Raises:
+            ValueError: ``until`` is NaN (no event is ever after it, so a
+                periodic task would run forever).
         """
+        if until is not None and until != until:
+            raise ValueError(f"cannot run until {until}")
         queue = self._queue
         pop = heapq.heappop
         advance_to = self.clock.advance_to

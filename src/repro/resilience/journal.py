@@ -41,12 +41,24 @@ def _dumps(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _load_object(text: str | bytes, where: str) -> dict:
+    """The JSON object ``text`` holds, or a ``ValueError`` naming ``where``."""
+    try:
+        value = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: not a JSON object: {type(value).__name__}")
+    return value
+
+
 class WriteAheadLog:
     """Append-only decision log, optionally backed by a JSONL file.
 
     Re-opening a file drops a last record that lacks its newline and
-    does not parse (a crash cut the append short); any other bad line
-    raises ``ValueError`` naming the file and line.
+    is not a JSON object (a crash cut the append short); any other line
+    that is not a JSON object raises ``ValueError`` naming the file and
+    line.
     """
 
     def __init__(self, path: Optional[Path] = None) -> None:
@@ -58,16 +70,13 @@ class WriteAheadLog:
             for number, line in enumerate(data[:end].splitlines(), 1):
                 if not line.strip():
                     continue
-                try:
-                    self._entries.append(json.loads(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path.name}:{number}: {exc}") from exc
+                self._entries.append(_load_object(line, f"{path.name}:{number}"))
             if data[end:].strip():
                 # append() writes a record and its newline in one call, so
-                # this one never completed: cut it, keep it if it parses.
+                # this one never completed: cut it, keep it if it is an object.
                 os.truncate(path, end)
                 with contextlib.suppress(ValueError):
-                    self.append(json.loads(data[end:]))
+                    self.append(_load_object(data[end:], path.name))
 
     def append(self, entry: dict) -> None:
         self._entries.append(entry)
@@ -117,6 +126,10 @@ class ControllerJournal(NullJournal):
             whatever a previous incarnation persisted — recovery across
             process restarts.
         checkpoint_every_ticks: controller ticks between checkpoints.
+
+    Raises:
+        ValueError: a persisted ``checkpoint.json`` or ``wal.jsonl`` line
+            is not a JSON object (the message names the file and line).
     """
 
     def __init__(
@@ -135,8 +148,9 @@ class ControllerJournal(NullJournal):
             self.directory.mkdir(parents=True, exist_ok=True)
             checkpoint_path = self.directory / "checkpoint.json"
             if checkpoint_path.exists():
-                with open(checkpoint_path, "r", encoding="utf-8") as handle:
-                    self._snapshot = json.load(handle)
+                self._snapshot = _load_object(
+                    checkpoint_path.read_bytes(), checkpoint_path.name
+                )
             wal_path = self.directory / "wal.jsonl"
         self.wal = WriteAheadLog(wal_path)
 

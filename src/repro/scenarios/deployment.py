@@ -42,6 +42,7 @@ from ..resilience.channel import ChannelConfig
 from ..resilience.supervisor import Supervisor
 from ..srlg import Region, SrlgRegistry
 from ..telemetry.store import MeasurementStore
+from ..validate import finite, positive
 
 __all__ = ["PacketLevelDeployment", "shape_of"]
 
@@ -305,7 +306,7 @@ class PacketLevelDeployment:
         generator: a round sends one probe per path, in tunnel order."""
         if self.state is None:
             raise RuntimeError("call establish() first")
-        interval = interval_s or self.pairing.probe_interval_s
+        interval = self.pairing.probe_interval_s if interval_s is None else interval_s
         gateway = self.gateway(src)
         dst_edge = self.pairing.peer_of(src)
         selector = gateway.selector
@@ -437,10 +438,18 @@ class PacketLevelDeployment:
         Returns ``(measured, true)`` stores — ``measured`` carries the
         direction's constant clock-offset distortion, ``true`` is the
         simulation-only ground truth.
+
+        Raises:
+            ValueError: a time is not finite, ``t1_s`` is not after
+                ``t0_s``, or ``interval_s`` is not finite and > 0.
         """
-        if t1_s <= t0_s:
+        if not finite("t0_s", t0_s) < finite("t1_s", t1_s):
             raise ValueError(f"need t1 > t0, got [{t0_s}, {t1_s}]")
-        interval = interval_s or self.pairing.probe_interval_s
+        interval = (
+            self.pairing.probe_interval_s
+            if interval_s is None
+            else positive("interval_s", interval_s)
+        )
         table = self.calibrations[src]
         offset = self.clock_offset_delta(src)
         times = np.arange(t0_s, t1_s, interval)
