@@ -53,6 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["main", "build_parser"]
 
+#: Float words argparse takes for an option, not a value: they start
+#: with ``-`` and are not plain negative numbers.
+_SIGNED_FLOAT_WORDS = frozenset({"-inf", "-infinity", "-nan"})
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -361,7 +365,13 @@ def cmd_failover(args: argparse.Namespace) -> int:
     from .core.policy import LowestDelaySelector
     from .netsim.trace import PacketFactory
     from .scenarios.vultr import VultrDeployment
+    from .validate import non_negative
 
+    try:
+        non_negative("--fail-at", args.fail_at)
+    except ValueError as exc:
+        print(f"tango-repro: {exc}", file=sys.stderr)
+        return 2
     deployment = VultrDeployment(include_events=False)
     deployment.establish()
     deployment.start_path_probes("ny", interval_s=0.01)
@@ -720,8 +730,34 @@ def cmd_lint(args: argparse.Namespace) -> int:
     )
 
 
+def _float_options(parser: argparse.ArgumentParser) -> set[str]:
+    """The option strings of every ``type=float`` flag, subcommands too."""
+    options: set[str] = set()
+    for action in parser._actions:
+        if action.type is float:
+            options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                options |= _float_options(subparser)
+    return options
+
+
+def _attach_signed_floats(argv: Sequence[str], options: set[str]) -> list[str]:
+    """``--flag -inf`` as ``--flag=-inf`` for a float flag, so that the
+    value reaches ``repro.validate`` and is refused there in one line."""
+    attached: list[str] = []
+    for arg in argv:
+        if attached and attached[-1] in options and arg.lower() in _SIGNED_FLOAT_WORDS:
+            attached[-1] = f"{attached[-1]}={arg}"
+        else:
+            attached.append(arg)
+    return attached
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_signed_floats(argv, _float_options(parser)))
     if args.command == "discover":
         return cmd_discover()
     if args.command == "campaign":

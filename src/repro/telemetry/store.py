@@ -5,6 +5,10 @@ exposes numpy views for analysis; a :class:`MeasurementStore` keys series
 by Tango path id.  The store is the boundary between the data plane
 (which appends one sample per received packet) and the policy/analysis
 layers (which read windows and summaries).
+
+A wide aggregate writer names the same paths at the same times, so the
+store holds its samples once: one time column and one value matrix (a
+:class:`_ColumnBlock`) whose columns are the member series' arrays.
 """
 
 from __future__ import annotations
@@ -39,7 +43,9 @@ class TimeSeries:
     False both ways and would switch them off for good, is rejected too.
     """
 
-    __slots__ = ("_times", "_values", "_size", "_capacity", "_last_t", "grows")
+    __slots__ = (
+        "_times", "_values", "_size", "_capacity", "_last_t", "grows", "_columns"
+    )
 
     def __init__(self) -> None:
         self._times = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
@@ -50,6 +56,10 @@ class TimeSeries:
         #: Number of reallocations so far (observable: growth must stay
         #: logarithmic in the number of appends).
         self.grows = 0
+        #: The column block whose views ``_times`` / ``_values`` are, or
+        #: None.  A member's ``_capacity`` is its ``_size``, so any write
+        #: of its own goes through :meth:`_grow`, which dissolves the block.
+        self._columns: Optional[_ColumnBlock] = None
 
     def append(self, t: float, value: float) -> None:
         """Add a sample at time ``t``."""
@@ -102,6 +112,10 @@ class TimeSeries:
         self._last_t = float(times[-1])
 
     def _grow(self) -> None:
+        if self._columns is not None:
+            self._columns.dissolve()
+            if self._size < self._capacity:
+                return
         capacity = max(self._capacity * 2, _INITIAL_CAPACITY)
         times = np.empty(capacity, dtype=np.float64)
         values = np.empty(capacity, dtype=np.float64)
@@ -124,7 +138,9 @@ class TimeSeries:
 
     def window(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
         """Samples with ``t0 <= time < t1`` as (times, values) views."""
-        lo, hi = self.count_before(t0), self.count_before(t1)
+        lo = self.count_before(t0)
+        # A trailing window's end is past the last row: no search.
+        hi = self._size if t1 > self._last_t else self.count_before(t1)
         return self._times[lo:hi], self._values[lo:hi]
 
     def count_before(self, t: float) -> int:
@@ -173,6 +189,125 @@ class TimeSeries:
             f"TimeSeries(n={self._size}, "
             f"t=[{self.times[0]:.3f}, {self.times[-1]:.3f}])"
         )
+
+    def __getstate__(self) -> dict:
+        state = {name: getattr(self, name) for name in TimeSeries.__slots__}
+        if self._columns is not None:
+            # A member's arrays are views of its block's: a copy binds to
+            # the copied block's arrays, not to copies of its views.
+            del state["_times"], state["_values"]
+            state["_column"] = self._columns.members.index(self)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            if name != "_column":
+                setattr(self, name, value)
+        if "_column" in state:
+            columns = state["_columns"]
+            self._times = columns.times
+            self._values = columns.values[:, state["_column"]]
+
+
+class _ColumnBlock:
+    """One time column and one value matrix for a wide writer's series.
+
+    Member ``j`` of ``ids`` is a :class:`TimeSeries` whose ``_times`` is
+    the block's time column and whose ``_values`` is column ``j`` of a
+    Fortran-order (capacity x width) matrix, so every reader of a series
+    runs unchanged.  Rows are written for all members at once — one row
+    per written-through batch, one 2-D assignment per staged block — on
+    the doubling schedule of a lone series, so each member's ``grows`` is
+    what its own arrays would have had.  Any other write to a member
+    dissolves the block: every member gets arrays of its own at the
+    block's capacity, which is not a grow, and the block is dropped.
+    """
+
+    __slots__ = ("ids", "members", "times", "values", "capacity", "rows")
+
+    def __init__(self, ids: list[int], members: list[TimeSeries]) -> None:
+        self.ids = ids
+        self.members = members
+        self.rows = 0
+        self._allocate(_INITIAL_CAPACITY)
+        for member in members:
+            member._capacity = 0
+            member._columns = self
+
+    def _allocate(self, capacity: int) -> None:
+        """Move to arrays of ``capacity`` rows and rebind the members."""
+        times = np.empty(capacity, dtype=np.float64)
+        values = np.empty((capacity, len(self.ids)), dtype=np.float64, order="F")
+        if self.rows:
+            times[: self.rows] = self.times[: self.rows]
+            values[: self.rows] = self.values[: self.rows]
+        self.times, self.values, self.capacity = times, values, capacity
+        for column, member in enumerate(self.members):
+            member._times, member._values = times, values[:, column]
+
+    def _make_room(self, needed: int) -> None:
+        capacity, doublings = self.capacity, 0
+        while needed > capacity:
+            capacity *= 2
+            doublings += 1
+        self._allocate(capacity)
+        for member in self.members:
+            member.grows += doublings
+
+    def append_row(self, t: float, values: Sequence[float] | np.ndarray) -> None:
+        """One sample per member at time ``t`` (checked by the caller)."""
+        rows = self.rows
+        if rows == self.capacity:
+            self._make_room(rows + 1)
+        self.times[rows] = t
+        self.values[rows] = values
+        self.rows = rows = rows + 1
+        for member in self.members:
+            member._size = member._capacity = rows
+            member._last_t = t
+
+    def write_rows(self, times: list[float], rows: list[np.ndarray]) -> None:
+        """Rows ``rows`` at times ``times`` (checked by the caller)."""
+        start = self.rows
+        end = start + len(times)
+        if end > self.capacity:
+            self._make_room(end)
+        self.times[start:end] = times
+        self.values[start:end] = rows
+        self.rows = end
+        last = float(times[-1])
+        for member in self.members:
+            member._size = member._capacity = end
+            member._last_t = last
+
+    def dissolve(self) -> None:
+        """Give every member arrays of its own; the block is then unused."""
+        rows, capacity = self.rows, self.capacity
+        for member in self.members:
+            times = np.empty(capacity, dtype=np.float64)
+            values = np.empty(capacity, dtype=np.float64)
+            times[:rows] = self.times[:rows]
+            values[:rows] = member._values[:rows]
+            member._times, member._values = times, values
+            member._capacity, member._columns = capacity, None
+
+    def __reduce__(self) -> tuple:
+        # The arrays are constructor arguments, so a copy holds them before
+        # its members are copied and bind to them (``__setstate__``).
+        return (
+            _restored_block,
+            (self.ids, self.times, self.values, self.rows),
+            (None, {"members": self.members}),
+        )
+
+
+def _restored_block(
+    ids: list[int], times: np.ndarray, values: np.ndarray, rows: int
+) -> _ColumnBlock:
+    block = _ColumnBlock.__new__(_ColumnBlock)
+    block.ids, block.times, block.values, block.rows = ids, times, values, rows
+    block.capacity = times.size
+    return block
 
 
 class MeasurementStore:
@@ -238,9 +373,12 @@ class MeasurementStore:
         NaN or behind any member series, raises here with nothing kept.
 
         A writer whose previous batch has been read since is written
-        through, one append per path; one that runs ahead of its readers
-        is staged and written a block of rows at a time — at the next
-        read, a batch for other paths, or ``_WRITE_BEHIND_DEPTH`` rows.
+        through; one that runs ahead of its readers is staged and written
+        a block of rows at a time — at the next read, a batch for other
+        paths, or ``_WRITE_BEHIND_DEPTH`` rows.  A batch naming two or
+        more distinct paths, none of which has a sample yet, forms a
+        :class:`_ColumnBlock` for those ids: from then on a batch for
+        them is one row write, a staged block one 2-D assignment.
         """
         count = len(path_ids)
         if count != len(owds_s):
@@ -251,16 +389,21 @@ class MeasurementStore:
             return
         series = self._series
         ids = path_ids if type(path_ids) is list else list(path_ids)
+        columns: Optional[_ColumnBlock] = None
         if self._block_rows and ids == self._block_ids:
             last = self._block_times[-1]
         else:
             if self._block_rows:
                 self._flush()
-            last = -np.inf
-            for path_id in ids:
-                member = series.get(path_id)
-                if member is not None and member._last_t > last:
-                    last = member._last_t
+            columns = self._columns_of(ids)
+            if columns is not None:
+                last = columns.members[0]._last_t
+            else:
+                last = -np.inf
+                for path_id in ids:
+                    member = series.get(path_id)
+                    if member is not None and member._last_t > last:
+                        last = member._last_t
         if not (t >= last):
             raise ValueError(f"time went backwards or is NaN: {t} after {last}")
         # Stage only behind an unread write, and only ids named once: a
@@ -273,11 +416,36 @@ class MeasurementStore:
             if len(self._block_rows) == _WRITE_BEHIND_DEPTH:
                 self._flush()
             return
+        self._written = True
+        if columns is None:
+            columns = self._form_columns(ids)
+        if columns is not None:
+            columns.append_row(t, owds_s)
+            return
         if isinstance(owds_s, np.ndarray):
             owds_s = owds_s.tolist()
         for path_id, owd_s in zip(ids, owds_s):
             series[path_id].append(t, owd_s)
-        self._written = True
+
+    def _columns_of(self, ids: list[int]) -> Optional[_ColumnBlock]:
+        """The column block written as ``ids``, if there is one."""
+        first = self._series.get(ids[0])
+        columns = first._columns if first is not None else None
+        return columns if columns is not None and columns.ids == ids else None
+
+    def _form_columns(self, ids: list[int]) -> Optional[_ColumnBlock]:
+        """A column block for ``ids`` if two or more distinct paths are
+        named and none has samples yet (else None: plain series)."""
+        series = self._series
+        if len(ids) < 2:
+            return None
+        for path_id in ids:
+            member = series.get(path_id)
+            if member is not None and (member._size or member._columns is not None):
+                return None
+        if len(set(ids)) < len(ids):
+            return None
+        return _ColumnBlock(list(ids), [series[path_id] for path_id in ids])
 
     def _sync(self) -> None:
         """Bring the series up to date for a reader."""
@@ -286,10 +454,14 @@ class MeasurementStore:
             self._flush()
 
     def _flush(self) -> None:
-        """Write the staged block: one ``_write`` per path."""
+        """Write the staged block: one 2-D assignment into the writer's
+        column block when it has one, else per path."""
         series, ids = self._series, self._block_ids
         times, rows = self._block_times, self._block_rows
-        if len(rows) == 1:
+        columns = self._columns_of(ids) or self._form_columns(ids)
+        if columns is not None:
+            columns.write_rows(times, rows)
+        elif len(rows) == 1:
             for path_id, owd_s in zip(ids, rows[0].tolist()):
                 series[path_id].append(times[0], owd_s)
         else:

@@ -12,6 +12,13 @@ gave INT64_MIN with only a warning, so ``delays`` returned a finite
 delay, while ``delay_at`` raised a bare conversion error (NaN, inf) or
 returned a *different* delay (1e300): the scalar and vector evaluations
 of one model disagreed.  Both now refuse such a time, naming it.
+
+argparse takes a value that starts with ``-`` and is not a plain number
+for an option, so ``faults run --duration -inf`` exited with a usage
+block ("expected one argument") where ``--duration -5`` got one line;
+``failover --fail-at`` was not checked at all (``-inf`` and NaN ended in
+a traceback from the scheduler).  Every float flag now takes ``-inf``,
+``-infinity`` and ``-nan`` as values, and each is refused in one line.
 """
 
 import math
@@ -23,6 +30,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.bgp.attributes import AsPath
+from repro.cli import main
 from repro.netsim.delaymodels import (
     GaussianJitterDelay,
     InstabilityEvent,
@@ -123,3 +131,22 @@ def test_scalar_and_vector_agree_on_every_float(t):
             model.delays(np.array([t]))
     else:
         assert scalar == model.delays(np.array([t]))[0]
+
+
+FLOAT_FLAGS = [
+    (["campaign"], "--start-hour"),
+    (["campaign"], "--hours"),
+    (["campaign"], "--interval"),
+    (["failover"], "--fail-at"),
+    (["faults", "run"], "--duration"),
+]
+
+
+@pytest.mark.parametrize("value", ["-inf", "-infinity", "-nan", "-Inf", "nan"])
+@pytest.mark.parametrize("command, flag", FLOAT_FLAGS, ids=lambda x: str(x))
+def test_a_float_flag_refuses_a_signed_word_in_one_line(command, flag, value, capsys):
+    assert main([*command, flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"tango-repro: {flag} must be finite")

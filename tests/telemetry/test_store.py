@@ -1,5 +1,7 @@
 """Tests for the time-series store, including growth properties."""
 
+import copy
+import pickle
 import time
 
 import numpy as np
@@ -171,6 +173,133 @@ class TestAmortizedGrowth:
             f"append no longer amortized O(1): {small_s:.4f}s for 50k vs "
             f"{big_s:.4f}s for 200k"
         )
+
+
+def wide_store(width, rows, start=0):
+    """A store one aggregate writer wrote ``rows`` rows of ``width``
+    paths to (a read between writes, so each row is written through)."""
+    store = MeasurementStore()
+    ids = list(range(width))
+    for step in range(start, start + rows):
+        store.record_aggregate_many(ids, step * 0.1, [step + p / 8 for p in ids])
+        store.last_time(0)
+    return store, ids
+
+
+def lone(rows, path_id):
+    """The series ``path_id`` of ``wide_store`` would be, appended alone."""
+    series = TimeSeries()
+    for step in range(rows):
+        series.append(step * 0.1, step + path_id / 8)
+    return series
+
+
+def same_series(ours, lone_series):
+    assert ours.times.tobytes() == lone_series.times.tobytes()
+    assert ours.values.tobytes() == lone_series.values.tobytes()
+    assert ours.grows == lone_series.grows
+    assert ours.last_time == lone_series.last_time
+
+
+class TestColumnBlock:
+    """A wide writer's series share one time column and one value matrix;
+    each still reads, grows and copies as a series of its own would."""
+
+    def test_members_are_views_of_one_block(self):
+        store, ids = wide_store(4, 10)
+        members = [store.series(p) for p in ids]
+        block = members[0]._columns
+        assert block is not None and block.ids == ids
+        assert all(m._times is block.times for m in members)
+        assert all(np.shares_memory(m._values, block.values) for m in members)
+        for p, member in zip(ids, members):
+            same_series(member, lone(10, p))
+
+    def test_a_lone_or_repeated_path_is_not_a_block(self):
+        store = MeasurementStore()
+        store.record_aggregate_many([1], 0.0, [0.5])
+        store.record_aggregate_many([2, 2], 0.0, [0.5, 0.6])
+        assert store.series(1)._columns is None
+        assert store.series(2)._columns is None
+
+    def test_views_handed_out_before_a_grow_keep_their_bytes(self):
+        store, ids = wide_store(3, 1024)  # a full first block
+        before = [(store.series(p).times, store.series(p).values) for p in ids]
+        kept = [(t.tobytes(), v.tobytes()) for t, v in before]
+        store.record_aggregate_many(ids, 1024 * 0.1, [7.0, 8.0, 9.0])  # grows
+        assert store.series(0)._columns.capacity == 2048
+        assert [(t.tobytes(), v.tobytes()) for t, v in before] == kept
+        for p in ids:
+            assert store.series(p).grows == 1
+            assert store.series(p).values[:1024].tobytes() == kept[p][1]
+
+    def test_views_handed_out_before_a_member_leaves_keep_their_bytes(self):
+        store, ids = wide_store(3, 1024)
+        before = [store.series(p).values for p in ids]
+        kept = [v.tobytes() for v in before]
+        store.record(1, 1024 * 0.1, 5.0)  # one member written alone
+        assert all(store.series(p)._columns is None for p in ids)
+        store.record_aggregate_many(ids, 1025 * 0.1, [7.0, 8.0, 9.0])
+        assert [v.tobytes() for v in before] == kept
+        assert [store.series(p).grows for p in ids] == [1, 1, 1]
+        assert len(store.series(1)) == 1026 and len(store.series(0)) == 1025
+
+    @pytest.mark.parametrize("rows", [3, 1024])
+    @pytest.mark.parametrize(
+        "duplicate", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))]
+    )
+    def test_a_copy_writes_into_its_own_block(self, duplicate, rows):
+        store, ids = wide_store(4, rows)
+        copied = duplicate(store)
+        block = copied.series(0)._columns
+        assert block is not None and block is not store.series(0)._columns
+        assert all(copied.series(p)._times is block.times for p in ids)
+        for step in range(rows, rows + 3):  # staged, then written in the copy
+            copied.record_aggregate_many(ids, step * 0.1, [step + p / 8 for p in ids])
+        for p in ids:
+            same_series(copied.series(p), lone(rows + 3, p))
+            same_series(store.series(p), lone(rows, p))
+
+
+class TestWindowAgainstTwoSearches:
+    """``window`` takes the end of a trailing window past the last row
+    without a search; it returns what two searches return."""
+
+    @given(
+        gaps=st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0]), max_size=30),
+        data=st.data(),
+        wide=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_window_is_the_two_search_slice(self, gaps, data, wide):
+        times = np.cumsum(gaps).tolist()
+        store = MeasurementStore()
+        for i, t in enumerate(times):
+            if wide:  # a column-block member
+                store.record_aggregate_many([1, 2], t, [float(i), -float(i)])
+            else:
+                store.record(1, t, float(i))
+        series = store.series(1)
+        last = times[-1] if times else 0.0
+        bound = st.one_of(
+            st.sampled_from(
+                [
+                    last,  # a tie with the last row
+                    last + 1e-12,
+                    np.nextafter(last, np.inf),
+                    np.nextafter(last, -np.inf),
+                    -np.inf,
+                    np.inf,
+                    np.nan,
+                ]
+            ),
+            st.floats(-1.0, last + 1.0),
+        )
+        t0, t1 = data.draw(bound, label="t0"), data.draw(bound, label="t1")
+        lo, hi = series.count_before(t0), series.count_before(t1)
+        got_times, got_values = series.window(t0, t1)
+        assert got_times.tobytes() == series._times[lo:hi].tobytes()
+        assert got_values.tobytes() == series._values[lo:hi].tobytes()
 
 
 class TestRecordAggregateMany:

@@ -19,8 +19,15 @@ read positions and the counters must be equal — through rows newer than
 the horizon, staged blocks in source and sink, discards past the horizon,
 a scope grown below its ids, and a sink that refuses a row mid-sync.
 
-The exact work counts at the bottom pin what write-behind is for: on a
-256-wide engine nobody reads, a step costs no per-path Python at all.
+The store machine also drives a wide writer whose batches form a column
+block (one time column and one value matrix for its series), a
+blackholed subset of its ids, a member written on its own, and a deep
+copy of the store that every later rule writes to — with two-row
+initial arrays, so blocks and series grow, dissolve and grow again.
+
+The exact work counts at the bottom pin what write-behind and the column
+block are for: on a 256-wide engine nobody reads, a step costs no
+per-path Python at all, and a written-through step is one row write.
 """
 
 import copy
@@ -36,7 +43,12 @@ from repro.dataplane import seqnum as seqnum_module
 from repro.dataplane.seqnum import SequenceTracker
 from repro.telemetry import store as store_module
 from repro.telemetry.loss import LossMonitor
-from repro.telemetry.store import MeasurementStore, StoreCursor, TimeSeries
+from repro.telemetry.store import (
+    MeasurementStore,
+    StoreCursor,
+    TimeSeries,
+    _ColumnBlock,
+)
 from repro.traffic.vector import VectorFluidEngine
 from tests.telemetry.oracle import OracleCursor, OracleMirror
 from tests.traffic.test_vector import standin
@@ -72,6 +84,9 @@ class LoopTracker(SequenceTracker):
 # -- the machines ------------------------------------------------------------------
 
 IDS = [20, 3, 200, 7, 64, 11]
+#: A wide writer's paths, unnamed by any other writer: a batch for all of
+#: them before anything else touches them forms a column block.
+WIDE = [30, 9, 300, 13, 70]
 STEPS = [0.0, 0.05, 0.1, 0.35]
 path_ids = st.sampled_from(IDS)
 delays = st.floats(0.001, 0.5, allow_nan=False)
@@ -166,6 +181,10 @@ class StoreMachine(_WriteBehindMachine):
 
     def __init__(self):
         super().__init__()
+        # Two-row arrays, so series and column blocks grow within a run.
+        self._capacity = store_module._INITIAL_CAPACITY
+        store_module._INITIAL_CAPACITY = 2
+        self.wide = list(WIDE)
         self.now = 0.0
         self.ours, self.model = MeasurementStore(), LoopStore()
         self.cursors = StoreCursor(self.ours), OracleCursor(self.model)
@@ -176,6 +195,10 @@ class StoreMachine(_WriteBehindMachine):
             )
             for which, latency, scope in MIRRORS
         }
+
+    def teardown(self):
+        super().teardown()
+        store_module._INITIAL_CAPACITY = self._capacity
 
     @rule(dt=st.sampled_from(STEPS))
     def advance(self, dt):
@@ -195,6 +218,45 @@ class StoreMachine(_WriteBehindMachine):
     @rule(value=delays)
     def aggregate_length_mismatch(self, value):
         self.both(lambda s: s.record_aggregate_many(list(self.ids), self.now, [value]))
+
+    @rule(data=st.data())
+    def wide_write(self, data):
+        # One id list object, as the vector engine's: its first batch
+        # forms a column block, the rest write rows into it.
+        self.aggregate(self.wide, list(self.wide), data)
+
+    @rule(data=st.data())
+    def wide_blackholed_subset(self, data):
+        # The vector engine leaves blackholed rows out of a step's batch.
+        dropped = data.draw(st.sets(st.sampled_from(WIDE), min_size=1, max_size=2))
+        ids = [p for p in self.wide if p not in dropped]
+        self.aggregate(ids, list(ids), data)
+
+    @rule(
+        path_id=st.sampled_from(WIDE),
+        value=delays,
+        source=st.sampled_from(IDS + WIDE),
+        rows=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    )
+    def one_member_written(self, path_id, value, source, rows):
+        # Written on its own, a member leaves its block.
+        self.both(lambda s: s.record(path_id, self.now, value))
+        self.both(
+            lambda s: s.series(path_id).extend_from(s.series(source), *sorted(rows))
+        )
+
+    @rule()
+    def deep_copy_between_writes(self):
+        # Every later rule writes to and reads the copy (cursor and mirror
+        # sources copied with it): its members must be views of its own
+        # copied block, not stand-alone copies of the old views.
+        ours = (self.ours, self.cursors[0], [m for m, _ in self.mirrors.values()])
+        self.ours, cursor, mirrors = copy.deepcopy(ours)
+        self.cursors = cursor, self.cursors[1]
+        self.mirrors = {
+            which: (mirror, oracle)
+            for (which, (_, oracle)), mirror in zip(self.mirrors.items(), mirrors)
+        }
 
     @rule(path_id=path_ids, value=delays, ahead=st.sampled_from([0.0, 0.0, 0.3]))
     def record(self, path_id, value, ahead):
@@ -280,7 +342,7 @@ class StoreMachine(_WriteBehindMachine):
     def same_store(self, seen, model):
         assert seen.path_ids() == model.path_ids()
         assert not seen._block_rows and not seen._written
-        for path_id in IDS:
+        for path_id in IDS + WIDE:
             ours, theirs = seen.series(path_id), model.series(path_id)
             assert ours.times.tobytes() == theirs.times.tobytes()
             assert ours.values.tobytes() == theirs.values.tobytes()
@@ -306,9 +368,9 @@ class StoreMachine(_WriteBehindMachine):
 def positions(cursor):
     """Rows of each id a cursor has consumed or discarded."""
     if isinstance(cursor, OracleCursor):
-        return [cursor._positions.get(path_id, 0) for path_id in IDS]
+        return [cursor._positions.get(path_id, 0) for path_id in IDS + WIDE]
     entries = {entry[0]: entry for entry in cursor._followed}
-    return [entries[p][2] if p in entries else 0 for p in IDS]
+    return [entries[p][2] if p in entries else 0 for p in IDS + WIDE]
 
 
 class TrackerMachine(_WriteBehindMachine):
@@ -462,6 +524,8 @@ def test_a_wide_step_costs_per_path_python_only_when_read(monkeypatch, reader):
     store, tracker = fluid.receiver.inbound, fluid.sender.tracker
     appends = count_calls(monkeypatch, TimeSeries, "append")
     writes = count_calls(monkeypatch, TimeSeries, "_write")
+    rows = count_calls(monkeypatch, _ColumnBlock, "append_row")
+    blocks = count_calls(monkeypatch, _ColumnBlock, "write_rows")
     updates = count_calls(
         monkeypatch, SequenceTracker, "_fold", lambda ids, *_: len(ids)
     )
@@ -473,15 +537,20 @@ def test_a_wide_step_costs_per_path_python_only_when_read(monkeypatch, reader):
             assert tracker.stats_for(0).received > 0
     assert fluid.steps == STEPS_RUN
 
+    def counts():
+        return appends[0], writes[0], rows[0], blocks[0], updates[0]
+
     if reader:
-        # Today's loops, nothing else: the parent's count exactly.
+        # Written through: one row into the column block per step (no
+        # per-path append), and today's counter loop.
         every = WIDTH * STEPS_RUN
-        assert (appends[0], writes[0], updates[0]) == (every, 0, every)
+        assert counts() == (0, 0, STEPS_RUN, 0, every)
         return
-    # One step written through, then blocks: 999 rows = 3 full blocks of
-    # 256 (one _write / one counter update per path each) + 231 owed.
-    assert (appends[0], writes[0], updates[0]) == (WIDTH, 3 * WIDTH, 4 * WIDTH)
+    # One step written through as one row, then blocks: 999 rows = 3 full
+    # blocks of 256 (one 2-D write / one counter update per path each) +
+    # 231 owed.  No per-path append or _write at all.
+    assert counts() == (0, 0, 1, 3, 4 * WIDTH)
     assert len(store._block_rows) == len(tracker._block_lost) == 231
     assert all(len(series) == STEPS_RUN for _, series in store.items())
     tracker.all_paths()
-    assert (appends[0], writes[0], updates[0]) == (WIDTH, 4 * WIDTH, 5 * WIDTH)
+    assert counts() == (0, 0, 1, 4, 5 * WIDTH)

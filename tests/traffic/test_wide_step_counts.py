@@ -8,13 +8,22 @@ one read of each model on every link — at the next step, however many
 swaps landed since the last one, and nothing after it.  Exact on any
 host; a step that re-checks every row's models reads 128 of them per
 step.
+
+Also counted: the bytes a wide writer's samples hold.  A 256-path store
+written 9,000 rows by one aggregate writer keeps one time column and
+one 256-wide value matrix of 16,384 rows (its doubling capacity), not
+256 pairs of columns.
 """
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.netsim.delaymodels import GaussianJitterDelay
 from repro.netsim.events import Simulator
 from repro.netsim.links import ConstantLoss, OverrideLoss, replace_models
+from repro.telemetry.store import MeasurementStore
 from repro.traffic.demand import DemandModel, standard_flow_classes
 from repro.traffic.vector import VectorFluidEngine
 from tests.traffic.standin import SyntheticDeployment
@@ -122,3 +131,25 @@ def test_a_swap_elsewhere_costs_one_rescan_and_changes_nothing(counted):
     replace_models(other.wan_link("a", "p0"), loss=ConstantLoss(1.0))
     assert [counted.step(), counted.step()] == [RESCAN, 0]
     assert counted.fluid._rows._delay_plan is before
+
+
+def test_a_wide_writer_holds_its_samples_once():
+    # numpy reports its data buffers to tracemalloc in a domain of its
+    # own: the exact bytes the store's arrays hold, on any host.
+    width, rows = 256, 9_000
+    ids, row = list(range(width)), np.zeros(width)
+    tracemalloc.start()
+    try:
+        store = MeasurementStore()
+        for step in range(rows):
+            store.record_aggregate_many(ids, step * 0.1, row + step)
+        assert store.path_ids() == ids  # a read: every staged row written
+        domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        traces = tracemalloc.take_snapshot().filter_traces([domain]).traces
+    finally:
+        tracemalloc.stop()
+    # (1 + 256) columns of 16,384 float64s: one time column and one value
+    # matrix.  A column pair per path held 2 * 256 * 16,384 * 8 =
+    # 67,108,864 bytes.
+    assert sum(trace.size for trace in traces) == 33_685_504
+    assert all(len(store.series(p)) == rows for p in ids)
