@@ -31,6 +31,11 @@ Design requirements, and how they are met:
   A time whose grid index is NaN or outside int64 (NaN, ±inf, or beyond
   about ±9.2e14 s) has no draw: both evaluations refuse it with the same
   ``ValueError`` instead of numpy casting it to INT64_MIN.
+* **Pay for scipy only on a draw.**  The normal inverse CDF is scipy's
+  ``ndtri``, imported at the first normal draw rather than at import, so
+  a process that never draws (BGP convergence, path discovery, constant
+  links) never loads scipy.  The first draw rebinds the module name
+  ``ndtri`` to scipy's ufunc, so every later draw calls it directly.
 * **Composability.**  A path's process is a :class:`CompositeDelay` of a
   base model plus any number of :class:`DelayEvent` overlays, mirroring how
   the paper narrates its traces (steady path + route change + instability).
@@ -41,10 +46,9 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from ..validate import check_fields, finite, non_negative, positive, probability
 
@@ -82,6 +86,23 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _INDEX_END = 2.0**63
 #: 53 mantissa bits of a mixed word, scaled into [0, 1).
 _TWO_POW_MINUS_53 = 1.0 / 9007199254740992.0
+
+
+def _first_ndtri(u: Any) -> Any:
+    """The first normal draw: import scipy's ``ndtri``, bind the module
+    name to it — unless something has been put in its place since — and
+    return its value."""
+    global ndtri
+    from scipy.special import ndtri as scipy_ndtri
+
+    if ndtri is _first_ndtri:
+        ndtri = scipy_ndtri
+    return scipy_ndtri(u)
+
+
+#: The standard-normal inverse CDF every draw goes through: scipy's ufunc
+#: once a draw has happened, :func:`_first_ndtri` until then.
+ndtri: Callable[[Any], Any] = _first_ndtri
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:

@@ -191,22 +191,41 @@ class TimeSeries:
         )
 
     def __getstate__(self) -> dict:
-        state = {name: getattr(self, name) for name in TimeSeries.__slots__}
+        # The filled rows and the capacity, not the arrays: the headroom
+        # was never written, so it is neither copied nor compared.
+        state = {
+            name: getattr(self, name)
+            for name in TimeSeries.__slots__
+            if name not in ("_times", "_values")
+        }
         if self._columns is not None:
             # A member's arrays are views of its block's: a copy binds to
             # the copied block's arrays, not to copies of its views.
-            del state["_times"], state["_values"]
             state["_column"] = self._columns.members.index(self)
+        else:
+            state["_times"] = self._times[: self._size]
+            state["_values"] = self._values[: self._size]
         return state
 
     def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            if name != "_column":
-                setattr(self, name, value)
+        for name in TimeSeries.__slots__:
+            if name not in ("_times", "_values"):
+                setattr(self, name, state[name])
         if "_column" in state:
             columns = state["_columns"]
             self._times = columns.times
             self._values = columns.values[:, state["_column"]]
+        else:
+            self._times = _with_headroom(state["_times"], self._capacity)
+            self._values = _with_headroom(state["_values"], self._capacity)
+
+
+def _with_headroom(rows: np.ndarray, capacity: int) -> np.ndarray:
+    """``rows`` at the head of a new array of ``capacity`` rows; the rest
+    is left unwritten, so its pages are never touched."""
+    out = np.empty((capacity,) + rows.shape[1:], dtype=np.float64)
+    out[: rows.shape[0]] = rows
+    return out
 
 
 class _ColumnBlock:
@@ -214,8 +233,12 @@ class _ColumnBlock:
 
     Member ``j`` of ``ids`` is a :class:`TimeSeries` whose ``_times`` is
     the block's time column and whose ``_values`` is column ``j`` of a
-    Fortran-order (capacity x width) matrix, so every reader of a series
-    runs unchanged.  Rows are written for all members at once — one row
+    row-major (capacity x width) matrix — a strided view — so every reader
+    of a series runs unchanged.  Row-major keeps the unwritten capacity
+    one contiguous tail that is never touched: numpy asks the kernel for
+    transparent huge pages on a large array, and a column-major block's
+    first write to each column faulted in that column's headroom too.
+    Rows are written for all members at once — one row
     per written-through batch, one 2-D assignment per staged block — on
     the doubling schedule of a lone series, so each member's ``grows`` is
     what its own arrays would have had.  Any other write to a member
@@ -237,7 +260,7 @@ class _ColumnBlock:
     def _allocate(self, capacity: int) -> None:
         """Move to arrays of ``capacity`` rows and rebind the members."""
         times = np.empty(capacity, dtype=np.float64)
-        values = np.empty((capacity, len(self.ids)), dtype=np.float64, order="F")
+        values = np.empty((capacity, len(self.ids)), dtype=np.float64)
         if self.rows:
             times[: self.rows] = self.times[: self.rows]
             values[: self.rows] = self.values[: self.rows]
@@ -292,21 +315,24 @@ class _ColumnBlock:
             member._capacity, member._columns = capacity, None
 
     def __reduce__(self) -> tuple:
-        # The arrays are constructor arguments, so a copy holds them before
-        # its members are copied and bind to them (``__setstate__``).
+        # The filled rows are constructor arguments, so a copy holds its
+        # arrays before its members are copied and bind to them
+        # (``__setstate__``).
+        rows = self.rows
         return (
             _restored_block,
-            (self.ids, self.times, self.values, self.rows),
+            (self.ids, self.times[:rows], self.values[:rows], self.capacity),
             (None, {"members": self.members}),
         )
 
 
 def _restored_block(
-    ids: list[int], times: np.ndarray, values: np.ndarray, rows: int
+    ids: list[int], times: np.ndarray, values: np.ndarray, capacity: int
 ) -> _ColumnBlock:
     block = _ColumnBlock.__new__(_ColumnBlock)
-    block.ids, block.times, block.values, block.rows = ids, times, values, rows
-    block.capacity = times.size
+    block.ids, block.rows, block.capacity = ids, times.size, capacity
+    block.times = _with_headroom(times, capacity)
+    block.values = _with_headroom(values, capacity)
     return block
 
 

@@ -26,6 +26,7 @@ ablation demonstrates.
 
 from __future__ import annotations
 
+import math
 import statistics
 from typing import Optional
 
@@ -91,13 +92,20 @@ class PlausibilityFilter:
     def admit(self, path_id: int, t: float, value: float, now: float) -> bool:
         """Judge one mirrored sample ``(path_id, t, value)`` at delivery
         time ``now``.  Only admitted samples advance the per-path
-        continuity horizon — rejected ones must not be able to push it."""
+        continuity horizon — rejected ones must not be able to push it.
+        A non-finite ``t`` is a discontinuity and a non-finite ``value``
+        is outside any envelope: a NaN compares False both ways, so it
+        would pass both checks, and an admitted NaN time would switch the
+        continuity check off for that path."""
         last = self._last_t.get(path_id)
-        if last is not None and t <= last:
+        if not math.isfinite(t) or (last is not None and t <= last):
             self.rejected_discontinuity += 1
             return False
         if now - t > self.max_age_s:
             self.rejected_stale += 1
+            return False
+        if not math.isfinite(value):
+            self.rejected_envelope += 1
             return False
         local = self.envelope.last_value(path_id)
         if local is None:

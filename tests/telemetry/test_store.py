@@ -260,6 +260,123 @@ class TestColumnBlock:
             same_series(copied.series(p), lone(rows + 3, p))
             same_series(store.series(p), lone(rows, p))
 
+    def test_the_matrix_is_row_major_and_members_are_its_columns(self):
+        store, ids = wide_store(5, 10)
+        block = store.series(0)._columns
+        assert block.values.flags.c_contiguous and block.values.shape == (1024, 5)
+        for j, p in enumerate(ids):
+            column = store.series(p)._values
+            assert column.base is block.values and column.strides == (5 * 8,)
+            assert column.ctypes.data == block.values[:, j].ctypes.data
+
+    @given(
+        width=st.sampled_from([2, 3, 5, 256]),
+        rows=st.one_of(
+            st.sampled_from([1, 1023, 1024, 1025, 2047, 2048, 2049]),
+            st.integers(1, 2100),
+        ),
+        read_every=st.sampled_from([1, 3, 300]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_member_reads_as_a_lone_series(
+        self, width, rows, read_every, seed, data
+    ):
+        """Across the 1,024 / 2,048 doubling edges, written through or
+        staged: a member's reads, copies and dissolve give the bytes a
+        lone series fed the same rows gives."""
+        rng = np.random.default_rng(seed)
+        times = np.cumsum(rng.choice([0.0, 0.01, 0.25], size=rows)).tolist()
+        matrix = rng.normal(0.05, 0.01, size=(rows, width))
+        store, ids = MeasurementStore(), list(range(width))
+        for k, t in enumerate(times):
+            store.record_aggregate_many(ids, t, matrix[k])
+            if k % read_every == 0:
+                store.last_time(0)
+        j = data.draw(st.integers(0, width - 1), label="member")
+        alone = TimeSeries()
+        for t, value in zip(times, matrix[:, j].tolist()):
+            alone.append(t, value)
+        t0 = data.draw(st.floats(-1.0, times[-1] + 1.0), label="t0")
+        t1 = data.draw(st.floats(-1.0, times[-1] + 1.0), label="t1")
+        q = data.draw(st.floats(0.0, 100.0), label="q")
+
+        def reads(series):
+            window_times, window_values = series.window(t0, t1)
+            return (
+                series.times.tobytes(),
+                series.values.tobytes(),
+                series.grows,
+                series.last_value,
+                series.mean().hex(),
+                series.percentile(q).hex(),
+                float(np.std(series.values)).hex(),
+                window_times.tobytes(),
+                window_values.tobytes(),
+            )
+
+        member = store.series(ids[j])
+        assert member._columns is not None
+        assert reads(member) == reads(alone)
+        for copied in (copy.deepcopy(store), pickle.loads(pickle.dumps(store))):
+            assert reads(copied.series(ids[j])) == reads(alone)
+        store.record(ids[j], times[-1], 0.5)  # written alone: dissolves
+        alone.append(times[-1], 0.5)
+        assert member._columns is None
+        assert reads(member) == reads(alone)
+
+
+class TestPicklesHoldOnlyTheFilledRows:
+    """A copy is the filled rows and the capacity: the headroom was never
+    written, so two series with the same samples pickle to the same bytes
+    whatever their unwritten memory holds."""
+
+    @staticmethod
+    def ten_samples(headroom):
+        series = TimeSeries()
+        for i in range(10):
+            series.append(i * 0.1, i + 0.5)
+        series._times[10:] = headroom  # what np.empty may hand back
+        series._values[10:] = headroom
+        return series
+
+    def test_equal_series_pickle_to_equal_bytes(self):
+        a, b = self.ten_samples(1.0), self.ten_samples(np.nan)
+        assert pickle.dumps(a) == pickle.dumps(b)
+        assert len(pickle.dumps(a)) < 1024
+
+    @pytest.mark.parametrize(
+        "duplicate", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))]
+    )
+    def test_a_copy_keeps_its_capacity_and_growth(self, duplicate):
+        series = TimeSeries()
+        for i in range(1500):
+            series.append(i * 0.1, float(i))
+        copied = duplicate(series)
+        assert copied._capacity == copied._times.size == copied._values.size == 2048
+        assert copied.grows == series.grows == 1
+        assert copied.values.tobytes() == series.values.tobytes()
+        copied.append(1500 * 0.1, 1.0)
+        assert len(copied) == 1501 and len(series) == 1500
+
+    def test_equal_blocks_pickle_to_equal_bytes(self):
+        pickles = []
+        for headroom in (1.0, np.nan):
+            store, _ = wide_store(3, 10)
+            block = store.series(0)._columns
+            block.times[10:] = headroom
+            block.values[10:] = headroom
+            pickles.append(pickle.dumps(store))
+        assert pickles[0] == pickles[1]
+
+    def test_a_copied_block_keeps_its_capacity(self):
+        store, _ = wide_store(3, 1500)
+        copied = pickle.loads(pickle.dumps(store)).series(0)._columns
+        assert copied.capacity == 2048 and copied.rows == 1500
+        assert copied.values.shape == (2048, 3) and copied.values.flags.c_contiguous
+        assert copied.times.size == 2048
+
 
 class TestWindowAgainstTwoSearches:
     """``window`` takes the end of a trailing window past the last row
