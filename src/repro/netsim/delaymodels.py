@@ -31,11 +31,13 @@ Design requirements, and how they are met:
   A time whose grid index is NaN or outside int64 (NaN, ±inf, or beyond
   about ±9.2e14 s) has no draw: both evaluations refuse it with the same
   ``ValueError`` instead of numpy casting it to INT64_MIN.
-* **Pay for scipy only on a draw.**  The normal inverse CDF is scipy's
-  ``ndtri``, imported at the first normal draw rather than at import, so
-  a process that never draws (BGP convergence, path discovery, constant
-  links) never loads scipy.  The first draw rebinds the module name
-  ``ndtri`` to scipy's ufunc, so every later draw calls it directly.
+* **One normal inverse CDF, in tree.**  :func:`ndtri` (scalar, every
+  ``delay_at`` / :func:`normal_at` draw) and :func:`ndtri_array` (every
+  array draw) are Cephes ``ndtri`` — scipy.special.ndtri's algorithm —
+  ported with its operations in its order, so a draw equals scipy's bit
+  for bit and no process loads scipy (its import maps ~22 MB).  The
+  tails take the C library's ``log`` through ``math.log``, element by
+  element in the array form: ``np.log`` has SIMD loops of its own.
 * **Composability.**  A path's process is a :class:`CompositeDelay` of a
   base model plus any number of :class:`DelayEvent` overlays, mirroring how
   the paper narrates its traces (steady path + route change + instability).
@@ -88,21 +90,199 @@ _INDEX_END = 2.0**63
 _TWO_POW_MINUS_53 = 1.0 / 9007199254740992.0
 
 
-def _first_ndtri(u: Any) -> Any:
-    """The first normal draw: import scipy's ``ndtri``, bind the module
-    name to it — unless something has been put in its place since — and
-    return its value."""
-    global ndtri
-    from scipy.special import ndtri as scipy_ndtri
+# The normal inverse CDF is Cephes ``ndtri`` (S. L. Moshier), the
+# algorithm scipy.special.ndtri compiles, ported with its operations in
+# its order so every draw equals scipy's bit for bit: the same
+# coefficients, Horner order and branch tests.  Each polynomial is written
+# as Cephes' ``polevl`` (leading coefficient first) or ``p1evl`` (implied
+# leading 1); ``a - c`` below is ``a + (-c)`` exactly.
 
-    if ndtri is _first_ndtri:
-        ndtri = scipy_ndtri
-    return scipy_ndtri(u)
+#: ``exp(-2)``: the central branch is ``exp(-2) < y <= 1 - exp(-2)``.
+_EXP_M2 = 0.13533528323661269189
+#: ``sqrt(2 pi)``.
+_SQRT_2PI = 2.50662827463100050242
+#: ``|y - 0.5| <= 3/8``: ``x = y + y * y2 * P0(y2) / Q0(y2)``, ``y2 = y * y``.
+_P0 = (
+    -5.99633501014107895267e1,
+    9.80010754185999661536e1,
+    -5.66762857469070293439e1,
+    1.39312609387279679503e1,
+    -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.95448858338141759834e0,
+    4.67627912898881538453e0,
+    8.63602421390890590575e1,
+    -2.25462687854119370527e2,
+    2.00260212380060660359e2,
+    -8.20372256168333339912e1,
+    1.59056225126211695515e1,
+    -1.18331621121330003142e0,
+)
+#: ``z = 1 / sqrt(-2 log y)`` for ``2 <= 1/z < 8`` (``y > exp(-32)``).
+_P1 = (
+    4.05544892305962419923e0,
+    3.15251094599893866154e1,
+    5.71628192246421288162e1,
+    4.40805073893200834700e1,
+    1.46849561928858024014e1,
+    2.18663306850790267539e0,
+    -1.40256079171354495875e-1,
+    -3.50424626827848203418e-2,
+    -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.57799883256466749731e1,
+    4.53907635128879210584e1,
+    4.13172038254672030440e1,
+    1.50425385692907503408e1,
+    2.50464946208309415979e0,
+    -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2,
+    -9.33259480895457427372e-4,
+)
+#: ... and for ``8 <= 1/z <= 64``.
+_P2 = (
+    3.23774891776946035970e0,
+    6.91522889068984211695e0,
+    3.93881025292474443415e0,
+    1.33303460815807542389e0,
+    2.01485389549179081538e-1,
+    1.23716634817820021358e-2,
+    3.01581553508235416007e-4,
+    2.65806974686737550832e-6,
+    6.23974539184983293730e-9,
+)
+_Q2 = (
+    6.02427039364742014255e0,
+    3.67983563856160859403e0,
+    1.37702099489081330271e0,
+    2.16236993594496635890e-1,
+    1.34204006088543189037e-2,
+    3.28014464682127739104e-4,
+    2.89247864745380683936e-6,
+    6.79019408009981274425e-9,
+)
 
 
-#: The standard-normal inverse CDF every draw goes through: scipy's ufunc
-#: once a draw has happened, :func:`_first_ndtri` until then.
-ndtri: Callable[[Any], Any] = _first_ndtri
+def _polevl(x: Any, coef: Sequence[float]) -> Any:
+    """Cephes ``polevl``: ``coef[0] * x**n + ... + coef[n]`` by Horner."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: Any, coef: Sequence[float]) -> Any:
+    """Cephes ``p1evl``: :func:`_polevl` with an implied leading 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def ndtri(y0: float) -> float:
+    """The standard-normal inverse CDF of one float: Cephes ``ndtri``,
+    equal to ``scipy.special.ndtri(y0)`` bit for bit (``-inf`` at 0,
+    ``inf`` at 1, NaN outside [0, 1]).  The scalar draws' one function:
+    :data:`_P0` ... :data:`_Q1` are written out as Horner steps.
+    """
+    # The central branch.  Every y0 > 1 - exp(-2) has 1 - y0 <= exp(-2),
+    # so this one test is both of Cephes' branch tests.
+    if 0.13533528323661269189 < y0 <= 1.0 - 0.13533528323661269189:
+        y = y0 - 0.5
+        y2 = y * y
+        p = -5.99633501014107895267e1 * y2 + 9.80010754185999661536e1
+        p = p * y2 - 5.66762857469070293439e1
+        p = p * y2 + 1.39312609387279679503e1
+        p = p * y2 - 1.23916583867381258016e0
+        q = y2 + 1.95448858338141759834e0
+        q = q * y2 + 4.67627912898881538453e0
+        q = q * y2 + 8.63602421390890590575e1
+        q = q * y2 - 2.25462687854119370527e2
+        q = q * y2 + 2.00260212380060660359e2
+        q = q * y2 - 8.20372256168333339912e1
+        q = q * y2 + 1.59056225126211695515e1
+        q = q * y2 - 1.18331621121330003142e0
+        return (y + y * (y2 * p / q)) * 2.50662827463100050242
+    # The tails, at y = y0 or 1 - y0 in (0, exp(-2)]; then the ends, the
+    # outside and NaN, which Cephes tests first (the answers are the same).
+    if 0.0 < y0 <= 0.13533528323661269189:
+        y = y0
+    elif 1.0 - 0.13533528323661269189 < y0 < 1.0:
+        y = 1.0 - y0
+    elif y0 == 0.0:
+        return -math.inf
+    elif y0 == 1.0:
+        return math.inf
+    elif not math.isnan(y0):
+        return math.nan
+    else:
+        y = y0  # NaN takes the tail, as in Cephes
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    if x < 8.0:  # y > exp(-32)
+        p = 4.05544892305962419923e0 * z + 3.15251094599893866154e1
+        p = p * z + 5.71628192246421288162e1
+        p = p * z + 4.40805073893200834700e1
+        p = p * z + 1.46849561928858024014e1
+        p = p * z + 2.18663306850790267539e0
+        p = p * z - 1.40256079171354495875e-1
+        p = p * z - 3.50424626827848203418e-2
+        p = p * z - 8.57456785154685413611e-4
+        q = z + 1.57799883256466749731e1
+        q = q * z + 4.53907635128879210584e1
+        q = q * z + 4.13172038254672030440e1
+        q = q * z + 1.50425385692907503408e1
+        q = q * z + 2.50464946208309415979e0
+        q = q * z - 1.42182922854787788574e-1
+        q = q * z - 3.80806407691578277194e-2
+        q = q * z - 9.33259480895457427372e-4
+        x = x - math.log(x) / x - z * p / q
+    else:  # y <= exp(-32): below the generator's 1e-12 clip
+        x = x - math.log(x) / x - z * _polevl(z, _P2) / _p1evl(z, _Q2)
+    # Cephes negates below its 1 - exp(-2) test: the lower tail and NaN.
+    return x if y0 > 0.5 else -x
+
+
+def _log_each(y: np.ndarray) -> np.ndarray:
+    """``math.log`` of every element: the C library's ``log``, as Cephes
+    calls it.  ``np.log`` has SIMD loops of its own that differ from it in
+    the last bit on some values and hosts."""
+    return np.array(list(map(math.log, y.tolist())), dtype=np.float64)
+
+
+def ndtri_array(y0: np.ndarray) -> np.ndarray:
+    """:func:`ndtri` of every element of an array, bit for bit: the same
+    operations in the same order, as array arithmetic, with the tails'
+    logarithms by :func:`_log_each`.  The array draws' one function."""
+    y0 = np.asarray(y0, dtype=np.float64)
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)
+    # The central branch over every element (no gather), kept where it
+    # applies; elsewhere, and at a non-finite y, it is discarded.
+    with np.errstate(over="ignore", invalid="ignore"):
+        yc = y - 0.5
+        y2 = yc * yc
+        x = (yc + yc * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _SQRT_2PI
+    central = y > _EXP_M2
+    # NaN takes the tail, as in Cephes; 0, 1 and out-of-range do not.
+    outside = (y0 <= 0.0) | (y0 >= 1.0)
+    tail = ~(central | outside)
+    if tail.any():
+        xt = np.sqrt(-2.0 * _log_each(y[tail]))
+        z = 1.0 / xt
+        x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+        far = xt >= 8.0  # y <= exp(-32): below the generator's 1e-12 clip
+        if far.any():
+            zf = z[far]
+            x1[far] = zf * _polevl(zf, _P2) / _p1evl(zf, _Q2)
+        xt = xt - _log_each(xt) / xt - x1
+        x[tail] = np.where(upper[tail], xt, -xt)
+    if outside.any():
+        x[outside] = np.where(y0[outside] == 0.0, -np.inf, np.nan)
+        x[y0 == 1.0] = np.inf
+    return x
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -165,7 +345,7 @@ def _unit_interval(mixed: np.ndarray) -> np.ndarray:
 
 def deterministic_normal(seed: int, times: np.ndarray) -> np.ndarray:
     """Standard-normal noise that is a pure function of (seed, time)."""
-    return ndtri(deterministic_uniform(seed, times))
+    return ndtri_array(deterministic_uniform(seed, times))
 
 
 def hash_seeds(seeds: Sequence[int]) -> np.ndarray:
@@ -179,7 +359,7 @@ def normal_grid(hashed_seeds: np.ndarray, times: np.ndarray) -> np.ndarray:
     draw: element ``[k, i]`` equals ``normal_at(seeds[i], times[k])`` bit
     for bit, where ``hashed_seeds = hash_seeds(seeds)``."""
     index = _time_indices(times).astype(np.uint64)
-    return ndtri(_unit_interval(_splitmix64(index[:, None] ^ hashed_seeds)))
+    return ndtri_array(_unit_interval(_splitmix64(index[:, None] ^ hashed_seeds)))
 
 
 def _splitmix64_int(x: int) -> int:
@@ -231,7 +411,7 @@ def uniform_at(seed: int, t: float) -> float:
 
 def normal_at(seed: int, t: float) -> float:
     """Scalar :func:`deterministic_normal`, bit-identical likewise."""
-    return float(ndtri(uniform_at(seed, t)))
+    return ndtri(uniform_at(seed, t))
 
 
 class DelayModel(ABC):
@@ -321,7 +501,7 @@ class GaussianJitterDelay(DelayModel):
         last_index, last_delay = self._drawn[0]
         if index == last_index:
             return last_delay
-        normal = float(ndtri(_uniform_hashed(self._hashed_seed, index)))
+        normal = ndtri(_uniform_hashed(self._hashed_seed, index))
         delay = self.base + normal * self.sigma
         if delay < self._floor:
             delay = self._floor

@@ -96,12 +96,14 @@ class PlausibilityFilter:
         A non-finite ``t`` is a discontinuity and a non-finite ``value``
         is outside any envelope: a NaN compares False both ways, so it
         would pass both checks, and an admitted NaN time would switch the
-        continuity check off for that path."""
+        continuity check off for that path.  A non-finite ``now`` gives
+        no age, so the sample is stale: a NaN or ``-inf`` age would pass
+        the age check at any ``t``."""
         last = self._last_t.get(path_id)
         if not math.isfinite(t) or (last is not None and t <= last):
             self.rejected_discontinuity += 1
             return False
-        if now - t > self.max_age_s:
+        if not math.isfinite(now) or now - t > self.max_age_s:
             self.rejected_stale += 1
             return False
         if not math.isfinite(value):

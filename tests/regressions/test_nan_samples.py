@@ -5,7 +5,8 @@ envelope once the filter had calibrated, and a NaN time was never behind
 the path's last one.  An admitted NaN time became the continuity horizon,
 and every older sample after it passed the continuity check too.  Now a
 non-finite time is a discontinuity and a non-finite value an envelope
-rejection, and neither reaches calibration or the clock monitor.
+rejection, and neither reaches calibration or the clock monitor; a
+non-finite delivery time gives no age, so its sample is stale.
 """
 
 import math
@@ -75,3 +76,16 @@ def test_the_monitor_never_observes_a_nan_value():
     assert flt.admit(0, t=0.1, value=LOCAL, now=0.1)
     assert not flt.admit(0, t=0.2, value=NAN, now=0.2)
     assert monitor.samples == 1
+
+
+@pytest.mark.parametrize("now", [NAN, INF, -INF])
+def test_a_non_finite_delivery_time_is_stale(now):
+    """``now - t > max_age_s`` is False for a NaN or ``-inf`` ``now``, so
+    a sample of any age was admitted and became the path's horizon."""
+    flt = calibrated()  # path 0's horizon is 1.2
+    assert not flt.admit(0, t=1.5, value=LOCAL, now=now)
+    assert not flt.admit(1, t=-1e9, value=LOCAL, now=now)  # no horizon yet
+    assert flt.rejected_stale == 2
+    # Neither horizon moved: samples behind 1.5 and -1e9 are admitted.
+    assert flt.admit(0, t=1.3, value=LOCAL, now=1.3)
+    assert flt.admit(1, t=-1e9 - 1.0, value=LOCAL, now=-1e9)
