@@ -47,12 +47,9 @@ def run_failover():
     deliveries: list[tuple[float, float, int]] = []  # (sent, received, path)
 
     def on_delivery(packet, now):
-        if packet.flow_label == FLOW_DATA:
-            deliveries.append(
-                (packet.meta["sent"], now, packet.meta["tango_path_id"])
-            )
+        deliveries.append((packet.meta["sent"], now, packet.meta["tango_path_id"]))
 
-    deployment.host_la._on_packet = on_delivery
+    deployment.host_la.bind(FLOW_DATA, on_delivery)
 
     def emit_data():
         packet = factory.build()

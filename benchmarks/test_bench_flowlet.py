@@ -52,12 +52,9 @@ def run_one(gap_s):
     arrivals = []  # (app_seq, arrival_time, path_id)
 
     def on_delivery(packet, now):
-        if packet.flow_label == FLOW:
-            arrivals.append(
-                (packet.meta["app_seq"], now, packet.meta["tango_path_id"])
-            )
+        arrivals.append((packet.meta["app_seq"], now, packet.meta["tango_path_id"]))
 
-    deployment.host_la._on_packet = on_delivery
+    deployment.host_la.bind(FLOW, on_delivery)
 
     seq = 0
     for burst in range(BURSTS):

@@ -87,8 +87,8 @@ def run_transfer(path_index: int, conn_id: int):
         conn_id=conn_id,
         mss=MSS,
     )
-    deployment.host_la._on_packet = data_cb
-    deployment.host_ny._on_packet = ack_cb
+    deployment.host_la.on_packet = data_cb
+    deployment.host_ny.on_packet = ack_cb
     sender.start()
     deployment.net.run(until=120.0)
     return sender

@@ -65,10 +65,9 @@ def run_workload(policy_name: str) -> dict:
     latencies: list[float] = []
 
     def on_delivery(packet, now):
-        if packet.flow_label == FLOW_DRONE:
-            latencies.append(now - packet.meta["sent_at"])
+        latencies.append(now - packet.meta["sent_at"])
 
-    deployment.host_la._on_packet = on_delivery
+    deployment.host_la.bind(FLOW_DRONE, on_delivery)
 
     factory = PacketFactory(
         src=str(deployment.pairing.a.host_address(3)),

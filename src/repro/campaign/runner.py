@@ -124,8 +124,9 @@ def _build_victim(
     (the E17 Byzantine-telemetry defense) or ``"srlg"`` (the E18
     failure-domain stack: :class:`~repro.srlg.FateAwareSelector` over the
     delay policy plus fast reroute wired into the controller).  Returns
-    ``(deployment, controller, sent_counter, fate, frr)`` — the last two
-    are ``None`` outside the ``"srlg"`` mode.
+    ``(deployment, controller, counts, fate, frr)`` — ``counts`` holds the
+    data stream's ``"sent"`` and ``"received"``; the last two are ``None``
+    outside the ``"srlg"`` mode.
     """
     from ..core.controller import QuarantinePolicy
     from ..core.policy import LowestDelaySelector
@@ -172,14 +173,18 @@ def _build_victim(
         flow_label=9,
     )
     send = deployment.sender_for(VICTIM)
-    sent = [0]
+    counts = {"sent": 0, "received": 0}
 
     def pump() -> None:
-        sent[0] += 1
+        counts["sent"] += 1
         send(factory.build())
 
+    def land(packet: Any, now: float) -> None:
+        counts["received"] += 1
+
+    deployment.hosts[peer].bind(9, land)
     deployment.sim.call_every(config.data_gap_s, pump)
-    return deployment, controller, sent, fate, frr
+    return deployment, controller, counts, fate, frr
 
 
 def _true_delay_models(deployment: "VultrDeployment") -> dict[int, object]:
@@ -264,7 +269,7 @@ def _steered_s(
 def _run_variant(adv: AdversarialPlan, defended: bool, config: CampaignConfig) -> dict:
     from ..faults import FaultInjector, RecoveryLog
 
-    deployment, controller, sent, _, _ = _build_victim(defended, config)
+    deployment, controller, counts, _, _ = _build_victim(defended, config)
     if adv.plan.events:
         FaultInjector(deployment, adv.plan).arm()
     deployment.net.run(until=config.horizon_s)
@@ -274,13 +279,9 @@ def _run_variant(adv: AdversarialPlan, defended: bool, config: CampaignConfig) -
     unusable = _unusable_windows(adv, config.horizon_s)
     result = _regret_ms(controller, models, labels, unusable, config)
 
-    peer = deployment.peer_of(VICTIM)
-    received = sum(
-        1
-        for p in deployment.hosts[peer].received_packets
-        if p.flow_label == 9
+    result["availability"] = (
+        round(counts["received"] / counts["sent"], 4) if counts["sent"] else None
     )
-    result["availability"] = round(received / sent[0], 4) if sent[0] else None
 
     if adv.favored is not None:
         favored_id = next(
@@ -299,7 +300,7 @@ def _run_variant(adv: AdversarialPlan, defended: bool, config: CampaignConfig) -
     result["quarantine_events"] = len(controller.quarantine_log)
 
     if defended:
-        peer_auth = deployment.gateways[peer].authenticator
+        peer_auth = deployment.gateways[deployment.peer_of(VICTIM)].authenticator
         stack = deployment.defenses[VICTIM]
         result["dataplane_rejected"] = peer_auth.stats.rejected
         result["dataplane_replayed"] = peer_auth.stats.replayed
@@ -385,7 +386,7 @@ def _run_correlated_variant(
 ) -> dict:
     from ..faults import FaultInjector, RecoveryLog
 
-    deployment, controller, sent, fate, frr = _build_victim(
+    deployment, controller, counts, fate, frr = _build_victim(
         defended, config, defense="srlg"
     )
     if adv.plan.events:
@@ -402,13 +403,9 @@ def _run_correlated_variant(
     ]
     result = _regret_ms(controller, models, labels, unusable, config)
 
-    peer = deployment.peer_of(VICTIM)
-    received = sum(
-        1
-        for p in deployment.hosts[peer].received_packets
-        if p.flow_label == 9
+    result["availability"] = (
+        round(counts["received"] / counts["sent"], 4) if counts["sent"] else None
     )
-    result["availability"] = round(received / sent[0], 4) if sent[0] else None
 
     if windows:
         switchover_s, switched_to = _switchover(controller, labels, windows[0])

@@ -387,10 +387,9 @@ def cmd_failover(args: argparse.Namespace) -> int:
     deliveries: list[tuple[float, int]] = []
 
     def on_delivery(packet: Packet, now: float) -> None:
-        if packet.flow_label == 9:
-            deliveries.append((packet.meta["sent"], packet.meta["tango_path_id"]))
+        deliveries.append((packet.meta["sent"], packet.meta["tango_path_id"]))
 
-    deployment.host_la._on_packet = on_delivery
+    deployment.host_la.bind(9, on_delivery)
 
     def emit_data() -> None:
         packet = factory.build()

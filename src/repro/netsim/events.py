@@ -142,7 +142,8 @@ class Simulator:
                 raise ValueError(f"cannot schedule at time {time}")
             raise ValueError(f"cannot schedule in the past: {time} < {now}")
         seq = next(self._seq)
-        event = Event(time, seq, callback, sim=self)
+        # ``sim`` positionally: a keyword builds a kwargs dict per event.
+        event = Event(time, seq, callback, self)
         heapq.heappush(self._queue, (time, seq, event))
         return event
 

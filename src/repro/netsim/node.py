@@ -151,7 +151,9 @@ class Node:
 
 
 class HostNode(Node):
-    """An end host: delivers every received packet to an application sink."""
+    """An end host: a received packet goes to exactly one place, called
+    as ``sink(packet, now)``: the sink bound to its flow label, else the
+    catch-all ``on_packet``, else the inbox ``received_packets``."""
 
     def __init__(
         self,
@@ -162,17 +164,21 @@ class HostNode(Node):
     ) -> None:
         super().__init__(name, sim, clock_offset)
         self.received_packets: list[Packet] = []
-        self._on_packet = on_packet
-        #: Retain packets for inspection; long runs can disable this.
-        self.keep_packets = True
+        self.on_packet = on_packet
+        self._sinks: dict[int, Callable[[Packet, float], None]] = {}
+
+    def bind(self, flow_label: int, sink: Callable[[Packet, float], None]) -> None:
+        """Deliver every packet of ``flow_label`` to ``sink`` from now on."""
+        self._sinks[flow_label] = sink
 
     def receive(self, packet: Packet, ingress: Optional["Link"] = None) -> None:
         self.stats.received += 1
         self.stats.delivered_local += 1
-        if self.keep_packets:
+        sink = self._sinks.get(packet.flow_label, self.on_packet)
+        if sink is None:
             self.received_packets.append(packet)
-        if self._on_packet is not None:
-            self._on_packet(packet, self.sim.now)
+        else:
+            sink(packet, self.sim.now)
 
 
 class RouterNode(Node):

@@ -88,6 +88,8 @@ class ProbeGenerator:
         self._task: Optional[PeriodicTask] = None
         #: Packets sent, over all factories.
         self.sent = 0
+        #: Packets counted by :meth:`count_delivery`, a far host's sink.
+        self.delivered = 0
 
     def start(self, at: Optional[float] = None, until: Optional[float] = None) -> None:
         """Begin emitting probes (immediately or at ``at``)."""
@@ -102,6 +104,10 @@ class ProbeGenerator:
         if self._task is not None:
             self._task.stop()
             self._task = None
+
+    def count_delivery(self, packet: Packet, now: float) -> None:
+        """A host sink that counts one delivered probe."""
+        self.delivered += 1
 
     def _emit(self) -> None:
         now = self._sim.now

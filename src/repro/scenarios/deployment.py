@@ -328,6 +328,10 @@ class PacketLevelDeployment:
                 )
             )
         generator = ProbeGenerator(self.sim, factories, self.sender_for(src), interval)
+        # Probes end in the generator's count at the peer host, not its inbox.
+        peer_host = self.hosts[dst_edge.name]
+        for factory in factories:
+            peer_host.bind(factory.flow_label, generator.count_delivery)
         # An edge with no tunnels has nothing to probe: schedule no rounds.
         if factories:
             generator.start()

@@ -87,7 +87,6 @@ def _packet_run(
 
     src = HostNode("src", sim)
     dst = HostNode("dst", sim, on_packet=on_packet)
-    dst.keep_packets = False
     link = QueuedLink(
         "bottleneck",
         src,

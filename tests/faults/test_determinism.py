@@ -77,10 +77,9 @@ def run_campaign(plan_seed):
         send(packet)
 
     def on_delivery(packet, now):
-        if packet.flow_label == 9:
-            delivered.append((packet.meta["n"], round(now, 9)))
+        delivered.append((packet.meta["n"], round(now, 9)))
 
-    deployment.hosts["la"]._on_packet = on_delivery
+    deployment.hosts["la"].bind(9, on_delivery)
     deployment.sim.call_every(0.005, emit)
     deployment.net.run(until=4.0)
     return len(sent), delivered

@@ -51,10 +51,9 @@ class TestEdgeCongestion:
         app_latencies = []
 
         def on_delivery(packet, now):
-            if packet.flow_label == 4:
-                app_latencies.append(now - packet.meta["sent"])
+            app_latencies.append(now - packet.meta["sent"])
 
-        deployment.host_la._on_packet = on_delivery
+        deployment.host_la.bind(4, on_delivery)
 
         def emit():
             packet = factory.build()

@@ -53,7 +53,7 @@ class TestDelivery:
         dst = HostNode("dst", sim)
         link = make_link(sim, dst, delay=ConstantDelay(0.025))
         arrivals = []
-        dst._on_packet = lambda p, t: arrivals.append(t)
+        dst.on_packet = lambda p, t: arrivals.append(t)
         assert link.transmit(sim, make_packet())
         sim.run()
         assert arrivals == [pytest.approx(0.025)]
@@ -76,7 +76,7 @@ class TestDelivery:
             sim, dst, delay=ConstantDelay(0.0), bandwidth_bps=8000.0
         )
         arrivals = []
-        dst._on_packet = lambda p, t: arrivals.append(t)
+        dst.on_packet = lambda p, t: arrivals.append(t)
         packet = make_packet(payload=100)  # 140 wire bytes -> 1120 bits
         link.transmit(sim, packet)
         sim.run()

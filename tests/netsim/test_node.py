@@ -223,10 +223,22 @@ class TestHostNode:
         host.receive(make_packet())
         assert seen == [2.0]
 
-    def test_keep_packets_can_be_disabled(self):
+    def test_a_packet_goes_to_exactly_one_place(self):
+        """Bound flow -> its sink, else the catch-all, else the inbox;
+        the stats count all three."""
         sim = Simulator()
         host = HostNode("h", sim)
-        host.keep_packets = False
-        host.receive(make_packet())
-        assert host.received_packets == []
-        assert host.stats.received == 1
+        bound, caught = [], []
+        host.bind(7, lambda p, t: bound.append(p))
+        packets = [make_packet() for _ in range(3)]
+        packets[0].flow_label = 7
+        packets[1].flow_label = 8
+        packets[2].flow_label = 8
+        host.receive(packets[0])
+        host.receive(packets[1])
+        host.on_packet = lambda p, t: caught.append(p)
+        host.receive(packets[2])
+        assert bound == [packets[0]]
+        assert host.received_packets == [packets[1]]
+        assert caught == [packets[2]]
+        assert host.stats.received == host.stats.delivered_local == 3

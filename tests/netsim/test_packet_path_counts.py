@@ -14,7 +14,9 @@ delivery with no closure.  After a warm-up, constructions, scans,
 derivations, stdlib address hashes and comparisons, and Python calls
 are counted over a live Vultr run — exact on any host; each regression
 would show up as a multiple of the packet count.  The memos are also
-checked to forget on every route or tunnel change.
+checked to forget on every route or tunnel change.  A delivered probe
+ends in its generator's count, so the packets a run holds do not grow
+with its length.
 """
 
 import gc
@@ -205,6 +207,33 @@ def test_a_probe_round_is_one_heap_event_per_edge(monkeypatch):
     deliveries = sum(l.stats.delivered for l in deployment.net.links.values())
     processed = deployment.sim.events_processed - events_before
     assert processed == len(rounds) + deliveries + len(syncs)
+
+
+def live_packets() -> int:
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if type(o) is Packet)
+
+
+def test_held_packets_do_not_grow_with_run_length():
+    """Probes end in their generator's count at the peer host: after a
+    drain, a 4 s probe-only run holds as many packets as a 2 s one."""
+    held = []
+    for until_s in (2.0, 4.0):
+        deployment = VultrDeployment(include_events=False)
+        deployment.establish()
+        generators = [deployment.start_path_probes(edge) for edge in EDGES]
+        deployment.net.run(until=until_s)
+        assert not any(
+            p.flow_label >= 1000
+            for host in deployment.hosts.values()
+            for p in host.received_packets
+        )
+        deployment.stop_probes()
+        deployment.net.run(until=until_s + 1.0)
+        assert all(g.sent and g.delivered == g.sent for g in generators)
+        held.append(live_packets())
+        del deployment, generators
+    assert held[0] == held[1]
 
 
 def test_one_draw_per_noise_quantum_and_no_np_mean_per_window(monkeypatch):

@@ -28,7 +28,7 @@ def build(rate_bps=8_000_000.0, buffer_bytes=4000, delay=0.0):
     sim = Simulator()
     dst = HostNode("dst", sim)
     arrivals = []
-    dst._on_packet = lambda p, t: arrivals.append(t)
+    dst.on_packet = lambda p, t: arrivals.append(t)
     link = QueuedLink(
         "q",
         HostNode("src", sim),

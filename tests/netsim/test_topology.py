@@ -87,7 +87,7 @@ class TestOperation:
         r1.fib.add_route("2001:db8:20::/48", l1)
         r2.fib.add_route("2001:db8:20::/48", l2)
         arrivals = []
-        sink._on_packet = lambda p, t: arrivals.append(t)
+        sink.on_packet = lambda p, t: arrivals.append(t)
         net.inject(r1, make_packet())
         net.run()
         assert arrivals == [pytest.approx(0.030)]

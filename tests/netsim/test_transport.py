@@ -57,8 +57,8 @@ def run_transfer(
         build_ack_packet=make_builder("2001:db8:2::1", "2001:db8:1::1"),
         transfer_bytes=transfer_bytes,
     )
-    b._on_packet = data_cb
-    a._on_packet = ack_cb
+    b.on_packet = data_cb
+    a.on_packet = ack_cb
     sender.start()
     net.run(until=until)
     return sender, receiver
@@ -82,8 +82,8 @@ class TestCleanTransfer:
             build_ack_packet=make_builder("2001:db8:2::1", "2001:db8:1::1"),
             transfer_bytes=5000 * MSS,
         )
-        b._on_packet = data_cb
-        a._on_packet = ack_cb
+        b.on_packet = data_cb
+        a.on_packet = ack_cb
         sender.start()
         initial = sender.cwnd
         net.run(until=0.045)  # one RTT: the whole IW is acked
@@ -128,8 +128,8 @@ class TestLossRecovery:
             build_ack_packet=make_builder("2001:db8:2::1", "2001:db8:1::1"),
             transfer_bytes=10 * MSS,
         )
-        b._on_packet = data_cb
-        a._on_packet = ack_cb
+        b.on_packet = data_cb
+        a.on_packet = ack_cb
         sender.start()
         net.run(until=30.0)
         assert not sender.done
