@@ -501,8 +501,9 @@ def _execute(
 
     With ``workers > 1`` shards run under a forked
     :class:`~concurrent.futures.ProcessPoolExecutor`.  A shard whose
-    worker process dies (a broken pool poisons every outstanding future)
-    or whose run raises is re-run exactly once, in-process, via
+    worker process dies (a broken pool poisons every outstanding future
+    and refuses the shards not yet submitted) or whose run raises is
+    re-run exactly once, in-process, via
     ``runner`` — shards are pure functions of ``(plan, config)``, so the
     retry emits the same row the dead worker would have.  Returns
     ``(rows, shard_retries)``.
@@ -510,13 +511,21 @@ def _execute(
     if workers <= 1:
         return [worker(args) for args in payloads], 0
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     rows: list[dict] = []
     retries = 0
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        futures = [pool.submit(worker, args) for args in payloads]
+        futures: list[Future] = []
+        for args in payloads:
+            try:
+                futures.append(pool.submit(worker, args))
+            except BrokenProcessPool as broken:
+                # A worker died while shards were still being handed out.
+                futures.append(Future())
+                futures[-1].set_exception(broken)
         for args, future in zip(payloads, futures):
             try:
                 rows.append(future.result())

@@ -11,8 +11,8 @@ TNG001    wall-clock reads (``time.time``, ``perf_counter``,
           clock, never the host's.  Any reference counts, not only a
           call: ``clock=time.perf_counter`` is a read deferred.
 TNG002    unseeded RNG construction (``np.random.default_rng()``,
-          ``random.Random()`` ...) — every generator must take an
-          explicit seed so replays can reproduce its stream.
+          ``random.Random()``, ``Pcg64Stream()`` ...) — every generator
+          must take an explicit seed so replays can reproduce its stream.
 TNG003    calls on the process-global RNG state (``random.random()``,
           ``np.random.uniform()`` ...) — global streams are shared
           across subsystems, so adding a draw *anywhere* perturbs draws
@@ -183,6 +183,8 @@ _RNG_CONSTRUCTORS = frozenset(
         "numpy.random.Philox",
         "numpy.random.SFC64",
         "numpy.random.SeedSequence",
+        # The runtime's in-tree port of default_rng(seed).uniform.
+        "repro.netsim.delaymodels.Pcg64Stream",
     }
 )
 

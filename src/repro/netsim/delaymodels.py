@@ -52,7 +52,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from ..validate import check_fields, finite, non_negative, positive, probability
+from ..validate import check_fields, finite, int_in, non_negative, positive, probability
 
 __all__ = [
     "DelayModel",
@@ -70,6 +70,7 @@ __all__ = [
     "deterministic_normal",
     "uniform_at",
     "normal_at",
+    "Pcg64Stream",
     "hash_seeds",
     "normal_grid",
     "plain_gaussian_jitter",
@@ -283,6 +284,98 @@ def ndtri_array(y0: np.ndarray) -> np.ndarray:
         x[outside] = np.where(y0[outside] == 0.0, -np.inf, np.nan)
         x[y0 == 1.0] = np.inf
     return x
+
+
+# ``numpy.random.default_rng(seed)`` is a PCG64 seeded by a SeedSequence.
+# Its parts that a uniform draw runs are ported with their operations in
+# their order, on Python ints masked to 32, 64 and 128 bits: the
+# constants are numpy's (``bit_generator.pyx``, ``pcg64.h``).
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+#: SeedSequence's ``hashmix`` (pool) and ``generate_state`` hash constants.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+#: SeedSequence's ``mix`` multipliers.
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+#: PCG64's 128-bit LCG multiplier.
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _seed_pool(entropy: list[int]) -> list[int]:
+    """``SeedSequence(entropy).pool``: numpy's ``mix_entropy`` of 32-bit
+    entropy words into a pool of four."""
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    return pool
+
+
+class Pcg64Stream:
+    """The draws of ``numpy.random.default_rng(seed)`` that the runtime
+    takes, equal to numpy's bit for bit, without loading ``numpy.random``
+    (its compiled generator stack maps about 2.5 MB).
+
+    ``seed`` is a non-negative int: numpy's SeedSequence entropy (its
+    32-bit words, least significant first), pooled and hashed into
+    PCG64's 128-bit state and increment.  Each draw is one XSL-RR output.
+    """
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, seed: int) -> None:
+        seed = int(int_in(0)("seed", seed))
+        entropy = [seed & _MASK32]
+        while seed > _MASK32:
+            seed >>= 32
+            entropy.append(seed & _MASK32)
+        pool = _seed_pool(entropy)
+        # ``generate_state(4, uint64)``: eight hashed 32-bit words, read
+        # as four little-endian 64-bit ones.
+        hash_const, halves = _INIT_B, []
+        for i in range(8):
+            value = pool[i % 4] ^ hash_const
+            hash_const = hash_const * _MULT_B & _MASK32
+            value = value * hash_const & _MASK32
+            halves.append(value ^ value >> 16)
+        words = [halves[k] | halves[k + 1] << 32 for k in range(0, 8, 2)]
+        # ``pcg64_srandom_r``: state 0, one step (to the increment), add
+        # the seed word pair, one more step.
+        self._inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
+        self._state = (self._inc + (words[0] << 64 | words[1])) & _MASK128
+        self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+
+    def _next64(self) -> int:
+        """One PCG64 step and its XSL-RR output word."""
+        state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        self._state = state
+        word = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        return (word >> rot | word << (64 - rot)) & _MASK64
+
+    def uniform(self, low: float, high: float) -> float:
+        """``Generator.uniform(low, high)``: ``low + (high - low) * u`` at
+        ``u = (next64 >> 11) * 2**-53``."""
+        low, high = float(low), float(high)
+        return low + (high - low) * ((self._next64() >> 11) * _TWO_POW_MINUS_53)
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from ..bgp.snapshot import SnapshotCache
 from ..core.config import EdgeConfig
 from ..core.discovery import DiscoveredPath, DiscoveryResult, PathDiscovery, asn_label
 from ..core.mesh import TangoMesh
-from ..netsim.delaymodels import ConstantDelay, GaussianJitterDelay
+from ..netsim.delaymodels import ConstantDelay, GaussianJitterDelay, Pcg64Stream
 from ..netsim.topology import Network
 from ..validate import int_in
 from .vultr import PathCalibration
@@ -70,10 +70,10 @@ class MeshScenario:
         return len(self.edge_names)
 
 
-def _pair_distance(i: int, j: int, n: int, rng: np.random.Generator) -> float:
+def _pair_distance(i: int, j: int, n: int, rng: Pcg64Stream) -> float:
     """Deterministic pseudo-geographic distance (ms) between edges."""
     base = 12.0 + 40.0 * abs(i - j) / max(n - 1, 1)
-    return base + float(rng.uniform(0.0, 8.0))
+    return base + rng.uniform(0.0, 8.0)
 
 
 def build_mesh_scenario(
@@ -93,11 +93,13 @@ def build_mesh_scenario(
     Args:
         n_edges: number of participating edge networks (≥ 2).
         providers_per_edge: transits each edge's provider connects to.
-        seed: drives distances and provider assignment.
+        seed: a non-negative int; drives the pair distances, drawn as
+            ``numpy.random.default_rng(seed).uniform`` would draw them.
     """
     int_in(2)("n_edges", n_edges)
     int_in(1, len(_TRANSIT_ASNS))("providers_per_edge", providers_per_edge)
-    rng = np.random.default_rng(seed)
+    int_in(0)("seed", seed)
+    rng = Pcg64Stream(seed)
     bgp = BgpNetwork()
     for asn in _TRANSIT_ASNS:
         bgp.add_router(BgpRouter(f"transit-{asn}", asn))
@@ -300,7 +302,8 @@ def build_live_federation(
     int_in(2)("n_edges", n_edges)
     int_in(1, len(_TRANSIT_ASNS))("providers_per_edge", providers_per_edge)
     int_in(1)("prefixes_per_peer", prefixes_per_peer)
-    rng = np.random.default_rng(seed)
+    int_in(0)("seed", seed)
+    rng = Pcg64Stream(seed)
     bgp = BgpNetwork()
     for asn in _TRANSIT_ASNS:
         bgp.add_router(BgpRouter(f"transit-{asn}", asn))

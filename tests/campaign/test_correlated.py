@@ -2,6 +2,8 @@
 
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -180,6 +182,26 @@ class TestShardRetry:
         assert crashed.results == clean.results
         assert crashed.gates == clean.gates
         assert crashed.passed
+
+    def test_a_pool_broken_while_shards_are_handed_out_retries_them(
+        self, monkeypatch
+    ):
+        """A worker can die before the last shard is submitted; ``submit``
+        then raises instead of returning a poisoned future."""
+        clean = run_correlated_campaign(2, master_seed=2026, workers=2)
+        submit = ProcessPoolExecutor.submit
+
+        def submit_once(pool, fn, *args):
+            if getattr(pool, "_handed_out", False):
+                raise BrokenProcessPool("a worker died")
+            pool._handed_out = True
+            return submit(pool, fn, *args)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_once)
+        broken = run_correlated_campaign(2, master_seed=2026, workers=2)
+        assert broken.shard_retries >= 1
+        assert broken.results == clean.results
+        assert broken.gates == clean.gates
 
     def test_single_worker_path_never_retries(self):
         report = run_correlated_campaign(1, master_seed=2026, workers=1)

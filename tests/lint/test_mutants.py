@@ -156,6 +156,20 @@ PROJECT_ROWS = {
         },
         {"TNG002", "TNG202"},
     ),
+    "unseeded-in-tree-stream-across-modules": (
+        {
+            "randsrc.py": (
+                "from repro.netsim.delaymodels import Pcg64Stream\n\n"
+                "GEN = Pcg64Stream()\n\n\n"
+                "def draw():\n    return GEN.uniform(0.0, 8.0)\n"
+            ),
+            "consume.py": (
+                "from proj.randsrc import draw\n\n\n"
+                "def feed(store):\n    store.record(draw())\n"
+            ),
+        },
+        {"TNG002", "TNG202"},
+    ),
     "process-global-rng-draws": (
         {
             "link.py": link_module(

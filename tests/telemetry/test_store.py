@@ -260,6 +260,19 @@ class TestColumnBlock:
             same_series(copied.series(p), lone(rows + 3, p))
             same_series(store.series(p), lone(rows, p))
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a batch for other ids dissolves the block: each member's own "
+        "write grows through TimeSeries._grow into _ColumnBlock.dissolve, so "
+        "federation_live ends with no block alive",
+    )
+    def test_a_block_survives_a_batch_for_a_subset_of_its_ids(self):
+        store, ids = wide_store(4, 10)
+        block = store.series(0)._columns
+        store.record_aggregate_many(ids[:2], 10 * 0.1, [7.0, 8.0])
+        assert [len(store.series(p)) for p in ids] == [11, 11, 10, 10]
+        assert all(store.series(p)._columns is block for p in ids[2:])
+
     def test_the_matrix_is_row_major_and_members_are_its_columns(self):
         store, ids = wide_store(5, 10)
         block = store.series(0)._columns

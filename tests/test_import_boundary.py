@@ -1,19 +1,24 @@
-"""The runtime needs no scipy: ``ndtri`` is an in-tree port, bit for bit.
+"""The runtime needs no scipy and no numpy.random: in-tree ports, bit
+for bit.
 
 The delay models' normal inverse CDF is Cephes ``ndtri`` — the algorithm
 ``scipy.special.ndtri`` compiles — ported into
 ``repro.netsim.delaymodels`` in two forms, :func:`ndtri` for one float
-and :func:`ndtri_array` for an array.  scipy stays a test-only oracle
-(the ``dev`` extra): both forms must equal it bit for bit on generator
-draws and on every branch edge.  The runtime checks run in a fresh
-interpreter, since the suite's own process imports scipy as the oracle;
-one of them refuses any ``scipy`` import outright.
+and :func:`ndtri_array` for an array.  The topology builders' pair
+distances come from :class:`Pcg64Stream`, the part of
+``numpy.random.default_rng(seed)`` that ``uniform`` runs (SeedSequence
+pooling, PCG64 seeding and XSL-RR output), ported beside it.  scipy and
+numpy.random stay test-only oracles: each port must equal its oracle bit
+for bit.  The runtime checks run in a fresh interpreter, since the
+suite's own process imports both oracles; one of them refuses any
+``scipy`` or ``numpy.random`` import outright.
 """
 
 import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -23,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim import delaymodels
-from repro.netsim.delaymodels import ndtri, ndtri_array
+from repro.netsim.delaymodels import Pcg64Stream, ndtri, ndtri_array
+from repro.scenarios import topologies
 from tests.test_reachability import REPO, SRC
 
 scipy_ndtri = pytest.importorskip("scipy.special").ndtri
@@ -103,6 +109,54 @@ class TestPortIsScipysNdtri:
         grid = us.reshape(4, 6)
         assert ndtri_array(grid).shape == (4, 6)
         assert bits(ndtri_array(grid).ravel()) == bits(ndtri_array(us))
+
+
+def assert_stream_is_numpys(seed, low=0.0, high=8.0, draws=64) -> None:
+    """``draws`` uniforms of :class:`Pcg64Stream` and of numpy's
+    ``default_rng`` agree bit for bit."""
+    ours, theirs = Pcg64Stream(seed), np.random.default_rng(seed)
+    drawn = [ours.uniform(low, high) for _ in range(draws)]
+    assert all(type(x) is float for x in drawn)
+    assert bits(drawn) == bits([theirs.uniform(low, high) for _ in range(draws)])
+
+
+#: One to five 32-bit entropy words and past them (SeedSequence mixes
+#: words beyond its pool of four in a loop of their own), and each
+#: word boundary.
+EDGE_SEEDS = [0, 1, 42, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5,
+              2**127 + 3, 2**128 - 1, 2**128, 2**200 + 9]
+
+
+class TestStreamIsNumpysDefaultRng:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**128),
+        st.floats(-1e6, 1e6),
+        st.floats(0.0, 1e6),
+    )
+    def test_any_seed_and_range(self, seed, low, width):
+        assert_stream_is_numpys(seed, low, low + width, draws=60)
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_edge_seeds(self, seed):
+        assert_stream_is_numpys(seed, draws=200)
+
+    def test_a_numpy_int_seeds_as_the_int(self):
+        assert_stream_is_numpys(np.int64(7))
+
+    def test_a_federation_draws_what_default_rng_drew(self, monkeypatch):
+        """The E20 federations at seeds 42 and 7: every pair distance is
+        the one numpy's ``default_rng`` draws in the builder's place."""
+        built = {
+            seed: topologies.build_live_federation(8, seed=seed).pair_distance_ms
+            for seed in (42, 7)
+        }
+        monkeypatch.setattr(topologies, "Pcg64Stream", np.random.default_rng)
+        for seed, ours in built.items():
+            theirs = topologies.build_live_federation(8, seed=seed).pair_distance_ms
+            assert len(ours) == 28
+            assert list(ours) == list(theirs)
+            assert bits(list(ours.values())) == bits(list(theirs.values()))
 
 
 #: ``u`` at the two clip edges, at ``exp(-2)`` from either end, and 0.5.
@@ -216,27 +270,34 @@ SPINE = [
 ]
 
 
-def test_the_runtime_runs_with_scipy_refused():
-    """With every ``scipy`` import refused by a ``sys.meta_path`` finder,
-    a draw through each of the four entry points and one smoke pass of
-    each spine workload run, pass their output checks, and neither
-    import nor try to import scipy."""
-    out = fresh(
+@pytest.fixture(scope="module")
+def refused_run() -> dict:
+    """One fresh interpreter whose ``sys.meta_path`` finder refuses every
+    ``scipy`` and ``numpy.random`` import: a draw through each of the four
+    entry points, one smoke pass of each spine workload and both topology
+    builders, with what was tried and what was loaded."""
+    return fresh(
         f"""
 import importlib.abc, json, sys
 
 tried = []
 
-class RefuseScipy(importlib.abc.MetaPathFinder):
+def refused(name):
+    return name.split(".")[0] == "scipy" or (
+        name == "numpy.random" or name.startswith("numpy.random.")
+    )
+
+class Refuse(importlib.abc.MetaPathFinder):
     def find_spec(self, name, path, target=None):
-        if name.split(".")[0] == "scipy":
+        if refused(name):
             tried.append(name)
-            raise ImportError(f"scipy is refused: {{name}}")
+            raise ImportError(f"refused: {{name}}")
         return None
 
-sys.meta_path.insert(0, RefuseScipy())
+sys.meta_path.insert(0, Refuse())
 import numpy as np
 from repro.netsim import delaymodels
+from repro.scenarios.topologies import build_live_federation, build_mesh_scenario
 from bench.runner import run_workload
 
 times = np.arange(8) * 1e-3
@@ -257,15 +318,27 @@ fail_share = {{
     )["end_to_end"]["fail_share"]["value"]
     for name in {SPINE!r}
 }}
+built = {{
+    "live": len(build_live_federation(8, seed=7).pair_distance_ms),
+    "mesh": len(build_mesh_scenario(4, seed=7).discoveries),
+}}
 print(json.dumps({{
     "tried": tried,
-    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "loaded": sorted(m for m in sys.modules if refused(m)),
     "draws": draws,
     "fail_share": fail_share,
+    "built": built,
 }}))
 """
     )
-    assert out["tried"] == [] and out["scipy"] == []
+
+
+def test_the_runtime_runs_with_scipy_refused(refused_run):
+    """A draw through each of the four entry points and one smoke pass of
+    each spine workload run, pass their output checks, and neither
+    import nor try to import scipy."""
+    out = refused_run
+    assert out["tried"] == [] and out["loaded"] == []
     draws = out["draws"]
     assert len(draws["normal_at"]) == 8
     # All four entry points draw the same stream: seed 7 at the same times.
@@ -273,6 +346,16 @@ print(json.dumps({{
     assert draws["normal_grid"] == draws["normal_at"]
     assert draws["delay_at"] == [100.0 + x for x in draws["normal_at"]]
     assert out["fail_share"] == {name: 0.0 for name in SPINE}
+
+
+def test_the_spine_and_the_builders_run_with_numpy_random_refused(refused_run):
+    """The four spine workloads pass their smoke checks and both builders
+    build (28 pairs of 8 members; 12 ordered pairs of 4 edges) with
+    ``numpy.random`` refused, and nothing tried to import it."""
+    out = refused_run
+    assert out["tried"] == [] and out["loaded"] == []
+    assert out["fail_share"] == {name: 0.0 for name in SPINE}
+    assert out["built"] == {"live": 28, "mesh": 12}
 
 
 def scipy_imports(path) -> list:
@@ -321,4 +404,93 @@ def test_the_import_walk_sees_every_form_of_import(tmp_path):
     )
     assert [n for _, n in scipy_imports(probe)] == [
         "scipy", "scipy.special", "scipy.special", "scipy", "scipy.linalg"
+    ]
+
+
+#: Where ``numpy.random`` may be named under ``src/repro``: the campaign
+#: plans draw ``choice`` and bounded ints in E17/E18 worker processes,
+#: outside the spine, and the lint names numpy's constructors in its
+#: tables.
+NUMPY_RANDOM_ALLOWED = ("repro/campaign/", "repro/lint/rules.py",
+                        "repro/lint/flow/evaluate.py")
+
+
+#: A string that is a dotted name under ``numpy.random``.
+NUMPY_RANDOM_NAME = re.compile(r"(np|numpy)\.random(\.\w+)*")
+
+
+def numpy_random_refs(path) -> list:
+    """``(line, text)`` of every reference to ``numpy.random`` in one
+    file: an import of it or from it, ``np.random`` through any alias of
+    numpy, and a string that is its dotted name (``import_module``'s
+    argument, a name table's entry)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "numpy"
+    }
+
+    def is_it(name: str) -> bool:
+        return name == "numpy.random" or name.startswith("numpy.random.")
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if is_it(alias.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            names = [module] if is_it(module) else [
+                f"{module}.{alias.name}" for alias in node.names
+                if is_it(f"{module}.{alias.name}")
+            ]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "random"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            names = [f"{node.value.id}.random"]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value] if NUMPY_RANDOM_NAME.fullmatch(node.value) else []
+        else:
+            continue
+        found += [(node.lineno, n) for n in names]
+    return sorted(found)
+
+
+def test_no_spine_module_names_numpy_random():
+    found = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        where = str(path.relative_to(SRC))
+        if not where.startswith(NUMPY_RANDOM_ALLOWED):
+            if hits := numpy_random_refs(path):
+                found[where] = hits
+    assert not found, f"numpy.random named under src/repro: {found}"
+
+
+def test_the_numpy_random_walk_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np, numpy.random\n"
+        "import numpy\n"
+        "from numpy.random import default_rng\n"
+        "from numpy import random, mean\n"
+        "def f(rng: np.random.Generator):\n"
+        "    return numpy.random.default_rng(importlib.import_module('numpy.random'))\n"
+        "TABLE = {'np.random.PCG64', 'a numpy.random stream', 'numpy.randomize'}\n"
+        "from .numpy.random import x\n"
+        "other.random()\n",
+        encoding="utf-8",
+    )
+    assert numpy_random_refs(probe) == [
+        (1, "numpy.random"),
+        (3, "numpy.random"),
+        (4, "numpy.random"),
+        (5, "np.random"),
+        (6, "numpy.random"),
+        (6, "numpy.random"),
+        (7, "np.random.PCG64"),
     ]
