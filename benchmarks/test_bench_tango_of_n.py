@@ -5,50 +5,24 @@ robust wide-area overlay composed of more networks and of more PoPs of
 the same network.  Doing so will expose a larger path diversity to Tango
 participants using RON-like techniques."
 
-The benchmark grows a mesh of N cooperating edges (pairwise discovery on
-synthetic provider/transit topologies) and measures, per N: exposed route
-diversity per pair, and best-route delay improvement over the pair's
-BGP default when one relay hop is allowed.
+The benchmark establishes a live federation of N cooperating edges
+(pairwise discovery over one shared provider/transit network, every
+tunnel calibrated) and measures, per N: exposed route diversity per
+pair, and best-route delay improvement over the pair's BGP default when
+one relay hop is allowed.  The rows are ``tango_of_n_rows`` — the same
+table E20's scaling section and ``tango-repro mesh`` report.
 """
 
-import numpy as np
 from conftest import emit
 
 from repro.analysis.report import format_table
-from repro.scenarios.topologies import build_mesh_scenario
+from repro.federation.experiment import tango_of_n_rows
 
 N_RANGE = (2, 3, 4, 5, 6)
 
 
 def run_sweep():
-    rows = []
-    for n in N_RANGE:
-        scenario = build_mesh_scenario(n)
-        mesh = scenario.mesh
-        pair_rows = []
-        for a in scenario.edge_names:
-            for b in scenario.edge_names:
-                if a == b:
-                    continue
-                pair_rows.append(
-                    (
-                        mesh.diversity(a, b, max_relays=0),
-                        mesh.diversity(a, b, max_relays=1),
-                        mesh.diversity_gain(a, b, max_relays=1),
-                    )
-                )
-        direct, relayed, gains = map(np.asarray, zip(*pair_rows))
-        rows.append(
-            {
-                "N": n,
-                "pairs": len(pair_rows),
-                "direct_routes": float(np.mean(direct)),
-                "routes_with_relay": float(np.mean(relayed)),
-                "mean_gain_ms": float(np.mean(gains)) * 1e3,
-                "max_gain_ms": float(np.max(gains)) * 1e3,
-            }
-        )
-    return rows
+    return tango_of_n_rows(N_RANGE, degraded_pair=False)
 
 
 def test_tango_of_n_diversity(benchmark):
@@ -60,14 +34,14 @@ def test_tango_of_n_diversity(benchmark):
         )
     )
 
-    by_n = {row["N"]: row for row in rows}
+    by_n = {row["n"]: row for row in rows}
     # N=2 is the paper's pairing: direct paths only, no relays.
-    assert by_n[2]["routes_with_relay"] == by_n[2]["direct_routes"]
+    assert by_n[2]["mean_routes_per_pair"] == by_n[2]["mean_direct_routes"]
     # Diversity grows strictly with every added member...
-    relayed = [by_n[n]["routes_with_relay"] for n in N_RANGE]
+    relayed = [by_n[n]["mean_routes_per_pair"] for n in N_RANGE]
     assert all(a < b for a, b in zip(relayed, relayed[1:]))
     # ...while direct diversity stays flat (it is a pair property).
-    direct = [by_n[n]["direct_routes"] for n in N_RANGE]
+    direct = [by_n[n]["mean_direct_routes"] for n in N_RANGE]
     assert max(direct) - min(direct) < 1e-9
     # And the extra routes are *useful*: mean best-delay gain grows.
     assert by_n[6]["mean_gain_ms"] > by_n[3]["mean_gain_ms"]

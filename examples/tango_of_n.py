@@ -1,59 +1,38 @@
-"""From Tango of 2 to Tango of N — now a *live* federation.
+"""From Tango of 2 to Tango of N — a *live* federation.
 
-Earlier revisions computed this table from the offline analytical mesh;
-here every row comes from a running federation: N gateways over one
-shared BGP network, every pairwise session established through one
-shared convergence cache (``repro.federation.FederationRegistry``), and
-the diversity/delay-gain analytics projected from the *established
-tunnels'* calibrated delays.  The shared-cache hit rate is printed per
-row — the dedup that lets one process establish dozens of pairs.
+Every row comes from a running federation: N gateways over one shared
+BGP network, every pairwise session established through one shared
+convergence cache (``repro.federation.FederationRegistry``), and the
+diversity/delay-gain analytics projected from the *established
+tunnels'* calibrated delays.  The rows are
+``repro.federation.experiment.tango_of_n_rows``, the same table E9,
+E20's scaling section and ``tango-repro mesh`` report.  The shared-cache
+hit rate is printed per row — the dedup that lets one process establish
+dozens of pairs.
 
 Run:
     python examples/tango_of_n.py
 """
 
-import numpy as np
-
 from repro.analysis.report import format_table
 from repro.federation import FederationRegistry
+from repro.federation.experiment import tango_of_n_rows
 from repro.scenarios.topologies import build_live_federation
 
 
 def main() -> None:
-    rows = []
-    for n in (2, 3, 4, 5, 6):
-        scenario = build_live_federation(n, degraded_pair=False)
-        registry = FederationRegistry(scenario)
-        registry.establish()
-        mesh = registry.analytical_mesh()
-        diversities, gains = [], []
-        for a in scenario.member_names:
-            for b in scenario.member_names:
-                if a == b:
-                    continue
-                diversities.append(mesh.diversity(a, b, max_relays=1))
-                gains.append(mesh.diversity_gain(a, b, max_relays=1))
-        rows.append(
-            {
-                "members": n,
-                "routes_per_pair": float(np.mean(diversities)),
-                "mean_gain_ms": float(np.mean(gains)) * 1e3,
-                "max_gain_ms": float(np.max(gains)) * 1e3,
-                "pairs_gaining": float(np.mean(np.asarray(gains) > 0)),
-                "cache_hit_rate": registry.snapshot_stats()["hit_rate"],
-            }
-        )
-        if n == 5:
-            mesh5 = mesh
-        registry.stop()
+    rows = tango_of_n_rows((2, 3, 4, 5, 6), degraded_pair=False)
     print(format_table(rows, title="Tango of N — diversity and delay gains"))
 
+    registry = FederationRegistry(build_live_federation(5, degraded_pair=False))
+    registry.establish()
     print("\nexample composite routes, edge0->edge3 (best first):")
-    for route in mesh5.routes("edge0", "edge3", max_relays=1)[:5]:
+    for route in registry.analytical_mesh().routes("edge0", "edge3")[:5]:
         relays = ",".join(route.relays) or "direct"
         print(
             f"  {route.total_delay_s * 1e3:7.3f} ms  via {relays:10s}  {route.label}"
         )
+    registry.stop()
     print(
         "\nEach member added multiplies usable route combinations; the"
         "\npairwise Tango session is the building block, and the shared"

@@ -8,7 +8,8 @@ Eight subcommands, each a self-contained run of one slice of the system:
   statistics (means, percentiles, rolling-window jitter).
 * ``failover`` — packet-level failure-recovery demo (blackhole a path,
   time Tango's reroute, compare with BGP convergence).
-* ``mesh`` — the Tango-of-N diversity sweep.
+* ``mesh`` — the Tango-of-N diversity sweep (E9), one live federation
+  per member count.
 * ``figures`` — export the Figure 4 data series as CSV.
 * ``faults`` — chaos campaigns: ``faults run --plan plan.json --seed N``
   arms a deterministic fault plan against the deployment, runs the
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mesh = sub.add_parser("mesh", help="Tango-of-N diversity sweep")
     mesh.add_argument(
-        "--max-n", type=int, default=6, help="largest mesh size to sweep"
+        "--max-n", type=int, default=6, help="largest member count (>= 2)"
     )
 
     figures = sub.add_parser(
@@ -415,27 +416,17 @@ def cmd_failover(args: argparse.Namespace) -> int:
 
 
 def cmd_mesh(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .analysis.report import format_table
-    from .scenarios.topologies import build_mesh_scenario
+    from .federation.experiment import tango_of_n_rows
 
-    rows = []
-    for n in range(2, args.max_n + 1):
-        scenario = build_mesh_scenario(n)
-        gains, diversity = [], []
-        for a in scenario.edge_names:
-            for b in scenario.edge_names:
-                if a != b:
-                    diversity.append(scenario.mesh.diversity(a, b, 1))
-                    gains.append(scenario.mesh.diversity_gain(a, b, 1))
-        rows.append(
-            {
-                "members": n,
-                "routes_per_pair": float(np.mean(diversity)),
-                "mean_gain_ms": float(np.mean(gains)) * 1e3,
-            }
+    if args.max_n < 2:
+        print(
+            f"tango-repro: --max-n must be >= 2 (Tango pairs two edges), "
+            f"got {args.max_n}",
+            file=sys.stderr,
         )
+        return 2
+    rows = tango_of_n_rows(range(2, args.max_n + 1), degraded_pair=False)
     print(format_table(rows, title="Tango of N"))
     return 0
 

@@ -93,9 +93,6 @@ class TangoMesh:
     def add_member(self, name: str) -> None:
         self._members.add(name)
 
-    def members(self) -> list[str]:
-        return sorted(self._members)
-
     def add_paths(
         self, src: str, dst: str, labeled_delays: Iterable[tuple[str, float]]
     ) -> None:

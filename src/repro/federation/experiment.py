@@ -18,9 +18,10 @@ what cooperation buys as the *number* of cooperating edges grows:
    within one telemetry horizon (staleness + two control ticks), with
    the ``member:<relay>`` fate tag holding it out of probation until
    the relay returns.
-4. **Scaling** — projecting the live federation onto the analytical
-   mesh reproduces the "Tango of N" diversity/delay-gain curve from
-   measured (calibrated) tunnels rather than the offline model.
+4. **Scaling** — projecting live federations of several sizes onto the
+   analytical mesh gives the "Tango of N" diversity/delay-gain curve
+   (:func:`tango_of_n_rows`, the table E9 and ``tango-repro mesh``
+   print too) from calibrated established tunnels.
 
 Everything is a pure function of the scenario seed: the report is
 byte-identical across reruns, which the federation benchmark asserts.
@@ -28,7 +29,7 @@ byte-identical across reruns, which the federation benchmark asserts.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..core.controller import QuarantinePolicy
 from ..faults.injector import FaultInjector
@@ -36,7 +37,7 @@ from ..faults.plan import FaultEvent, FaultPlan
 from ..scenarios.topologies import build_live_federation
 from .registry import FederationRegistry, StitchResult
 
-__all__ = ["run_federation_experiment", "REPORT_SCHEMA"]
+__all__ = ["run_federation_experiment", "tango_of_n_rows", "REPORT_SCHEMA"]
 
 REPORT_SCHEMA = "tango-repro/e20-federation/v1"
 
@@ -49,19 +50,46 @@ _STALENESS_S = 0.5
 _CONTROL_INTERVAL_S = 0.1
 
 
-def _diversity_stats(mesh, names: list[str]) -> dict:
-    """The example's table row, computed from an analytical mesh."""
-    pairs = [(a, b) for a in names for b in names if a != b]
-    routes = [mesh.diversity(a, b) for a, b in pairs]
-    gains = [mesh.diversity_gain(a, b) for a, b in pairs]
-    return {
-        "members": len(names),
-        "ordered_pairs": len(pairs),
-        "mean_routes_per_pair": sum(routes) / len(pairs),
-        "mean_gain_ms": sum(gains) / len(pairs) * 1e3,
-        "max_gain_ms": max(gains) * 1e3,
-        "pairs_gaining": sum(1 for g in gains if g > 1e-9),
-    }
+def tango_of_n_rows(
+    sizes: Iterable[int], seed: int = 42, degraded_pair: bool = True
+) -> list[dict]:
+    """The Tango-of-N table: one row per member count in ``sizes``.
+
+    Each row establishes a live federation of that many members (one
+    shared snapshot cache) and reads route diversity and best-route
+    delay gain over every ordered pair off
+    :meth:`FederationRegistry.analytical_mesh` — the direct routes, the
+    routes with one relay, and what the best of those saves against the
+    pair's BGP-default path.
+    """
+    rows = []
+    for n in sizes:
+        scenario = build_live_federation(
+            n, seed=seed, degraded_pair=degraded_pair
+        )
+        registry = FederationRegistry(scenario)
+        registry.establish()
+        mesh = registry.analytical_mesh()
+        names = scenario.member_names
+        pairs = [(a, b) for a in names for b in names if a != b]
+        direct = [mesh.diversity(a, b, max_relays=0) for a, b in pairs]
+        routes = [mesh.diversity(a, b) for a, b in pairs]
+        gains = [mesh.diversity_gain(a, b) for a, b in pairs]
+        rows.append(
+            {
+                "n": n,
+                "members": len(names),
+                "ordered_pairs": len(pairs),
+                "mean_direct_routes": sum(direct) / len(pairs),
+                "mean_routes_per_pair": sum(routes) / len(pairs),
+                "mean_gain_ms": sum(gains) / len(pairs) * 1e3,
+                "max_gain_ms": max(gains) * 1e3,
+                "pairs_gaining": sum(1 for g in gains if g > 1e-9),
+                "snapshot_hit_rate": registry.snapshot_stats()["hit_rate"],
+            }
+        )
+        registry.stop()
+    return rows
 
 
 def run_federation_experiment(
@@ -170,21 +198,12 @@ def run_federation_experiment(
 
     composed_series = stitch.composer.composed.series(stitched_id)
 
-    # -- scaling: the analytical Tango-of-N curve from live tunnels -----------
-    scaling = []
-    for n in scaling_sizes:
-        if n == n_edges:
-            reg_n, names = registry, scenario.member_names
-        else:
-            scen_n = build_live_federation(n, seed=seed)
-            reg_n = FederationRegistry(scen_n)
-            reg_n.establish()
-            names = scen_n.member_names
-        row = {"n": n, **_diversity_stats(reg_n.analytical_mesh(), names)}
-        row["snapshot_hit_rate"] = reg_n.snapshot_stats()["hit_rate"]
-        scaling.append(row)
-        if reg_n is not registry:
-            reg_n.stop()
+    # -- scaling: the Tango-of-N curve from live tunnels ----------------------
+    # The v1 report predates the direct-routes column.
+    scaling = [
+        {k: v for k, v in row.items() if k != "mean_direct_routes"}
+        for row in tango_of_n_rows(scaling_sizes, seed=seed)
+    ]
 
     registry.stop()
 

@@ -19,11 +19,17 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Optional
+from typing import Optional, Sequence
 
 from .summaries import Desc, FunctionSummary, GlobalInfo, ModuleSummary
 
-__all__ = ["extract_module", "module_name_for"]
+__all__ = [
+    "collect_aliases",
+    "extract_module",
+    "module_name_for",
+    "package_of",
+    "resolve_dotted",
+]
 
 _INNER_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
@@ -45,8 +51,80 @@ def module_name_for(path: str) -> str:
     return ".".join(parts) if parts else stem
 
 
-def _is_package(path: str) -> bool:
-    return os.path.basename(path) == "__init__.py"
+def package_of(path: str) -> list[str]:
+    """The package a file's relative imports are resolved against."""
+    parts = module_name_for(path).split(".")
+    return parts if os.path.basename(path) == "__init__.py" else parts[:-1]
+
+
+def _absolute(
+    module: Optional[str], level: int, package: list[str]
+) -> Optional[str]:
+    """Make a (possibly relative) ``from`` import absolute."""
+    if level == 0:
+        return module
+    base = package[: len(package) - (level - 1)]
+    if not base and not package:
+        return None  # relative import outside any package
+    if module:
+        return ".".join([*base, module])
+    return ".".join(base) if base else None
+
+
+def collect_aliases(
+    body: Sequence[ast.AST], package: list[str], *, nested: bool = False
+) -> dict[str, str]:
+    """Map local names to absolute dotted origins for the imports in one
+    statement list (or under one node).
+
+    ``import numpy as np`` binds ``np -> numpy``; ``from time import
+    time`` binds ``time -> time.time``; in package ``repro.scenarios``,
+    ``from ..netsim import delaymodels`` binds ``delaymodels ->
+    repro.netsim.delaymodels``.  The walk recurses into control flow, and
+    into inner function and class scopes only when ``nested`` — the
+    per-file rules' file-wide view, where an import inside a function
+    still names what it names.
+    """
+    aliases: dict[str, str] = {}
+    pending = list(body)
+    while pending:
+        node = pending.pop(0)
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                else:
+                    root = alias.name.split(".")[0]
+                    aliases[root] = root
+        elif isinstance(node, ast.ImportFrom):
+            target = _absolute(node.module, node.level, package)
+            if target is None:
+                continue
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                bound = alias.asname or alias.name
+                aliases[bound] = f"{target}.{alias.name}"
+        elif nested or not isinstance(node, _INNER_SCOPES):
+            pending = list(ast.iter_child_nodes(node)) + pending
+    return aliases
+
+
+def resolve_dotted(node: ast.expr, aliases: dict[str, str]) -> Optional[str]:
+    """Absolute dotted target for a plain (possibly dotted) name whose
+    root is an import alias — ``np.random.default_rng`` to
+    ``numpy.random.default_rng`` — or None otherwise."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    origin = aliases.get(node.id)
+    if origin is None:
+        return None
+    parts.reverse()
+    return ".".join([origin, *parts]) if parts else origin
 
 
 class _Extractor:
@@ -55,70 +133,13 @@ class _Extractor:
     def __init__(self, module: str, path: str, tree: ast.Module):
         self.module = module
         self.tree = tree
-        self.package_parts = (
-            module.split(".") if _is_package(path) else module.split(".")[:-1]
-        )
+        self.package_parts = package_of(path)
         self.summary = ModuleSummary(module=module, path=path)
         #: Module-scope alias map: local name -> absolute dotted origin.
-        self.module_aliases = self._collect_aliases(tree.body)
+        self.module_aliases = collect_aliases(tree.body, self.package_parts)
         self._toplevel_names: set[str] = set()
 
-    # -- imports ------------------------------------------------------------------
-
-    def _absolute(self, module: Optional[str], level: int) -> Optional[str]:
-        """Make a (possibly relative) ``from`` import absolute."""
-        if level == 0:
-            return module
-        base = self.package_parts[: len(self.package_parts) - (level - 1)]
-        if not base and level > 0 and not self.package_parts:
-            return None  # relative import outside any package
-        if module:
-            return ".".join([*base, module])
-        return ".".join(base) if base else None
-
-    def _collect_aliases(self, body: list[ast.stmt]) -> dict[str, str]:
-        """Alias map for one statement list (recursing into control flow
-        but not into inner function/class scopes)."""
-        aliases: dict[str, str] = {}
-        pending = list(body)
-        while pending:
-            node = pending.pop(0)
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname:
-                        aliases[alias.asname] = alias.name
-                    else:
-                        root = alias.name.split(".")[0]
-                        aliases[root] = root
-            elif isinstance(node, ast.ImportFrom):
-                target = self._absolute(node.module, node.level)
-                if target is None:
-                    continue
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    bound = alias.asname or alias.name
-                    aliases[bound] = f"{target}.{alias.name}"
-            elif not isinstance(node, _INNER_SCOPES):
-                pending = list(ast.iter_child_nodes(node)) + pending
-        return aliases
-
     # -- expressions --------------------------------------------------------------
-
-    def _dotted(self, node: ast.expr, aliases: dict[str, str]) -> Optional[str]:
-        """Absolute dotted target for a plain (possibly dotted) name whose
-        root is an import alias; None otherwise."""
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        origin = aliases.get(node.id)
-        if origin is None:
-            return None
-        parts.reverse()
-        return ".".join([origin, *parts]) if parts else origin
 
     def _expr(self, node: Optional[ast.expr], aliases: dict[str, str]) -> Desc:
         """Lower one expression to a descriptor."""
@@ -135,7 +156,7 @@ class _Extractor:
                 return {"k": "modref", "name": dotted}
             return {"k": "name", "id": node.id, "line": node.lineno}
         if isinstance(node, ast.Attribute):
-            dotted = self._dotted(node, aliases)
+            dotted = resolve_dotted(node, aliases)
             if dotted is not None:
                 return {"k": "modref", "name": dotted}
             return {
@@ -145,7 +166,7 @@ class _Extractor:
                 "line": node.lineno,
             }
         if isinstance(node, ast.Call):
-            dotted = self._dotted(node.func, aliases)
+            dotted = resolve_dotted(node.func, aliases)
             return {
                 "k": "call",
                 "dotted": dotted,
@@ -390,7 +411,7 @@ class _Extractor:
         qualname: str,
     ) -> FunctionSummary:
         local_aliases = dict(self.module_aliases)
-        local_aliases.update(self._collect_aliases(node.body))
+        local_aliases.update(collect_aliases(node.body, self.package_parts))
         args = node.args
         params = [a.arg for a in [*args.posonlyargs, *args.args]]
         params.extend(a.arg for a in args.kwonlyargs)
@@ -414,7 +435,7 @@ class _Extractor:
             elif isinstance(child, ast.Attribute) and isinstance(
                 child.ctx, ast.Load
             ):
-                dotted = self._dotted(child.value, local_aliases)
+                dotted = resolve_dotted(child.value, local_aliases)
                 if dotted is not None and dotted.split(".")[0] == self.module.split(".")[0]:
                     summary.module_attr_reads.append(
                         (dotted, child.attr, child.lineno)

@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Any, Sequence
 
 from ..faults.plan import DeploymentShape, FaultPlan
+from ..scenarios.shipped import shipped_deployments
 from .findings import Finding, Severity
 from .gao_rexford import check_network
 
@@ -34,8 +35,6 @@ def check_scenario(deployment: Any) -> list[Finding]:
 @lru_cache(maxsize=1)
 def _shipped() -> tuple[tuple[DeploymentShape, ...], tuple[Finding, ...]]:
     """The shipped deployments' shapes and Gao–Rexford findings."""
-    from ..scenarios.shipped import shipped_deployments
-
     deployments = shipped_deployments()
     findings = [f for d in deployments for f in check_scenario(d)]
     return tuple(d.shape() for d in deployments), tuple(findings)

@@ -44,6 +44,7 @@ from typing import Callable, Iterator, Optional
 
 from .engine import FileContext, Rule
 from .findings import Finding, Severity
+from .flow.extract import collect_aliases, package_of, resolve_dotted
 
 __all__ = ["default_rules", "RULE_SUMMARIES"]
 
@@ -52,62 +53,22 @@ Report = Callable[[Finding], None]
 # -- shared helpers: import-aware name resolution --------------------------------
 
 
-def _collect_aliases(tree: ast.AST) -> dict[str, str]:
-    """Map local names to dotted origins for every import in the file.
-
-    ``import numpy as np`` binds ``np -> numpy``; ``from time import
-    time`` binds ``time -> time.time``.  Relative imports are skipped —
-    they name package-internal modules, never the banned stdlib surface.
-    """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
-                else:
-                    root = alias.name.split(".")[0]
-                    aliases[root] = root
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            for alias in node.names:
-                bound = alias.asname or alias.name
-                aliases[bound] = f"{node.module}.{alias.name}"
-    return aliases
-
-
-def _resolve_dotted(node: ast.expr, aliases: dict[str, str]) -> Optional[str]:
-    """Resolve ``np.random.default_rng`` to ``numpy.random.default_rng``.
-
-    Returns None when the expression is not a plain (possibly dotted)
-    name, or its root was never imported.
-    """
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    origin = aliases.get(node.id)
-    if origin is None:
-        return None
-    parts.reverse()
-    return ".".join([origin, *parts]) if parts else origin
-
-
 class _AliasVisitor(ast.NodeVisitor):
     """Base visitor for rules that resolve names through the file's imports."""
 
     def __init__(self, context: FileContext, report: Report) -> None:
         self.context = context
         self.report = report
-        self.aliases = _collect_aliases(context.tree)
+        self.aliases = collect_aliases(
+            [context.tree], package_of(context.path), nested=True
+        )
 
 
 class _CallRule(_AliasVisitor):
     """Base visitor for rules that diagnose specific call targets."""
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _resolve_dotted(node.func, self.aliases)
+        dotted = resolve_dotted(node.func, self.aliases)
         if dotted is not None:
             self.check_call(node, dotted)
         self.generic_visit(node)
@@ -123,7 +84,7 @@ class _LoadRule(_AliasVisitor):
 
     def _visit_load(self, node: ast.Name | ast.Attribute) -> None:
         if isinstance(node.ctx, ast.Load):
-            dotted = _resolve_dotted(node, self.aliases)
+            dotted = resolve_dotted(node, self.aliases)
             if dotted is not None:
                 self.check_load(node, dotted)
         self.generic_visit(node)
@@ -498,7 +459,7 @@ class _MutableDefaultVisitor(_AliasVisitor):
         if isinstance(node, ast.Call):
             if isinstance(node.func, ast.Name) and node.func.id in _MUTABLE_CALLS:
                 return True
-            dotted = _resolve_dotted(node.func, self.aliases)
+            dotted = resolve_dotted(node.func, self.aliases)
             return dotted in _MUTABLE_CALLS
         return False
 

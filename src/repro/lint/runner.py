@@ -11,7 +11,8 @@ Composes the check layers —
 
 — then applies the baseline filter and renders a report.  Exit status:
 0 clean (or all findings baselined), 1 findings, 2 usage/configuration
-errors (unknown rule code, unreadable baseline, missing path).
+errors (unknown rule code, unreadable baseline, missing path, a shipped
+deployment that fails to build).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import sys
 from typing import Optional, Sequence, TextIO
 
+from ..scenarios.shipped import ShippedBuildError
 from .baseline import Baseline
 from .engine import PARSE_ERROR_CODE, LintEngine
 from .findings import Finding, Severity
@@ -166,10 +168,14 @@ def run_lint(
         return 2
     findings = [f for path in files for f in engine.check_file(path)]
 
-    if semantics and selected is None:
-        findings.extend(shipped_findings())
-    if plan_paths:
-        findings.extend(check_plan_files(list(plan_paths)))
+    try:
+        if semantics and selected is None:
+            findings.extend(shipped_findings())
+        if plan_paths:
+            findings.extend(check_plan_files(list(plan_paths)))
+    except ShippedBuildError as exc:
+        print(f"tango-repro lint: {exc}", file=err)
+        return 2
     if selected is None:
         findings.extend(_unused_suppressions(engine, semantics=semantics))
     findings.sort()

@@ -7,12 +7,7 @@ from .enterprise import (
     build_enterprise_bgp,
     make_enterprise_pairing,
 )
-from .topologies import (
-    EcmpFanout,
-    MeshScenario,
-    build_ecmp_fanout,
-    build_mesh_scenario,
-)
+from .topologies import EcmpFanout, build_ecmp_fanout
 from .vultr import (
     CAMPAIGN_HOURS,
     INSTABILITY_HOUR,
@@ -32,7 +27,6 @@ __all__ = [
     "INSTABILITY_HOUR",
     "LA_TO_NY_PATHS",
     "EnterpriseDeployment",
-    "MeshScenario",
     "NY_TO_LA_PATHS",
     "PacketLevelDeployment",
     "PathCalibration",
@@ -42,7 +36,6 @@ __all__ = [
     "build_bgp_network",
     "build_ecmp_fanout",
     "build_enterprise_bgp",
-    "build_mesh_scenario",
     "make_enterprise_pairing",
     "make_pairing",
 ]

@@ -1,11 +1,12 @@
-"""Synthetic topologies: Tango-of-N meshes and the ECMP ablation fabric.
+"""Synthetic topologies: the Tango-of-N federation and the ECMP ablation fabric.
 
 Two generators:
 
-* :func:`build_mesh_scenario` — N edge networks attached to a partially
-  peered transit core, pairwise discovery run for every ordered pair,
-  per-path delays assigned deterministically — the substrate for the
-  Section 6 "Tango of N" study (DESIGN.md E9).
+* :func:`build_live_federation` — N edge networks attached to a fully
+  peered transit core, with per-member address plans and a
+  deterministic delay calibration for every path the federation will
+  discover — the substrate of the Section 6 "Tango of N" study (E9) and
+  of the live federation (E20).
 * :func:`build_ecmp_fanout` — a packet-level fabric where one BGP path
   hides several ECMP sub-paths with different delays, demonstrating why
   unpinned probing measures "multiple paths as one" and why Tango's
@@ -14,7 +15,7 @@ Two generators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,52 +23,26 @@ import numpy as np
 from ..bgp.messages import as_ipv6_prefix
 from ..bgp.network import BgpNetwork
 from ..bgp.router import BgpRouter
-from ..bgp.snapshot import SnapshotCache
 from ..core.config import EdgeConfig
-from ..core.discovery import DiscoveredPath, DiscoveryResult, PathDiscovery, asn_label
-from ..core.mesh import TangoMesh
+from ..core.discovery import DiscoveredPath
 from ..netsim.delaymodels import ConstantDelay, GaussianJitterDelay, Pcg64Stream
 from ..netsim.topology import Network
 from ..validate import int_in
 from .vultr import PathCalibration
 
 __all__ = [
-    "MeshScenario",
-    "build_mesh_scenario",
     "LiveFederationScenario",
     "build_live_federation",
     "EcmpFanout",
     "build_ecmp_fanout",
 ]
 
-#: Transit core used by the mesh generator (ASN -> base one-way ms
+#: Transit core used by the federation generator (ASN -> base one-way ms
 #: "speed" factor; paths through lower-factor transits are faster).
 _TRANSIT_SPEED = {2914: 1.00, 1299: 1.12, 3257: 0.92, 174: 1.25, 3356: 1.18}
 _TRANSIT_ASNS = tuple(sorted(_TRANSIT_SPEED))
 _EDGE_BASE_ASN = 65100
 _PROVIDER_BASE_ASN = 64900
-
-
-@dataclass
-class MeshScenario:
-    """N cooperating edges with pairwise discovery already run."""
-
-    bgp: BgpNetwork
-    edge_names: list[str]
-    discoveries: dict[tuple[str, str], DiscoveryResult]
-    mesh: TangoMesh
-    #: (observer, announcer) -> per-discovered-path risk-group sets, in
-    #: path order.  The generated mesh has no fiber map, so the failure
-    #: domains are the transit operators themselves: ``transit:<AS>``
-    #: tags mirror what :func:`repro.core.tunnels.build_tunnels` stamps,
-    #: letting SRLG tooling reason about mesh path fate-sharing too.
-    path_srlgs: dict[tuple[str, str], tuple[frozenset[str], ...]] = field(
-        default_factory=dict
-    )
-
-    @property
-    def n(self) -> int:
-        return len(self.edge_names)
 
 
 def _pair_distance(i: int, j: int, n: int, rng: Pcg64Stream) -> float:
@@ -76,117 +51,13 @@ def _pair_distance(i: int, j: int, n: int, rng: Pcg64Stream) -> float:
     return base + rng.uniform(0.0, 8.0)
 
 
-def build_mesh_scenario(
-    n_edges: int,
-    providers_per_edge: int = 2,
-    seed: int = 42,
-) -> MeshScenario:
-    """Build an N-edge Tango mesh over a shared transit core.
-
-    Each edge gets its own provider AS (its "Vultr") which buys transit
-    from ``providers_per_edge`` distinct core transits (deterministically
-    chosen), so pairwise discovery exposes a few paths per ordered pair.
-    Path delays derive from a pseudo-geographic pair distance scaled by
-    the transit's speed factor — slower transits give strictly worse
-    paths, so relaying through a well-placed third edge can win.
-
-    Args:
-        n_edges: number of participating edge networks (≥ 2).
-        providers_per_edge: transits each edge's provider connects to.
-        seed: a non-negative int; drives the pair distances, drawn as
-            ``numpy.random.default_rng(seed).uniform`` would draw them.
-    """
-    int_in(2)("n_edges", n_edges)
-    int_in(1, len(_TRANSIT_ASNS))("providers_per_edge", providers_per_edge)
-    int_in(0)("seed", seed)
-    rng = Pcg64Stream(seed)
-    bgp = BgpNetwork()
-    for asn in _TRANSIT_ASNS:
-        bgp.add_router(BgpRouter(f"transit-{asn}", asn))
-    # Full peering among transits keeps every pair reachable even when
-    # their provider transit sets are disjoint.
-    for i, a in enumerate(_TRANSIT_ASNS):
-        for b in _TRANSIT_ASNS[i + 1 :]:
-            bgp.add_peering(f"transit-{a}", f"transit-{b}")
-
-    edge_names: list[str] = []
-    edge_transits: dict[str, list[int]] = {}
-    for index in range(n_edges):
-        edge = f"edge{index}"
-        provider = f"provider-{index}"
-        bgp.add_router(
-            BgpRouter(provider, _PROVIDER_BASE_ASN + index, allowas_in=True)
-        )
-        bgp.add_router(BgpRouter(edge, _EDGE_BASE_ASN + index))
-        bgp.add_provider(edge, provider)
-        start = index % len(_TRANSIT_ASNS)
-        chosen = [
-            _TRANSIT_ASNS[(start + k) % len(_TRANSIT_ASNS)]
-            for k in range(providers_per_edge)
-        ]
-        for preference, transit in enumerate(chosen, start=1):
-            bgp.add_provider(
-                provider, f"transit-{transit}", customer_preference=preference
-            )
-        edge_names.append(edge)
-        edge_transits[edge] = chosen
-
-    mesh = TangoMesh()
-    for edge in edge_names:
-        mesh.add_member(edge)
-    discoveries: dict[tuple[str, str], DiscoveryResult] = {}
-    path_srlgs: dict[tuple[str, str], tuple[frozenset[str], ...]] = {}
-    # One cache across all ordered pairs: the base state recurs after
-    # every probe withdrawal, and the early suppression states of one
-    # announcer recur across its observers.
-    snapshots = SnapshotCache(capacity=32)
-    for j, announcer in enumerate(edge_names):
-        provider_asn = _PROVIDER_BASE_ASN + j
-        probe = f"2001:db8:{0xF000 + j:x}::/48"
-        for i, observer in enumerate(edge_names):
-            if observer == announcer:
-                continue
-            result = PathDiscovery(
-                bgp, provider_asn, snapshots=snapshots
-            ).discover(
-                announcer=announcer,
-                observer=observer,
-                probe_prefix=probe,
-            )
-            discoveries[(observer, announcer)] = result
-            path_srlgs[(observer, announcer)] = tuple(
-                frozenset(f"transit:{asn_label(a)}" for a in path.transit_asns)
-                for path in result.paths
-            )
-            distance = _pair_distance(i, j, n_edges, rng)
-            labeled = []
-            for path in result.paths:
-                speed = float(
-                    np.mean([_TRANSIT_SPEED.get(a, 1.3) for a in path.transit_asns])
-                    if path.transit_asns
-                    else 1.0
-                )
-                hop_tax = 1.0 + 0.06 * max(len(path.transit_asns) - 1, 0)
-                labeled.append((path.label, distance * speed * hop_tax * 1e-3))
-            mesh.add_paths(observer, announcer, labeled)
-    return MeshScenario(
-        bgp=bgp,
-        edge_names=edge_names,
-        discoveries=discoveries,
-        mesh=mesh,
-        path_srlgs=path_srlgs,
-    )
-
-
 @dataclass
 class LiveFederationScenario:
-    """Substrate for a *live* N-edge federation (E20).
+    """Substrate for a *live* N-edge federation (E9, E20).
 
-    Unlike :class:`MeshScenario` — an analytical artifact with discovery
-    pre-run and delays baked into a :class:`TangoMesh` — this carries
-    everything a :class:`~repro.federation.registry.FederationRegistry`
-    needs to run establishment itself over one shared
-    :class:`BgpNetwork`: full per-member address plans (host prefix plus
+    This carries everything a
+    :class:`~repro.federation.registry.FederationRegistry` needs to run
+    establishment itself over one shared :class:`BgpNetwork`: full per-member address plans (host prefix plus
     per-peer route-prefix slices), canonical probe prefixes, and a
     deterministic calibration for every (pair, path) the registry will
     discover.
@@ -292,12 +163,17 @@ def build_live_federation(
 ) -> LiveFederationScenario:
     """Build the substrate for a live N-edge federation.
 
-    Same transit core and provider rotation as :func:`build_mesh_scenario`
-    — the analytical and live generators stay comparable — plus full
-    address plans.  With ``degraded_pair=True`` (and ≥ 3 members) the
-    first two members are single-homed to the *same* transit, so their
-    direct connectivity collapses to one fate-shared path: the pair the
-    E20 experiment heals with a stitched relay tunnel.
+    Each edge gets its own provider AS (its "Vultr") which buys transit
+    from ``providers_per_edge`` distinct core transits (deterministically
+    chosen), so pairwise discovery exposes a few paths per ordered pair.
+    Path delays derive from a pseudo-geographic pair distance scaled by
+    the transit's speed factor — slower transits give strictly worse
+    paths, so relaying through a well-placed third edge can win.
+
+    With ``degraded_pair=True`` (and ≥ 3 members) the first two members
+    are single-homed to the *same* transit, so their direct connectivity
+    collapses to one fate-shared path: the pair the E20 experiment heals
+    with a stitched relay tunnel.
     """
     int_in(2)("n_edges", n_edges)
     int_in(1, len(_TRANSIT_ASNS))("providers_per_edge", providers_per_edge)

@@ -6,8 +6,8 @@ deterministic tie-breaks the network has a unique fixpoint, so it must
 land on bit-exact the state the full scan it replaced lands on, for any
 sequence of operations.  The full scan is :mod:`tests.bgp.oracle`
 (``"rounds"`` below); this suite drives every shipped scenario (Vultr,
-enterprise, mesh) through representative workloads under each and
-compares:
+enterprise, a live federation) through representative workloads under
+each and compares:
 
 * full RIB contents (adj-rib-in, loc-rib, adj-rib-out, originations),
 * discovery results (the ``paths`` tuples — wave counts legitimately
@@ -25,11 +25,12 @@ from repro.bgp.snapshot import SnapshotCache
 from repro.cli import main
 from repro.core.discovery import PathDiscovery
 from repro.faults import FaultEvent, FaultPlan
+from repro.federation import FederationRegistry
 from repro.scenarios.enterprise import (
     BUSINESS_ISP_ASN,
     build_enterprise_bgp,
 )
-from repro.scenarios.topologies import build_mesh_scenario
+from repro.scenarios.topologies import build_live_federation
 from repro.scenarios.vultr import VULTR_ASN, build_bgp_network
 from tests.bgp.oracle import ENGINES, full_scan
 from tests.bgp.test_golden_ribs import vultr_resets
@@ -87,9 +88,11 @@ def run_enterprise_workload() -> tuple[dict, list]:
 
 
 def run_mesh_workload() -> tuple[dict, list]:
-    """The mesh builder runs all-pairs discovery internally; rerun one
-    extra pair on top of the (deterministic) built state."""
-    scenario = build_mesh_scenario(3, seed=7)
+    """A three-member federation establishes every pair (all-pairs
+    discovery, pins) over one shared network; rerun one extra pair on
+    top of the (deterministic) established state."""
+    scenario = build_live_federation(3, seed=7, degraded_pair=False)
+    FederationRegistry(scenario).establish()
     net = scenario.bgp
     discovery = PathDiscovery(net, 64901)
     result = discovery.discover(

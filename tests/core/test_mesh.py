@@ -17,10 +17,6 @@ def triangle(relay_overhead=0.0002):
 
 
 class TestConstruction:
-    def test_members_sorted(self):
-        mesh = triangle()
-        assert mesh.members() == ["a", "b", "c"]
-
     def test_unknown_member_rejected(self):
         mesh = TangoMesh()
         mesh.add_member("a")

@@ -246,9 +246,15 @@ def test_project_row(name, tmp_path):
 
 #: name -> (file under src/repro, [(old, new) edits], expected codes).
 #: These hazards only show against the real tree: a fork boundary whose
-#: one justified seam must not mask a second global, and a clock held as
-#: a value in the packet path.
+#: one justified seam must not mask a second global, a clock held as a
+#: value in the packet path, and an in-tree generator reached through a
+#: relative import (``from ..netsim.delaymodels import Pcg64Stream``).
 REAL_TREE_ROWS = {
+    "unseeded-in-tree-stream-relative-import": (
+        "scenarios/topologies.py",
+        [("    rng = Pcg64Stream(seed)\n", "    rng = Pcg64Stream()\n")],
+        {"TNG002"},
+    ),
     "campaign-worker-second-global": (
         "campaign/runner.py",
         [

@@ -59,6 +59,18 @@ class TestWallclock:
         """
         assert codes_and_lines(src) == [("TNG001", 3), ("TNG001", 5)]
 
+    def test_function_local_import_flagged(self):
+        src = """\
+        def stamp():
+            import time
+            return time.time()
+        class Clock:
+            def now(self):
+                from time import monotonic
+                return monotonic()
+        """
+        assert codes_and_lines(src) == [("TNG001", 3), ("TNG001", 7)]
+
     def test_time_sleep_is_not_a_clock_read(self):
         src = """\
         import time

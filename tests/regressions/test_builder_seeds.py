@@ -1,11 +1,11 @@
 """A topology builder's seed is checked, by name, before anything is built.
 
-``build_live_federation`` and ``build_mesh_scenario`` handed ``seed``
-straight to ``numpy.random.default_rng``.  ``seed=None`` drew operating
+``build_live_federation`` handed ``seed`` straight to
+``numpy.random.default_rng``.  ``seed=None`` drew operating
 system entropy, so two calls built two different federations; ``-1``
 failed inside numpy ("expected non-negative integer") and ``2.0`` with a
 ``SeedSequence`` ``TypeError``, neither naming the field; ``True`` was
-taken as 1.  Each builder now refuses such a seed as ``seed``, and so
+taken as 1.  The builder now refuses such a seed as ``seed``, and so
 does the stream it draws from.
 """
 
@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from repro.netsim.delaymodels import Pcg64Stream
-from repro.scenarios.topologies import build_live_federation, build_mesh_scenario
+from repro.scenarios.topologies import build_live_federation
 
 BAD_SEEDS = [None, -1, 2.0, True, "7", 2**64 + 0.5]
 
 BUILDERS = {
     "live_federation": lambda seed: build_live_federation(8, seed=seed),
-    "mesh_scenario": lambda seed: build_mesh_scenario(4, seed=seed),
     "stream": Pcg64Stream,
 }
 

@@ -1,56 +1,77 @@
-"""Tests for synthetic topologies (mesh + ECMP fabrics)."""
+"""Tests for synthetic topologies (Tango-of-N federation + ECMP fabrics)."""
 
 import ipaddress
 
 import pytest
 
+from repro.federation import FederationRegistry
 from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
-from repro.scenarios.topologies import build_ecmp_fanout, build_mesh_scenario
+from repro.scenarios.topologies import build_ecmp_fanout, build_live_federation
 
 
-class TestMeshScenario:
+def established(n, **kwargs):
+    """A live federation of ``n`` members with every pair established,
+    no member deliberately degraded."""
+    registry = FederationRegistry(
+        build_live_federation(n, degraded_pair=False, **kwargs)
+    )
+    registry.establish()
+    return registry
+
+
+def discoveries(registry):
+    """(observer, announcer) -> discovery result, every ordered pair."""
+    found = {}
+    for (a, b), session in registry.sessions.items():
+        found[(a, b)] = session.state.discovery_a_to_b
+        found[(b, a)] = session.state.discovery_b_to_a
+    return found
+
+
+class TestTangoOfNFederation:
     def test_minimum_edges_enforced(self):
         with pytest.raises(ValueError):
-            build_mesh_scenario(1)
+            build_live_federation(1)
 
     def test_pairwise_discovery_complete(self):
-        scenario = build_mesh_scenario(3)
-        assert len(scenario.discoveries) == 6  # ordered pairs
-        for result in scenario.discoveries.values():
+        found = discoveries(established(3))
+        assert len(found) == 6  # ordered pairs
+        for result in found.values():
             assert result.path_count >= 1
 
     def test_mesh_populated_with_all_pairs(self):
-        scenario = build_mesh_scenario(3)
-        for a in scenario.edge_names:
-            for b in scenario.edge_names:
+        registry = established(3)
+        mesh = registry.analytical_mesh()
+        names = registry.scenario.member_names
+        for a in names:
+            for b in names:
                 if a != b:
-                    assert scenario.mesh.direct_paths(a, b)
+                    assert mesh.direct_paths(a, b)
 
     def test_path_count_matches_provider_fanout(self):
-        scenario = build_mesh_scenario(4, providers_per_edge=2)
-        for result in scenario.discoveries.values():
+        for result in discoveries(established(4, providers_per_edge=2)).values():
             assert result.path_count == 2
 
     def test_deterministic_for_seed(self):
-        a = build_mesh_scenario(3, seed=9)
-        b = build_mesh_scenario(3, seed=9)
-        for key in a.discoveries:
-            assert a.discoveries[key].labels() == b.discoveries[key].labels()
-        assert a.mesh.direct_paths("edge0", "edge1") == b.mesh.direct_paths(
+        a, b = established(3, seed=9), established(3, seed=9)
+        found_a, found_b = discoveries(a), discoveries(b)
+        for key in found_a:
+            assert found_a[key].labels() == found_b[key].labels()
+        assert a.analytical_mesh().direct_paths(
             "edge0", "edge1"
-        )
+        ) == b.analytical_mesh().direct_paths("edge0", "edge1")
 
     def test_diversity_grows_with_n(self):
         """The E9 trend at unit scale."""
-        small = build_mesh_scenario(3)
-        large = build_mesh_scenario(5)
-        assert large.mesh.diversity("edge0", "edge1", 1) > small.mesh.diversity(
+        small = established(3).analytical_mesh()
+        large = established(5).analytical_mesh()
+        assert large.diversity("edge0", "edge1", 1) > small.diversity(
             "edge0", "edge1", 1
         )
 
     def test_invalid_providers_per_edge(self):
         with pytest.raises(ValueError):
-            build_mesh_scenario(3, providers_per_edge=0)
+            build_live_federation(3, providers_per_edge=0)
 
 
 class TestEcmpFanout:

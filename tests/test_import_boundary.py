@@ -274,8 +274,8 @@ SPINE = [
 def refused_run() -> dict:
     """One fresh interpreter whose ``sys.meta_path`` finder refuses every
     ``scipy`` and ``numpy.random`` import: a draw through each of the four
-    entry points, one smoke pass of each spine workload and both topology
-    builders, with what was tried and what was loaded."""
+    entry points, one smoke pass of each spine workload and the federation
+    builder, with what was tried and what was loaded."""
     return fresh(
         f"""
 import importlib.abc, json, sys
@@ -297,7 +297,7 @@ class Refuse(importlib.abc.MetaPathFinder):
 sys.meta_path.insert(0, Refuse())
 import numpy as np
 from repro.netsim import delaymodels
-from repro.scenarios.topologies import build_live_federation, build_mesh_scenario
+from repro.scenarios.topologies import build_live_federation
 from bench.runner import run_workload
 
 times = np.arange(8) * 1e-3
@@ -320,7 +320,6 @@ fail_share = {{
 }}
 built = {{
     "live": len(build_live_federation(8, seed=7).pair_distance_ms),
-    "mesh": len(build_mesh_scenario(4, seed=7).discoveries),
 }}
 print(json.dumps({{
     "tried": tried,
@@ -349,13 +348,13 @@ def test_the_runtime_runs_with_scipy_refused(refused_run):
 
 
 def test_the_spine_and_the_builders_run_with_numpy_random_refused(refused_run):
-    """The four spine workloads pass their smoke checks and both builders
-    build (28 pairs of 8 members; 12 ordered pairs of 4 edges) with
-    ``numpy.random`` refused, and nothing tried to import it."""
+    """The four spine workloads pass their smoke checks and the federation
+    builder builds (28 pairs of 8 members) with ``numpy.random`` refused,
+    and nothing tried to import it."""
     out = refused_run
     assert out["tried"] == [] and out["loaded"] == []
     assert out["fail_share"] == {name: 0.0 for name in SPINE}
-    assert out["built"] == {"live": 28, "mesh": 12}
+    assert out["built"] == {"live": 28}
 
 
 def scipy_imports(path) -> list:
