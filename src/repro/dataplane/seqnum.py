@@ -24,6 +24,37 @@ __all__ = ["SequenceStamper", "SequenceTracker", "SequenceStats"]
 _WRITE_BEHIND_DEPTH = 256
 
 
+def _check_count(name: str, count: float) -> None:
+    """Refuse a negative, NaN, infinite or fractional ``count``."""
+    if not (count >= 0 and count % 1 == 0):
+        raise ValueError(f"{name} must be a whole count >= 0, got {count!r}")
+
+
+def _check_counts(name: str, counts: list) -> None:
+    """:func:`_check_count` over a list: two C loops for a list of ints
+    (their sum is an int only if every count is one)."""
+    if type(sum(counts)) is int and min(counts) >= 0:
+        return
+    for count in counts:
+        _check_count(name, count)
+
+
+def _check_count_array(name: str, counts: np.ndarray) -> None:
+    """:func:`_check_count` over an array: an integer array costs its
+    ``min`` and nothing more."""
+    kind = counts.dtype.kind
+    if kind in "iub":
+        whole = counts.min() >= 0
+    elif kind == "f":
+        with np.errstate(invalid="ignore"):  # inf % 1 is NaN, as it should be
+            whole = ((counts >= 0) & (counts % 1 == 0)).all()
+    else:
+        whole = False
+    if not whole:
+        for count in counts.tolist():
+            _check_count(name, count)
+
+
 class SequenceStamper:
     """Sender side: hands out the next sequence number per path."""
 
@@ -139,8 +170,8 @@ class SequenceTracker:
         keeping :attr:`SequenceStats.loss_fraction` and the downstream
         ``LossMonitor`` bins consistent between packet and fluid modes.
         """
-        if delivered < 0 or lost < 0:
-            raise ValueError("delivered and lost must be >= 0")
+        _check_count("delivered", delivered)
+        _check_count("lost", lost)
         if self._written:
             self._sync()
         if delivered == 0 and lost == 0:
@@ -165,8 +196,8 @@ class SequenceTracker:
         all-zero pair never creates a path).  ``delivered`` and ``lost``
         may be numpy integer vectors; they are kept, not copied, so the
         caller must not write to them afterwards.  A batch is all or
-        nothing: a length mismatch or a negative count raises here with
-        nothing kept.
+        nothing: a length mismatch or a count that is negative, NaN or
+        fractional raises here with nothing kept.
 
         A writer whose previous batch has been read since is folded in
         at once; one that runs ahead of its readers is staged and summed
@@ -183,8 +214,8 @@ class SequenceTracker:
             return
         if self._written:
             delivered, lost = np.asarray(delivered), np.asarray(lost)
-            if delivered.min() < 0 or lost.min() < 0:
-                raise ValueError("delivered and lost must be >= 0")
+            _check_count_array("delivered", delivered)
+            _check_count_array("lost", lost)
             ids = path_ids if type(path_ids) is list else list(path_ids)
             if ids != self._block_ids:
                 self._flush()
@@ -198,8 +229,8 @@ class SequenceTracker:
             delivered = delivered.tolist()
         if isinstance(lost, np.ndarray):
             lost = lost.tolist()
-        if min(delivered) < 0 or min(lost) < 0:
-            raise ValueError("delivered and lost must be >= 0")
+        _check_counts("delivered", delivered)
+        _check_counts("lost", lost)
         self._fold(path_ids, delivered, lost)
         self._written = True
 

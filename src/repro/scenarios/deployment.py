@@ -457,13 +457,18 @@ class PacketLevelDeployment:
         table = self.calibrations[src]
         offset = self.clock_offset_delta(src)
         times = np.arange(t0_s, t1_s, interval)
-        measured = MeasurementStore()
-        true = MeasurementStore()
-        for tunnel in self.tunnels(src):
+        tunnels = self.tunnels(src)
+        # One column per tunnel; each store holds it as one column block.
+        delays = np.empty((times.size, len(tunnels)), dtype=np.float64)
+        for column, tunnel in enumerate(tunnels):
             model = table[tunnel.short_label].build(self.include_events)
-            delays = model.delays(times)
-            true.extend(tunnel.path_id, times, delays)
-            measured.extend(tunnel.path_id, times, delays + offset)
+            delays[:, column] = model.delays(times)
+        path_ids = [tunnel.path_id for tunnel in tunnels]
+        true = MeasurementStore()
+        true.extend_block(path_ids, times, delays)
+        delays += offset
+        measured = MeasurementStore()
+        measured.extend_block(path_ids, times, delays)
         return measured, true
 
     def path_labels(self, src: str) -> list[str]:

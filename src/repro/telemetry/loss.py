@@ -17,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from ..dataplane.seqnum import SequenceTracker
-from .store import TimeSeries
+from .store import _NO_TIME, TimeSeries, _time_error
 
 __all__ = ["LossBin", "LossMonitor"]
 
@@ -66,9 +66,9 @@ class LossMonitor:
         #: Per path: the number of samples taken before it was first seen.
         self._born: dict[int, int] = {}
         self._samples = 0
-        #: The time of every sample, and of the latest one with a path.
+        #: The time of every sample, and of the latest one.
         self._times = array("d")
-        self._last_t = -math.inf
+        self._last_t = _NO_TIME
         #: Last bin's loss fraction per path.
         self.last_loss: dict[int, float] = {}
 
@@ -88,22 +88,23 @@ class LossMonitor:
         return out
 
     def sample(self, now: float) -> Mapping[int, LossBin]:
-        """Snapshot all paths; returns the new bin per path."""
+        """Snapshot all paths; returns the new bin per path.
+
+        Raises:
+            ValueError: ``now`` is before the previous sample's time, or
+                is NaN or infinite.
+        """
+        if not (self._last_t <= now < math.inf):
+            raise _time_error(now, self._last_t)
         states = self._tracker.states()
         if len(self._ids) != len(states):
             self._admit(states)
-        if not self._ids:
-            # A controller ticks long before (or without) any traffic.
-            self._samples += 1
-            self._times.append(now)
-            return _NO_BINS
-        if not (now >= self._last_t):
-            raise ValueError(
-                f"time went backwards or is NaN: {now} after {self._last_t}"
-            )
         self._samples += 1
         self._times.append(now)
         self._last_t = now
+        if not self._ids:
+            # A controller ticks long before (or without) any traffic.
+            return _NO_BINS
         self.last_loss = last_loss = {}
         for path_id, stats, received, lost in self._columns:
             got, dropped = stats.received, stats.presumed_lost

@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.telemetry import store as store_module
 from repro.telemetry.store import MeasurementStore, StoreCursor, TimeSeries
+
+#: Rows of a series' first arrays, and of a narrow column block's.
+FIRST = store_module._INITIAL_CAPACITY
 
 
 class TestTimeSeries:
@@ -128,9 +132,12 @@ class TestAmortizedGrowth:
 
     def test_initial_capacity_absorbs_first_appends(self):
         series = TimeSeries()
-        for i in range(1024):
+        assert series._capacity == 0  # no arrays before the first write
+        for i in range(FIRST):
             series.append(float(i), float(i))
-        assert series.grows == 0
+        assert series.grows == 0 and series._capacity == FIRST == 128
+        series.append(float(FIRST), 0.0)
+        assert series.grows == 1 and series._capacity == 2 * FIRST
 
     def test_grows_counter_is_logarithmic(self):
         series = TimeSeries()
@@ -138,8 +145,8 @@ class TestAmortizedGrowth:
         for i in range(n):
             series.append(float(i), float(i))
         assert len(series) == n
-        # Doubling from 1024: 2048, 4096, ..., 131072 -> 7 reallocations.
-        assert series.grows == 7
+        # Doubling from 128: 256, 512, ..., 131072 -> 10 reallocations.
+        assert series.grows == 10
 
     def test_views_only_expose_written_prefix(self):
         series = TimeSeries()
@@ -168,7 +175,7 @@ class TestAmortizedGrowth:
         fill(10_000)  # warm up
         small_s, _ = fill(50_000)
         big_s, big = fill(200_000)
-        assert big.grows <= 10
+        assert big.grows <= 11  # 128 doubled to 262,144
         assert big_s < small_s * 16, (
             f"append no longer amortized O(1): {small_s:.4f}s for 50k vs "
             f"{big_s:.4f}s for 200k"
@@ -191,6 +198,14 @@ def lone(rows, path_id):
     series = TimeSeries()
     for step in range(rows):
         series.append(step * 0.1, step + path_id / 8)
+    return series
+
+
+def stated(first):
+    """An empty lone series whose first arrays hold ``first`` rows."""
+    series = TimeSeries()
+    series._times, series._values = np.empty(first), np.empty(first)
+    series._capacity = first
     return series
 
 
@@ -223,26 +238,30 @@ class TestColumnBlock:
         assert store.series(2)._columns is None
 
     def test_views_handed_out_before_a_grow_keep_their_bytes(self):
-        store, ids = wide_store(3, 1024)  # a full first block
+        store, ids = wide_store(3, FIRST)  # a full first block
         before = [(store.series(p).times, store.series(p).values) for p in ids]
         kept = [(t.tobytes(), v.tobytes()) for t, v in before]
-        store.record_aggregate_many(ids, 1024 * 0.1, [7.0, 8.0, 9.0])  # grows
-        assert store.series(0)._columns.capacity == 2048
+        store.record_aggregate_many(ids, FIRST * 0.1, [7.0, 8.0, 9.0])  # grows
+        assert store.series(0)._columns.capacity == 2 * FIRST
         assert [(t.tobytes(), v.tobytes()) for t, v in before] == kept
         for p in ids:
             assert store.series(p).grows == 1
-            assert store.series(p).values[:1024].tobytes() == kept[p][1]
+            assert store.series(p).values[:FIRST].tobytes() == kept[p][1]
 
     def test_views_handed_out_before_a_member_leaves_keep_their_bytes(self):
-        store, ids = wide_store(3, 1024)
+        store, ids = wide_store(3, FIRST)
+        block = store.series(0)._columns
         before = [store.series(p).values for p in ids]
         kept = [v.tobytes() for v in before]
-        store.record(1, 1024 * 0.1, 5.0)  # one member written alone
-        assert all(store.series(p)._columns is None for p in ids)
-        store.record_aggregate_many(ids, 1025 * 0.1, [7.0, 8.0, 9.0])
+        store.record(1, FIRST * 0.1, 5.0)  # one member written alone leaves
+        assert [store.series(p)._columns for p in ids] == [block, None, block]
+        store.record_aggregate_many(ids, (FIRST + 1) * 0.1, [7.0, 8.0, 9.0])
         assert [v.tobytes() for v in before] == kept
         assert [store.series(p).grows for p in ids] == [1, 1, 1]
-        assert len(store.series(1)) == 1026 and len(store.series(0)) == 1025
+        assert len(store.series(1)) == FIRST + 2
+        assert len(store.series(0)) == len(store.series(2)) == FIRST + 1
+        # The block's next arrays hold the members still in it, only.
+        assert block.ids == [0, 2] and block.values.shape == (2 * FIRST, 2)
 
     @pytest.mark.parametrize("rows", [3, 1024])
     @pytest.mark.parametrize(
@@ -260,12 +279,6 @@ class TestColumnBlock:
             same_series(copied.series(p), lone(rows + 3, p))
             same_series(store.series(p), lone(rows, p))
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a batch for other ids dissolves the block: each member's own "
-        "write grows through TimeSeries._grow into _ColumnBlock.dissolve, so "
-        "federation_live ends with no block alive",
-    )
     def test_a_block_survives_a_batch_for_a_subset_of_its_ids(self):
         store, ids = wide_store(4, 10)
         block = store.series(0)._columns
@@ -273,10 +286,76 @@ class TestColumnBlock:
         assert [len(store.series(p)) for p in ids] == [11, 11, 10, 10]
         assert all(store.series(p)._columns is block for p in ids[2:])
 
+    def test_after_an_outage_the_block_writes_one_row_per_group(self, monkeypatch):
+        # Paths 2 and 3 miss rows 10-12 (a blackhole leaves them out of the
+        # batch); named again, they move on together to a block of their
+        # own, and from then on a batch for all four ids is one row write
+        # per block: no per-path append, no copy at any other capacity.
+        rows, appends = [], []
+        append_row = store_module._ColumnBlock.append_row
+
+        def counted_row(self, *args):
+            rows.append(self)
+            return append_row(self, *args)
+
+        store, ids = wide_store(4, 10)
+        block = store.series(0)._columns
+        for step in (10, 11, 12):
+            store.record_aggregate_many(ids[:2], step * 0.1, [7.0, 8.0])
+            store.last_time(0)
+        monkeypatch.setattr(store_module._ColumnBlock, "append_row", counted_row)
+        monkeypatch.setattr(
+            TimeSeries, "append", lambda *args: appends.append(args)
+        )
+        for step in (13, 14, 15):
+            store.record_aggregate_many(ids, step * 0.1, [9.0, 9.5, 10.0, 10.5])
+            store.last_time(0)
+        moved = store.series(2)._columns
+        assert moved is store.series(3)._columns and moved is not block
+        assert block.members == [store.series(0), store.series(1)]
+        assert moved.capacity == block.capacity == FIRST and moved.ids == [2, 3]
+        assert block.values.shape == moved.values.shape == (FIRST, 2)
+        assert rows == [block, moved] * 3 and appends == []
+        assert [len(store.series(p)) for p in ids] == [16, 16, 13, 13]
+        assert store.series(3).times.tolist()[-4:] == [s * 0.1 for s in (9, 13, 14, 15)]
+        assert store.series(3).values.tolist()[-4:] == [9 + 3 / 8, 10.5, 10.5, 10.5]
+        # Each block doubles on its own schedule.
+        for step in range(16, FIRST + 1):
+            store.record_aggregate_many(ids, step * 0.1, [0.0, 0.0, 0.0, 0.0])
+        store.last_time(0)
+        assert block.values.shape == (2 * FIRST, 2) and moved.capacity == FIRST
+        assert [store.series(p).grows for p in ids] == [1, 1, 0, 0]
+
+    def test_a_member_that_missed_rows_alone_leaves_alone(self):
+        store, ids = wide_store(3, 10)
+        store.record_aggregate_many([0, 1], 1.0, [7.0, 8.0])
+        store.record_aggregate_many(ids, 1.1, [1.0, 2.0, 3.0])
+        assert store.series(2)._columns is None
+        assert store.series(2)._capacity == FIRST
+        assert store.series(2).times.tolist()[-2:] == [9 * 0.1, 1.1]
+        # The batch's plan writes into a block without its column.
+        assert store.series(0)._columns.ids == [0, 1]
+        assert store.series(0)._columns.values.shape == (FIRST, 2)
+
+    def test_copies_of_a_block_with_missed_rows_are_equal_bytes(self):
+        pickles = []
+        for headroom in (1.0, np.nan):
+            store, ids = wide_store(4, 10)
+            block = store.series(0)._columns
+            block.times[10:] = headroom
+            block.values[10:] = headroom
+            store.record_aggregate_many(ids[:2], 1.0, [7.0, 8.0])
+            store.last_time(0)
+            pickles.append(pickle.dumps(store))
+        assert pickles[0] == pickles[1]
+        copied = pickle.loads(pickles[0])
+        assert copied.series(3)._columns is copied.series(0)._columns
+        assert [len(copied.series(p)) for p in ids] == [11, 11, 10, 10]
+
     def test_the_matrix_is_row_major_and_members_are_its_columns(self):
         store, ids = wide_store(5, 10)
         block = store.series(0)._columns
-        assert block.values.flags.c_contiguous and block.values.shape == (1024, 5)
+        assert block.values.flags.c_contiguous and block.values.shape == (FIRST, 5)
         for j, p in enumerate(ids):
             column = store.series(p)._values
             assert column.base is block.values and column.strides == (5 * 8,)
@@ -285,7 +364,8 @@ class TestColumnBlock:
     @given(
         width=st.sampled_from([2, 3, 5, 256]),
         rows=st.one_of(
-            st.sampled_from([1, 1023, 1024, 1025, 2047, 2048, 2049]),
+            st.sampled_from([1, 127, 128, 129, 255, 256, 257]),
+            st.sampled_from([1023, 1024, 1025, 2047, 2048, 2049]),
             st.integers(1, 2100),
         ),
         read_every=st.sampled_from([1, 3, 300]),
@@ -296,9 +376,10 @@ class TestColumnBlock:
     def test_a_member_reads_as_a_lone_series(
         self, width, rows, read_every, seed, data
     ):
-        """Across the 1,024 / 2,048 doubling edges, written through or
-        staged: a member's reads, copies and dissolve give the bytes a
-        lone series fed the same rows gives."""
+        """Across the doubling edges, written through or staged: a
+        member's reads, copies and leaving give the bytes a lone series
+        fed the same rows gives — one stated with the block's first
+        capacity, which is 1,024 rows for a 256-wide block."""
         rng = np.random.default_rng(seed)
         times = np.cumsum(rng.choice([0.0, 0.01, 0.25], size=rows)).tolist()
         matrix = rng.normal(0.05, 0.01, size=(rows, width))
@@ -308,7 +389,7 @@ class TestColumnBlock:
             if k % read_every == 0:
                 store.last_time(0)
         j = data.draw(st.integers(0, width - 1), label="member")
-        alone = TimeSeries()
+        alone = stated(store_module._first_capacity(width))
         for t, value in zip(times, matrix[:, j].tolist()):
             alone.append(t, value)
         t0 = data.draw(st.floats(-1.0, times[-1] + 1.0), label="t0")
@@ -334,10 +415,66 @@ class TestColumnBlock:
         assert reads(member) == reads(alone)
         for copied in (copy.deepcopy(store), pickle.loads(pickle.dumps(store))):
             assert reads(copied.series(ids[j])) == reads(alone)
-        store.record(ids[j], times[-1], 0.5)  # written alone: dissolves
+        store.record(ids[j], times[-1], 0.5)  # written alone: leaves
         alone.append(times[-1], 0.5)
         assert member._columns is None
         assert reads(member) == reads(alone)
+
+
+class TestExtendBlock:
+    """A bulk block write holds one time column and the values once, and
+    its series are the ones a bulk append per column gives."""
+
+    def matrix(self, rows=300, width=4):
+        times = np.arange(rows) * 0.01
+        values = np.random.default_rng(7).normal(0.05, 0.01, size=(rows, width))
+        return times, values
+
+    def test_equals_an_extend_per_column(self):
+        times, values = self.matrix()
+        ids = [5, 2, 9, 7]
+        block, alone = MeasurementStore(), MeasurementStore()
+        block.extend_block(ids, times, values)
+        for j, path_id in enumerate(ids):
+            alone.extend(path_id, times, values[:, j])
+        columns = block.series(5)._columns
+        assert columns is not None and columns.ids == ids and columns.capacity == 512
+        for path_id in ids:
+            same_series(block.series(path_id), alone.series(path_id))
+        # A second write of the same ids is one more 2-D assignment.
+        block.extend_block(ids, times + 3.0, values)
+        for j, path_id in enumerate(ids):
+            alone.extend(path_id, times + 3.0, values[:, j])
+            same_series(block.series(path_id), alone.series(path_id))
+        assert block.series(9)._columns is columns
+
+    def test_one_path_or_a_measured_path_is_written_per_series(self):
+        times, values = self.matrix(width=2)
+        store = MeasurementStore()
+        store.extend_block([1], times, values[:, :1])
+        assert store.series(1)._columns is None and len(store.series(1)) == 300
+        store.record(3, 0.0, 1.0)
+        store.extend_block([3, 4], times + 1.0, values)
+        assert store.series(3)._columns is None and len(store.series(3)) == 301
+
+    @pytest.mark.parametrize(
+        "ids, times, values",
+        [
+            ([1, 2], [0.0, 1.0], np.zeros((2, 3))),  # a column per path
+            ([1, 2], [[0.0], [1.0]], np.zeros((2, 2))),  # 1-D times
+            ([1, 1], [0.0, 1.0], np.zeros((2, 2))),  # distinct ids
+            ([1, 2], [1.0, 0.0], np.zeros((2, 2))),  # ordered
+            ([1, 2], [0.0, np.inf], np.zeros((2, 2))),  # finite
+            ([1, 2], [np.nan, 1.0], np.zeros((2, 2))),
+            ([2, 3], [0.0, 1.0], np.zeros((2, 2))),  # 2 holds 5.0 already
+        ],
+    )
+    def test_a_bad_block_is_refused_whole(self, ids, times, values):
+        store = MeasurementStore()
+        store.record(2, 5.0, 1.0)
+        with pytest.raises(ValueError):
+            store.extend_block(ids, times, values)
+        assert store.path_ids() == [2] and len(store.series(2)) == 1
 
 
 class TestPicklesHoldOnlyTheFilledRows:
@@ -368,7 +505,7 @@ class TestPicklesHoldOnlyTheFilledRows:
             series.append(i * 0.1, float(i))
         copied = duplicate(series)
         assert copied._capacity == copied._times.size == copied._values.size == 2048
-        assert copied.grows == series.grows == 1
+        assert copied.grows == series.grows == 4  # 128 doubled to 2,048
         assert copied.values.tobytes() == series.values.tobytes()
         copied.append(1500 * 0.1, 1.0)
         assert len(copied) == 1501 and len(series) == 1500
@@ -697,7 +834,8 @@ class TestExtendFrom:
         for i in range(3000):
             source.append(float(i), 1.0)
         sink.extend_from(source, 0, 3000)
-        assert len(sink) == 3000 and sink.grows == 2
+        # One allocation of 128 doubled five times.
+        assert len(sink) == 3000 and sink.grows == 5 and sink._capacity == 4096
 
 
 class TestCountBefore:

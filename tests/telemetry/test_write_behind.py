@@ -21,9 +21,11 @@ a scope grown below its ids, and a sink that refuses a row mid-sync.
 
 The store machine also drives a wide writer whose batches form a column
 block (one time column and one value matrix for its series), a
-blackholed subset of its ids, a member written on its own, and a deep
-copy of the store that every later rule writes to — with two-row
-initial arrays, so blocks and series grow, dissolve and grow again.
+blackholed subset of its ids (the members left out keep their rows, then
+move on together to a block of their own or alone to arrays of their
+own), a member written on its own, and a deep copy of the store that
+every later rule writes to — with two-row initial arrays, so blocks and
+series grow, split and grow again.
 
 The exact work counts at the bottom pin what write-behind and the column
 block are for: on a 256-wide engine nobody reads, a step costs no

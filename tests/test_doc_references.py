@@ -10,7 +10,9 @@ Three kinds of reference are checked in the three documents:
   ``:first-last`` suffix — and every backticked bare file name is one
   somewhere in it;
 * every ``tango-repro <verb>`` (or ``{verb,verb}`` list) is a verb of
-  the CLI's parser.
+  the CLI's parser, and every ``--flag`` written after
+  ``tango-repro <verb> [<subverb>]`` on the same line (up to a closing
+  backtick or a ``#`` comment) is an option of that (sub)parser.
 
 Generated output (what ``python -m bench run`` writes) is described in
 words, not named as a path: a fresh checkout does not have it.
@@ -39,6 +41,10 @@ BARE_FILE = re.compile(
 )
 #: ``tango-repro lint`` and ``tango-repro {discover,mesh}`` alike.
 VERB = re.compile(r"\btango-repro \{?([a-z][a-z,-]*)")
+#: A command line's words after ``tango-repro``, up to a closing backtick
+#: or a comment.
+COMMAND = re.compile(r"\btango-repro ([a-z][^`#\n]*)")
+FLAG = re.compile(r"--[a-z][a-z-]*")
 #: Directories a fresh checkout does not have (or that hold no doc's file).
 SKIPPED_DIRS = {".git", "__pycache__", ".hypothesis", ".pytest_cache",
                 ".benchmarks", "out"}
@@ -77,13 +83,37 @@ def is_repo_path(path: str) -> bool:
     return FILE_NAME.fullmatch(parts[-1]) is not None or (REPO / parts[0]).is_dir()
 
 
+def subparsers(parser: argparse.ArgumentParser) -> dict:
+    """``parser``'s subcommand parsers by name (empty: it has none)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
 def parser_verbs() -> set[str]:
-    (sub,) = (
-        action
-        for action in build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
-    return set(sub.choices)
+    return set(subparsers(build_parser()))
+
+
+def unknown_flags(text: str) -> list[str]:
+    """``tango-repro <verb> [<subverb>] --flag`` lines of ``text`` whose
+    flag the (sub)parser lacks."""
+    verbs = subparsers(build_parser())
+    unknown = []
+    for command in COMMAND.findall(text):
+        words = command.split()
+        parser = verbs.get(words[0])
+        if parser is None:  # not a verb: the verb test reports it
+            continue
+        sub = subparsers(parser)
+        if len(words) > 1 and words[1] in sub:
+            parser = sub[words[1]]
+        unknown += [
+            f"tango-repro {command.strip()}: {flag}"
+            for flag in FLAG.findall(command)
+            if flag not in parser._option_string_actions
+        ]
+    return unknown
 
 
 @pytest.mark.parametrize("doc", DOCS)
@@ -114,3 +144,10 @@ def test_every_cli_verb_is_a_parser_verb(doc):
     verbs = {verb for found in VERB.findall(text) for verb in found.split(",")}
     assert verbs
     assert sorted(verbs - parser_verbs()) == []
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_cli_flag_is_an_option_of_its_verb(doc):
+    text = (REPO / doc).read_text(encoding="utf-8")
+    assert FLAG.search(" ".join(COMMAND.findall(text)))
+    assert unknown_flags(text) == []
