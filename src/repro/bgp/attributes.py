@@ -22,6 +22,7 @@ __all__ = [
     "Community",
     "LargeCommunity",
     "RouteAttributes",
+    "ValueTable",
     "is_private_asn",
 ]
 
@@ -152,23 +153,13 @@ class RouteAttributes:
     large_communities: frozenset[LargeCommunity] = frozenset()
 
     # The copies below name every field rather than going through
-    # ``dataclasses.replace``: every import and export makes one.
+    # ``dataclasses.replace``.
 
     def with_path(self, as_path: AsPath) -> "RouteAttributes":
         return RouteAttributes(
             as_path,
             self.origin,
             self.local_pref,
-            self.med,
-            self.communities,
-            self.large_communities,
-        )
-
-    def with_local_pref(self, local_pref: int) -> "RouteAttributes":
-        return RouteAttributes(
-            self.as_path,
-            self.origin,
-            local_pref,
             self.med,
             self.communities,
             self.large_communities,
@@ -188,3 +179,105 @@ class RouteAttributes:
             self.communities | frozenset(communities),
             self.large_communities | frozenset(large),
         )
+
+
+class ValueTable:
+    """One object per AS path and attribute bundle a BGP network builds.
+
+    Discovery re-converges the same few routes over and over, and every
+    import and export used to build its bundle afresh, so the RIBs and the
+    snapshots sharing them held thousands of copies of a few hundred
+    values.  A :class:`~repro.bgp.network.BgpNetwork` owns one table and
+    hands it to each router it adds; a router built on its own has its
+    own.  Nothing is module-wide, so a table lives exactly as long as its
+    network.
+
+    * :meth:`path` interns a path by its ASN tuple;
+    * :meth:`exported` looks an exported bundle up by its path (the
+      interned object), origin and community sets;
+    * :meth:`imported` looks the LOCAL_PREF bundle up by the received
+      bundle and the local-pref, and answers the received bundle itself
+      when its local-pref is already that value;
+    * :meth:`bundle` interns an origination by value.
+
+    The export and import keys hold ``id()`` of an object, so each entry
+    holds that object and a hit checks it with ``is``: in a copied,
+    deep-copied or unpickled table those ids name nothing, a new object
+    may be born at one of their addresses, and the check turns that
+    into a miss rather than someone else's bundle.  A miss builds the
+    bundle and takes the table's canonical copy of its value, so equal
+    bundles the table hands out are one object.
+    """
+
+    __slots__ = ("_paths", "_bundles", "_exports", "_imports")
+
+    def __init__(self) -> None:
+        self._paths: dict[tuple[int, ...], AsPath] = {}
+        #: Every bundle handed out, keyed by its value.
+        self._bundles: dict[RouteAttributes, RouteAttributes] = {}
+        #: ``(id(path), origin, communities, large)`` -> the exported
+        #: bundle, whose ``as_path`` is that path.
+        self._exports: dict[tuple, RouteAttributes] = {}
+        #: ``(id(received), local_pref)`` -> ``(received, imported)``.
+        self._imports: dict[
+            tuple[int, int], tuple[RouteAttributes, RouteAttributes]
+        ] = {}
+
+    def path(self, asns: tuple[int, ...]) -> AsPath:
+        """The table's path for ``asns``."""
+        path = self._paths.get(asns)
+        if path is None:
+            path = self._paths[asns] = AsPath(asns)
+        return path
+
+    def bundle(self, attrs: RouteAttributes) -> RouteAttributes:
+        """The table's bundle equal to ``attrs``, its path interned too."""
+        found = self._bundles.get(attrs)
+        if found is not None:
+            return found
+        path = self.path(attrs.as_path.asns)
+        if path is not attrs.as_path:
+            attrs = attrs.with_path(path)
+        self._bundles[attrs] = attrs
+        return attrs
+
+    def exported(self, path: AsPath, attrs: RouteAttributes) -> RouteAttributes:
+        """``attrs`` as sent over eBGP with ``path`` (a path of this
+        table): LOCAL_PREF reset to 100, MED to 0."""
+        key = (id(path), attrs.origin, attrs.communities, attrs.large_communities)
+        found = self._exports.get(key)
+        if found is not None and found.as_path is path:
+            return found
+        found = self.bundle(
+            RouteAttributes(
+                path,
+                attrs.origin,
+                100,  # LOCAL_PREF is not carried across eBGP
+                0,
+                attrs.communities,
+                attrs.large_communities,
+            )
+        )
+        self._exports[key] = found
+        return found
+
+    def imported(self, attrs: RouteAttributes, local_pref: int) -> RouteAttributes:
+        """``attrs`` with the LOCAL_PREF import assigns."""
+        if attrs.local_pref == local_pref:
+            return attrs
+        key = (id(attrs), local_pref)
+        entry = self._imports.get(key)
+        if entry is not None and entry[0] is attrs:
+            return entry[1]
+        found = self.bundle(
+            RouteAttributes(
+                attrs.as_path,
+                attrs.origin,
+                local_pref,
+                attrs.med,
+                attrs.communities,
+                attrs.large_communities,
+            )
+        )
+        self._imports[key] = (attrs, found)
+        return found

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Union
 
 from ..validate import int_in
-from .attributes import AsPath
+from .attributes import AsPath, ValueTable
 from .messages import Prefix, Withdrawal, as_prefix, prefix_key
 from .policy import Relationship
 from .router import BgpRouter
@@ -54,6 +54,8 @@ class BgpNetwork:
 
     def __init__(self) -> None:
         self.routers: dict[str, BgpRouter] = {}
+        #: The one copy of each path and bundle every router here builds.
+        self.values = ValueTable()
         #: Directed session list (a, b): a may send updates to b.
         self._sessions: list[tuple[str, str]] = []
         #: Session establishment parameters, keyed by the (a, b) order
@@ -81,6 +83,7 @@ class BgpNetwork:
     def add_router(self, router: BgpRouter) -> BgpRouter:
         if router.name in self.routers:
             raise ValueError(f"duplicate router name: {router.name}")
+        router.values = self.values
         self.routers[router.name] = router
         return router
 

@@ -9,11 +9,11 @@ routers hear each other's tenant prefixes across the public core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..validate import int_in
-from .attributes import AsPath, RouteAttributes
+from .attributes import AsPath, RouteAttributes, ValueTable
 from .communities import TrafficControlInterpreter
 from .messages import Announcement, Prefix, Withdrawal, as_prefix, prefix_key
 from .policy import (
@@ -43,12 +43,18 @@ class Neighbor:
         preference: operator tie-break rank (lower wins).  This models the
             paper's observation that Vultr's routers prefer NTT, then
             Telia, then GTT, then the rest.
+        local_pref: the LOCAL_PREF import assigns to this neighbor's
+            routes, taken from ``relationship`` once per session.
     """
 
     name: str
     asn: int
     relationship: Relationship
     preference: int = 1000
+    local_pref: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.local_pref = default_local_pref(self.relationship)
 
 
 class BgpRouter:
@@ -83,6 +89,9 @@ class BgpRouter:
         self.loc_rib = LocRib()
         self.adj_rib_out = AdjRibOut()
         self.originated: dict[Prefix, RouteAttributes] = {}
+        #: Where imports, exports and originations take their paths and
+        #: bundles; :meth:`BgpNetwork.add_router` swaps in the network's.
+        self.values = ValueTable()
         #: True while a snapshot may hold ``originated``: the next
         #: ``originate`` / ``withdraw_origination`` copies it first.
         self._originated_shared = False
@@ -145,7 +154,7 @@ class BgpRouter:
         empty path.
         """
         normalized = as_prefix(prefix)
-        attrs = attributes or RouteAttributes()
+        attrs = self.values.bundle(attributes or RouteAttributes())
         if self.originated.get(normalized) != attrs:
             self._own_originated()[normalized] = attrs
             self._origination_lines = None
@@ -186,9 +195,7 @@ class BgpRouter:
                 return self._reject_update(from_name, announcement.prefix)
         entry = RibEntry(
             prefix=announcement.prefix,
-            attributes=attrs.with_local_pref(
-                default_local_pref(neighbor.relationship)
-            ),
+            attributes=self.values.imported(attrs, neighbor.local_pref),
             neighbor=from_name,
             relationship=neighbor.relationship,
         )
@@ -348,16 +355,9 @@ class BgpRouter:
         path = attrs.as_path
         if self.strip_private_on_export:
             path = path.strip_private()
-        path = path.prepend(self.asn, 1 + action.prepend)
-        exported = RouteAttributes(
-            as_path=path,
-            origin=attrs.origin,
-            local_pref=100,  # LOCAL_PREF is not carried across eBGP
-            med=0,
-            communities=attrs.communities,
-            large_communities=attrs.large_communities,
-        )
-        return Announcement(prefix=prefix, attributes=exported)
+        values = self.values
+        path = values.path((self.asn,) * (1 + action.prepend) + path.asns)
+        return Announcement(prefix=prefix, attributes=values.exported(path, attrs))
 
     # -- helpers ------------------------------------------------------------
 

@@ -64,13 +64,20 @@ class Fib:
 
     Small and explicit rather than trie-based: edge and backbone tables in
     these experiments hold tens of routes, and an ordered scan keeps the
-    matching semantics obvious.  A router sees few distinct destinations,
-    so each lookup's answer (a miss included) is remembered per address
-    until the next route change.
+    matching semantics obvious.  Routes are kept per prefix length, each
+    length in install order (a replaced route moves to the back of its
+    length), keyed by integers so that an install or removal compares no
+    ``ipaddress`` objects.  The scan order, longest prefix first, is
+    rebuilt at the first lookup after a change.  A router sees few
+    distinct destinations, so each lookup's answer (a miss included) is
+    remembered per address until the next route change.
     """
 
     def __init__(self) -> None:
-        self._entries: list[FibEntry] = []
+        #: prefix length -> {route key: entry}, each in install order.
+        self._by_length: dict[int, dict[tuple[int, int], FibEntry]] = {}
+        #: Every entry, longest prefix first; None after a change.
+        self._entries: Optional[list[FibEntry]] = []
         self._memo: dict[IPAddress, Optional[FibEntry]] = {}
 
     def add_route(
@@ -84,21 +91,35 @@ class Fib:
         from .links import Link as _Link  # local import to avoid cycle
 
         link_list = [links] if isinstance(links, _Link) else list(links)
-        self.remove_route(network)
         entry = FibEntry(prefix=network, links=link_list)
-        self._entries.append(entry)
-        # Keep longest prefixes first so the first containment hit wins.
-        self._entries.sort(key=lambda e: e.prefix.prefixlen, reverse=True)
-        self._memo.clear()
+        self.remove_route(network)
+        self._by_length.setdefault(network.prefixlen, {})[_route_key(network)] = entry
+        self._changed()
         return entry
 
     def remove_route(self, prefix: Union[str, IPNetwork]) -> bool:
         """Remove the exact route for ``prefix``; True if one existed."""
         network = ipaddress.ip_network(prefix) if isinstance(prefix, str) else prefix
-        before = len(self._entries)
-        self._entries = [e for e in self._entries if e.prefix != network]
+        routes = self._by_length.get(network.prefixlen)
+        if routes is None or routes.pop(_route_key(network), None) is None:
+            return False
+        self._changed()
+        return True
+
+    def _changed(self) -> None:
+        self._entries = None
         self._memo.clear()
-        return len(self._entries) != before
+
+    def _ordered(self) -> list[FibEntry]:
+        entries = self._entries
+        if entries is None:
+            by_length = self._by_length
+            entries = self._entries = [
+                entry
+                for length in sorted(by_length, reverse=True)
+                for entry in by_length[length].values()
+            ]
+        return entries
 
     def lookup(self, address: IPAddress) -> Optional[FibEntry]:
         """Longest-prefix match, or None if no route covers ``address``."""
@@ -107,7 +128,7 @@ class Fib:
         except KeyError:
             pass
         found = None
-        for entry in self._entries:
+        for entry in self._ordered():
             if entry.prefix.version == address.version and address in entry.prefix:
                 found = entry
                 break
@@ -116,10 +137,16 @@ class Fib:
 
     def routes(self) -> list[FibEntry]:
         """All installed entries, longest prefix first."""
-        return list(self._entries)
+        return list(self._ordered())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(len(routes) for routes in self._by_length.values())
+
+
+def _route_key(network: IPNetwork) -> tuple[int, int]:
+    """An exact route's identity within its prefix length: the address
+    family and the network address, as plain ints."""
+    return network.version, int(network.network_address)
 
 
 @dataclass

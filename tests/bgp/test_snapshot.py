@@ -6,6 +6,12 @@ import hashlib
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.bgp.attributes import Community, RouteAttributes
 from repro.bgp.network import BgpNetwork
@@ -341,6 +347,102 @@ class TestCopyOnWrite:
         sink.originate("2001:db8:10::/48")
         assert sink.originated is held  # written in place from now on
         assert Q not in snap.routers["sink"].originated
+
+
+def held_bundles(routers, snapshots):
+    """Every bundle the routers' four tables and the snapshots hold."""
+    tables = [
+        (r.adj_rib_in._table, r.loc_rib._table, r.adj_rib_out._sent, r.originated)
+        for r in routers
+    ]
+    for snapshot in snapshots:
+        tables.extend(
+            (s.adj_rib_in, s.loc_rib, s.adj_rib_out, s.originated)
+            for s in snapshot.routers.values()
+        )
+    for adj_rib_in, loc_rib, adj_rib_out, originated in tables:
+        for row in adj_rib_in.values():
+            for entry in row:
+                yield entry.attributes
+        for entry in loc_rib.values():
+            yield entry.attributes
+        for sent in adj_rib_out.values():
+            for announcement in sent.values():
+                yield announcement.attributes
+        yield from originated.values()
+
+
+class _SharingMachine(RuleBasedStateMachine):
+    """``TestCopyOnWrite``'s operations as rules, every converge and
+    restore followed by the sharing check: two equal bundles or paths
+    the network's tables, or a snapshot it captured, hold are one
+    object."""
+
+    def __init__(self):
+        super().__init__()
+        self.net = diamond()
+        #: (snapshot, its sessions, deep copy at capture)
+        self.captured = []
+
+    @rule(
+        router=st.sampled_from(_ROUTERS),
+        prefix=st.sampled_from(_PREFIXES),
+        size=st.integers(0, 2),
+    )
+    def originate(self, router, prefix, size):
+        attrs = RouteAttributes(
+            communities=frozenset(Community(65000, v) for v in range(size))
+        )
+        self.net.router(router).originate(prefix, attrs)
+
+    @rule(router=st.sampled_from(_ROUTERS), prefix=st.sampled_from(_PREFIXES))
+    def withdraw(self, router, prefix):
+        self.net.router(router).withdraw_origination(prefix)
+
+    @rule(peer=st.sampled_from(("left", "right")))
+    def toggle_session(self, peer):
+        if peer in self.net.router("sink").neighbors:
+            self.net.disconnect("sink", peer)
+        else:
+            self.net.connect("sink", peer, Relationship.PROVIDER)
+
+    @rule()
+    def converge(self):
+        self.net.converge()
+        self._check_sharing()
+
+    @rule()
+    def capture(self):
+        self.converge()
+        snapshot = capture_snapshot(self.net)
+        sessions = set(self.net.session_pairs())
+        self.captured.append((snapshot, sessions, copy.deepcopy(snapshot.routers)))
+
+    @precondition(lambda self: self.captured)
+    @rule(index=st.integers(0, 7))
+    def restore(self, index):
+        snapshot, sessions, _ = self.captured[index % len(self.captured)]
+        if sessions == set(self.net.session_pairs()):
+            restore_snapshot(self.net, snapshot)
+            self._check_sharing()
+
+    @invariant()
+    def snapshots_are_never_written(self):
+        for snapshot, _, at_capture in self.captured:
+            assert snapshot.routers == at_capture
+
+    def _check_sharing(self):
+        snapshots = [snapshot for snapshot, _, _ in self.captured]
+        bundles, paths = {}, {}
+        for attrs in held_bundles(self.net.routers.values(), snapshots):
+            assert bundles.setdefault(attrs, attrs) is attrs
+            assert paths.setdefault(attrs.as_path, attrs.as_path) is attrs.as_path
+
+
+TestEqualValuesAreOneObject = _SharingMachine.TestCase
+TestEqualValuesAreOneObject.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
 
 
 class TestSnapshotCache:

@@ -18,7 +18,13 @@ During ``establish()`` of the N=4 live federation (seed 42):
   table of every router is the very dict the snapshot holds, and
   ``capture_snapshot`` (13 calls) copies none either;
 * the copy-on-write copies made afterwards, when a table shared with a
-  snapshot is first written, are exactly ``COW_COPIES``.
+  snapshot is first written, are exactly ``COW_COPIES``;
+* no ``ipaddress`` ``__eq__`` runs — a FIB install finds the route it
+  replaces by integer key — and no ``Enum.__hash__`` does: an import
+  reads the LOCAL_PREF its session took once;
+* at the end, the bundles and paths the network's tables, its snapshot
+  cache and its value table hold are one object per value, exactly
+  ``CENSUS``.
 
 Then traffic starts on 11 of the 12 directions, one after another, and
 the rows step: :class:`~repro.traffic.vector.FluidRows` concatenates
@@ -26,7 +32,11 @@ each of its row, bucket and peak arrays once, at that layout change, not
 once per joining direction.  The twelfth, joining at a later step
 instant, costs one more concatenation per array.
 
-Exact on any host.  At the parent commit establishment made 8,313
+Exact on any host.  Before the value table, establishment built 1,012
+``RouteAttributes`` and 783 ``AsPath``, made 294 ``ipaddress``
+``__eq__`` calls from FIB installs and 455 ``Enum.__hash__`` calls from
+imports, and its tables and snapshots held 933 bundle and 483 path
+objects for 93 and 39 values.  At the parent commit establishment made 8,313
 stdlib hash calls and 491 ``replace`` calls from ``repro.bgp``, every
 export built a new path, the scenario's prefixes were plain networks,
 and the 11 directions concatenated 19 x 10 = 190 arrays as they joined.
@@ -39,6 +49,7 @@ frames ran for these classes: 1,012 ``RouteAttributes``, 783 ``AsPath``,
 """
 
 import dataclasses
+import enum
 import ipaddress
 import sys
 
@@ -53,11 +64,14 @@ from repro.bgp.router import BgpRouter
 from repro.federation import FederationRegistry
 from repro.scenarios.topologies import build_live_federation
 from repro.traffic.vector import FluidRows
+from tests.bgp.test_snapshot import held_bundles
 from tests.test_frozen import CLASSES as SLOT_INIT_CLASSES
 
 INTERNED = (InternedIPv4Network, InternedIPv6Network)
 STDLIB_HASH = ipaddress._BaseNetwork.__hash__.__code__
 REPLACE = dataclasses.replace.__code__
+ENUM_HASH = enum.Enum.__hash__.__code__
+IPADDRESS_FILE = ipaddress.__file__
 
 #: FluidRows' arrays: 12 per row (capacity, bits, service, buffer delay,
 #: buffer, clock offset, loss-until, backlog, two carries, delay and
@@ -68,10 +82,12 @@ ROWS_ARRAYS = 19
 SLOT_INITS = {cls.__init__.__code__: cls.__name__ for cls in SLOT_INIT_CLASSES}
 #: Objects each slot-descriptor ``__init__`` built during establish():
 #: the parent's counts, but for ``ExportAction`` (484 then), whose
-#: no-op outcome is now one shared instance.
+#: no-op outcome is now one shared instance, and for the bundles and
+#: paths the network's value table hands out again instead of building
+#: (1,012 ``RouteAttributes`` and 783 ``AsPath`` before it).
 FAST_INITS = {
-    "RouteAttributes": 1_012,
-    "AsPath": 783,
+    "RouteAttributes": 184,
+    "AsPath": 355,
     "Announcement": 469,
     "RibEntry": 455,
     "Withdrawal": 67,
@@ -96,12 +112,20 @@ COW_COPIES = {
 }
 
 
+#: (objects, distinct values) of each type the network holds at the
+#: end of establish(): its routers' tables, its snapshot cache and its
+#: value table.
+CENSUS = {"RouteAttributes": (96, 96), "AsPath": (41, 41)}
+
+
 class EstablishCounts:
     """What ``establish()`` did, counted by a profile hook and a wrapper."""
 
     def __init__(self) -> None:
         self.stdlib_hashes = 0
         self.bgp_replaces = 0
+        self.ipaddress_eqs = 0
+        self.enum_hashes = 0
         #: ``(path, result)`` of every strip_private call.
         self.strips: list[tuple[AsPath, AsPath]] = []
         #: ``__init__`` frames of slot_init classes, fast per class and stock.
@@ -124,6 +148,10 @@ class EstablishCounts:
             caller = frame.f_back.f_globals.get("__name__", "")
             if caller.startswith("repro.bgp"):
                 self.bgp_replaces += 1
+        elif code is ENUM_HASH:
+            self.enum_hashes += 1
+        elif code.co_name == "__eq__" and code.co_filename == IPADDRESS_FILE:
+            self.ipaddress_eqs += 1
         elif code.co_name == "__init__":
             name = SLOT_INITS.get(code)
             if name is not None:
@@ -248,6 +276,32 @@ def test_restore_and_capture_copy_no_dict(established):
 def test_copy_on_write_copies_are_counted_exactly(established):
     _, counts = established
     assert counts.cow_copies == COW_COPIES
+
+
+def test_no_ipaddress_eq_or_enum_hash_during_establish(established):
+    _, counts = established
+    assert (counts.ipaddress_eqs, counts.enum_hashes) == (0, 0)
+
+
+def _held_values(registry) -> dict:
+    """(objects, distinct values) per type, over everything the
+    federation's BGP network holds."""
+    values = registry.bgp.values
+    held = held_bundles(
+        registry.bgp.routers.values(), registry.snapshots._snapshots.values()
+    )
+    bundles = {id(a): a for a in (*held, *values._bundles.values())}
+    paths = {id(a.as_path): a.as_path for a in bundles.values()}
+    paths.update((id(p), p) for p in values._paths.values())
+    return {
+        "RouteAttributes": (len(bundles), len(set(bundles.values()))),
+        "AsPath": (len(paths), len(set(paths.values()))),
+    }
+
+
+def test_the_network_holds_one_object_per_value(established):
+    registry, _ = established
+    assert _held_values(registry) == CENSUS
 
 
 def test_fluid_rows_concatenate_each_array_once_per_layout(monkeypatch):

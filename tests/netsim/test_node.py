@@ -3,6 +3,8 @@
 import ipaddress
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.events import Simulator
 from repro.netsim.node import Fib, HostNode
@@ -76,6 +78,111 @@ class TestFib:
         fib = Fib()
         with pytest.raises(ValueError):
             fib.add_route("2001:db8::/32", [])
+
+
+class _ListFib:
+    """The reference: one list, the replaced or removed route filtered
+    out by ``!=`` and a new one appended, then a stable sort, longest
+    prefix first."""
+
+    def __init__(self):
+        self.entries = []
+
+    def add_route(self, prefix, links):
+        network = ipaddress.ip_network(prefix)
+        self.remove_route(network)
+        self.entries.append((network, list(links)))
+        self.entries.sort(key=lambda e: e[0].prefixlen, reverse=True)
+
+    def remove_route(self, prefix):
+        network = ipaddress.ip_network(prefix)
+        before = len(self.entries)
+        self.entries = [e for e in self.entries if e[0] != network]
+        return len(self.entries) != before
+
+    def lookup(self, address):
+        for network, links in self.entries:
+            if network.version == address.version and address in network:
+                return network, links
+        return None
+
+
+#: Nested and sibling prefixes of both families, several per length.
+_FIB_PREFIXES = (
+    "2001:db8::/32",
+    "2001:db9::/32",
+    "2001:db8:20::/48",
+    "2001:db8:21::/48",
+    "2001:db8:20:1::/64",
+    "::/0",
+    "10.0.0.0/8",
+    "10.1.0.0/16",
+    "10.2.0.0/16",
+    "10.1.2.0/24",
+    "0.0.0.0/0",
+    "2001:db8:1::/48",
+)
+_FIB_ADDRESSES = tuple(
+    ipaddress.ip_address(a)
+    for a in (
+        "2001:db8:20:1::5",
+        "2001:db8:20::9",
+        "2001:db8:21::1",
+        "2001:db8:99::1",
+        "2001:db9::1",
+        "2001:db8:1::1",
+        "3fff::1",
+        "10.1.2.3",
+        "10.1.9.9",
+        "10.2.0.1",
+        "10.9.9.9",
+        "192.0.2.1",
+    )
+)
+_FIB_NET = Network()
+_FIB_ROUTER = _FIB_NET.add_router("fib-r")
+_FIB_LINKS = tuple(
+    _FIB_NET.add_link(f"fib-l{i}", _FIB_ROUTER, _FIB_NET.add_host(f"fib-h{i}"), delay_s=0.001)
+    for i in range(3)
+)
+_FIB_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.sampled_from(_FIB_PREFIXES),
+            st.lists(st.sampled_from(_FIB_LINKS), min_size=1, max_size=2),
+            st.booleans(),
+        ),
+        st.tuples(st.just("remove"), st.sampled_from(_FIB_PREFIXES), st.booleans()),
+    ),
+    max_size=40,
+)
+
+
+class TestFibMatchesAList:
+    """Routes kept per prefix length answer exactly as the one sorted
+    list they replaced: the same ``routes()`` order (a replaced route
+    moves to the back of its length) and the same ``lookup`` answers."""
+
+    @given(_FIB_OPERATIONS)
+    @settings(max_examples=200, deadline=None)
+    def test_add_replace_remove_sequences(self, operations):
+        fib, reference = Fib(), _ListFib()
+        for op in operations:
+            # A prefix is passed as text or as a network object of its
+            # own, so a replacement meets an equal, not the same, object.
+            prefix = ipaddress.ip_network(op[1]) if op[-1] else op[1]
+            if op[0] == "add":
+                fib.add_route(prefix, op[2])
+                reference.add_route(prefix, op[2])
+            else:
+                assert fib.remove_route(prefix) == reference.remove_route(prefix)
+            assert [(e.prefix, e.links) for e in fib.routes()] == reference.entries
+            assert len(fib) == len(reference.entries)
+            for address in _FIB_ADDRESSES:
+                entry = fib.lookup(address)
+                answer = None if entry is None else (entry.prefix, entry.links)
+                assert answer == reference.lookup(address)
 
 
 class TestRouterForwarding:
