@@ -24,6 +24,7 @@ __all__ = [
     "RouteAttributes",
     "ValueTable",
     "is_private_asn",
+    "strip_private_asns",
 ]
 
 #: RFC 6996 private ASN range (16-bit block).
@@ -34,6 +35,17 @@ _PRIVATE_ASN_MAX = 65534
 def is_private_asn(asn: int) -> bool:
     """True for RFC 6996 private-use ASNs (the prototype's tenant ASN)."""
     return _PRIVATE_ASN_MIN <= asn <= _PRIVATE_ASN_MAX
+
+
+def strip_private_asns(asns: tuple[int, ...]) -> tuple[int, ...]:
+    """``asns`` without private ASNs (what Vultr does to tenant sessions).
+
+    A tuple without one is returned as is: every export calls this, and
+    the paths it sees rarely hold a private ASN."""
+    for asn in asns:
+        if _PRIVATE_ASN_MIN <= asn <= _PRIVATE_ASN_MAX:
+            return tuple(a for a in asns if not is_private_asn(a))
+    return asns
 
 
 class Origin(enum.IntEnum):
@@ -72,14 +84,10 @@ class AsPath:
         return asn in self.asns
 
     def strip_private(self) -> "AsPath":
-        """Remove private ASNs (what Vultr does to tenant sessions).
-
-        A path without one is returned as is: every export calls this,
-        and the paths it sees rarely hold a private ASN."""
-        for asn in self.asns:
-            if _PRIVATE_ASN_MIN <= asn <= _PRIVATE_ASN_MAX:
-                return AsPath(tuple(a for a in self.asns if not is_private_asn(a)))
-        return self
+        """Remove private ASNs (:func:`strip_private_asns`); a path
+        without one is returned as is."""
+        asns = strip_private_asns(self.asns)
+        return self if asns is self.asns else AsPath(asns)
 
     def without(self, asn: int) -> "AsPath":
         """Remove every occurrence of ``asn`` (used to present transit-only

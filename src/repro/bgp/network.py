@@ -318,7 +318,10 @@ class BgpNetwork:
                 announcement = sender.export_for(receiver_name, prefix)
                 last = sender.adj_rib_out.last_sent(receiver_name, prefix)
                 if announcement is not None:
-                    if announcement == last:
+                    if last is not None and (
+                        last.attributes is announcement.attributes
+                        or announcement == last
+                    ):
                         continue
                     sender.adj_rib_out.record(receiver_name, announcement)
                     self.updates_delivered += 1

@@ -83,10 +83,15 @@ class AdjRibIn(_SharedTable[tuple[RibEntry, ...]]):
 
     def upsert(self, entry: RibEntry) -> bool:
         """Install/replace a route.  Returns True if anything changed."""
-        row = self._table.get(entry.prefix, ())
-        if entry in row:
-            return False
-        others = [e for e in row if e.neighbor != entry.neighbor]
+        others = []
+        for held in self._table.get(entry.prefix, ()):
+            if held.neighbor != entry.neighbor:
+                others.append(held)
+            elif (
+                held.attributes is entry.attributes
+                and held.relationship is entry.relationship
+            ) or held == entry:
+                return False  # interned bundles by identity; ``==`` for copies
         table = self._own() if self._shared else self._table
         table[entry.prefix] = tuple(sorted([*others, entry], key=_neighbor_of))
         return True
@@ -132,7 +137,10 @@ class LocRib(_SharedTable[RibEntry]):
     def set_best(self, prefix: Prefix, entry: Optional[RibEntry]) -> bool:
         """Record the decision outcome.  Returns True on change."""
         current = self._table.get(prefix)
-        if current == entry:
+        # An unchanged best is a row's very entry; ``==`` covers a copy.
+        if current is entry or (
+            current is not None and entry is not None and current == entry
+        ):
             return False
         table = self._own() if self._shared else self._table
         if entry is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..validate import int_in
-from .attributes import AsPath, RouteAttributes, ValueTable
+from .attributes import AsPath, RouteAttributes, ValueTable, strip_private_asns
 from .communities import TrafficControlInterpreter
 from .messages import Announcement, Prefix, Withdrawal, as_prefix, prefix_key
 from .policy import (
@@ -352,11 +352,11 @@ class BgpRouter:
         for policy in self.export_policies:
             if not policy(neighbor.name, prefix, attrs):
                 return None
-        path = attrs.as_path
+        asns = attrs.as_path.asns
         if self.strip_private_on_export:
-            path = path.strip_private()
+            asns = strip_private_asns(asns)
         values = self.values
-        path = values.path((self.asn,) * (1 + action.prepend) + path.asns)
+        path = values.path((self.asn,) * (1 + action.prepend) + asns)
         return Announcement(prefix=prefix, attributes=values.exported(path, attrs))
 
     # -- helpers ------------------------------------------------------------

@@ -5,7 +5,6 @@ from .encap import (
     TunnelDecapError,
     decapsulate,
     encapsulate,
-    is_tango_encapsulated,
 )
 from .flowlet import FlowletSelector
 from .programs import (
@@ -33,5 +32,4 @@ __all__ = [
     "TunnelLookup",
     "decapsulate",
     "encapsulate",
-    "is_tango_encapsulated",
 ]

@@ -25,7 +25,6 @@ __all__ = [
     "encapsulate",
     "tunnel_headers",
     "decapsulate",
-    "is_tango_encapsulated",
     "TUNNEL_OVERHEAD_BYTES",
 ]
 
@@ -86,13 +85,6 @@ def encapsulate(
     """
     packet.encapsulate(outer[0], outer[1], tango)
     return packet
-
-
-def is_tango_encapsulated(packet: Packet) -> bool:
-    """True when the packet's outer headers form a Tango tunnel: IPv6
-    (the prototype tunnels over IPv6), UDP to :data:`TANGO_UDP_PORT`,
-    Tango.  The packet keeps this fact with its header stack."""
-    return packet.tunneled
 
 
 def decapsulate(packet: Packet) -> tuple[Packet, TangoHeader, Ipv6Header]:

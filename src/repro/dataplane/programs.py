@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional, Protocol
 from ..netsim.node import ProgrammableSwitch
 from ..netsim.packet import Ipv6Header, Packet, TangoHeader, UdpHeader
 from ..telemetry.auth import TelemetryAuthenticator
-from .encap import decapsulate, is_tango_encapsulated
+from .encap import decapsulate
 from .seqnum import SequenceStamper, SequenceTracker
 
 __all__ = [
@@ -83,7 +83,7 @@ class TangoSenderProgram:
         self.passed_through = 0
 
     def __call__(self, switch: ProgrammableSwitch, packet: Packet) -> Optional[Packet]:
-        if is_tango_encapsulated(packet):
+        if packet.tunneled:
             # Already tunneled (e.g. re-forwarded transit traffic).
             self.passed_through += 1
             return packet
@@ -133,7 +133,7 @@ class TangoReceiverProgram:
         self.local_endpoints.add(address)
 
     def __call__(self, switch: ProgrammableSwitch, packet: Packet) -> Optional[Packet]:
-        if not is_tango_encapsulated(packet) or packet.dst not in self.local_endpoints:
+        if not packet.tunneled or packet.dst not in self.local_endpoints:
             self.passed_through += 1
             return packet
         inner, tango, _outer = decapsulate(packet)

@@ -41,7 +41,7 @@ from .packet import (
     TangoHeader,
     UdpHeader,
 )
-from .simclock import NodeClock, SimClock
+from .simclock import NodeClock
 from .ticks import TickHandle, TickScheduler
 from .topology import Network
 from .transport import TcpReceiver, TcpSender, TcpStats, connect_tcp
@@ -85,7 +85,6 @@ __all__ = [
     "QueuedLink",
     "RouteChangeEvent",
     "RouterNode",
-    "SimClock",
     "SpikeProcess",
     "Simulator",
     "TangoHeader",

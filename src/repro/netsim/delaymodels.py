@@ -590,7 +590,11 @@ class GaussianJitterDelay(DelayModel):
         return np.maximum(self.base + noise, self.floor)
 
     def delay_at(self, t: float) -> float:
-        index = _grid_index(t)
+        # :func:`_grid_index`, written out: this runs per packet per hop.
+        quanta = t / _NOISE_QUANTUM
+        if not -_INDEX_END <= quanta < _INDEX_END:
+            raise _off_grid(t)
+        index = math.floor(quanta)
         last_index, last_delay = self._drawn[0]
         if index == last_index:
             return last_delay

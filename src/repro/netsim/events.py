@@ -15,7 +15,6 @@ import itertools
 from typing import Callable, Optional
 
 from ..validate import finite, positive
-from .simclock import SimClock
 
 __all__ = ["Event", "Simulator", "PeriodicTask"]
 
@@ -73,7 +72,9 @@ class Simulator:
     _COMPACT_MIN_SIZE = 8
 
     def __init__(self, start: float = 0.0) -> None:
-        self.clock = SimClock(start)
+        #: Simulation time in seconds: the one time source, written only
+        #: by :meth:`run`, :meth:`step` and :meth:`advance_to`.
+        self.now = float(start)
         #: ``(time, seq, event)`` entries; replaced only in place, so a
         #: local alias held by :meth:`run` survives a compaction.
         self._queue: list[tuple[float, int, Event]] = []
@@ -83,11 +84,6 @@ class Simulator:
         #: Work counters (cheap ints, always on).
         self.compactions = 0
         self.tombstones_reaped = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self.clock.now
 
     @property
     def events_processed(self) -> int:
@@ -135,7 +131,7 @@ class Simulator:
             ValueError: if ``time`` is NaN or before the current simulation
                 time.
         """
-        now = self.clock.now
+        now = self.now
         # One comparison rejects both: NaN is not >= anything.
         if not time >= now:
             if time != time:
@@ -151,7 +147,7 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.schedule_at(self.clock.now + delay, callback)
+        return self.schedule_at(self.now + delay, callback)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Drain the event queue.
@@ -169,7 +165,6 @@ class Simulator:
             raise ValueError(f"cannot run until {until}")
         queue = self._queue
         pop = heapq.heappop
-        advance_to = self.clock.advance_to
         executed = 0
         while queue:
             if max_events is not None and executed >= max_events:
@@ -185,12 +180,27 @@ class Simulator:
             # Detach so a cancel() from inside the callback (a task
             # pausing itself) is not counted as a queued tombstone.
             event._sim = None
-            advance_to(time)
+            if time < self.now:  # advance_to's refusal, inline
+                raise ValueError(
+                    f"cannot move simulation time from {self.now} to {time}"
+                )
+            self.now = time
             event.callback()
             self._events_processed += 1
             executed += 1
-        if until is not None and self.clock.now < until:
-            self.clock.advance_to(until)
+        if until is not None and self.now < until:
+            self.advance_to(until)
+
+    def advance_to(self, t: float) -> None:
+        """Move simulation time forward to ``t`` without running events.
+        A jump past a queued event is refused when that event is run.
+
+        Raises:
+            ValueError: ``t`` is NaN or before the current time.
+        """
+        if not t >= self.now:  # NaN is not >= anything
+            raise ValueError(f"cannot move simulation time from {self.now} to {t}")
+        self.now = t
 
     def step(self) -> bool:
         """Execute the single next live event.
@@ -204,7 +214,7 @@ class Simulator:
                 self._cancelled_pending -= 1
                 continue
             event._sim = None
-            self.clock.advance_to(time)
+            self.advance_to(time)
             event.callback()
             self._events_processed += 1
             return True
@@ -231,7 +241,7 @@ class Simulator:
         if start is not None:
             finite("start", start)
         task = PeriodicTask(self, interval, callback, end=end)
-        first = self.clock.now if start is None else start
+        first = self.now if start is None else start
         task._arm(first)
         return task
 

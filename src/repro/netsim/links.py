@@ -324,7 +324,11 @@ class Link:
         if size > self.mtu:
             self.stats.dropped_mtu += 1
             return False
-        if self.loss.drops(self.seed, now, self.stats.transmitted):
+        loss = self.loss
+        # A lossless link (the default) draws no coin: it would never drop.
+        if (type(loss) is not ConstantLoss or loss.rate > 0.0) and loss.drops(
+            self.seed, now, self.stats.transmitted
+        ):
             self.stats.dropped_loss += 1
             return False
         if self.interceptor is not None:

@@ -167,7 +167,7 @@ class Node:
     def __init__(self, name: str, sim: "Simulator", clock_offset: float = 0.0):
         self.name = name
         self.sim = sim
-        self.clock = NodeClock(sim.clock, offset=clock_offset)
+        self.clock = NodeClock(sim, offset=clock_offset)
         self.stats = NodeStats()
 
     def receive(self, packet: Packet, ingress: Optional["Link"] = None) -> None:

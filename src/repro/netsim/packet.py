@@ -327,6 +327,9 @@ class Packet:
 
     Attributes:
         headers: outermost-first header tuple (read-only).
+        tunneled: True when the outer headers form a Tango tunnel.  A
+            plain attribute, read per packet by the switch programs;
+            only this class writes it.
         payload_bytes: size of the application payload.
         flow_label: opaque application flow identifier used by traffic
             generators and the TCP model to group packets.
@@ -339,7 +342,7 @@ class Packet:
         "_headers",
         "_outer_ip",
         "_header_bytes",
-        "_tunneled",
+        "tunneled",
         "_inner",
         "payload_bytes",
         "flow_label",
@@ -402,7 +405,7 @@ class Packet:
         self._headers = stack
         self._outer_ip = outer_ip
         self._header_bytes = total
-        self._tunneled = (
+        self.tunneled = (
             len(stack) >= 3
             and isinstance(stack[0], Ipv6Header)
             and isinstance(stack[1], UdpHeader)
@@ -449,13 +452,13 @@ class Packet:
             self._headers,
             self._outer_ip,
             self._header_bytes,
-            self._tunneled,
+            self.tunneled,
             self._inner,
         )
         self._headers = (outer, udp, tango) + self._headers
         self._outer_ip = outer
         self._header_bytes += outer.wire_bytes + udp.wire_bytes + tango.wire_bytes
-        self._tunneled = isinstance(outer, Ipv6Header) and udp.dport == TANGO_UDP_PORT
+        self.tunneled = isinstance(outer, Ipv6Header) and udp.dport == TANGO_UDP_PORT
 
     def decapsulate(self) -> tuple[Header, ...]:
         """Pop a tunnel's three headers, outermost first, restoring the
@@ -464,7 +467,7 @@ class Packet:
         Raises:
             ValueError: the outer headers are not a Tango tunnel.
         """
-        if not self._tunneled:
+        if not self.tunneled:
             raise ValueError(f"packet {self.packet_id} is not tunneled")
         headers = self._headers
         inner = self._inner
@@ -475,7 +478,7 @@ class Packet:
                 self._headers,
                 self._outer_ip,
                 self._header_bytes,
-                self._tunneled,
+                self.tunneled,
                 self._inner,
             ) = inner
         return headers[:3]
@@ -507,11 +510,6 @@ class Packet:
     def src(self) -> IPAddress:
         """Source address of the outermost IP header."""
         return self.outer_ip.src
-
-    @property
-    def tunneled(self) -> bool:
-        """True when the outer headers form a Tango tunnel."""
-        return self._tunneled
 
     def find(self, header_type: type) -> Optional[Header]:
         """First header of the given type, or None."""

@@ -1,4 +1,4 @@
-"""Simulation time and per-node wall clocks.
+"""Per-node wall clocks over simulation time.
 
 Tango's measurement soundness rests on a simple observation from the paper
 (Section 3): the sending and receiving switches need not share a synchronized
@@ -8,9 +8,9 @@ same additive amount and remain comparable *relative to each other*.
 
 This module models that explicitly:
 
-* :class:`SimClock` is the single global simulation clock, advanced by the
-  event loop.  All physics (link delays, event timing) happen in simulation
-  time.
+* Simulation time is :attr:`repro.netsim.events.Simulator.now`, written
+  only by the simulator's event loop.  All physics (link delays, event
+  timing) happen in simulation time.
 * :class:`NodeClock` is a node's *wall clock*: the clock an eBPF program or
   a switch ASIC would read.  It maps simulation time to local time through a
   constant offset and an optional frequency drift.  Timestamps carried in
@@ -21,41 +21,12 @@ This module models that explicitly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-__all__ = ["SimClock", "NodeClock"]
+if TYPE_CHECKING:  # pragma: no cover
+    from .events import Simulator
 
-
-class SimClock:
-    """Monotonic global simulation clock, in seconds.
-
-    Only the event loop (:class:`repro.netsim.events.Simulator`) should
-    advance it; everything else reads it.
-    """
-
-    __slots__ = ("_now",)
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
-    def advance_to(self, t: float) -> None:
-        """Move the clock forward to ``t``.
-
-        Raises:
-            ValueError: if ``t`` is in the past; simulation time is monotonic.
-        """
-        if t < self._now:
-            raise ValueError(
-                f"cannot move simulation time backwards: {t} < {self._now}"
-            )
-        self._now = t
-
-    def __repr__(self) -> str:
-        return f"SimClock(now={self._now:.9f})"
+__all__ = ["NodeClock"]
 
 
 @dataclass
@@ -63,7 +34,7 @@ class NodeClock:
     """A node's free-running wall clock.
 
     Attributes:
-        sim_clock: the global simulation clock this wall clock derives from.
+        sim: the simulator whose time this wall clock derives from.
         offset: constant offset in seconds added to simulation time.  Two
             Tango endpoints typically have different offsets; the difference
             is the constant distortion the paper discusses.
@@ -73,14 +44,17 @@ class NodeClock:
             relative comparisons tolerate.  Defaults to a perfect oscillator.
     """
 
-    sim_clock: SimClock
+    sim: "Simulator" = field(repr=False)
     offset: float = 0.0
     drift_ppm: float = 0.0
     _epoch: float = field(default=0.0, repr=False)
 
     def now(self) -> float:
-        """Wall-clock reading in seconds for the current simulation time."""
-        return self.at(self.sim_clock.now)
+        """Wall-clock reading in seconds for the current simulation time:
+        :meth:`at` of ``sim.now``, written out (it runs per packet)."""
+        sim_time = self.sim.now
+        elapsed = sim_time - self._epoch
+        return sim_time + self.offset + elapsed * (self.drift_ppm * 1e-6)
 
     def at(self, sim_time: float) -> float:
         """Wall-clock reading for an arbitrary simulation time."""

@@ -7,8 +7,15 @@ During ``establish()`` of the N=4 live federation (seed 42):
   RIB, Adj-RIB-Out or origination lookup hashes an interned prefix,
   whose hash was taken once;
 * no ``dataclasses.replace`` call comes from ``repro.bgp``;
-* ``AsPath.strip_private`` hands back the path itself whenever it holds
-  no private ASN;
+* an export strips private ASNs from the ASN tuple and interns the
+  result once: ``strip_private_asns`` hands back the tuple itself
+  whenever it holds none, and an ``AsPath`` is built only by the value
+  table, a default bundle and discovery's transit views, exactly
+  ``PATHS_BUILT``;
+* an Adj-RIB-In upsert, a Loc-RIB decision and an Adj-RIB-Out resend
+  check compare interned bundles by identity first: the dataclass
+  ``__eq__`` of the four route value types runs exactly ``VALUE_EQS``
+  times;
 * every ``originated``, Loc-RIB and Adj-RIB-In key is an interned prefix;
 * no dataclass-generated ``__init__`` runs for a class built by
   :func:`repro.frozen.slot_init` — each is built by its slot-descriptor
@@ -57,7 +64,10 @@ import numpy as np
 import pytest
 
 from repro.bgp import snapshot
-from repro.bgp.attributes import AsPath, is_private_asn
+from repro.bgp import router as router_module
+from repro.bgp.attributes import AsPath, RouteAttributes, is_private_asn
+from repro.bgp.messages import Announcement
+from repro.bgp.rib import RibEntry
 from repro.bgp.messages import InternedIPv4Network, InternedIPv6Network
 from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib
 from repro.bgp.router import BgpRouter
@@ -84,10 +94,12 @@ SLOT_INITS = {cls.__init__.__code__: cls.__name__ for cls in SLOT_INIT_CLASSES}
 #: the parent's counts, but for ``ExportAction`` (484 then), whose
 #: no-op outcome is now one shared instance, and for the bundles and
 #: paths the network's value table hands out again instead of building
-#: (1,012 ``RouteAttributes`` and 783 ``AsPath`` before it).
+#: (1,012 ``RouteAttributes`` and 783 ``AsPath`` before it).  ``AsPath``
+#: was 355 while an export stripped private ASNs into a transient path
+#: (see ``PATHS_BUILT``).
 FAST_INITS = {
     "RouteAttributes": 184,
-    "AsPath": 355,
+    "AsPath": 129,
     "Announcement": 469,
     "RibEntry": 455,
     "Withdrawal": 67,
@@ -112,6 +124,27 @@ COW_COPIES = {
 }
 
 
+#: ``AsPath`` constructions during establish(), by the calling function:
+#: the value table's misses, ``RouteAttributes``' default path, and
+#: discovery's transit-only views.  An export built one more path per
+#: export of a path holding a private ASN (``strip_private``: 244 here,
+#: 1,372 of 1,824 at N = 8) until it stripped the ASN tuple instead.
+PATHS_BUILT = {"path": 41, "__init__": 52, "without": 18, "strip_private": 18}
+
+#: Dataclass ``__eq__`` calls on the four route value types during
+#: establish(): each is an identity miss falling back to ``==`` (a
+#: changed route), or a bundle lookup by value.  Before the identity
+#: checks, every Adj-RIB-In upsert, Loc-RIB decision and resend check
+#: compared by value: 1,731 here (13,433 at N = 8, now 3,633).
+VALUE_TYPES = (AsPath, RouteAttributes, RibEntry, Announcement)
+VALUE_EQS = {
+    "AsPath": 106,
+    "RouteAttributes": 250,
+    "RibEntry": 106,
+    "Announcement": 60,
+}
+
+
 #: (objects, distinct values) of each type the network holds at the
 #: end of establish(): its routers' tables, its snapshot cache and its
 #: value table.
@@ -126,8 +159,10 @@ class EstablishCounts:
         self.bgp_replaces = 0
         self.ipaddress_eqs = 0
         self.enum_hashes = 0
-        #: ``(path, result)`` of every strip_private call.
-        self.strips: list[tuple[AsPath, AsPath]] = []
+        #: ``(asns, result)`` of every export's ``strip_private_asns``.
+        self.strips: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.paths_built: dict[str, int] = {}
+        self.value_eqs: dict[str, int] = {}
         #: ``__init__`` frames of slot_init classes, fast per class and stock.
         self.fast_inits: dict[str, int] = {}
         self.stock_inits = 0
@@ -152,7 +187,15 @@ class EstablishCounts:
             self.enum_hashes += 1
         elif code.co_name == "__eq__" and code.co_filename == IPADDRESS_FILE:
             self.ipaddress_eqs += 1
+        elif code.co_name == "__eq__":
+            kind = type(frame.f_locals.get("self"))
+            if kind in VALUE_TYPES:
+                name = kind.__name__
+                self.value_eqs[name] = self.value_eqs.get(name, 0) + 1
         elif code.co_name == "__init__":
+            if type(frame.f_locals.get("self")) is AsPath:
+                caller = frame.f_back.f_code.co_name
+                self.paths_built[caller] = self.paths_built.get(caller, 0) + 1
             name = SLOT_INITS.get(code)
             if name is not None:
                 self.fast_inits[name] = self.fast_inits.get(name, 0) + 1
@@ -204,14 +247,14 @@ def established():
     registry = FederationRegistry(scenario)
     counts = EstablishCounts()
     monkeypatch = pytest.MonkeyPatch()
-    strip = AsPath.strip_private
+    strip = router_module.strip_private_asns
 
-    def recorded_strip(path):
-        result = strip(path)
-        counts.strips.append((path, result))
+    def recorded_strip(asns):
+        result = strip(asns)
+        counts.strips.append((asns, result))
         return result
 
-    monkeypatch.setattr(AsPath, "strip_private", recorded_strip)
+    monkeypatch.setattr(router_module, "strip_private_asns", recorded_strip)
     monkeypatch.setattr(snapshot, "restore_snapshot", counts.restore)
     monkeypatch.setattr(snapshot, "capture_snapshot", counts.capture)
     sys.setprofile(counts.profile)
@@ -237,12 +280,23 @@ def test_no_dataclasses_replace_from_bgp_during_establish(established):
 def test_strip_private_returns_a_clean_path_itself(established):
     _, counts = established
     clean = [
-        (path, result)
-        for path, result in counts.strips
-        if not any(is_private_asn(a) for a in path.asns)
+        (asns, result)
+        for asns, result in counts.strips
+        if not any(is_private_asn(a) for a in asns)
     ]
     assert clean, "establish() exported no path"
-    assert all(result is path for path, result in clean)
+    assert all(result is asns for asns, result in clean)
+    assert len(clean) < len(counts.strips), "no export held a private ASN"
+
+
+def test_an_export_builds_no_transient_path(established):
+    _, counts = established
+    assert counts.paths_built == PATHS_BUILT
+
+
+def test_route_values_compare_by_identity_first(established):
+    _, counts = established
+    assert counts.value_eqs == VALUE_EQS
 
 
 def test_every_rib_key_is_an_interned_prefix(established):

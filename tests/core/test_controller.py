@@ -121,7 +121,7 @@ class TestHealth:
         net, gateway = make_setup()
         gateway.outbound.record(0, 0.0, 0.030)
         controller = TangoController(gateway, net.sim, staleness_s=1.0)
-        net.sim.clock.advance_to(5.0)
+        net.sim.advance_to(5.0)
         assert not controller.health()[0].fresh
         assert controller.health()[0].last_measurement_age_s == pytest.approx(5.0)
 

@@ -10,7 +10,6 @@ from repro.core.policy import StaticSelector
 from repro.core.tunnels import TangoTunnel
 from repro.netsim.topology import Network
 from repro.netsim.packet import Ipv6Header, Packet, TangoHeader, UdpHeader
-from repro.dataplane.encap import is_tango_encapsulated
 
 
 def make_edge(name="ny", offset=0.0):
@@ -104,7 +103,7 @@ class TestDataPath:
         net.inject(switch, packet)
         net.run()
         assert sink.stats.received == 1
-        assert is_tango_encapsulated(sink.received_packets[0])
+        assert sink.received_packets[0].tunneled
 
     def test_inbound_measurement_recorded(self):
         net, switch, gateway = make_gateway()
@@ -124,7 +123,7 @@ class TestDataPath:
             tunnel_headers("2001:db8:c0::1", "2001:db8:b0::1"),
             TangoHeader(timestamp_ns=0, seq=0, path_id=5),
         )
-        net.sim.clock.advance_to(0.030)
+        net.sim.advance_to(0.030)
         host = net.add_host("host")
         edge_link = net.add_link("edge", switch, host, delay_s=0.0001)
         switch.fib.add_route("2001:db8:20::/48", edge_link)

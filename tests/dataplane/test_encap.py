@@ -9,7 +9,6 @@ from repro.dataplane.encap import (
     TunnelDecapError,
     decapsulate,
     encapsulate,
-    is_tango_encapsulated,
     tunnel_headers,
 )
 from repro.netsim.packet import (
@@ -100,17 +99,17 @@ class TestEncapsulate:
 
 class TestDetection:
     def test_encapsulated_detected(self):
-        assert is_tango_encapsulated(encap())
+        assert encap().tunneled
 
     def test_plain_packet_not_detected(self):
-        assert not is_tango_encapsulated(inner_packet())
+        assert not inner_packet().tunneled
 
     def test_wrong_udp_port_not_detected(self):
         packet = encap(dport=9999)
-        assert not is_tango_encapsulated(packet)
+        assert not packet.tunneled
 
     def test_short_stack_not_detected(self):
-        assert not is_tango_encapsulated(Packet(headers=[]))
+        assert not Packet(headers=[]).tunneled
 
 
 class TestDecapsulate:
@@ -132,4 +131,4 @@ class TestDecapsulate:
         encap(packet, src="2001:db8:c0::1", dst="2001:db8:d0::1", path_id=7)
         inner, tango, _ = decapsulate(packet)
         assert tango.path_id == 7
-        assert is_tango_encapsulated(inner)
+        assert inner.tunneled

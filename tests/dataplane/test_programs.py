@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.dataplane.encap import is_tango_encapsulated, tunnel_headers
+from repro.dataplane.encap import tunnel_headers
 from repro.dataplane.programs import TangoReceiverProgram, TangoSenderProgram
 from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
 from repro.netsim.topology import Network
@@ -60,7 +60,7 @@ class TestSenderProgram:
         net, switch = make_switch()
         sender = TangoSenderProgram(lookup, FirstTunnelSelector())
         out = sender(switch, data_packet())
-        assert is_tango_encapsulated(out)
+        assert out.tunneled
         assert str(out.dst) == "2001:db8:b0::1"
         assert sender.encapsulated == 1
 
@@ -68,7 +68,7 @@ class TestSenderProgram:
         net, switch = make_switch()
         sender = TangoSenderProgram(lookup, FirstTunnelSelector())
         out = sender(switch, data_packet(dst="2001:db8:99::9"))
-        assert not is_tango_encapsulated(out)
+        assert not out.tunneled
         assert sender.passed_through == 1
 
     def test_already_encapsulated_not_double_wrapped(self):
@@ -82,7 +82,7 @@ class TestSenderProgram:
     def test_timestamp_uses_switch_wall_clock(self):
         net, switch = make_switch(offset=0.5)
         sender = TangoSenderProgram(lookup, FirstTunnelSelector())
-        net.sim.clock.advance_to(1.0)
+        net.sim.advance_to(1.0)
         out = sender(switch, data_packet())
         assert out.tango.timestamp_ns == pytest.approx(1.5e9)
 
@@ -116,7 +116,7 @@ class TestReceiverProgram:
         )
         packet = sender(tx, data_packet())
         # Simulate 30 ms of network transit.
-        net.sim.clock.advance_to(net.sim.now + 0.030)
+        net.sim.advance_to(net.sim.now + 0.030)
         inner = receiver(rx, packet)
         return inner, measurements, receiver
 
@@ -134,7 +134,7 @@ class TestReceiverProgram:
 
     def test_decapsulated_inner_returned_for_forwarding(self):
         inner, _, _ = self.roundtrip()
-        assert not is_tango_encapsulated(inner)
+        assert not inner.tunneled
         assert str(inner.dst) == "2001:db8:20::9"
 
     def test_measurement_annotations_on_inner(self):

@@ -47,7 +47,7 @@ class TestArming:
 
     def test_past_events_rejected(self):
         d = deployment()
-        d.sim.clock.advance_to(5.0)
+        d.sim.advance_to(5.0)
         injector = FaultInjector(d, plan_of(blackhole(at=2.0)))
         with pytest.raises(ValueError, match="in the past"):
             injector.arm()
@@ -90,7 +90,7 @@ class TestArming:
 
     def test_every_problem_reported_at_once(self):
         d = deployment()
-        d.sim.clock.advance_to(5.0)
+        d.sim.advance_to(5.0)
         plan = plan_of(blackhole(at=2.0, src="tokyo"), blackhole(at=6.0, path="X"))
         with pytest.raises(ValueError) as refused:
             FaultInjector(d, plan).arm()

@@ -7,8 +7,8 @@ comparisons, each a Python call, per event.  :class:`ProbeGenerator`
 sends one factory's packets, and :func:`start_path_probes` starts one
 such generator, hence one heap event per round, per tunnel.
 
-Both stand alone, sharing only :class:`~repro.netsim.simclock.SimClock`
-and :class:`~repro.netsim.trace.PacketFactory` with the product, so that
+Both stand alone, sharing only :class:`~repro.netsim.trace.PacketFactory`
+with the product (the oracle keeps its own :class:`Clock`), so that
 ``tests/netsim/test_oracle_lockstep.py`` can drive them and the product
 with the same calls and require the same firings and the same packets.
 """
@@ -19,8 +19,19 @@ from typing import Callable, Optional
 
 from repro.core.policy import ApplicationSelector, StaticSelector
 from repro.netsim.packet import Packet
-from repro.netsim.simclock import SimClock
 from repro.netsim.trace import PacketFactory
+
+
+class Clock:
+    """Simulation time, moved only forward."""
+
+    def __init__(self, start: float) -> None:
+        self.now = float(start)
+
+    def advance_to(self, t: float) -> None:
+        if t < self.now:
+            raise ValueError(f"cannot move simulation time back to {t}")
+        self.now = t
 
 
 class Event:
@@ -53,7 +64,7 @@ class Simulator:
     _COMPACT_MIN_SIZE = 8
 
     def __init__(self, start: float = 0.0) -> None:
-        self.clock = SimClock(start)
+        self.clock = Clock(start)
         self._queue: list[Event] = []
         self._seq = itertools.count()
         self._events_processed = 0

@@ -22,6 +22,7 @@ from repro.netsim.links import (
     LossModel,
     OverrideLoss,
     WindowedLoss,
+    replace_models,
 )
 from repro.netsim.node import HostNode
 from repro.netsim.packet import Ipv6Header, Packet
@@ -131,13 +132,37 @@ class TestLoss:
         link = make_link(sim, dst)
         assert all(link.transmit(sim, make_packet()) for _ in range(50))
 
+    def test_a_lossless_link_draws_no_coin_until_its_model_is_replaced(
+        self, monkeypatch
+    ):
+        """A zero ``ConstantLoss`` skips the draw; ``replace_models`` to a
+        lossy one (or from it to a zero one) is seen at the next packet."""
+        draws = []
+        drops = LossModel.drops
+
+        def counted(model, seed, t, nonce=0):
+            draws.append(model)
+            return drops(model, seed, t, nonce)
+
+        monkeypatch.setattr(LossModel, "drops", counted)
+        sim = Simulator()
+        link = make_link(sim, HostNode("dst", sim))
+        assert link.transmit(sim, make_packet())
+        assert draws == []
+        replace_models(link, loss=ConstantLoss(1.0))
+        assert not link.transmit(sim, make_packet())
+        assert draws == [link.loss]
+        replace_models(link, loss=ConstantLoss(0.0))
+        assert link.transmit(sim, make_packet())
+        assert len(draws) == 1
+
     def test_constant_loss_rate_approximately_honored(self):
         sim = Simulator()
         dst = HostNode("dst", sim)
         link = make_link(sim, dst, loss=ConstantLoss(0.3), seed=42)
         dropped = 0
         for i in range(2000):
-            sim.clock.advance_to(i * 0.001)
+            sim.advance_to(i * 0.001)
             if not link.transmit(sim, make_packet()):
                 dropped += 1
         assert dropped / 2000 == pytest.approx(0.3, abs=0.05)
@@ -261,7 +286,7 @@ class TestDeterminism:
             link = make_link(sim, dst, loss=ConstantLoss(0.5), seed=seed)
             fates = []
             for i in range(200):
-                sim.clock.advance_to(i * 0.01)
+                sim.advance_to(i * 0.01)
                 fates.append(link.transmit(sim, make_packet()))
             return fates
 

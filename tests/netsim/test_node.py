@@ -315,7 +315,7 @@ class TestProgrammableSwitch:
         sw = net.add_switch("sw", clock_offset=0.5)
         stamps = []
         sw.attach_ingress(lambda s, p: (stamps.append(s.clock.now()), None)[1])
-        net.sim.clock.advance_to(1.0)
+        net.sim.advance_to(1.0)
         net.inject(sw, make_packet())
         net.run()
         assert stamps == [pytest.approx(1.5)]
@@ -326,7 +326,7 @@ class TestHostNode:
         sim = Simulator()
         seen = []
         host = HostNode("h", sim, on_packet=lambda p, t: seen.append(t))
-        sim.clock.advance_to(2.0)
+        sim.advance_to(2.0)
         host.receive(make_packet())
         assert seen == [2.0]
 

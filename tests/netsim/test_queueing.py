@@ -58,7 +58,7 @@ class TestServiceTimes:
         sim, link, arrivals = build(rate_bps=8_000_000.0)
         link.transmit(sim, make_packet())
         sim.run()
-        sim.clock.advance_to(1.0)
+        sim.advance_to(1.0)
         link.transmit(sim, make_packet())
         sim.run()
         assert arrivals[1] == pytest.approx(1.001)
@@ -81,7 +81,7 @@ class TestDropTail:
         assert link.transmit(sim, make_packet())  # queued
         assert not link.transmit(sim, make_packet())  # dropped
         sim.run()
-        sim.clock.advance_to(1.0)
+        sim.advance_to(1.0)
         assert link.transmit(sim, make_packet())
         sim.run()
         assert len(arrivals) == 3
@@ -114,7 +114,7 @@ class TestObservables:
         for _ in range(4):  # 4 x 1 ms of serialization
             link.transmit(sim, make_packet())
         sim.run()
-        sim.clock.advance_to(0.008)
+        sim.advance_to(0.008)
         assert link.utilization(sim.now) == pytest.approx(0.5)
 
     def test_utilization_capped_at_one(self):

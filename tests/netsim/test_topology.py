@@ -71,7 +71,7 @@ class TestOperation:
     def test_inject_stamps_created_at(self):
         net = Network()
         host = net.add_host("h")
-        net.sim.clock.advance_to(3.0)
+        net.sim.advance_to(3.0)
         packet = make_packet()
         net.inject(host, packet)
         assert packet.created_at == 3.0
