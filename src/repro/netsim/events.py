@@ -176,14 +176,14 @@ class Simulator:
                 continue
             if until is not None and time > until:
                 break
+            if time < self.now:  # advance_to's refusal, inline: still queued
+                raise ValueError(
+                    f"cannot move simulation time from {self.now} to {time}"
+                )
             pop(queue)
             # Detach so a cancel() from inside the callback (a task
             # pausing itself) is not counted as a queued tombstone.
             event._sim = None
-            if time < self.now:  # advance_to's refusal, inline
-                raise ValueError(
-                    f"cannot move simulation time from {self.now} to {time}"
-                )
             self.now = time
             event.callback()
             self._events_processed += 1
@@ -193,7 +193,8 @@ class Simulator:
 
     def advance_to(self, t: float) -> None:
         """Move simulation time forward to ``t`` without running events.
-        A jump past a queued event is refused when that event is run.
+        A jump past a queued event is refused when that event is due to
+        run; the event stays queued.
 
         Raises:
             ValueError: ``t`` is NaN or before the current time.
@@ -208,13 +209,16 @@ class Simulator:
         Returns:
             True if an event ran, False if the queue is empty.
         """
-        while self._queue:
-            time, _seq, event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time, _seq, event = queue[0]
             if event.cancelled:
+                heapq.heappop(queue)
                 self._cancelled_pending -= 1
                 continue
+            self.advance_to(time)  # a refused event stays queued
+            heapq.heappop(queue)
             event._sim = None
-            self.advance_to(time)
             event.callback()
             self._events_processed += 1
             return True

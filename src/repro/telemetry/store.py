@@ -6,12 +6,16 @@ by Tango path id.  The store is the boundary between the data plane
 (which appends one sample per received packet) and the policy/analysis
 layers (which read windows and summaries).
 
-Every array holds about the rows written to it: a series starts at
-``_INITIAL_CAPACITY`` rows and doubles.  A wide aggregate writer names
-the same paths at the same times, so the store holds its samples once:
-one time column and one value matrix (a :class:`_ColumnBlock`) whose
-columns are the member series' arrays.  A batch that names only some of
-a block's paths writes a row for those; the others keep their rows.
+Every written series is a column of a :class:`_ColumnBlock`: one time
+column and one value matrix.  A lone series is a block of width 1; a wide
+aggregate writer names the same paths at the same times, so its series
+share one block and the store holds their times once.  A block's members
+are fixed when it is made, and every member holds exactly the block's
+rows.  So one rule serves every writer: a write that names only some of
+a block's members splits the block first, at its capacity, into the
+named and the unnamed, and then each block it names takes one row
+write.  Every array holds about the rows written to it: a block starts at
+``_INITIAL_CAPACITY`` rows and doubles.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 __all__ = ["TimeSeries", "MeasurementStore", "StoreCursor"]
 
-#: Rows of a series' first arrays; every later allocation doubles them.
+#: Rows of a block's first arrays; every later allocation doubles them.
 _INITIAL_CAPACITY = 128
 
 #: A column block this wide starts at ``_WIDE_CAPACITY`` rows rather than
@@ -56,32 +60,23 @@ def _time_error(t: float, last: float) -> ValueError:
     return ValueError(f"time went backwards or is NaN or infinite: {t}{after}")
 
 
-def _doubled(capacity: int, needed: int) -> tuple[int, int]:
-    """``capacity`` doubled until it holds ``needed`` rows, and how many
-    doublings that took."""
-    doublings = 0
-    while needed > capacity:
-        capacity *= 2
-        doublings += 1
-    return capacity, doublings
-
-
 class TimeSeries:
     """Append-optimized (time, value) series backed by numpy arrays.
 
     Appends are amortized O(1) via geometric over-allocation and a length
     cursor; reads return zero-copy views of the filled region.  A new
-    series holds no arrays; its first write allocates ``_INITIAL_CAPACITY``
-    rows.  The hot path keeps everything in Python scalars (the last time
-    is cached as a float, the capacity as an int), so one ``append`` is
-    two array-cell stores plus comparisons — no numpy scalar boxing, no
-    ``len()`` of the backing array.  Times must be non-decreasing and
-    finite (they come from a monotonic simulation clock); violations raise
-    immediately, because a disordered series silently corrupts windowed
-    statistics.  The guard is spelled ``last <= t < inf`` so that a NaN
-    time, which compares False both ways and would switch it off for
-    good, is rejected too, and so is an infinite one, after which no
-    finite time could follow.
+    series holds no arrays; its first write makes it a block of width 1
+    with ``_INITIAL_CAPACITY`` rows.  The hot path keeps everything in
+    Python scalars (the last time is cached as a float, the rows it may
+    write on its own as an int), so one ``append`` is two array-cell
+    stores plus comparisons — no numpy scalar boxing, no ``len()`` of the
+    backing array.  Times must be non-decreasing and finite (they come
+    from a monotonic simulation clock); violations raise immediately,
+    because a disordered series silently corrupts windowed statistics.
+    The guard is spelled ``last <= t < inf`` so that a NaN time, which
+    compares False both ways and would switch it off for good, is
+    rejected too, and so is an infinite one, after which no finite time
+    could follow.
     """
 
     __slots__ = (
@@ -91,15 +86,16 @@ class TimeSeries:
     def __init__(self) -> None:
         self._times = self._values = _EMPTY
         self._size = 0
+        #: Rows this series may hold before a write of its own needs
+        #: :meth:`_room`: its block's capacity while it is alone in it,
+        #: else 0 (no block yet, or a wider one it must leave first).
         self._capacity = 0
         self._last_t = _NO_TIME
         #: Number of reallocations so far, the first arrays not counted
         #: (observable: growth must stay logarithmic in the appends).
         self.grows = 0
-        #: The column block whose views ``_times`` / ``_values`` are, or
-        #: None.  A member's ``_capacity`` is its ``_size``, so any write
-        #: of its own goes through :meth:`_grow`, which takes it out of
-        #: the block.
+        #: The column block whose views ``_times`` / ``_values`` are;
+        #: None until the first write.
         self._columns: Optional[_ColumnBlock] = None
 
     def append(self, t: float, value: float) -> None:
@@ -107,8 +103,8 @@ class TimeSeries:
         if not (self._last_t <= t < _INF):
             raise _time_error(t, self._last_t)
         size = self._size
-        if size == self._capacity:
-            self._grow(size + 1)
+        if size >= self._capacity:
+            self._room(size + 1)
         self._times[size] = t
         self._values[size] = value
         self._size = size + 1
@@ -128,7 +124,7 @@ class TimeSeries:
             return
         if not np.all(np.diff(times) >= 0):
             raise ValueError("times must be non-decreasing")
-        self._write(times, values)
+        self._extend_ordered(times, values)
 
     def extend_from(self, other: "TimeSeries", start: int, end: int) -> None:
         """Append rows ``start:end`` of ``other`` (series-to-series copy).
@@ -140,40 +136,35 @@ class TimeSeries:
         if not 0 <= start <= end <= other._size:
             raise IndexError(f"rows {start}:{end} outside a series of {other._size}")
         if end > start:
-            self._write(other._times[start:end], other._values[start:end])
+            self._extend_ordered(other._times[start:end], other._values[start:end])
 
-    def _write(self, times: np.ndarray, values: np.ndarray) -> None:
-        """Store a non-empty ordered block after checking its ends."""
+    def _extend_ordered(self, times: np.ndarray, values: np.ndarray) -> None:
+        """Append a non-empty ordered run after checking its ends, through
+        this series' own views as :meth:`append` writes: a mirror's copy
+        is one call here, not one into its block."""
         if not (self._last_t <= times[0] and times[-1] < _INF):
             raise ValueError(
                 "bulk append would go backwards in time or is NaN or infinite"
             )
-        needed = self._size + times.size
+        size = self._size
+        needed = size + times.size
         if needed > self._capacity:
-            self._grow(needed)
-        self._times[self._size : needed] = times
-        self._values[self._size : needed] = values
+            self._room(needed)
+        self._times[size:needed] = times
+        self._values[size:needed] = values
         self._size = needed
         self._last_t = float(times[-1])
 
-    def _grow(self, needed: int) -> None:
-        """Room for ``needed`` rows.  A block member first leaves its
-        block with arrays of its own; then the arrays double until they
-        hold ``needed`` rows, in one allocation."""
-        if self._columns is not None:
-            self._columns.release(self)
-            if needed <= self._capacity:
-                return
-        capacity, doublings = _doubled(self._capacity or _INITIAL_CAPACITY, needed)
-        size = self._size
-        times = np.empty(capacity, dtype=np.float64)
-        values = np.empty(capacity, dtype=np.float64)
-        times[:size] = self._times[:size]
-        values[:size] = self._values[:size]
-        self._times = times
-        self._values = values
-        self._capacity = capacity
-        self.grows += doublings
+    def _room(self, needed: int) -> None:
+        """Room for ``needed`` rows of this series' own, alone in a block:
+        its first, or its own part of a wider one (split at that one's
+        capacity), doubled until it holds them."""
+        block = self._columns
+        if block is None:
+            block = _ColumnBlock([self], _INITIAL_CAPACITY)
+        elif len(block.members) > 1:
+            block = block.split([self])
+        block.reserve(needed)
 
     @property
     def times(self) -> np.ndarray:
@@ -239,56 +230,16 @@ class TimeSeries:
             f"t=[{self.times[0]:.3f}, {self.times[-1]:.3f}])"
         )
 
-    def __getstate__(self) -> dict:
-        # The filled rows and the capacity, not the arrays: the headroom
-        # was never written, so it is neither copied nor compared.
-        state = {
-            name: getattr(self, name)
-            for name in TimeSeries.__slots__
-            if name not in ("_times", "_values")
-        }
-        if self._columns is not None:
-            # A member's arrays are views of its block's: a copy binds to
-            # the copied block's arrays, not to copies of its views.
-            state["_column"] = self._columns.members.index(self)
-        else:
-            state["_times"] = self._times[: self._size]
-            state["_values"] = self._values[: self._size]
-        return state
+    def __getstate__(self) -> tuple:
+        # No arrays: the block holds them, and a copied block binds its
+        # copied members to its own (``_ColumnBlock.__setstate__``).
+        return self._size, self._last_t, self.grows, self._columns
 
-    def __setstate__(self, state: dict) -> None:
-        for name in TimeSeries.__slots__:
-            if name not in ("_times", "_values"):
-                setattr(self, name, state[name])
-        if "_column" in state:
-            columns = state["_columns"]
-            self._times = columns.times
-            self._values = columns.values[:, state["_column"]]
-        else:
-            self._times = _with_headroom(state["_times"], self._capacity)
-            self._values = _with_headroom(state["_values"], self._capacity)
-
-
-def _with_headroom(rows: np.ndarray, capacity: int) -> np.ndarray:
-    """``rows`` at the head of a new array of ``capacity`` rows; the rest
-    is left unwritten, so its pages are never touched."""
-    out = np.empty((capacity,) + rows.shape[1:], dtype=np.float64)
-    out[: rows.shape[0]] = rows
-    return out
-
-
-def _take_columns(
-    values: np.ndarray, rows: int, columns: list[int], out: np.ndarray
-) -> None:
-    """Rows ``:rows`` of ``values``' ``columns`` into ``out``'s head, with
-    no temporary: a fancy-indexed copy of a wide block is as large as the
-    block (``mode="clip"`` is what lets ``take`` write ``out`` directly;
-    the columns are in range).  All of them is a plain copy: ``take``
-    costs a 256-wide doubling block ~0.35 MB more peak RSS."""
-    if len(columns) == values.shape[1]:
-        out[:rows] = values[:rows]
-    else:
-        np.take(values[:rows], columns, axis=1, out=out[:rows], mode="clip")
+    def __setstate__(self, state: tuple) -> None:
+        self._size, self._last_t, self.grows, self._columns = state
+        if self._columns is None:
+            self._times = self._values = _EMPTY
+            self._capacity = 0
 
 
 def _first_capacity(width: int) -> int:
@@ -297,261 +248,143 @@ def _first_capacity(width: int) -> int:
 
 
 class _ColumnBlock:
-    """One time column and one value matrix for a wide writer's series.
+    """One time column and one value matrix for a fixed list of series.
 
-    Member ``j`` of ``ids`` is a :class:`TimeSeries` whose ``_times`` is
-    the block's time column and whose ``_values`` is column ``j`` of a
-    row-major (capacity x width) matrix — a strided view — so every reader
-    of a series runs unchanged.  Row-major keeps the unwritten capacity
-    one contiguous tail that is never touched: numpy asks the kernel for
+    Member ``j`` is a :class:`TimeSeries` whose ``_times`` is the block's
+    time column and whose ``_values`` is column ``j`` of a row-major
+    (capacity x width) matrix — a strided view — so every reader of a
+    series runs unchanged.  Row-major keeps the unwritten capacity one
+    contiguous tail that is never touched: numpy asks the kernel for
     transparent huge pages on a large array, and a column-major block's
     first write to each column faulted in that column's headroom too.
 
-    A row is written for the members a batch names — one row per
-    written-through batch, one 2-D assignment per staged block — on the
-    doubling schedule of a lone series, so each member's ``grows`` is what
-    its own arrays would have had.  A member a row leaves out keeps its
-    rows: they are still the head of the time column, so it stays a
-    member (its cell in that row is NaN, never read) until it is named
-    again or the block reallocates.  Then the members that missed the
-    same rows move on together to a block of their own (:meth:`split`),
-    and one alone leaves with arrays of its own (:meth:`release`); either
-    way at the block's capacity, which is their own arrays' capacity too.
-    ``members`` holds None for a column whose member moved on, until the
-    block reallocates without it: at its next doubling, or when a new
-    plan would write to it.
+    Every member holds exactly the block's rows, so a write is one row
+    (or one run of rows) for all of them, on the doubling schedule of a
+    lone series: each member's ``grows`` is what its own arrays would
+    have had.  A write for only some members :meth:`split`\\ s the block
+    first; the block it leaves is dead (no members, no arrays), which is
+    what tells a kept plan naming it that the plan is stale.
     """
 
-    __slots__ = ("ids", "members", "times", "values", "capacity", "rows", "plan")
+    __slots__ = ("members", "times", "values", "capacity")
 
-    def __init__(self, ids: list[int], members: list[TimeSeries], needed: int) -> None:
-        capacity, doublings = _doubled(_first_capacity(len(ids)), needed)
-        self._allocate(ids, members, 0, capacity)
-        for member in members:
-            member._capacity = 0
-            member.grows += doublings
-
-    def _allocate(
-        self, ids: list[int], members: list[TimeSeries], rows: int, capacity: int
-    ) -> None:
-        """Empty arrays of ``capacity`` rows for ``members`` (their first
-        ``rows`` rows to be copied in by the caller), bound to them."""
-        self.ids = ids
-        self.members: list[Optional[TimeSeries]] = list(members)
-        self.rows = rows
-        #: The plan that wrote the last row, while every member it names
-        #: is still current (None once a member moves on).
-        self.plan: Optional[_RowPlan] = None
+    def __init__(self, members: list[TimeSeries], capacity: int) -> None:
+        """Empty arrays of ``capacity`` rows, each member's views of them
+        (the caller copies any filled rows in)."""
+        self.members, self.capacity = members, capacity
         self.times = np.empty(capacity, dtype=np.float64)
-        self.values = np.empty((capacity, len(ids)), dtype=np.float64)
-        self.capacity = capacity
+        self.values = np.empty((capacity, len(members)), dtype=np.float64)
+        own = capacity if len(members) == 1 else 0
         for column, member in enumerate(members):
             member._times, member._values = self.times, self.values[:, column]
-            member._columns = self
+            member._capacity, member._columns = own, self
 
-    def reserve(self, needed: int, named: list[TimeSeries]) -> None:
-        """Room for ``needed`` rows for the members ``named``: the others
-        move on first, then the arrays double — holding the named members'
-        columns only — until they hold ``needed`` rows."""
-        keep = set(map(id, named))
-        self.move_on([m for m in self.members if m is not None and id(m) not in keep])
-        capacity, doublings = _doubled(self.capacity, needed)
-        self.reallocate(capacity)
-        for member in self.members:
+    @property
+    def rows(self) -> int:
+        """Rows written: every member's size."""
+        return self.members[0]._size
+
+    def reserve(self, needed: int) -> None:
+        """Room for ``needed`` rows: the arrays double until they hold
+        them, in one allocation.  No call inside, so a lone series'
+        growth is two Python calls (``TimeSeries._room`` and this)."""
+        capacity = self.capacity
+        if needed <= capacity:
+            return
+        doublings = 0
+        while needed > capacity:
+            capacity *= 2
+            doublings += 1
+        members = self.members
+        rows = members[0]._size
+        times = np.empty(capacity, dtype=np.float64)
+        values = np.empty((capacity, len(members)), dtype=np.float64)
+        times[:rows] = self.times[:rows]
+        values[:rows] = self.values[:rows]
+        self.times, self.values, self.capacity = times, values, capacity
+        own = capacity if len(members) == 1 else 0
+        for column, member in enumerate(members):
+            member._times, member._values = times, values[:, column]
+            member._capacity = own
             member.grows += doublings
 
-    def reallocate(self, capacity: int) -> None:
-        """Arrays of ``capacity`` rows holding the filled rows of the
-        members still here: the columns of those that moved on go."""
-        live = [j for j, member in enumerate(self.members) if member is not None]
-        rows, times, values = self.rows, self.times, self.values
-        self._allocate(
-            [self.ids[j] for j in live], [self.members[j] for j in live], rows, capacity
-        )
-        self.times[:rows] = times[:rows]
-        _take_columns(values, rows, live, self.values)
+    def split(self, named: list[TimeSeries]) -> _ColumnBlock:
+        """Two blocks at this one's capacity, holding its rows: ``named``
+        (some of the members, columns in that order) and the others.
+        Returns the named one; this block is dead from here on."""
+        rows, keep = self.rows, set(map(id, named))
+        where = {id(member): j for j, member in enumerate(self.members)}
+        rest = [member for member in self.members if id(member) not in keep]
+        for part in (rest, named):  # the named one last: it is returned
+            block = _ColumnBlock(part, self.capacity)
+            block.times[:rows] = self.times[:rows]
+            # ``take`` writes the new block directly: a fancy-indexed copy
+            # of a wide block is a temporary as large as the block
+            # (``mode="clip"`` is what allows ``out``; the columns are in
+            # range).
+            columns = [where[id(member)] for member in part]
+            np.take(
+                self.values[:rows], columns, axis=1, out=block.values[:rows], mode="clip"
+            )
+        self.members, self.times, self.values = [], _EMPTY, _EMPTY
+        return block
 
-    def move_on(self, members: list[TimeSeries]) -> None:
-        """Take ``members``, which missed rows, out of the block: those that
-        missed the same rows (equal sizes) to a block of their own, one
-        alone to arrays of its own."""
-        by_size: dict[int, list[TimeSeries]] = {}
-        for member in members:
-            by_size.setdefault(member._size, []).append(member)
-        for group in by_size.values():
-            if len(group) == 1:
-                self.release(group[0])
-            else:
-                self.split(group)
-
-    def _leave(self, members: list[TimeSeries]) -> list[int]:
-        """Drop ``members`` from the block; their columns."""
-        columns = [self.members.index(member) for member in members]
-        for column in columns:
-            self.members[column] = None
-        self.plan = None
-        return columns
-
-    def split(self, members: list[TimeSeries]) -> None:
-        """``members``, of equal sizes — the same head of the time column —
-        move to a new block holding their rows."""
-        columns = self._leave(members)
-        size = members[0]._size
-        block = _ColumnBlock.__new__(_ColumnBlock)
-        block._allocate([self.ids[j] for j in columns], members, size, self.capacity)
-        block.times[:size] = self.times[:size]
-        _take_columns(self.values, size, columns, block.values)
-
-    def release(self, member: TimeSeries) -> None:
-        """``member`` leaves with arrays of its own holding its rows."""
-        self._leave([member])
-        size, capacity = member._size, self.capacity
-        times = np.empty(capacity, dtype=np.float64)
-        values = np.empty(capacity, dtype=np.float64)
-        times[:size] = self.times[:size]
-        values[:size] = member._values[:size]
-        member._times, member._values = times, values
-        member._capacity, member._columns = capacity, None
-
-    def append_row(
-        self,
-        t: float,
-        values: Sequence[float] | np.ndarray,
-        part: _Part,
-        plan: _RowPlan,
-    ) -> None:
-        """One sample at time ``t`` per member ``part`` names, ``values`` in
-        its order (room made and ``t`` checked by the caller)."""
+    def append_row(self, t: float, values: Sequence[float] | np.ndarray) -> None:
+        """One sample per member at time ``t`` (checked by the caller),
+        ``values`` in column order."""
         rows = self.rows
+        if rows == self.capacity:
+            self.reserve(rows + 1)
         self.times[rows] = t
-        if part.cols is None:
-            self.values[rows] = values
-        else:
-            if part.fill:
-                self.values[rows] = np.nan
-            self.values[rows, part.cols] = values
-        self.rows = rows = rows + 1
-        for member in part.named:
-            member._size = member._capacity = rows
+        self.values[rows] = values
+        rows += 1
+        for member in self.members:
+            member._size = rows
             member._last_t = t
-        self.plan = plan
 
-    def write_rows(
-        self,
-        times: Sequence[float] | np.ndarray,
-        rows: object,
-        part: _Part,
-        plan: _RowPlan,
-    ) -> None:
-        """Rows ``rows`` (one per time, in ``part``'s member order) at
-        times ``times`` (room made and checked by the caller)."""
+    def write_rows(self, times: Sequence[float] | np.ndarray, rows: object) -> None:
+        """Rows ``rows`` (one per time, each in column order) at times
+        ``times`` (checked by the caller)."""
         start = self.rows
         end = start + len(times)
+        self.reserve(end)
         self.times[start:end] = times
-        if part.cols is None:
-            self.values[start:end] = rows
-        else:
-            if part.fill:
-                self.values[start:end] = np.nan
-            self.values[start:end, part.cols] = rows
-        self.rows = end
+        self.values[start:end] = rows
         last = float(times[-1])
-        for member in part.named:
-            member._size = member._capacity = end
+        for member in self.members:
+            member._size = end
             member._last_t = last
-        self.plan = plan
 
-    def __reduce__(self) -> tuple:
-        # The filled rows are constructor arguments, so a copy holds its
-        # arrays before its members are copied and bind to them
-        # (``__setstate__``).  A copy starts with no plan.
+    def __getstate__(self) -> tuple:
+        # The filled rows and the capacity, not the arrays: the headroom
+        # was never written, so it is neither copied nor compared.  The
+        # members follow by reference and are bound in ``__setstate__``.
         rows = self.rows
-        return (
-            _restored_block,
-            (self.ids, self.times[:rows], self.values[:rows], self.capacity),
-            (None, {"members": self.members}),
-        )
+        return self.members, self.times[:rows], self.values[:rows], self.capacity
+
+    def __setstate__(self, state: tuple) -> None:
+        members, times, values, capacity = state
+        _ColumnBlock.__init__(self, members, capacity)
+        self.times[: times.size] = times
+        self.values[: times.size] = values
 
 
-def _restored_block(
-    ids: list[int], times: np.ndarray, values: np.ndarray, capacity: int
-) -> _ColumnBlock:
-    block = _ColumnBlock.__new__(_ColumnBlock)
-    block.ids, block.rows, block.capacity = ids, times.size, capacity
-    block.times = _with_headroom(times, capacity)
-    block.values = _with_headroom(values, capacity)
-    block.plan = None
-    return block
+#: Where a batch writes in one block: the block, and the batch positions
+#: of its columns — an ``itemgetter`` for one row, an index vector for a
+#: run of rows — or None twice when the batch is the block, in order.
+_Write = tuple[_ColumnBlock, Optional[itemgetter], Optional[np.ndarray]]
 
 
-class _Part:
-    """The members of one block a batch names: its positions ``take``
-    (None: all of them) go to the block's columns ``cols`` (None: every
-    column, in order) for the members ``named``; ``fill`` says the row
-    leaves a column out."""
-
-    __slots__ = ("block", "named", "cols", "take", "pick", "fill")
-
-    def __init__(
-        self,
-        block: _ColumnBlock,
-        named: list[TimeSeries],
-        cols: Optional[list[int]],
-        take: Optional[list[int]],
-    ) -> None:
-        self.block, self.named = block, named
-        self.cols = None if cols is None else np.array(cols, dtype=np.intp)
-        self.fill = cols is not None and len(cols) < len(block.members)
-        self.take = None if take is None else np.array(take, dtype=np.intp)
-        #: ``take`` of one batch's values, a list or a vector, in one C call.
-        self.pick = None if take is None else itemgetter(*take)
-
-    def row(self, values: Sequence[float] | np.ndarray) -> object:
-        """This block's share of one batch's ``values``."""
-        return values if self.pick is None else self.pick(values)
-
-    def rows(self, rows: object) -> object:
-        """This block's share of staged rows (along the last axis)."""
-        if self.take is None:
-            return rows
-        return np.asarray(rows, dtype=np.float64)[..., self.take]
-
-
-class _RowPlan:
-    """Where a batch naming ``ids`` writes: one row per block ``parts``
-    names, then the positions in ``rest`` — paths in no block, a member
-    that missed rows alone, a repeated id — per series."""
-
-    __slots__ = ("ids", "parts", "rest", "whole")
-
-    def __init__(
-        self, ids: list[int], parts: list[_Part], rest: list[tuple[int, int]]
-    ) -> None:
-        self.ids, self.parts, self.rest = ids, parts, rest
-        #: The one part, when the batch is its block's ids in column order.
-        self.whole: Optional[_Part] = None
-        if len(parts) == 1 and not rest and parts[0].cols is None:
-            self.whole = parts[0]
-
-    def current(self) -> bool:
-        """The last row of each of its blocks is its own: every member it
-        names is still current."""
-        for part in self.parts:
-            if part.block.plan is not self:
-                return False
-        return True
-
-    def last(self, series: dict[int, TimeSeries]) -> float:
-        """The latest sample time among the series the batch names."""
-        last = _NO_TIME
-        for part in self.parts:
-            if part.named[0]._last_t > last:
-                last = part.named[0]._last_t
-        for _, path_id in self.rest:
-            member = series.get(path_id)
-            if member is not None and member._last_t > last:
-                last = member._last_t
-        return last
+def _last_written(plan: list[_Write]) -> Optional[float]:
+    """The latest sample time in ``plan``'s blocks, or None when one of
+    them has been split since (the plan is stale)."""
+    last = _NO_TIME
+    for block, _, _ in plan:
+        if not block.members:
+            return None
+        if block.members[0]._last_t > last:
+            last = block.members[0]._last_t
+    return last
 
 
 class MeasurementStore:
@@ -575,21 +408,25 @@ class MeasurementStore:
     #: itself; ``__init__`` sets it again because the readers' test of
     #: it is 5 ns on an instance attribute and 25 ns through the class.
     _written = False
-    #: A column block has formed here: only then can a batch name one.
-    _columned = False
 
     def __init__(self) -> None:
         self._written = False
-        self._columned = False
         #: The one get-or-create: indexing builds a series only on a
         #: miss; reads that must not create use ``get`` / ``in``.
         self._series: defaultdict[int, TimeSeries] = defaultdict(TimeSeries)
+        #: Per batch id list, where it writes (:meth:`_plan`); a plan
+        #: holds while none of its blocks has been split.
+        self._plans: dict[tuple[int, ...], list[_Write]] = {}
         # The open write-behind block: the path ids every staged row is
         # for (a copy — callers grow their id lists in place), and per
         # row its time and its values, kept by reference.
         self._block_ids: list[int] = []
         self._block_times: list[float] = []
         self._block_rows: list[np.ndarray] = []
+
+    def __getstate__(self) -> dict:
+        # A copy plans its batches afresh: a kept plan may hold dead blocks.
+        return {**self.__dict__, "_plans": {}}
 
     def record(self, path_id: int, t: float, owd_s: float) -> None:
         """Append one one-way-delay sample for ``path_id``."""
@@ -609,11 +446,12 @@ class MeasurementStore:
         """Bulk-append a (len(times) x len(path_ids)) matrix: column ``j``
         is ``path_ids[j]``'s samples, at ``times``.
 
-        The series equal those of :meth:`extend` per column.  Two or more
-        paths none of which has a sample yet become one column block — one
-        time column, the values once.  All or nothing: a shape mismatch, a
-        repeated id, or times that are disordered, not finite or behind a
-        named series raise here with nothing kept.
+        The series equal those of :meth:`extend` per column.  The paths
+        with no sample yet become one column block — one time column, the
+        values once — and a block the ids name only some members of is
+        split first.  All or nothing: a shape mismatch, a repeated id, or
+        times that are disordered, not finite or behind a named series
+        raise here with nothing kept.
         """
         if self._written:
             self._sync()
@@ -656,11 +494,9 @@ class MeasurementStore:
         A writer whose previous batch has been read since is written
         through; one that runs ahead of its readers is staged and written
         a block of rows at a time — at the next read, a batch for other
-        paths, or ``_WRITE_BEHIND_DEPTH`` rows.  A batch naming two or
-        more distinct paths, none of which has a sample yet, forms a
-        :class:`_ColumnBlock` for those ids: from then on a batch for
-        them, or for some of them, is one row write, a staged block one
-        2-D assignment.
+        paths, or ``_WRITE_BEHIND_DEPTH`` rows.  Either way a batch is one
+        row write per column block it names (:meth:`_plan`), a staged
+        block one 2-D assignment per block.
         """
         count = len(path_ids)
         if count != len(owds_s):
@@ -669,21 +505,17 @@ class MeasurementStore:
             )
         if not count:
             return
-        series = self._series
         ids = path_ids if type(path_ids) is list else list(path_ids)
-        plan: Optional[_RowPlan] = None
+        plan: Optional[list[_Write]] = None
         if self._block_rows and ids == self._block_ids:
-            last = self._block_times[-1]
+            last: Optional[float] = self._block_times[-1]
         else:
             if self._block_rows:
                 self._flush()
-            plan = self._plan(ids)
-            if plan is None:
-                last = self._last_of(ids)
-            elif plan.whole is not None:
-                last = plan.whole.named[0]._last_t
-            else:
-                last = plan.last(series)
+            plan = self._plans.get(tuple(ids))
+            last = None if plan is None else _last_written(plan)
+            if last is None:
+                plan, last = None, self._last_of(ids)
         if not (last <= t < _INF):
             raise _time_error(t, last)
         # Stage only behind an unread write, and only ids named once: a
@@ -698,22 +530,15 @@ class MeasurementStore:
             return
         self._written = True
         if plan is None:
-            plan = self._form_columns(ids, 1)
-        if plan is None:
-            if isinstance(owds_s, np.ndarray):
-                owds_s = owds_s.tolist()
-            for path_id, owd_s in zip(ids, owds_s):
-                series[path_id].append(t, owd_s)
-            return
-        whole = plan.whole
-        if whole is not None and whole.block.rows < whole.block.capacity:
-            whole.block.append_row(t, owds_s, whole, plan)
-            return
-        plan = self._room(plan, 1)
-        for part in plan.parts:
-            part.block.append_row(t, part.row(owds_s), part, plan)
-        for k, path_id in plan.rest:
-            series[path_id].append(t, float(owds_s[k]))
+            if len(set(ids)) < count:  # the record loop, in its order
+                if isinstance(owds_s, np.ndarray):
+                    owds_s = owds_s.tolist()
+                for path_id, owd_s in zip(ids, owds_s):
+                    self._series[path_id].append(t, owd_s)
+                return
+            plan = self._plan(ids)
+        for block, pick, _ in plan:
+            block.append_row(t, owds_s if pick is None else pick(owds_s))
 
     def _last_of(self, ids: list[int]) -> float:
         """The latest sample time among ``ids``' series."""
@@ -724,95 +549,39 @@ class MeasurementStore:
                 last = member._last_t
         return last
 
-    def _plan(self, ids: list[int]) -> Optional[_RowPlan]:
-        """The row plan for a batch naming ``ids``: the last one of the
-        first block it names, if made for ``ids`` and still current, else
-        a new one (None: it names no block member)."""
-        if not self._columned:
-            return None
+    def _plan(self, ids: list[int]) -> list[_Write]:
+        """Where a batch naming ``ids`` (each once) writes: one entry per
+        block, each named whole.  A block the batch names only some
+        members of is split first, and the series it names that hold no
+        block yet form one together.  Kept for the next batch naming
+        ``ids``."""
         series = self._series
-        for path_id in ids:
-            member = series.get(path_id)
-            if member is not None and member._columns is not None:
-                plan = member._columns.plan
-                if plan is not None and plan.ids == ids and plan.current():
-                    return plan
-                return self._new_plan(ids)
-        return None
-
-    def _new_plan(self, ids: list[int]) -> Optional[_RowPlan]:
-        """A part per block ``ids`` names current members of, and one per
-        group of two or more members that missed the same rows of a block
-        (moved to a block of their own here); the rest per series."""
-        series = self._series
-        groups: dict[tuple[int, int], tuple[_ColumnBlock, list, list]] = {}
-        rest, seen = [], set()
+        # Keyed by the block's id(); the series with no block share
+        # ``id(None)``.
+        groups: dict[int, tuple[Optional[_ColumnBlock], list[int], list[TimeSeries]]]
+        groups = {}
         for k, path_id in enumerate(ids):
-            member = series.get(path_id)
-            block = member._columns if member is not None else None
-            if block is None or path_id in seen:
-                rest.append((k, path_id))  # a repeated id: after the row
-                continue
-            seen.add(path_id)
-            key = (id(block), member._size)
-            if key not in groups:
-                groups[key] = (block, [], [])
-            groups[key][1].append(k)
-            groups[key][2].append(member)
-        named_by_block = []
+            member = series[path_id]
+            group = groups.get(id(member._columns))
+            if group is None:
+                group = groups[id(member._columns)] = (member._columns, [], [])
+            group[1].append(k)
+            group[2].append(member)
+        plan: list[_Write] = []
         for block, take, named in groups.values():
-            if named[0]._size < block.rows:  # they missed rows: move on
-                block.move_on(named)
-                block = named[0]._columns
-                if block is None:  # alone, with arrays of its own
-                    rest.append((take[0], ids[take[0]]))
-                    continue
-            named_by_block.append((block, take, named))
-        if not named_by_block:
-            return None
-        rest.sort()
-        alone = len(named_by_block) == 1 and not rest
-        parts = []
-        for block, take, named in named_by_block:
-            if None in block.members:
-                block.reallocate(block.capacity)  # no column for one gone
-            where = {id(member): j for j, member in enumerate(block.members)}
-            cols = [where[id(member)] for member in named]
-            whole = cols == list(range(len(block.members)))
-            parts.append(
-                _Part(block, named, None if whole else cols, None if alone else take)
-            )
-        return _RowPlan(list(ids), parts, rest)
-
-    def _room(self, plan: _RowPlan, rows: int) -> _RowPlan:
-        """``plan``, its blocks made room for ``rows`` more rows; a new
-        plan if that reallocated one (its columns renumbered)."""
-        for part in plan.parts:
-            block = part.block
-            if block.rows + rows > block.capacity:
-                block.reserve(block.rows + rows, part.named)
-                renumbered = self._new_plan(plan.ids)
-                assert renumbered is not None  # its named members stay current
-                return self._room(renumbered, rows)
+            if block is None:
+                block = _ColumnBlock(named, _first_capacity(len(named)))
+            elif len(named) < len(block.members):
+                block = block.split(named)
+            else:  # its columns' positions, in column order
+                where = dict(zip(map(id, named), take))
+                take = [where[id(member)] for member in block.members]
+            if take == list(range(len(ids))):
+                plan.append((block, None, None))
+            else:
+                plan.append((block, itemgetter(*take), np.array(take, dtype=np.intp)))
+        self._plans[tuple(ids)] = plan
         return plan
-
-    def _form_columns(self, ids: list[int], rows: int) -> Optional[_RowPlan]:
-        """A column block for ``ids``, room for ``rows`` rows, and its
-        whole-row plan, if two or more distinct paths are named and none
-        has samples yet (else None: plain series)."""
-        series = self._series
-        if len(ids) < 2:
-            return None
-        for path_id in ids:
-            member = series.get(path_id)
-            if member is not None and (member._size or member._columns is not None):
-                return None
-        if len(set(ids)) < len(ids):
-            return None
-        members = [series[path_id] for path_id in ids]
-        block = _ColumnBlock(list(ids), members, rows)
-        self._columned = True
-        return _RowPlan(list(ids), [_Part(block, members, None, None)], [])
 
     def _sync(self) -> None:
         """Bring the series up to date for a reader."""
@@ -829,29 +598,17 @@ class MeasurementStore:
     def _write_rows(
         self, ids: list[int], times: Sequence[float] | np.ndarray, rows: object
     ) -> None:
-        """Write checked rows (one per time, in ``ids`` order): one 2-D
-        assignment into the paths' column block when there is one, the
-        rest per path."""
-        series = self._series
-        plan = self._plan(ids) or self._form_columns(ids, len(times))
-        if plan is not None:
-            plan = self._room(plan, len(times))
-            for part in plan.parts:
-                part.block.write_rows(times, part.rows(rows), part, plan)
-            rest = plan.rest
-            if not rest:
-                return
-        else:
-            rest = list(enumerate(ids))
-        if len(times) == 1:
-            t, values = float(times[0]), rows[0].tolist()
-            for k, path_id in rest:
-                series[path_id].append(t, values[k])
-            return
-        block_times = np.array(times, dtype=np.float64)
-        matrix = np.asarray(rows, dtype=np.float64)
-        for k, path_id in rest:
-            series[path_id]._write(block_times, matrix[:, k])
+        """Write checked rows (one per time, in ``ids`` order, each id
+        once): one 2-D assignment per column block."""
+        plan = self._plans.get(tuple(ids))
+        if plan is None or _last_written(plan) is None:
+            plan = self._plan(ids)
+        for block, _, take in plan:
+            if take is not None:
+                rows = np.asarray(rows, dtype=np.float64)
+                block.write_rows(times, rows[:, take])
+            else:
+                block.write_rows(times, rows)
 
     def series(self, path_id: int) -> TimeSeries:
         """The series for ``path_id`` (empty series if nothing recorded)."""

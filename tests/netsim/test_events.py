@@ -148,6 +148,27 @@ class TestRunControl:
         sim.run()
         assert sim.events_processed == 7
 
+    @pytest.mark.parametrize("drain", ["run", "run_until", "step"])
+    def test_an_event_refused_in_the_past_stays_queued(self, drain):
+        # A clock jumped past a queued event refuses to run it, and the
+        # event stays queued: a caller that catches the error can still
+        # cancel it, and live_pending still counts it until then.
+        sim = Simulator()
+        seen = []
+        event = sim.schedule_at(1.0, lambda: seen.append(sim.now))
+        sim.schedule_at(3.0, lambda: seen.append(sim.now))
+        sim.advance_to(2.0)
+        refuse = {"run": sim.run, "run_until": lambda: sim.run(until=5.0)}
+        for _ in range(2):
+            with pytest.raises(ValueError, match="cannot move simulation time"):
+                refuse.get(drain, sim.step)()
+            assert sim.now == 2.0 and seen == []
+            assert sim.pending == sim.live_pending == 2
+        event.cancel()
+        assert sim.live_pending == 1
+        sim.run()
+        assert seen == [3.0] and sim.pending == 0
+
 
 class TestPeriodicTask:
     def test_fires_at_interval(self):

@@ -14,6 +14,7 @@ from repro.telemetry.store import MeasurementStore, StoreCursor, TimeSeries
 
 #: Rows of a series' first arrays, and of a narrow column block's.
 FIRST = store_module._INITIAL_CAPACITY
+_ColumnBlock = store_module._ColumnBlock
 
 
 class TestTimeSeries:
@@ -204,9 +205,13 @@ def lone(rows, path_id):
 def stated(first):
     """An empty lone series whose first arrays hold ``first`` rows."""
     series = TimeSeries()
-    series._times, series._values = np.empty(first), np.empty(first)
-    series._capacity = first
+    _ColumnBlock([series], first)
     return series
+
+
+def alone(series):
+    """``series`` is a block of width 1."""
+    return series._columns is not None and series._columns.members == [series]
 
 
 def same_series(ours, lone_series):
@@ -218,24 +223,32 @@ def same_series(ours, lone_series):
 
 class TestColumnBlock:
     """A wide writer's series share one time column and one value matrix;
-    each still reads, grows and copies as a series of its own would."""
+    each still reads, grows and copies as a series of its own would.  A
+    write that names some of a block's members splits it first, at its
+    capacity, into the named and the unnamed."""
 
     def test_members_are_views_of_one_block(self):
         store, ids = wide_store(4, 10)
         members = [store.series(p) for p in ids]
         block = members[0]._columns
-        assert block is not None and block.ids == ids
+        assert block is not None and block.members == members
         assert all(m._times is block.times for m in members)
         assert all(np.shares_memory(m._values, block.values) for m in members)
         for p, member in zip(ids, members):
             same_series(member, lone(10, p))
 
-    def test_a_lone_or_repeated_path_is_not_a_block(self):
+    def test_a_lone_or_repeated_path_is_a_block_of_one(self):
         store = MeasurementStore()
         store.record_aggregate_many([1], 0.0, [0.5])
         store.record_aggregate_many([2, 2], 0.0, [0.5, 0.6])
-        assert store.series(1)._columns is None
-        assert store.series(2)._columns is None
+        assert alone(store.series(1)) and alone(store.series(2))
+        assert store.series(2).values.tolist() == [0.5, 0.6]  # the loop's order
+        for path_id, single in ((1, [0.5]), (2, [0.5, 0.6])):
+            series = TimeSeries()
+            for value in single:
+                series.append(0.0, value)
+            same_series(store.series(path_id), series)
+            assert store.series(path_id)._columns.values.nbytes == FIRST * 8
 
     def test_views_handed_out_before_a_grow_keep_their_bytes(self):
         store, ids = wide_store(3, FIRST)  # a full first block
@@ -254,14 +267,16 @@ class TestColumnBlock:
         before = [store.series(p).values for p in ids]
         kept = [v.tobytes() for v in before]
         store.record(1, FIRST * 0.1, 5.0)  # one member written alone leaves
-        assert [store.series(p)._columns for p in ids] == [block, None, block]
+        rest = store.series(0)._columns
+        assert rest is store.series(2)._columns and alone(store.series(1))
+        assert block.members == [] and rest.capacity == FIRST  # split at capacity
         store.record_aggregate_many(ids, (FIRST + 1) * 0.1, [7.0, 8.0, 9.0])
         assert [v.tobytes() for v in before] == kept
         assert [store.series(p).grows for p in ids] == [1, 1, 1]
         assert len(store.series(1)) == FIRST + 2
         assert len(store.series(0)) == len(store.series(2)) == FIRST + 1
-        # The block's next arrays hold the members still in it, only.
-        assert block.ids == [0, 2] and block.values.shape == (2 * FIRST, 2)
+        # The block's next arrays hold its two members' columns, only.
+        assert rest.values.shape == (2 * FIRST, 2)
 
     @pytest.mark.parametrize("rows", [3, 1024])
     @pytest.mark.parametrize(
@@ -279,41 +294,55 @@ class TestColumnBlock:
             same_series(copied.series(p), lone(rows + 3, p))
             same_series(store.series(p), lone(rows, p))
 
-    def test_a_block_survives_a_batch_for_a_subset_of_its_ids(self):
+    def test_a_batch_for_a_subset_splits_the_block_at_its_capacity(self):
+        # Every member holds exactly its block's rows: the named members
+        # and the unnamed ones become two blocks of the old one's capacity,
+        # each series still the bytes and ``grows`` of a lone one.
         store, ids = wide_store(4, 10)
         block = store.series(0)._columns
+        before = [store.series(p).values for p in ids]
         store.record_aggregate_many(ids[:2], 10 * 0.1, [7.0, 8.0])
-        assert [len(store.series(p)) for p in ids] == [11, 11, 10, 10]
-        assert all(store.series(p)._columns is block for p in ids[2:])
+        named, rest = store.series(0)._columns, store.series(2)._columns
+        assert named.members == [store.series(0), store.series(1)]
+        assert rest.members == [store.series(2), store.series(3)]
+        assert block.members == [] and named.capacity == rest.capacity == FIRST
+        assert (named.rows, rest.rows) == (11, 10)
+        assert [v.tobytes() for v in before] == [lone(10, p).values.tobytes() for p in ids]
+        for p in ids[2:]:
+            same_series(store.series(p), lone(10, p))
+        for p, value in zip(ids[:2], (7.0, 8.0)):
+            series = lone(10, p)
+            series.append(1.0, value)
+            same_series(store.series(p), series)
 
     def test_after_an_outage_the_block_writes_one_row_per_group(self, monkeypatch):
         # Paths 2 and 3 miss rows 10-12 (a blackhole leaves them out of the
-        # batch); named again, they move on together to a block of their
-        # own, and from then on a batch for all four ids is one row write
-        # per block: no per-path append, no copy at any other capacity.
+        # batch), which splits them off together; from then on a batch for
+        # all four ids is one row write per block: no per-path append, no
+        # copy at any other capacity.
         rows, appends = [], []
-        append_row = store_module._ColumnBlock.append_row
+        append_row = _ColumnBlock.append_row
 
         def counted_row(self, *args):
             rows.append(self)
             return append_row(self, *args)
 
         store, ids = wide_store(4, 10)
-        block = store.series(0)._columns
         for step in (10, 11, 12):
             store.record_aggregate_many(ids[:2], step * 0.1, [7.0, 8.0])
             store.last_time(0)
-        monkeypatch.setattr(store_module._ColumnBlock, "append_row", counted_row)
+        block, moved = store.series(0)._columns, store.series(2)._columns
+        monkeypatch.setattr(_ColumnBlock, "append_row", counted_row)
         monkeypatch.setattr(
             TimeSeries, "append", lambda *args: appends.append(args)
         )
         for step in (13, 14, 15):
             store.record_aggregate_many(ids, step * 0.1, [9.0, 9.5, 10.0, 10.5])
             store.last_time(0)
-        moved = store.series(2)._columns
         assert moved is store.series(3)._columns and moved is not block
         assert block.members == [store.series(0), store.series(1)]
-        assert moved.capacity == block.capacity == FIRST and moved.ids == [2, 3]
+        assert moved.capacity == block.capacity == FIRST
+        assert moved.members == [store.series(2), store.series(3)]
         assert block.values.shape == moved.values.shape == (FIRST, 2)
         assert rows == [block, moved] * 3 and appends == []
         assert [len(store.series(p)) for p in ids] == [16, 16, 13, 13]
@@ -327,17 +356,19 @@ class TestColumnBlock:
         assert [store.series(p).grows for p in ids] == [1, 1, 0, 0]
 
     def test_a_member_that_missed_rows_alone_leaves_alone(self):
+        # Left out of a batch, it leaves at once, as a block of one.
         store, ids = wide_store(3, 10)
         store.record_aggregate_many([0, 1], 1.0, [7.0, 8.0])
+        assert alone(store.series(2)) and store.series(2)._capacity == FIRST
         store.record_aggregate_many(ids, 1.1, [1.0, 2.0, 3.0])
-        assert store.series(2)._columns is None
-        assert store.series(2)._capacity == FIRST
+        assert alone(store.series(2)) and store.series(2)._capacity == FIRST
         assert store.series(2).times.tolist()[-2:] == [9 * 0.1, 1.1]
-        # The batch's plan writes into a block without its column.
-        assert store.series(0)._columns.ids == [0, 1]
+        # The batch writes a block without its column.
+        assert store.series(0)._columns.members == [store.series(0), store.series(1)]
         assert store.series(0)._columns.values.shape == (FIRST, 2)
 
     def test_copies_of_a_block_with_missed_rows_are_equal_bytes(self):
+        # Whatever the headroom held, and each copy writes its own blocks.
         pickles = []
         for headroom in (1.0, np.nan):
             store, ids = wide_store(4, 10)
@@ -349,8 +380,12 @@ class TestColumnBlock:
             pickles.append(pickle.dumps(store))
         assert pickles[0] == pickles[1]
         copied = pickle.loads(pickles[0])
-        assert copied.series(3)._columns is copied.series(0)._columns
+        assert copied.series(3)._columns is copied.series(2)._columns
+        assert copied.series(3)._columns is not copied.series(0)._columns
         assert [len(copied.series(p)) for p in ids] == [11, 11, 10, 10]
+        copied.record_aggregate_many(ids, 1.1, [1.0, 2.0, 3.0, 4.0])
+        assert [len(copied.series(p)) for p in ids] == [12, 12, 11, 11]
+        assert [len(store.series(p)) for p in ids] == [11, 11, 10, 10]
 
     def test_the_matrix_is_row_major_and_members_are_its_columns(self):
         store, ids = wide_store(5, 10)
@@ -389,9 +424,9 @@ class TestColumnBlock:
             if k % read_every == 0:
                 store.last_time(0)
         j = data.draw(st.integers(0, width - 1), label="member")
-        alone = stated(store_module._first_capacity(width))
+        single = stated(store_module._first_capacity(width))
         for t, value in zip(times, matrix[:, j].tolist()):
-            alone.append(t, value)
+            single.append(t, value)
         t0 = data.draw(st.floats(-1.0, times[-1] + 1.0), label="t0")
         t1 = data.draw(st.floats(-1.0, times[-1] + 1.0), label="t1")
         q = data.draw(st.floats(0.0, 100.0), label="q")
@@ -411,14 +446,14 @@ class TestColumnBlock:
             )
 
         member = store.series(ids[j])
-        assert member._columns is not None
-        assert reads(member) == reads(alone)
+        assert len(member._columns.members) == width
+        assert reads(member) == reads(single)
         for copied in (copy.deepcopy(store), pickle.loads(pickle.dumps(store))):
-            assert reads(copied.series(ids[j])) == reads(alone)
+            assert reads(copied.series(ids[j])) == reads(single)
         store.record(ids[j], times[-1], 0.5)  # written alone: leaves
-        alone.append(times[-1], 0.5)
-        assert member._columns is None
-        assert reads(member) == reads(alone)
+        single.append(times[-1], 0.5)
+        assert alone(member)
+        assert reads(member) == reads(single)
 
 
 class TestExtendBlock:
@@ -438,7 +473,8 @@ class TestExtendBlock:
         for j, path_id in enumerate(ids):
             alone.extend(path_id, times, values[:, j])
         columns = block.series(5)._columns
-        assert columns is not None and columns.ids == ids and columns.capacity == 512
+        assert columns.members == [block.series(p) for p in ids]
+        assert columns.capacity == 512
         for path_id in ids:
             same_series(block.series(path_id), alone.series(path_id))
         # A second write of the same ids is one more 2-D assignment.
@@ -449,13 +485,16 @@ class TestExtendBlock:
         assert block.series(9)._columns is columns
 
     def test_one_path_or_a_measured_path_is_written_per_series(self):
+        # Each a block of its own: a measured path keeps its block, and
+        # the fresh one forms another.
         times, values = self.matrix(width=2)
         store = MeasurementStore()
         store.extend_block([1], times, values[:, :1])
-        assert store.series(1)._columns is None and len(store.series(1)) == 300
+        assert alone(store.series(1)) and len(store.series(1)) == 300
         store.record(3, 0.0, 1.0)
         store.extend_block([3, 4], times + 1.0, values)
-        assert store.series(3)._columns is None and len(store.series(3)) == 301
+        assert alone(store.series(3)) and len(store.series(3)) == 301
+        assert alone(store.series(4)) and len(store.series(4)) == 300
 
     @pytest.mark.parametrize(
         "ids, times, values",

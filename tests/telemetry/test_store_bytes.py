@@ -1,9 +1,9 @@
 """Counted, not timed: the bytes of arrays the measurement stores hold.
 
 A series holds about the rows written to it: 128 rows first, doubling
-after.  A column block outlives a batch for some of its paths, and the
-paths a relay outage blackholed move on together to a block of their
-own.  Exact on any host:
+after.  A series is a column of a block (a lone one of width 1), and a
+batch for some of a block's paths splits it, at its capacity, into the
+named and the unnamed paths.  Exact on any host:
 
 * the golden N=4 live federation (mirrors, control plane, traffic on all
   12 directions, the relay dark from t=3 to t=6), run to t=10: its stores
@@ -48,17 +48,29 @@ def array_bytes(stores: list[MeasurementStore]) -> int:
     for store in stores:
         for series in store._series.values():
             block = series._columns
-            held = (series._times, series._values) if block is None else (
-                block.times,
-                block.values,
-            )
-            arrays.update((id(array), array.nbytes) for array in held)
+            if block is not None:
+                arrays[id(block.times)] = block.times.nbytes
+                arrays[id(block.values)] = block.values.nbytes
     return sum(arrays.values())
 
 
 def blocks_of(store: MeasurementStore) -> list:
-    found = {id(s._columns): s._columns for s in store._series.values()}
-    return [block for key, block in found.items() if block is not None]
+    """The store's blocks of two or more paths: the ids of their columns,
+    their rows, their capacity and their value matrix."""
+    ids_of = {}
+    for path_id, series in store._series.items():
+        block = series._columns
+        if block is not None and len(block.members) > 1:
+            ids_of.setdefault(id(block), (block, {}))[1][id(series)] = path_id
+    return [
+        types.SimpleNamespace(
+            ids=[ids[id(member)] for member in block.members],
+            rows=block.rows,
+            capacity=block.capacity,
+            values=block.values,
+        )
+        for block, ids in ids_of.values()
+    ]
 
 
 def test_the_live_federation_holds_the_rows_it_wrote():

@@ -1,15 +1,18 @@
-"""Write-behind aggregate telemetry, against the loops it replaced.
+"""Write-behind aggregate telemetry, against models that loop.
 
 ``MeasurementStore.record_aggregate_many`` and
 ``SequenceTracker.record_aggregate_many`` used to be one Python loop per
 call — a ``TimeSeries.append`` / a counter update per path.  They now
 keep a writer's rows whole while nobody reads and fold a block of them
-in at once.  The loops are kept *here* as the reference model (made
-all-or-nothing, which the product now is too) and hypothesis drives both
-with the same calls.  After every rule a *copy* of the product object is
-read through its public API and must equal the model — a copy, so that
-checking does not itself count as the reader that switches staging off;
-separate rules read the real object in place.
+in at once.  The reference models are kept *here* and hypothesis drives
+product and model with the same calls.  The store's model holds each
+path as two plain Python lists, and derives ``grows`` from the doubling
+rule (first capacity, then x2), so it shares no code with the product's
+series; the tracker's is the parent's loop (made all-or-nothing, which
+the product now is too).  After every rule a *copy* of the product
+object is read through its public API and must equal the model — a copy,
+so that checking does not itself count as the reader that switches
+staging off; separate rules read the real object in place.
 
 The store machine also runs the report road over both stores: the
 product ``StoreCursor`` / ``TelemetryMirror`` on the product store, and
@@ -21,11 +24,16 @@ a scope grown below its ids, and a sink that refuses a row mid-sync.
 
 The store machine also drives a wide writer whose batches form a column
 block (one time column and one value matrix for its series), a
-blackholed subset of its ids (the members left out keep their rows, then
-move on together to a block of their own or alone to arrays of their
-own), a member written on its own, and a deep copy of the store that
-every later rule writes to — with two-row initial arrays, so blocks and
-series grow, split and grow again.
+blackholed subset of its ids (which splits the block into the named and
+the left-out members), a member written on its own (``record``,
+``extend``, ``extend_from``), ``extend_block`` over fresh and measured
+ids, and a deep copy of the store that every later rule writes to — with
+two-row initial arrays, so blocks grow, split and grow again.  After
+every rule each block's members hold exactly its rows, and no block
+holds a column for a series that is not its member.
+
+``STORE_EXAMPLES`` sets the number of examples of both machines
+(default: 150 for the store, 60 for the tracker).
 
 The exact work counts at the bottom pin what write-behind and the column
 block are for: on a 256-wide engine nobody reads, a step costs no
@@ -33,6 +41,10 @@ per-path Python at all, and a written-through step is one row write.
 """
 
 import copy
+import math
+import os
+import sys
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -56,20 +68,141 @@ from tests.telemetry.oracle import OracleCursor, OracleMirror
 from tests.traffic.test_vector import standin
 
 NAN = float("nan")
+#: Every finite time is at or after it, and -inf is not.
+LOWEST = -sys.float_info.max
 
-# -- the parent's loops (commit fe404f2), validated before they write --------------
+# -- the store as per-path Python lists ---------------------------------------------
 
 
-class LoopStore(MeasurementStore):
+class ListSeries:
+    """A series as two Python lists; ``first`` is the rows of its first
+    arrays, from which ``grows`` follows by doubling."""
+
+    def __init__(self, first):
+        self.t, self.v, self.first = [], [], first
+
+    @property
+    def _size(self):
+        return len(self.t)
+
+    @property
+    def times(self):
+        return np.array(self.t, dtype=np.float64)
+
+    @property
+    def values(self):
+        return np.array(self.v, dtype=np.float64)
+
+    @property
+    def grows(self):
+        capacity, grows = self.first, 0
+        while len(self.t) > capacity:
+            capacity, grows = capacity * 2, grows + 1
+        return grows
+
+    @property
+    def last_time(self):
+        return self.t[-1] if self.t else None
+
+    def count_before(self, t):
+        return bisect_left(self.t, t)
+
+    def checked(self, times):
+        """``times`` as floats, if each is finite and none goes back."""
+        last, times = (self.t[-1] if self.t else LOWEST), [float(t) for t in times]
+        for t in times:
+            if not last <= t < math.inf:
+                raise ValueError(f"time {t} after {last}")
+            last = t
+        return times
+
+    def append(self, t, value):
+        self.t += self.checked([t])
+        self.v.append(float(value))
+
+    def extend_from(self, other, start, end):
+        if not 0 <= start <= end <= len(other):
+            raise IndexError(f"rows {start}:{end} of {len(other)}")
+        self.t += self.checked(other.t[start:end])
+        self.v += other.v[start:end]
+
+    def __len__(self):
+        return len(self.t)
+
+
+class ListStore:
+    """The store's public contract over :class:`ListSeries`: every batch
+    checked whole, then written one path at a time, in order."""
+
+    _written = False
+
+    def __init__(self, first):
+        self.first = first
+        self._series = {}
+
+    def _sync(self):
+        pass
+
+    def series(self, path_id):
+        if path_id not in self._series:
+            self._series[path_id] = ListSeries(self.first)
+        return self._series[path_id]
+
+    def record(self, path_id, t, owd_s):
+        self.series(path_id).append(t, owd_s)
+
+    def extend(self, path_id, times, owds):
+        series = self.series(path_id)
+        times, owds = np.asarray(times).tolist(), np.asarray(owds).tolist()
+        if len(times) != len(owds):
+            raise ValueError("shape mismatch")
+        series.t += series.checked(times)
+        series.v += [float(v) for v in owds]
+
+    def extend_block(self, path_ids, times, owds):
+        times, owds = list(times), np.asarray(owds).tolist()
+        if len(owds) != len(times) or any(len(row) != len(path_ids) for row in owds):
+            raise ValueError("shape mismatch")
+        if len(set(path_ids)) < len(path_ids):
+            raise ValueError("a path id repeats")
+        if not times or not path_ids:
+            return
+        for path_id in path_ids:
+            self._series.get(path_id, ListSeries(self.first)).checked(times)
+        for j, path_id in enumerate(path_ids):
+            self.extend(path_id, times, [row[j] for row in owds])
+
     def record_aggregate_many(self, path_ids, t, owds_s):
         if len(path_ids) != len(owds_s):
             raise ValueError("length mismatch")
         for path_id in path_ids:
-            member = self._series.get(path_id)
-            if t != t or (member is not None and not (t >= member._last_t)):
-                raise ValueError("time went backwards or is NaN")
+            self._series.get(path_id, ListSeries(self.first)).checked([t])
         for path_id, owd_s in zip(path_ids, owds_s):
-            self.record(path_id, t, float(owd_s))
+            self.record(path_id, t, owd_s)
+
+    def path_ids(self):
+        return sorted(p for p, series in self._series.items() if series.t)
+
+    def items(self):
+        return iter([(p, self._series[p]) for p in self.path_ids()])
+
+    def last_time(self, path_id):
+        series = self._series.get(path_id)
+        return series.t[-1] if series is not None and series.t else None
+
+    def last_value(self, path_id):
+        series = self._series.get(path_id)
+        return series.v[-1] if series is not None and series.v else None
+
+    def recent_delay(self, path_id, window_s, now):
+        if not (window_s >= 0.0 and math.isfinite(now)):
+            raise ValueError("bad window or now")
+        series = self._series.get(path_id)
+        window = [
+            v
+            for t, v in zip(series.t, series.v) if now - window_s <= t < now + 1e-12
+        ] if series is not None else []
+        return float(np.mean(window)) if window else None
 
 
 class LoopTracker(SequenceTracker):
@@ -89,6 +222,9 @@ IDS = [20, 3, 200, 7, 64, 11]
 #: A wide writer's paths, unnamed by any other writer: a batch for all of
 #: them before anything else touches them forms a column block.
 WIDE = [30, 9, 300, 13, 70]
+#: Ids nothing has written, handed out in order to ``extend_block``.
+FRESH = list(range(40, 52))
+EVERY = IDS + WIDE + FRESH
 STEPS = [0.0, 0.05, 0.1, 0.35]
 path_ids = st.sampled_from(IDS)
 delays = st.floats(0.001, 0.5, allow_nan=False)
@@ -188,12 +324,13 @@ class StoreMachine(_WriteBehindMachine):
         store_module._INITIAL_CAPACITY = 2
         self.wide = list(WIDE)
         self.now = 0.0
-        self.ours, self.model = MeasurementStore(), LoopStore()
+        self.fresh = list(FRESH)
+        self.ours, self.model = MeasurementStore(), ListStore(2)
         self.cursors = StoreCursor(self.ours), OracleCursor(self.model)
         self.mirrors = {
             which: (
                 TelemetryMirror(self.ours, MeasurementStore(), latency, scope),
-                OracleMirror(self.model, LoopStore(), latency, scope),
+                OracleMirror(self.model, ListStore(2), latency, scope),
             )
             for which, latency, scope in MIRRORS
         }
@@ -266,10 +403,34 @@ class StoreMachine(_WriteBehindMachine):
         # later batch is backwards for that path only.
         self.both(lambda s: s.record(path_id, self.now + ahead, value))
 
-    @rule(path_id=path_ids, value=delays)
+    @rule(path_id=st.sampled_from(IDS + WIDE), value=delays)
     def extend(self, path_id, value):
+        # On a wide member too: a write of its own takes it out of its block.
         times = np.array([self.now, self.now + 0.01])
         self.both(lambda s: s.extend(path_id, times, np.array([value, value])))
+
+    @rule(
+        measured=st.lists(st.sampled_from(IDS + WIDE), max_size=3),
+        fresh=st.integers(0, 3),
+        data=st.data(),
+    )
+    def extend_block(self, measured, fresh, data):
+        # Fresh ids form a block of their own; measured ones are written
+        # into theirs (split first) or the whole block is refused: a
+        # repeated id, disorder, NaN, or a time behind a named series.
+        ids = measured + self.fresh[:fresh]
+        del self.fresh[:fresh]
+        ids = data.draw(st.permutations(ids), label="ids")
+        rows = data.draw(st.integers(0, 5), label="rows")
+        gaps = data.draw(
+            st.lists(st.sampled_from([0.0, 0.01, 0.01, -0.02, NAN]), min_size=rows, max_size=rows)
+        )
+        times = self.now + np.cumsum([0.0] + gaps[1:]) if rows else np.zeros(0)
+        values = np.array(
+            data.draw(st.lists(delays, min_size=rows * len(ids), max_size=rows * len(ids)))
+        ).reshape(rows, len(ids))
+        self.both(lambda s: s.extend_block(ids, times, values))
+        self.now += 0.05
 
     @rule(path_id=path_ids, window=st.sampled_from([0.05, 0.2, 5.0]))
     def read(self, path_id, window):
@@ -344,7 +505,7 @@ class StoreMachine(_WriteBehindMachine):
     def same_store(self, seen, model):
         assert seen.path_ids() == model.path_ids()
         assert not seen._block_rows and not seen._written
-        for path_id in IDS + WIDE:
+        for path_id in EVERY:
             ours, theirs = seen.series(path_id), model.series(path_id)
             assert ours.times.tobytes() == theirs.times.tobytes()
             assert ours.values.tobytes() == theirs.values.tobytes()
@@ -355,6 +516,28 @@ class StoreMachine(_WriteBehindMachine):
     def a_reader_would_see_the_model(self):
         self.same_store(copy.deepcopy(self.ours), self.model)
         assert len(self.ours._block_rows) < store_module._WRITE_BEHIND_DEPTH
+
+    @invariant()
+    def every_block_holds_exactly_its_members_rows(self):
+        for store in (self.ours, *(mirror.sink for mirror, _ in self.mirrors.values())):
+            series_of = {id(series) for series in store._series.values()}
+            for series in store._series.values():
+                block = series._columns
+                if block is None:  # never written
+                    assert series._size == 0 and series._capacity == 0
+                    continue
+                # Its columns are its members', each a series of this store.
+                assert all(id(member) in series_of for member in block.members)
+                assert any(member is series for member in block.members)
+                assert block.values.shape == (block.capacity, len(block.members))
+                own = block.capacity if len(block.members) == 1 else 0
+                for column, member in enumerate(block.members):
+                    assert member._columns is block and member._times is block.times
+                    assert member._size == block.rows <= block.capacity
+                    assert member._last_t == series._last_t
+                    assert member._capacity == own
+                    assert member._values.base is block.values
+                    assert member._values.ctypes.data == block.values[:, column].ctypes.data
 
     @invariant()
     def the_mirrors_match_the_oracle(self):
@@ -370,9 +553,9 @@ class StoreMachine(_WriteBehindMachine):
 def positions(cursor):
     """Rows of each id a cursor has consumed or discarded."""
     if isinstance(cursor, OracleCursor):
-        return [cursor._positions.get(path_id, 0) for path_id in IDS + WIDE]
+        return [cursor._positions.get(path_id, 0) for path_id in EVERY]
     entries = {entry[0]: entry for entry in cursor._followed}
-    return [entries[p][2] if p in entries else 0 for p in IDS + WIDE]
+    return [entries[p][2] if p in entries else 0 for p in EVERY]
 
 
 class TrackerMachine(_WriteBehindMachine):
@@ -436,10 +619,13 @@ class TrackerMachine(_WriteBehindMachine):
         assert len(self.ours._block_lost) < seqnum_module._WRITE_BEHIND_DEPTH
 
 
-_SETTINGS = settings(max_examples=60, stateful_step_count=40, deadline=None)
+_EXAMPLES = os.environ.get("STORE_EXAMPLES")
+_SETTINGS = settings(
+    max_examples=int(_EXAMPLES or 60), stateful_step_count=40, deadline=None
+)
 TestStoreMatchesLoop = StoreMachine.TestCase
 TestStoreMatchesLoop.settings = settings(
-    _SETTINGS, max_examples=150, derandomize=True
+    _SETTINGS, max_examples=int(_EXAMPLES or 150), derandomize=True
 )
 TestTrackerMatchesLoop = TrackerMachine.TestCase
 TestTrackerMatchesLoop.settings = _SETTINGS
@@ -525,7 +711,7 @@ def test_a_wide_step_costs_per_path_python_only_when_read(monkeypatch, reader):
     )
     store, tracker = fluid.receiver.inbound, fluid.sender.tracker
     appends = count_calls(monkeypatch, TimeSeries, "append")
-    writes = count_calls(monkeypatch, TimeSeries, "_write")
+    writes = count_calls(monkeypatch, TimeSeries, "_extend_ordered")
     rows = count_calls(monkeypatch, _ColumnBlock, "append_row")
     blocks = count_calls(monkeypatch, _ColumnBlock, "write_rows")
     updates = count_calls(
@@ -550,7 +736,7 @@ def test_a_wide_step_costs_per_path_python_only_when_read(monkeypatch, reader):
         return
     # One step written through as one row, then blocks: 999 rows = 3 full
     # blocks of 256 (one 2-D write / one counter update per path each) +
-    # 231 owed.  No per-path append or _write at all.
+    # 231 owed.  No per-path append or bulk write at all.
     assert counts() == (0, 0, 1, 3, 4 * WIDTH)
     assert len(store._block_rows) == len(tracker._block_lost) == 231
     assert all(len(series) == STEPS_RUN for _, series in store.items())
